@@ -1617,11 +1617,13 @@ fn kernel_scales(kernels: &[&[f32]]) -> Vec<f32> {
 /// Every window goes through the per-window [`ArmSnapshot::mac_indexed`]
 /// fold. An across-window ×4 variant ([`ArmSnapshot::mac_indexed_x4`])
 /// exists, is bit-identical, and was benchmarked here: on the bench
-/// host it *loses* at the frame level (the zero-activation skip the
-/// per-window fold gets for free outweighs batched noise mixing — see
-/// the perf notes in `crates/optics/src/arm.rs`), so the engine stays
-/// on the per-window path and the ×4 kernel remains available for
-/// hosts where vectorised integer mixing wins.
+/// host it *loses* at the frame level, because its batched noise
+/// mixing runs on slow 64-bit vector multiplies (see the perf notes in
+/// `crates/optics/src/arm.rs`). The per-window fold's zero-activation
+/// skip plays no part: paper-config frames encode dark pixels to the
+/// VCSEL's NRZ floor, not to 0, so it never fires. The engine stays on
+/// the per-window path and the ×4 kernel remains available for hosts
+/// where vectorised integer mixing wins.
 #[allow(clippy::too_many_arguments)]
 fn eval_row(
     oy: usize,

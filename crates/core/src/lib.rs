@@ -66,9 +66,11 @@
 //!   a frame boundary. Each frame keys its own noise epoch; the oracle
 //!   is the per-frame sequential loop.
 //! * **Dense / MLP** — [`mlp::matvec_parallel`] fans rows out over the
-//!   scheduler; each worker re-tunes a private scratch arm per chunk
-//!   and evaluates immutable snapshots, so rows never serialise on
-//!   shared-fabric `load_arm`. [`mlp::matvec`] is the oracle.
+//!   scheduler; every chunk stages from one per-code
+//!   [`oisa_optics::arm::RingTable`] (a code lookup per tap instead of
+//!   an arm re-tune), so rows never serialise on shared-fabric
+//!   `load_arm` and keep no per-worker state. [`mlp::matvec`] is the
+//!   oracle.
 //! * **Served frames** — [`serving::ServingEngine`] queues frames that
 //!   arrive over time and feeds the batch engine; the oracle is the
 //!   same sequential per-frame loop, independent of how requests

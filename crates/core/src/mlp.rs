@@ -18,14 +18,15 @@
 //!   fabric via `load_arm`, exactly as the hardware would serialise
 //!   them.
 //! * [`matvec_parallel`] — rows fan out over the work-stealing
-//!   scheduler; each worker re-tunes a *private* scratch arm per chunk
-//!   and evaluates an immutable [`ArmSnapshot`](oisa_optics::arm::ArmSnapshot), so no row ever waits
-//!   on another's fabric mutation. Output, energy, latency and chunk
-//!   count are bit-identical to [`matvec`] under the same seed and
-//!   epoch.
+//!   scheduler and every chunk stages from one per-code [`RingTable`],
+//!   built once per call: a ring's state depends only on its weight's
+//!   quantisation code, so a chunk needs a code lookup per tap, not an
+//!   arm re-tune. No row allocates per chunk, keeps per-worker state
+//!   or touches the fabric. Output, energy, latency and chunk count
+//!   are bit-identical to [`matvec`] under the same seed and epoch.
 
 use oisa_device::noise::NoiseSource;
-use oisa_optics::arm::MacResult;
+use oisa_optics::arm::{MacResult, RingTable};
 use oisa_optics::opc::Opc;
 use oisa_optics::vom::Vom;
 use oisa_optics::weights::WeightMapper;
@@ -117,17 +118,17 @@ pub fn matvec(
 }
 
 /// Parallel twin of [`matvec`]: rows fan out over the work-stealing
-/// scheduler and evaluate against private per-worker arm state instead
-/// of serialising on the shared fabric.
+/// scheduler and evaluate without touching the shared fabric.
 ///
-/// Each worker owns one scratch arm (cloned from the core's arm
-/// design). Per chunk it re-tunes that arm, takes an immutable
-/// [`oisa_optics::arm::ArmSnapshot`] and evaluates the snapshot through
-/// the same `(epoch, row, chunk)` noise stream the serial engine would
-/// use — arm state after `load_weights` depends only on the loaded
-/// chunk, never on fabric history, so every [`MacResult`] is
-/// bit-identical to the serial path's. The final reduction walks rows
-/// in order with the serial engine's exact floating-point grouping.
+/// One [`RingTable`] is built per call from the core's arm design and
+/// `mapper`. Per chunk a row task quantises the weights into a stack
+/// array, forms each ring's crosstalk × waveguide gain from its
+/// in-chunk neighbours' codes and evaluates through the same
+/// `(epoch, row, chunk)` noise stream the serial engine would use —
+/// arm state after `load_weights` depends only on the loaded chunk,
+/// never on fabric history, so every [`MacResult`] is bit-identical to
+/// the serial path's. The final reduction walks rows in order with the
+/// serial engine's exact floating-point grouping.
 ///
 /// The consumed noise epoch matches [`matvec`], and the fabric is left
 /// in the serial engine's exact exit state (each used arm's final two
@@ -153,25 +154,18 @@ pub fn matvec_parallel(
     validate_matvec(matrix, rows, cols, input)?;
     let (scale, normalised) = normalise_matrix(matrix);
     let epoch = noise.begin_epoch()?;
-    let template = opc.scratch_arm()?;
-    let noise_ref: &NoiseSource = noise;
-    let normalised_ref = &normalised;
-    let row_partials: Vec<Result<Vec<MacResult>>> = scheduler::execute_with(
-        (0..rows).collect(),
-        || template.clone(),
-        |arm, _, r| -> Result<Vec<MacResult>> {
-            let row = &normalised_ref[r * cols..(r + 1) * cols];
-            let row_stream = noise_ref.slot_stream(epoch, r as u64);
+    let table = RingTable::new(opc.config().arm, mapper)?;
+    let row_partials: Vec<Result<Vec<MacResult>>> =
+        scheduler::execute((0..rows).collect(), |_, r| -> Result<Vec<MacResult>> {
+            let row = &normalised[r * cols..(r + 1) * cols];
+            let row_stream = noise.slot_stream(epoch, r as u64);
             let mut partials = Vec::with_capacity(cols.div_ceil(CHUNK));
             for (ci, (w_chunk, a_chunk)) in row.chunks(CHUNK).zip(input.chunks(CHUNK)).enumerate() {
-                arm.load_weights(w_chunk, mapper)?;
-                let snapshot = arm.snapshot();
                 let stream = row_stream.at(ci as u64);
-                partials.push(snapshot.mac(a_chunk, &mut stream.cursor())?);
+                partials.push(table.mac(w_chunk, a_chunk, &mut stream.cursor())?);
             }
             Ok(partials)
-        },
-    );
+        });
     // Ordered reduction with the serial engine's exact grouping: per
     // row, chunk energies first, then the VOM aggregate.
     let mut output = Vec::with_capacity(rows);

@@ -31,7 +31,10 @@
 //!   position, scalar SplitMix64 mixing, `activation == 0` skipped by
 //!   an early `continue`. A zero's counters are positional (element
 //!   `i` always owns `base + 2i`/`base + 2i + 1`), so skipping draws
-//!   is bit-identical to drawing and multiplying by zero.
+//!   is bit-identical to drawing and multiplying by zero. Paper-config
+//!   frames never take the skip: the VAM encodes dark pixels to the
+//!   VCSEL's NRZ floor (≈ 0.022), not to 0, so every window draws all
+//!   its taps.
 //! * **Across-window ×4** ([`ArmSnapshot::mac_indexed_x4`]): [`LANES`]
 //!   consecutive output positions evaluate in lockstep against one
 //!   [`StreamQuad`] — same counters, same weights, the streams differ
@@ -54,15 +57,14 @@
 //! `gaussian_at_4_scalar`), because 64-bit vector multiplies are
 //! microcoded/emulated on this tier while the three scalar `imul`s per
 //! draw pipeline perfectly across 14+ independent draws, and the
-//! scalar ziggurat finish dominates either way. At the frame level the
-//! ×4 kernel also gives up the zero-skip (ternary windows are full of
-//! exact zeros), so the engines stay on the per-window fold and ×4
-//! measured ≈ 110–127 ns/window vs 78–110 ns — the batched kernel
+//! scalar ziggurat finish dominates either way. At the frame level ×4
+//! measured ≈ 110–127 ns/window vs 78–110 ns for the per-window fold,
+//! so the engines stay on the per-window fold — the batched kernel
 //! remains available, tested bit-identical, for hosts with fast
 //! `vpmullq`. Regenerate `bench/baseline.json` with `perf_json` after
 //! touching anything in this file.
 
-use oisa_device::mr::{Microring, MrDesign};
+use oisa_device::mr::{Microring, MrDesign, TuningOutcome};
 use oisa_device::noise::{NoiseModel, NoiseStream, StreamQuad};
 use oisa_device::photodiode::{BalancedPhotodetector, PhotodiodeParams};
 use oisa_device::simd::LANES;
@@ -140,11 +142,9 @@ pub struct MacResult {
 ///
 /// A snapshot is what lets evaluation outlive fabric mutation: the
 /// batched convolution engine snapshots every pass's arms before the
-/// next pass re-tunes the same physical rings, and the parallel dense
-/// path evaluates rows against snapshots instead of serialising on
-/// [`Bank::load_arm`](crate::bank::Bank::load_arm). Both MAC entry
-/// points are bit-identical to their [`Arm`] counterparts — they share
-/// the same inner evaluation, not a re-implementation.
+/// next pass re-tunes the same physical rings. Both MAC entry points
+/// are bit-identical to their [`Arm`] counterparts — they share the
+/// same inner evaluation, not a re-implementation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ArmSnapshot {
     weights: Vec<MappedWeight>,
@@ -361,12 +361,7 @@ impl Arm {
         let mut latency = Second::ZERO;
         for (i, ring) in self.rings.iter_mut().enumerate() {
             let magnitude = mapped.get(i).map_or(0.0, |m| m.magnitude);
-            // Ring transmission encodes the magnitude; parked rings
-            // (weight 0) sit on resonance and block their channel.
-            let floor = ring.design().intrinsic_loss;
-            let target = floor + (0.95 - floor) * magnitude;
-            let detuning = ring.detuning_for_transmission(target)?;
-            let outcome = ring.apply_detuning(detuning);
+            let outcome = tune_to_magnitude(ring, magnitude)?;
             energy += outcome.energy;
             latency = latency.max(outcome.latency);
         }
@@ -378,18 +373,17 @@ impl Arm {
         // into one per-ring gain here instead of re-evaluating two
         // Lorentzian tails per channel on every MAC.
         let spacing = self.plan.spacing();
-        self.ring_gain = (0..self.weights.len())
+        let n = self.weights.len();
+        self.ring_gain = (0..n)
             .map(|i| {
-                let mut xt = 1.0;
-                if self.config.crosstalk {
-                    if i > 0 {
-                        xt *= self.rings[i - 1].crosstalk_transmission(spacing);
-                    }
-                    if i + 1 < self.weights.len() {
-                        xt *= self.rings[i + 1].crosstalk_transmission(-spacing);
-                    }
-                }
-                xt * self.path_transmission
+                tap_gain(
+                    i,
+                    n,
+                    self.config.crosstalk,
+                    self.path_transmission,
+                    |j| self.rings[j].crosstalk_transmission(spacing),
+                    |j| self.rings[j].crosstalk_transmission(-spacing),
+                )
             })
             .collect();
         Ok(())
@@ -580,9 +574,170 @@ impl Arm {
     }
 }
 
+/// Per-code ring table: stages dense-layer chunks without an arm.
+///
+/// A [`Microring`]'s state is its absolute detuning, and the detuning
+/// [`Arm::load_weights`] gives a ring depends only on its weight's
+/// quantisation code, so the crosstalk a ring imposes on its
+/// neighbours is a function of that code alone. The table tunes one
+/// fresh ring per code through the calls `load_weights` makes and keeps
+/// its two crosstalk transmissions, plus the arm design's waveguide,
+/// detector, full-scale and dwell constants. [`RingTable::mac`] then
+/// quantises a chunk into a stack array, forms each tap's gain from its
+/// in-chunk neighbours' codes and runs the shared MAC core — no heap
+/// allocation, no mutable state and no fabric access, so any number of
+/// threads can evaluate chunks against one table.
+#[derive(Debug, Clone)]
+pub struct RingTable<'a> {
+    mapper: &'a WeightMapper,
+    /// `crosstalk_transmission(spacing)` of a ring holding each code:
+    /// applied to tap `i` when that ring is its neighbour `i − 1`.
+    xt_prev: Vec<f64>,
+    /// `crosstalk_transmission(−spacing)` of a ring holding each code:
+    /// applied to tap `i` when that ring is its neighbour `i + 1`.
+    xt_next: Vec<f64>,
+    crosstalk: bool,
+    path_transmission: f64,
+    detector: BalancedPhotodetector,
+    per_channel_full: f64,
+    channel_power: f64,
+    dwell: Second,
+}
+
+impl<'a> RingTable<'a> {
+    /// Builds the table for arms of design `config` loaded through
+    /// `mapper`: one ring tuning per code (16 at 4 bits).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OpticsError::Device`] when the arm design or a ring
+    /// tuning is rejected.
+    pub fn new(config: ArmConfig, mapper: &'a WeightMapper) -> Result<Self> {
+        // An idle arm supplies the design constants, so the table
+        // evaluates with exactly the bits a loaded arm does.
+        let arm = Arm::new(config)?;
+        let spacing = arm.plan.spacing();
+        let codes = mapper.levels().len();
+        let mut xt_prev = Vec::with_capacity(codes);
+        let mut xt_next = Vec::with_capacity(codes);
+        for &magnitude in mapper.levels() {
+            let mut ring = Microring::new(config.ring)?;
+            tune_to_magnitude(&mut ring, magnitude)?;
+            xt_prev.push(ring.crosstalk_transmission(spacing));
+            xt_next.push(ring.crosstalk_transmission(-spacing));
+        }
+        Ok(Self {
+            mapper,
+            xt_prev,
+            xt_next,
+            crosstalk: config.crosstalk,
+            path_transmission: arm.path_transmission,
+            detector: arm.detector,
+            per_channel_full: arm.per_channel_full,
+            channel_power: config.channel_power.get(),
+            dwell: arm.dwell,
+        })
+    }
+
+    /// Quantises one chunk of `weights` through the table's mapper and
+    /// evaluates it against `activations` — bit-identical to
+    /// [`Arm::load_weights`] on an idle arm of the table's design
+    /// followed by [`Arm::mac`], errors included.
+    ///
+    /// # Errors
+    ///
+    /// * [`OpticsError::CapacityExceeded`] for more than
+    ///   [`RINGS_PER_ARM`] weights.
+    /// * [`OpticsError::InvalidParameter`] for a weight outside
+    ///   `[−1, 1]`, more activations than weights, or an activation
+    ///   outside `[0, 1]`.
+    pub fn mac<N: NoiseModel>(
+        &self,
+        weights: &[f64],
+        activations: &[f64],
+        noise: &mut N,
+    ) -> Result<MacResult> {
+        let n = weights.len();
+        if n > RINGS_PER_ARM {
+            return Err(OpticsError::CapacityExceeded {
+                capacity: RINGS_PER_ARM,
+                requested: n,
+            });
+        }
+        let mut mapped = [MappedWeight {
+            code: 0,
+            magnitude: 0.0,
+            negative: false,
+        }; RINGS_PER_ARM];
+        for (m, &w) in mapped.iter_mut().zip(weights) {
+            *m = self.mapper.quantize(w)?;
+        }
+        let mapped = &mapped[..n];
+        validate_activation_window(n, activations)?;
+        let mut gain = [0.0f64; RINGS_PER_ARM];
+        for (i, g) in gain[..n].iter_mut().enumerate() {
+            *g = tap_gain(
+                i,
+                n,
+                self.crosstalk,
+                self.path_transmission,
+                |j| self.xt_prev[usize::from(mapped[j].code)],
+                |j| self.xt_next[usize::from(mapped[j].code)],
+            );
+        }
+        Ok(mac_core(
+            mapped,
+            &gain[..n],
+            &self.detector,
+            self.per_channel_full,
+            self.channel_power,
+            self.dwell,
+            activations,
+            noise,
+        ))
+    }
+}
+
+/// Tunes `ring` so its channel transmission encodes `magnitude`;
+/// parked rings (magnitude 0) sit on resonance and block their
+/// channel. Shared by [`Arm::load_weights`] and [`RingTable::new`], so
+/// a table ring lands on the exact detuning a loaded arm's does.
+fn tune_to_magnitude(ring: &mut Microring, magnitude: f64) -> Result<TuningOutcome> {
+    let floor = ring.design().intrinsic_loss;
+    let target = floor + (0.95 - floor) * magnitude;
+    let detuning = ring.detuning_for_transmission(target)?;
+    Ok(ring.apply_detuning(detuning))
+}
+
+/// Crosstalk × waveguide gain of tap `i` in an `n`-tap window: the
+/// Lorentzian tail of neighbour `i − 1` (`prev`), then of neighbour
+/// `i + 1` (`next`), then the path transmission — one product order
+/// shared by [`Arm::load_weights`] and [`RingTable::mac`]. Only
+/// neighbours inside the window count.
+#[inline]
+fn tap_gain(
+    i: usize,
+    n: usize,
+    crosstalk: bool,
+    path_transmission: f64,
+    prev: impl Fn(usize) -> f64,
+    next: impl Fn(usize) -> f64,
+) -> f64 {
+    let mut xt = 1.0;
+    if crosstalk {
+        if i > 0 {
+            xt *= prev(i - 1);
+        }
+        if i + 1 < n {
+            xt *= next(i + 1);
+        }
+    }
+    xt * path_transmission
+}
+
 /// Checks activation count against `loaded` weights and the `[0, 1]`
-/// range, reporting the first offending index — shared by [`Arm`] and
-/// [`ArmSnapshot`] so both reject identically.
+/// range, reporting the first offending index — shared by [`Arm`],
+/// [`ArmSnapshot`] and [`RingTable`] so all reject identically.
 fn validate_activation_window(loaded: usize, activations: &[f64]) -> Result<()> {
     if activations.len() > loaded {
         return Err(OpticsError::InvalidParameter(format!(
@@ -1118,6 +1273,71 @@ mod tests {
         let snap = arm.snapshot();
         assert!(snap.mac(&[1.5; 9], &mut quiet()).is_err());
         assert!(snap.mac(&[1.0; 10], &mut quiet()).is_err());
+    }
+
+    #[test]
+    fn ring_table_matches_a_freshly_loaded_arm() {
+        // Every ladder the fabric uses, every resolution, crosstalk on
+        // and off, every chunk length up to a full arm: the table's
+        // MAC equals loading the chunk onto an arm and evaluating it,
+        // bit for bit, and a re-loaded arm never remembers its
+        // previous chunk.
+        let source = NoiseSource::seeded(5, NoiseConfig::paper_default());
+        for crosstalk in [false, true] {
+            let config = ArmConfig {
+                crosstalk,
+                ..ArmConfig::paper_default()
+            };
+            for bits in 1..=4u8 {
+                for mapper in [
+                    WeightMapper::ideal(bits).unwrap(),
+                    WeightMapper::paper(bits).unwrap(),
+                ] {
+                    let table = RingTable::new(config, &mapper).unwrap();
+                    let mut arm = Arm::new(config).unwrap();
+                    for n in 0..=RINGS_PER_ARM {
+                        let salt = u64::from(bits) * 11 + n as u64;
+                        let w: Vec<f64> = (0..n)
+                            .map(|i| ((salt + i as u64) as f64 * 0.71).sin())
+                            .collect();
+                        let a: Vec<f64> = (0..n)
+                            .map(|i| ((salt + i as u64) as f64 * 0.43).cos().abs())
+                            .collect();
+                        let stream = source.stream(0, salt, n as u64);
+                        arm.load_weights(&w, &mapper).unwrap();
+                        assert_eq!(
+                            table.mac(&w, &a, &mut stream.cursor()).unwrap(),
+                            arm.mac(&a, &mut stream.cursor()).unwrap(),
+                            "crosstalk {crosstalk}, {bits} bits, {n} weights"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ring_table_rejects_like_a_loaded_arm() {
+        let mapper = WeightMapper::paper(4).unwrap();
+        let table = RingTable::new(ArmConfig::paper_default(), &mapper).unwrap();
+        assert!(matches!(
+            table.mac(&[0.1; RINGS_PER_ARM + 1], &[0.5; 9], &mut quiet()),
+            Err(OpticsError::CapacityExceeded { .. })
+        ));
+        let err = table.mac(&[0.1, 1.5, 0.1], &[0.5; 3], &mut quiet());
+        assert!(err.unwrap_err().to_string().contains("1.5"));
+        assert!(table.mac(&[0.1; 3], &[0.5; 4], &mut quiet()).is_err());
+        let mut acts = [0.5; 9];
+        acts[6] = 1.5;
+        let mut arm = Arm::new(ArmConfig::paper_default()).unwrap();
+        arm.load_weights(&[0.5; 9], &mapper).unwrap();
+        assert_eq!(
+            table
+                .mac(&[0.5; 9], &acts, &mut quiet())
+                .unwrap_err()
+                .to_string(),
+            arm.mac(&acts, &mut quiet()).unwrap_err().to_string()
+        );
     }
 
     #[test]

@@ -10,7 +10,7 @@ use oisa_device::noise::NoiseModel;
 use oisa_units::{Joule, Second, Watt};
 use serde::{Deserialize, Serialize};
 
-use crate::arm::{Arm, ArmConfig, ArmSnapshot, MacResult, RINGS_PER_ARM};
+use crate::arm::{ArmConfig, ArmSnapshot, MacResult, RINGS_PER_ARM};
 use crate::bank::{Bank, ARMS_PER_BANK, RINGS_PER_BANK};
 use crate::weights::WeightMapper;
 use crate::{OpticsError, Result};
@@ -262,17 +262,6 @@ impl Opc {
         (0..arms)
             .map(|i| bank_ref.snapshot_arm(first_arm + i))
             .collect()
-    }
-
-    /// A fresh idle arm matching this core's arm design — private
-    /// scratch state for workers that load and evaluate weight chunks
-    /// without mutating the shared fabric (the parallel dense path).
-    ///
-    /// # Errors
-    ///
-    /// Propagates arm construction failures.
-    pub fn scratch_arm(&self) -> Result<Arm> {
-        Arm::new(self.config.arm)
     }
 
     /// Evaluates one loaded arm.

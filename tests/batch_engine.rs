@@ -117,22 +117,38 @@ proptest! {
     }
 
     /// Randomised dense layers: parallel matvec is bit-identical to the
-    /// serial oracle — output vector, chunk count, energy and latency.
+    /// serial oracle — output vector, chunk count, energy and latency —
+    /// under the ideal ladder and the paper's mismatch ladder (the one
+    /// the accelerator builds; its top level is 0.88) at every AWC
+    /// resolution, with ring crosstalk on and off, for rows spanning
+    /// up to eight nine-weight chunks with ragged tails.
     #[test]
     fn prop_matvec_parallel_matches_serial(
         seed in 0u64..40,
         rows in 1usize..=10,
-        cols in 1usize..=40,
+        cols in 1usize..=70,
+        paper_ladder in proptest::bool::ANY,
+        bits in 1u8..=4,
+        crosstalk in proptest::bool::ANY,
     ) {
+        rayon::set_num_threads(3);
         let cfg = OpcConfig {
             banks: 2,
             columns: 1,
             awc_units: 10,
-            arm: ArmConfig::paper_default(),
+            arm: ArmConfig {
+                crosstalk,
+                ..ArmConfig::paper_default()
+            },
         };
         let mut opc = Opc::new(cfg).unwrap();
         let vom = Vom::new(VomConfig::paper_default()).unwrap();
-        let mapper = WeightMapper::ideal(4).unwrap();
+        let mapper = if paper_ladder {
+            WeightMapper::paper(bits)
+        } else {
+            WeightMapper::ideal(bits)
+        }
+        .unwrap();
         let matrix: Vec<f32> = (0..rows * cols)
             .map(|i| ((seed as usize + i) as f32 * 0.29).sin())
             .collect();

@@ -11,6 +11,7 @@
 use oisa::core::backend::{ComputeBackend, LocalBackend, ShardedBackend};
 use oisa::core::program::{
     run_reference, ActivationKind, LayerProgram, ProgramFrameReport, QuantizeKind, Stage,
+    StageReport,
 };
 use oisa::core::wire::ProgramJob;
 use oisa::core::{OisaConfig, OisaError};
@@ -273,4 +274,110 @@ fn program_reports_carry_the_stage_breakdown() {
         assert_eq!(output.len(), 4, "latent width");
         assert!(output.iter().all(|v| *v >= 0.0), "ReLU output");
     }
+}
+
+/// 64-bit FNV-1a over little-endian words.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for byte in w.to_le_bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn f32s(&mut self, values: &[f32]) {
+        for v in values {
+            self.word(u64::from(v.to_bits()));
+        }
+    }
+}
+
+/// Digest of every output value, every energy and latency field and
+/// every chunk count in a program run.
+fn program_digest(reports: &[ProgramFrameReport]) -> u64 {
+    let mut h = Fnv1a::new();
+    for report in reports {
+        for stage in &report.stages {
+            match stage {
+                StageReport::Conv(c) => {
+                    for map in &c.output {
+                        h.f32s(map);
+                    }
+                    let e = &c.energy;
+                    for j in [
+                        e.sensing,
+                        e.encoding,
+                        e.tuning,
+                        e.compute,
+                        e.aggregation,
+                        e.memory,
+                    ] {
+                        h.word(j.get().to_bits());
+                    }
+                    let t = &c.timeline;
+                    for s in [t.capture, t.mapping, t.compute, t.transmit, t.control] {
+                        h.word(s.get().to_bits());
+                    }
+                }
+                StageReport::Dense(d) => {
+                    h.f32s(&d.output);
+                    h.word(d.chunks as u64);
+                    h.word(d.energy.get().to_bits());
+                    h.word(d.latency.get().to_bits());
+                }
+                StageReport::Quantize | StageReport::Activation => {}
+            }
+        }
+        h.f32s(&report.output);
+    }
+    h.0
+}
+
+/// A golden digest of the sequential oracle on a paper-config
+/// autoencoder (32×32 frames, 2 feature maps, latent 8, 4 frames):
+/// paper noise, the AWC mismatch ladder and ring crosstalk all on.
+/// Every backend is checked against `run_reference`, so this pins the
+/// oracle itself — a change that moves the dense or conv physics in
+/// the oracle and the engines at once still fails here. The program's
+/// He-normal weights and the noise ziggurat tables come from the
+/// platform's `ln`/`cos`/`exp`, so the digest is that of a glibc host.
+#[test]
+fn paper_config_autoencoder_reference_matches_its_golden_digest() {
+    const SIDE: usize = 32;
+    let mut config = OisaConfig::paper_default(SIDE, SIDE);
+    config.seed = 0x5EED_0A15;
+    let program = LayerProgram::autoencoder(SIDE, SIDE, 2, 8, 17).unwrap();
+    let frames: Vec<Frame> = (0..4u64)
+        .map(|f| {
+            let data: Vec<f64> = (0..SIDE * SIDE)
+                .map(|i| {
+                    let phase = i as f64 * 0.173 + f as f64 * 2.9;
+                    (0.5 + 0.5 * phase.sin() * (i as f64 * 0.011).cos()).clamp(0.0, 1.0)
+                })
+                .collect();
+            Frame::new(SIDE, SIDE, data).unwrap()
+        })
+        .collect();
+    let reports = run_reference(&config, 0, &program, &frames).unwrap();
+    let chunks: Vec<usize> = reports
+        .iter()
+        .flat_map(|r| &r.stages)
+        .filter_map(|s| match s {
+            StageReport::Dense(d) => Some(d.chunks),
+            _ => None,
+        })
+        .collect();
+    // 2 maps × 30 × 30 = 1800 columns → 200 nine-weight chunks per row.
+    assert_eq!(chunks, vec![8 * 200; 4]);
+    let digest = program_digest(&reports);
+    assert_eq!(
+        digest, 0xc0e3_a1c1_6778_b074,
+        "golden digest moved: {digest:#018x}"
+    );
 }
