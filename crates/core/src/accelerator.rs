@@ -1312,9 +1312,10 @@ impl OisaAccelerator {
     /// weight rows is chunked across arms and VOM-aggregated (paper
     /// §III-A's MLP path).
     ///
-    /// Rows evaluate in parallel against immutable per-arm snapshots
-    /// ([`crate::mlp::matvec_parallel`]); the result is bit-identical
-    /// to [`OisaAccelerator::dense_layer_serial`], the serial oracle.
+    /// Rows evaluate in parallel from the matrix staged once per call
+    /// (as in [`crate::mlp::matvec_parallel`]); the result is
+    /// bit-identical to [`OisaAccelerator::dense_layer_serial`], the
+    /// serial oracle.
     ///
     /// # Errors
     ///
@@ -1325,19 +1326,8 @@ impl OisaAccelerator {
         matrix: &[f32],
         rows: usize,
     ) -> Result<crate::mlp::MatVecReport> {
-        let capture = self.imager.expose(frame)?;
-        let encoded = self.vam.encode_capture(&capture)?;
-        let cols = encoded.optical.len();
-        crate::mlp::matvec_parallel(
-            &mut self.opc,
-            &self.vom,
-            &self.mapper,
-            matrix,
-            rows,
-            cols,
-            &encoded.optical,
-            &mut self.noise,
-        )
+        let input = self.encode_frame(frame)?;
+        self.dense_vector(&input, matrix, rows)
     }
 
     /// Single-threaded twin of [`OisaAccelerator::dense_layer`]: chunks
@@ -1354,17 +1344,15 @@ impl OisaAccelerator {
         matrix: &[f32],
         rows: usize,
     ) -> Result<crate::mlp::MatVecReport> {
-        let capture = self.imager.expose(frame)?;
-        let encoded = self.vam.encode_capture(&capture)?;
-        let cols = encoded.optical.len();
+        let input = self.encode_frame(frame)?;
         crate::mlp::matvec(
             &mut self.opc,
             &self.vom,
             &self.mapper,
             matrix,
             rows,
-            cols,
-            &encoded.optical,
+            input.len(),
+            &input,
             &mut self.noise,
         )
     }
@@ -1375,9 +1363,9 @@ impl OisaAccelerator {
     /// [`OisaAccelerator::dense_layer`] no frame is sensed or encoded,
     /// the predecessor stage's output drives the arms directly.
     ///
-    /// Rows fan out over [`crate::mlp::matvec_parallel`]; one noise
-    /// epoch is consumed, exactly as [`OisaAccelerator::dense_layer`]
-    /// does.
+    /// Rows fan out as in [`crate::mlp::matvec_parallel`], staging the
+    /// matrix for this call alone; one noise epoch is consumed, exactly
+    /// as [`OisaAccelerator::dense_layer`] does.
     ///
     /// # Errors
     ///
@@ -1389,7 +1377,21 @@ impl OisaAccelerator {
         matrix: &[f32],
         rows: usize,
     ) -> Result<crate::mlp::MatVecReport> {
-        crate::mlp::matvec_parallel(
+        self.dense_staged(input, matrix, rows, &mut None)
+    }
+
+    /// [`OisaAccelerator::dense_vector`] with the matrix's staging kept
+    /// by the caller ([`crate::mlp::matvec_staged`]): a layer-program
+    /// run stages each dense stage on its first frame and evaluates
+    /// every later frame from the same bytes.
+    pub(crate) fn dense_staged(
+        &mut self,
+        input: &[f64],
+        matrix: &[f32],
+        rows: usize,
+        staged: &mut Option<crate::mlp::StagedMatrix>,
+    ) -> Result<crate::mlp::MatVecReport> {
+        crate::mlp::matvec_staged(
             &mut self.opc,
             &self.vom,
             &self.mapper,
@@ -1398,7 +1400,15 @@ impl OisaAccelerator {
             input.len(),
             input,
             &mut self.noise,
+            staged,
         )
+    }
+
+    /// Senses `frame` and encodes it into the VAM's optical domain — the
+    /// input a frame-consuming dense layer drives the arms with.
+    pub(crate) fn encode_frame(&mut self, frame: &Frame) -> Result<Vec<f64>> {
+        let capture = self.imager.expose(frame)?;
+        Ok(self.vam.encode_capture(&capture)?.optical)
     }
 
     /// Stages the fabric into the exit state one dense `rows × cols`
@@ -1413,16 +1423,12 @@ impl OisaAccelerator {
     /// # Errors
     ///
     /// [`CoreError::InvalidParameter`] for a matrix that is not
-    /// `rows × cols`; substrate errors from the optical fabric.
+    /// `rows × cols` (including a shape whose size overflows `usize`);
+    /// substrate errors from the optical fabric.
     pub fn prewarm_dense(&mut self, matrix: &[f32], rows: usize, cols: usize) -> Result<()> {
-        if matrix.len() != rows * cols || rows == 0 || cols == 0 {
-            return Err(CoreError::InvalidParameter(format!(
-                "matrix {rows}x{cols} does not match {} elements",
-                matrix.len()
-            )));
-        }
-        let (_scale, normalised) = crate::mlp::normalise_matrix(matrix);
-        crate::mlp::replay_exit_state(&mut self.opc, &self.mapper, &normalised, rows, cols)
+        crate::mlp::check_shape(matrix.len(), rows, cols)?;
+        let scale = crate::mlp::matrix_scale(matrix);
+        crate::mlp::replay_exit_state(&mut self.opc, &self.mapper, matrix, scale, rows, cols)
     }
 }
 

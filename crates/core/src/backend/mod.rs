@@ -70,9 +70,12 @@
 //!   (one per optical stage) per frame, so a shard starting at job
 //!   frame `i` carries `first_epoch = base + i · E`.
 //! * **Entry state** — there is no [`FabricEntry`] on a
-//!   [`ProgramShard`]: every executor (local or worker) runs
-//!   [`prewarm_program`](crate::program) once, which stages the
-//!   program's own steady state regardless of fabric history. Ring
+//!   [`ProgramShard`]: every executor (local or worker) runs its frames
+//!   through
+//!   [`run_program_frames`](crate::accelerator::OisaAccelerator::run_program_frames),
+//!   which prewarms once, staging the program's own steady state
+//!   regardless of fabric history (and stages each dense matrix once
+//!   for all its frames). Ring
 //!   state after a load depends only on that load's weights, so
 //!   per-frame reports are history-independent by construction and
 //!   shard merges are bit-identical to the sequential reference
@@ -277,20 +280,13 @@ impl ComputeBackend for LocalBackend {
             .map_err(Into::into)
     }
 
-    /// One [`prewarm_program`](crate::program) (so reports are
-    /// history-independent, matching the sequential reference and any
-    /// sharded merge), then a per-frame loop.
+    /// [`run_program_frames`](crate::accelerator::OisaAccelerator::run_program_frames):
+    /// one prewarm (so reports are history-independent, matching the
+    /// sequential reference and any sharded merge), then a per-frame
+    /// loop.
     fn run_program(&mut self, job: &ProgramJob) -> BackendResult<Vec<ProgramFrameReport>> {
         validate_program_job(self, job)?;
-        self.accel.prewarm_program(&job.program)?;
-        job.frames
-            .iter()
-            .map(|frame| {
-                self.accel
-                    .run_program_frame(&job.program, frame)
-                    .map_err(Into::into)
-            })
-            .collect()
+        Ok(self.accel.run_program_frames(&job.program, &job.frames)?)
     }
 }
 
@@ -365,10 +361,12 @@ pub fn execute_shard(config: &OisaConfig, shard: &JobShard) -> BackendResult<Sha
 /// program counterpart of [`execute_shard`], shared by the in-process
 /// transport and the process worker loop.
 ///
-/// No entry state travels: [`prewarm_program`](crate::program) stages
-/// the program's own steady state (module docs, "Layer programs"), so
-/// this shard's reports are bit-identical to the same frames' slice of
-/// a sequential run regardless of what the worker ran before.
+/// No entry state travels:
+/// [`run_program_frames`](crate::accelerator::OisaAccelerator::run_program_frames)
+/// prewarms to the program's own steady state (module docs, "Layer
+/// programs"), so this shard's reports are bit-identical to the same
+/// frames' slice of a sequential run regardless of what the worker ran
+/// before.
 ///
 /// # Errors
 ///
@@ -387,12 +385,7 @@ pub fn execute_program_shard(
     }
     let mut accel = OisaAccelerator::new(*config)?;
     accel.align_noise_epoch(shard.first_epoch)?;
-    accel.prewarm_program(&shard.program)?;
-    let reports = shard
-        .frames
-        .iter()
-        .map(|frame| accel.run_program_frame(&shard.program, frame))
-        .collect::<crate::Result<Vec<_>>>()?;
+    let reports = accel.run_program_frames(&shard.program, &shard.frames)?;
     Ok(ProgramReport {
         job_id: shard.job_id,
         shard_index: shard.shard_index,

@@ -66,10 +66,13 @@
 //!   a frame boundary. Each frame keys its own noise epoch; the oracle
 //!   is the per-frame sequential loop.
 //! * **Dense / MLP** — [`mlp::matvec_parallel`] fans rows out over the
-//!   scheduler; every chunk stages from one per-code
-//!   [`oisa_optics::arm::RingTable`] (a code lookup per tap instead of
-//!   an arm re-tune), so rows never serialise on shared-fabric
-//!   `load_arm` and keep no per-worker state. [`mlp::matvec`] is the
+//!   scheduler; each row task stages its row through one per-code
+//!   [`oisa_optics::arm::RingTable`] into one byte per weight (code and
+//!   sign) and evaluates every chunk from those bytes (a code lookup
+//!   per tap instead of an arm re-tune), so rows never serialise on
+//!   shared-fabric `load_arm` and keep no per-worker state. A layer
+//!   program run ([`OisaAccelerator::run_program_frames`]) stages each
+//!   dense matrix once for all its frames. [`mlp::matvec`] is the
 //!   oracle.
 //! * **Served frames** — [`serving::ServingEngine`] queues frames that
 //!   arrive over time and feeds the batch engine; the oracle is the

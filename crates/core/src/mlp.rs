@@ -9,21 +9,29 @@
 //!
 //! Like the convolution pipeline, the dense path draws its noise from
 //! counter-based streams — keyed by `(epoch, row, chunk)` — so
-//! evaluation order never changes the physics. The whole weight matrix
-//! is normalised in one up-front scan (one division per element, no
-//! per-chunk staging buffer in the row loop), and two engines share
-//! that staging:
+//! evaluation order never changes the physics. Weights are normalised
+//! by the matrix's joint maximum magnitude, and two engines evaluate
+//! them:
 //!
 //! * [`matvec`] — the serial oracle: chunks round-robin over the shared
 //!   fabric via `load_arm`, exactly as the hardware would serialise
 //!   them.
-//! * [`matvec_parallel`] — rows fan out over the work-stealing
-//!   scheduler and every chunk stages from one per-code [`RingTable`],
-//!   built once per call: a ring's state depends only on its weight's
-//!   quantisation code, so a chunk needs a code lookup per tap, not an
-//!   arm re-tune. No row allocates per chunk, keeps per-worker state
-//!   or touches the fabric. Output, energy, latency and chunk count
-//!   are bit-identical to [`matvec`] under the same seed and epoch.
+//! * [`matvec_parallel`] — fans rows out over the work-stealing
+//!   scheduler; each row task stages its row once per call, one byte
+//!   per weight (quantisation code and sign, through a per-code
+//!   [`RingTable`]), and evaluates every chunk from the staged bytes
+//!   through the table — a ring's state depends only on its weight's
+//!   code, so a chunk needs a code lookup per tap, not an arm re-tune.
+//!   No row allocates per chunk, keeps per-worker state or touches the
+//!   fabric. Output, energy, latency and chunk count are bit-identical
+//!   to [`matvec`] under the same seed and epoch.
+//!
+//! Staging depends only on the weights and the mapper, so a caller
+//! that evaluates one matrix on many inputs stages it once: a layer
+//! program run
+//! ([`OisaAccelerator::run_program_frames`](crate::accelerator::OisaAccelerator::run_program_frames))
+//! stages each dense stage on its first frame and evaluates every
+//! later frame from the same bytes.
 
 use oisa_device::noise::NoiseSource;
 use oisa_optics::arm::{MacResult, RingTable};
@@ -77,7 +85,8 @@ pub fn matvec(
     noise: &mut NoiseSource,
 ) -> Result<MatVecReport> {
     validate_matvec(matrix, rows, cols, input)?;
-    let (scale, normalised) = normalise_matrix(matrix);
+    let scale = matrix_scale(matrix);
+    let normalised: Vec<f64> = matrix.iter().map(|&w| normalise(w, scale)).collect();
     let arms_per_bank = oisa_optics::bank::ARMS_PER_BANK;
     let epoch = noise.begin_epoch()?;
     let mut output = Vec::with_capacity(rows);
@@ -120,17 +129,22 @@ pub fn matvec(
 /// Parallel twin of [`matvec`]: rows fan out over the work-stealing
 /// scheduler and evaluate without touching the shared fabric.
 ///
-/// One [`RingTable`] is built per call from the core's arm design and
-/// `mapper`. Per chunk a row task quantises the weights into a stack
-/// array, forms each ring's crosstalk × waveguide gain from its
-/// in-chunk neighbours' codes and evaluates through the same
+/// After the noise epoch is consumed, one [`RingTable`] is built from
+/// the core's arm design and `mapper`. Each row task stages its row
+/// through it ([`RingTable::stage`]: one byte per weight, quantised
+/// once per call instead of once per chunk load), then per chunk forms
+/// each ring's crosstalk × waveguide gain from its in-chunk
+/// neighbours' codes and evaluates through the same
 /// `(epoch, row, chunk)` noise stream the serial engine would use —
 /// arm state after `load_weights` depends only on the loaded chunk,
 /// never on fabric history, so every [`MacResult`] is bit-identical to
 /// the serial path's. The final reduction walks rows in order with the
 /// serial engine's exact floating-point grouping.
 ///
-/// The consumed noise epoch matches [`matvec`], and the fabric is left
+/// The consumed noise epoch matches [`matvec`], errors included (a
+/// non-finite weight fails staging after the epoch is consumed, and
+/// the first one in row-major order is the one the serial engine's
+/// loads reject first), and the fabric is left
 /// in the serial engine's exact exit state (each used arm's final two
 /// round-robin loads are replayed, which pins both the ring operating
 /// points and the per-arm recorded tuning energy/latency) — so the two
@@ -151,29 +165,83 @@ pub fn matvec_parallel(
     input: &[f64],
     noise: &mut NoiseSource,
 ) -> Result<MatVecReport> {
+    matvec_staged(
+        opc, vom, mapper, matrix, rows, cols, input, noise, &mut None,
+    )
+}
+
+/// A dense matrix staged for the fabric: one byte per weight (code and
+/// sign, [`RingTable::stage`]) per row, plus the per-tensor scale the
+/// outputs are multiplied back by.
+#[derive(Debug)]
+pub(crate) struct StagedMatrix {
+    rows: Vec<Vec<u8>>,
+    scale: f32,
+}
+
+/// The engine behind [`matvec_parallel`], with the staging slot
+/// supplied by the caller. A filled slot is evaluated as is; an empty
+/// one is filled by the row tasks themselves, each staging its own row
+/// right before evaluating it — after the noise epoch is consumed, so
+/// a non-finite weight fails exactly where [`matvec`] fails, and
+/// staging fans out with the evaluation. A caller that keeps the slot
+/// between calls stages `matrix` once; it must pass the same `matrix`
+/// and `mapper` with it every time.
+///
+/// # Errors
+///
+/// Same contract as [`matvec`].
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn matvec_staged(
+    opc: &mut Opc,
+    vom: &Vom,
+    mapper: &WeightMapper,
+    matrix: &[f32],
+    rows: usize,
+    cols: usize,
+    input: &[f64],
+    noise: &mut NoiseSource,
+    staged: &mut Option<StagedMatrix>,
+) -> Result<MatVecReport> {
     validate_matvec(matrix, rows, cols, input)?;
-    let (scale, normalised) = normalise_matrix(matrix);
     let epoch = noise.begin_epoch()?;
     let table = RingTable::new(opc.config().arm, mapper)?;
-    let row_partials: Vec<Result<Vec<MacResult>>> =
-        scheduler::execute((0..rows).collect(), |_, r| -> Result<Vec<MacResult>> {
-            let row = &normalised[r * cols..(r + 1) * cols];
+    let kept = staged.as_ref();
+    let scale = kept.map_or_else(|| matrix_scale(matrix), |kept| kept.scale);
+    let row_results = scheduler::execute(
+        (0..rows).collect(),
+        |_, r| -> Result<(Vec<MacResult>, Vec<u8>)> {
+            let mut fresh = Vec::new();
+            let codes = match kept {
+                Some(kept) => &kept.rows[r],
+                None => {
+                    fresh = matrix[r * cols..(r + 1) * cols]
+                        .iter()
+                        .map(|&w| table.stage(normalise(w, scale)))
+                        .collect::<oisa_optics::Result<_>>()?;
+                    &fresh
+                }
+            };
             let row_stream = noise.slot_stream(epoch, r as u64);
             let mut partials = Vec::with_capacity(cols.div_ceil(CHUNK));
-            for (ci, (w_chunk, a_chunk)) in row.chunks(CHUNK).zip(input.chunks(CHUNK)).enumerate() {
-                let stream = row_stream.at(ci as u64);
-                partials.push(table.mac(w_chunk, a_chunk, &mut stream.cursor())?);
+            for (ci, (w_chunk, a_chunk)) in codes.chunks(CHUNK).zip(input.chunks(CHUNK)).enumerate()
+            {
+                partials.push(table.mac(w_chunk, a_chunk, &row_stream.at(ci as u64))?);
             }
-            Ok(partials)
-        });
+            Ok((partials, fresh))
+        },
+    );
     // Ordered reduction with the serial engine's exact grouping: per
-    // row, chunk energies first, then the VOM aggregate.
+    // row, chunk energies first, then the VOM aggregate. The first
+    // failing row in row order — the serial engine's first failure —
+    // is the error.
     let mut output = Vec::with_capacity(rows);
     let mut total_chunks = 0usize;
     let mut energy = Joule::ZERO;
     let mut latency = Second::ZERO;
-    for partials in row_partials {
-        let partials = partials?;
+    let mut fresh_rows = Vec::with_capacity(rows);
+    for result in row_results {
+        let (partials, fresh) = result?;
         for p in &partials {
             energy += p.optical_energy;
         }
@@ -182,11 +250,18 @@ pub fn matvec_parallel(
         energy += agg.energy;
         latency += agg.latency;
         output.push((agg.value * f64::from(scale)) as f32);
+        fresh_rows.push(fresh);
+    }
+    if staged.is_none() {
+        *staged = Some(StagedMatrix {
+            rows: fresh_rows,
+            scale,
+        });
     }
 
     // Leave the shared fabric exactly as the serial engine would, so
     // the two paths stay interchangeable for whatever runs next.
-    replay_exit_state(opc, mapper, &normalised, rows, cols)?;
+    replay_exit_state(opc, mapper, matrix, scale, rows, cols)?;
 
     Ok(MatVecReport {
         output,
@@ -197,15 +272,16 @@ pub fn matvec_parallel(
 }
 
 /// Reproduces the fabric exit state a serial [`matvec`] over the
-/// `rows × cols` matrix `normalised` (already scale-normalised into
-/// `[-1, 1]` f64) would leave, without computing anything or consuming
-/// noise epochs.
+/// row-major `rows × cols` `matrix`, normalised by `scale`, would
+/// leave, without computing anything or consuming noise epochs. The
+/// caller has checked the shape ([`check_shape`]).
 ///
 /// Ring state after a load depends only on that load's chunk, and an
 /// arm's recorded tuning energy/latency only on its previous operating
 /// point — so replaying each used arm's final two round-robin loads (in
 /// any arm order) reproduces the serial exit state bit-for-bit at a
-/// cost bounded by the fabric size, not the chunk count.
+/// cost bounded by the fabric size, not the chunk count. Only the
+/// reloaded chunks are normalised.
 ///
 /// [`matvec_parallel`] runs this after its ordered reduction; the
 /// layer-program prewarm
@@ -215,7 +291,8 @@ pub fn matvec_parallel(
 pub(crate) fn replay_exit_state(
     opc: &mut Opc,
     mapper: &WeightMapper,
-    normalised: &[f64],
+    matrix: &[f32],
+    scale: f32,
     rows: usize,
     cols: usize,
 ) -> Result<()> {
@@ -223,23 +300,27 @@ pub(crate) fn replay_exit_state(
     let nslots = opc.bank_count() * arms_per_bank;
     let chunks_per_row = cols.div_ceil(CHUNK);
     let total_chunks = rows * chunks_per_row;
-    let chunk_of = |g: usize| {
+    let mut chunk = [0.0f64; CHUNK];
+    let mut load = |opc: &mut Opc, slot: usize, g: usize| -> Result<()> {
         let start = (g / chunks_per_row) * cols + (g % chunks_per_row) * CHUNK;
         let end = (g / chunks_per_row) * cols + cols.min((g % chunks_per_row) * CHUNK + CHUNK);
-        &normalised[start..end]
+        let chunk = &mut chunk[..end - start];
+        for (n, &w) in chunk.iter_mut().zip(&matrix[start..end]) {
+            *n = normalise(w, scale);
+        }
+        opc.bank_mut(slot / arms_per_bank)?
+            .load_arm(slot % arms_per_bank, chunk, mapper)?;
+        Ok(())
     };
     for slot in 0..nslots.min(total_chunks) {
         // Serial chunk `g` (row-major) lands on arm `g % nslots`; the
         // last such `g` fixes this arm's final weights, the one before
         // it the operating point that final tuning was paid from.
         let last = slot + ((total_chunks - 1 - slot) / nslots) * nslots;
-        let bank = slot / arms_per_bank;
-        let arm = slot % arms_per_bank;
         if last >= nslots {
-            opc.bank_mut(bank)?
-                .load_arm(arm, chunk_of(last - nslots), mapper)?;
+            load(opc, slot, last - nslots)?;
         }
-        opc.bank_mut(bank)?.load_arm(arm, chunk_of(last), mapper)?;
+        load(opc, slot, last)?;
     }
     Ok(())
 }
@@ -247,12 +328,7 @@ pub(crate) fn replay_exit_state(
 /// Shape/range validation shared by both matvec engines; range errors
 /// report the offending index before any fabric state changes.
 fn validate_matvec(matrix: &[f32], rows: usize, cols: usize, input: &[f64]) -> Result<()> {
-    if matrix.len() != rows * cols || rows == 0 || cols == 0 {
-        return Err(CoreError::InvalidParameter(format!(
-            "matrix {rows}x{cols} does not match {} elements",
-            matrix.len()
-        )));
-    }
+    check_shape(matrix.len(), rows, cols)?;
     if input.len() != cols {
         return Err(CoreError::InvalidParameter(format!(
             "input length {} != cols {cols}",
@@ -268,17 +344,32 @@ fn validate_matvec(matrix: &[f32], rows: usize, cols: usize, input: &[f64]) -> R
     Ok(())
 }
 
-/// One scan for the per-tensor scale, one pass normalising the whole
-/// matrix — hoisted out of the row loop so neither engine re-stages
-/// weights per chunk. Shared with the layer-program dense prewarm so
-/// its [`replay_exit_state`] stages the exact bits the engines load.
-pub(crate) fn normalise_matrix(matrix: &[f32]) -> (f32, Vec<f64>) {
-    let scale = matrix
+/// Rejects a matrix of `len` weights that is not a non-empty
+/// `rows × cols`, including a shape whose element count overflows
+/// `usize` (which would otherwise wrap onto a matching length).
+pub(crate) fn check_shape(len: usize, rows: usize, cols: usize) -> Result<()> {
+    if rows == 0 || cols == 0 || rows.checked_mul(cols) != Some(len) {
+        return Err(CoreError::InvalidParameter(format!(
+            "matrix {rows}x{cols} does not match {len} elements"
+        )));
+    }
+    Ok(())
+}
+
+/// The per-tensor scale: the joint maximum weight magnitude (floored so
+/// an all-zero matrix divides safely). Shared by both engines and the
+/// layer-program dense prewarm so every path normalises identically.
+pub(crate) fn matrix_scale(matrix: &[f32]) -> f32 {
+    matrix
         .iter()
         .fold(0.0f32, |m, w| m.max(w.abs()))
-        .max(f32::MIN_POSITIVE);
-    let normalised = matrix.iter().map(|&w| f64::from(w / scale)).collect();
-    (scale, normalised)
+        .max(f32::MIN_POSITIVE)
+}
+
+/// One weight normalised by `scale` into `[-1, 1]` — in `f32`, then
+/// widened, the exact bits every path loads or stages.
+fn normalise(w: f32, scale: f32) -> f64 {
+    f64::from(w / scale)
 }
 
 #[cfg(test)]

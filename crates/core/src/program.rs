@@ -14,11 +14,12 @@
 //!   re-modulation, [`oisa_nn::quantize::TernaryActivation`]) or
 //!   [`QuantizeKind::Levels`] (a signed nearest-level quantiser,
 //!   [`oisa_nn::quantize::LevelQuantizer`]).
-//! * [`Stage::Dense`] — a fully connected layer on the fabric via
-//!   [`crate::mlp::matvec_parallel`]: at stage 0 the frame is sensed
-//!   and ternary-encoded first ([`OisaAccelerator::dense_layer`]);
-//!   mid-program the predecessor's `[0, 1]` activations drive the arms
-//!   directly ([`OisaAccelerator::dense_vector`]).
+//! * [`Stage::Dense`] — a fully connected layer on the fabric through
+//!   the staged engine behind [`crate::mlp::matvec_parallel`]: at
+//!   stage 0 the frame is sensed and ternary-encoded first (as
+//!   [`OisaAccelerator::dense_layer`] does); mid-program the
+//!   predecessor's `[0, 1]` activations drive the arms directly (as
+//!   [`OisaAccelerator::dense_vector`] does).
 //! * [`Stage::Activation`] — an elementwise non-linearity
 //!   (currently [`ActivationKind::Relu`], matching
 //!   [`oisa_nn::layer::Relu`] bit-for-bit).
@@ -50,6 +51,14 @@
 //! merge [`ProgramFrameReport`]s bit-identically (inter-stage tensors
 //! never cross a frame boundary).
 //!
+//! A stream of frames runs through
+//! [`OisaAccelerator::run_program_frames`]: one prewarm, then a
+//! per-frame loop that stages each dense matrix once, on its first
+//! frame, and evaluates the later frames from the same staged bytes —
+//! bit-identical to prewarming and calling
+//! [`OisaAccelerator::run_program_frame`] per frame, which stages per
+//! call.
+//!
 //! # Examples
 //!
 //! ```
@@ -76,7 +85,7 @@ use oisa_sensor::frame::Frame;
 use serde::{Deserialize, Serialize};
 
 use crate::accelerator::{ConvolutionReport, OisaAccelerator, OisaConfig};
-use crate::mlp::MatVecReport;
+use crate::mlp::{MatVecReport, StagedMatrix};
 use crate::{CoreError, Result};
 
 /// The quantiser a [`Stage::Quantize`] applies, elementwise.
@@ -337,7 +346,7 @@ impl LayerProgram {
                 }
                 Stage::Dense { rows, matrix } => {
                     let cols = if i == 0 { width * height } else { len };
-                    if matrix.len() != rows * cols {
+                    if rows.checked_mul(cols) != Some(matrix.len()) {
                         return Err(CoreError::InvalidParameter(format!(
                             "stage {i}: dense matrix has {} weights for a {rows}x{cols} layer",
                             matrix.len()
@@ -435,10 +444,12 @@ impl OisaAccelerator {
     ///
     /// Optical stages each consume one noise epoch
     /// ([`LayerProgram::epochs_per_frame`] in total); elementwise
-    /// stages run in the electrical domain and are free. Call
+    /// stages run in the electrical domain and are free. Each dense
+    /// stage stages its matrix for this frame alone. Call
     /// [`OisaAccelerator::prewarm_program`] once before the first
     /// frame of a stream for history-independent reports (module
-    /// docs).
+    /// docs), or run the stream through
+    /// [`OisaAccelerator::run_program_frames`].
     ///
     /// # Errors
     ///
@@ -450,9 +461,53 @@ impl OisaAccelerator {
         frame: &Frame,
     ) -> Result<ProgramFrameReport> {
         program.validate()?;
+        self.program_frame(program, frame, &mut no_staging(program))
+    }
+
+    /// Runs `program` over `frames` as one stream:
+    /// [`OisaAccelerator::prewarm_program`] once, then the per-frame
+    /// body of [`OisaAccelerator::run_program_frame`] for every frame,
+    /// with each dense stage's matrix staged once — on its first frame,
+    /// after that frame's noise epoch is consumed, where a per-frame
+    /// call stages it — and every later frame evaluated from the same
+    /// bytes.
+    ///
+    /// The reports, the noise epochs consumed and the fabric left
+    /// behind are bit-identical to `prewarm_program` followed by a
+    /// `run_program_frame` per frame, errors included. This is the
+    /// loop [`run_reference`], the local backend and every shard
+    /// worker run.
+    ///
+    /// # Errors
+    ///
+    /// Validation errors from [`LayerProgram::output_lens`]; then, at
+    /// the first failing frame, as
+    /// [`OisaAccelerator::run_program_frame`].
+    pub fn run_program_frames(
+        &mut self,
+        program: &LayerProgram,
+        frames: &[Frame],
+    ) -> Result<Vec<ProgramFrameReport>> {
+        self.prewarm_program(program)?;
+        let mut staged = no_staging(program);
+        frames
+            .iter()
+            .map(|frame| self.program_frame(program, frame, &mut staged))
+            .collect()
+    }
+
+    /// One frame through an already validated `program`. `staged`
+    /// holds one staging slot per stage: a dense stage stages into its
+    /// empty slot and evaluates from a filled one.
+    fn program_frame(
+        &mut self,
+        program: &LayerProgram,
+        frame: &Frame,
+        staged: &mut [Option<StagedMatrix>],
+    ) -> Result<ProgramFrameReport> {
         let mut stages = Vec::with_capacity(program.stages.len());
         let mut values: Vec<f32> = Vec::new();
-        for (i, stage) in program.stages.iter().enumerate() {
+        for ((i, stage), staged) in program.stages.iter().enumerate().zip(staged) {
             match stage {
                 Stage::Conv { k, kernels } => {
                     let report = self.convolve_frame(frame, kernels, *k)?;
@@ -460,12 +515,12 @@ impl OisaAccelerator {
                     stages.push(StageReport::Conv(report));
                 }
                 Stage::Dense { rows, matrix } => {
-                    let report = if i == 0 {
-                        self.dense_layer(frame, matrix, *rows)?
+                    let input = if i == 0 {
+                        self.encode_frame(frame)?
                     } else {
-                        let input: Vec<f64> = values.iter().map(|&v| f64::from(v)).collect();
-                        self.dense_vector(&input, matrix, *rows)?
+                        values.iter().map(|&v| f64::from(v)).collect()
                     };
+                    let report = self.dense_staged(&input, matrix, *rows, staged)?;
                     values.clone_from(&report.output);
                     stages.push(StageReport::Dense(report));
                 }
@@ -498,16 +553,24 @@ impl OisaAccelerator {
     }
 }
 
+/// One empty staging slot per stage of `program`.
+fn no_staging(program: &LayerProgram) -> Vec<Option<StagedMatrix>> {
+    std::iter::repeat_with(|| None)
+        .take(program.stages.len())
+        .collect()
+}
+
 /// The sequential oracle every program-capable backend is tested
 /// against: a fresh accelerator from `config`, epochs aligned to
-/// `base_epoch`, one [`OisaAccelerator::prewarm_program`], then a
-/// plain per-frame loop. Bit-identical to a
+/// `base_epoch`, then [`OisaAccelerator::run_program_frames`] — one
+/// [`OisaAccelerator::prewarm_program`] and a per-frame loop.
+/// Bit-identical to a
 /// [`ShardedBackend`](crate::backend::ShardedBackend) merge over any
 /// fleet shape, by the module-docs argument.
 ///
 /// # Errors
 ///
-/// As [`OisaAccelerator::run_program_frame`].
+/// As [`OisaAccelerator::run_program_frames`].
 pub fn run_reference(
     config: &OisaConfig,
     base_epoch: u64,
@@ -516,11 +579,7 @@ pub fn run_reference(
 ) -> Result<Vec<ProgramFrameReport>> {
     let mut accel = OisaAccelerator::new(*config)?;
     accel.align_noise_epoch(base_epoch)?;
-    accel.prewarm_program(program)?;
-    frames
-        .iter()
-        .map(|frame| accel.run_program_frame(program, frame))
-        .collect()
+    accel.run_program_frames(program, frames)
 }
 
 #[cfg(test)]

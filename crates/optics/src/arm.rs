@@ -169,17 +169,17 @@ impl ArmSnapshot {
     #[must_use]
     pub fn mac_indexed(&self, activations: &[f64], stream: &NoiseStream, base: u64) -> (f64, f64) {
         debug_assert!(activations.len() <= self.weights.len());
-        mac_indexed_core(
+        let (noisy, power) = mac_indexed_core(
             &self.weights,
             &self.ring_gain,
             &self.detector,
             self.per_channel_full,
             self.channel_power,
-            self.dwell.get(),
             activations,
             stream,
             base,
-        )
+        );
+        (noisy / self.per_channel_full, power * self.dwell.get())
     }
 
     /// Across-window fused MAC: evaluates this snapshot's weight
@@ -456,17 +456,17 @@ impl Arm {
     #[must_use]
     pub fn mac_indexed(&self, activations: &[f64], stream: &NoiseStream, base: u64) -> (f64, f64) {
         debug_assert!(activations.len() <= self.weights.len());
-        mac_indexed_core(
+        let (noisy, power) = mac_indexed_core(
             &self.weights,
             &self.ring_gain,
             &self.detector,
             self.per_channel_full,
             self.config.channel_power.get(),
-            self.dwell.get(),
             activations,
             stream,
             base,
-        )
+        );
+        (noisy / self.per_channel_full, power * self.dwell.get())
     }
 
     /// Counter stride one MAC of `m` activations consumes on a stream:
@@ -574,7 +574,15 @@ impl Arm {
     }
 }
 
-/// Per-code ring table: stages dense-layer chunks without an arm.
+/// Code values a staged weight byte holds: seven code bits, with the
+/// sign in the eighth ([`RingTable::stage`]).
+const STAGED_CODES: usize = 1 << 7;
+
+/// Sign bit of a staged weight byte: set for the negative waveguide.
+const STAGED_NEGATIVE: u8 = 1 << 7;
+
+/// Per-code ring table: stages dense-layer weights as one byte each and
+/// evaluates chunks of them without an arm.
 ///
 /// A [`Microring`]'s state is its absolute detuning, and the detuning
 /// [`Arm::load_weights`] gives a ring depends only on its weight's
@@ -582,11 +590,14 @@ impl Arm {
 /// neighbours is a function of that code alone. The table tunes one
 /// fresh ring per code through the calls `load_weights` makes and keeps
 /// its two crosstalk transmissions, plus the arm design's waveguide,
-/// detector, full-scale and dwell constants. [`RingTable::mac`] then
-/// quantises a chunk into a stack array, forms each tap's gain from its
-/// in-chunk neighbours' codes and runs the shared MAC core — no heap
-/// allocation, no mutable state and no fabric access, so any number of
-/// threads can evaluate chunks against one table.
+/// detector, full-scale and dwell constants.
+///
+/// [`RingTable::stage`] quantises a weight once, into a byte holding
+/// its code and sign. [`RingTable::mac`] then reads a chunk of staged
+/// bytes, forms each tap's gain from its in-chunk neighbours' codes
+/// and runs the fused counter-addressed core the convolution drain
+/// uses — no heap allocation, no mutable state and no fabric access,
+/// so any number of threads can evaluate chunks against one table.
 #[derive(Debug, Clone)]
 pub struct RingTable<'a> {
     mapper: &'a WeightMapper,
@@ -610,14 +621,22 @@ impl<'a> RingTable<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`OpticsError::Device`] when the arm design or a ring
-    /// tuning is rejected.
+    /// * [`OpticsError::CapacityExceeded`] when `mapper` has more codes
+    ///   than a staged byte holds (128).
+    /// * [`OpticsError::Device`] when the arm design or a ring tuning
+    ///   is rejected.
     pub fn new(config: ArmConfig, mapper: &'a WeightMapper) -> Result<Self> {
+        let codes = mapper.levels().len();
+        if codes > STAGED_CODES {
+            return Err(OpticsError::CapacityExceeded {
+                capacity: STAGED_CODES,
+                requested: codes,
+            });
+        }
         // An idle arm supplies the design constants, so the table
         // evaluates with exactly the bits a loaded arm does.
         let arm = Arm::new(config)?;
         let spacing = arm.plan.spacing();
-        let codes = mapper.levels().len();
         let mut xt_prev = Vec::with_capacity(codes);
         let mut xt_next = Vec::with_capacity(codes);
         for &magnitude in mapper.levels() {
@@ -639,41 +658,70 @@ impl<'a> RingTable<'a> {
         })
     }
 
-    /// Quantises one chunk of `weights` through the table's mapper and
-    /// evaluates it against `activations` — bit-identical to
-    /// [`Arm::load_weights`] on an idle arm of the table's design
-    /// followed by [`Arm::mac`], errors included.
+    /// Quantises one weight through the table's mapper into a staged
+    /// byte: the code in the low seven bits, the sign in the eighth.
+    ///
+    /// # Errors
+    ///
+    /// [`OpticsError::InvalidParameter`] for a weight outside `[−1, 1]`
+    /// or not finite — the mapper's own check, so the error is the one
+    /// [`Arm::load_weights`] returns for that weight.
+    pub fn stage(&self, weight: f64) -> Result<u8> {
+        let mapped = self.mapper.quantize(weight)?;
+        // `new` caps the mapper at `STAGED_CODES` codes, so every code
+        // fits the low seven bits.
+        let sign = if mapped.negative { STAGED_NEGATIVE } else { 0 };
+        Ok(mapped.code as u8 | sign)
+    }
+
+    /// Evaluates a chunk of bytes staged by [`RingTable::stage`]
+    /// against `activations`, drawing noise from `stream` at base
+    /// counter 0 — bit-identical to [`Arm::load_weights`] of the same
+    /// weights on an idle arm of the table's design followed by
+    /// [`Arm::mac`] under `stream.cursor()`, errors included.
     ///
     /// # Errors
     ///
     /// * [`OpticsError::CapacityExceeded`] for more than
     ///   [`RINGS_PER_ARM`] weights.
-    /// * [`OpticsError::InvalidParameter`] for a weight outside
-    ///   `[−1, 1]`, more activations than weights, or an activation
-    ///   outside `[0, 1]`.
-    pub fn mac<N: NoiseModel>(
+    /// * [`OpticsError::InvalidParameter`] for more activations than
+    ///   weights, an activation outside `[0, 1]`, or a byte holding a
+    ///   code the table's mapper does not have.
+    pub fn mac(
         &self,
-        weights: &[f64],
+        staged: &[u8],
         activations: &[f64],
-        noise: &mut N,
+        stream: &NoiseStream,
     ) -> Result<MacResult> {
-        let n = weights.len();
+        let n = staged.len();
         if n > RINGS_PER_ARM {
             return Err(OpticsError::CapacityExceeded {
                 capacity: RINGS_PER_ARM,
                 requested: n,
             });
         }
-        let mut mapped = [MappedWeight {
+        validate_activation_window(n, activations)?;
+        let levels = self.mapper.levels();
+        let mut weights = [MappedWeight {
             code: 0,
             magnitude: 0.0,
             negative: false,
         }; RINGS_PER_ARM];
-        for (m, &w) in mapped.iter_mut().zip(weights) {
-            *m = self.mapper.quantize(w)?;
+        for (w, &byte) in weights.iter_mut().zip(staged) {
+            let code = byte & !STAGED_NEGATIVE;
+            let Some(&magnitude) = levels.get(usize::from(code)) else {
+                return Err(OpticsError::InvalidParameter(format!(
+                    "staged code {code} outside the table's {} codes",
+                    levels.len()
+                )));
+            };
+            *w = MappedWeight {
+                code: u16::from(code),
+                magnitude,
+                negative: byte & STAGED_NEGATIVE != 0,
+            };
         }
-        let mapped = &mapped[..n];
-        validate_activation_window(n, activations)?;
+        let weights = &weights[..n];
         let mut gain = [0.0f64; RINGS_PER_ARM];
         for (i, g) in gain[..n].iter_mut().enumerate() {
             *g = tap_gain(
@@ -681,20 +729,26 @@ impl<'a> RingTable<'a> {
                 n,
                 self.crosstalk,
                 self.path_transmission,
-                |j| self.xt_prev[usize::from(mapped[j].code)],
-                |j| self.xt_next[usize::from(mapped[j].code)],
+                |j| self.xt_prev[usize::from(weights[j].code)],
+                |j| self.xt_next[usize::from(weights[j].code)],
             );
         }
-        Ok(mac_core(
-            mapped,
+        let (noisy, power) = mac_indexed_core(
+            weights,
             &gain[..n],
             &self.detector,
             self.per_channel_full,
             self.channel_power,
-            self.dwell,
             activations,
-            noise,
-        ))
+            stream,
+            0,
+        );
+        Ok(MacResult {
+            value: noisy / self.per_channel_full,
+            raw_current: noisy,
+            latency: self.dwell,
+            optical_energy: Watt::new(power) * self.dwell,
+        })
     }
 }
 
@@ -812,10 +866,14 @@ fn reduce_lanes(acc: [f64; LANES]) -> f64 {
 }
 
 /// The fused counter-addressed MAC shared bit-for-bit by
-/// [`Arm::mac_indexed`] and [`ArmSnapshot::mac_indexed`]: channel `i`
-/// draws counters `base + 2i` / `base + 2i + 1`, the detector draws
-/// `base + 2m` where `m = activations.len()` — including when the
-/// activation window is shorter than the loaded weights.
+/// [`Arm::mac_indexed`], [`ArmSnapshot::mac_indexed`] and
+/// [`RingTable::mac`]: channel `i` draws counters `base + 2i` /
+/// `base + 2i + 1`, the detector draws `base + 2m` where
+/// `m = activations.len()` — including when the activation window is
+/// shorter than the loaded weights. Returns the noisy BPD difference
+/// current and the optical power summed over both rails; callers
+/// normalise the first by the full-scale current and charge the
+/// second over their dwell.
 ///
 /// Element `i` accumulates into rail lane `i mod LANES` and the lanes
 /// reduce through [`reduce_lanes`] — the canonical fold every MAC path
@@ -841,7 +899,6 @@ fn mac_indexed_core(
     detector: &BalancedPhotodetector,
     per_channel_full: f64,
     channel_power_w: f64,
-    dwell_s: f64,
     activations: &[f64],
     stream: &NoiseStream,
     base: u64,
@@ -877,7 +934,7 @@ fn mac_indexed_core(
     let diff = detector.difference_current(Watt::new(p_pos), Watt::new(p_neg));
     let full_scale = per_channel_full * m.max(1) as f64;
     let noisy = stream.detector_at(base + 2 * m as u64, diff.get(), full_scale);
-    (noisy / per_channel_full, (p_pos + p_neg) * dwell_s)
+    (noisy, p_pos + p_neg)
 }
 
 /// Arguments shared by every tier specialisation of the across-window
@@ -1278,10 +1335,10 @@ mod tests {
     #[test]
     fn ring_table_matches_a_freshly_loaded_arm() {
         // Every ladder the fabric uses, every resolution, crosstalk on
-        // and off, every chunk length up to a full arm: the table's
-        // MAC equals loading the chunk onto an arm and evaluating it,
-        // bit for bit, and a re-loaded arm never remembers its
-        // previous chunk.
+        // and off, every chunk length up to a full arm: staging a chunk
+        // and evaluating the staged bytes equals loading the chunk onto
+        // an arm and evaluating it under a cursor, bit for bit, and a
+        // re-loaded arm never remembers its previous chunk.
         let source = NoiseSource::seeded(5, NoiseConfig::paper_default());
         for crosstalk in [false, true] {
             let config = ArmConfig {
@@ -1304,9 +1361,10 @@ mod tests {
                             .map(|i| ((salt + i as u64) as f64 * 0.43).cos().abs())
                             .collect();
                         let stream = source.stream(0, salt, n as u64);
+                        let staged: Vec<u8> = w.iter().map(|&w| table.stage(w).unwrap()).collect();
                         arm.load_weights(&w, &mapper).unwrap();
                         assert_eq!(
-                            table.mac(&w, &a, &mut stream.cursor()).unwrap(),
+                            table.mac(&staged, &a, &stream).unwrap(),
                             arm.mac(&a, &mut stream.cursor()).unwrap(),
                             "crosstalk {crosstalk}, {bits} bits, {n} weights"
                         );
@@ -1320,24 +1378,34 @@ mod tests {
     fn ring_table_rejects_like_a_loaded_arm() {
         let mapper = WeightMapper::paper(4).unwrap();
         let table = RingTable::new(ArmConfig::paper_default(), &mapper).unwrap();
+        let mut arm = Arm::new(ArmConfig::paper_default()).unwrap();
+        let stream = quiet().stream(0, 0, 0);
+        let staged = [table.stage(0.5).unwrap(); RINGS_PER_ARM + 1];
         assert!(matches!(
-            table.mac(&[0.1; RINGS_PER_ARM + 1], &[0.5; 9], &mut quiet()),
+            table.mac(&staged, &[0.5; 9], &stream),
             Err(OpticsError::CapacityExceeded { .. })
         ));
-        let err = table.mac(&[0.1, 1.5, 0.1], &[0.5; 3], &mut quiet());
-        assert!(err.unwrap_err().to_string().contains("1.5"));
-        assert!(table.mac(&[0.1; 3], &[0.5; 4], &mut quiet()).is_err());
+        for bad in [1.5, -1.5, f64::NAN, f64::INFINITY] {
+            assert_eq!(
+                table.stage(bad).unwrap_err().to_string(),
+                arm.load_weights(&[0.1, bad, 0.1], &mapper)
+                    .unwrap_err()
+                    .to_string()
+            );
+        }
+        assert!(table.mac(&staged[..3], &[0.5; 4], &stream).is_err());
         let mut acts = [0.5; 9];
         acts[6] = 1.5;
-        let mut arm = Arm::new(ArmConfig::paper_default()).unwrap();
         arm.load_weights(&[0.5; 9], &mapper).unwrap();
         assert_eq!(
             table
-                .mac(&[0.5; 9], &acts, &mut quiet())
+                .mac(&staged[..9], &acts, &stream)
                 .unwrap_err()
                 .to_string(),
             arm.mac(&acts, &mut quiet()).unwrap_err().to_string()
         );
+        // A byte no 4-bit table stages: code 16, past codes 0..=15.
+        assert!(table.mac(&[16], &[0.5], &stream).is_err());
     }
 
     #[test]

@@ -8,14 +8,17 @@
 //!
 //! [`run_reference`]: oisa::core::program::run_reference
 
-use oisa::core::backend::{ComputeBackend, LocalBackend, ShardedBackend};
+use oisa::core::backend::{execute_program_shard, ComputeBackend, LocalBackend, ShardedBackend};
+use oisa::core::mlp::matvec_parallel;
 use oisa::core::program::{
     run_reference, ActivationKind, LayerProgram, ProgramFrameReport, QuantizeKind, Stage,
     StageReport,
 };
-use oisa::core::wire::ProgramJob;
-use oisa::core::{OisaConfig, OisaError};
-use oisa::device::noise::NoiseConfig;
+use oisa::core::wire::{self, ProgramJob, ProgramShard, WireMessage};
+use oisa::core::{CoreError, OisaAccelerator, OisaConfig, OisaError};
+use oisa::device::noise::{NoiseConfig, NoiseSource};
+use oisa::optics::opc::Opc;
+use oisa::optics::vom::Vom;
 use oisa::sensor::Frame;
 use proptest::prelude::*;
 
@@ -92,12 +95,40 @@ fn shaped_program(
     LayerProgram::new(stages).expect("shaped program validates")
 }
 
+/// The program shape packed into `packed % 216`: k ∈ {3, 5} ×
+/// features 1–3 × quantiser 0–8 (0 = ternary, 1..=8 = level bits) ×
+/// latent 1–4, packed so the shim reporter's tuple stays within
+/// `Debug`'s cap. `packed / 216` is left for the frame count.
+fn packed_program(packed: usize) -> LayerProgram {
+    let k5 = packed % 2 == 1;
+    let features = (packed / 2) % 3 + 1;
+    let quant = (packed / 6) % 9;
+    let latent = (packed / 54) % 4 + 1;
+    let levels_bits = (quant > 0).then_some(quant as u8);
+    shaped_program(k5, features, levels_bits, latent)
+}
+
 fn job(job_id: u64, program: LayerProgram, frames: Vec<Frame>) -> ProgramJob {
     ProgramJob {
         job_id,
         program,
         frames,
     }
+}
+
+/// `prewarm_program` and a `run_program_frame` per frame — the
+/// per-frame loop `run_program_frames` must reproduce. Stops at the
+/// first failing frame.
+fn per_frame_loop(
+    accel: &mut OisaAccelerator,
+    program: &LayerProgram,
+    frames: &[Frame],
+) -> Result<Vec<ProgramFrameReport>, CoreError> {
+    accel.prewarm_program(program)?;
+    frames
+        .iter()
+        .map(|frame| accel.run_program_frame(program, frame))
+        .collect()
 }
 
 proptest! {
@@ -107,20 +138,12 @@ proptest! {
     /// workers are bit-identical to the sequential forward.
     #[test]
     fn sharded_program_merge_is_bit_identical_to_sequential_forward(
-        // k ∈ {3, 5} × features 1–3 × quantiser 0–8 × latent 1–4 ×
-        // frames 3–6, packed so the shim reporter's tuple stays within
-        // `Debug`'s cap.
-        packed in 0usize..(2 * 3 * 9 * 4 * 4),
+        // Program shape (`packed_program`) × frames 3–6.
+        packed in 0usize..(216 * 4),
         seed in 1u64..500,
     ) {
-        let k5 = packed % 2 == 1;
-        let features = (packed / 2) % 3 + 1;
-        let quant = (packed / 6) % 9; // 0 = ternary, 1..=8 = level bits
-        let latent = (packed / 54) % 4 + 1;
-        let nframes = (packed / 216) % 4 + 3;
-        let levels_bits = (quant > 0).then_some(quant as u8);
-        let program = shaped_program(k5, features, levels_bits, latent);
-        let frames = textured_frames(nframes, seed);
+        let program = packed_program(packed);
+        let frames = textured_frames(packed / 216 + 3, seed);
 
         let config = noisy_config(seed);
         let oracle = run_reference(&config, 0, &program, &frames).unwrap();
@@ -134,6 +157,177 @@ proptest! {
             prop_assert_eq!(&merged, &oracle);
         }
     }
+
+    /// `run_program_frames` — one prewarm, each dense matrix staged
+    /// once — is bit-identical to the per-frame loop, which stages
+    /// every dense stage on every frame: reports, the noise epochs
+    /// consumed and the fabric left behind (the next frame agrees).
+    #[test]
+    fn run_program_frames_matches_the_per_frame_loop(
+        // Program shape (`packed_program`) × frames 1–6.
+        packed in 0usize..(216 * 6),
+        seed in 1u64..500,
+    ) {
+        let program = packed_program(packed);
+        let frames = textured_frames(packed / 216 + 1, seed);
+        let config = noisy_config(seed);
+        let mut staged = OisaAccelerator::new(config).unwrap();
+        let mut looped = OisaAccelerator::new(config).unwrap();
+        prop_assert_eq!(
+            staged.run_program_frames(&program, &frames).unwrap(),
+            per_frame_loop(&mut looped, &program, &frames).unwrap()
+        );
+        prop_assert_eq!(staged.next_noise_epoch(), looped.next_noise_epoch());
+        let next = &textured_frames(1, seed + 1)[0];
+        prop_assert_eq!(
+            staged.run_program_frame(&program, next).unwrap(),
+            looped.run_program_frame(&program, next).unwrap()
+        );
+    }
+}
+
+/// Each dense stage keeps its own staging: a dense-first program (the
+/// frame is sensed and encoded straight into the arms) with a second,
+/// mid-program dense stage runs bit-identically to the per-frame loop.
+#[test]
+fn run_program_frames_stages_every_dense_stage_on_its_own() {
+    let config = noisy_config(11);
+    let program = LayerProgram::new(vec![
+        Stage::Dense {
+            rows: 12,
+            matrix: dense_matrix(12, 256, 1),
+        },
+        Stage::Quantize(QuantizeKind::Ternary),
+        Stage::Dense {
+            rows: 3,
+            matrix: dense_matrix(3, 12, 2),
+        },
+        Stage::Activation(ActivationKind::Relu),
+    ])
+    .unwrap();
+    let frames = textured_frames(4, 9);
+    let mut staged = OisaAccelerator::new(config).unwrap();
+    let mut looped = OisaAccelerator::new(config).unwrap();
+    assert_eq!(
+        staged.run_program_frames(&program, &frames).unwrap(),
+        per_frame_loop(&mut looped, &program, &frames).unwrap()
+    );
+    assert_eq!(staged.next_noise_epoch(), 4 * program.epochs_per_frame());
+}
+
+/// A non-finite dense weight fails alike on every path. The staged
+/// multi-frame run, the per-frame loop and a bare `matvec_parallel`
+/// return the same error, and the two program paths consume the same
+/// noise epochs: staging runs after the dense stage's epoch is
+/// consumed. A weight the prewarm replay reloads (the last 2 × 20
+/// chunks of this 88-chunk matrix on a 20-arm fabric) fails before any
+/// epoch; any other fails frame 0's dense stage after its conv and
+/// dense epochs.
+#[test]
+fn non_finite_dense_weights_fail_alike_on_every_path() {
+    let config = noisy_config(17);
+    let base = shaped_program(false, 1, None, 4);
+    let Stage::Dense { rows, matrix } = &base.stages[2] else {
+        panic!("the shaped program's third stage is dense");
+    };
+    let (rows, cols) = (*rows, matrix.len() / *rows);
+    assert_eq!(rows * cols.div_ceil(9), 88);
+    let frames = textured_frames(3, 4);
+    let input = vec![0.5f64; cols];
+    for (index, program_epochs) in [(0, 2), (5 * 9 + 4, 2), (matrix.len() - 1, 0)] {
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut program = base.clone();
+            let Stage::Dense { matrix, .. } = &mut program.stages[2] else {
+                panic!("the shaped program's third stage is dense");
+            };
+            matrix[index] = bad;
+            let matrix = matrix.clone();
+
+            let mut staged = OisaAccelerator::new(config).unwrap();
+            let staged_err = staged.run_program_frames(&program, &frames).unwrap_err();
+            let mut looped = OisaAccelerator::new(config).unwrap();
+            let looped_err = per_frame_loop(&mut looped, &program, &frames).unwrap_err();
+
+            let mut opc = Opc::new(config.opc).unwrap();
+            let vom = Vom::new(config.vom).unwrap();
+            let mapper = staged.mapper().clone();
+            let mut noise = NoiseSource::seeded(config.seed, config.noise);
+            let matvec_err = matvec_parallel(
+                &mut opc, &vom, &mapper, &matrix, rows, cols, &input, &mut noise,
+            )
+            .unwrap_err();
+
+            let what = format!("weight {index} = {bad}");
+            assert!(
+                staged_err.to_string().contains("outside [-1, 1]"),
+                "{what}: {staged_err}"
+            );
+            assert_eq!(staged_err, looped_err, "{what}");
+            assert_eq!(staged_err, matvec_err, "{what}");
+            assert_eq!(staged.next_noise_epoch(), program_epochs, "{what}");
+            assert_eq!(looped.next_noise_epoch(), program_epochs, "{what}");
+            assert_eq!(noise.next_epoch(), 1, "{what}");
+        }
+    }
+}
+
+/// A dense stage whose `rows × cols` overflows `usize` is a typed
+/// error on every entry point, not a panic: with 2⁶² + 1 rows over a
+/// 4×4 imager's 2×2 conv output the product wraps to 4 — the matrix's
+/// own length — so an unchecked size check passes and staging indexes
+/// far past the matrix. The wire decoder accepts any row count, so a
+/// decoded shard reaches the worker with it.
+#[test]
+fn overflowing_dense_shape_is_refused_on_every_entry_point() {
+    let config = OisaConfig::builder()
+        .imager_dims(4, 4)
+        .opc_shape(4, 2, 10)
+        .seed(3)
+        .build()
+        .expect("test config validates");
+    let program = LayerProgram::new(vec![
+        Stage::Conv {
+            k: 3,
+            kernels: kernel_bank(1, 3, 0),
+        },
+        Stage::Quantize(QuantizeKind::Ternary),
+        Stage::Dense {
+            rows: (1usize << 62) + 1,
+            matrix: vec![0.5; 4],
+        },
+    ])
+    .unwrap();
+    let frames = vec![Frame::constant(4, 4, 0.5).unwrap()];
+    let refused = |err: &OisaError| match err {
+        OisaError::Core(CoreError::InvalidParameter(what)) => {
+            what.contains("4611686018427387905x4")
+        }
+        _ => false,
+    };
+
+    let err = LocalBackend::new(config)
+        .unwrap()
+        .run_program(&job(1, program.clone(), frames.clone()))
+        .unwrap_err();
+    assert!(refused(&err), "{err}");
+
+    let shard = ProgramShard {
+        job_id: 1,
+        shard_index: 0,
+        shard_count: 1,
+        first_frame: 0,
+        first_epoch: 0,
+        config_fingerprint: config.fingerprint(),
+        program,
+        frames,
+    };
+    let Ok(WireMessage::ProgramShard(decoded)) =
+        wire::decode(&wire::encode(&WireMessage::ProgramShard(shard)))
+    else {
+        panic!("the shard round-trips the wire");
+    };
+    let err = execute_program_shard(&config, &decoded).unwrap_err();
+    assert!(refused(&err), "{err}");
 }
 
 /// Consecutive program jobs on one coordinator continue the noise
