@@ -20,7 +20,7 @@
 //! designs verbatim, so the comparison table can be regenerated.
 
 // No unsafe: this crate must stay entirely safe Rust. The SIMD layer
-// (oisa_device/oisa_optics) is the only sanctioned unsafe in the tree.
+// (oisa_device) is the only sanctioned unsafe in the tree.
 #![forbid(unsafe_code)]
 
 pub mod platforms;

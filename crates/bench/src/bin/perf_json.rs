@@ -72,7 +72,7 @@ use oisa_device::noise::{NoiseConfig, NoiseSource};
 use oisa_nn::conv::Conv2d;
 use oisa_nn::layer::Layer;
 use oisa_nn::tensor::Tensor;
-use oisa_optics::arm::{Arm, ArmConfig};
+use oisa_optics::arm::{Arm, ArmConfig, COUNTER_STRIDE};
 use oisa_optics::opc::{Opc, OpcConfig};
 use oisa_optics::vom::{Vom, VomConfig};
 use oisa_optics::weights::WeightMapper;
@@ -560,16 +560,15 @@ fn main() {
 
     // MAC-core cost at three working-set sizes: chained 9-tap
     // `mac_indexed` folds, the kernel every engine above amortises.
-    // Reported as nanoseconds per ring (with the active SIMD dispatch
-    // tier) so the bench covers the fold itself, not just the engines;
-    // pin `OISA_SIMD_TIER=scalar` to compare tiers.
+    // Reported as nanoseconds per ring so the bench covers the fold
+    // itself, not just the engines.
     let mac_snap = {
         let mac_mapper = WeightMapper::ideal(4).expect("mapper construction");
         let weights: Vec<f64> = (0..9).map(|i| ((i as f64) * 0.61).sin()).collect();
         let mut arm = Arm::new(ArmConfig::paper_default()).expect("arm construction");
         arm.load_weights(&weights, &mac_mapper)
             .expect("arm weights");
-        arm.snapshot()
+        arm.snapshot(&NoiseConfig::paper_default())
     };
     let mac_noise = NoiseSource::seeded(11, NoiseConfig::paper_default());
     let mac_stream = mac_noise.stream(1, 0, 0);
@@ -587,7 +586,7 @@ fn main() {
                 for _ in 0..windows {
                     let (v, _e) = mac_snap.mac_indexed(&mac_acts, &mac_stream, base);
                     acc += v;
-                    base += Arm::counter_stride(9);
+                    base += COUNTER_STRIDE;
                 }
                 std::hint::black_box(acc);
             }

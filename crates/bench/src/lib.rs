@@ -16,7 +16,7 @@
 //! | design ablations | `ablation` | [`ablation::run_all`] |
 
 // No unsafe: this crate must stay entirely safe Rust. The SIMD layer
-// (oisa_device/oisa_optics) is the only sanctioned unsafe in the tree.
+// (oisa_device) is the only sanctioned unsafe in the tree.
 #![forbid(unsafe_code)]
 
 pub mod ablation;

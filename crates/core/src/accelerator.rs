@@ -18,11 +18,17 @@
 //!   [`OisaAccelerator::convolve_frame_sequential`] are bit-identical.
 //! * **Zero per-pixel allocation.** Windows are gathered into a stack
 //!   scratch array, per-pass results land in one flat row-major buffer,
-//!   and the fused [`Arm::mac_indexed`](oisa_optics::arm::Arm) skips
+//!   and the fused [`ArmSnapshot::mac_indexed`] skips
 //!   [`MacResult`](oisa_optics::arm::MacResult) construction entirely.
 //! * **Precomputed arm constants.** Crosstalk, waveguide loss and
 //!   full-scale terms are folded into per-ring gains at weight-load
-//!   time instead of being re-derived on every MAC.
+//!   time, and each tap's rail-moment coefficients under the
+//!   configured [`NoiseConfig`] into the pass's arm snapshots, instead
+//!   of being re-derived on every MAC.
+//! * **Three draws per MAC.** VCSEL RIN and ring drift reach the
+//!   detector through one Gaussian per rail, drawn from the rail's
+//!   closed-form mean and variance, plus the detector draw (see
+//!   `oisa_optics::arm`).
 //! * **Ordered reduction.** Row tasks return energy partials that are
 //!   reduced in row order, so the energy report is identical no matter
 //!   how many worker threads ran.
@@ -50,7 +56,7 @@
 use oisa_device::awc::{AwcModel, AwcParams};
 use oisa_device::noise::{NoiseConfig, NoiseSource, SlotStream};
 use oisa_memory::bank::KernelBank;
-use oisa_optics::arm::{Arm, ArmSnapshot, RINGS_PER_ARM};
+use oisa_optics::arm::{ArmSnapshot, COUNTER_STRIDE, RINGS_PER_ARM};
 use oisa_optics::opc::{KernelSize, Opc, OpcConfig};
 use oisa_optics::vom::{Vom, VomConfig};
 use oisa_optics::weights::WeightMapper;
@@ -337,20 +343,26 @@ impl OisaConfigBuilder {
                 format!("must be 1–4, got {}", cfg.weight_bits),
             );
         }
-        for (name, sigma) in [
-            ("vcsel_rin", cfg.noise.vcsel_rin),
-            ("mr_drift", cfg.noise.mr_drift),
-            ("detector", cfg.noise.detector),
-        ] {
-            if !(sigma.is_finite() && sigma >= 0.0) {
-                return fail(
-                    "noise",
-                    format!("{name} must be a finite non-negative sigma, got {sigma}"),
-                );
-            }
+        if let Some(reason) = noise_sigma_error(&cfg.noise) {
+            return fail("noise", reason);
         }
         Ok(self.config)
     }
+}
+
+/// Names the first noise σ that is negative or not finite: the check
+/// [`OisaConfigBuilder::build`] and [`OisaAccelerator::new`] share, so
+/// a struct-literal config cannot take a bad σ past the builder into
+/// the fabric's rail moments.
+fn noise_sigma_error(noise: &NoiseConfig) -> Option<String> {
+    [
+        ("vcsel_rin", noise.vcsel_rin),
+        ("mr_drift", noise.mr_drift),
+        ("detector", noise.detector),
+    ]
+    .into_iter()
+    .find(|&(_, sigma)| !(sigma.is_finite() && sigma >= 0.0))
+    .map(|(name, sigma)| format!("{name} must be a finite non-negative sigma, got {sigma}"))
 }
 
 impl Default for OisaConfig {
@@ -422,8 +434,13 @@ impl OisaAccelerator {
     ///
     /// # Errors
     ///
-    /// Propagates substrate construction failures.
+    /// [`CoreError::InvalidParameter`] for a noise σ that is negative
+    /// or not finite; otherwise propagates substrate construction
+    /// failures.
     pub fn new(config: OisaConfig) -> Result<Self> {
+        if let Some(reason) = noise_sigma_error(&config.noise) {
+            return Err(CoreError::InvalidParameter(format!("noise: {reason}")));
+        }
         let awc_params = AwcParams {
             bits: config.weight_bits,
             model: config.awc_model,
@@ -641,7 +658,7 @@ impl OisaAccelerator {
             &mut self.bank,
             &mut self.opc,
             &self.mapper,
-            &self.config.opc,
+            &self.config,
             kernels,
             0,
             slots_per_pass,
@@ -695,7 +712,7 @@ impl OisaAccelerator {
                 let kbank = &mut self.bank;
                 let opc = &mut self.opc;
                 let mapper = &self.mapper;
-                let opc_config = &self.config.opc;
+                let config = &self.config;
                 let scales_ref = &scales;
                 let normalised = &mut normalised;
                 let codes = &mut codes;
@@ -704,7 +721,7 @@ impl OisaAccelerator {
                         kbank,
                         opc,
                         mapper,
-                        opc_config,
+                        config,
                         kernels,
                         next_index,
                         slots_per_pass,
@@ -745,7 +762,7 @@ impl OisaAccelerator {
                     &mut self.bank,
                     &mut self.opc,
                     &self.mapper,
-                    &self.config.opc,
+                    &self.config,
                     kernels,
                     next_index,
                     slots_per_pass,
@@ -922,8 +939,12 @@ impl OisaAccelerator {
             let arms: Vec<Vec<ArmSnapshot>> = slots
                 .iter()
                 .map(|&(bank, first_arm)| {
-                    self.opc
-                        .snapshot_kernel_arms(bank, first_arm, arms_per_kernel)
+                    self.opc.snapshot_kernel_arms(
+                        bank,
+                        first_arm,
+                        arms_per_kernel,
+                        &self.config.noise,
+                    )
                 })
                 .collect::<oisa_optics::Result<_>>()?;
             let tuning_first = self.pass_tuning_energy(&slots, arms_per_kernel)?;
@@ -1083,8 +1104,9 @@ impl OisaAccelerator {
     /// Faithful port of the pre-optimisation sequential pipeline: one
     /// mutable noise stream shared by every MAC (order-dependent draws),
     /// a freshly allocated `Vec` per activation window, per-MAC range
-    /// validation, and per-call crosstalk/full-scale/time-of-flight
-    /// evaluation through [`Arm::mac_reference`].
+    /// validation, and per-call crosstalk/rail-coefficient/full-scale/
+    /// time-of-flight evaluation through
+    /// [`Arm::mac_reference`](oisa_optics::arm::Arm::mac_reference).
     ///
     /// Kept as the wall-clock baseline the `perf_json` benchmark and the
     /// acceptance speedup are measured against. Its outputs differ from
@@ -1562,7 +1584,7 @@ fn stage_full_pass(
     kbank: &mut KernelBank,
     opc: &mut Opc,
     mapper: &WeightMapper,
-    opc_config: &OpcConfig,
+    config: &OisaConfig,
     kernels: &[&[f32]],
     kernel_index: usize,
     slots_per_pass: usize,
@@ -1577,7 +1599,7 @@ fn stage_full_pass(
         kbank,
         opc,
         mapper,
-        opc_config,
+        &config.opc,
         pass_kernels,
         kernel_index,
         scales,
@@ -1586,12 +1608,14 @@ fn stage_full_pass(
         codes,
     )?;
     let tuning = pass_tuning_energy_of(opc, &slots, arms_per_kernel)?;
-    // Snapshot every slot's arms once per pass; the hot loop then walks
-    // immutable captured state instead of doing checked bank/arm
-    // lookups per pixel.
+    // Snapshot every slot's arms once per pass, rail coefficients
+    // included; the hot loop then walks immutable captured state
+    // instead of doing checked bank/arm lookups per pixel.
     let arms: Vec<Vec<ArmSnapshot>> = slots
         .iter()
-        .map(|&(bank, first_arm)| opc.snapshot_kernel_arms(bank, first_arm, arms_per_kernel))
+        .map(|&(bank, first_arm)| {
+            opc.snapshot_kernel_arms(bank, first_arm, arms_per_kernel, &config.noise)
+        })
         .collect::<oisa_optics::Result<_>>()?;
     Ok(StagedPass {
         kernel_index,
@@ -1621,15 +1645,10 @@ fn kernel_scales(kernels: &[&[f32]]) -> Vec<f32> {
 /// streams, and multi-arm kernels aggregate through the VOM.
 ///
 /// Every window goes through the per-window [`ArmSnapshot::mac_indexed`]
-/// fold. An across-window ×4 variant ([`ArmSnapshot::mac_indexed_x4`])
-/// exists, is bit-identical, and was benchmarked here: on the bench
-/// host it *loses* at the frame level, because its batched noise
-/// mixing runs on slow 64-bit vector multiplies (see the perf notes in
-/// `crates/optics/src/arm.rs`). The per-window fold's zero-activation
-/// skip plays no part: paper-config frames encode dark pixels to the
-/// VCSEL's NRZ floor, not to 0, so it never fires. The engine stays on
-/// the per-window path and the ×4 kernel remains available for hosts
-/// where vectorised integer mixing wins.
+/// fold, which reads the rail coefficients the pass staged into its
+/// snapshots and draws three Gaussians per arm: one per detector rail
+/// and one for the detector. A multi-arm kernel's arms share the
+/// window's stream, arm `i` starting at counter `i · COUNTER_STRIDE`.
 #[allow(clippy::too_many_arguments)]
 fn eval_row(
     oy: usize,
@@ -1666,7 +1685,7 @@ fn eval_row(
                     let (value, e) = arms[ai].mac_indexed(chunk, &stream, base);
                     values[ai] = value;
                     partial.compute += e;
-                    base += Arm::counter_stride(chunk.len());
+                    base += COUNTER_STRIDE;
                 }
                 let (value, agg) = vom.accumulate_values(&values[..arms.len()]);
                 partial.aggregation += agg;
@@ -2076,5 +2095,35 @@ mod tests {
         // sign.
         assert!(report.output[0][0] < 0.0);
         assert!(report.output[24][0] > 0.0);
+    }
+
+    /// `OisaAccelerator::new` on a struct-literal config with one noise
+    /// σ set to `bad`: the builder never sees it, so `new` must refuse.
+    fn new_with_bad_sigma(field: &str, set: fn(&mut NoiseConfig, f64)) {
+        for bad in [-0.01, f64::NAN] {
+            let mut cfg = OisaConfig::small_test();
+            set(&mut cfg.noise, bad);
+            match OisaAccelerator::new(cfg) {
+                Err(CoreError::InvalidParameter(msg)) => {
+                    assert!(msg.contains(field), "{field} = {bad}: {msg}");
+                }
+                other => panic!("{field} = {bad} must be refused, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn new_rejects_a_bad_vcsel_rin_sigma() {
+        new_with_bad_sigma("vcsel_rin", |n, v| n.vcsel_rin = v);
+    }
+
+    #[test]
+    fn new_rejects_a_bad_mr_drift_sigma() {
+        new_with_bad_sigma("mr_drift", |n, v| n.mr_drift = v);
+    }
+
+    #[test]
+    fn new_rejects_a_bad_detector_sigma() {
+        new_with_bad_sigma("detector", |n, v| n.detector = v);
     }
 }

@@ -100,7 +100,7 @@
 //! ```
 
 // No unsafe: this crate must stay entirely safe Rust. The SIMD layer
-// (oisa_device/oisa_optics) is the only sanctioned unsafe in the tree.
+// (oisa_device) is the only sanctioned unsafe in the tree.
 #![forbid(unsafe_code)]
 // Every public item of the architecture crate documents itself; CI's
 // docs step builds with `RUSTDOCFLAGS=-D warnings`, which turns any

@@ -205,7 +205,7 @@ pub(crate) fn matvec_staged(
 ) -> Result<MatVecReport> {
     validate_matvec(matrix, rows, cols, input)?;
     let epoch = noise.begin_epoch()?;
-    let table = RingTable::new(opc.config().arm, mapper)?;
+    let table = RingTable::new(opc.config().arm, mapper, noise.config())?;
     let kept = staged.as_ref();
     let scale = kept.map_or_else(|| matrix_scale(matrix), |kept| kept.scale);
     let row_results = scheduler::execute(

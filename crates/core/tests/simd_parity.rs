@@ -1,30 +1,22 @@
 //! SIMD ↔ scalar ↔ sequential-engine parity, property-tested.
 //!
 //! The wire-level bit-identity guarantee says: the same `OisaConfig`
-//! and inputs produce the same bits no matter which MAC kernel ran —
-//! per-window scalar fold, across-window ×4 SIMD kernel, parallel or
-//! strictly serial engine, any `OISA_SIMD_TIER`. These tests pin that
-//! guarantee from outside the crates:
+//! and inputs produce the same bits no matter which engine ran —
+//! parallel or strictly serial, any `OISA_SIMD_TIER`. These tests pin
+//! that guarantee from outside the crates:
 //!
 //! * engine level: `convolve_frame` == `convolve_frame_sequential`
 //!   bit-for-bit over random configs, frames and kernel sets;
-//! * MAC level: [`ArmSnapshot::mac_indexed_x4`] == 4 per-window
-//!   [`ArmSnapshot::mac_indexed`] calls (values *and* energies);
 //! * draw level: `gaussian_at_lanes` == 4 scalar `gaussian_at` calls
-//!   (including forced `ziggurat_slow` tail draws), `StreamQuad`
-//!   batched pair draws == the dispatcher's scalar fallback == the
-//!   four underlying per-lane streams.
+//!   (including forced `ziggurat_slow` tail draws).
 //!
 //! The CI matrix runs this same binary with `OISA_SIMD_TIER=scalar`,
-//! which turns every dispatcher-vs-scalar assertion into a tier
-//! cross-check: AVX2/AVX-512 runs must produce the bits the scalar run
-//! produced.
+//! which pins `gaussian_at_lanes` to the scalar mixing kernel: AVX2 and
+//! AVX-512 runs must produce the bits the scalar run produced.
 
 use oisa_core::accelerator::{OisaAccelerator, OisaConfig};
 use oisa_device::noise::{NoiseConfig, NoiseSource};
-use oisa_device::simd::{mix64_key_pairs, mix64_key_pairs_scalar, LANES};
-use oisa_optics::arm::{Arm, ArmConfig};
-use oisa_optics::weights::WeightMapper;
+use oisa_device::simd::LANES;
 use oisa_sensor::frame::Frame;
 use proptest::prelude::*;
 
@@ -110,88 +102,6 @@ proptest! {
         let batched = stream.gaussian_at_lanes(counters);
         for l in 0..LANES {
             prop_assert_eq!(batched[l].to_bits(), stream.gaussian_at(counters[l]).to_bits());
-        }
-    }
-
-    #[test]
-    fn stream_quad_matches_four_adjacent_streams(
-        seed in 0u64..10_000,
-        slot in 0u64..64,
-        position in 0u64..100_000,
-        c in 0u64..1u64 << 40,
-    ) {
-        let src = NoiseSource::seeded(seed, NoiseConfig::paper_default());
-        let slot_stream = src.slot_stream(1, slot);
-        let quad = slot_stream.quad_at(position);
-        // Dispatcher == scalar fallback, in-process.
-        let (a, b) = quad.gaussian_pair_at(c);
-        let (sa, sb) = quad.gaussian_pair_at_scalar(c);
-        prop_assert_eq!(a, sa);
-        prop_assert_eq!(b, sb);
-        // Batched pair draws == the four underlying per-lane streams.
-        let singles = quad.gaussian_at(c);
-        for l in 0..LANES {
-            let lane = slot_stream.at(position + l as u64);
-            prop_assert_eq!(a[l].to_bits(), lane.gaussian_at(c).to_bits());
-            prop_assert_eq!(b[l].to_bits(), lane.gaussian_at(c + 1).to_bits());
-            prop_assert_eq!(singles[l].to_bits(), lane.gaussian_at(c).to_bits());
-        }
-    }
-
-    #[test]
-    fn key_pair_mixing_dispatch_matches_scalar(
-        k0 in 0u64..u64::MAX,
-        k1 in 0u64..u64::MAX,
-        k2 in 0u64..u64::MAX,
-        k3 in 0u64..u64::MAX,
-        c in 0u64..u64::MAX - 1,
-    ) {
-        let keys = [k0, k1, k2, k3];
-        prop_assert_eq!(mix64_key_pairs(keys, c), mix64_key_pairs_scalar(keys, c));
-    }
-
-    #[test]
-    fn mac_x4_matches_four_mac_indexed(
-        seed in 0u64..1_000,
-        m in 1usize..=9,
-        bits in 1u8..=4,
-        zero_mask in 0u32..1u32 << 12,
-    ) {
-        let weights: Vec<f64> = (0..m)
-            .map(|i| ((seed as f64 + i as f64) * 0.61).sin())
-            .collect();
-        let mapper = WeightMapper::ideal(bits).unwrap();
-        let mut arm = Arm::new(ArmConfig::paper_default()).unwrap();
-        arm.load_weights(&weights, &mapper).unwrap();
-        let snap = arm.snapshot();
-
-        // Element-major ×4 activations with exact zeros sprinkled in so
-        // the zero-skip contract is exercised, plus the same windows in
-        // window-major form for the per-window oracle.
-        let mut act4 = vec![0.0f64; m * LANES];
-        let mut windows = vec![vec![0.0f64; m]; LANES];
-        for i in 0..m {
-            for l in 0..LANES {
-                let v = if zero_mask >> ((i * LANES + l) % 12) & 1 == 1 {
-                    0.0
-                } else {
-                    (((seed + 7) as f64 + (i * LANES + l) as f64) * 0.29).sin().abs()
-                };
-                act4[i * LANES + l] = v;
-                windows[l][i] = v;
-            }
-        }
-
-        let src = NoiseSource::seeded(seed, NoiseConfig::paper_default());
-        let slot_stream = src.slot_stream(1, 3);
-        let position = seed.wrapping_mul(13) % 10_000;
-        let quad = slot_stream.quad_at(position);
-        let (values, energies) = snap.mac_indexed_x4(&act4, m, &quad, 0);
-        for l in 0..LANES {
-            let stream = slot_stream.at(position + l as u64);
-            let (value, energy) = snap.mac_indexed(&windows[l], &stream, 0);
-            prop_assert_eq!(values[l].to_bits(), value.to_bits());
-            prop_assert_eq!(energies[l].to_bits(), energy.to_bits());
         }
     }
 }

@@ -18,8 +18,12 @@
 //! through. The stream path draws its Gaussians with a 128-layer
 //! ziggurat (one 64-bit mix and one compare on the fast path), which is
 //! several times cheaper than the Box–Muller evaluation the stateful
-//! path inherits from [`crate::sense_amp`] — the per-MAC noise draw is
-//! the single hottest operation in frame-rate simulation.
+//! path inherits from [`crate::sense_amp`].
+//!
+//! An arm-level MAC draws three Gaussians: one per detector rail and
+//! one for the detector. The per-ring σs of [`NoiseConfig`] enter the
+//! two rail draws through closed-form rail moments (see
+//! `oisa_optics::arm`).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -27,17 +31,24 @@ use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 use crate::sense_amp::gaussian;
-use crate::simd::{mix64, mix64_key_pairs_scalar, mix64_lanes, COUNTER_MUL, LANES};
+use crate::simd::{mix64, mix64_lanes, COUNTER_MUL, LANES};
 use crate::{DeviceError, Result};
 
 /// Relative noise intensities applied along the optical MAC path.
+///
+/// `vcsel_rin` and `mr_drift` are per-ring parameters: each ring's
+/// channel is modelled as `a·(1 + σv·g)·clamp(m·(1 + σm·h), 0, 1)` with
+/// independent standard normals `g`, `h`. The MAC applies them through
+/// the exact mean and variance that model gives each detector rail,
+/// with one draw per rail.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct NoiseConfig {
-    /// Relative intensity noise of the VCSEL output (σ as a fraction of
-    /// the signal).
+    /// Relative intensity noise of each channel's VCSEL output (σ as a
+    /// fraction of the signal).
     pub vcsel_rin: f64,
     /// Relative σ of each ring's transmission (thermal drift of the
-    /// resonance between calibrations).
+    /// resonance between calibrations), clamped to the physical
+    /// `[0, 1]`.
     pub mr_drift: f64,
     /// Additive σ at the BPD output as a fraction of the arm full scale
     /// (shot + thermal, lumped).
@@ -72,12 +83,11 @@ impl NoiseConfig {
 /// Implemented by the stateful [`NoiseSource`], by [`StreamCursor`]
 /// (sequential draws over a counter-based stream) and by test doubles.
 pub trait NoiseModel {
-    /// Applies VCSEL relative-intensity noise to an emitted power.
-    fn vcsel(&mut self, power: f64) -> f64;
+    /// The intensities the fabric derives its rail moments from.
+    fn config(&self) -> &NoiseConfig;
 
-    /// Applies microring transmission drift, clamped to the physical
-    /// `[0, 1]` range.
-    fn mr_transmission(&mut self, t: f64) -> f64;
+    /// Next raw standard-normal draw.
+    fn standard_normal(&mut self) -> f64;
 
     /// Adds detector noise: `value + σ·full_scale·N(0,1)`.
     fn detector(&mut self, value: f64, full_scale: f64) -> f64;
@@ -126,19 +136,6 @@ impl NoiseSource {
             return signal;
         }
         signal * (1.0 + sigma * gaussian(&mut self.rng))
-    }
-
-    /// Applies VCSEL relative-intensity noise to an emitted power.
-    pub fn vcsel(&mut self, power: f64) -> f64 {
-        let sigma = self.config.vcsel_rin;
-        self.perturb_signal(power, sigma).max(0.0)
-    }
-
-    /// Applies microring transmission drift, clamped to the physical
-    /// `[0, 1]` range.
-    pub fn mr_transmission(&mut self, t: f64) -> f64 {
-        let sigma = self.config.mr_drift;
-        self.perturb_signal(t, sigma).clamp(0.0, 1.0)
     }
 
     /// Adds detector noise: `value + σ·full_scale·N(0,1)`.
@@ -285,178 +282,15 @@ impl SlotStream {
             tables: self.tables,
         }
     }
-
-    /// The streams for [`LANES`] consecutive output positions
-    /// (`position .. position + LANES`), held together so draws at a
-    /// shared counter can run across all of them in lockstep.
-    ///
-    /// Each lane's key is exactly the key [`SlotStream::at`] derives
-    /// for that position, so a [`StreamQuad`] draw is bit-equal to the
-    /// corresponding per-position draws — by construction, not by
-    /// tolerance.
-    #[inline]
-    #[must_use]
-    pub fn quad_at(&self, position: u64) -> StreamQuad {
-        let mut keys = [0u64; LANES];
-        for (l, key) in keys.iter_mut().enumerate() {
-            *key =
-                mix64(self.partial_key ^ (position + l as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        }
-        StreamQuad {
-            keys,
-            config: self.config,
-            tables: self.tables,
-        }
-    }
-}
-
-/// [`LANES`] positionally-consecutive [`NoiseStream`]s evaluated in
-/// lockstep — the noise side of the across-window MAC.
-///
-/// Adjacent convolution output positions consume the *same* counters
-/// (the weight/ring index layout does not depend on the position) and
-/// differ only in stream key, which makes the batched mixing shape
-/// "per-lane keys, broadcast counter": one scalar counter spread
-/// shared by every lane, then a vectorised finaliser over the four
-/// states. Draws through this type are bit-equal to the same draws
-/// through [`SlotStream::at`] on each position individually.
-#[derive(Debug, Clone, Copy)]
-pub struct StreamQuad {
-    keys: [u64; LANES],
-    config: NoiseConfig,
-    tables: &'static ZigTables,
-}
-
-impl StreamQuad {
-    /// The configured intensities (shared by every lane).
-    #[must_use]
-    pub fn config(&self) -> &NoiseConfig {
-        &self.config
-    }
-
-    /// The single-position stream for lane `l` (`l < LANES`) — the
-    /// remainder/reference path of the across-window MAC.
-    #[inline]
-    #[must_use]
-    pub fn lane(&self, l: usize) -> NoiseStream {
-        NoiseStream {
-            key: self.keys[l],
-            config: self.config,
-            tables: self.tables,
-        }
-    }
-
-    /// The draw pair (`c`, `c + 1`) on every lane: the first array
-    /// holds each lane's counter-`c` draw, the second its counter-
-    /// `c + 1` draw. Bit-equal to `self.lane(l).gaussian_at(c)` /
-    /// `gaussian_at(c + 1)` per lane.
-    ///
-    /// This is the shape the across-window MAC consumes: channel `i`
-    /// draws the (VCSEL, drift) counter pair `(2·i, 2·i + 1)` under
-    /// all [`LANES`] window keys at once.
-    #[inline]
-    #[must_use]
-    pub fn gaussian_pair_at(&self, c: u64) -> ([f64; LANES], [f64; LANES]) {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        {
-            use crate::simd::Tier;
-            match crate::simd::tier() {
-                // SAFETY: the tier is only reported after the matching
-                // target features were runtime-detected on this CPU.
-                Tier::Avx512 => return unsafe { self.gaussian_pair_at_avx512(c) },
-                Tier::Avx2 => return unsafe { self.gaussian_pair_at_avx2(c) },
-                Tier::Scalar => {}
-            }
-        }
-        self.gaussian_pair_at_scalar(c)
-    }
-
-    /// Per-lane ziggurat finish over a mixed pair batch (counter-`c`
-    /// words first, counter-`c + 1` words after).
-    #[inline(always)]
-    fn pair_from_mixed(&self, mixed: [u64; 2 * LANES]) -> ([f64; LANES], [f64; LANES]) {
-        let mut first = [0.0f64; LANES];
-        let mut second = [0.0f64; LANES];
-        for l in 0..LANES {
-            first[l] = ziggurat_from_bits(self.tables, mixed[l]);
-            second[l] = ziggurat_from_bits(self.tables, mixed[LANES + l]);
-        }
-        (first, second)
-    }
-
-    /// Portable pair draw: scalar mixing, same finish. Doc-hidden: the
-    /// optics hot path calls the per-tier draws directly from its own
-    /// `#[target_feature]`-specialised loop bodies, where they inline,
-    /// instead of dispatching per channel.
-    #[doc(hidden)]
-    #[inline(always)]
-    #[must_use]
-    pub fn gaussian_pair_at_scalar(&self, c: u64) -> ([f64; LANES], [f64; LANES]) {
-        self.pair_from_mixed(mix64_key_pairs_scalar(self.keys, c))
-    }
-
-    /// Pair draw on the AVX2 mixing tier (doc-hidden; see
-    /// [`StreamQuad::gaussian_pair_at_scalar`]). Safe
-    /// `#[target_feature]` fn: callers that have not proven AVX2
-    /// support must still wrap the call in `unsafe`.
-    #[doc(hidden)]
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    #[must_use]
-    pub fn gaussian_pair_at_avx2(&self, c: u64) -> ([f64; LANES], [f64; LANES]) {
-        self.pair_from_mixed(crate::simd::x86::mix64_key_pairs_avx2(self.keys, c))
-    }
-
-    /// Pair draw on the AVX-512 mixing tier (doc-hidden; see
-    /// [`StreamQuad::gaussian_pair_at_scalar`]). Safe
-    /// `#[target_feature]` fn: callers that have not proven
-    /// AVX-512DQ/VL support must still wrap the call in `unsafe`.
-    #[doc(hidden)]
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    #[inline]
-    #[target_feature(enable = "avx512dq,avx512vl")]
-    #[must_use]
-    pub fn gaussian_pair_at_avx512(&self, c: u64) -> ([f64; LANES], [f64; LANES]) {
-        self.pair_from_mixed(crate::simd::x86::mix64_key_pairs_avx512(self.keys, c))
-    }
-
-    /// One standard-normal draw at `counter` on every lane — bit-equal
-    /// to `self.lane(l).gaussian_at(counter)` per lane. Used once per
-    /// window for the detector draw, so the mixing stays scalar.
-    #[inline]
-    #[must_use]
-    pub fn gaussian_at(&self, counter: u64) -> [f64; LANES] {
-        let spread = counter.wrapping_mul(COUNTER_MUL);
-        self.keys
-            .map(|key| ziggurat_from_bits(self.tables, mix64(key ^ spread)))
-    }
-
-    /// Detector noise on each lane's `value`, addressed by `counter` —
-    /// bit-equal to `self.lane(l).detector_at(counter, values[l],
-    /// full_scale)` per lane, including the draw-free `σ = 0` path.
-    #[inline]
-    #[must_use]
-    pub fn detector_at(&self, counter: u64, values: [f64; LANES], full_scale: f64) -> [f64; LANES] {
-        if self.config.detector == 0.0 {
-            return values;
-        }
-        let g = self.gaussian_at(counter);
-        let mut out = values;
-        for l in 0..LANES {
-            out[l] += self.config.detector * full_scale * g[l];
-        }
-        out
-    }
 }
 
 impl NoiseModel for NoiseSource {
-    fn vcsel(&mut self, power: f64) -> f64 {
-        Self::vcsel(self, power)
+    fn config(&self) -> &NoiseConfig {
+        &self.config
     }
 
-    fn mr_transmission(&mut self, t: f64) -> f64 {
-        Self::mr_transmission(self, t)
+    fn standard_normal(&mut self) -> f64 {
+        Self::standard_normal(self)
     }
 
     fn detector(&mut self, value: f64, full_scale: f64) -> f64 {
@@ -653,29 +487,6 @@ impl NoiseStream {
         ziggurat_from_bits(self.tables, bits)
     }
 
-    /// VCSEL relative-intensity noise on `power`, addressed by
-    /// `counter`.
-    #[inline]
-    #[must_use]
-    pub fn vcsel_at(&self, counter: u64, power: f64) -> f64 {
-        let sigma = self.config.vcsel_rin;
-        if sigma == 0.0 {
-            return power.max(0.0);
-        }
-        (power * (1.0 + sigma * self.gaussian_at(counter))).max(0.0)
-    }
-
-    /// Microring transmission drift on `t`, addressed by `counter`.
-    #[inline]
-    #[must_use]
-    pub fn mr_transmission_at(&self, counter: u64, t: f64) -> f64 {
-        let sigma = self.config.mr_drift;
-        if sigma == 0.0 {
-            return t.clamp(0.0, 1.0);
-        }
-        (t * (1.0 + sigma * self.gaussian_at(counter))).clamp(0.0, 1.0)
-    }
-
     /// Detector noise on `value`, addressed by `counter`.
     #[inline]
     #[must_use]
@@ -698,12 +509,12 @@ impl NoiseStream {
 }
 
 /// Sequential adapter: draws counters 0, 1, 2, … from a
-/// [`NoiseStream`], one per [`NoiseModel`] call.
+/// [`NoiseStream`], one per [`NoiseModel`] draw call.
 ///
-/// A MAC evaluated through a cursor consumes exactly the counters
-/// `2·i` (VCSEL) and `2·i + 1` (ring drift) per channel `i` and `2·m`
-/// (detector) for an `m`-channel window — the same addressing the fused
-/// fast path uses explicitly, so the two produce bit-identical physics.
+/// A MAC evaluated through a cursor consumes exactly the counters 0
+/// (positive rail), 1 (negative rail) and 2 (detector) — the same
+/// addressing the fused fast path uses explicitly, so the two produce
+/// bit-identical physics.
 #[derive(Debug, Clone)]
 pub struct StreamCursor {
     stream: NoiseStream,
@@ -720,14 +531,13 @@ impl StreamCursor {
 }
 
 impl NoiseModel for StreamCursor {
-    fn vcsel(&mut self, power: f64) -> f64 {
-        let c = self.next_counter();
-        self.stream.vcsel_at(c, power)
+    fn config(&self) -> &NoiseConfig {
+        &self.stream.config
     }
 
-    fn mr_transmission(&mut self, t: f64) -> f64 {
+    fn standard_normal(&mut self) -> f64 {
         let c = self.next_counter();
-        self.stream.mr_transmission_at(c, t)
+        self.stream.gaussian_at(c)
     }
 
     fn detector(&mut self, value: f64, full_scale: f64) -> f64 {
@@ -764,38 +574,9 @@ mod tests {
     #[test]
     fn noiseless_config_is_identity() {
         let mut src = NoiseSource::seeded(5, NoiseConfig::noiseless());
-        assert_eq!(src.vcsel(0.7), 0.7);
-        assert_eq!(src.mr_transmission(0.3), 0.3);
         assert_eq!(src.detector(1.5, 10.0), 1.5);
-    }
-
-    #[test]
-    fn mr_transmission_stays_physical() {
-        let mut src = NoiseSource::seeded(
-            5,
-            NoiseConfig {
-                mr_drift: 0.5, // exaggerated
-                ..NoiseConfig::paper_default()
-            },
-        );
-        for _ in 0..500 {
-            let t = src.mr_transmission(0.95);
-            assert!((0.0..=1.0).contains(&t));
-        }
-    }
-
-    #[test]
-    fn vcsel_power_never_negative() {
-        let mut src = NoiseSource::seeded(
-            5,
-            NoiseConfig {
-                vcsel_rin: 1.0, // exaggerated
-                ..NoiseConfig::paper_default()
-            },
-        );
-        for _ in 0..500 {
-            assert!(src.vcsel(0.01) >= 0.0);
-        }
+        let s = src.stream(0, 0, 0);
+        assert_eq!(s.detector_at(3, 1.5, 10.0), 1.5);
     }
 
     #[test]
@@ -896,17 +677,36 @@ mod tests {
         let src = NoiseSource::seeded(3, NoiseConfig::paper_default());
         let s = src.stream(0, 0, 7);
         let mut cursor = s.cursor();
+        assert_eq!(cursor.config(), s.config());
         let via_cursor = (
-            cursor.vcsel(1.0e-4),
-            cursor.mr_transmission(0.8),
+            cursor.standard_normal(),
+            cursor.standard_normal(),
             cursor.detector(2.0e-6, 1.0e-3),
         );
         let via_counters = (
-            s.vcsel_at(0, 1.0e-4),
-            s.mr_transmission_at(1, 0.8),
+            s.gaussian_at(0),
+            s.gaussian_at(1),
             s.detector_at(2, 2.0e-6, 1.0e-3),
         );
         assert_eq!(via_cursor, via_counters);
+    }
+
+    #[test]
+    fn source_draws_through_the_trait_match_its_own_methods() {
+        let cfg = NoiseConfig::paper_default();
+        let mut direct = NoiseSource::seeded(12, cfg);
+        let mut via_trait = NoiseSource::seeded(12, cfg);
+        assert_eq!(NoiseModel::config(&via_trait), &cfg);
+        for _ in 0..8 {
+            assert_eq!(
+                direct.standard_normal(),
+                NoiseModel::standard_normal(&mut via_trait)
+            );
+        }
+        assert_eq!(
+            direct.detector(1.0, 2.0),
+            NoiseModel::detector(&mut via_trait, 1.0, 2.0)
+        );
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Lane-batched SplitMix64 mixing for the counter-based noise streams.
 //!
-//! The per-MAC Gaussian draw is the single hottest operation in
-//! frame-rate simulation, and its cost is dominated by the integer
+//! A counter-addressed Gaussian draw's cost is dominated by the integer
 //! avalanche: one 64-bit multiply to spread the counter, then the
 //! three-round SplitMix64 finaliser. This module batches that mixing
 //! over [`LANES`] independent counters at once.
@@ -72,93 +71,7 @@ pub fn mix64_lanes(key: u64, counters: [u64; LANES]) -> [u64; LANES] {
     mix64_lanes_scalar(key, counters)
 }
 
-/// Scalar reference for the double-width mix (see [`mix64_lanes2`]).
-#[doc(hidden)]
-#[inline(always)]
-#[must_use]
-pub fn mix64_lanes2_scalar(key: u64, counters: [u64; 2 * LANES]) -> [u64; 2 * LANES] {
-    counters.map(|c| mix64(key ^ c.wrapping_mul(COUNTER_MUL)))
-}
-
-/// Double-width batched stream mix: `2 · LANES` counters in one call.
-///
-/// `#[target_feature]` kernels cannot inline into their dispatching
-/// caller, so each call pays an out-of-line round trip with the
-/// operands bounced through memory — and inside a 4-lane call the
-/// three 64-bit multiplies of SplitMix64 form one serial latency
-/// chain. Mixing two batches per call amortises the round trip and
-/// gives the out-of-order core two independent vector chains to
-/// interleave, which is worth ~2× on the Skylake-class hosts where
-/// `vpmullq` is microcoded. The fused MAC uses this for the VCSEL +
-/// drift draw pair of each lane batch.
-#[inline(always)]
-#[must_use]
-pub fn mix64_lanes2(key: u64, counters: [u64; 2 * LANES]) -> [u64; 2 * LANES] {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        match x86::tier() {
-            // SAFETY: the tier is only reported after the matching
-            // target features were runtime-detected on this CPU.
-            Tier::Avx512 => return unsafe { x86::mix64_lanes2_avx512(key, counters) },
-            Tier::Avx2 => return unsafe { x86::mix64_lanes2_avx2(key, counters) },
-            Tier::Scalar => {}
-        }
-    }
-    mix64_lanes2_scalar(key, counters)
-}
-
-/// Scalar reference for the across-window pair mix (see
-/// [`mix64_key_pairs`]).
-#[doc(hidden)]
-#[inline(always)]
-#[must_use]
-pub fn mix64_key_pairs_scalar(keys: [u64; LANES], c: u64) -> [u64; 2 * LANES] {
-    let s0 = c.wrapping_mul(COUNTER_MUL);
-    let s1 = (c + 1).wrapping_mul(COUNTER_MUL);
-    [
-        mix64(keys[0] ^ s0),
-        mix64(keys[1] ^ s0),
-        mix64(keys[2] ^ s0),
-        mix64(keys[3] ^ s0),
-        mix64(keys[0] ^ s1),
-        mix64(keys[1] ^ s1),
-        mix64(keys[2] ^ s1),
-        mix64(keys[3] ^ s1),
-    ]
-}
-
-/// Across-window pair mix: one draw pair (`c`, `c + 1`) under each of
-/// [`LANES`] independent stream keys — the first [`LANES`] output
-/// words belong to counter `c`, the rest to `c + 1`.
-///
-/// This is the mixing shape of the across-window MAC, which evaluates
-/// [`LANES`] adjacent convolution windows in lockstep: the windows
-/// share every counter (weights and positions are common) and differ
-/// only in stream key. The counter spread is one scalar multiply per
-/// counter, shared by all lanes, and the three-round finaliser runs
-/// vectorised over the per-lane states.
-#[inline]
-#[must_use]
-pub fn mix64_key_pairs(keys: [u64; LANES], c: u64) -> [u64; 2 * LANES] {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        match x86::tier() {
-            // SAFETY: the tier is only reported after the matching
-            // target features were runtime-detected on this CPU.
-            Tier::Avx512 => return unsafe { x86::mix64_key_pairs_avx512(keys, c) },
-            Tier::Avx2 => return unsafe { x86::mix64_key_pairs_avx2(keys, c) },
-            Tier::Scalar => {}
-        }
-    }
-    mix64_key_pairs_scalar(keys, c)
-}
-
-/// The runtime-selected mixing tier. Doc-hidden: exported so the
-/// optics hot path can hoist tier dispatch above its per-window loop
-/// and compile one `#[target_feature]` body per tier, letting the
-/// vector kernels inline into the loop instead of paying an
-/// out-of-line call (and the attendant caller-saved register spills)
-/// per batch of draws.
+/// The runtime-selected mixing tier.
 #[doc(hidden)]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Tier {
@@ -290,55 +203,6 @@ pub(crate) mod x86 {
         }};
     }
 
-    /// Across-window pair mix: per-lane keys, broadcast counters `c`
-    /// and `c + 1`. The counter spread multiplies are scalar (one per
-    /// counter, shared by every lane), so the vector path only needs
-    /// the two finaliser multiply rounds per register.
-    macro_rules! key_pairs_body {
-        ($mullo:ident, $keys:ident, $c:ident) => {{
-            // SAFETY: `$keys` is a `[u64; LANES]` (LANES = 4), exactly
-            // one 256-bit unaligned load; `loadu` has no alignment
-            // requirement.
-            let keys_v = unsafe { _mm256_loadu_si256($keys.as_ptr().cast::<__m256i>()) };
-            let s0 = _mm256_xor_si256(
-                keys_v,
-                _mm256_set1_epi64x($c.wrapping_mul(COUNTER_MUL) as i64),
-            );
-            let s1 = _mm256_xor_si256(
-                keys_v,
-                _mm256_set1_epi64x(($c + 1).wrapping_mul(COUNTER_MUL) as i64),
-            );
-            let z0 = finalise_reg!($mullo, s0);
-            let z1 = finalise_reg!($mullo, s1);
-            let mut out = [0u64; 2 * LANES];
-            // SAFETY: `out` is `2 * LANES` u64s — two 256-bit stores at
-            // element offsets 0 and LANES stay in bounds; `storeu` has
-            // no alignment requirement.
-            unsafe {
-                _mm256_storeu_si256(out.as_mut_ptr().cast::<__m256i>(), z0);
-                _mm256_storeu_si256(out.as_mut_ptr().add(LANES).cast::<__m256i>(), z1);
-            }
-            out
-        }};
-    }
-
-    /// Safe `#[target_feature]` kernel: dispatchers that have not
-    /// proven AVX2 support must still wrap the call in `unsafe`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    pub(crate) fn mix64_key_pairs_avx2(keys: [u64; LANES], c: u64) -> [u64; 2 * LANES] {
-        key_pairs_body!(mullo64_avx2, keys, c)
-    }
-
-    /// Safe `#[target_feature]` kernel: dispatchers that have not
-    /// proven AVX-512DQ/VL support must still wrap the call in
-    /// `unsafe`.
-    #[inline]
-    #[target_feature(enable = "avx512dq,avx512vl")]
-    pub(crate) fn mix64_key_pairs_avx512(keys: [u64; LANES], c: u64) -> [u64; 2 * LANES] {
-        key_pairs_body!(_mm256_mullo_epi64, keys, c)
-    }
-
     macro_rules! mix_body {
         ($mullo:ident, $key:ident, $counters:ident) => {{
             // SAFETY: `$counters` is a `[u64; LANES]` (LANES = 4) —
@@ -348,34 +212,6 @@ pub(crate) mod x86 {
             let mut out = [0u64; LANES];
             // SAFETY: one 256-bit store into the LANES-u64 `out`.
             unsafe { _mm256_storeu_si256(out.as_mut_ptr().cast::<__m256i>(), z) };
-            out
-        }};
-    }
-
-    /// Two independent registers per call: the serial multiply chains
-    /// of the two batches interleave in the out-of-order window, and
-    /// the out-of-line call (a `#[target_feature]` fn cannot inline
-    /// into its dispatcher) is paid once instead of twice.
-    macro_rules! mix2_body {
-        ($mullo:ident, $key:ident, $counters:ident) => {{
-            // SAFETY: `$counters` is a `[u64; 2 * LANES]` — two
-            // unaligned 256-bit loads at element offsets 0 and LANES
-            // stay in bounds.
-            let (c0, c1) = unsafe {
-                (
-                    _mm256_loadu_si256($counters.as_ptr().cast::<__m256i>()),
-                    _mm256_loadu_si256($counters.as_ptr().add(LANES).cast::<__m256i>()),
-                )
-            };
-            let z0 = mix_reg!($mullo, $key, c0);
-            let z1 = mix_reg!($mullo, $key, c1);
-            let mut out = [0u64; 2 * LANES];
-            // SAFETY: `out` is `2 * LANES` u64s — two 256-bit stores at
-            // element offsets 0 and LANES stay in bounds.
-            unsafe {
-                _mm256_storeu_si256(out.as_mut_ptr().cast::<__m256i>(), z0);
-                _mm256_storeu_si256(out.as_mut_ptr().add(LANES).cast::<__m256i>(), z1);
-            }
             out
         }};
     }
@@ -393,23 +229,6 @@ pub(crate) mod x86 {
     #[target_feature(enable = "avx512dq,avx512vl")]
     pub(crate) fn mix64_lanes_avx512(key: u64, counters: [u64; LANES]) -> [u64; LANES] {
         mix_body!(_mm256_mullo_epi64, key, counters)
-    }
-
-    /// Safe `#[target_feature]` kernel: dispatchers that have not
-    /// proven AVX2 support must still wrap the call in `unsafe`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    pub(crate) fn mix64_lanes2_avx2(key: u64, counters: [u64; 2 * LANES]) -> [u64; 2 * LANES] {
-        mix2_body!(mullo64_avx2, key, counters)
-    }
-
-    /// Safe `#[target_feature]` kernel: dispatchers that have not
-    /// proven AVX-512DQ/VL support (`vpmullq` on 256-bit vectors) must
-    /// still wrap the call in `unsafe`.
-    #[inline]
-    #[target_feature(enable = "avx512dq,avx512vl")]
-    pub(crate) fn mix64_lanes2_avx512(key: u64, counters: [u64; 2 * LANES]) -> [u64; 2 * LANES] {
-        mix2_body!(_mm256_mullo_epi64, key, counters)
     }
 }
 

@@ -8,64 +8,68 @@
 //! subtracts the two accumulated powers, so the photocurrent *is* the
 //! signed dot product.
 //!
+//! # Noise: one draw per detector rail
+//!
+//! Each ring's channel carries VCSEL RIN and ring drift: tap `i`
+//! delivers `P·a·(1 + σv·g)·t′·gain` with `t′ = clamp(m·(1 + σm·h), 0,
+//! 1)` and independent standard normals `g`, `h`
+//! ([`NoiseConfig`]). The detector sees only the two rail sums, so the
+//! MAC draws those instead of the rings: every tap carries a mean
+//! coefficient `α = gain·E[t′]` and a variance coefficient
+//! `β = gain²·((1 + σv²)·E[t′²] − E[t′]²)`, with the clamp's
+//! truncated-normal moments in closed form, and each rail evaluates to
+//! `max(0, P·(Σa·α + √(Σa²·β)·G))`. That is the per-ring model's exact
+//! rail mean and variance (a unit test checks both, and the rail
+//! covariance, against the per-ring model over 10⁶ windows), for three
+//! Gaussian draws per MAC: one per rail and one for the detector.
+//!
+//! Counters are per MAC: the positive rail draws at `base`, the
+//! negative rail at `base + 1` and the detector at `base + 2`
+//! ([`COUNTER_STRIDE`]), whatever the window length. A rail with zero
+//! variance — no loaded taps, or the noiseless config — skips its draw,
+//! which changes no bit: its draw would be multiplied by `√0`.
+//!
 //! # Performance notes: the lane-accumulator determinism contract
 //!
-//! Every MAC path in this module — [`Arm::mac_indexed`] (the fused
-//! fast path), [`Arm::mac`] (general [`NoiseModel`] evaluation) and
-//! [`Arm::mac_reference`] (the pre-optimisation port) — accumulates
-//! each detector rail into **[`LANES`] fixed lanes** (element `i`
-//! lands in lane `i mod LANES`) and reduces them through one canonical
-//! tree: `(l0 + l2) + (l1 + l3)`. Floating-point addition is not
-//! associative, so the fold order is part of the wire-level
-//! bit-identity guarantee: the parallel, sequential, batched, sharded,
-//! TCP and serving engines all replay this exact tree and therefore
-//! the exact same bits. Do not "simplify" the fold back to a single
-//! accumulator, and never let a host vector width dictate a different
-//! lane count — [`LANES`] is a contract constant, not a tuning knob.
+//! Every MAC path in this module — [`Arm::mac_indexed`] and
+//! [`ArmSnapshot::mac_indexed`] (the fused fast path), [`Arm::mac`]
+//! (general [`NoiseModel`] evaluation), [`RingTable::mac`] and
+//! [`Arm::mac_reference`] (the pre-optimisation port) — folds four
+//! rail-moment accumulators, `Σa·α` and `Σa²·β` for each rail, into
+//! **[`LANES`] fixed lanes** each (element `i` lands in lane
+//! `i mod LANES`) and reduces them through one canonical tree:
+//! `(l0 + l2) + (l1 + l3)`. Floating-point addition is not associative,
+//! so the fold order is part of the wire-level bit-identity guarantee:
+//! the parallel, sequential, batched, sharded, TCP and serving engines
+//! all replay this exact tree and therefore the exact same bits. Do not
+//! "simplify" the fold back to a single accumulator, and never let a
+//! host vector width dictate a different lane count — [`LANES`] is a
+//! contract constant, not a tuning knob.
 //!
-//! # Where vectorisation pays (and where it doesn't)
+//! The coefficients are computed where weights are staged — per tap by
+//! [`Arm::snapshot`], per code by [`RingTable::new`] — from the
+//! [`NoiseConfig`] the caller passes in. The general paths compute them
+//! on the fly through the same function, so every path produces the
+//! same bits.
 //!
-//! Two MAC kernels share the lane contract:
+//! # Where the time goes
 //!
-//! * **Per-window** ([`ArmSnapshot::mac_indexed`]): one output
-//!   position, scalar SplitMix64 mixing, `activation == 0` skipped by
-//!   an early `continue`. A zero's counters are positional (element
-//!   `i` always owns `base + 2i`/`base + 2i + 1`), so skipping draws
-//!   is bit-identical to drawing and multiplying by zero. Paper-config
-//!   frames never take the skip: the VAM encodes dark pixels to the
-//!   VCSEL's NRZ floor (≈ 0.022), not to 0, so every window draws all
-//!   its taps.
-//! * **Across-window ×4** ([`ArmSnapshot::mac_indexed_x4`]): [`LANES`]
-//!   consecutive output positions evaluate in lockstep against one
-//!   [`StreamQuad`] — same counters, same weights, the streams differ
-//!   only in key, so one batched key-pair mix
-//!   (`mix64_key_pairs`, AVX2/AVX-512 dispatched when the `simd`
-//!   cargo feature is on) yields both draws for all four windows. The
-//!   vector kernels are pure integer code and the per-lane ziggurat
-//!   finish performs the identical IEEE operations in the identical
-//!   order as the scalar fallback, so toggling the feature, pinning
-//!   `OISA_SIMD_TIER`, or mixing vector tiers across a sharded fleet
-//!   never changes a single output bit — only wall-clock.
+//! A 9-tap window costs nine multiply-adds into the mean lanes, nine
+//! into the variance lanes, two square roots and three ziggurat draws.
+//! Drawing per rail is the point of the model: two draws per ring made
+//! the draws about two thirds of the MAC drain's host time. The fold
+//! walks [`LANES`] taps at a time, so the sixteen accumulators stay in
+//! registers and the four lanes run as independent add chains; a tap's
+//! sign branch is predictable, because every window of a pass repeats
+//! its arm's sign pattern. No vector kernel is involved.
 //!
-//! Measured on the bench host (Skylake-SP-class, AVX-512 tier, paper
-//! noise config, `cargo bench -p oisa_bench`): a 9-tap per-window MAC
-//! runs ≈ 80–110 ns and the chained fold sits at ≈ 11 ns/ring
-//! (`mac_core_{72,256,1024}_rings`, `perf_json`'s `mac_ns_per_ring`
-//! block). The honest finding: **vector integer mixing does not beat
-//! scalar mixing here.** A batch of 4 draws costs ≈ 42 ns vectorised
-//! vs ≈ 15–23 ns as 4 scalar draws (`gaussian_at_lanes` vs
-//! `gaussian_at_4_scalar`), because 64-bit vector multiplies are
-//! microcoded/emulated on this tier while the three scalar `imul`s per
-//! draw pipeline perfectly across 14+ independent draws, and the
-//! scalar ziggurat finish dominates either way. At the frame level ×4
-//! measured ≈ 110–127 ns/window vs 78–110 ns for the per-window fold,
-//! so the engines stay on the per-window fold — the batched kernel
-//! remains available, tested bit-identical, for hosts with fast
-//! `vpmullq`. Regenerate `bench/baseline.json` with `perf_json` after
-//! touching anything in this file.
+//! Measured on a 2-vCPU Intel Xeon host (AVX-512 tier), paper noise:
+//! `perf_json`'s `mac_ns_per_ring` read 3.6–7.8 ns over eight runs
+//! (11.4–22.9 ns over three with per-ring draws), and the
+//! `mac_core_1024_rings` microbench 7.9 µs (18.3 µs).
 
 use oisa_device::mr::{Microring, MrDesign, TuningOutcome};
-use oisa_device::noise::{NoiseModel, NoiseStream, StreamQuad};
+use oisa_device::noise::{NoiseConfig, NoiseModel, NoiseStream};
 use oisa_device::photodiode::{BalancedPhotodetector, PhotodiodeParams};
 use oisa_device::simd::LANES;
 use oisa_device::waveguide::{ChannelPlan, LossBudget, OpticalPath};
@@ -77,6 +81,11 @@ use crate::{OpticsError, Result};
 
 /// Number of microrings per arm (paper §III-B).
 pub const RINGS_PER_ARM: usize = 10;
+
+/// Counters one MAC consumes on a noise stream: the positive rail's
+/// draw at `base`, the negative rail's at `base + 1` and the
+/// detector's at `base + 2`, for every window length.
+pub const COUNTER_STRIDE: u64 = 3;
 
 /// Arm configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -137,8 +146,8 @@ pub struct MacResult {
 }
 
 /// Immutable snapshot of everything an arm-level MAC consumes: the
-/// mapped weights, the precomputed per-ring gains, the detector and the
-/// full-scale / dwell constants.
+/// mapped weights, the precomputed per-ring gains and rail-moment
+/// coefficients, the detector and the full-scale / dwell constants.
 ///
 /// A snapshot is what lets evaluation outlive fabric mutation: the
 /// batched convolution engine snapshots every pass's arms before the
@@ -149,6 +158,9 @@ pub struct MacResult {
 pub struct ArmSnapshot {
     weights: Vec<MappedWeight>,
     ring_gain: Vec<f64>,
+    /// Per-tap rail coefficients under `noise`.
+    taps: Vec<RailTap>,
+    noise: NoiseConfig,
     detector: BalancedPhotodetector,
     per_channel_full: f64,
     channel_power: f64,
@@ -163,15 +175,19 @@ impl ArmSnapshot {
     }
 
     /// Fused fast-path MAC over counter-addressed noise — bit-identical
-    /// to [`Arm::mac_indexed`] on the arm this snapshot was taken from.
+    /// to [`Arm::mac_indexed`] on the arm this snapshot was taken from,
+    /// reading the coefficients staged by [`Arm::snapshot`] instead of
+    /// computing them.
     ///
-    /// Activations must already be validated to `[0, 1]` by the caller.
+    /// Activations must already be validated to `[0, 1]` by the caller,
+    /// and `stream` must carry the [`NoiseConfig`] the snapshot was
+    /// taken under.
     #[must_use]
     pub fn mac_indexed(&self, activations: &[f64], stream: &NoiseStream, base: u64) -> (f64, f64) {
-        debug_assert!(activations.len() <= self.weights.len());
+        debug_assert!(activations.len() <= self.taps.len());
+        debug_assert_eq!(stream.config(), &self.noise);
         let (noisy, power) = mac_indexed_core(
-            &self.weights,
-            &self.ring_gain,
+            &self.taps,
             &self.detector,
             self.per_channel_full,
             self.channel_power,
@@ -182,43 +198,6 @@ impl ArmSnapshot {
         (noisy / self.per_channel_full, power * self.dwell.get())
     }
 
-    /// Across-window fused MAC: evaluates this snapshot's weight
-    /// window against [`LANES`] activation windows in lockstep, one
-    /// per lane of `quad` — bit-identical per window to
-    /// [`ArmSnapshot::mac_indexed`] with `quad.lane(l)` as the stream.
-    ///
-    /// `activations` is element-major: `activations[i * LANES + l]`
-    /// holds element `i` of window `l`, with `m` elements per window
-    /// (`activations.len() == m * LANES`). Adjacent convolution output
-    /// windows make this layout a cheap gather — element `i` of
-    /// [`LANES`] consecutive windows are [`LANES`] consecutive frame
-    /// pixels.
-    ///
-    /// Returns the per-window `(values, optical energies)`.
-    #[must_use]
-    pub fn mac_indexed_x4(
-        &self,
-        activations: &[f64],
-        m: usize,
-        quad: &StreamQuad,
-        base: u64,
-    ) -> ([f64; LANES], [f64; LANES]) {
-        debug_assert_eq!(activations.len(), m * LANES);
-        debug_assert!(m <= self.weights.len());
-        mac_indexed_x4_core(&MacX4Args {
-            weights: &self.weights,
-            ring_gain: &self.ring_gain,
-            detector: &self.detector,
-            per_channel_full: self.per_channel_full,
-            channel_power_w: self.channel_power,
-            dwell_s: self.dwell.get(),
-            activations,
-            m,
-            quad,
-            base,
-        })
-    }
-
     /// General MAC through any [`NoiseModel`] — bit-identical to
     /// [`Arm::mac`] on the arm this snapshot was taken from.
     ///
@@ -227,9 +206,9 @@ impl ArmSnapshot {
     /// Same contract as [`Arm::mac`].
     pub fn mac<N: NoiseModel>(&self, activations: &[f64], noise: &mut N) -> Result<MacResult> {
         validate_activation_window(self.weights.len(), activations)?;
+        let taps = rail_taps(&self.weights, &self.ring_gain, noise.config());
         Ok(mac_core(
-            &self.weights,
-            &self.ring_gain,
+            &taps[..self.weights.len()],
             &self.detector,
             self.per_channel_full,
             self.channel_power,
@@ -393,11 +372,17 @@ impl Arm {
     /// `activations` (normalised optical amplitudes in `[0, 1]`, one per
     /// loaded weight).
     ///
-    /// The chain models: VCSEL RIN on each channel → ring transmission
-    /// (with drift) → waveguide losses → accumulation on the +/−
-    /// waveguides → BPD subtraction with detector noise → loss-normalised
-    /// signed result. Crosstalk and waveguide attenuation come from the
-    /// per-ring gains precomputed at [`Arm::load_weights`] time.
+    /// The chain models: VCSEL RIN and ring drift on each channel,
+    /// applied through each rail's closed-form moments (module docs) →
+    /// waveguide losses → accumulation on the +/− waveguides → BPD
+    /// subtraction with detector noise → loss-normalised signed result.
+    /// Crosstalk and waveguide attenuation come from the per-ring gains
+    /// precomputed at [`Arm::load_weights`] time; the rail coefficients
+    /// are computed on the fly from `noise`'s [`NoiseConfig`].
+    ///
+    /// Both rail draws are taken on every call, even from a rail with
+    /// zero variance, so a [`oisa_device::noise::StreamCursor`] consumes
+    /// the counters 0, 1 and 2 the fused path addresses explicitly.
     ///
     /// # Errors
     ///
@@ -407,9 +392,9 @@ impl Arm {
     /// offending index and no partial evaluation happens.
     pub fn mac<N: NoiseModel>(&self, activations: &[f64], noise: &mut N) -> Result<MacResult> {
         self.validate_activations(activations)?;
+        let taps = rail_taps(&self.weights, &self.ring_gain, noise.config());
         Ok(mac_core(
-            &self.weights,
-            &self.ring_gain,
+            &taps[..self.weights.len()],
             &self.detector,
             self.per_channel_full,
             self.config.channel_power.get(),
@@ -421,14 +406,18 @@ impl Arm {
 
     /// Captures the compute-relevant state of this arm as an immutable
     /// [`ArmSnapshot`]: the mapped weights, the precomputed per-ring
-    /// gains and the detector / full-scale / dwell constants. Evaluating
-    /// the snapshot is bit-identical to evaluating the arm, and stays
+    /// gains, each tap's rail coefficients under `noise`, and the
+    /// detector / full-scale / dwell constants. Evaluating the snapshot
+    /// is bit-identical to evaluating the arm under `noise`, and stays
     /// valid after the arm is re-tuned with new weights.
     #[must_use]
-    pub fn snapshot(&self) -> ArmSnapshot {
+    pub fn snapshot(&self, noise: &NoiseConfig) -> ArmSnapshot {
+        let taps = rail_taps(&self.weights, &self.ring_gain, noise);
         ArmSnapshot {
             weights: self.weights.clone(),
             ring_gain: self.ring_gain.clone(),
+            taps: taps[..self.weights.len()].to_vec(),
+            noise: *noise,
             detector: self.detector,
             per_channel_full: self.per_channel_full,
             channel_power: self.config.channel_power.get(),
@@ -436,15 +425,12 @@ impl Arm {
         }
     }
 
-    /// Fused fast-path MAC for the accelerator's inner loop: draws are
-    /// addressed on `stream` by explicit counters starting at `base`
-    /// (channel `i` uses `base + 2i` / `base + 2i + 1`, the detector
-    /// `base + 2m` where `m = activations.len()`), nonzero elements
-    /// are compacted and evaluated [`LANES`] at a time with batched
-    /// Gaussian draws and branchless rail masks (a zero activation
-    /// would contribute an exact `+0.0`, and its counters stay
-    /// addressed to it, so skipping it changes no output bit), and no
-    /// [`MacResult`] is built.
+    /// Fused fast-path MAC for the accelerator's inner loop: the two
+    /// rail draws and the detector draw are addressed on `stream` by
+    /// explicit counters `base`, `base + 1` and `base + 2`
+    /// ([`COUNTER_STRIDE`]), and no [`MacResult`] is built. The rail
+    /// coefficients are computed on the fly from `stream`'s config;
+    /// [`ArmSnapshot::mac_indexed`] reads them precomputed instead.
     ///
     /// Returns `(value, optical_energy_joules)`. Activations must
     /// already be validated to `[0, 1]` by the caller — the accelerator
@@ -456,9 +442,9 @@ impl Arm {
     #[must_use]
     pub fn mac_indexed(&self, activations: &[f64], stream: &NoiseStream, base: u64) -> (f64, f64) {
         debug_assert!(activations.len() <= self.weights.len());
+        let taps = rail_taps(&self.weights, &self.ring_gain, stream.config());
         let (noisy, power) = mac_indexed_core(
-            &self.weights,
-            &self.ring_gain,
+            &taps[..self.weights.len()],
             &self.detector,
             self.per_channel_full,
             self.config.channel_power.get(),
@@ -469,19 +455,13 @@ impl Arm {
         (noisy / self.per_channel_full, power * self.dwell.get())
     }
 
-    /// Counter stride one MAC of `m` activations consumes on a stream:
-    /// two draws per channel plus the detector draw.
-    #[must_use]
-    pub fn counter_stride(m: usize) -> u64 {
-        2 * m as u64 + 1
-    }
-
     /// Faithful port of the pre-optimisation MAC: validates inside the
-    /// loop, re-derives both crosstalk Lorentzians per channel from ring
-    /// state, recomputes the full-scale and time-of-flight terms per
-    /// call. Kept as the wall-clock baseline for the performance
-    /// benchmarks and as a physics cross-check (it produces the same
-    /// values as [`Arm::mac`] given the same noise draws).
+    /// loop, re-derives both crosstalk Lorentzians and the rail
+    /// coefficients per channel from ring state, recomputes the
+    /// full-scale and time-of-flight terms per call. Kept as the
+    /// wall-clock baseline for the performance benchmarks and as a
+    /// physics cross-check (it produces the same values as [`Arm::mac`]
+    /// given the same noise draws).
     ///
     /// # Errors
     ///
@@ -499,20 +479,15 @@ impl Arm {
                 self.weights.len()
             )));
         }
-        // The rail fold follows the canonical lane order (module docs):
-        // the reference port must stay bit-equal to the optimised paths.
-        let mut pos = [0.0f64; LANES];
-        let mut neg = [0.0f64; LANES];
-        let p_in = self.config.channel_power.get();
+        let cfg = *noise.config();
         let spacing = self.plan.spacing();
+        let mut taps = [RailTap::PARKED; RINGS_PER_ARM];
         for (i, (a, w)) in activations.iter().zip(&self.weights).enumerate() {
             if !(0.0..=1.0).contains(a) {
                 return Err(OpticsError::InvalidParameter(format!(
                     "activation {a} outside [0, 1]"
                 )));
             }
-            let launched = noise.vcsel(p_in * a);
-            let t = noise.mr_transmission(w.magnitude);
             let mut xt = 1.0;
             if self.config.crosstalk {
                 if i > 0 {
@@ -522,15 +497,17 @@ impl Arm {
                     xt *= self.rings[i + 1].crosstalk_transmission(-spacing);
                 }
             }
-            let arrived = launched * t * (xt * self.path_transmission);
-            if w.negative {
-                neg[i % LANES] += arrived;
-            } else {
-                pos[i % LANES] += arrived;
-            }
+            taps[i] = RailTap::new(
+                xt * self.path_transmission,
+                ring_moments(w.magnitude, &cfg),
+                w.negative,
+            );
         }
-        let p_pos = reduce_lanes(pos);
-        let p_neg = reduce_lanes(neg);
+        // The same rail evaluation and draw order as `mac_core`: the
+        // reference port must stay bit-equal to the optimised paths.
+        let rails = RailSums::fold(&taps[..activations.len()], activations);
+        let (g_pos, g_neg) = (noise.standard_normal(), noise.standard_normal());
+        let (p_pos, p_neg) = rails.powers(self.config.channel_power.get(), g_pos, g_neg);
         let diff = self
             .detector
             .difference_current(Watt::new(p_pos), Watt::new(p_neg));
@@ -587,17 +564,19 @@ const STAGED_NEGATIVE: u8 = 1 << 7;
 /// A [`Microring`]'s state is its absolute detuning, and the detuning
 /// [`Arm::load_weights`] gives a ring depends only on its weight's
 /// quantisation code, so the crosstalk a ring imposes on its
-/// neighbours is a function of that code alone. The table tunes one
-/// fresh ring per code through the calls `load_weights` makes and keeps
-/// its two crosstalk transmissions, plus the arm design's waveguide,
-/// detector, full-scale and dwell constants.
+/// neighbours is a function of that code alone — and so are its
+/// transmission moments under a fixed [`NoiseConfig`]. The table tunes
+/// one fresh ring per code through the calls `load_weights` makes and
+/// keeps its two crosstalk transmissions and its rail moments, plus the
+/// arm design's waveguide, detector, full-scale and dwell constants.
 ///
 /// [`RingTable::stage`] quantises a weight once, into a byte holding
 /// its code and sign. [`RingTable::mac`] then reads a chunk of staged
-/// bytes, forms each tap's gain from its in-chunk neighbours' codes
-/// and runs the fused counter-addressed core the convolution drain
-/// uses — no heap allocation, no mutable state and no fabric access,
-/// so any number of threads can evaluate chunks against one table.
+/// bytes, forms each tap's gain from its in-chunk neighbours' codes,
+/// scales its code's moments by it and runs the fused counter-addressed
+/// core the convolution drain uses — no heap allocation, no mutable
+/// state and no fabric access, so any number of threads can evaluate
+/// chunks against one table.
 #[derive(Debug, Clone)]
 pub struct RingTable<'a> {
     mapper: &'a WeightMapper,
@@ -607,6 +586,9 @@ pub struct RingTable<'a> {
     /// `crosstalk_transmission(−spacing)` of a ring holding each code:
     /// applied to tap `i` when that ring is its neighbour `i + 1`.
     xt_next: Vec<f64>,
+    /// [`ring_moments`] of each code's magnitude under `noise`.
+    moments: Vec<(f64, f64)>,
+    noise: NoiseConfig,
     crosstalk: bool,
     path_transmission: f64,
     detector: BalancedPhotodetector,
@@ -617,7 +599,8 @@ pub struct RingTable<'a> {
 
 impl<'a> RingTable<'a> {
     /// Builds the table for arms of design `config` loaded through
-    /// `mapper`: one ring tuning per code (16 at 4 bits).
+    /// `mapper`, evaluated under `noise`: one ring tuning and one
+    /// moment evaluation per code (16 at 4 bits).
     ///
     /// # Errors
     ///
@@ -625,7 +608,7 @@ impl<'a> RingTable<'a> {
     ///   than a staged byte holds (128).
     /// * [`OpticsError::Device`] when the arm design or a ring tuning
     ///   is rejected.
-    pub fn new(config: ArmConfig, mapper: &'a WeightMapper) -> Result<Self> {
+    pub fn new(config: ArmConfig, mapper: &'a WeightMapper, noise: &NoiseConfig) -> Result<Self> {
         let codes = mapper.levels().len();
         if codes > STAGED_CODES {
             return Err(OpticsError::CapacityExceeded {
@@ -649,6 +632,12 @@ impl<'a> RingTable<'a> {
             mapper,
             xt_prev,
             xt_next,
+            moments: mapper
+                .levels()
+                .iter()
+                .map(|&m| ring_moments(m, noise))
+                .collect(),
+            noise: *noise,
             crosstalk: config.crosstalk,
             path_transmission: arm.path_transmission,
             detector: arm.detector,
@@ -680,6 +669,9 @@ impl<'a> RingTable<'a> {
     /// weights on an idle arm of the table's design followed by
     /// [`Arm::mac`] under `stream.cursor()`, errors included.
     ///
+    /// `stream` must carry the [`NoiseConfig`] the table was built
+    /// under.
+    ///
     /// # Errors
     ///
     /// * [`OpticsError::CapacityExceeded`] for more than
@@ -693,6 +685,7 @@ impl<'a> RingTable<'a> {
         activations: &[f64],
         stream: &NoiseStream,
     ) -> Result<MacResult> {
+        debug_assert_eq!(stream.config(), &self.noise);
         let n = staged.len();
         if n > RINGS_PER_ARM {
             return Err(OpticsError::CapacityExceeded {
@@ -701,41 +694,34 @@ impl<'a> RingTable<'a> {
             });
         }
         validate_activation_window(n, activations)?;
-        let levels = self.mapper.levels();
-        let mut weights = [MappedWeight {
-            code: 0,
-            magnitude: 0.0,
-            negative: false,
-        }; RINGS_PER_ARM];
-        for (w, &byte) in weights.iter_mut().zip(staged) {
-            let code = byte & !STAGED_NEGATIVE;
-            let Some(&magnitude) = levels.get(usize::from(code)) else {
+        let mut codes = [0usize; RINGS_PER_ARM];
+        for (c, &byte) in codes.iter_mut().zip(staged) {
+            *c = usize::from(byte & !STAGED_NEGATIVE);
+            if *c >= self.moments.len() {
                 return Err(OpticsError::InvalidParameter(format!(
-                    "staged code {code} outside the table's {} codes",
-                    levels.len()
+                    "staged code {c} outside the table's {} codes",
+                    self.moments.len()
                 )));
-            };
-            *w = MappedWeight {
-                code: u16::from(code),
-                magnitude,
-                negative: byte & STAGED_NEGATIVE != 0,
-            };
+            }
         }
-        let weights = &weights[..n];
-        let mut gain = [0.0f64; RINGS_PER_ARM];
-        for (i, g) in gain[..n].iter_mut().enumerate() {
-            *g = tap_gain(
+        let mut taps = [RailTap::PARKED; RINGS_PER_ARM];
+        for (i, tap) in taps[..n].iter_mut().enumerate() {
+            let gain = tap_gain(
                 i,
                 n,
                 self.crosstalk,
                 self.path_transmission,
-                |j| self.xt_prev[usize::from(weights[j].code)],
-                |j| self.xt_next[usize::from(weights[j].code)],
+                |j| self.xt_prev[codes[j]],
+                |j| self.xt_next[codes[j]],
+            );
+            *tap = RailTap::new(
+                gain,
+                self.moments[codes[i]],
+                staged[i] & STAGED_NEGATIVE != 0,
             );
         }
         let (noisy, power) = mac_indexed_core(
-            weights,
-            &gain[..n],
+            &taps[..n],
             &self.detector,
             self.per_channel_full,
             self.channel_power,
@@ -808,14 +794,217 @@ fn validate_activation_window(loaded: usize, activations: &[f64]) -> Result<()> 
     Ok(())
 }
 
-/// The general MAC evaluation shared bit-for-bit by [`Arm::mac`] and
-/// [`ArmSnapshot::mac`]: VCSEL RIN → ring transmission (with drift) →
-/// precomputed per-ring gain → rail accumulation → BPD subtraction with
-/// detector noise → loss-normalised signed result.
-#[allow(clippy::too_many_arguments)]
-fn mac_core<N: NoiseModel>(
+/// One tap's rail coefficients: its ring adds `a·α` to its rail's mean
+/// and `a²·β` to its rail's variance (module docs), with
+/// `α = gain·E[t′]` and `β = gain²·((1 + σv²)·E[t′²] − E[t′]²)`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct RailTap {
+    alpha: f64,
+    beta: f64,
+    negative: bool,
+}
+
+impl RailTap {
+    /// Filler for the unused slots of a fixed-size tap array.
+    const PARKED: Self = Self {
+        alpha: 0.0,
+        beta: 0.0,
+        negative: false,
+    };
+
+    /// Scales a ring's [`ring_moments`] by its tap's crosstalk ×
+    /// waveguide gain — the one product order every path shares.
+    #[inline]
+    fn new(gain: f64, (mean, var): (f64, f64), negative: bool) -> Self {
+        Self {
+            alpha: gain * mean,
+            beta: gain * gain * var,
+            negative,
+        }
+    }
+}
+
+/// The [`RailTap`]s of `weights` under per-ring gains `ring_gain` and
+/// `noise`, computed on the fly; slots past `weights.len()` stay
+/// parked.
+fn rail_taps(
     weights: &[MappedWeight],
     ring_gain: &[f64],
+    noise: &NoiseConfig,
+) -> [RailTap; RINGS_PER_ARM] {
+    let mut taps = [RailTap::PARKED; RINGS_PER_ARM];
+    for ((tap, w), &gain) in taps.iter_mut().zip(weights).zip(ring_gain) {
+        *tap = RailTap::new(gain, ring_moments(w.magnitude, noise), w.negative);
+    }
+    taps
+}
+
+/// Mean `E[t′]` and variance coefficient `(1 + σv²)·E[t′²] − E[t′]²` of
+/// a ring of `magnitude` under `noise`, where `t′ = clamp(m·(1 + σm·h),
+/// 0, 1)`: per unit of launched power, the mean and variance of what
+/// the ring passes once VCSEL RIN multiplies in. Under the noiseless
+/// config the pair is exactly `(min(m, 1), 0)`.
+fn ring_moments(magnitude: f64, noise: &NoiseConfig) -> (f64, f64) {
+    let (mean, square) = transmission_moments(magnitude, noise.mr_drift);
+    let rin2 = noise.vcsel_rin * noise.vcsel_rin;
+    (mean, ((1.0 + rin2) * square - mean * mean).max(0.0))
+}
+
+/// `E[t′]` and `E[t′²]` for `t′ = clamp(Y, 0, 1)` with
+/// `Y = m + s·h ~ N(m, s²)`, `s = m·|σm|`: the truncated-normal moments
+/// inside the clamp plus the clamped mass at 1 (the mass at 0 adds
+/// nothing).
+fn transmission_moments(m: f64, drift: f64) -> (f64, f64) {
+    let s = m * drift.abs();
+    if s == 0.0 {
+        let t = m.clamp(0.0, 1.0);
+        return (t, t * t);
+    }
+    // `Y` reaches 1 at `h = c = (1 − m)/s` and 0 at `h = d = −m/s`. A
+    // clamp point more than `TAIL_CUTOFF` σ away adds nothing, which
+    // spares the tail evaluation for every paper-ladder magnitude at
+    // paper σ, and for the 0 clamp whenever σm < 1/9.
+    let (q_c, phi_c) = if 1.0 - m > TAIL_CUTOFF * s {
+        (0.0, 0.0)
+    } else {
+        normal_tail((1.0 - m) / s)
+    };
+    let (q_d, phi_d) = if m > TAIL_CUTOFF * s {
+        (1.0, 0.0)
+    } else {
+        normal_tail(-m / s)
+    };
+    let inside = q_d - q_c;
+    let mean = m * inside + s * (phi_d - phi_c) + q_c;
+    let square = (m * m + s * s) * inside + m * s * phi_d - s * (1.0 + m) * phi_c + q_c;
+    (mean, square)
+}
+
+/// Standardised distance past which a clamp point is ignored: 9σ out,
+/// a normal tail's mass and density are both below 1e-18, far under an
+/// f64 ulp of any moment they would correct.
+const TAIL_CUTOFF: f64 = 9.0;
+
+/// `1/√(2π)`, the standard normal density's peak.
+const FRAC_1_SQRT_2PI: f64 =
+    std::f64::consts::FRAC_2_SQRT_PI * std::f64::consts::FRAC_1_SQRT_2 / 2.0;
+
+/// Upper-tail mass `Q(z) = P(h > z)` and density `φ(z)` of a standard
+/// normal `h`.
+fn normal_tail(z: f64) -> (f64, f64) {
+    (
+        0.5 * erfc(z * std::f64::consts::FRAC_1_SQRT_2),
+        (-0.5 * z * z).exp() * FRAC_1_SQRT_2PI,
+    )
+}
+
+/// Chebyshev coefficients of [`erfc`], lowest order first.
+const ERFC_COEFFS: [f64; 10] = [
+    -1.265_512_23,
+    1.000_023_68,
+    0.374_091_96,
+    0.096_784_18,
+    -0.186_288_06,
+    0.278_868_07,
+    -1.135_203_98,
+    1.488_515_87,
+    -0.822_152_23,
+    0.170_872_77,
+];
+
+/// Complementary error function from a Chebyshev fit, with fractional
+/// error below 1.2e-7 for every `x` (std has no `erfc`).
+fn erfc(x: f64) -> f64 {
+    let z = x.abs();
+    let t = 1.0 / (1.0 + 0.5 * z);
+    let poly = ERFC_COEFFS.iter().rev().fold(0.0, |acc, &c| acc * t + c);
+    let r = t * (poly - z * z).exp();
+    if x >= 0.0 {
+        r
+    } else {
+        2.0 - r
+    }
+}
+
+/// One window's rail moments: `Σa·α` and `Σa²·β` for each rail, each
+/// folded through the lane contract.
+struct RailSums {
+    pos_mean: f64,
+    pos_var: f64,
+    neg_mean: f64,
+    neg_var: f64,
+}
+
+impl RailSums {
+    /// Folds the taps that have an activation — historical zip
+    /// semantics: a window shorter than the taps evaluates only its own
+    /// elements. Element `i` lands in lane `i mod LANES` of its rail's
+    /// two accumulators, and the lanes reduce through [`reduce_lanes`].
+    ///
+    /// The walk goes [`LANES`] elements at a time so every lane index is
+    /// a constant and the sixteen accumulators stay in registers; a
+    /// runtime lane index spills them to memory and costs about a third
+    /// of the MAC.
+    #[inline(always)]
+    fn fold(taps: &[RailTap], activations: &[f64]) -> Self {
+        let mut pos_mean = [0.0f64; LANES];
+        let mut pos_var = [0.0f64; LANES];
+        let mut neg_mean = [0.0f64; LANES];
+        let mut neg_var = [0.0f64; LANES];
+        let mut add = |lane: usize, tap: &RailTap, a: f64| {
+            let (mean, var) = (a * tap.alpha, a * a * tap.beta);
+            if tap.negative {
+                neg_mean[lane] += mean;
+                neg_var[lane] += var;
+            } else {
+                pos_mean[lane] += mean;
+                pos_var[lane] += var;
+            }
+        };
+        let n = taps.len().min(activations.len());
+        let mut tap_chunks = taps[..n].chunks_exact(LANES);
+        let mut act_chunks = activations[..n].chunks_exact(LANES);
+        for (t, a) in (&mut tap_chunks).zip(&mut act_chunks) {
+            for lane in 0..LANES {
+                add(lane, &t[lane], a[lane]);
+            }
+        }
+        for (lane, (tap, &a)) in tap_chunks
+            .remainder()
+            .iter()
+            .zip(act_chunks.remainder())
+            .enumerate()
+        {
+            add(lane, tap, a);
+        }
+        Self {
+            pos_mean: reduce_lanes(pos_mean),
+            pos_var: reduce_lanes(pos_var),
+            neg_mean: reduce_lanes(neg_mean),
+            neg_var: reduce_lanes(neg_var),
+        }
+    }
+
+    /// Both rails' optical powers given their standard-normal draws:
+    /// `max(0, P·(mean + √var·G))` per rail.
+    #[inline(always)]
+    fn powers(&self, channel_power_w: f64, g_pos: f64, g_neg: f64) -> (f64, f64) {
+        let rail =
+            |mean: f64, var: f64, g: f64| (channel_power_w * (mean + var.sqrt() * g)).max(0.0);
+        (
+            rail(self.pos_mean, self.pos_var, g_pos),
+            rail(self.neg_mean, self.neg_var, g_neg),
+        )
+    }
+}
+
+/// The general MAC evaluation shared bit-for-bit by [`Arm::mac`] and
+/// [`ArmSnapshot::mac`]: rail moments → one draw per rail → BPD
+/// subtraction with detector noise → loss-normalised signed result.
+/// Both rail draws are taken even when a rail's variance is zero, so a
+/// sequential [`NoiseModel`] stays on the fused path's counter layout.
+fn mac_core<N: NoiseModel>(
+    taps: &[RailTap],
     detector: &BalancedPhotodetector,
     per_channel_full: f64,
     channel_power_w: f64,
@@ -823,23 +1012,9 @@ fn mac_core<N: NoiseModel>(
     activations: &[f64],
     noise: &mut N,
 ) -> MacResult {
-    // Draw order stays strictly element-sequential (VCSEL then drift,
-    // element by element) for `StreamCursor` counter compatibility;
-    // only the rail accumulation uses the canonical lane fold.
-    let mut pos = [0.0f64; LANES];
-    let mut neg = [0.0f64; LANES];
-    for (i, (a, w)) in activations.iter().zip(weights).enumerate() {
-        let launched = noise.vcsel(channel_power_w * a);
-        let t = noise.mr_transmission(w.magnitude);
-        let arrived = launched * t * ring_gain[i];
-        if w.negative {
-            neg[i % LANES] += arrived;
-        } else {
-            pos[i % LANES] += arrived;
-        }
-    }
-    let p_pos = reduce_lanes(pos);
-    let p_neg = reduce_lanes(neg);
+    let rails = RailSums::fold(taps, activations);
+    let (g_pos, g_neg) = (noise.standard_normal(), noise.standard_normal());
+    let (p_pos, p_neg) = rails.powers(channel_power_w, g_pos, g_neg);
     let diff = detector.difference_current(Watt::new(p_pos), Watt::new(p_neg));
     // Full scale: all channels at activation 1 with weight magnitude 1
     // on one waveguide.
@@ -867,35 +1042,17 @@ fn reduce_lanes(acc: [f64; LANES]) -> f64 {
 
 /// The fused counter-addressed MAC shared bit-for-bit by
 /// [`Arm::mac_indexed`], [`ArmSnapshot::mac_indexed`] and
-/// [`RingTable::mac`]: channel `i` draws counters `base + 2i` /
-/// `base + 2i + 1`, the detector draws `base + 2m` where
-/// `m = activations.len()` — including when the activation window is
-/// shorter than the loaded weights. Returns the noisy BPD difference
-/// current and the optical power summed over both rails; callers
-/// normalise the first by the full-scale current and charge the
-/// second over their dwell.
+/// [`RingTable::mac`]: the positive rail draws counter `base`, the
+/// negative rail `base + 1` and the detector `base + 2`, for every
+/// window length. Returns the noisy BPD difference current and the
+/// optical power summed over both rails; callers normalise the first by
+/// the full-scale current and charge the second over their dwell.
 ///
-/// Element `i` accumulates into rail lane `i mod LANES` and the lanes
-/// reduce through [`reduce_lanes`] — the canonical fold every MAC path
-/// replays. The four rails are a speed feature as much as a
-/// determinism contract: they give the core four independent
-/// floating-point add chains where the historical single accumulator
-/// serialised every element on one. Zero activations skip both their
-/// draws; counters are positional (`base + 2i` belongs to element `i`
-/// whether or not it draws), so the skip is bit-identical to drawing
-/// and discarding (a zero's contribution is an exact `±0.0` into a
-/// non-negative accumulator, which can never change its bits).
-///
-/// The per-element draws stay deliberately scalar here: paper-shaped
-/// windows (9 taps on a 10-ring arm) are too short for within-window
-/// mixing batches to pay — the batched multiply chain's latency lands
-/// on the critical path, where the scalar interleaving hides it. The
-/// vector win on convolution comes from [`mac_indexed_x4_core`]
-/// evaluating adjacent windows in lockstep instead.
-#[allow(clippy::too_many_arguments)]
+/// A rail whose variance is zero skips its draw. That changes no bit:
+/// the general path's draw would be multiplied by `√0`, adding an exact
+/// `±0.0` to a non-negative mean.
 fn mac_indexed_core(
-    weights: &[MappedWeight],
-    ring_gain: &[f64],
+    taps: &[RailTap],
     detector: &BalancedPhotodetector,
     per_channel_full: f64,
     channel_power_w: f64,
@@ -903,181 +1060,37 @@ fn mac_indexed_core(
     stream: &NoiseStream,
     base: u64,
 ) -> (f64, f64) {
-    let m = activations.len();
-    // Historical zip semantics: evaluate only elements that have a
-    // loaded weight, but keep full-scale and the detector counter on
-    // the activation count (see the short-window contract test).
-    let n = m.min(weights.len());
-    let cfg = stream.config();
-    let sv = cfg.vcsel_rin;
-    let sm = cfg.mr_drift;
-    let mut pos = [0.0f64; LANES];
-    let mut neg = [0.0f64; LANES];
-    for i in 0..n {
-        let a = activations[i];
-        if a == 0.0 {
-            continue;
-        }
-        let w = &weights[i];
-        let c = base + 2 * i as u64;
-        let launched = (channel_power_w * a * (1.0 + sv * stream.gaussian_at(c))).max(0.0);
-        let t = (w.magnitude * (1.0 + sm * stream.gaussian_at(c + 1))).clamp(0.0, 1.0);
-        let arrived = launched * t * ring_gain[i];
-        if w.negative {
-            neg[i % LANES] += arrived;
-        } else {
-            pos[i % LANES] += arrived;
-        }
-    }
-    let p_pos = reduce_lanes(pos);
-    let p_neg = reduce_lanes(neg);
+    let (p_pos, p_neg) = rail_powers_at(taps, activations, channel_power_w, stream, base);
     let diff = detector.difference_current(Watt::new(p_pos), Watt::new(p_neg));
-    let full_scale = per_channel_full * m.max(1) as f64;
-    let noisy = stream.detector_at(base + 2 * m as u64, diff.get(), full_scale);
+    let full_scale = per_channel_full * activations.len().max(1) as f64;
+    let noisy = stream.detector_at(base + 2, diff.get(), full_scale);
     (noisy, p_pos + p_neg)
 }
 
-/// Arguments shared by every tier specialisation of the across-window
-/// MAC. `activations` is element-major — `activations[i * LANES + l]`
-/// is element `i` of window `l` — and `m` is the per-window length.
-struct MacX4Args<'a> {
-    weights: &'a [MappedWeight],
-    ring_gain: &'a [f64],
-    detector: &'a BalancedPhotodetector,
-    per_channel_full: f64,
-    channel_power_w: f64,
-    dwell_s: f64,
-    activations: &'a [f64],
-    m: usize,
-    quad: &'a StreamQuad,
-    base: u64,
-}
-
-/// The across-window fused MAC: one weight window against [`LANES`]
-/// activation windows in lockstep, bit-identical per window to
-/// [`mac_indexed_core`] on that window's own stream.
-///
-/// This is where the vector units finally pay on paper-shaped (short)
-/// windows. Adjacent convolution output positions consume the *same*
-/// counters and weights and differ only in stream key, so channel
-/// `i`'s (VCSEL, drift) draw pair batches across the four windows with
-/// per-lane keys — one scalar counter spread feeding a vectorised
-/// finaliser (see [`StreamQuad::gaussian_pair_at`]) — and the MAC
-/// arithmetic itself runs element-by-element over four independent
-/// window values.
-///
-/// Bit-identity per window holds by construction: element `i` of
-/// window `l` performs the identical IEEE operations on the identical
-/// draws as the per-window path, folding into rail `i mod LANES` of
-/// window `l`'s own accumulators (`pos[rail][l]`), and windows never
-/// mix. The only difference from four separate calls is that zero
-/// activations draw-and-discard instead of skipping — which the
-/// per-window path's own contract already proves bit-equivalent (an
-/// exact `±0.0` into a non-negative accumulator), and which is forced
-/// here anyway because the *other* windows still need the batch.
-///
-/// Generic over the pair-draw so [`mac_indexed_x4_core`] can compile
-/// one `#[target_feature]`-specialised copy per mixing tier, letting
-/// the vector kernel inline into the loop instead of paying an
-/// out-of-line call per channel.
+/// Both rails' optical powers for one window of the fused path: the
+/// positive rail draws counter `base`, the negative rail `base + 1`,
+/// and a rail with zero variance draws nothing.
 #[inline(always)]
-fn mac_indexed_x4_body<D: Fn(&StreamQuad, u64) -> ([f64; LANES], [f64; LANES])>(
-    a: &MacX4Args<'_>,
-    draw_pairs: D,
-) -> ([f64; LANES], [f64; LANES]) {
-    let m = a.m;
-    let n = m.min(a.weights.len());
-    let cfg = a.quad.config();
-    let sv = cfg.vcsel_rin;
-    let sm = cfg.mr_drift;
-    let mut pos = [[0.0f64; LANES]; LANES];
-    let mut neg = [[0.0f64; LANES]; LANES];
-    for i in 0..n {
-        let w = &a.weights[i];
-        let gain = a.ring_gain[i];
-        let (g_vcsel, g_drift) = draw_pairs(a.quad, a.base + 2 * i as u64);
-        let acts = &a.activations[i * LANES..(i + 1) * LANES];
-        let rail = i % LANES;
-        // The sign branch hoists above the window loop (the weight is
-        // shared), so the inner body is branch-free and vectorises.
-        if w.negative {
-            for l in 0..LANES {
-                let launched = (a.channel_power_w * acts[l] * (1.0 + sv * g_vcsel[l])).max(0.0);
-                let t = (w.magnitude * (1.0 + sm * g_drift[l])).clamp(0.0, 1.0);
-                neg[rail][l] += launched * t * gain;
-            }
+fn rail_powers_at(
+    taps: &[RailTap],
+    activations: &[f64],
+    channel_power_w: f64,
+    stream: &NoiseStream,
+    base: u64,
+) -> (f64, f64) {
+    let rails = RailSums::fold(taps, activations);
+    let draw = |var: f64, counter: u64| {
+        if var > 0.0 {
+            stream.gaussian_at(counter)
         } else {
-            for l in 0..LANES {
-                let launched = (a.channel_power_w * acts[l] * (1.0 + sv * g_vcsel[l])).max(0.0);
-                let t = (w.magnitude * (1.0 + sm * g_drift[l])).clamp(0.0, 1.0);
-                pos[rail][l] += launched * t * gain;
-            }
+            0.0
         }
-    }
-    let full_scale = a.per_channel_full * m.max(1) as f64;
-    let mut diffs = [0.0f64; LANES];
-    let mut p_sum = [0.0f64; LANES];
-    for l in 0..LANES {
-        let p_pos = reduce_lanes([pos[0][l], pos[1][l], pos[2][l], pos[3][l]]);
-        let p_neg = reduce_lanes([neg[0][l], neg[1][l], neg[2][l], neg[3][l]]);
-        diffs[l] = a
-            .detector
-            .difference_current(Watt::new(p_pos), Watt::new(p_neg))
-            .get();
-        p_sum[l] = p_pos + p_neg;
-    }
-    let noisy = a.quad.detector_at(a.base + 2 * m as u64, diffs, full_scale);
-    let mut values = [0.0f64; LANES];
-    let mut energies = [0.0f64; LANES];
-    for l in 0..LANES {
-        values[l] = noisy[l] / a.per_channel_full;
-        energies[l] = p_sum[l] * a.dwell_s;
-    }
-    (values, energies)
-}
-
-/// Portable specialisation of the across-window MAC: scalar mixing,
-/// compiled without any vector feature. Also the only body on
-/// non-x86_64 targets or with the `simd` feature disabled.
-fn mac_indexed_x4_scalar(a: &MacX4Args<'_>) -> ([f64; LANES], [f64; LANES]) {
-    mac_indexed_x4_body(a, |q, c| q.gaussian_pair_at_scalar(c))
-}
-
-/// AVX2 specialisation: the whole across-window loop is compiled with
-/// AVX2 enabled so the vector mixing kernel inlines into it. Safe
-/// `#[target_feature]` fn: the dispatcher wraps the call in `unsafe`
-/// after runtime detection; the draw closure inherits this fn's AVX2
-/// context, so the pair-draw call needs no `unsafe` of its own.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2")]
-fn mac_indexed_x4_avx2(a: &MacX4Args<'_>) -> ([f64; LANES], [f64; LANES]) {
-    mac_indexed_x4_body(a, |q, c| q.gaussian_pair_at_avx2(c))
-}
-
-/// AVX-512 specialisation (see [`mac_indexed_x4_avx2`]).
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "avx512dq,avx512vl")]
-fn mac_indexed_x4_avx512(a: &MacX4Args<'_>) -> ([f64; LANES], [f64; LANES]) {
-    mac_indexed_x4_body(a, |q, c| q.gaussian_pair_at_avx512(c))
-}
-
-/// Tier dispatch for the across-window MAC: one cached-tier check per
-/// window quad, then a fully-inlined specialised loop. Every tier
-/// returns identical bits (integer mixing is exact; the floating-point
-/// pipeline is the same code in each specialisation).
-fn mac_indexed_x4_core(a: &MacX4Args<'_>) -> ([f64; LANES], [f64; LANES]) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        use oisa_device::simd::Tier;
-        match oisa_device::simd::tier() {
-            // SAFETY: the tier is only reported after the matching
-            // target features were runtime-detected on this CPU.
-            Tier::Avx512 => return unsafe { mac_indexed_x4_avx512(a) },
-            Tier::Avx2 => return unsafe { mac_indexed_x4_avx2(a) },
-            Tier::Scalar => {}
-        }
-    }
-    mac_indexed_x4_scalar(a)
+    };
+    rails.powers(
+        channel_power_w,
+        draw(rails.pos_var, base),
+        draw(rails.neg_var, base + 1),
+    )
 }
 
 #[cfg(test)]
@@ -1237,8 +1250,9 @@ mod tests {
     #[test]
     fn indexed_reference_and_general_macs_are_bit_identical() {
         // Same stream, three evaluation strategies: the fused fast path
-        // (explicit counters, zero-skip), the general path behind a
-        // sequential cursor, and the pre-optimisation reference port.
+        // (explicit counters, coefficients computed per call), the
+        // general path behind a sequential cursor, and the
+        // pre-optimisation reference port.
         let w = [0.5, -0.25, 1.0, 0.0, 0.75, -1.0, 0.25, 0.5, -0.5];
         let a = [1.0, 0.0, 0.5, 0.0, 1.0, 0.5, 0.0, 0.022, 1.0]; // ternary-ish, with zeros
         let arm = loaded_arm(&w, 4);
@@ -1257,18 +1271,38 @@ mod tests {
     }
 
     #[test]
-    fn short_window_detector_counter_follows_activation_count() {
-        // The contract: the detector draw sits at `base + 2·m` where
-        // `m = activations.len()`, even when the activation window is
-        // shorter than the loaded weights. All three MAC paths agree on
-        // it, and the counter depends on the window length, never on
-        // the loaded weight count.
+    fn detector_counter_is_base_plus_two_for_every_window_length() {
+        // The contract: the detector draws at `base + 2` whatever the
+        // window length — 0, shorter than the loaded weights, or a full
+        // arm. With the rails noiseless, the fused value is the
+        // noiseless value plus exactly that draw.
         let w10 = [0.5, -0.25, 1.0, 0.0, 0.75, -1.0, 0.25, 0.5, -0.5, 0.3];
         let arm10 = loaded_arm(&w10, 4);
         let arm9 = loaded_arm(&w10[..9], 4);
-        let source = NoiseSource::seeded(13, NoiseConfig::paper_default());
-        let stream = source.stream(0, 1, 9);
-        for m in [0usize, 1, 2, 3, 5, 8, 9] {
+        let detector_only = NoiseConfig {
+            detector: 0.005,
+            ..NoiseConfig::noiseless()
+        };
+        let clean = quiet().stream(0, 1, 9);
+        let stream = NoiseSource::seeded(13, detector_only).stream(0, 1, 9);
+        let base = 7;
+        for m in 0..=RINGS_PER_ARM {
+            let a: Vec<f64> = (0..m).map(|i| (i as f64 * 0.37).sin().abs()).collect();
+            let (value, _) = arm10.mac_indexed(&a, &stream, base);
+            let expected = arm10.mac_indexed(&a, &clean, base).0
+                + 0.005 * m.max(1) as f64 * stream.gaussian_at(base + 2);
+            assert!(
+                (value - expected).abs() < 1e-12,
+                "m={m}: {value} vs {expected}"
+            );
+        }
+        // Under paper noise all three MAC paths agree on every length,
+        // and the same short window on an arm holding fewer weights
+        // replays the same draws: no counter tracks `weights.len()`.
+        // (m ≤ 8 keeps the last evaluated ring's crosstalk
+        // neighbourhood identical between the 9- and 10-weight arms.)
+        let stream = NoiseSource::seeded(13, NoiseConfig::paper_default()).stream(0, 1, 9);
+        for m in 0..=RINGS_PER_ARM {
             let a: Vec<f64> = (0..m).map(|i| (i as f64 * 0.37).sin().abs()).collect();
             let (fast, fast_energy) = arm10.mac_indexed(&a, &stream, 0);
             let general = arm10.mac(&a, &mut stream.cursor()).unwrap();
@@ -1276,14 +1310,27 @@ mod tests {
             assert_eq!(fast, general.value, "m={m}");
             assert_eq!(fast, reference.value, "m={m}");
             assert_eq!(fast_energy, general.optical_energy.get(), "m={m}");
-            // The same short window on an arm holding fewer weights
-            // replays the same draws: if the detector counter tracked
-            // `weights.len()`, these would diverge. (m ≤ 8 keeps the
-            // last evaluated ring's crosstalk neighbourhood identical
-            // between the 9- and 10-weight arms.)
             if m <= 8 {
                 assert_eq!(fast, arm9.mac_indexed(&a, &stream, 0).0, "m={m}");
             }
+        }
+    }
+
+    #[test]
+    fn noiseless_mac_draws_nothing() {
+        // Every rail variance is 0 and the detector σ is 0, so no
+        // draw enters the result: any two streams give the same bits.
+        let arm = loaded_arm(&[0.5, -0.25, 1.0, 0.0, 0.75, -1.0, 0.25, 0.5, -0.5], 4);
+        let snap = arm.snapshot(&NoiseConfig::noiseless());
+        let a = [1.0, 0.2, 0.5, 0.0, 1.0, 0.5, 0.9, 0.022, 1.0];
+        let one = quiet().stream(0, 1, 2);
+        let other = NoiseSource::seeded(77, NoiseConfig::noiseless()).stream(5, 6, 7);
+        assert_eq!(
+            snap.mac_indexed(&a, &one, 0),
+            snap.mac_indexed(&a, &other, 3)
+        );
+        for w in snap.taps.iter() {
+            assert_eq!(w.beta, 0.0);
         }
     }
 
@@ -1292,7 +1339,7 @@ mod tests {
         let w = [0.5, -0.25, 1.0, 0.0, 0.75, -1.0, 0.25, 0.5, -0.5];
         let a = [1.0, 0.0, 0.5, 0.0, 1.0, 0.5, 0.0, 0.022, 1.0];
         let arm = loaded_arm(&w, 4);
-        let snap = arm.snapshot();
+        let snap = arm.snapshot(&NoiseConfig::paper_default());
         let source = NoiseSource::seeded(7, NoiseConfig::paper_default());
         let stream = source.stream(1, 2, 33);
 
@@ -1312,7 +1359,7 @@ mod tests {
         let mapper = WeightMapper::ideal(4).unwrap();
         let mut arm = Arm::new(ArmConfig::paper_default()).unwrap();
         arm.load_weights(&[0.8; 9], &mapper).unwrap();
-        let snap = arm.snapshot();
+        let snap = arm.snapshot(&NoiseConfig::noiseless());
         let a = [1.0; 9];
         let before = snap.mac(&a, &mut quiet()).unwrap();
         // Re-tune the physical arm; the snapshot must keep replaying the
@@ -1327,7 +1374,7 @@ mod tests {
     #[test]
     fn snapshot_validates_like_arm() {
         let arm = loaded_arm(&[0.5; 9], 4);
-        let snap = arm.snapshot();
+        let snap = arm.snapshot(&NoiseConfig::noiseless());
         assert!(snap.mac(&[1.5; 9], &mut quiet()).is_err());
         assert!(snap.mac(&[1.0; 10], &mut quiet()).is_err());
     }
@@ -1339,7 +1386,8 @@ mod tests {
         // and evaluating the staged bytes equals loading the chunk onto
         // an arm and evaluating it under a cursor, bit for bit, and a
         // re-loaded arm never remembers its previous chunk.
-        let source = NoiseSource::seeded(5, NoiseConfig::paper_default());
+        let noise = NoiseConfig::paper_default();
+        let source = NoiseSource::seeded(5, noise);
         for crosstalk in [false, true] {
             let config = ArmConfig {
                 crosstalk,
@@ -1350,7 +1398,7 @@ mod tests {
                     WeightMapper::ideal(bits).unwrap(),
                     WeightMapper::paper(bits).unwrap(),
                 ] {
-                    let table = RingTable::new(config, &mapper).unwrap();
+                    let table = RingTable::new(config, &mapper, &noise).unwrap();
                     let mut arm = Arm::new(config).unwrap();
                     for n in 0..=RINGS_PER_ARM {
                         let salt = u64::from(bits) * 11 + n as u64;
@@ -1377,7 +1425,12 @@ mod tests {
     #[test]
     fn ring_table_rejects_like_a_loaded_arm() {
         let mapper = WeightMapper::paper(4).unwrap();
-        let table = RingTable::new(ArmConfig::paper_default(), &mapper).unwrap();
+        let table = RingTable::new(
+            ArmConfig::paper_default(),
+            &mapper,
+            &NoiseConfig::noiseless(),
+        )
+        .unwrap();
         let mut arm = Arm::new(ArmConfig::paper_default()).unwrap();
         let stream = quiet().stream(0, 0, 0);
         let staged = [table.stage(0.5).unwrap(); RINGS_PER_ARM + 1];
@@ -1420,6 +1473,222 @@ mod tests {
             "message must name the index: {msg}"
         );
         assert!(msg.contains("1.5"), "message must name the value: {msg}");
+    }
+
+    #[test]
+    fn erfc_matches_tabulated_values() {
+        for (x, want) in [
+            (0.0, 1.0),
+            (0.5, 0.479_500_122_186_953_5),
+            (-0.5, 1.520_499_877_813_046_5),
+            (1.0, 0.157_299_207_050_285_13),
+            (-1.0, 1.842_700_792_949_715),
+            (3.0, 2.209_049_699_858_543_8e-5),
+            (-3.0, 1.999_977_909_503_001_5),
+        ] {
+            let got = erfc(x);
+            assert!(
+                ((got - want) / want).abs() <= 1.2e-7,
+                "erfc({x}) = {got}, want {want}"
+            );
+        }
+    }
+
+    #[test]
+    fn transmission_moments_at_the_clamp_point() {
+        // Magnitude 1 puts the clamp point at the mean (c = 0), so half
+        // the draws clamp: E[t′] = 1 − σm/√(2π) and
+        // E[t′²] = 1 − 2σm/√(2π) + σm²/2.
+        for drift in [0.01, 0.05] {
+            let (mean, square) = transmission_moments(1.0, drift);
+            let k = drift / (2.0 * std::f64::consts::PI).sqrt();
+            assert!((mean - (1.0 - k)).abs() < 1e-12, "σm {drift}: mean {mean}");
+            let want = 1.0 - 2.0 * k + drift * drift / 2.0;
+            assert!((square - want).abs() < 1e-10, "σm {drift}: E[t′²] {square}");
+        }
+    }
+
+    #[test]
+    fn ring_moments_far_from_the_clamp() {
+        // Neither clamp point within `TAIL_CUTOFF` σ: the pair is
+        // (m, m²·((1 + σv²)(1 + σm²) − 1)).
+        let cfg = NoiseConfig::paper_default();
+        let factor = (1.0 + cfg.vcsel_rin.powi(2)) * (1.0 + cfg.mr_drift.powi(2)) - 1.0;
+        for m in [0.05, 0.3, 0.5, 0.88] {
+            let (mean, var) = ring_moments(m, &cfg);
+            assert_eq!(mean, m);
+            let want = m * m * factor;
+            assert!(
+                ((var - want) / want).abs() < 1e-10,
+                "m {m}: {var} vs {want}"
+            );
+        }
+    }
+
+    #[test]
+    fn ring_moments_are_exact_when_noiseless() {
+        let cfg = NoiseConfig::noiseless();
+        for m in [0.0, 0.3, 0.88, 1.0, 1.3] {
+            assert_eq!(ring_moments(m, &cfg), (m.min(1.0), 0.0), "m {m}");
+        }
+        // VCSEL RIN alone: no clamp, variance m²·σv².
+        let rin_only = NoiseConfig {
+            vcsel_rin: 0.02,
+            ..NoiseConfig::noiseless()
+        };
+        let (mean, var) = ring_moments(0.5, &rin_only);
+        assert_eq!(mean, 0.5);
+        assert!(
+            (var / (0.25 * 0.02 * 0.02) - 1.0).abs() < 1e-10,
+            "var {var}"
+        );
+    }
+
+    #[test]
+    fn ring_moments_stay_physical_under_exaggerated_drift() {
+        // At σm = 0.5 both clamps bind often; t′ stays in [0, 1], so its
+        // mean must too, and no variance may come out negative.
+        let cfg = NoiseConfig {
+            mr_drift: 0.5,
+            vcsel_rin: 0.3,
+            detector: 0.0,
+        };
+        for i in 0..=20 {
+            let m = f64::from(i) / 20.0;
+            let (mean, var) = ring_moments(m, &cfg);
+            let (_, square) = transmission_moments(m, cfg.mr_drift);
+            assert!((0.0..=1.0).contains(&mean), "m {m}: mean {mean}");
+            assert!(square <= mean + 1e-12 && square >= mean * mean - 1e-12);
+            assert!(var >= 0.0, "m {m}: var {var}");
+        }
+    }
+
+    /// Test-side per-ring noise model, the one the rail moments replace:
+    /// per ring, VCSEL RIN drawn at counter `2i` and ring drift at
+    /// `2i + 1`, then the clamped transmission, the ring's gain and its
+    /// rail.
+    fn per_ring_rails(arm: &Arm, activations: &[f64], stream: &NoiseStream) -> (f64, f64) {
+        let cfg = stream.config();
+        let p_in = arm.config.channel_power.get();
+        let (mut pos, mut neg) = (0.0, 0.0);
+        for (i, (a, w)) in activations.iter().zip(&arm.weights).enumerate() {
+            let c = 2 * i as u64;
+            let launched = (p_in * a * (1.0 + cfg.vcsel_rin * stream.gaussian_at(c))).max(0.0);
+            let t =
+                (w.magnitude * (1.0 + cfg.mr_drift * stream.gaussian_at(c + 1))).clamp(0.0, 1.0);
+            let arrived = launched * t * arm.ring_gain[i];
+            if w.negative {
+                neg += arrived;
+            } else {
+                pos += arrived;
+            }
+        }
+        (pos, neg)
+    }
+
+    /// Sample moments of paired rail powers.
+    struct RailStats {
+        mean: [f64; 2],
+        var: [f64; 2],
+        fourth: [f64; 2],
+        cov: f64,
+    }
+
+    fn rail_stats(samples: &[(f64, f64)]) -> RailStats {
+        let n = samples.len() as f64;
+        let pick = |s: &(f64, f64), r: usize| if r == 0 { s.0 } else { s.1 };
+        let mut stats = RailStats {
+            mean: [0.0; 2],
+            var: [0.0; 2],
+            fourth: [0.0; 2],
+            cov: 0.0,
+        };
+        for r in 0..2 {
+            stats.mean[r] = samples.iter().map(|s| pick(s, r)).sum::<f64>() / n;
+            let d = |s: &(f64, f64)| pick(s, r) - stats.mean[r];
+            stats.var[r] = samples.iter().map(|s| d(s).powi(2)).sum::<f64>() / n;
+            stats.fourth[r] = samples.iter().map(|s| d(s).powi(4)).sum::<f64>() / n;
+        }
+        stats.cov = samples
+            .iter()
+            .map(|s| (s.0 - stats.mean[0]) * (s.1 - stats.mean[1]))
+            .sum::<f64>()
+            / n;
+        stats
+    }
+
+    #[test]
+    fn rail_moments_match_the_per_ring_model_over_a_million_windows() {
+        // Both ladders; the ideal one includes magnitude 1.0, where the
+        // drift clamp binds in half the draws, the paper one tops out
+        // at 0.88, where it never binds. Crosstalk on and off; windows
+        // of 1 to 10 taps. Per case, each rail's mean and variance and
+        // the rail covariance must agree within 5 standard errors.
+        const WINDOWS: u64 = 1_000_000;
+        let noise = NoiseConfig::paper_default();
+        let source = NoiseSource::seeded(2024, noise);
+        let cases = [
+            (WeightMapper::ideal(4).unwrap(), true, 10),
+            (WeightMapper::ideal(2).unwrap(), false, 4),
+            (WeightMapper::paper(4).unwrap(), true, 9),
+            (WeightMapper::paper(3).unwrap(), false, 1),
+        ];
+        for (case, (mapper, crosstalk, taps)) in cases.into_iter().enumerate() {
+            let config = ArmConfig {
+                crosstalk,
+                ..ArmConfig::paper_default()
+            };
+            // Random taps, with every third one at full magnitude.
+            let weights: Vec<f64> = (0..taps)
+                .map(|i| {
+                    let w = ((case * 31 + i) as f64 * 0.754).sin();
+                    if i % 3 == 0 {
+                        w.signum()
+                    } else {
+                        w
+                    }
+                })
+                .collect();
+            let activations: Vec<f64> = (0..taps)
+                .map(|i| 0.05 + 0.95 * ((case * 17 + i) as f64 * 0.377).cos().abs())
+                .collect();
+            let mut arm = Arm::new(config).unwrap();
+            arm.load_weights(&weights, &mapper).unwrap();
+            let snap = arm.snapshot(&noise);
+            let p_in = config.channel_power.get();
+            let per_ring: Vec<(f64, f64)> = (0..WINDOWS)
+                .map(|w| per_ring_rails(&arm, &activations, &source.stream(0, 0, w)))
+                .collect();
+            let rails: Vec<(f64, f64)> = (0..WINDOWS)
+                .map(|w| rail_powers_at(&snap.taps, &activations, p_in, &source.stream(0, 1, w), 0))
+                .collect();
+            let (a, b) = (rail_stats(&per_ring), rail_stats(&rails));
+            let n = WINDOWS as f64;
+            for r in 0..2 {
+                let se = ((a.var[r] + b.var[r]) / n).sqrt();
+                assert!(
+                    (a.mean[r] - b.mean[r]).abs() <= 5.0 * se,
+                    "case {case} rail {r}: mean {} vs {} (se {se})",
+                    a.mean[r],
+                    b.mean[r]
+                );
+                let se =
+                    ((a.fourth[r] - a.var[r].powi(2) + b.fourth[r] - b.var[r].powi(2)) / n).sqrt();
+                assert!(
+                    (a.var[r] - b.var[r]).abs() <= 5.0 * se,
+                    "case {case} rail {r}: variance {} vs {} (se {se})",
+                    a.var[r],
+                    b.var[r]
+                );
+            }
+            let se = ((a.var[0] * a.var[1] + b.var[0] * b.var[1]) / n).sqrt();
+            assert!(
+                (a.cov - b.cov).abs() <= 5.0 * se,
+                "case {case}: covariance {} vs {} (se {se})",
+                a.cov,
+                b.cov
+            );
+        }
     }
 
     proptest! {

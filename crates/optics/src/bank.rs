@@ -1,6 +1,6 @@
 //! A bank: five arms, fifty microrings (paper Fig. 6).
 
-use oisa_device::noise::NoiseModel;
+use oisa_device::noise::{NoiseConfig, NoiseModel};
 use oisa_units::{Joule, Second, Watt};
 use serde::{Deserialize, Serialize};
 
@@ -64,15 +64,15 @@ impl Bank {
             .ok_or_else(|| OpticsError::IndexOutOfRange(format!("arm {index}")))
     }
 
-    /// Immutable snapshot of arm `index` (see [`Arm::snapshot`]): the
-    /// captured state keeps evaluating bit-identically even after the
-    /// arm is re-tuned for a later pass.
+    /// Immutable snapshot of arm `index` under `noise` (see
+    /// [`Arm::snapshot`]): the captured state keeps evaluating
+    /// bit-identically even after the arm is re-tuned for a later pass.
     ///
     /// # Errors
     ///
     /// Returns [`OpticsError::IndexOutOfRange`] for an invalid index.
-    pub fn snapshot_arm(&self, index: usize) -> Result<ArmSnapshot> {
-        Ok(self.arm(index)?.snapshot())
+    pub fn snapshot_arm(&self, index: usize, noise: &NoiseConfig) -> Result<ArmSnapshot> {
+        Ok(self.arm(index)?.snapshot(noise))
     }
 
     /// Loads `weights` into arm `index`.

@@ -41,10 +41,9 @@
 //! # }
 //! ```
 
-// The only sanctioned unsafe in the tree lives here, and every unsafe
-// operation inside an `unsafe fn` must be its own block with its own
-// `// SAFETY:` comment (enforced mechanically by `oisa-lint`).
-#![deny(unsafe_op_in_unsafe_fn)]
+// No unsafe: this crate must stay entirely safe Rust. The SIMD layer
+// (oisa_device) is the only sanctioned unsafe in the tree.
+#![forbid(unsafe_code)]
 
 pub mod arm;
 pub mod bank;

@@ -6,7 +6,7 @@
 //! exactly **100 iterations**, the number the paper quotes for a complete
 //! weight-map.
 
-use oisa_device::noise::NoiseModel;
+use oisa_device::noise::{NoiseConfig, NoiseModel};
 use oisa_units::{Joule, Second, Watt};
 use serde::{Deserialize, Serialize};
 
@@ -245,9 +245,10 @@ impl Opc {
     }
 
     /// Snapshots the `arms` consecutive arms holding one kernel,
-    /// starting at `(bank, first_arm)`. The snapshots keep evaluating
-    /// the kernel bit-identically even after a later pass re-tunes the
-    /// same physical arms — the basis of the batched convolution engine.
+    /// starting at `(bank, first_arm)`, with their rail coefficients
+    /// under `noise`. The snapshots keep evaluating the kernel
+    /// bit-identically even after a later pass re-tunes the same
+    /// physical arms — the basis of the batched convolution engine.
     ///
     /// # Errors
     ///
@@ -257,10 +258,11 @@ impl Opc {
         bank: usize,
         first_arm: usize,
         arms: usize,
+        noise: &NoiseConfig,
     ) -> Result<Vec<ArmSnapshot>> {
         let bank_ref = self.bank(bank)?;
         (0..arms)
-            .map(|i| bank_ref.snapshot_arm(first_arm + i))
+            .map(|i| bank_ref.snapshot_arm(first_arm + i, noise))
             .collect()
     }
 

@@ -39,7 +39,7 @@
 //! ```
 
 // No unsafe: this crate must stay entirely safe Rust. The SIMD layer
-// (oisa_device/oisa_optics) is the only sanctioned unsafe in the tree.
+// (oisa_device) is the only sanctioned unsafe in the tree.
 #![forbid(unsafe_code)]
 
 mod circuit;

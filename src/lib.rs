@@ -151,21 +151,24 @@
 //!   seed, on any thread count. Gaussians come from a 128-layer
 //!   ziggurat: the common case is one SplitMix64 finalisation, one
 //!   table compare and one multiply.
-//! * **Precomputed arm constants + the fixed 4-lane fold**
-//!   ([`optics::arm::Arm`]). Inter-channel crosstalk, waveguide loss,
-//!   detector full-scale and dwell time depend only on the loaded
-//!   weights and geometry, so `Arm::load_weights` folds them into
-//!   per-ring gains; `Arm::mac_indexed` is the fused allocation-free
-//!   MAC the inner loop calls, and `Arm::mac_reference` keeps the
-//!   pre-optimisation cost profile as the benchmark baseline. Every
-//!   MAC path accumulates each detector rail into 4 fixed lanes
-//!   reduced through one canonical tree — reduction order is part of
-//!   the wire-level bit-identity guarantee (see the performance notes
-//!   in `optics::arm`). The `simd` cargo feature (default on) enables
-//!   runtime-dispatched AVX2/AVX-512 noise-mixing kernels; outputs are
-//!   bit-identical with the feature off, on unsupported CPUs, with
-//!   `OISA_SIMD_TIER=scalar` pinned, and across mixed-tier sharded
-//!   fleets — the feature only moves wall-clock.
+//! * **Precomputed arm constants, rail-moment noise and the fixed
+//!   4-lane fold** ([`optics::arm::Arm`]). Inter-channel crosstalk,
+//!   waveguide loss, detector full-scale and dwell time depend only on
+//!   the loaded weights and geometry, so `Arm::load_weights` folds them
+//!   into per-ring gains. VCSEL RIN and ring drift enter through each
+//!   detector rail's closed-form mean and variance: `Arm::snapshot`
+//!   computes every tap's two rail coefficients once per staged pass,
+//!   and `ArmSnapshot::mac_indexed`, the fused allocation-free MAC the
+//!   inner loop calls, draws three Gaussians per MAC: one per rail and
+//!   one for the detector.
+//!   `Arm::mac_reference` keeps the pre-optimisation cost profile as
+//!   the benchmark baseline. Every MAC path folds its rail moments
+//!   into 4 fixed lanes reduced through one canonical tree — reduction
+//!   order is part of the wire-level bit-identity guarantee (see the
+//!   performance notes in `optics::arm`). The `simd` cargo feature
+//!   (default on) enables runtime-dispatched AVX2/AVX-512 kernels for
+//!   the batched `gaussian_at_lanes` draw; no MAC path calls it, so
+//!   outputs and MAC timings do not depend on the feature.
 //! * **Flat, row-parallel pass buffers with streamed weight staging**
 //!   ([`core::OisaAccelerator::convolve_frame`]). Windows gather into a
 //!   stack scratch array, each pass writes one flat `[row][slot][x]`
@@ -202,7 +205,7 @@
 //! `crates/lint/README.md` for the rule catalogue and analysis model.
 
 // No unsafe: this crate must stay entirely safe Rust. The SIMD layer
-// (oisa_device/oisa_optics) is the only sanctioned unsafe in the tree.
+// (oisa_device) is the only sanctioned unsafe in the tree.
 #![forbid(unsafe_code)]
 
 /// Physical-quantity newtypes (volts, watts, seconds, …).
