@@ -14,7 +14,7 @@ use oisa_device::noise::{NoiseConfig, NoiseSource};
 use oisa_nn::conv::Conv2d;
 use oisa_nn::layer::Layer;
 use oisa_nn::tensor::Tensor;
-use oisa_optics::arm::{Arm, ArmConfig};
+use oisa_optics::arm::{Arm, ArmConfig, RingTable};
 use oisa_optics::opc::{Opc, OpcConfig};
 use oisa_optics::vom::{Vom, VomConfig};
 use oisa_optics::weights::WeightMapper;
@@ -56,6 +56,32 @@ fn bench_arm_mac(c: &mut Criterion) {
             position = position.wrapping_add(1);
             let stream = slot.at(position);
             arm.mac_indexed(black_box(&activations), &stream, 0)
+        });
+    });
+    // A dense chunk beside the conv window: nine staged bytes on the
+    // same ladder against the same activations, through the fused
+    // chunk MAC the dense engine runs. Consecutive calls walk a pool of
+    // chunks whose weight signs are random, as along a dense row.
+    const POOL: usize = 1024;
+    let table = RingTable::new(
+        ArmConfig::paper_default(),
+        &mapper,
+        &NoiseConfig::paper_default(),
+    )
+    .unwrap();
+    let draws = NoiseSource::seeded(11, NoiseConfig::paper_default()).stream(0, 0, 0);
+    let staged: Vec<u8> = (0..POOL * 9)
+        .map(|i| {
+            let w = (draws.gaussian_at(i as u64) / 2.0).clamp(-1.0, 1.0);
+            table.stage(w).unwrap()
+        })
+        .collect();
+    c.bench_function("ring_table_mac_9wide", |b| {
+        b.iter(|| {
+            position = position.wrapping_add(1);
+            let chunk = (position % POOL as u64) as usize * 9;
+            let stream = slot.at(position);
+            table.mac_indexed(&staged[chunk..chunk + 9], black_box(&activations), &stream)
         });
     });
     // The pre-optimisation port the speedup is measured against.

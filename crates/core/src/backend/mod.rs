@@ -80,6 +80,11 @@
 //!   per-frame reports are history-independent by construction and
 //!   shard merges are bit-identical to the sequential reference
 //!   ([`crate::program::run_reference`]) over any fleet shape.
+//! * **Reply shape** — the coordinator checks every frame report of a
+//!   program reply against the program (stage count and kinds, conv
+//!   map count and size, dense and final output lengths) before
+//!   merging, and fails the job with [`OisaError::Backend`], consuming
+//!   no coordinator state, on any mismatch.
 //! * **Cross-job staging** — after a program job, the coordinator's
 //!   `last_staged` records the program's kernel set only when the
 //!   program is pure conv (its dense stages, if any, re-tune arms the
@@ -92,10 +97,10 @@ use std::io::{Read, Write};
 use crate::accelerator::{ConvolutionReport, OisaAccelerator, OisaConfig};
 use crate::error::OisaError;
 use crate::mapping::{ConvWorkload, MappingPlan};
-use crate::program::{ProgramFrameReport, Stage};
+use crate::program::{LayerProgram, ProgramFrameReport, Stage, StageReport};
 use crate::wire::{
     self, FabricEntry, InferenceJob, JobShard, ProgramJob, ProgramReport, ProgramShard,
-    RefusalCode, ShardRefusal, ShardReport, WireMessage,
+    ProgramShardRef, RefusalCode, ShardRefusal, ShardReport, WireMessage,
 };
 use crate::CoreError;
 
@@ -292,13 +297,17 @@ impl ComputeBackend for LocalBackend {
 
 /// Validation shared by every program-capable backend: frames present
 /// and imager-sized, program structurally valid and shape-compatible
-/// with the frame dimensions ([`crate::program::LayerProgram::output_lens`]).
-fn validate_program_job(backend: &dyn ComputeBackend, job: &ProgramJob) -> BackendResult<()> {
+/// with the frame dimensions. Returns the program's per-stage output
+/// lengths ([`LayerProgram::output_lens`]).
+fn validate_program_job(
+    backend: &dyn ComputeBackend,
+    job: &ProgramJob,
+) -> BackendResult<Vec<usize>> {
     if job.frames.is_empty() {
         return Err(CoreError::InvalidParameter("no frames supplied".into()).into());
     }
     let (width, height) = backend.frame_dims();
-    job.program.output_lens(width, height)?;
+    let lens = job.program.output_lens(width, height)?;
     if let Some(Stage::Conv { k, kernels }) = job.program.stages.first() {
         backend.check_workload(kernels, *k)?;
     }
@@ -314,7 +323,7 @@ fn validate_program_job(backend: &dyn ComputeBackend, job: &ProgramJob) -> Backe
         ))
         .into());
     }
-    Ok(())
+    Ok(lens)
 }
 
 // ---------------------------------------------------------------------
@@ -1035,7 +1044,8 @@ impl ShardedBackend {
         job: &ProgramJob,
         on_failure: &mut dyn FnMut(&str, &OisaError) -> Recovery,
     ) -> BackendResult<Vec<ProgramFrameReport>> {
-        validate_program_job(self, job)?;
+        let lens = validate_program_job(self, job)?;
+        let dims = self.frame_dims();
         let n = job.frames.len();
         let stride = job.program.epochs_per_frame();
         let next_epoch = self.next_epoch;
@@ -1044,18 +1054,22 @@ impl ShardedBackend {
         let merged = self.run_with_recovery_impl(
             n,
             &mut |start, len, index, count| {
-                wire::encode_program_shard(&ProgramShard {
+                wire::encode_program_shard_ref(&ProgramShardRef {
                     job_id,
                     shard_index: index,
                     shard_count: count,
                     first_frame: start as u64,
                     first_epoch: next_epoch + start as u64 * stride,
                     config_fingerprint: fingerprint,
-                    program: job.program.clone(),
-                    frames: job.frames[start..start + len].to_vec(),
+                    program: &job.program,
+                    frames: &job.frames[start..start + len],
                 })
             },
-            &|start, len, index, payload| settle_program_reply(job_id, start, len, index, payload),
+            &|start, len, index, payload| {
+                let reports = settle_program_reply(job_id, start, len, index, payload)?;
+                check_program_reports(&job.program, &lens, dims, index, &reports)?;
+                Ok(reports)
+            },
             on_failure,
         )?;
 
@@ -1435,6 +1449,51 @@ fn settle_program_reply(
         ),
     )?;
     Ok(report.reports)
+}
+
+/// Checks that every frame report of program shard `index`'s reply has
+/// the shape `program` gives on `width × height` frames: one stage
+/// report per stage, of that stage's kind; per conv stage one
+/// `(height − k + 1) × (width − k + 1)` map per kernel; per dense stage
+/// one output per row; and a final output as long as the last of
+/// `lens` ([`LayerProgram::output_lens`]). A well-formed reply of any
+/// other shape would otherwise merge into the caller's results.
+fn check_program_reports(
+    program: &LayerProgram,
+    lens: &[usize],
+    (width, height): (usize, usize),
+    index: u32,
+    reports: &[ProgramFrameReport],
+) -> BackendResult<()> {
+    let stage_fits = |stage: &Stage, got: &StageReport| match (stage, got) {
+        (Stage::Conv { k, kernels }, StageReport::Conv(conv)) => {
+            // `output_lens` checked that the kernel fits the frame.
+            let (out_h, out_w) = (height + 1 - k, width + 1 - k);
+            conv.out_h == out_h
+                && conv.out_w == out_w
+                && conv.output.len() == kernels.len()
+                && conv.output.iter().all(|map| map.len() == out_h * out_w)
+        }
+        (Stage::Dense { rows, .. }, StageReport::Dense(dense)) => dense.output.len() == *rows,
+        (Stage::Quantize(_), StageReport::Quantize)
+        | (Stage::Activation(_), StageReport::Activation) => true,
+        _ => false,
+    };
+    let fits = |report: &ProgramFrameReport| {
+        report.stages.len() == program.stages.len()
+            && report.output.len() == lens.last().copied().unwrap_or(0)
+            && program
+                .stages
+                .iter()
+                .zip(&report.stages)
+                .all(|(stage, got)| stage_fits(stage, got))
+    };
+    match reports.iter().position(|report| !fits(report)) {
+        Some(frame) => Err(OisaError::Backend(format!(
+            "program shard {index} frame {frame} does not match the program's shape"
+        ))),
+        None => Ok(()),
+    }
 }
 
 impl ComputeBackend for ShardedBackend {

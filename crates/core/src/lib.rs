@@ -68,8 +68,9 @@
 //! * **Dense / MLP** — [`mlp::matvec_parallel`] fans rows out over the
 //!   scheduler; each row task stages its row through one per-code
 //!   [`oisa_optics::arm::RingTable`] into one byte per weight (code and
-//!   sign) and evaluates every chunk from those bytes (a code lookup
-//!   per tap instead of an arm re-tune), so rows never serialise on
+//!   sign) and evaluates every chunk from those bytes through the
+//!   table's fused, check-free chunk MAC (two table lookups per tap
+//!   instead of an arm re-tune), so rows never serialise on
 //!   shared-fabric `load_arm` and keep no per-worker state. A layer
 //!   program run ([`OisaAccelerator::run_program_frames`]) stages each
 //!   dense matrix once for all its frames. [`mlp::matvec`] is the

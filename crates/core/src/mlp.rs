@@ -20,11 +20,17 @@
 //!   scheduler; each row task stages its row once per call, one byte
 //!   per weight (quantisation code and sign, through a per-code
 //!   [`RingTable`]), and evaluates every chunk from the staged bytes
-//!   through the table — a ring's state depends only on its weight's
-//!   code, so a chunk needs a code lookup per tap, not an arm re-tune.
-//!   No row allocates per chunk, keeps per-worker state or touches the
-//!   fabric. Output, energy, latency and chunk count are bit-identical
-//!   to [`matvec`] under the same seed and epoch.
+//!   through the table's fused chunk MAC
+//!   ([`RingTable::mac_indexed`]) — a ring's state depends only on its
+//!   weight's code, so a chunk needs two table lookups per tap, not an
+//!   arm re-tune. The input is validated once per call, so no chunk is
+//!   checked, and no chunk allocates, branches on a weight's sign or
+//!   builds a [`MacResult`](oisa_optics::arm::MacResult): a row task
+//!   returns each chunk's value and optical energy, and the reduction
+//!   feeds them to the VOM ([`Vom::accumulate_and_transmit_values`]) in
+//!   the serial engine's order. No row keeps per-worker state or
+//!   touches the fabric. Output, energy, latency and chunk count are
+//!   bit-identical to [`matvec`] under the same seed and epoch.
 //!
 //! Staging depends only on the weights and the mapper, so a caller
 //! that evaluates one matrix on many inputs stages it once: a layer
@@ -34,7 +40,7 @@
 //! later frame from the same bytes.
 
 use oisa_device::noise::NoiseSource;
-use oisa_optics::arm::{MacResult, RingTable};
+use oisa_optics::arm::RingTable;
 use oisa_optics::opc::Opc;
 use oisa_optics::vom::Vom;
 use oisa_optics::weights::WeightMapper;
@@ -132,14 +138,16 @@ pub fn matvec(
 /// After the noise epoch is consumed, one [`RingTable`] is built from
 /// the core's arm design and `mapper`. Each row task stages its row
 /// through it ([`RingTable::stage`]: one byte per weight, quantised
-/// once per call instead of once per chunk load), then per chunk forms
-/// each ring's crosstalk × waveguide gain from its in-chunk
-/// neighbours' codes and evaluates through the same
-/// `(epoch, row, chunk)` noise stream the serial engine would use —
-/// arm state after `load_weights` depends only on the loaded chunk,
-/// never on fabric history, so every [`MacResult`] is bit-identical to
-/// the serial path's. The final reduction walks rows in order with the
-/// serial engine's exact floating-point grouping.
+/// once per call instead of once per chunk load), then evaluates each
+/// chunk through [`RingTable::mac_indexed`], which forms each ring's
+/// crosstalk × waveguide gain from its in-chunk neighbours' codes and
+/// draws from the same `(epoch, row, chunk)` noise stream the serial
+/// engine would use — arm state after `load_weights` depends only on
+/// the loaded chunk, never on fabric history, so every chunk's value
+/// and energy are bit-identical to the serial path's
+/// [`MacResult`](oisa_optics::arm::MacResult). The final reduction
+/// walks rows in order with the serial engine's exact floating-point
+/// grouping.
 ///
 /// The consumed noise epoch matches [`matvec`], errors included (a
 /// non-finite weight fails staging after the epoch is consumed, and
@@ -208,29 +216,35 @@ pub(crate) fn matvec_staged(
     let table = RingTable::new(opc.config().arm, mapper, noise.config())?;
     let kept = staged.as_ref();
     let scale = kept.map_or_else(|| matrix_scale(matrix), |kept| kept.scale);
-    let row_results = scheduler::execute(
-        (0..rows).collect(),
-        |_, r| -> Result<(Vec<MacResult>, Vec<u8>)> {
-            let mut fresh = Vec::new();
-            let codes = match kept {
-                Some(kept) => &kept.rows[r],
-                None => {
-                    fresh = matrix[r * cols..(r + 1) * cols]
-                        .iter()
-                        .map(|&w| table.stage(normalise(w, scale)))
-                        .collect::<oisa_optics::Result<_>>()?;
-                    &fresh
-                }
-            };
-            let row_stream = noise.slot_stream(epoch, r as u64);
-            let mut partials = Vec::with_capacity(cols.div_ceil(CHUNK));
-            for (ci, (w_chunk, a_chunk)) in codes.chunks(CHUNK).zip(input.chunks(CHUNK)).enumerate()
-            {
-                partials.push(table.mac(w_chunk, a_chunk, &row_stream.at(ci as u64))?);
+    let chunks = cols.div_ceil(CHUNK);
+    // Per row: each chunk's value and optical energy, and the row's
+    // freshly staged bytes (empty when the slot was already filled).
+    type RowChunks = (Vec<f64>, Vec<f64>, Vec<u8>);
+    let row_results = scheduler::execute((0..rows).collect(), |_, r| -> Result<RowChunks> {
+        let mut fresh = Vec::new();
+        let codes = match kept {
+            Some(kept) => &kept.rows[r],
+            None => {
+                fresh = matrix[r * cols..(r + 1) * cols]
+                    .iter()
+                    .map(|&w| table.stage(normalise(w, scale)))
+                    .collect::<oisa_optics::Result<_>>()?;
+                &fresh
             }
-            Ok((partials, fresh))
-        },
-    );
+        };
+        debug_assert_eq!(codes.len(), cols);
+        // `validate_matvec` checked the input and every byte came
+        // from `table.stage`, so each chunk skips the checks.
+        let row_stream = noise.slot_stream(epoch, r as u64);
+        let mut values = Vec::with_capacity(chunks);
+        let mut energies = Vec::with_capacity(chunks);
+        for (ci, (w_chunk, a_chunk)) in codes.chunks(CHUNK).zip(input.chunks(CHUNK)).enumerate() {
+            let (value, energy) = table.mac_indexed(w_chunk, a_chunk, &row_stream.at(ci as u64));
+            values.push(value);
+            energies.push(energy);
+        }
+        Ok((values, energies, fresh))
+    });
     // Ordered reduction with the serial engine's exact grouping: per
     // row, chunk energies first, then the VOM aggregate. The first
     // failing row in row order — the serial engine's first failure —
@@ -241,12 +255,12 @@ pub(crate) fn matvec_staged(
     let mut latency = Second::ZERO;
     let mut fresh_rows = Vec::with_capacity(rows);
     for result in row_results {
-        let (partials, fresh) = result?;
-        for p in &partials {
-            energy += p.optical_energy;
+        let (values, energies, fresh) = result?;
+        for &e in &energies {
+            energy += Joule::new(e);
         }
-        total_chunks += partials.len();
-        let agg = vom.accumulate_and_transmit(&partials)?;
+        total_chunks += values.len();
+        let agg = vom.accumulate_and_transmit_values(&values, table.latency())?;
         energy += agg.energy;
         latency += agg.latency;
         output.push((agg.value * f64::from(scale)) as f32);

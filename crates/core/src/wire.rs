@@ -379,6 +379,34 @@ pub struct ProgramShard {
     pub frames: Vec<Frame>,
 }
 
+/// A [`ProgramShard`] with its program and frames borrowed, which
+/// encodes to the owned shard's exact bytes.
+pub(crate) struct ProgramShardRef<'a> {
+    pub(crate) job_id: u64,
+    pub(crate) shard_index: u32,
+    pub(crate) shard_count: u32,
+    pub(crate) first_frame: u64,
+    pub(crate) first_epoch: u64,
+    pub(crate) config_fingerprint: u64,
+    pub(crate) program: &'a crate::program::LayerProgram,
+    pub(crate) frames: &'a [Frame],
+}
+
+impl ProgramShard {
+    fn borrowed(&self) -> ProgramShardRef<'_> {
+        ProgramShardRef {
+            job_id: self.job_id,
+            shard_index: self.shard_index,
+            shard_count: self.shard_count,
+            first_frame: self.first_frame,
+            first_epoch: self.first_epoch,
+            config_fingerprint: self.config_fingerprint,
+            program: &self.program,
+            frames: &self.frames,
+        }
+    }
+}
+
 /// One worker's results for one program shard: per-frame
 /// [`ProgramFrameReport`](crate::program::ProgramFrameReport)s in
 /// frame order, merge-ready (v4).
@@ -606,9 +634,6 @@ impl Writer {
     fn u64(&mut self, v: u64) {
         self.0.extend_from_slice(&v.to_le_bytes());
     }
-    fn f32(&mut self, v: f32) {
-        self.0.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
     fn f64(&mut self, v: f64) {
         self.0.extend_from_slice(&v.to_bits().to_le_bytes());
     }
@@ -617,6 +642,15 @@ impl Writer {
     /// corrupt the stream, so this asserts the invariant.
     fn len(&mut self, n: usize) {
         self.u32(u32::try_from(n).expect("wire collection length exceeds u32"));
+    }
+    /// Appends `values` back to back, `N` bytes each, growing the
+    /// buffer once.
+    fn array<T: Copy, const N: usize>(&mut self, values: &[T], bytes: impl Fn(T) -> [u8; N]) {
+        let start = self.0.len();
+        self.0.resize(start + values.len() * N, 0);
+        for (dst, &v) in self.0[start..].chunks_exact_mut(N).zip(values) {
+            dst.copy_from_slice(&bytes(v));
+        }
     }
 }
 
@@ -661,11 +695,6 @@ impl<'a> Reader<'a> {
             self.take(8)?.try_into().expect("8 bytes"),
         ))
     }
-    fn f32(&mut self) -> Result<f32> {
-        Ok(f32::from_bits(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        )))
-    }
     fn f64(&mut self) -> Result<f64> {
         Ok(f64::from_bits(u64::from_le_bytes(
             self.take(8)?.try_into().expect("8 bytes"),
@@ -689,6 +718,25 @@ impl<'a> Reader<'a> {
         Ok(n)
     }
 
+    /// Reads `n` values of `N` bytes each, checking the length once: a
+    /// short payload fails as [`WireError::Truncated`] before anything
+    /// is allocated.
+    fn array<T, const N: usize>(
+        &mut self,
+        n: usize,
+        value: impl Fn([u8; N]) -> T,
+    ) -> Result<Vec<T>> {
+        let bytes = self.take(n.saturating_mul(N))?;
+        Ok(bytes
+            .chunks_exact(N)
+            .map(|chunk| {
+                let mut raw = [0u8; N];
+                raw.copy_from_slice(chunk);
+                value(raw)
+            })
+            .collect())
+    }
+
     fn usize_from_u64(&mut self, what: &str) -> Result<usize> {
         let v = self.u64()?;
         usize::try_from(v)
@@ -710,14 +758,12 @@ impl<'a> Reader<'a> {
 
 fn put_f32s(w: &mut Writer, values: &[f32]) {
     w.len(values.len());
-    for &v in values {
-        w.f32(v);
-    }
+    w.array(values, f32::to_le_bytes);
 }
 
 fn get_f32s(r: &mut Reader<'_>) -> Result<Vec<f32>> {
     let n = r.len(4)?;
-    (0..n).map(|_| r.f32()).collect()
+    r.array(n, f32::from_le_bytes)
 }
 
 fn put_kernels(w: &mut Writer, kernels: &[Vec<f32>]) {
@@ -735,9 +781,7 @@ fn get_kernels(r: &mut Reader<'_>) -> Result<Vec<Vec<f32>>> {
 fn put_frame(w: &mut Writer, frame: &Frame) {
     w.u32(u32::try_from(frame.width()).expect("frame width exceeds u32"));
     w.u32(u32::try_from(frame.height()).expect("frame height exceeds u32"));
-    for &v in frame.as_slice() {
-        w.f64(v);
-    }
+    w.array(frame.as_slice(), f64::to_le_bytes);
 }
 
 fn get_frame(r: &mut Reader<'_>) -> Result<Frame> {
@@ -746,15 +790,7 @@ fn get_frame(r: &mut Reader<'_>) -> Result<Frame> {
     let pixels = width.checked_mul(height).ok_or_else(|| {
         WireError::Malformed(format!("frame {width}x{height} overflows a pixel count"))
     })?;
-    let available = r.buf.len() - r.pos;
-    let needed = pixels.saturating_mul(8);
-    if needed > available {
-        return Err(WireError::Truncated {
-            needed: needed - available,
-            available,
-        });
-    }
-    let data: Vec<f64> = (0..pixels).map(|_| r.f64()).collect::<Result<_>>()?;
+    let data = r.array(pixels, f64::from_le_bytes)?;
     Frame::new(width, height, data)
         .map_err(|e| WireError::Malformed(format!("frame rejected: {e}")))
 }
@@ -1450,7 +1486,7 @@ pub fn encode(message: &WireMessage) -> Vec<u8> {
             put_program(&mut w, &job.program);
             put_frames(&mut w, &job.frames);
         }
-        WireMessage::ProgramShard(shard) => put_program_shard_body(&mut w, shard),
+        WireMessage::ProgramShard(shard) => put_program_shard_body(&mut w, &shard.borrowed()),
         WireMessage::ProgramReport(report) => {
             w.u64(report.job_id);
             w.u32(report.shard_index);
@@ -1493,21 +1529,29 @@ pub fn encode_shard(shard: &JobShard) -> Vec<u8> {
 
 /// Body of a [`TAG_PROGRAM_SHARD`] message (everything after the tag
 /// byte).
-fn put_program_shard_body(w: &mut Writer, shard: &ProgramShard) {
+fn put_program_shard_body(w: &mut Writer, shard: &ProgramShardRef<'_>) {
     w.u64(shard.job_id);
     w.u32(shard.shard_index);
     w.u32(shard.shard_count);
     w.u64(shard.first_frame);
     w.u64(shard.first_epoch);
     w.u64(shard.config_fingerprint);
-    put_program(w, &shard.program);
-    put_frames(w, &shard.frames);
+    put_program(w, shard.program);
+    put_frames(w, shard.frames);
 }
 
-/// [`encode`] for a [`ProgramShard`] by reference — the coordinator's
-/// program dispatch path, mirroring [`encode_shard`].
+/// [`encode`] for a [`ProgramShard`] by reference, mirroring
+/// [`encode_shard`].
 #[must_use]
 pub fn encode_program_shard(shard: &ProgramShard) -> Vec<u8> {
+    encode_program_shard_ref(&shard.borrowed())
+}
+
+/// [`encode_program_shard`] over borrowed parts — the coordinator's
+/// program dispatch path, which encodes each shard straight from the
+/// job instead of copying its program and frames into a
+/// [`ProgramShard`] first.
+pub(crate) fn encode_program_shard_ref(shard: &ProgramShardRef<'_>) -> Vec<u8> {
     let mut w = Writer(Vec::with_capacity(64));
     w.u16(MAGIC);
     w.u16(SCHEMA_VERSION);
@@ -1981,10 +2025,32 @@ mod tests {
     #[test]
     fn encode_program_shard_matches_the_owned_message_encoding() {
         let shard = sample_program_shard();
+        let owned = encode(&WireMessage::ProgramShard(shard.clone()));
         assert_eq!(
             encode_program_shard(&shard),
-            encode(&WireMessage::ProgramShard(shard.clone())),
+            owned,
             "the by-reference dispatch path must emit identical bytes"
+        );
+        // The coordinator's writer over parts borrowed from a job: the
+        // frames are a sub-slice of a longer frame list.
+        let other = Frame::constant(4, 4, 0.75).unwrap();
+        let mut job_frames = vec![other.clone()];
+        job_frames.extend(shard.frames.iter().cloned());
+        job_frames.push(other);
+        let borrowed = ProgramShardRef {
+            job_id: shard.job_id,
+            shard_index: shard.shard_index,
+            shard_count: shard.shard_count,
+            first_frame: shard.first_frame,
+            first_epoch: shard.first_epoch,
+            config_fingerprint: shard.config_fingerprint,
+            program: &shard.program,
+            frames: &job_frames[1..=shard.frames.len()],
+        };
+        assert_eq!(
+            encode_program_shard_ref(&borrowed),
+            owned,
+            "encoding from borrowed parts must emit identical bytes"
         );
     }
 

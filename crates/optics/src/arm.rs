@@ -31,13 +31,14 @@
 //!
 //! # Performance notes: the lane-accumulator determinism contract
 //!
-//! Every MAC path in this module — [`Arm::mac_indexed`] and
-//! [`ArmSnapshot::mac_indexed`] (the fused fast path), [`Arm::mac`]
-//! (general [`NoiseModel`] evaluation), [`RingTable::mac`] and
-//! [`Arm::mac_reference`] (the pre-optimisation port) — folds four
-//! rail-moment accumulators, `Σa·α` and `Σa²·β` for each rail, into
-//! **[`LANES`] fixed lanes** each (element `i` lands in lane
-//! `i mod LANES`) and reduces them through one canonical tree:
+//! Every MAC path in this module — [`Arm::mac_indexed`],
+//! [`ArmSnapshot::mac_indexed`] and [`RingTable::mac_indexed`] (the
+//! fused fast paths), [`Arm::mac`] (general [`NoiseModel`]
+//! evaluation), [`RingTable::mac`] and [`Arm::mac_reference`] (the
+//! pre-optimisation port) — folds four rail-moment accumulators, `Σa·α`
+//! and `Σa²·β` for each rail, into **[`LANES`] fixed lanes** each
+//! (element `i` lands in lane `i mod LANES`) and reduces them through
+//! one canonical tree:
 //! `(l0 + l2) + (l1 + l3)`. Floating-point addition is not associative,
 //! so the fold order is part of the wire-level bit-identity guarantee:
 //! the parallel, sequential, batched, sharded, TCP and serving engines
@@ -47,7 +48,7 @@
 //! contract constant, not a tuning knob.
 //!
 //! The coefficients are computed where weights are staged — per tap by
-//! [`Arm::snapshot`], per code by [`RingTable::new`] — from the
+//! [`Arm::snapshot`], per code and sign by [`RingTable::new`] — from the
 //! [`NoiseConfig`] the caller passes in. The general paths compute them
 //! on the fly through the same function, so every path produces the
 //! same bits.
@@ -58,15 +59,29 @@
 //! into the variance lanes, two square roots and three ziggurat draws.
 //! Drawing per rail is the point of the model: two draws per ring made
 //! the draws about two thirds of the MAC drain's host time. The fold
-//! walks [`LANES`] taps at a time, so the sixteen accumulators stay in
-//! registers and the four lanes run as independent add chains; a tap's
-//! sign branch is predictable, because every window of a pass repeats
-//! its arm's sign pattern. No vector kernel is involved.
+//! walks [`LANES`] taps at a time, so its accumulators stay in
+//! registers and the four lanes run as independent add chains. It adds
+//! every tap to both rails (its coefficients on its own rail, `+0.0`
+//! on the other), which the compiler packs into one 128-bit multiply
+//! and one add per moment; no vector kernel is involved. So nothing in
+//! a MAC branches on a weight's sign. Such a branch is predictable in
+//! the convolution drain, where every window of a pass repeats its
+//! arm's sign pattern, but a dense row's chunks carry random signs,
+//! which a branch mispredicts about half the time.
+//!
+//! A convolution window reads its taps from its [`ArmSnapshot`]. A
+//! dense chunk forms them: per tap, [`RingTable`] scales the unit-gain
+//! coefficients of the tap's byte by a gain looked up by its
+//! neighbours' codes, and checks nothing.
 //!
 //! Measured on a 2-vCPU Intel Xeon host (AVX-512 tier), paper noise:
 //! `perf_json`'s `mac_ns_per_ring` read 3.6–7.8 ns over eight runs
-//! (11.4–22.9 ns over three with per-ring draws), and the
-//! `mac_core_1024_rings` microbench 7.9 µs (18.3 µs).
+//! (11.4–22.9 ns over three with per-ring draws). The
+//! `mac_core_1024_rings` microbench, 113 snapshot windows, read
+//! 5.9–6.6 µs, about 55 ns a window; `ring_table_mac_9wide`, one
+//! random-sign chunk, read 89–95 ns (152–170 ns when each chunk went
+//! through `RingTable::mac`'s checks, per-tap closures and sign
+//! branch).
 
 use oisa_device::mr::{Microring, MrDesign, TuningOutcome};
 use oisa_device::noise::{NoiseConfig, NoiseModel, NoiseStream};
@@ -353,15 +368,14 @@ impl Arm {
         // Lorentzian tails per channel on every MAC.
         let spacing = self.plan.spacing();
         let n = self.weights.len();
+        let crosstalk = self.config.crosstalk;
+        let xt = |j: usize, offset: Meter| self.rings[j].crosstalk_transmission(offset);
         self.ring_gain = (0..n)
             .map(|i| {
                 tap_gain(
-                    i,
-                    n,
-                    self.config.crosstalk,
                     self.path_transmission,
-                    |j| self.rings[j].crosstalk_transmission(spacing),
-                    |j| self.rings[j].crosstalk_transmission(-spacing),
+                    (crosstalk && i > 0).then(|| xt(i - 1, spacing)),
+                    (crosstalk && i + 1 < n).then(|| xt(i + 1, -spacing)),
                 )
             })
             .collect();
@@ -497,11 +511,8 @@ impl Arm {
                     xt *= self.rings[i + 1].crosstalk_transmission(-spacing);
                 }
             }
-            taps[i] = RailTap::new(
-                xt * self.path_transmission,
-                ring_moments(w.magnitude, &cfg),
-                w.negative,
-            );
+            taps[i] = RailTap::unit(ring_moments(w.magnitude, &cfg), w.negative)
+                .scaled(xt * self.path_transmission);
         }
         // The same rail evaluation and draw order as `mac_core`: the
         // reference port must stay bit-equal to the optimised paths.
@@ -567,30 +578,36 @@ const STAGED_NEGATIVE: u8 = 1 << 7;
 /// neighbours is a function of that code alone — and so are its
 /// transmission moments under a fixed [`NoiseConfig`]. The table tunes
 /// one fresh ring per code through the calls `load_weights` makes and
-/// keeps its two crosstalk transmissions and its rail moments, plus the
-/// arm design's waveguide, detector, full-scale and dwell constants.
+/// keeps its rail moments, plus the arm design's detector, full-scale
+/// and dwell constants. A tap's crosstalk × waveguide gain depends
+/// only on its two neighbours' codes, so the table also keeps that
+/// gain for every `(previous code or none, next code or none)` pair,
+/// each computed once in the product order `load_weights` uses.
 ///
 /// [`RingTable::stage`] quantises a weight once, into a byte holding
-/// its code and sign. [`RingTable::mac`] then reads a chunk of staged
-/// bytes, forms each tap's gain from its in-chunk neighbours' codes,
-/// scales its code's moments by it and runs the fused counter-addressed
-/// core the convolution drain uses — no heap allocation, no mutable
-/// state and no fabric access, so any number of threads can evaluate
-/// chunks against one table.
+/// its code and sign. [`RingTable::mac_indexed`] then evaluates a chunk
+/// of staged bytes: per tap, the unit-gain rail coefficients of its byte
+/// scaled by the gain of its neighbour pair, then the fused
+/// counter-addressed core the convolution drain uses — no check, no
+/// sign branch, no heap allocation, no mutable state and no fabric
+/// access, so any number of threads can evaluate chunks against one
+/// table. [`RingTable::mac`] is the same evaluation behind the checks
+/// an arm makes.
 #[derive(Debug, Clone)]
 pub struct RingTable<'a> {
     mapper: &'a WeightMapper,
-    /// `crosstalk_transmission(spacing)` of a ring holding each code:
-    /// applied to tap `i` when that ring is its neighbour `i − 1`.
-    xt_prev: Vec<f64>,
-    /// `crosstalk_transmission(−spacing)` of a ring holding each code:
-    /// applied to tap `i` when that ring is its neighbour `i + 1`.
-    xt_next: Vec<f64>,
-    /// [`ring_moments`] of each code's magnitude under `noise`.
-    moments: Vec<(f64, f64)>,
+    /// Crosstalk × waveguide gain of a tap, row-major by the slots of
+    /// its neighbours `i − 1` and `i + 1`: slot 0 is no neighbour (a
+    /// chunk edge, or crosstalk modelling off), slot `c + 1` a ring
+    /// holding code `c`.
+    gains: Vec<f64>,
+    /// Slots per neighbour: the code count plus the no-neighbour slot.
+    slots: usize,
+    /// Unit-gain rail coefficients of every byte value: for a staged
+    /// byte, its code's [`ring_moments`] under `noise` on the rail its
+    /// sign bit selects; bytes holding no code stay parked.
+    unit_taps: Box<[RailTap; 256]>,
     noise: NoiseConfig,
-    crosstalk: bool,
-    path_transmission: f64,
     detector: BalancedPhotodetector,
     per_channel_full: f64,
     channel_power: f64,
@@ -600,7 +617,8 @@ pub struct RingTable<'a> {
 impl<'a> RingTable<'a> {
     /// Builds the table for arms of design `config` loaded through
     /// `mapper`, evaluated under `noise`: one ring tuning and one
-    /// moment evaluation per code (16 at 4 bits).
+    /// moment evaluation per code (16 at 4 bits), and one gain per
+    /// neighbour pair (289 at 4 bits).
     ///
     /// # Errors
     ///
@@ -620,6 +638,9 @@ impl<'a> RingTable<'a> {
         // evaluates with exactly the bits a loaded arm does.
         let arm = Arm::new(config)?;
         let spacing = arm.plan.spacing();
+        // Per code, the crosstalk transmission its ring imposes as a
+        // tap's neighbour i − 1 (`xt_prev`) and as its neighbour i + 1
+        // (`xt_next`).
         let mut xt_prev = Vec::with_capacity(codes);
         let mut xt_next = Vec::with_capacity(codes);
         for &magnitude in mapper.levels() {
@@ -628,18 +649,31 @@ impl<'a> RingTable<'a> {
             xt_prev.push(ring.crosstalk_transmission(spacing));
             xt_next.push(ring.crosstalk_transmission(-spacing));
         }
+        let mut unit_taps = Box::new([RailTap::PARKED; 256]);
+        for (code, &magnitude) in mapper.levels().iter().enumerate() {
+            let moments = ring_moments(magnitude, noise);
+            unit_taps[code] = RailTap::unit(moments, false);
+            unit_taps[code | usize::from(STAGED_NEGATIVE)] = RailTap::unit(moments, true);
+        }
+        let slots = codes + 1;
+        let neighbour =
+            |xt: &[f64], slot: usize| (config.crosstalk && slot > 0).then(|| xt[slot - 1]);
+        let mut gains = Vec::with_capacity(slots * slots);
+        for prev in 0..slots {
+            for next in 0..slots {
+                gains.push(tap_gain(
+                    arm.path_transmission,
+                    neighbour(&xt_prev, prev),
+                    neighbour(&xt_next, next),
+                ));
+            }
+        }
         Ok(Self {
             mapper,
-            xt_prev,
-            xt_next,
-            moments: mapper
-                .levels()
-                .iter()
-                .map(|&m| ring_moments(m, noise))
-                .collect(),
+            gains,
+            slots,
+            unit_taps,
             noise: *noise,
-            crosstalk: config.crosstalk,
-            path_transmission: arm.path_transmission,
             detector: arm.detector,
             per_channel_full: arm.per_channel_full,
             channel_power: config.channel_power.get(),
@@ -663,11 +697,42 @@ impl<'a> RingTable<'a> {
         Ok(mapped.code as u8 | sign)
     }
 
+    /// Optical + detection latency of one chunk evaluation: the
+    /// `latency` of every [`MacResult`] [`RingTable::mac`] returns.
+    #[must_use]
+    pub fn latency(&self) -> Second {
+        self.dwell
+    }
+
+    /// Fused chunk MAC over bytes staged by [`RingTable::stage`],
+    /// drawing noise from `stream` at base counter 0. Returns
+    /// `(value, optical_energy_joules)` like
+    /// [`ArmSnapshot::mac_indexed`], bit-identical to the `value` and
+    /// `optical_energy` of [`RingTable::mac`] on the same arguments.
+    ///
+    /// Nothing is checked (debug builds assert it): `staged` must hold
+    /// at most [`RINGS_PER_ARM`] bytes staged by a table over the same
+    /// mapper, `activations` must be no longer than `staged` and lie in
+    /// `[0, 1]`, and `stream` must carry the [`NoiseConfig`] the table
+    /// was built under. The dense engine validates its input once per
+    /// call instead of once per chunk.
+    #[must_use]
+    pub fn mac_indexed(
+        &self,
+        staged: &[u8],
+        activations: &[f64],
+        stream: &NoiseStream,
+    ) -> (f64, f64) {
+        let (noisy, power) = self.chunk_core(staged, activations, stream);
+        (noisy / self.per_channel_full, power * self.dwell.get())
+    }
+
     /// Evaluates a chunk of bytes staged by [`RingTable::stage`]
     /// against `activations`, drawing noise from `stream` at base
     /// counter 0 — bit-identical to [`Arm::load_weights`] of the same
     /// weights on an idle arm of the table's design followed by
-    /// [`Arm::mac`] under `stream.cursor()`, errors included.
+    /// [`Arm::mac`] under `stream.cursor()`, errors included. The checks
+    /// are the arm's; the evaluation is [`RingTable::mac_indexed`]'s.
     ///
     /// `stream` must carry the [`NoiseConfig`] the table was built
     /// under.
@@ -685,7 +750,6 @@ impl<'a> RingTable<'a> {
         activations: &[f64],
         stream: &NoiseStream,
     ) -> Result<MacResult> {
-        debug_assert_eq!(stream.config(), &self.noise);
         let n = staged.len();
         if n > RINGS_PER_ARM {
             return Err(OpticsError::CapacityExceeded {
@@ -694,47 +758,56 @@ impl<'a> RingTable<'a> {
             });
         }
         validate_activation_window(n, activations)?;
-        let mut codes = [0usize; RINGS_PER_ARM];
-        for (c, &byte) in codes.iter_mut().zip(staged) {
-            *c = usize::from(byte & !STAGED_NEGATIVE);
-            if *c >= self.moments.len() {
-                return Err(OpticsError::InvalidParameter(format!(
-                    "staged code {c} outside the table's {} codes",
-                    self.moments.len()
-                )));
-            }
+        let codes = self.slots - 1;
+        if let Some(c) = staged
+            .iter()
+            .map(|&byte| usize::from(byte & !STAGED_NEGATIVE))
+            .find(|&c| c >= codes)
+        {
+            return Err(OpticsError::InvalidParameter(format!(
+                "staged code {c} outside the table's {codes} codes"
+            )));
         }
-        let mut taps = [RailTap::PARKED; RINGS_PER_ARM];
-        for (i, tap) in taps[..n].iter_mut().enumerate() {
-            let gain = tap_gain(
-                i,
-                n,
-                self.crosstalk,
-                self.path_transmission,
-                |j| self.xt_prev[codes[j]],
-                |j| self.xt_next[codes[j]],
-            );
-            *tap = RailTap::new(
-                gain,
-                self.moments[codes[i]],
-                staged[i] & STAGED_NEGATIVE != 0,
-            );
-        }
-        let (noisy, power) = mac_indexed_core(
-            &taps[..n],
-            &self.detector,
-            self.per_channel_full,
-            self.channel_power,
-            activations,
-            stream,
-            0,
-        );
+        let (noisy, power) = self.chunk_core(staged, activations, stream);
         Ok(MacResult {
             value: noisy / self.per_channel_full,
             raw_current: noisy,
             latency: self.dwell,
             optical_energy: Watt::new(power) * self.dwell,
         })
+    }
+
+    /// The one chunk evaluation behind [`RingTable::mac_indexed`] and
+    /// [`RingTable::mac`]: each tap's unit-gain coefficients scaled by
+    /// the gain of its neighbours' slots, then [`mac_indexed_core`].
+    /// Returns the noisy BPD difference current and the summed rail
+    /// power.
+    #[inline(always)]
+    fn chunk_core(&self, staged: &[u8], activations: &[f64], stream: &NoiseStream) -> (f64, f64) {
+        debug_assert!(staged.len() <= RINGS_PER_ARM);
+        debug_assert!(activations.len() <= staged.len());
+        debug_assert!(activations.iter().all(|a| (0.0..=1.0).contains(a)));
+        debug_assert_eq!(stream.config(), &self.noise);
+        // Tap `i`'s slot sits at `slot[i + 1]`, with the no-neighbour
+        // slot 0 past both ends of the chunk.
+        let mut slot = [0usize; RINGS_PER_ARM + 2];
+        for (s, &byte) in slot[1..].iter_mut().zip(staged) {
+            *s = usize::from(byte & !STAGED_NEGATIVE) + 1;
+        }
+        let mut taps = [RailTap::PARKED; RINGS_PER_ARM];
+        for (i, (tap, &byte)) in taps.iter_mut().zip(staged).enumerate() {
+            *tap = self.unit_taps[usize::from(byte)]
+                .scaled(self.gains[slot[i] * self.slots + slot[i + 2]]);
+        }
+        mac_indexed_core(
+            &taps[..staged.len()],
+            &self.detector,
+            self.per_channel_full,
+            self.channel_power,
+            activations,
+            stream,
+            0,
+        )
     }
 }
 
@@ -749,28 +822,19 @@ fn tune_to_magnitude(ring: &mut Microring, magnitude: f64) -> Result<TuningOutco
     Ok(ring.apply_detuning(detuning))
 }
 
-/// Crosstalk × waveguide gain of tap `i` in an `n`-tap window: the
-/// Lorentzian tail of neighbour `i − 1` (`prev`), then of neighbour
-/// `i + 1` (`next`), then the path transmission — one product order
-/// shared by [`Arm::load_weights`] and [`RingTable::mac`]. Only
-/// neighbours inside the window count.
-#[inline]
-fn tap_gain(
-    i: usize,
-    n: usize,
-    crosstalk: bool,
-    path_transmission: f64,
-    prev: impl Fn(usize) -> f64,
-    next: impl Fn(usize) -> f64,
-) -> f64 {
+/// Crosstalk × waveguide gain of one tap: the Lorentzian tail of its
+/// neighbour `i − 1` (`prev`), then of its neighbour `i + 1` (`next`),
+/// then the path transmission — one product order shared by
+/// [`Arm::load_weights`] and [`RingTable::new`]'s gain table. A
+/// neighbour outside the window, or any neighbour with crosstalk
+/// modelling off, is `None`.
+fn tap_gain(path_transmission: f64, prev: Option<f64>, next: Option<f64>) -> f64 {
     let mut xt = 1.0;
-    if crosstalk {
-        if i > 0 {
-            xt *= prev(i - 1);
-        }
-        if i + 1 < n {
-            xt *= next(i + 1);
-        }
+    if let Some(prev) = prev {
+        xt *= prev;
+    }
+    if let Some(next) = next {
+        xt *= next;
     }
     xt * path_transmission
 }
@@ -797,29 +861,44 @@ fn validate_activation_window(loaded: usize, activations: &[f64]) -> Result<()> 
 /// One tap's rail coefficients: its ring adds `a·α` to its rail's mean
 /// and `a²·β` to its rail's variance (module docs), with
 /// `α = gain·E[t′]` and `β = gain²·((1 + σv²)·E[t′²] − E[t′]²)`.
+///
+/// Both coefficients are stored per rail — index 0 the positive
+/// waveguide, 1 the negative — with the tap's own rail holding them
+/// and the other an exact `+0.0`, so [`RailSums::fold`] adds every tap
+/// to both rails without asking which one it sits on.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct RailTap {
-    alpha: f64,
-    beta: f64,
-    negative: bool,
+    alpha: [f64; 2],
+    beta: [f64; 2],
 }
 
 impl RailTap {
     /// Filler for the unused slots of a fixed-size tap array.
     const PARKED: Self = Self {
-        alpha: 0.0,
-        beta: 0.0,
-        negative: false,
+        alpha: [0.0; 2],
+        beta: [0.0; 2],
     };
 
-    /// Scales a ring's [`ring_moments`] by its tap's crosstalk ×
-    /// waveguide gain — the one product order every path shares.
+    /// A ring's [`ring_moments`] at unit gain, on the rail `negative`
+    /// selects — by index rather than by branch.
+    fn unit((mean, var): (f64, f64), negative: bool) -> Self {
+        let mut tap = Self::PARKED;
+        let rail = usize::from(negative);
+        tap.alpha[rail] = mean;
+        tap.beta[rail] = var;
+        tap
+    }
+
+    /// This unit-gain tap under its crosstalk × waveguide gain:
+    /// `α = gain·E[t′]` and `β = (gain·gain)·var` on its rail — the one
+    /// product order every path shares — and `gain·(+0.0) = +0.0` on
+    /// the other.
     #[inline]
-    fn new(gain: f64, (mean, var): (f64, f64), negative: bool) -> Self {
+    fn scaled(self, gain: f64) -> Self {
+        let square = gain * gain;
         Self {
-            alpha: gain * mean,
-            beta: gain * gain * var,
-            negative,
+            alpha: self.alpha.map(|mean| gain * mean),
+            beta: self.beta.map(|var| square * var),
         }
     }
 }
@@ -834,7 +913,7 @@ fn rail_taps(
 ) -> [RailTap; RINGS_PER_ARM] {
     let mut taps = [RailTap::PARKED; RINGS_PER_ARM];
     for ((tap, w), &gain) in taps.iter_mut().zip(weights).zip(ring_gain) {
-        *tap = RailTap::new(gain, ring_moments(w.magnitude, noise), w.negative);
+        *tap = RailTap::unit(ring_moments(w.magnitude, noise), w.negative).scaled(gain);
     }
     taps
 }
@@ -941,24 +1020,26 @@ impl RailSums {
     /// elements. Element `i` lands in lane `i mod LANES` of its rail's
     /// two accumulators, and the lanes reduce through [`reduce_lanes`].
     ///
+    /// Every tap adds to both rails: the other rail's coefficients are
+    /// `+0.0` ([`RailTap`]), and adding `a·(+0.0) = +0.0` changes no
+    /// accumulator, because none is ever `−0.0` — they start at `+0.0`
+    /// and activations, `α` and `β` are all non-negative. So the fold
+    /// has no sign branch to mispredict on a dense chunk's random signs.
+    ///
     /// The walk goes [`LANES`] elements at a time so every lane index is
     /// a constant and the sixteen accumulators stay in registers; a
     /// runtime lane index spills them to memory and costs about a third
     /// of the MAC.
     #[inline(always)]
     fn fold(taps: &[RailTap], activations: &[f64]) -> Self {
-        let mut pos_mean = [0.0f64; LANES];
-        let mut pos_var = [0.0f64; LANES];
-        let mut neg_mean = [0.0f64; LANES];
-        let mut neg_var = [0.0f64; LANES];
+        // `mean[lane][rail]`, `var[lane][rail]`.
+        let mut mean = [[0.0f64; 2]; LANES];
+        let mut var = [[0.0f64; 2]; LANES];
         let mut add = |lane: usize, tap: &RailTap, a: f64| {
-            let (mean, var) = (a * tap.alpha, a * a * tap.beta);
-            if tap.negative {
-                neg_mean[lane] += mean;
-                neg_var[lane] += var;
-            } else {
-                pos_mean[lane] += mean;
-                pos_var[lane] += var;
+            let a2 = a * a;
+            for rail in 0..2 {
+                mean[lane][rail] += a * tap.alpha[rail];
+                var[lane][rail] += a2 * tap.beta[rail];
             }
         };
         let n = taps.len().min(activations.len());
@@ -977,11 +1058,12 @@ impl RailSums {
         {
             add(lane, tap, a);
         }
+        let rail = |acc: &[[f64; 2]; LANES], rail: usize| reduce_lanes(acc.map(|lane| lane[rail]));
         Self {
-            pos_mean: reduce_lanes(pos_mean),
-            pos_var: reduce_lanes(pos_var),
-            neg_mean: reduce_lanes(neg_mean),
-            neg_var: reduce_lanes(neg_var),
+            pos_mean: rail(&mean, 0),
+            pos_var: rail(&var, 0),
+            neg_mean: rail(&mean, 1),
+            neg_var: rail(&var, 1),
         }
     }
 
@@ -1041,8 +1123,8 @@ fn reduce_lanes(acc: [f64; LANES]) -> f64 {
 }
 
 /// The fused counter-addressed MAC shared bit-for-bit by
-/// [`Arm::mac_indexed`], [`ArmSnapshot::mac_indexed`] and
-/// [`RingTable::mac`]: the positive rail draws counter `base`, the
+/// [`Arm::mac_indexed`], [`ArmSnapshot::mac_indexed`] and both
+/// [`RingTable`] MACs: the positive rail draws counter `base`, the
 /// negative rail `base + 1` and the detector `base + 2`, for every
 /// window length. Returns the noisy BPD difference current and the
 /// optical power summed over both rails; callers normalise the first by
@@ -1330,7 +1412,7 @@ mod tests {
             snap.mac_indexed(&a, &other, 3)
         );
         for w in snap.taps.iter() {
-            assert_eq!(w.beta, 0.0);
+            assert_eq!(w.beta, [0.0; 2]);
         }
     }
 
@@ -1411,11 +1493,16 @@ mod tests {
                         let stream = source.stream(0, salt, n as u64);
                         let staged: Vec<u8> = w.iter().map(|&w| table.stage(w).unwrap()).collect();
                         arm.load_weights(&w, &mapper).unwrap();
+                        let loaded = arm.mac(&a, &mut stream.cursor()).unwrap();
+                        let case = format!("crosstalk {crosstalk}, {bits} bits, {n} weights");
+                        assert_eq!(table.mac(&staged, &a, &stream).unwrap(), loaded, "{case}");
+                        // The fused evaluation the dense engine runs.
                         assert_eq!(
-                            table.mac(&staged, &a, &stream).unwrap(),
-                            arm.mac(&a, &mut stream.cursor()).unwrap(),
-                            "crosstalk {crosstalk}, {bits} bits, {n} weights"
+                            table.mac_indexed(&staged, &a, &stream),
+                            (loaded.value, loaded.optical_energy.get()),
+                            "{case}"
                         );
+                        assert_eq!(table.latency(), loaded.latency, "{case}");
                     }
                 }
             }

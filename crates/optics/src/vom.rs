@@ -99,9 +99,7 @@ impl Vom {
     /// Returns [`OpticsError::InvalidParameter`] for an empty input.
     pub fn accumulate(&self, partials: &[MacResult]) -> Result<AggregateResult> {
         if partials.is_empty() {
-            return Err(OpticsError::InvalidParameter(
-                "no partial sums to accumulate".into(),
-            ));
+            return Err(no_partials());
         }
         let value = partials.iter().map(|p| p.value).sum();
         let n = partials.len() as f64;
@@ -124,16 +122,44 @@ impl Vom {
     ///
     /// Returns [`OpticsError::InvalidParameter`] for an empty input.
     pub fn accumulate_and_transmit(&self, partials: &[MacResult]) -> Result<AggregateResult> {
-        let base = self.accumulate(partials)?;
+        Ok(self.transmit(self.accumulate(partials)?))
+    }
+
+    /// [`Vom::accumulate_and_transmit`] over bare partial values, each
+    /// from an arm evaluation that took `arm_latency` — bit-identical to
+    /// it on [`MacResult`]s carrying those values and that latency. The
+    /// dense engine's fast path, which builds no [`MacResult`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OpticsError::InvalidParameter`] for an empty input.
+    pub fn accumulate_and_transmit_values(
+        &self,
+        values: &[f64],
+        arm_latency: Second,
+    ) -> Result<AggregateResult> {
+        if values.is_empty() {
+            return Err(no_partials());
+        }
+        let (value, energy) = self.accumulate_values(values);
+        Ok(self.transmit(AggregateResult {
+            value,
+            energy: Joule::new(energy),
+            latency: arm_latency + self.config.accumulate_time * values.len() as f64,
+        }))
+    }
+
+    /// Adds one re-modulated VCSEL symbol to an accumulated result.
+    fn transmit(&self, accumulated: AggregateResult) -> AggregateResult {
         let tx_energy = self.vcsel.symbol_energy(
             oisa_device::vcsel::TernaryLevel::Two,
             self.config.symbol_time,
         );
-        Ok(AggregateResult {
-            value: base.value,
-            energy: base.energy + tx_energy,
-            latency: base.latency + self.config.symbol_time,
-        })
+        AggregateResult {
+            value: accumulated.value,
+            energy: accumulated.energy + tx_energy,
+            latency: accumulated.latency + self.config.symbol_time,
+        }
     }
 
     /// Fast-path twin of [`Vom::accumulate`] for the accelerator's inner
@@ -165,6 +191,11 @@ impl Vom {
         }
         Ok(total.div_ceil(chunk))
     }
+}
+
+/// The error for an aggregation over no partial sums.
+fn no_partials() -> OpticsError {
+    OpticsError::InvalidParameter("no partial sums to accumulate".into())
 }
 
 #[cfg(test)]
@@ -220,6 +251,19 @@ mod tests {
         assert!(tx.energy.get() > plain.energy.get());
         assert!(tx.latency.get() > plain.latency.get());
         assert_eq!(tx.value, plain.value);
+        // The bare-value path gives the same bits on equal-latency
+        // partials, and refuses an empty input alike.
+        let parts = [partial(0.3, 12.0), partial(-1.7, 12.0), partial(0.1, 12.0)];
+        let values: Vec<f64> = parts.iter().map(|p| p.value).collect();
+        assert_eq!(
+            vom()
+                .accumulate_and_transmit_values(&values, Second::from_pico(12.0))
+                .unwrap(),
+            vom().accumulate_and_transmit(&parts).unwrap()
+        );
+        assert!(vom()
+            .accumulate_and_transmit_values(&[], Second::ZERO)
+            .is_err());
     }
 
     #[test]

@@ -1,14 +1,19 @@
 //! Autoencoder drill: a whole **layer program** — conv → ternary
 //! quantize → dense → ReLU — runs end-to-end through the sharded
-//! backend, and only the latent code ever leaves the sensor fleet.
+//! backend, and the coordinator decodes the latent codes.
 //!
 //! This is the paper's thing-centric split taken one layer further
 //! than the conv examples: each worker executes the *entire encoder*
 //! (the optical first layer, the VAM-style ternary quantizer and the
-//! latent projection on the same fabric) per frame, and ships a
-//! latent vector of a few floats instead of feature maps or pixels.
-//! The coordinator — standing in for the off-chip processor — runs
-//! the float **decoder** and reconstructs the quantized feature maps.
+//! latent projection on the same fabric) per frame. The coordinator —
+//! standing in for the off-chip processor — runs the float
+//! **decoder** and reconstructs the quantized feature maps.
+//!
+//! The wire does not yet carry latents alone: each shard ships the
+//! whole program (dense matrix included) and every frame's pixels as
+//! f64, and each reply ships every frame's conv feature maps next to
+//! its latents. The drill prints those bytes; the ROADMAP item "Ship
+//! latents, not weights and feature maps" removes them.
 //!
 //! The drill verifies, and exits non-zero otherwise (making it a CI
 //! check):
@@ -125,14 +130,16 @@ fn run_drill(tcp: bool) -> Result<(), Box<dyn std::error::Error>> {
         "encoder: conv {FEATURES}x3x3 -> ternary quantize -> dense {conv_out}->{LATENT} -> ReLU"
     );
     println!(
-        "uplink per frame: {LATENT} latent floats ({} B) vs {} B raw pixels ({:.0}x smaller)\n",
+        "wire: per frame {} B of f64 pixels out, {} B of conv maps and {} B of latents back; \
+         per shard the {} B dense matrix out\n",
+        IMG * IMG * 8,
+        conv_out * 4,
         LATENT * 4,
-        IMG * IMG,
-        (IMG * IMG) as f64 / (LATENT * 4) as f64
+        conv_out * LATENT * 4
     );
 
     // Encode on the sharded fleet: every worker runs the whole encoder
-    // per frame; inter-stage tensors never cross the wire.
+    // per frame; no inter-stage tensor moves between workers.
     let mut backend = build_backend(tcp, config)?;
     let job = ProgramJob {
         job_id: 1,

@@ -104,12 +104,14 @@
 //! dense ([`core::mlp`]) → activation — validated up front (shape and
 //! value-range inference), executed per frame by **any**
 //! [`core::backend::ComputeBackend`] via `run_program`, and sharded
-//! over the frame axis: inter-stage tensors never cross the wire, and
-//! a steady-state prewarm on every shard keeps the merged reports
+//! over the frame axis: no inter-stage tensor moves between workers,
+//! and a steady-state prewarm on every shard keeps the merged reports
 //! bit-identical to one sequential forward
 //! ([`core::program::run_reference`] is the oracle).
 //! `examples/autoencoder.rs` is the runnable drill: encode on sharded
-//! workers, ship only latent codes, decode at the coordinator.
+//! workers, decode the latent codes at the coordinator. Each shard
+//! still ships the whole program and the frames' pixels, and each
+//! reply the conv feature maps next to the latents (ARCHITECTURE.md).
 //!
 //! ```
 //! use oisa::core::backend::{ComputeBackend, ShardedBackend};

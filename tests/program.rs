@@ -8,7 +8,10 @@
 //!
 //! [`run_reference`]: oisa::core::program::run_reference
 
-use oisa::core::backend::{execute_program_shard, ComputeBackend, LocalBackend, ShardedBackend};
+use oisa::core::backend::{
+    execute_program_shard, ComputeBackend, InProcessWorker, LocalBackend, ShardTransport,
+    ShardedBackend,
+};
 use oisa::core::mlp::matvec_parallel;
 use oisa::core::program::{
     run_reference, ActivationKind, LayerProgram, ProgramFrameReport, QuantizeKind, Stage,
@@ -451,6 +454,88 @@ fn invalid_programs_are_refused_before_execution() {
         matches!(err, OisaError::Backend(ref what) if what.contains("does not support layer programs")),
         "{err}"
     );
+}
+
+/// Reshapes one frame report.
+type Bend = fn(&mut ProgramFrameReport);
+
+/// A worker that executes honestly, then bends every frame report of
+/// its reply before re-encoding it: a well-formed `ProgramReport` of
+/// the wrong shape.
+struct Misshapen {
+    worker: InProcessWorker,
+    bend: Bend,
+}
+
+impl ShardTransport for Misshapen {
+    fn round_trip(&mut self, message: &[u8]) -> Result<Vec<u8>, OisaError> {
+        let reply = self.worker.round_trip(message)?;
+        let WireMessage::ProgramReport(mut report) = wire::decode(&reply)? else {
+            return Ok(reply);
+        };
+        report.reports.iter_mut().for_each(self.bend);
+        Ok(wire::encode(&WireMessage::ProgramReport(report)))
+    }
+}
+
+/// A reply whose frame reports do not have the program's shape fails
+/// the job with a typed backend error before anything merges, and
+/// consumes no coordinator state: a retry on a healthy fleet merges
+/// bit-identically to the sequential forward.
+#[test]
+fn program_replies_of_the_wrong_shape_are_refused() {
+    let config = noisy_config(41);
+    let program = LayerProgram::autoencoder(16, 16, 2, 8, 3).unwrap();
+    let frames = textured_frames(4, 7);
+    let oracle = run_reference(&config, 0, &program, &frames).unwrap();
+    let bends: [(&str, Bend); 5] = [
+        ("7 latents for 8", |r| {
+            r.output.pop();
+        }),
+        ("a dense stage short of a row", |r| {
+            if let StageReport::Dense(dense) = &mut r.stages[2] {
+                dense.output.pop();
+            }
+        }),
+        ("a conv map missing", |r| {
+            if let StageReport::Conv(conv) = &mut r.stages[0] {
+                conv.output.pop();
+            }
+        }),
+        ("a stage of another kind", |r| {
+            r.stages[1] = StageReport::Activation;
+        }),
+        ("a stage missing", |r| {
+            r.stages.pop();
+        }),
+    ];
+    let mut backend = ShardedBackend::in_process(config, 2).unwrap();
+    for (case, bend) in bends {
+        backend
+            .replace_worker(
+                1,
+                Box::new(Misshapen {
+                    worker: InProcessWorker::new(config),
+                    bend,
+                }),
+            )
+            .unwrap();
+        let err = backend
+            .run_program(&job(1, program.clone(), frames.clone()))
+            .unwrap_err();
+        assert!(
+            matches!(err, OisaError::Backend(ref what) if what.contains("does not match the program")),
+            "{case}: {err}"
+        );
+        assert_eq!(backend.jobs_run(), 0, "{case}: no state advanced");
+    }
+    backend
+        .replace_worker(1, Box::new(InProcessWorker::new(config)))
+        .unwrap();
+    let retried = backend
+        .run_program(&job(1, program.clone(), frames.clone()))
+        .unwrap();
+    assert_eq!(retried, oracle, "the retry must merge as if nothing failed");
 }
 
 /// `ProgramFrameReport` exposes the per-stage breakdown: an
