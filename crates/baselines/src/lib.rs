@@ -19,8 +19,8 @@
 //! [`published`] carries the Table I rows of the ten cited PIS/PNS
 //! designs verbatim, so the comparison table can be regenerated.
 
-// No unsafe: this crate must stay entirely safe Rust. The SIMD layer
-// (oisa_device) is the only sanctioned unsafe in the tree.
+// No unsafe: this crate must stay entirely safe Rust, as every crate
+// in the workspace does.
 #![forbid(unsafe_code)]
 
 pub mod platforms;

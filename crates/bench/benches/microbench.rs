@@ -131,31 +131,6 @@ fn bench_mac_rings(c: &mut Criterion) {
     }
 }
 
-/// The batched Gaussian draw against four scalar draws on the same
-/// counters — the mixing-kernel speedup in isolation.
-fn bench_gaussian_lanes(c: &mut Criterion) {
-    let source = NoiseSource::seeded(11, NoiseConfig::paper_default());
-    let stream = source.stream(0, 0, 0);
-    let mut c0 = 0u64;
-    c.bench_function("gaussian_at_4_scalar", |b| {
-        b.iter(|| {
-            c0 = c0.wrapping_add(4);
-            let mut acc = 0.0;
-            for d in 0..4u64 {
-                acc += stream.gaussian_at(black_box(c0 + d));
-            }
-            acc
-        });
-    });
-    c.bench_function("gaussian_at_lanes", |b| {
-        b.iter(|| {
-            c0 = c0.wrapping_add(4);
-            let [a, b2, c2, d] = stream.gaussian_at_lanes(black_box([c0, c0 + 1, c0 + 2, c0 + 3]));
-            a + b2 + c2 + d
-        });
-    });
-}
-
 fn bench_pixel_exposure(c: &mut Criterion) {
     let imager = Imager::new(ImagerConfig::paper_default(128, 128)).unwrap();
     let frame = Frame::constant(128, 128, 0.6).unwrap();
@@ -213,13 +188,11 @@ fn bench_full_frame_conv(c: &mut Criterion) {
     });
 }
 
-/// Streamed weight staging: a 32×32 frame against twice as many
-/// kernels as the fabric holds, so the engine runs multiple weight
-/// passes and pass `N + 1`'s quantise/tune/snapshot overlaps pass
-/// `N`'s row drain on the worker pool. The sequential twin stages
-/// strictly serially — the gap between the two is (threads ×) compute
-/// plus whatever staging latency the overlap hides.
-fn bench_staging_overlap(c: &mut Criterion) {
+/// A multi-pass frame: a 32×32 frame against twice as many kernels as
+/// the fabric holds, so every frame stages two weight passes. The
+/// engine (a one-frame batch) is timed against its strictly serial
+/// oracle.
+fn bench_multipass_conv(c: &mut Criterion) {
     let side = 32usize;
     let data: Vec<f64> = (0..side * side)
         .map(|i| ((i % 13) as f64 / 13.0).clamp(0.0, 1.0))
@@ -248,14 +221,14 @@ fn bench_staging_overlap(c: &mut Criterion) {
         .map(|i| (0..9).map(|j| ((i * 7 + j) as f32 * 0.37).sin()).collect())
         .collect();
     let mut accel = OisaAccelerator::new(cfg).unwrap();
-    c.bench_function("staging_overlap_32x32_multipass", |b| {
+    c.bench_function("conv_32x32_multipass", |b| {
         b.iter(|| {
             accel
                 .convolve_frame(black_box(&frame), &kernels, 3)
                 .unwrap()
         });
     });
-    c.bench_function("staging_serial_32x32_multipass", |b| {
+    c.bench_function("conv_sequential_32x32_multipass", |b| {
         b.iter(|| {
             accel
                 .convolve_frame_sequential(black_box(&frame), &kernels, 3)
@@ -456,13 +429,12 @@ criterion_group! {
         bench_awc_levels,
         bench_arm_mac,
         bench_mac_rings,
-        bench_gaussian_lanes,
         bench_pixel_exposure,
         bench_conv2d,
         bench_mapping_plan,
         bench_spice_rc,
         bench_full_frame_conv,
-        bench_staging_overlap,
+        bench_multipass_conv,
         bench_full_frame_conv_128,
         bench_matvec,
         bench_batch_conv,

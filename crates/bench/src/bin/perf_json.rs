@@ -11,7 +11,8 @@
 //! under the paper noise model:
 //!
 //! * `parallel` — [`OisaAccelerator::convolve_frame`]: counter-based
-//!   noise streams, fused allocation-free MACs, row-parallel.
+//!   noise streams, fused allocation-free MACs, a one-frame batch of
+//!   the work-stealing batch engine.
 //! * `sequential` — the single-threaded twin (bit-identical output).
 //! * `reference` — the faithful pre-optimisation pipeline
 //!   ([`OisaAccelerator::convolve_frame_reference`]), the baseline the
@@ -642,7 +643,6 @@ fn main() {
             "\"frames_per_sec_program\":{fps_program:.3},",
             "\"matvec_rows_per_sec\":{mv_rps:.3}}},",
             "\"mac_ns_per_ring\":{{",
-            "\"simd_tier\":\"{simd_tier}\",",
             "\"rings_72\":{mac72:.2},",
             "\"rings_256\":{mac256:.2},",
             "\"rings_1024\":{mac1024:.2}}},",
@@ -717,7 +717,6 @@ fn main() {
         fps_backend_tcp = frames_per_sec_backend_tcp,
         fps_program = frames_per_sec_program,
         mv_rps = matvec_rows_per_sec,
-        simd_tier = oisa_device::simd::active_tier(),
         mac72 = mac_ns_per_ring[0],
         mac256 = mac_ns_per_ring[1],
         mac1024 = mac_ns_per_ring[2],

@@ -14,7 +14,7 @@
 //! * **Counter-based noise.** Every `(kernel, output position)` pair
 //!   gets its own [`NoiseStream`](oisa_device::noise::NoiseStream), so
 //!   evaluation order — including across threads — never changes the
-//!   physics. `convolve_frame` (parallel over output rows) and
+//!   physics. The parallel engine and
 //!   [`OisaAccelerator::convolve_frame_sequential`] are bit-identical.
 //! * **Zero per-pixel allocation.** Windows are gathered into a stack
 //!   scratch array, per-pass results land in one flat row-major buffer,
@@ -34,29 +34,35 @@
 //!   how many worker threads ran.
 //!
 //! [`OisaAccelerator::convolve_frame_reference`] keeps a faithful port
-//! of the pre-optimisation pipeline (per-window allocation, per-MAC
+//! of the pre-optimisation MAC path (per-window allocation, per-MAC
 //! validation and crosstalk evaluation, order-dependent noise) as the
 //! wall-clock baseline for `perf_json` and the microbenchmarks.
 //!
-//! # Batched inference
+//! # One parallel engine
 //!
-//! [`OisaAccelerator::convolve_frames`] is the sustained-throughput
-//! engine: it stages every weight pass **once for the whole batch**,
-//! snapshots each pass's arms ([`ArmSnapshot`]), and spreads
+//! [`OisaAccelerator::convolve_frames`] is the one parallel conv
+//! engine; [`OisaAccelerator::convolve_frame`] (and so the conv stage
+//! of a layer program and each channel of
+//! [`OisaAccelerator::convolve_channels`]) is its one-frame batch. It
+//! stages every weight pass **once for the whole batch**, snapshots
+//! each pass's arms ([`ArmSnapshot`]), and spreads
 //! `(frame, pass, row-band)` work items over the work-stealing
 //! scheduler in [`crate::scheduler`]. Each frame is keyed to its own
 //! noise epoch, so the batch output — feature maps, energy report and
 //! timeline per frame — is bit-identical to calling
-//! [`OisaAccelerator::convolve_frame_sequential`] once per frame in
-//! order. Because ring tuning cost depends on the fabric's previous
-//! operating point, the engine records two tuning/memory energies: the
-//! batch's first frame pays the entry-state cost, every later frame
-//! pays the steady-state cost a per-frame loop would see.
+//! [`OisaAccelerator::convolve_frame_sequential`], the strictly serial
+//! oracle, once per frame in order. Because ring tuning cost depends on
+//! the fabric's previous operating point, the engine records two
+//! tuning/memory energies: the batch's first frame pays the entry-state
+//! cost, every later frame pays the steady-state cost a per-frame loop
+//! would see. Every path stages a pass through one routine, so all of
+//! them quantise, tune and charge identically.
 
 use oisa_device::awc::{AwcModel, AwcParams};
 use oisa_device::noise::{NoiseConfig, NoiseSource, SlotStream};
 use oisa_memory::bank::KernelBank;
 use oisa_optics::arm::{ArmSnapshot, COUNTER_STRIDE, RINGS_PER_ARM};
+use oisa_optics::bank::RINGS_PER_BANK;
 use oisa_optics::opc::{KernelSize, Opc, OpcConfig};
 use oisa_optics::vom::{Vom, VomConfig};
 use oisa_optics::weights::WeightMapper;
@@ -518,33 +524,11 @@ impl OisaAccelerator {
     /// [`OisaAccelerator::convolve_frame`].
     pub fn prewarm(&mut self, kernels: &[Vec<f32>], k: usize) -> Result<()> {
         let planes: Vec<&[f32]> = kernels.iter().map(Vec::as_slice).collect();
-        validate_kernels(&planes, k)?;
-        let ks = KernelSize::from_k(k).map_err(|e| CoreError::Unmappable(e.to_string()))?;
-        let workload = ConvWorkload {
-            out_channels: kernels.len(),
-            in_channels: 1,
-            kernel: k,
-            input_h: self.config.imager.height,
-            input_w: self.config.imager.width,
-            stride: 1,
-        };
-        let plan = MappingPlan::compute(&workload, &self.config.opc)?;
+        let (height, width) = (self.config.imager.height, self.config.imager.width);
+        let (ks, plan, _) = self.plan_conv(&planes, k, height, width)?;
         let scales = kernel_scales(&planes);
-        let mut normalised: Vec<f64> = Vec::with_capacity(k * k);
-        let mut codes: Vec<u16> = Vec::with_capacity(k * k);
-        let mut kernel_index = 0usize;
-        while kernel_index < planes.len() {
-            let pass_kernels =
-                &planes[kernel_index..(kernel_index + plan.slots_per_pass).min(planes.len())];
-            self.stage_pass(
-                pass_kernels,
-                kernel_index,
-                &scales,
-                ks,
-                &mut normalised,
-                &mut codes,
-            )?;
-            kernel_index += pass_kernels.len();
+        for (_, pass_kernels, pass_scales) in conv_passes(&planes, &scales, &plan) {
+            self.stage_pass(pass_kernels, pass_scales, ks)?;
         }
         // Staging cycled the kernel bank; the next convolution's memory
         // energy must account only its own accesses.
@@ -553,8 +537,9 @@ impl OisaAccelerator {
     }
 
     /// Convolves a captured frame with `kernels` (each `k²` weights,
-    /// row-major) at stride 1, running the full optical path with the
-    /// parallel, allocation-free pipeline (see the module docs).
+    /// row-major) at stride 1, running the full optical path as a
+    /// one-frame batch of [`OisaAccelerator::convolve_frames`], the
+    /// parallel engine (see the module docs).
     ///
     /// Kernels may use any float range; they are normalised per call by
     /// the joint maximum magnitude (per-tensor scaling, as the deployment
@@ -577,13 +562,13 @@ impl OisaAccelerator {
         k: usize,
     ) -> Result<ConvolutionReport> {
         let planes: Vec<&[f32]> = kernels.iter().map(Vec::as_slice).collect();
-        self.convolve_impl(frame, &planes, k, true)
+        self.convolve_one(frame, &planes, k)
     }
 
     /// Single-threaded twin of [`OisaAccelerator::convolve_frame`]:
     /// identical physics, identical noise streams, identical energy
-    /// reduction order — the parity oracle the parallel path is tested
-    /// against.
+    /// reduction order — the strictly serial oracle the parallel engine
+    /// is tested against.
     ///
     /// # Errors
     ///
@@ -595,28 +580,7 @@ impl OisaAccelerator {
         k: usize,
     ) -> Result<ConvolutionReport> {
         let planes: Vec<&[f32]> = kernels.iter().map(Vec::as_slice).collect();
-        self.convolve_impl(frame, &planes, k, false)
-    }
-
-    fn convolve_impl(
-        &mut self,
-        frame: &Frame,
-        kernels: &[&[f32]],
-        k: usize,
-        parallel: bool,
-    ) -> Result<ConvolutionReport> {
-        validate_kernels(kernels, k)?;
-        let ks = KernelSize::from_k(k).map_err(|e| CoreError::Unmappable(e.to_string()))?;
-        let workload = ConvWorkload {
-            out_channels: kernels.len(),
-            in_channels: 1,
-            kernel: k,
-            input_h: frame.height(),
-            input_w: frame.width(),
-            stride: 1,
-        };
-        let plan = MappingPlan::compute(&workload, &self.config.opc)?;
-        let (oh, ow) = workload.output_size();
+        let (ks, plan, (oh, ow)) = self.plan_conv(&planes, k, frame.height(), frame.width())?;
 
         // Sense + encode.
         let capture = self.imager.expose(frame)?;
@@ -626,213 +590,65 @@ impl OisaAccelerator {
         // output pixel.
         validate_optical(&encoded.optical)?;
 
-        let scales = kernel_scales(kernels);
-
+        let scales = kernel_scales(&planes);
         let mut energy = EnergyReport {
             sensing: capture.energy,
             encoding: encoded.total_energy(),
             ..EnergyReport::default()
         };
-        let mut output = vec![vec![0.0f32; oh * ow]; kernels.len()];
+        let mut output = vec![vec![0.0f32; oh * ow]; planes.len()];
         let epoch = self.noise.begin_epoch()?;
-        let width = frame.width();
-        let k2 = k * k;
-        let arms_per_kernel = ks.arms_per_kernel();
-
-        let slots_per_pass = plan.slots_per_pass;
-        // Weight staging is off the hot path, but reuse its buffers
-        // anyway.
-        let mut normalised: Vec<f64> = Vec::with_capacity(k2);
-        let mut codes: Vec<u16> = Vec::with_capacity(k2);
-        // Double-buffered streamed staging: the pass about to drain is
-        // already staged and snapshotted; on the parallel engine the
-        // *next* pass quantises/tunes/snapshots on this thread while
-        // the workers drain the current pass's rows
-        // ([`scheduler::execute_overlapped`]). Rows only ever read
-        // immutable snapshots and the encoded frame, so restaging the
-        // fabric underneath them is unobservable; tuning energy still
-        // accumulates in strict pass order, keeping the report
-        // bit-identical to the sequential engine, which stages each
-        // pass only after the previous one fully drained.
-        let mut staged = Some(stage_full_pass(
-            &mut self.bank,
-            &mut self.opc,
-            &self.mapper,
-            &self.config,
-            kernels,
-            0,
-            slots_per_pass,
-            &scales,
-            ks,
-            arms_per_kernel,
-            &mut normalised,
-            &mut codes,
-        )?);
-        while let Some(pass) = staged.take() {
-            let kernel_index = pass.kernel_index;
-            let slot_arms = pass.arms;
-            let nslots = slot_arms.len();
-            let next_index = kernel_index + nslots;
+        // Each pass stages only after the previous one fully drained.
+        for (kernel_index, pass_kernels, pass_scales) in conv_passes(&planes, &scales, &plan) {
+            let pass = self.stage_pass(pass_kernels, pass_scales, ks)?;
             energy.tuning += pass.tuning;
-
             // Hoist the (seed, epoch, slot) key mixing out of the pixel
             // loop: per position only one extra mix remains.
-            let slot_streams: Vec<SlotStream> = (0..nslots)
+            let slot_streams: Vec<SlotStream> = (0..pass.arms.len())
                 .map(|si| self.noise.slot_stream(epoch, (kernel_index + si) as u64))
                 .collect();
-            let row_len = nslots * ow;
-            // One flat row-major buffer per pass: [row][slot][ox]. Row
-            // tasks own disjoint chunks, so they parallelise without
-            // locks; results are scattered into the per-kernel maps
-            // afterwards.
+            let row_len = pass.arms.len() * ow;
             let mut pass_out = vec![0.0f32; oh * row_len];
-            let vom = &self.vom;
-            let optical = &encoded.optical[..];
-            let pass_scales = &scales[kernel_index..kernel_index + nslots];
-            let slot_arms_ref = &slot_arms;
-            let slot_streams_ref = &slot_streams;
-            let row_task = move |oy: usize, row: &mut [f32]| -> RowEnergy {
-                eval_row(
+            for (oy, row) in pass_out.chunks_mut(row_len).enumerate() {
+                let partial = eval_row(
                     oy,
                     row,
-                    optical,
-                    width,
+                    &encoded.optical,
+                    frame.width(),
                     ow,
                     k,
-                    slot_arms_ref,
-                    slot_streams_ref,
+                    &pass.arms,
+                    &slot_streams,
                     pass_scales,
-                    vom,
-                )
-            };
-            let rows: Vec<&mut [f32]> = pass_out.chunks_mut(row_len).collect();
-            let partials: Vec<RowEnergy> = if parallel && next_index < kernels.len() {
-                // Streamed staging: drain this pass's rows on the
-                // worker pool while this thread stages the next pass.
-                let kbank = &mut self.bank;
-                let opc = &mut self.opc;
-                let mapper = &self.mapper;
-                let config = &self.config;
-                let scales_ref = &scales;
-                let normalised = &mut normalised;
-                let codes = &mut codes;
-                let (partials, next) = scheduler::execute_overlapped(rows, row_task, move || {
-                    stage_full_pass(
-                        kbank,
-                        opc,
-                        mapper,
-                        config,
-                        kernels,
-                        next_index,
-                        slots_per_pass,
-                        scales_ref,
-                        ks,
-                        arms_per_kernel,
-                        normalised,
-                        codes,
-                    )
-                });
-                staged = Some(next?);
-                partials
-            } else if parallel {
-                rayon::iter::parallel_map(rows, row_task)
-            } else {
-                rows.into_iter()
-                    .enumerate()
-                    .map(|(oy, row)| row_task(oy, row))
-                    .collect()
-            };
-            // Ordered reduction: identical grouping whether the rows ran
-            // on one thread or many.
-            for partial in partials {
+                    &self.vom,
+                );
                 energy.compute += Joule::new(partial.compute);
                 energy.aggregation += Joule::new(partial.aggregation);
             }
-            for si in 0..nslots {
-                let dst = &mut output[kernel_index + si];
-                for oy in 0..oh {
-                    let src = oy * row_len + si * ow;
-                    dst[oy * ow..(oy + 1) * ow].copy_from_slice(&pass_out[src..src + ow]);
-                }
-            }
-            if staged.is_none() && next_index < kernels.len() {
-                // Sequential oracle: stage the next pass only after
-                // this one fully drained.
-                staged = Some(stage_full_pass(
-                    &mut self.bank,
-                    &mut self.opc,
-                    &self.mapper,
-                    &self.config,
-                    kernels,
-                    next_index,
-                    slots_per_pass,
-                    &scales,
-                    ks,
-                    arms_per_kernel,
-                    &mut normalised,
-                    &mut codes,
-                )?);
-            }
+            scatter_pass(
+                &mut output[kernel_index..kernel_index + pass.arms.len()],
+                &pass_out,
+                ow,
+            );
         }
 
         // Kernel-bank access energy.
         energy.memory = self.bank.total_energy();
         self.bank.reset_counters();
 
-        // Timeline from the controller program.
-        let program = self
-            .controller
-            .frame_program(&plan, (oh * ow * kernels.len()) as u64);
-        let timeline = self.controller.execute(&program)?;
-
         Ok(ConvolutionReport {
             output,
             out_h: oh,
             out_w: ow,
+            timeline: self.frame_timeline(&plan, oh * ow * planes.len())?,
             plan,
-            timeline,
             energy,
         })
     }
 
-    /// Tuning energy of exactly the arms `slots` staged — the energy a
-    /// pass is charged. See [`pass_tuning_energy_of`].
-    fn pass_tuning_energy(
-        &self,
-        slots: &[(usize, usize)],
-        arms_per_kernel: usize,
-    ) -> Result<Joule> {
-        pass_tuning_energy_of(&self.opc, slots, arms_per_kernel)
-    }
-
-    /// Stages one pass's kernels onto the fabric. See
-    /// [`stage_pass_onto`]; this method form serves the batched engine,
-    /// which stages every pass up front.
-    fn stage_pass(
-        &mut self,
-        pass_kernels: &[&[f32]],
-        kernel_index: usize,
-        scales: &[f32],
-        ks: KernelSize,
-        normalised: &mut Vec<f64>,
-        codes: &mut Vec<u16>,
-    ) -> Result<Vec<(usize, usize)>> {
-        stage_pass_onto(
-            &mut self.bank,
-            &mut self.opc,
-            &self.mapper,
-            &self.config.opc,
-            pass_kernels,
-            kernel_index,
-            scales,
-            ks,
-            normalised,
-            codes,
-        )
-    }
-
     /// Convolves a batch of captured frames with `kernels` in one
-    /// engine invocation — the sustained-throughput path.
+    /// engine invocation — the one parallel conv engine;
+    /// [`OisaAccelerator::convolve_frame`] is its one-frame batch.
     ///
     /// The engine stages each weight pass once for the whole batch,
     /// snapshots the pass's arms, then spreads `(frame, pass, row-band)`
@@ -862,23 +678,35 @@ impl OisaAccelerator {
         kernels: &[Vec<f32>],
         k: usize,
     ) -> Result<Vec<ConvolutionReport>> {
-        if frames.is_empty() {
-            return Err(CoreError::InvalidParameter("no frames supplied".into()));
-        }
         let planes: Vec<&[f32]> = kernels.iter().map(Vec::as_slice).collect();
-        validate_kernels(&planes, k)?;
-        let ks = KernelSize::from_k(k).map_err(|e| CoreError::Unmappable(e.to_string()))?;
-        let workload = ConvWorkload {
-            out_channels: kernels.len(),
-            in_channels: 1,
-            kernel: k,
-            input_h: frames[0].height(),
-            input_w: frames[0].width(),
-            stride: 1,
+        self.convolve_batch(frames, &planes, k)
+    }
+
+    /// One frame through [`OisaAccelerator::convolve_frames`]' engine.
+    fn convolve_one(
+        &mut self,
+        frame: &Frame,
+        kernels: &[&[f32]],
+        k: usize,
+    ) -> Result<ConvolutionReport> {
+        self.convolve_batch(std::slice::from_ref(frame), kernels, k)?
+            .pop()
+            .ok_or_else(|| CoreError::InvalidParameter("no frame convolved".into()))
+    }
+
+    /// The batch engine behind [`OisaAccelerator::convolve_frames`],
+    /// over borrowed kernel planes.
+    fn convolve_batch(
+        &mut self,
+        frames: &[Frame],
+        kernels: &[&[f32]],
+        k: usize,
+    ) -> Result<Vec<ConvolutionReport>> {
+        let Some(first) = frames.first() else {
+            return Err(CoreError::InvalidParameter("no frames supplied".into()));
         };
-        let plan = MappingPlan::compute(&workload, &self.config.opc)?;
-        let (oh, ow) = workload.output_size();
-        let width = frames[0].width();
+        let width = first.width();
+        let (ks, plan, (oh, ow)) = self.plan_conv(kernels, k, first.height(), width)?;
 
         // Phase 1 — sense + encode every frame up front (the imager
         // enforces uniform dimensions). No noise epochs are consumed
@@ -902,7 +730,7 @@ impl OisaAccelerator {
         }
         let first_epoch = self.noise.reserve_epochs(frames.len() as u64)?;
 
-        let scales = kernel_scales(&planes);
+        let scales = kernel_scales(kernels);
 
         // Phase 2 — stage every pass and snapshot its arms. Ring tuning
         // cost depends on the fabric's previous operating point, so the
@@ -914,146 +742,124 @@ impl OisaAccelerator {
         // identical either way; only the tuning energy differs.)
         struct PassCtx {
             kernel_index: usize,
-            nslots: usize,
             arms: Vec<Vec<ArmSnapshot>>,
             tuning_first: Joule,
             tuning_steady: Joule,
         }
-        let arms_per_kernel = ks.arms_per_kernel();
-        let slots_per_pass = plan.slots_per_pass;
-        let mut normalised: Vec<f64> = Vec::with_capacity(k * k);
-        let mut codes: Vec<u16> = Vec::with_capacity(k * k);
         let mut passes: Vec<PassCtx> = Vec::with_capacity(plan.passes);
-        let mut kernel_index = 0usize;
-        while kernel_index < planes.len() {
-            let pass_kernels =
-                &planes[kernel_index..(kernel_index + slots_per_pass).min(planes.len())];
-            let slots = self.stage_pass(
-                pass_kernels,
-                kernel_index,
-                &scales,
-                ks,
-                &mut normalised,
-                &mut codes,
-            )?;
-            let arms: Vec<Vec<ArmSnapshot>> = slots
-                .iter()
-                .map(|&(bank, first_arm)| {
-                    self.opc.snapshot_kernel_arms(
-                        bank,
-                        first_arm,
-                        arms_per_kernel,
-                        &self.config.noise,
-                    )
-                })
-                .collect::<oisa_optics::Result<_>>()?;
-            let tuning_first = self.pass_tuning_energy(&slots, arms_per_kernel)?;
+        for (kernel_index, pass_kernels, pass_scales) in conv_passes(kernels, &scales, &plan) {
+            let staged = self.stage_pass(pass_kernels, pass_scales, ks)?;
             passes.push(PassCtx {
                 kernel_index,
-                nslots: slots.len(),
-                arms,
-                tuning_first,
-                tuning_steady: Joule::ZERO,
+                arms: staged.arms,
+                tuning_first: staged.tuning,
+                tuning_steady: staged.tuning,
             });
-            kernel_index += pass_kernels.len();
         }
         let memory_first = self.bank.total_energy();
         self.bank.reset_counters();
-        let memory_steady;
+        let mut memory_steady = memory_first;
         if frames.len() > 1 {
             // Steady-state restage: the fabric now holds the last
             // pass's weights, exactly the state a per-frame loop leaves
             // between frames.
-            for pass in &mut passes {
-                let ki = pass.kernel_index;
-                let pass_kernels = &planes[ki..(ki + slots_per_pass).min(planes.len())];
-                let slots =
-                    self.stage_pass(pass_kernels, ki, &scales, ks, &mut normalised, &mut codes)?;
-                pass.tuning_steady = self.pass_tuning_energy(&slots, arms_per_kernel)?;
+            for (pass, (_, pass_kernels, pass_scales)) in
+                passes.iter_mut().zip(conv_passes(kernels, &scales, &plan))
+            {
+                pass.tuning_steady = self.stage_pass(pass_kernels, pass_scales, ks)?.tuning;
             }
             memory_steady = self.bank.total_energy();
             self.bank.reset_counters();
-        } else {
-            memory_steady = memory_first;
-            for pass in &mut passes {
-                pass.tuning_steady = pass.tuning_first;
-            }
         }
 
         // Phase 3 — fan `(frame, pass, row-band)` items out over the
-        // work-stealing scheduler. Bands keep a few items per worker in
-        // the deques so stealing has slack without shredding locality;
-        // energies come back per row so the reduction below can replay
-        // the sequential engine's exact floating-point grouping.
+        // work-stealing scheduler. Every worker gets several bands over
+        // the batch and at least two per `(frame, pass)` buffer, so
+        // stealing has slack without shredding locality. A batch of
+        // few buffers (a one-frame batch) is cut finer, so a worker
+        // the host preempts mid-band holds back few rows. Items
+        // allocate nothing — each writes its rows' outputs and energy
+        // partials into slices of buffers laid out here and reads slot
+        // streams keyed here — because fine bands that allocate on
+        // every worker spread the allocator over more arenas and raise
+        // peak RSS.
         let n_passes = passes.len();
-        let mut pass_out: Vec<Vec<f32>> = Vec::with_capacity(frames.len() * n_passes);
-        for _ in 0..frames.len() {
-            for pass in &passes {
-                pass_out.push(vec![0.0f32; oh * pass.nslots * ow]);
-            }
-        }
+        let buffers = frames.len() * n_passes;
+        let mut pass_out: Vec<Vec<f32>> = (0..buffers)
+            .map(|bi| vec![0.0f32; oh * passes[bi % n_passes].arms.len() * ow])
+            .collect();
+        // One energy partial per output row, in `(frame, pass, row)`
+        // order, so the reduction below replays the sequential engine's
+        // exact floating-point grouping.
+        let mut row_energies = vec![RowEnergy::default(); buffers * oh];
+        let slot_streams: Vec<Vec<SlotStream>> = (0..buffers)
+            .map(|bi| {
+                let pass = &passes[bi % n_passes];
+                // The reservation above is overflow-checked, so plain
+                // addition cannot wrap here.
+                let epoch = first_epoch + (bi / n_passes) as u64;
+                (0..pass.arms.len())
+                    .map(|si| {
+                        self.noise
+                            .slot_stream(epoch, (pass.kernel_index + si) as u64)
+                    })
+                    .collect()
+            })
+            .collect();
+        let threads = rayon::current_num_threads();
         let band_rows = oh
-            .div_ceil(rayon::current_num_threads() * 2)
+            .div_ceil((threads * 16).div_ceil(buffers).max(threads * 2))
             .clamp(1, oh.max(1));
-        let bands_per_buffer = oh.div_ceil(band_rows);
         struct BandItem<'a> {
-            frame: usize,
-            pass: usize,
+            buffer: usize,
             row0: usize,
             out: &'a mut [f32],
+            energies: &'a mut [RowEnergy],
         }
-        let mut items: Vec<BandItem<'_>> = Vec::with_capacity(pass_out.len() * bands_per_buffer);
-        for (bi, buf) in pass_out.iter_mut().enumerate() {
-            let row_len = passes[bi % n_passes].nslots * ow;
-            for (band, out) in buf.chunks_mut(band_rows * row_len).enumerate() {
+        let mut items: Vec<BandItem<'_>> = Vec::with_capacity(buffers * oh.div_ceil(band_rows));
+        for (bi, (buf, energies)) in pass_out
+            .iter_mut()
+            .zip(row_energies.chunks_mut(oh))
+            .enumerate()
+        {
+            let row_len = passes[bi % n_passes].arms.len() * ow;
+            let bands = buf
+                .chunks_mut(band_rows * row_len)
+                .zip(energies.chunks_mut(band_rows));
+            for (band, (out, energies)) in bands.enumerate() {
                 items.push(BandItem {
-                    frame: bi / n_passes,
-                    pass: bi % n_passes,
+                    buffer: bi,
                     row0: band * band_rows,
                     out,
+                    energies,
                 });
             }
         }
-        let noise = &self.noise;
-        let vom = &self.vom;
-        let passes_ref = &passes;
-        let ctxs_ref = &ctxs;
-        let scales_ref = &scales;
-        let band_energies: Vec<Vec<RowEnergy>> = scheduler::execute(items, |_, item| {
-            let pass = &passes_ref[item.pass];
-            let ctx = &ctxs_ref[item.frame];
-            let row_len = pass.nslots * ow;
-            // The reservation above is overflow-checked, so plain
-            // addition cannot wrap here.
-            let epoch = first_epoch + item.frame as u64;
-            let slot_streams: Vec<SlotStream> = (0..pass.nslots)
-                .map(|si| noise.slot_stream(epoch, (pass.kernel_index + si) as u64))
-                .collect();
-            let pass_scales = &scales_ref[pass.kernel_index..pass.kernel_index + pass.nslots];
-            item.out
-                .chunks_mut(row_len)
-                .enumerate()
-                .map(|(i, row)| {
-                    eval_row(
-                        item.row0 + i,
-                        row,
-                        &ctx.optical,
-                        width,
-                        ow,
-                        k,
-                        &pass.arms,
-                        &slot_streams,
-                        pass_scales,
-                        vom,
-                    )
-                })
-                .collect()
+        scheduler::execute(items, |_, item| {
+            let pass = &passes[item.buffer % n_passes];
+            let nslots = pass.arms.len();
+            let optical = &ctxs[item.buffer / n_passes].optical;
+            let pass_scales = &scales[pass.kernel_index..pass.kernel_index + nslots];
+            let rows = item.out.chunks_mut(nslots * ow).zip(item.energies);
+            for (i, (row, energy)) in rows.enumerate() {
+                *energy = eval_row(
+                    item.row0 + i,
+                    row,
+                    optical,
+                    width,
+                    ow,
+                    k,
+                    &pass.arms,
+                    &slot_streams[item.buffer],
+                    pass_scales,
+                    &self.vom,
+                );
+            }
         });
 
         // Phase 4 — per-frame assembly: ordered energy reduction,
         // scatter into per-kernel maps, controller timeline.
         let mut reports = Vec::with_capacity(frames.len());
-        let mut band_cursor = 0usize;
         for (f, ctx) in ctxs.iter().enumerate() {
             let mut energy = EnergyReport {
                 sensing: ctx.sensing,
@@ -1062,43 +868,126 @@ impl OisaAccelerator {
             };
             let mut output = vec![vec![0.0f32; oh * ow]; kernels.len()];
             for (p, pass) in passes.iter().enumerate() {
+                let bi = f * n_passes + p;
                 energy.tuning += if f == 0 {
                     pass.tuning_first
                 } else {
                     pass.tuning_steady
                 };
-                for _ in 0..bands_per_buffer {
-                    for row_energy in &band_energies[band_cursor] {
-                        energy.compute += Joule::new(row_energy.compute);
-                        energy.aggregation += Joule::new(row_energy.aggregation);
-                    }
-                    band_cursor += 1;
+                for row_energy in &row_energies[bi * oh..(bi + 1) * oh] {
+                    energy.compute += Joule::new(row_energy.compute);
+                    energy.aggregation += Joule::new(row_energy.aggregation);
                 }
-                let row_len = pass.nslots * ow;
-                let buf = &pass_out[f * n_passes + p];
-                for si in 0..pass.nslots {
-                    let dst = &mut output[pass.kernel_index + si];
-                    for oy in 0..oh {
-                        let src = oy * row_len + si * ow;
-                        dst[oy * ow..(oy + 1) * ow].copy_from_slice(&buf[src..src + ow]);
-                    }
-                }
+                scatter_pass(
+                    &mut output[pass.kernel_index..pass.kernel_index + pass.arms.len()],
+                    &pass_out[bi],
+                    ow,
+                );
             }
             energy.memory = if f == 0 { memory_first } else { memory_steady };
-            let program = self
-                .controller
-                .frame_program(&plan, (oh * ow * kernels.len()) as u64);
-            let timeline = self.controller.execute(&program)?;
             reports.push(ConvolutionReport {
                 output,
                 out_h: oh,
                 out_w: ow,
                 plan,
-                timeline,
+                timeline: self.frame_timeline(&plan, oh * ow * kernels.len())?,
                 energy,
             });
         }
         Ok(reports)
+    }
+
+    /// Rejects kernels that are not `k × k` and maps them onto the
+    /// fabric for `height × width` frames: the checks every conv entry
+    /// point runs before it touches the fabric or the noise epochs.
+    /// Returns the kernel size, the mapping plan and the output
+    /// `(height, width)`.
+    fn plan_conv(
+        &self,
+        kernels: &[&[f32]],
+        k: usize,
+        height: usize,
+        width: usize,
+    ) -> Result<(KernelSize, MappingPlan, (usize, usize))> {
+        if let Some(reason) = kernel_shape_error(kernels, k) {
+            return Err(CoreError::InvalidParameter(reason));
+        }
+        let ks = KernelSize::from_k(k).map_err(|e| CoreError::Unmappable(e.to_string()))?;
+        let workload = ConvWorkload {
+            out_channels: kernels.len(),
+            in_channels: 1,
+            kernel: k,
+            input_h: height,
+            input_w: width,
+            stride: 1,
+        };
+        let plan = MappingPlan::compute(&workload, &self.config.opc)?;
+        Ok((ks, plan, workload.output_size()))
+    }
+
+    /// Stages one pass end to end — quantise each kernel through the
+    /// mapper, store its codes in the kernel bank, tune its rings,
+    /// snapshot its arms — and charges the tuning of exactly the arms
+    /// it staged. Every conv path stages through here, so all of them
+    /// quantise, tune and charge identically.
+    ///
+    /// Summing [`Opc::tuning_energy`] instead would re-charge the
+    /// *last* load of every arm on the fabric, double-counting earlier
+    /// passes (and earlier workloads) on every pass; per-slot accounting
+    /// is also what lets a stateless shard worker reproduce mid-stream
+    /// tuning energies without the fabric's full load history (see
+    /// [`crate::backend`]).
+    fn stage_pass(
+        &mut self,
+        pass_kernels: &[&[f32]],
+        pass_scales: &[f32],
+        ks: KernelSize,
+    ) -> Result<StagedPass> {
+        let slots = assign_slots(pass_kernels.len(), ks, &self.config.opc)?;
+        let mut normalised: Vec<f64> = Vec::with_capacity(ks.weights());
+        let mut codes: Vec<u16> = Vec::with_capacity(ks.weights());
+        for ((kn, &scale), &(bank, first_arm)) in pass_kernels.iter().zip(pass_scales).zip(&slots) {
+            normalised.clear();
+            normalised.extend(kn.iter().map(|&w| f64::from(w / scale)));
+            codes.clear();
+            for &w in &normalised {
+                codes.push(self.mapper.quantize(w)?.code);
+            }
+            let offset = (bank * RINGS_PER_BANK + first_arm * RINGS_PER_ARM) % self.bank.len();
+            self.bank.store(offset, &codes)?;
+            self.opc
+                .load_kernel(bank, first_arm, &normalised, &self.mapper)?;
+        }
+        // Snapshot every slot's arms once per pass, rail coefficients
+        // included; the hot loop then walks immutable captured state
+        // instead of doing checked bank/arm lookups per pixel.
+        let arms_per_kernel = ks.arms_per_kernel();
+        let mut tuning = Joule::ZERO;
+        let mut arms = Vec::with_capacity(slots.len());
+        for &(bank, first_arm) in &slots {
+            let staged_bank = self.opc.bank(bank)?;
+            for arm in first_arm..first_arm + arms_per_kernel {
+                tuning += staged_bank.arm(arm)?.tuning_energy();
+            }
+            arms.push(self.opc.snapshot_kernel_arms(
+                bank,
+                first_arm,
+                arms_per_kernel,
+                &self.config.noise,
+            )?);
+        }
+        Ok(StagedPass {
+            slots,
+            arms,
+            tuning,
+        })
+    }
+
+    /// The controller timeline of one frame under `plan` that writes
+    /// `output_words` values.
+    fn frame_timeline(&self, plan: &MappingPlan, output_words: usize) -> Result<Timeline> {
+        let program = self.controller.frame_program(plan, output_words as u64);
+        self.controller.execute(&program)
     }
 
     /// Faithful port of the pre-optimisation sequential pipeline: one
@@ -1107,6 +996,8 @@ impl OisaAccelerator {
     /// validation, and per-call crosstalk/rail-coefficient/full-scale/
     /// time-of-flight evaluation through
     /// [`Arm::mac_reference`](oisa_optics::arm::Arm::mac_reference).
+    /// Weight passes stage through the engines' own staging routine,
+    /// which is off the hot path.
     ///
     /// Kept as the wall-clock baseline the `perf_json` benchmark and the
     /// acceptance speedup are measured against. Its outputs differ from
@@ -1123,39 +1014,13 @@ impl OisaAccelerator {
         kernels: &[Vec<f32>],
         k: usize,
     ) -> Result<ConvolutionReport> {
-        if kernels.is_empty() {
-            return Err(CoreError::InvalidParameter("no kernels supplied".into()));
-        }
-        if kernels.iter().any(|kn| kn.len() != k * k) {
-            return Err(CoreError::InvalidParameter(format!(
-                "every kernel must have {} weights",
-                k * k
-            )));
-        }
-        let ks = KernelSize::from_k(k).map_err(|e| CoreError::Unmappable(e.to_string()))?;
-        let workload = ConvWorkload {
-            out_channels: kernels.len(),
-            in_channels: 1,
-            kernel: k,
-            input_h: frame.height(),
-            input_w: frame.width(),
-            stride: 1,
-        };
-        let plan = MappingPlan::compute(&workload, &self.config.opc)?;
-        let (oh, ow) = workload.output_size();
+        let planes: Vec<&[f32]> = kernels.iter().map(Vec::as_slice).collect();
+        let (ks, plan, (oh, ow)) = self.plan_conv(&planes, k, frame.height(), frame.width())?;
 
         let capture = self.imager.expose(frame)?;
         let encoded = self.vam.encode_capture(&capture)?;
 
-        let scales: Vec<f32> = kernels
-            .iter()
-            .map(|kn| {
-                kn.iter()
-                    .fold(0.0f32, |m, w| m.max(w.abs()))
-                    .max(f32::MIN_POSITIVE)
-            })
-            .collect();
-
+        let scales = kernel_scales(&planes);
         let mut energy = EnergyReport {
             sensing: capture.energy,
             encoding: encoded.total_energy(),
@@ -1163,31 +1028,14 @@ impl OisaAccelerator {
         };
         let mut output = vec![vec![0.0f32; oh * ow]; kernels.len()];
 
-        let slots_per_pass = plan.slots_per_pass;
-        let mut kernel_index = 0usize;
-        while kernel_index < kernels.len() {
-            let pass_kernels =
-                &kernels[kernel_index..(kernel_index + slots_per_pass).min(kernels.len())];
-            let slots = assign_slots(pass_kernels.len(), ks, &self.config.opc)?;
-            for (pk, (kn, &(bank, first_arm))) in pass_kernels.iter().zip(&slots).enumerate() {
-                let scale = scales[kernel_index + pk];
-                let normalised: Vec<f64> = kn.iter().map(|&w| f64::from(w / scale)).collect();
-                let codes: Vec<u16> = normalised
-                    .iter()
-                    .map(|&w| self.mapper.quantize(w).map(|m| m.code))
-                    .collect::<oisa_optics::Result<Vec<u16>>>()?;
-                let offset = (bank * oisa_optics::bank::RINGS_PER_BANK + first_arm * RINGS_PER_ARM)
-                    % self.bank.len();
-                self.bank.store(offset, &codes)?;
-                self.opc
-                    .load_kernel(bank, first_arm, &normalised, &self.mapper)?;
-            }
-            energy.tuning += self.pass_tuning_energy(&slots, ks.arms_per_kernel())?;
+        for (kernel_index, pass_kernels, pass_scales) in conv_passes(&planes, &scales, &plan) {
+            let pass = self.stage_pass(pass_kernels, pass_scales, ks)?;
+            energy.tuning += pass.tuning;
 
             for oy in 0..oh {
                 for ox in 0..ow {
                     let window = gather_window(&encoded.optical, frame.width(), oy, ox, k);
-                    for (slot_idx, &(bank, first_arm)) in slots.iter().enumerate() {
+                    for (slot_idx, &(bank, first_arm)) in pass.slots.iter().enumerate() {
                         let value = self.evaluate_kernel_reference(
                             bank,
                             first_arm,
@@ -1196,27 +1044,21 @@ impl OisaAccelerator {
                             &mut energy,
                         )?;
                         output[kernel_index + slot_idx][oy * ow + ox] =
-                            (value * f64::from(scales[kernel_index + slot_idx])) as f32;
+                            (value * f64::from(pass_scales[slot_idx])) as f32;
                     }
                 }
             }
-            kernel_index += pass_kernels.len();
         }
 
         energy.memory = self.bank.total_energy();
         self.bank.reset_counters();
 
-        let program = self
-            .controller
-            .frame_program(&plan, (oh * ow * kernels.len()) as u64);
-        let timeline = self.controller.execute(&program)?;
-
         Ok(ConvolutionReport {
             output,
             out_h: oh,
             out_w: ow,
+            timeline: self.frame_timeline(&plan, oh * ow * kernels.len())?,
             plan,
-            timeline,
             energy,
         })
     }
@@ -1296,7 +1138,7 @@ impl OisaAccelerator {
         for (ic, frame) in frames.iter().enumerate() {
             planes.clear();
             planes.extend(kernels.iter().map(|kn| kn[ic].as_slice()));
-            let partial = self.convolve_impl(frame, &planes, k, true)?;
+            let partial = self.convolve_one(frame, &planes, k)?;
             combined = Some(match combined {
                 None => partial,
                 Some(mut acc) => {
@@ -1466,18 +1308,22 @@ struct RowEnergy {
     aggregation: f64,
 }
 
-/// Rejects empty kernel sets and kernels that are not `k × k`.
-fn validate_kernels(kernels: &[&[f32]], k: usize) -> Result<()> {
+/// Names what is wrong with a kernel set that is empty or holds a
+/// kernel that is not `k × k` weights: the one kernel-shape check the
+/// conv engines, [`LayerProgram::validate`](crate::program::LayerProgram::validate)
+/// and [`ComputeBackend::check_workload`](crate::backend::ComputeBackend::check_workload)
+/// share. `k` may come from decoded bytes, so its square is checked: a
+/// side whose square overflows `usize` matches no kernel instead of
+/// wrapping onto one.
+pub(crate) fn kernel_shape_error<K: AsRef<[f32]>>(kernels: &[K], k: usize) -> Option<String> {
     if kernels.is_empty() {
-        return Err(CoreError::InvalidParameter("no kernels supplied".into()));
+        return Some("no kernels supplied".into());
     }
-    if kernels.iter().any(|kn| kn.len() != k * k) {
-        return Err(CoreError::InvalidParameter(format!(
-            "every kernel must have {} weights",
-            k * k
-        )));
-    }
-    Ok(())
+    let weights = k.checked_mul(k);
+    kernels
+        .iter()
+        .any(|kn| Some(kn.as_ref().len()) != weights)
+        .then(|| format!("every kernel must have {k}x{k} weights"))
 }
 
 /// Validates an encoded optical frame once so the hot loop can skip the
@@ -1492,136 +1338,41 @@ fn validate_optical(optical: &[f64]) -> Result<()> {
     Ok(())
 }
 
-/// One fully-staged weight pass, ready to drain: the immutable arm
-/// snapshots the row tasks read and the tuning energy the pass is
-/// charged. Produced by [`stage_full_pass`]; the single-frame engine
-/// double-buffers one of these so pass `N + 1` can stage while pass
-/// `N`'s rows drain.
+/// One staged weight pass, ready to drain: where its kernels sit, the
+/// immutable arm snapshots the row tasks read and the tuning energy
+/// the pass is charged. Produced by [`OisaAccelerator::stage_pass`].
 struct StagedPass {
-    /// Index of the first kernel this pass serves.
-    kernel_index: usize,
+    /// `(bank, first arm)` of each kernel in the pass.
+    slots: Vec<(usize, usize)>,
     /// Captured arm state per slot, taken right after ring tuning.
     arms: Vec<Vec<ArmSnapshot>>,
     /// Tuning energy of exactly the arms this pass staged.
     tuning: Joule,
 }
 
-/// Stages one pass's kernels onto the fabric: quantises each kernel
-/// through the mapper, stores the codes in the kernel bank and tunes
-/// the rings. Returns the slot assignment.
-///
-/// A free function over the accelerator's split fields (bank, fabric,
-/// mapper) rather than a method so the streamed-staging path can run
-/// it concurrently with row evaluation: rows read only previously
-/// captured [`ArmSnapshot`]s and the encoded frame, which this
-/// function never touches. Shared by the single-frame and batched
-/// engines so both stage identically.
-#[allow(clippy::too_many_arguments)]
-fn stage_pass_onto(
-    kbank: &mut KernelBank,
-    opc: &mut Opc,
-    mapper: &WeightMapper,
-    opc_config: &OpcConfig,
-    pass_kernels: &[&[f32]],
-    kernel_index: usize,
-    scales: &[f32],
-    ks: KernelSize,
-    normalised: &mut Vec<f64>,
-    codes: &mut Vec<u16>,
-) -> Result<Vec<(usize, usize)>> {
-    let slots = assign_slots(pass_kernels.len(), ks, opc_config)?;
-    for (pk, (kn, &(bank, first_arm))) in pass_kernels.iter().zip(&slots).enumerate() {
-        let scale = scales[kernel_index + pk];
-        normalised.clear();
-        normalised.extend(kn.iter().map(|&w| f64::from(w / scale)));
-        codes.clear();
-        for &w in normalised.iter() {
-            codes.push(mapper.quantize(w)?.code);
-        }
-        let offset =
-            (bank * oisa_optics::bank::RINGS_PER_BANK + first_arm * RINGS_PER_ARM) % kbank.len();
-        kbank.store(offset, codes)?;
-        opc.load_kernel(bank, first_arm, normalised, mapper)?;
-    }
-    Ok(slots)
+/// The weight passes of a kernel set under `plan`, in staging order:
+/// each pass's first kernel index, its kernels and their scales.
+fn conv_passes<'a, 'k>(
+    kernels: &'a [&'k [f32]],
+    scales: &'a [f32],
+    plan: &MappingPlan,
+) -> impl Iterator<Item = (usize, &'a [&'k [f32]], &'a [f32])> {
+    let spp = plan.slots_per_pass;
+    kernels
+        .chunks(spp)
+        .zip(scales.chunks(spp))
+        .enumerate()
+        .map(move |(p, (pass_kernels, pass_scales))| (p * spp, pass_kernels, pass_scales))
 }
 
-/// Tuning energy of exactly the arms `slots` staged — the energy a
-/// pass is charged.
-///
-/// Summing [`Opc::tuning_energy`] here instead would re-charge the
-/// *last* load of every arm on the fabric, double-counting earlier
-/// passes (and earlier workloads) on every pass; per-slot accounting
-/// is also what lets a stateless shard worker reproduce mid-stream
-/// tuning energies without the fabric's full load history (see
-/// [`crate::backend`]).
-fn pass_tuning_energy_of(
-    opc: &Opc,
-    slots: &[(usize, usize)],
-    arms_per_kernel: usize,
-) -> Result<Joule> {
-    let mut total = Joule::ZERO;
-    for &(bank, first_arm) in slots {
-        let bank = opc.bank(bank)?;
-        for arm in first_arm..first_arm + arms_per_kernel {
-            total += bank.arm(arm)?.tuning_energy();
+/// Scatters one pass's row-major `[row][slot][ox]` buffer into the
+/// pass's per-kernel maps.
+fn scatter_pass(maps: &mut [Vec<f32>], pass_out: &[f32], ow: usize) {
+    for (oy, row) in pass_out.chunks(maps.len() * ow).enumerate() {
+        for (map, src) in maps.iter_mut().zip(row.chunks(ow)) {
+            map[oy * ow..(oy + 1) * ow].copy_from_slice(src);
         }
     }
-    Ok(total)
-}
-
-/// Stages the pass starting at `kernel_index` end to end — quantise,
-/// store, tune, snapshot, charge tuning — and returns everything the
-/// drain needs as a [`StagedPass`].
-///
-/// Because ring tuning cost depends on the fabric's previous operating
-/// point, passes must stage in order; the streamed engine preserves
-/// that by always staging pass `N + 1` on one thread while only
-/// *reading* snapshots of pass `N`, so the tuning energies (and the
-/// whole report) stay bit-identical to the strictly serial engine.
-#[allow(clippy::too_many_arguments)]
-fn stage_full_pass(
-    kbank: &mut KernelBank,
-    opc: &mut Opc,
-    mapper: &WeightMapper,
-    config: &OisaConfig,
-    kernels: &[&[f32]],
-    kernel_index: usize,
-    slots_per_pass: usize,
-    scales: &[f32],
-    ks: KernelSize,
-    arms_per_kernel: usize,
-    normalised: &mut Vec<f64>,
-    codes: &mut Vec<u16>,
-) -> Result<StagedPass> {
-    let pass_kernels = &kernels[kernel_index..(kernel_index + slots_per_pass).min(kernels.len())];
-    let slots = stage_pass_onto(
-        kbank,
-        opc,
-        mapper,
-        &config.opc,
-        pass_kernels,
-        kernel_index,
-        scales,
-        ks,
-        normalised,
-        codes,
-    )?;
-    let tuning = pass_tuning_energy_of(opc, &slots, arms_per_kernel)?;
-    // Snapshot every slot's arms once per pass, rail coefficients
-    // included; the hot loop then walks immutable captured state
-    // instead of doing checked bank/arm lookups per pixel.
-    let arms: Vec<Vec<ArmSnapshot>> = slots
-        .iter()
-        .map(|&(bank, first_arm)| {
-            opc.snapshot_kernel_arms(bank, first_arm, arms_per_kernel, &config.noise)
-        })
-        .collect::<oisa_optics::Result<_>>()?;
-    Ok(StagedPass {
-        kernel_index,
-        arms,
-        tuning,
-    })
 }
 
 /// Per-kernel weight normalisation scales: each kernel's arm carries
@@ -1639,8 +1390,8 @@ fn kernel_scales(kernels: &[&[f32]]) -> Vec<f32> {
 }
 
 /// Evaluates one output row of one pass against immutable arm
-/// snapshots — the shared hot loop of the single-frame engines and the
-/// batched `(frame, pass, row-band)` work items. Windows gather into a
+/// snapshots — the shared hot loop of the serial oracle and the batch
+/// engine's `(frame, pass, row-band)` work items. Windows gather into a
 /// stack scratch array, noise comes from the counter-addressed slot
 /// streams, and multi-arm kernels aggregate through the VOM.
 ///
@@ -1911,14 +1662,14 @@ mod tests {
     }
 
     #[test]
-    fn streamed_staging_charges_tuning_exactly_once_per_pass() {
-        // 25 kernels on the 20-slot test fabric = 2 passes, so the
-        // parallel engine stages pass 2 *while* pass 1 drains. The PR 4
-        // double-count class of bug — charging fabric-lifetime tuning
-        // energy instead of per-slot pass energy — would grow the
-        // charge on every repeated frame; the steady-state cycle must
-        // instead be exactly repeatable, and identical to the strictly
-        // serial engine's.
+    fn multi_pass_frames_charge_tuning_exactly_once_per_pass() {
+        // 25 kernels on the 20-slot test fabric = 2 passes, each staged
+        // through the one staging routine. The double-count class of
+        // bug — charging fabric-lifetime tuning energy instead of
+        // per-slot pass energy — would grow the charge on every
+        // repeated frame; the steady-state cycle must instead be
+        // exactly repeatable, and the parallel engine's one-frame
+        // batches must charge what the strictly serial engine charges.
         let _guard = crate::test_sync::thread_count_lock();
         rayon::set_num_threads(3);
         let frame = Frame::constant(16, 16, 0.6).unwrap();
@@ -1948,7 +1699,10 @@ mod tests {
         // Steady state (runs 2 and 3 both start from pass 2's fabric
         // state) repeats exactly; accumulation would make t[2] > t[1].
         assert_eq!(tp[1], tp[2], "steady-state tuning must not accumulate");
-        assert_eq!(tp, ts, "streamed staging must charge what serial charges");
+        assert_eq!(
+            tp, ts,
+            "the parallel engine must charge what serial charges"
+        );
     }
 
     #[test]

@@ -94,7 +94,7 @@
 
 use std::io::{Read, Write};
 
-use crate::accelerator::{ConvolutionReport, OisaAccelerator, OisaConfig};
+use crate::accelerator::{kernel_shape_error, ConvolutionReport, OisaAccelerator, OisaConfig};
 use crate::error::OisaError;
 use crate::mapping::{ConvWorkload, MappingPlan};
 use crate::program::{LayerProgram, ProgramFrameReport, Stage, StageReport};
@@ -198,15 +198,8 @@ pub trait ComputeBackend: Send {
     /// (wrapped in [`OisaError::Core`]) exactly as the execution path
     /// would report them.
     fn check_workload(&self, kernels: &[Vec<f32>], k: usize) -> BackendResult<()> {
-        if kernels.is_empty() {
-            return Err(CoreError::InvalidParameter("no kernels supplied".into()).into());
-        }
-        if kernels.iter().any(|kn| kn.len() != k * k) {
-            return Err(CoreError::InvalidParameter(format!(
-                "every kernel must have {} weights",
-                k * k
-            ))
-            .into());
+        if let Some(reason) = kernel_shape_error(kernels, k) {
+            return Err(CoreError::InvalidParameter(reason).into());
         }
         let config = self.config();
         let workload = ConvWorkload {

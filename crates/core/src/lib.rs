@@ -52,19 +52,20 @@
 //!
 //! # Performance notes
 //!
-//! Three engines cover the throughput story; all are bit-identical to
-//! their serial oracles under a fixed seed:
+//! The parallel engines all run on one work-stealing runtime
+//! ([`scheduler::execute`]), and all are bit-identical to their serial
+//! oracles under a fixed seed:
 //!
-//! * **Single frame** — [`OisaAccelerator::convolve_frame`]
-//!   parallelises over output rows with counter-based noise streams
-//!   (PR 1); [`OisaAccelerator::convolve_frame_sequential`] is the
-//!   oracle.
-//! * **Batched frames** — [`OisaAccelerator::convolve_frames`] stages
+//! * **Convolution** — [`OisaAccelerator::convolve_frames`] stages
 //!   each weight pass once per batch (not once per frame), snapshots
 //!   the pass's arms ([`oisa_optics::arm::ArmSnapshot`]), and
 //!   work-steals `(frame, pass, row-band)` items so no worker idles at
-//!   a frame boundary. Each frame keys its own noise epoch; the oracle
-//!   is the per-frame sequential loop.
+//!   a frame boundary. Each frame keys its own counter-based noise
+//!   epoch; the oracle is the per-frame
+//!   [`OisaAccelerator::convolve_frame_sequential`] loop.
+//!   [`OisaAccelerator::convolve_frame`] is its one-frame batch, so a
+//!   layer program's conv stage and each channel of
+//!   [`OisaAccelerator::convolve_channels`] run on it too.
 //! * **Dense / MLP** — [`mlp::matvec_parallel`] fans rows out over the
 //!   scheduler; each row task stages its row through one per-code
 //!   [`oisa_optics::arm::RingTable`] into one byte per weight (code and
@@ -100,8 +101,8 @@
 //! # }
 //! ```
 
-// No unsafe: this crate must stay entirely safe Rust. The SIMD layer
-// (oisa_device) is the only sanctioned unsafe in the tree.
+// No unsafe: this crate must stay entirely safe Rust, as every crate
+// in the workspace does.
 #![forbid(unsafe_code)]
 // Every public item of the architecture crate documents itself; CI's
 // docs step builds with `RUSTDOCFLAGS=-D warnings`, which turns any

@@ -84,7 +84,7 @@ use oisa_nn::tensor::Tensor;
 use oisa_sensor::frame::Frame;
 use serde::{Deserialize, Serialize};
 
-use crate::accelerator::{ConvolutionReport, OisaAccelerator, OisaConfig};
+use crate::accelerator::{kernel_shape_error, ConvolutionReport, OisaAccelerator, OisaConfig};
 use crate::mlp::{MatVecReport, StagedMatrix};
 use crate::{CoreError, Result};
 
@@ -255,16 +255,8 @@ impl LayerProgram {
                              (the sensor-attached layer)"
                         )));
                     }
-                    if kernels.is_empty() {
-                        return Err(CoreError::InvalidParameter(
-                            "stage 0: no kernels supplied".into(),
-                        ));
-                    }
-                    if kernels.iter().any(|kn| kn.len() != k * k) {
-                        return Err(CoreError::InvalidParameter(format!(
-                            "stage 0: every kernel must have {} weights",
-                            k * k
-                        )));
+                    if let Some(reason) = kernel_shape_error(kernels, *k) {
+                        return Err(CoreError::InvalidParameter(format!("stage 0: {reason}")));
                     }
                     range = ValueRange::Unknown;
                 }

@@ -1,6 +1,7 @@
-//! Work-stealing scheduler for the batched inference engine.
+//! Work-stealing scheduler: the one compute runtime of the parallel
+//! engines.
 //!
-//! The batch engine decomposes a workload into many independent items —
+//! The engines decompose a workload into many independent items —
 //! `(frame, pass, row-band)` for convolution, rows for the dense path —
 //! whose costs are uneven: a pass holding fewer kernels than the fabric
 //! has slots, or a frame's ragged last band, finishes sooner than a full
@@ -8,9 +9,8 @@
 //! activations do not skew it: paper-config frames hold no exact zeros
 //! (dark pixels encode to the VCSEL's NRZ floor), so every window draws
 //! all its taps. Frames late in a batch must not wait on a static
-//! partition sized for the early ones. A fixed block split (or the
-//! single shared-counter loop the `rayon` shim uses) leaves workers
-//! idle at the tail; work stealing keeps them busy:
+//! partition sized for the early ones. A fixed block split leaves
+//! workers idle at the tail; work stealing keeps them busy:
 //!
 //! * every worker owns a deque seeded with a contiguous block of items
 //!   (cache-friendly: neighbouring row-bands share frame data),
@@ -25,14 +25,13 @@
 //! Results are returned **in item order** regardless of which worker ran
 //! what, so callers can reduce floating-point partials with the exact
 //! grouping a sequential loop would use — the scheduler never affects
-//! the physics, only the wall clock. Determinism therefore rests on the
-//! same contract as the row-parallel convolution: tasks must key any
-//! randomness by item index (counter-based noise streams), never by
-//! execution order.
+//! the physics, only the wall clock. Determinism therefore rests on one
+//! contract: tasks must key any randomness by item index
+//! (counter-based noise streams), never by execution order.
 //!
 //! Worker count follows the `rayon` shim's configuration
 //! ([`rayon::current_num_threads`]), so `rayon::set_num_threads` and
-//! `RAYON_NUM_THREADS` govern both parallel paths; with one worker (or
+//! `RAYON_NUM_THREADS` govern every parallel path; with one worker (or
 //! one item) everything degenerates to a plain sequential loop.
 
 use std::collections::VecDeque;
@@ -116,43 +115,6 @@ where
     });
     collected.sort_unstable_by_key(|(i, _)| *i);
     collected.into_iter().map(|(_, r)| r).collect()
-}
-
-/// [`execute`], with a second job overlapped on the calling thread: the
-/// items drain on the work-stealing pool while `overlap` runs
-/// concurrently on the caller's thread, and both results come back
-/// together once the pool is done.
-///
-/// This is the streamed-staging primitive: the convolution engine hands
-/// pass `N`'s row-bands to the workers and stages pass `N + 1`'s
-/// weights (quantise, ring tuning, snapshots) in `overlap`, hiding
-/// staging latency behind the drain. The determinism contract extends
-/// [`execute`]'s: `overlap` must not observe or mutate anything the
-/// item function reads — the engine guarantees this by having items
-/// evaluate immutable snapshots while staging mutates only the fabric
-/// and bank.
-///
-/// With no items, `overlap` still runs (on the calling thread) and an
-/// empty result vector is returned.
-pub fn execute_overlapped<T, R, F, O, Q>(items: Vec<T>, f: F, overlap: O) -> (Vec<R>, Q)
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync + Send,
-    O: FnOnce() -> Q + Send,
-    Q: Send,
-{
-    if items.is_empty() {
-        return (Vec::new(), overlap());
-    }
-    std::thread::scope(|scope| {
-        let drain = scope.spawn(|| execute(items, f));
-        let q = overlap();
-        let r = drain
-            .join()
-            .expect("scheduler: overlapped drain worker panicked");
-        (r, q)
-    })
 }
 
 #[cfg(test)]
@@ -269,32 +231,6 @@ mod tests {
         assert_eq!(runs.load(Ordering::Relaxed), 257);
         assert_eq!(out, (0..257).collect::<Vec<_>>());
         assert!(ids.len() <= 4, "more threads than workers: {}", ids.len());
-    }
-
-    #[test]
-    fn overlapped_job_runs_alongside_the_drain() {
-        let _guard = thread_count_lock();
-        rayon::set_num_threads(2);
-        let items: Vec<u64> = (0..128).collect();
-        let (out, staged) = execute_overlapped(
-            items,
-            |i, v| v + i as u64,
-            || {
-                // Simulates a staging job: pure, independent of the items.
-                (0..32u64).sum::<u64>()
-            },
-        );
-        assert_eq!(out, (0..128).map(|v| v * 2).collect::<Vec<_>>());
-        assert_eq!(staged, 496);
-    }
-
-    #[test]
-    fn overlapped_with_no_items_still_stages() {
-        let _guard = thread_count_lock();
-        rayon::set_num_threads(2);
-        let (out, staged): (Vec<u64>, u64) = execute_overlapped(Vec::new(), |_, v: u64| v, || 7u64);
-        assert!(out.is_empty());
-        assert_eq!(staged, 7);
     }
 
     #[test]

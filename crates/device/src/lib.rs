@@ -38,17 +38,15 @@
 //! # }
 //! ```
 
-// The only sanctioned unsafe in the tree lives here, and every unsafe
-// operation inside an `unsafe fn` must be its own block with its own
-// `// SAFETY:` comment (enforced mechanically by `oisa-lint`).
-#![deny(unsafe_op_in_unsafe_fn)]
+// No unsafe: this crate must stay entirely safe Rust, as every crate
+// in the workspace does.
+#![forbid(unsafe_code)]
 
 pub mod awc;
 pub mod mr;
 pub mod noise;
 pub mod photodiode;
 pub mod sense_amp;
-pub mod simd;
 pub mod vcsel;
 pub mod waveguide;
 

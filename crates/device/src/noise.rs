@@ -31,8 +31,20 @@ use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 use crate::sense_amp::gaussian;
-use crate::simd::{mix64, mix64_lanes, COUNTER_MUL, LANES};
 use crate::{DeviceError, Result};
+
+/// The counter-spreading multiplier of [`NoiseStream::gaussian_at`].
+const COUNTER_MUL: u64 = 0xA24B_AED4_963E_E407;
+
+/// SplitMix64 finaliser over one state word: the mix behind every
+/// stream key and every counter-addressed draw.
+#[inline]
+fn mix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
 
 /// Relative noise intensities applied along the optical MAC path.
 ///
@@ -357,20 +369,6 @@ fn zig_tables() -> &'static ZigTables {
     })
 }
 
-/// The ziggurat finish shared by every draw path: layer index and
-/// uniform from one mixed word, rectangle acceptance, cold
-/// continuation on rejection.
-#[inline(always)]
-fn ziggurat_from_bits(tables: &ZigTables, bits: u64) -> f64 {
-    let i = (bits & 0x7F) as usize;
-    let u = 2.0 * ((bits >> 12) as f64 * (1.0 / (1u64 << 52) as f64)) - 1.0;
-    if u.abs() < tables.ratio[i] {
-        u * tables.x[i]
-    } else {
-        ziggurat_slow(tables, u, i, bits)
-    }
-}
-
 /// Cold continuation of the ziggurat: wedge and tail corrections, fed by
 /// a substream derived from the rejected draw (≈ 1.2 % of samples).
 #[cold]
@@ -453,38 +451,14 @@ impl NoiseStream {
     #[inline]
     #[must_use]
     pub fn gaussian_at(&self, counter: u64) -> f64 {
-        self.ziggurat_from_bits(mix64(self.key ^ counter.wrapping_mul(COUNTER_MUL)))
-    }
-
-    /// [`LANES`] standard-normal draws at explicit counters — bit-equal
-    /// to [`LANES`] scalar [`NoiseStream::gaussian_at`] calls on the
-    /// same counters, by construction rather than by tolerance.
-    ///
-    /// The SplitMix64 counter mixing is batched through
-    /// [`crate::simd::mix64_lanes`], which dispatches to a vector
-    /// kernel when the `simd` feature is on and the CPU supports one;
-    /// integer mixing is exact on every tier. The ziggurat layer
-    /// lookup, acceptance compare and `u · x[i]` finish then run per
-    /// lane with the identical IEEE operations the scalar path
-    /// performs, and the rare rejected lane (≈ 1.2 % of draws) falls
-    /// back to the same cold `ziggurat_slow` continuation seeded from
-    /// that lane's mixed bits.
-    #[inline(always)]
-    #[must_use]
-    pub fn gaussian_at_lanes(&self, counters: [u64; LANES]) -> [f64; LANES] {
-        let mixed = mix64_lanes(self.key, counters);
-        let mut out = [0.0f64; LANES];
-        for l in 0..LANES {
-            out[l] = self.ziggurat_from_bits(mixed[l]);
+        let bits = mix64(self.key ^ counter.wrapping_mul(COUNTER_MUL));
+        let i = (bits & 0x7F) as usize;
+        let u = 2.0 * ((bits >> 12) as f64 * (1.0 / (1u64 << 52) as f64)) - 1.0;
+        if u.abs() < self.tables.ratio[i] {
+            u * self.tables.x[i]
+        } else {
+            ziggurat_slow(self.tables, u, i, bits)
         }
-        out
-    }
-
-    /// The ziggurat finish shared by every draw path (see the free
-    /// [`ziggurat_from_bits`]).
-    #[inline(always)]
-    fn ziggurat_from_bits(&self, bits: u64) -> f64 {
-        ziggurat_from_bits(self.tables, bits)
     }
 
     /// Detector noise on `value`, addressed by `counter`.
@@ -611,65 +585,30 @@ mod tests {
         assert_eq!(base, src.stream(0, 1, 1).gaussian_at(0));
     }
 
-    #[test]
-    fn gaussian_lanes_match_four_scalar_draws() {
-        let src = NoiseSource::seeded(31, NoiseConfig::paper_default());
-        let s = src.stream(2, 5, 77);
-        // 4096 draws cover dozens of slow-path rejections statistically;
-        // the dedicated tests below force them deterministically.
-        for base in (0..4096u64).step_by(4) {
-            let cs = [base, base + 1, base + 2, base + 3];
-            let lanes = s.gaussian_at_lanes(cs);
-            for (l, &c) in cs.iter().enumerate() {
-                assert_eq!(lanes[l], s.gaussian_at(c), "lane {l} counter {c}");
-            }
-        }
-        // Lane order is positional, not sorted: scrambled counters too.
-        let cs = [901u64, 3, 44_000, 17];
-        let lanes = s.gaussian_at_lanes(cs);
-        for (l, &c) in cs.iter().enumerate() {
-            assert_eq!(lanes[l], s.gaussian_at(c));
-        }
-    }
-
-    /// Finds the first counter at or after `from` whose fast-path
-    /// rectangle draw is rejected (optionally also requiring the tail
-    /// layer `i == 0`), forcing [`ziggurat_slow`].
-    fn rejected_counter(s: &NoiseStream, from: u64, tail_only: bool) -> u64 {
+    /// Finds the first counter whose fast-path rectangle draw is
+    /// rejected in the tail layer (`i == 0`), forcing
+    /// [`ziggurat_slow`] into its Marsaglia tail.
+    fn tail_rejected_counter(s: &NoiseStream) -> u64 {
         let tables = zig_tables();
-        (from..from + 10_000_000)
-            .find(|c| {
+        (0..10_000_000)
+            .find(|c: &u64| {
                 let bits = mix64(s.key ^ c.wrapping_mul(COUNTER_MUL));
-                let i = (bits & 0x7F) as usize;
                 let u = 2.0 * ((bits >> 12) as f64 * (1.0 / (1u64 << 52) as f64)) - 1.0;
-                u.abs() >= tables.ratio[i] && (!tail_only || i == 0)
+                bits & 0x7F == 0 && u.abs() >= tables.ratio[0]
             })
-            .expect("no rejected rectangle draw found")
+            .expect("no rejected tail-layer draw found")
     }
 
     #[test]
-    fn gaussian_lanes_cover_the_ziggurat_slow_path() {
+    fn tail_layer_rejection_draws_through_ziggurat_slow() {
+        // A counter whose rectangle draw is rejected in the tail layer
+        // (layer 0) can only finish in `ziggurat_slow`'s Marsaglia
+        // tail, beyond the cut-off.
         let src = NoiseSource::seeded(8, NoiseConfig::paper_default());
         let s = src.stream(0, 0, 0);
-        // A wedge/tail rejection in every lane position.
-        for lane in 0..4u64 {
-            let c = rejected_counter(&s, 1000 * lane, false);
-            let mut cs = [c + 1, c + 2, c + 3, c + 4];
-            cs[lane as usize] = c;
-            let lanes = s.gaussian_at_lanes(cs);
-            for (l, &cc) in cs.iter().enumerate() {
-                assert_eq!(lanes[l], s.gaussian_at(cc), "lane {l} counter {cc}");
-            }
-        }
-        // And the Marsaglia tail (layer 0) specifically.
-        let t = rejected_counter(&s, 0, true);
-        let lanes = s.gaussian_at_lanes([t, t + 1, t + 2, t + 3]);
-        assert_eq!(lanes[0], s.gaussian_at(t));
-        assert!(
-            lanes[0].abs() > 3.0,
-            "tail draw should be extreme: {}",
-            lanes[0]
-        );
+        let t = tail_rejected_counter(&s);
+        let draw = s.gaussian_at(t);
+        assert!(draw.abs() > 3.0, "tail draw should be extreme: {draw}");
     }
 
     #[test]

@@ -46,8 +46,8 @@
 //! (matching nothing) are warnings, so ratchets tighten naturally. The
 //! full rule catalogue lives in `crates/lint/README.md`.
 
-// No unsafe: this crate must stay entirely safe Rust. The SIMD layer
-// (oisa_device) is the only sanctioned unsafe in the tree.
+// No unsafe: this crate must stay entirely safe Rust, as every crate
+// in the workspace does.
 #![forbid(unsafe_code)]
 
 pub mod allowlist;

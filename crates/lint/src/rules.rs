@@ -64,7 +64,6 @@ const SAFETY_COMMENT_WINDOW: u32 = 16;
 const WALLCLOCK_SCOPE_PREFIXES: &[&str] = &["crates/optics/src/"];
 const WALLCLOCK_SCOPE_FILES: &[&str] = &[
     "crates/device/src/noise.rs",
-    "crates/device/src/simd.rs",
     "crates/core/src/scheduler.rs",
     "crates/core/src/wire.rs",
 ];

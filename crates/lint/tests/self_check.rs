@@ -44,7 +44,7 @@ fn the_walk_actually_covers_the_workspace() {
         .collect();
     for must_see in [
         "crates/core/src/wire.rs",
-        "crates/device/src/simd.rs",
+        "crates/device/src/noise.rs",
         "crates/optics/src/arm.rs",
         "src/lib.rs",
     ] {

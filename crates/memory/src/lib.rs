@@ -25,8 +25,8 @@
 //! # }
 //! ```
 
-// No unsafe: this crate must stay entirely safe Rust. The SIMD layer
-// (oisa_device) is the only sanctioned unsafe in the tree.
+// No unsafe: this crate must stay entirely safe Rust, as every crate
+// in the workspace does.
 #![forbid(unsafe_code)]
 
 pub mod bank;

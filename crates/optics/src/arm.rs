@@ -74,7 +74,7 @@
 //! coefficients of the tap's byte by a gain looked up by its
 //! neighbours' codes, and checks nothing.
 //!
-//! Measured on a 2-vCPU Intel Xeon host (AVX-512 tier), paper noise:
+//! Measured on a 2-vCPU Intel Xeon host, paper noise:
 //! `perf_json`'s `mac_ns_per_ring` read 3.6–7.8 ns over eight runs
 //! (11.4–22.9 ns over three with per-ring draws). The
 //! `mac_core_1024_rings` microbench, 113 snapshot windows, read
@@ -86,7 +86,6 @@
 use oisa_device::mr::{Microring, MrDesign, TuningOutcome};
 use oisa_device::noise::{NoiseConfig, NoiseModel, NoiseStream};
 use oisa_device::photodiode::{BalancedPhotodetector, PhotodiodeParams};
-use oisa_device::simd::LANES;
 use oisa_device::waveguide::{ChannelPlan, LossBudget, OpticalPath};
 use oisa_units::{Joule, Meter, Second, Watt};
 use serde::{Deserialize, Serialize};
@@ -1004,6 +1003,12 @@ fn erfc(x: f64) -> f64 {
         2.0 - r
     }
 }
+
+/// Fixed number of accumulator lanes every MAC fold commits to
+/// (element `i` lands in lane `i mod LANES`). The value is part of the
+/// bit-level determinism contract (module docs) and must never
+/// silently track the host vector width.
+pub const LANES: usize = 4;
 
 /// One window's rail moments: `Σa·α` and `Σa²·β` for each rail, each
 /// folded through the lane contract.

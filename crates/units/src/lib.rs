@@ -20,8 +20,8 @@
 //! assert!((energy.as_pico() - 16.0).abs() < 1e-9);
 //! ```
 
-// No unsafe: this crate must stay entirely safe Rust. The SIMD layer
-// (oisa_device) is the only sanctioned unsafe in the tree.
+// No unsafe: this crate must stay entirely safe Rust, as every crate
+// in the workspace does.
 #![forbid(unsafe_code)]
 
 mod quantity;

@@ -1,23 +1,17 @@
-//! Offline shim for `rayon`, backed by `std::thread::scope`.
+//! Offline shim for `rayon`'s thread-count configuration.
 //!
 //! The workspace builds without network access, so the real `rayon` is
-//! unavailable. This shim provides the subset the accelerator's hot path
-//! uses — `par_chunks_mut(..).enumerate().for_each(..)`, an
-//! order-preserving [`iter::parallel_map`], [`join`] and
-//! [`current_num_threads`] — implemented with scoped OS threads and an
-//! atomic work index instead of a work-stealing pool.
+//! unavailable. The engines run on their own work-stealing scheduler
+//! (`oisa_core::scheduler`); this shim keeps only the knob that sizes
+//! it — [`set_num_threads`] and [`current_num_threads`], honouring
+//! `RAYON_NUM_THREADS` the way real rayon does.
 //!
-//! Design constraints it shares with real rayon:
-//!
-//! * closures must be `Sync` and items `Send`,
-//! * no ordering guarantees between tasks — callers must key any
-//!   randomness by item index, never by execution order,
-//! * degenerates to a plain sequential loop on single-CPU hosts (or when
-//!   `RAYON_NUM_THREADS=1`), so single-core containers pay no thread
-//!   overhead.
+//! With one thread (a single-CPU host, or `RAYON_NUM_THREADS=1`) the
+//! scheduler degenerates to a plain sequential loop, so single-core
+//! containers pay no thread overhead.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// Process-wide thread-count override set by [`set_num_threads`]
 /// (0 = unset).
@@ -54,171 +48,4 @@ pub fn current_num_threads() -> usize {
         .unwrap_or_else(|| {
             std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
         })
-}
-
-/// Runs two closures, in parallel when more than one thread is
-/// available.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if current_num_threads() <= 1 {
-        return (a(), b());
-    }
-    std::thread::scope(|s| {
-        let hb = s.spawn(b);
-        let ra = a();
-        (ra, hb.join().expect("rayon shim: join worker panicked"))
-    })
-}
-
-/// Order-preserving parallel primitives.
-pub mod iter {
-    use super::{AtomicUsize, Mutex, Ordering};
-
-    /// Applies `f` to every item, returning results in input order.
-    ///
-    /// Work is distributed over [`super::current_num_threads`] scoped
-    /// threads via an atomic index; with one thread (or one item) it is
-    /// a plain sequential loop, so the sequential and parallel paths
-    /// produce identical results whenever `f` is a pure function of the
-    /// item and its index.
-    pub fn parallel_map<I, R, F>(items: Vec<I>, f: F) -> Vec<R>
-    where
-        I: Send,
-        R: Send,
-        F: Fn(usize, I) -> R + Sync,
-    {
-        let threads = super::current_num_threads().min(items.len().max(1));
-        if threads <= 1 {
-            return items
-                .into_iter()
-                .enumerate()
-                .map(|(i, it)| f(i, it))
-                .collect();
-        }
-        let slots: Vec<Mutex<Option<I>>> =
-            items.into_iter().map(|it| Mutex::new(Some(it))).collect();
-        let next = AtomicUsize::new(0);
-        let mut collected: Vec<(usize, R)> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut local = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= slots.len() {
-                                break;
-                            }
-                            let item = slots[i]
-                                .lock()
-                                .expect("rayon shim: poisoned work slot")
-                                .take()
-                                .expect("rayon shim: work item taken twice");
-                            local.push((i, f(i, item)));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("rayon shim: worker panicked"))
-                .collect()
-        });
-        collected.sort_by_key(|(i, _)| *i);
-        collected.into_iter().map(|(_, r)| r).collect()
-    }
-}
-
-/// Slice extensions mirroring `rayon::slice`.
-pub mod slice {
-    /// Mutable parallel chunk iterator (eagerly materialised).
-    pub struct ParChunksMut<'a, T: Send> {
-        chunks: Vec<&'a mut [T]>,
-    }
-
-    /// Enumerated variant of [`ParChunksMut`].
-    pub struct EnumeratedChunksMut<'a, T: Send> {
-        chunks: Vec<&'a mut [T]>,
-    }
-
-    impl<'a, T: Send> ParChunksMut<'a, T> {
-        /// Pairs every chunk with its index.
-        #[must_use]
-        pub fn enumerate(self) -> EnumeratedChunksMut<'a, T> {
-            EnumeratedChunksMut {
-                chunks: self.chunks,
-            }
-        }
-
-        /// Applies `f` to every chunk in parallel.
-        pub fn for_each<F: Fn(&mut [T]) + Sync>(self, f: F) {
-            super::iter::parallel_map(self.chunks, |_, c| f(c));
-        }
-    }
-
-    impl<'a, T: Send> EnumeratedChunksMut<'a, T> {
-        /// Applies `f` to every `(index, chunk)` pair in parallel.
-        pub fn for_each<F: Fn((usize, &mut [T])) + Sync>(self, f: F) {
-            super::iter::parallel_map(self.chunks, |i, c| f((i, c)));
-        }
-    }
-
-    /// `par_chunks_mut` provider for slices.
-    pub trait ParallelSliceMut<T: Send> {
-        /// Splits the slice into chunks of `size` processable in
-        /// parallel.
-        fn par_chunks_mut(&mut self, size: usize) -> ParChunksMut<'_, T>;
-    }
-
-    impl<T: Send> ParallelSliceMut<T> for [T] {
-        fn par_chunks_mut(&mut self, size: usize) -> ParChunksMut<'_, T> {
-            ParChunksMut {
-                chunks: self.chunks_mut(size).collect(),
-            }
-        }
-    }
-}
-
-/// Common imports, mirroring `rayon::prelude`.
-pub mod prelude {
-    pub use crate::slice::ParallelSliceMut;
-}
-
-#[cfg(test)]
-mod tests {
-    use super::prelude::*;
-    use super::*;
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let items: Vec<usize> = (0..257).collect();
-        let out = iter::parallel_map(items, |i, v| {
-            assert_eq!(i, v);
-            v * 2
-        });
-        assert_eq!(out, (0..257).map(|v| v * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn par_chunks_mut_touches_every_chunk() {
-        let mut data = vec![0u32; 64];
-        data.par_chunks_mut(8)
-            .enumerate()
-            .for_each(|(i, chunk)| chunk.fill(i as u32));
-        for (i, v) in data.iter().enumerate() {
-            assert_eq!(*v, (i / 8) as u32);
-        }
-    }
-
-    #[test]
-    fn join_returns_both() {
-        let (a, b) = join(|| 2 + 2, || "ok");
-        assert_eq!(a, 4);
-        assert_eq!(b, "ok");
-    }
 }

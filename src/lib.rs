@@ -148,11 +148,11 @@
 //!   pair owns an addressed stream keyed by
 //!   `(seed, frame epoch, slot, position)`; a draw depends only on its
 //!   counter, never on evaluation order. This is what makes
-//!   [`core::OisaAccelerator::convolve_frame`] (parallel over output
-//!   rows) bit-identical to `convolve_frame_sequential` under a fixed
-//!   seed, on any thread count. Gaussians come from a 128-layer
-//!   ziggurat: the common case is one SplitMix64 finalisation, one
-//!   table compare and one multiply.
+//!   [`core::OisaAccelerator::convolve_frame`] (a one-frame batch of
+//!   the parallel engine) bit-identical to `convolve_frame_sequential`
+//!   under a fixed seed, on any thread count. Gaussians come from a
+//!   128-layer ziggurat: the common case is one SplitMix64
+//!   finalisation, one table compare and one multiply.
 //! * **Precomputed arm constants, rail-moment noise and the fixed
 //!   4-lane fold** ([`optics::arm::Arm`]). Inter-channel crosstalk,
 //!   waveguide loss, detector full-scale and dwell time depend only on
@@ -167,27 +167,20 @@
 //!   the benchmark baseline. Every MAC path folds its rail moments
 //!   into 4 fixed lanes reduced through one canonical tree — reduction
 //!   order is part of the wire-level bit-identity guarantee (see the
-//!   performance notes in `optics::arm`). The `simd` cargo feature
-//!   (default on) enables runtime-dispatched AVX2/AVX-512 kernels for
-//!   the batched `gaussian_at_lanes` draw; no MAC path calls it, so
-//!   outputs and MAC timings do not depend on the feature.
-//! * **Flat, row-parallel pass buffers with streamed weight staging**
-//!   ([`core::OisaAccelerator::convolve_frame`]). Windows gather into a
-//!   stack scratch array, each pass writes one flat `[row][slot][x]`
-//!   buffer whose rows are distributed over worker threads (a
-//!   `std::thread::scope`-backed rayon subset in offline builds), and
-//!   per-row energy partials are reduced in row order so reports are
-//!   reproducible bit-for-bit. On multi-pass workloads (more kernels
-//!   than fabric slots) the parallel engine double-buffers staging:
-//!   pass `N + 1` quantises, tunes and snapshots on the calling thread
-//!   while pass `N`'s rows drain through the work-stealing pool
-//!   (`core::scheduler::execute_overlapped`), with tuning energy still
-//!   charged in strict pass order.
+//!   performance notes in `optics::arm`). The fold is plain scalar
+//!   code and the workspace holds no `unsafe`.
+//! * **One parallel conv engine with flat pass buffers**
+//!   ([`core::OisaAccelerator::convolve_frames`]). Each weight pass is
+//!   staged once per batch, windows gather into a stack scratch array,
+//!   each pass writes one flat `[row][slot][x]` buffer per frame, and
+//!   `(frame, pass, row-band)` items drain over the work-stealing
+//!   scheduler (`core::scheduler`). Per-row energy partials are
+//!   reduced in `(frame, pass, row)` order so reports are reproducible
+//!   bit-for-bit. `convolve_frame` is the engine's one-frame batch.
 //!
 //! Benchmarks: `cargo bench -p oisa_bench` runs the microbenchmarks
 //! (`arm_mac_indexed_9tap`, `mac_core_{72,256,1024}_rings`,
-//! `gaussian_at_lanes`, `staging_overlap_32x32_multipass`,
-//! `oisa_convolve_frame_128x128_16k`, …);
+//! `conv_32x32_multipass`, `oisa_convolve_frame_128x128_16k`, …);
 //! `cargo run --release -p oisa_bench --bin perf_json` emits one
 //! machine-readable `BENCH JSON` line comparing the optimised pipeline
 //! against the pre-optimisation reference (≥ 5× on the 128×128,
@@ -206,8 +199,8 @@
 //! taint into the wire codec, and the crate layering DAG. See
 //! `crates/lint/README.md` for the rule catalogue and analysis model.
 
-// No unsafe: this crate must stay entirely safe Rust. The SIMD layer
-// (oisa_device) is the only sanctioned unsafe in the tree.
+// No unsafe: this crate must stay entirely safe Rust, as every crate
+// in the workspace does.
 #![forbid(unsafe_code)]
 
 /// Physical-quantity newtypes (volts, watts, seconds, …).

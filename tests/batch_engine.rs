@@ -2,7 +2,9 @@
 //! parallel dense path: element-exact agreement with their serial
 //! oracles — outputs, energy reports and timelines — over randomised
 //! workloads, with worker threads forced on so the claims are never
-//! vacuous on small CI hosts.
+//! vacuous on small CI hosts. `convolve_frame`, the engine's one-frame
+//! batch, is also pinned against `convolve_frame_sequential` over
+//! random frame shapes on the paper configuration, 3×3 and 5×5.
 
 use oisa::core::mlp::{matvec, matvec_parallel};
 use oisa::core::{ConvolutionReport, OisaAccelerator, OisaConfig};
@@ -167,5 +169,72 @@ proptest! {
         prop_assert_eq!(serial, parallel);
         // Both engines leave the fabric in the same exit state.
         prop_assert_eq!(opc, parallel_opc);
+    }
+}
+
+/// Frame whose pixels follow a salted residue pattern, for the
+/// random-shape engine parity properties below.
+fn deterministic_frame(width: usize, height: usize, salt: u64) -> Frame {
+    let data: Vec<f64> = (0..width * height)
+        .map(|i| (((i as u64).wrapping_mul(salt | 1) % 97) as f64 / 96.0).clamp(0.0, 1.0))
+        .collect();
+    Frame::new(width, height, data).unwrap()
+}
+
+fn deterministic_kernels(count: usize, k2: usize, salt: u64) -> Vec<Vec<f32>> {
+    (0..count)
+        .map(|i| {
+            (0..k2)
+                .map(|j| (((i * k2 + j) as f32 + salt as f32) * 0.37).sin())
+                .collect()
+        })
+        .collect()
+}
+
+proptest! {
+    #[test]
+    fn engine_parallel_matches_sequential_bitwise(
+        seed in 0u64..1_000,
+        salt in 1u64..1_000,
+        width in 8usize..=18,
+        height in 8usize..=18,
+        count in 1usize..=25,
+        noisy in proptest::bool::ANY,
+    ) {
+        let mut cfg = OisaConfig::paper_default(width, height);
+        cfg.seed = seed;
+        cfg.noise = if noisy {
+            NoiseConfig::paper_default()
+        } else {
+            NoiseConfig::noiseless()
+        };
+        let frame = deterministic_frame(width, height, salt);
+        let kernels = deterministic_kernels(count, 9, salt);
+        let mut par = OisaAccelerator::new(cfg).unwrap();
+        let mut seq = OisaAccelerator::new(cfg).unwrap();
+        let rp = par.convolve_frame(&frame, &kernels, 3).unwrap();
+        let rs = seq.convolve_frame_sequential(&frame, &kernels, 3).unwrap();
+        prop_assert_eq!(&rp.output, &rs.output);
+        prop_assert_eq!(rp.energy, rs.energy);
+    }
+
+    #[test]
+    fn engine_parity_holds_for_multi_arm_kernels(
+        seed in 0u64..200,
+        salt in 1u64..200,
+        count in 1usize..=4,
+    ) {
+        // 5×5 kernels route through the VOM multi-arm path.
+        let mut cfg = OisaConfig::paper_default(12, 12);
+        cfg.seed = seed;
+        cfg.noise = NoiseConfig::paper_default();
+        let frame = deterministic_frame(12, 12, salt);
+        let kernels = deterministic_kernels(count, 25, salt);
+        let mut par = OisaAccelerator::new(cfg).unwrap();
+        let mut seq = OisaAccelerator::new(cfg).unwrap();
+        let rp = par.convolve_frame(&frame, &kernels, 5).unwrap();
+        let rs = seq.convolve_frame_sequential(&frame, &kernels, 5).unwrap();
+        prop_assert_eq!(&rp.output, &rs.output);
+        prop_assert_eq!(rp.energy, rs.energy);
     }
 }

@@ -9,15 +9,17 @@
 //! [`run_reference`]: oisa::core::program::run_reference
 
 use oisa::core::backend::{
-    execute_program_shard, ComputeBackend, InProcessWorker, LocalBackend, ShardTransport,
-    ShardedBackend,
+    execute_program_shard, execute_shard, ComputeBackend, InProcessWorker, LocalBackend,
+    ShardTransport, ShardedBackend,
 };
 use oisa::core::mlp::matvec_parallel;
 use oisa::core::program::{
     run_reference, ActivationKind, LayerProgram, ProgramFrameReport, QuantizeKind, Stage,
     StageReport,
 };
-use oisa::core::wire::{self, ProgramJob, ProgramShard, WireMessage};
+use oisa::core::wire::{
+    self, FabricEntry, InferenceJob, JobShard, ProgramJob, ProgramShard, WireError, WireMessage,
+};
 use oisa::core::{CoreError, OisaAccelerator, OisaConfig, OisaError};
 use oisa::device::noise::{NoiseConfig, NoiseSource};
 use oisa::optics::opc::Opc;
@@ -330,6 +332,96 @@ fn overflowing_dense_shape_is_refused_on_every_entry_point() {
         panic!("the shard round-trips the wire");
     };
     let err = execute_program_shard(&config, &decoded).unwrap_err();
+    assert!(refused(&err), "{err}");
+}
+
+/// A conv kernel side whose square overflows `usize` is refused with a
+/// typed error on every entry point a decoded or caller-built shape
+/// reaches: the wire decoder, both shard executors and both local
+/// backend calls. Multiplied unchecked, `k = 2^32` panics in debug
+/// builds and wraps to a 0-weight kernel in release builds.
+#[test]
+fn overflowing_kernel_side_is_refused_on_every_entry_point() {
+    let config = OisaConfig::builder()
+        .imager_dims(4, 4)
+        .opc_shape(4, 2, 10)
+        .seed(3)
+        .build()
+        .expect("test config validates");
+    let k = 1usize << 32;
+    let kernels = kernel_bank(1, 3, 0);
+    let frames = vec![Frame::constant(4, 4, 0.5).unwrap()];
+    let refused = |err: &OisaError| match err {
+        OisaError::Core(CoreError::InvalidParameter(what)) => {
+            what.contains("4294967296x4294967296")
+        }
+        _ => false,
+    };
+
+    // A program shard: the decoder validates every program it decodes.
+    let program = LayerProgram {
+        stages: vec![Stage::Conv {
+            k,
+            kernels: kernels.clone(),
+        }],
+    };
+    let program_shard = ProgramShard {
+        job_id: 1,
+        shard_index: 0,
+        shard_count: 1,
+        first_frame: 0,
+        first_epoch: 0,
+        config_fingerprint: config.fingerprint(),
+        program: program.clone(),
+        frames: frames.clone(),
+    };
+    let decoded = wire::decode(&wire::encode(&WireMessage::ProgramShard(
+        program_shard.clone(),
+    )));
+    assert!(
+        matches!(decoded, Err(WireError::Malformed(_))),
+        "{decoded:?}"
+    );
+    let err = execute_program_shard(&config, &program_shard).unwrap_err();
+    assert!(refused(&err), "{err}");
+    let err = LocalBackend::new(config)
+        .unwrap()
+        .run_program(&job(1, program, frames.clone()))
+        .unwrap_err();
+    assert!(refused(&err), "{err}");
+
+    // A conv shard decodes (its decoder checks no kernel shape), and
+    // executing it refuses, whether it starts cold or prewarms.
+    for entry in [FabricEntry::Cold, FabricEntry::WarmSelf] {
+        let shard = JobShard {
+            job_id: 1,
+            shard_index: 0,
+            shard_count: 1,
+            first_frame: 0,
+            first_epoch: 0,
+            config_fingerprint: config.fingerprint(),
+            entry,
+            k,
+            kernels: kernels.clone(),
+            frames: frames.clone(),
+        };
+        let Ok(WireMessage::Shard(decoded)) =
+            wire::decode(&wire::encode(&WireMessage::Shard(shard)))
+        else {
+            panic!("the conv shard round-trips the wire");
+        };
+        let err = execute_shard(&config, &decoded).unwrap_err();
+        assert!(refused(&err), "{err}");
+    }
+    let err = LocalBackend::new(config)
+        .unwrap()
+        .run_job(&InferenceJob {
+            job_id: 1,
+            k,
+            kernels,
+            frames,
+        })
+        .unwrap_err();
     assert!(refused(&err), "{err}");
 }
 
