@@ -360,7 +360,7 @@ fn main() {
 
     // Layer program: the autoencoder encoder — conv → ternary quantize
     // → dense → ReLU — executed end-to-end per frame by the sharded
-    // backend (wire v4 ProgramJob). The gap between
+    // backend (a `ProgramJob`). The gap between
     // `frames_per_sec_program` and `frames_per_sec_backend_shard` is
     // what the extra stages of a whole-model job cost over the first
     // layer alone.
@@ -412,7 +412,7 @@ fn main() {
     }
     impl ShardTransport for DyingTransport {
         fn round_trip(&mut self, message: &[u8]) -> Result<Vec<u8>, OisaError> {
-            if !self.dead && matches!(wire::decode(message), Ok(WireMessage::Shard(_))) {
+            if !self.dead && matches!(wire::decode(message), Ok(WireMessage::ProgramShard(_))) {
                 self.dead = true;
                 *self.killed_at.lock().expect("kill clock") = Some(Instant::now());
             }

@@ -163,7 +163,7 @@ impl OisaConfig {
     /// field, mixed with FNV-1a over the `Debug` rendering.
     ///
     /// The sharded backend stamps this into every
-    /// [`JobShard`](crate::wire::JobShard) and workers refuse shards
+    /// [`ProgramShard`](crate::wire::ProgramShard) and workers refuse shards
     /// whose fingerprint differs from their own deployment config —
     /// two processes disagreeing about the physics would otherwise
     /// merge incompatible shards. The hash is derived from the `Debug`
@@ -183,7 +183,7 @@ impl OisaConfig {
 
     /// Re-runs the [`OisaConfigBuilder::build`] validation on an
     /// existing configuration — the check applied to configs that
-    /// arrive from outside the process (a wire-v3
+    /// arrive from outside the process (a
     /// [`ConfigPush`](crate::wire::ConfigPush)), so a malformed push
     /// fails typed instead of deep inside accelerator construction.
     ///

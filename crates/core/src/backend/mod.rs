@@ -3,18 +3,22 @@
 //!
 //! Everything above the accelerator — the serving engine, the bench
 //! harness, future transports — talks to *a thing that executes
-//! [`InferenceJob`]s*, not to an [`OisaAccelerator`] directly:
+//! jobs*, not to an [`OisaAccelerator`] directly:
 //!
-//! * [`LocalBackend`] — wraps one accelerator and runs jobs through the
-//!   batched engine ([`OisaAccelerator::convolve_frames`]) on the
-//!   calling host.
+//! * [`LocalBackend`] — wraps one accelerator and runs jobs on the
+//!   calling host: conv jobs through the batched engine
+//!   ([`OisaAccelerator::convolve_frames`]), programs through
+//!   [`run_program_frames`](OisaAccelerator::run_program_frames).
 //! * [`ShardedBackend`] — a coordinator that splits each job's frames
 //!   into contiguous `(frame, epoch)` ranges, ships them as
-//!   length-prefixed [`wire`] messages to workers (in-process for
-//!   tests/bench, separate OS processes in `examples/multi_node.rs`,
-//!   remote hosts over [`TcpTransport`] — anything implementing
-//!   [`ShardTransport`]), and merges the [`ShardReport`]s in frame
-//!   order.
+//!   length-prefixed [`ProgramShard`] [`wire`] messages to workers
+//!   (in-process for tests/bench, separate OS processes in
+//!   `examples/multi_node.rs`, remote hosts over [`TcpTransport`] —
+//!   anything implementing [`ShardTransport`]), and merges the
+//!   [`ProgramReport`]s in frame order. A conv [`InferenceJob`] travels
+//!   as the one-stage program `[Stage::Conv { k, kernels }]`, so both
+//!   job kinds share one shard type, one worker entry point
+//!   ([`execute_program_shard`]) and one recovery loop.
 //!
 //! The [`tcp`] submodule holds the multi-host deployment pieces: the
 //! [`TcpTransport`] coordinator side (connect/read timeouts, reconnect
@@ -27,26 +31,39 @@
 //! `run_job` calls, a report stream **bit-identical** (outputs, energy,
 //! timeline — every field) to one fresh accelerator built from `C`
 //! running `convolve_frame_sequential` over the concatenated frames in
-//! order. Worker count, shard boundaries and transport move wall
+//! order; program jobs match [`crate::program::run_reference`] the
+//! same way. Worker count, shard boundaries and transport move wall
 //! clock, never physics. Three mechanisms carry the guarantee across
 //! process boundaries:
 //!
 //! 1. **Epoch alignment** — frame `i` of the stream always computes
-//!    under noise epoch `i`; a shard carries its `first_epoch` and the
-//!    worker fast-forwards a fresh accelerator to it
+//!    under its own noise epochs: a program consumes
+//!    [`epochs_per_frame`](crate::program::LayerProgram::epochs_per_frame)
+//!    (one per optical stage) per frame, so a shard starting at job
+//!    frame `i` carries `first_epoch = base + i · E` and the worker
+//!    fast-forwards a fresh accelerator to it
 //!    ([`OisaAccelerator::align_noise_epoch`]).
 //! 2. **Fabric entry state** — ring-tuning and kernel-bank energies
-//!    depend on what the fabric held *before* a job; a shard carries a
-//!    [`FabricEntry`] and the worker prewarm's accordingly
-//!    ([`OisaAccelerator::prewarm`]), so a mid-stream shard's first
-//!    frame pays steady-state cost exactly like the sequential loop.
+//!    depend on what the fabric held *before* a frame, so a shard
+//!    carries a [`FabricEntry`] the worker stages first. Program-job
+//!    shards, and conv-job shards but the first, carry
+//!    [`FabricEntry::WarmSelf`]: the program's own steady state
+//!    ([`OisaAccelerator::prewarm_program`]), exactly what the
+//!    sequential loop's fabric holds mid-stream. A conv job's first
+//!    shard replays what the previous job left staged —
+//!    [`FabricEntry::Cold`], `WarmSelf` or [`FabricEntry::Warm`] —
+//!    because [`LocalBackend::run_job`] carries that history too.
 //! 3. **Config fingerprinting** — every shard carries
 //!    [`OisaConfig::fingerprint`]; a worker refuses shards from a
 //!    coordinator whose physics differ.
 //!
 //! Because workers are *stateless per shard*, a failed job consumes no
-//! coordinator state: `run_job` only advances the epoch cursor after
-//! every shard merged, so a retry re-executes identically.
+//! coordinator state: a job only advances the epoch cursor after every
+//! shard merged, so a retry re-executes identically. Before merging,
+//! the coordinator checks every frame report of a reply against the
+//! program (stage count and kinds, conv map count and size, dense and
+//! final output lengths) and fails the job with
+//! [`OisaError::Backend`] on any mismatch.
 //!
 //! One caveat bounds the contract: the coordinator reproduces fabric
 //! history **one job deep** (the previous job's kernel set travels in
@@ -56,41 +73,11 @@
 //! loaded it, that arm's tuning energy reads from a pristine operating
 //! point instead of the deep history. Fixed or non-growing kernel sets
 //! (every serving deployment: the kernel set is pinned at engine
-//! construction) never hit this.
-//!
-//! # Layer programs
-//!
-//! [`ComputeBackend::run_program`] (wire v4) runs a multi-stage
-//! [`crate::program::LayerProgram`] — `conv → quantize → dense →
-//! activation` — through the same machinery. The determinism story is
-//! *simpler* than the conv-job one:
-//!
-//! * **Epochs** — a program consumes
-//!   [`epochs_per_frame`](crate::program::LayerProgram::epochs_per_frame)
-//!   (one per optical stage) per frame, so a shard starting at job
-//!   frame `i` carries `first_epoch = base + i · E`.
-//! * **Entry state** — there is no [`FabricEntry`] on a
-//!   [`ProgramShard`]: every executor (local or worker) runs its frames
-//!   through
-//!   [`run_program_frames`](crate::accelerator::OisaAccelerator::run_program_frames),
-//!   which prewarms once, staging the program's own steady state
-//!   regardless of fabric history (and stages each dense matrix once
-//!   for all its frames). Ring
-//!   state after a load depends only on that load's weights, so
-//!   per-frame reports are history-independent by construction and
-//!   shard merges are bit-identical to the sequential reference
-//!   ([`crate::program::run_reference`]) over any fleet shape.
-//! * **Reply shape** — the coordinator checks every frame report of a
-//!   program reply against the program (stage count and kinds, conv
-//!   map count and size, dense and final output lengths) before
-//!   merging, and fails the job with [`OisaError::Backend`], consuming
-//!   no coordinator state, on any mismatch.
-//! * **Cross-job staging** — after a program job, the coordinator's
-//!   `last_staged` records the program's kernel set only when the
-//!   program is pure conv (its dense stages, if any, re-tune arms the
-//!   conv entry-state protocol does not model); otherwise the next
-//!   conv job enters [`FabricEntry::Cold`]. This is the same one-job-
-//!   deep energy caveat as above — feature maps stay exact either way.
+//! construction) never hit this. After a program job the coordinator
+//! records the program's kernel set as staged only when the program
+//! has no dense stage (dense stages re-tune arms the entry states do
+//! not model); otherwise the next conv job enters cold — the same
+//! one-job-deep energy caveat, with feature maps exact either way.
 
 use std::io::{Read, Write};
 
@@ -99,10 +86,11 @@ use crate::error::OisaError;
 use crate::mapping::{ConvWorkload, MappingPlan};
 use crate::program::{LayerProgram, ProgramFrameReport, Stage, StageReport};
 use crate::wire::{
-    self, FabricEntry, InferenceJob, JobShard, ProgramJob, ProgramReport, ProgramShard,
-    ProgramShardRef, RefusalCode, ShardRefusal, ShardReport, WireMessage,
+    self, FabricEntry, InferenceJob, ProgramJob, ProgramReport, ProgramShard, ProgramShardRef,
+    RefusalCode, ShardRefusal, WireMessage,
 };
 use crate::CoreError;
+use oisa_sensor::frame::Frame;
 
 pub mod supervisor;
 pub mod tcp;
@@ -160,13 +148,13 @@ pub trait ComputeBackend: Send {
     /// error, so callers can retry.
     fn run_job(&mut self, job: &InferenceJob) -> BackendResult<Vec<ConvolutionReport>>;
 
-    /// Executes one multi-stage [`ProgramJob`] (wire v4), returning one
+    /// Executes one multi-stage [`ProgramJob`], returning one
     /// [`ProgramFrameReport`] per frame in frame order. Same
     /// determinism contract as [`ComputeBackend::run_job`], with the
     /// program semantics of the module docs.
     ///
     /// The provided implementation refuses: a backend must opt in to
-    /// programs, so pre-v4 test doubles and transports keep compiling
+    /// programs, so conv-only test doubles keep compiling
     /// and fail loudly rather than half-executing.
     ///
     /// # Errors
@@ -283,29 +271,31 @@ impl ComputeBackend for LocalBackend {
     /// sequential reference and any sharded merge), then a per-frame
     /// loop.
     fn run_program(&mut self, job: &ProgramJob) -> BackendResult<Vec<ProgramFrameReport>> {
-        validate_program_job(self, job)?;
+        validate_job(self, &job.program, &job.frames)?;
         Ok(self.accel.run_program_frames(&job.program, &job.frames)?)
     }
 }
 
-/// Validation shared by every program-capable backend: frames present
-/// and imager-sized, program structurally valid and shape-compatible
-/// with the frame dimensions. Returns the program's per-stage output
-/// lengths ([`LayerProgram::output_lens`]).
-fn validate_program_job(
+/// Validation every job path runs before anything executes: frames
+/// present, a first conv stage that maps onto the backend
+/// ([`ComputeBackend::check_workload`], the conv-job checks), a program
+/// shape-compatible with the imager, and imager-sized frames. Returns
+/// the program's per-stage output lengths
+/// ([`LayerProgram::output_lens`]).
+fn validate_job(
     backend: &dyn ComputeBackend,
-    job: &ProgramJob,
+    program: &LayerProgram,
+    frames: &[Frame],
 ) -> BackendResult<Vec<usize>> {
-    if job.frames.is_empty() {
+    if frames.is_empty() {
         return Err(CoreError::InvalidParameter("no frames supplied".into()).into());
     }
-    let (width, height) = backend.frame_dims();
-    let lens = job.program.output_lens(width, height)?;
-    if let Some(Stage::Conv { k, kernels }) = job.program.stages.first() {
+    if let Some(Stage::Conv { k, kernels }) = program.stages.first() {
         backend.check_workload(kernels, *k)?;
     }
-    if let Some(frame) = job
-        .frames
+    let (width, height) = backend.frame_dims();
+    let lens = program.output_lens(width, height)?;
+    if let Some(frame) = frames
         .iter()
         .find(|f| f.width() != width || f.height() != height)
     {
@@ -323,52 +313,18 @@ fn validate_program_job(
 // Worker side
 // ---------------------------------------------------------------------
 
-/// Executes one [`JobShard`] on a fresh accelerator — the worker-side
-/// core both the in-process transport and the process worker loop
-/// ([`serve_worker`]) share.
+/// Executes one [`ProgramShard`] on a fresh accelerator — the
+/// worker-side core both the in-process transport and the process
+/// worker loop ([`serve_worker`]) share.
 ///
 /// Statelessness is the point: everything the shard's physics needs is
 /// in the message (plus the out-of-band `config`, guarded by the
-/// fingerprint), so any worker can execute any shard of any job.
-///
-/// # Errors
-///
-/// [`OisaError::FingerprintMismatch`] on a fingerprint mismatch;
-/// otherwise the accelerator's own validation/substrate errors.
-pub fn execute_shard(config: &OisaConfig, shard: &JobShard) -> BackendResult<ShardReport> {
-    let expected = config.fingerprint();
-    if shard.config_fingerprint != expected {
-        return Err(OisaError::FingerprintMismatch {
-            coordinator: shard.config_fingerprint,
-            worker: expected,
-        });
-    }
-    let mut accel = OisaAccelerator::new(*config)?;
-    accel.align_noise_epoch(shard.first_epoch)?;
-    match &shard.entry {
-        FabricEntry::Cold => {}
-        FabricEntry::WarmSelf => accel.prewarm(&shard.kernels, shard.k)?,
-        FabricEntry::Warm { k, kernels } => accel.prewarm(kernels, *k)?,
-    }
-    let reports = accel.convolve_frames(&shard.frames, &shard.kernels, shard.k)?;
-    Ok(ShardReport {
-        job_id: shard.job_id,
-        shard_index: shard.shard_index,
-        first_frame: shard.first_frame,
-        reports,
-    })
-}
-
-/// Executes one [`ProgramShard`] on a fresh accelerator — the
-/// program counterpart of [`execute_shard`], shared by the in-process
-/// transport and the process worker loop.
-///
-/// No entry state travels:
-/// [`run_program_frames`](crate::accelerator::OisaAccelerator::run_program_frames)
-/// prewarms to the program's own steady state (module docs, "Layer
-/// programs"), so this shard's reports are bit-identical to the same
-/// frames' slice of a sequential run regardless of what the worker ran
-/// before.
+/// fingerprint), so any worker can execute any shard of any job. The
+/// worker aligns its noise epochs to the shard, stages the shard's
+/// [`FabricEntry`] (module docs, mechanism 2) and runs the frame loop
+/// of [`run_program_frames`](OisaAccelerator::run_program_frames), so
+/// the reports are bit-identical to the same frames' slice of a
+/// sequential run.
 ///
 /// # Errors
 ///
@@ -387,7 +343,20 @@ pub fn execute_program_shard(
     }
     let mut accel = OisaAccelerator::new(*config)?;
     accel.align_noise_epoch(shard.first_epoch)?;
-    let reports = accel.run_program_frames(&shard.program, &shard.frames)?;
+    match &shard.entry {
+        FabricEntry::WarmSelf => accel.prewarm_program(&shard.program)?,
+        entry => {
+            // `prewarm_program` checks the program's shapes against the
+            // imager; entering any other way, check them here.
+            shard
+                .program
+                .output_lens(config.imager.width, config.imager.height)?;
+            if let FabricEntry::Warm { k, kernels } = entry {
+                accel.prewarm(kernels, *k)?;
+            }
+        }
+    }
+    let reports = accel.program_frames(&shard.program, &shard.frames)?;
     Ok(ProgramReport {
         job_id: shard.job_id,
         shard_index: shard.shard_index,
@@ -397,11 +366,13 @@ pub fn execute_program_shard(
 }
 
 /// Serves shards from a byte stream until clean EOF: the main loop of
-/// a worker process. Each incoming [`JobShard`] is answered with a
-/// [`ShardReport`] on success or a typed [`ShardRefusal`] (never a
-/// dropped connection) when the shard cannot run; a
-/// [`WireMessage::Ping`] is answered with a [`WireMessage::Pong`]
-/// echoing the nonce and carrying this worker's config fingerprint.
+/// a worker process. Each incoming [`ProgramShard`] is answered with a
+/// [`ProgramReport`] on success or a typed [`ShardRefusal`] (never a
+/// dropped connection) when the shard cannot run, and so is any
+/// request that does not decode — one stamped with another schema
+/// version included; a [`WireMessage::Ping`] is answered with a
+/// [`WireMessage::Pong`] echoing the nonce and carrying this worker's
+/// config fingerprint.
 ///
 /// Returns the number of requests answered.
 ///
@@ -415,25 +386,7 @@ pub fn serve_worker<R: Read, W: Write>(
     reader: &mut R,
     writer: &mut W,
 ) -> BackendResult<u64> {
-    serve_worker_hooked(config, reader, writer, &mut |_| {})
-}
-
-/// [`serve_worker`] with a fault-injection hook: `before_shard` runs
-/// after a shard decodes and before it executes, receiving the count of
-/// shards this call already answered. The `oisa_worker` daemon's
-/// `--fail-after-shards` flag aborts the process from this hook to
-/// simulate a worker dying mid-job; production paths pass a no-op.
-///
-/// # Errors
-///
-/// As [`serve_worker`].
-pub fn serve_worker_hooked<R: Read, W: Write>(
-    config: &OisaConfig,
-    reader: &mut R,
-    writer: &mut W,
-    before_shard: &mut dyn FnMut(u64),
-) -> BackendResult<u64> {
-    serve_worker_configurable(*config, reader, writer, before_shard).map(|o| o.served)
+    serve_worker_configurable(*config, reader, writer, &mut |_| {}).map(|o| o.served)
 }
 
 /// What a worker connection did over its lifetime — returned by
@@ -442,21 +395,29 @@ pub fn serve_worker_hooked<R: Read, W: Write>(
 pub struct ServeOutcome {
     /// Requests answered (shards, pings and config pushes alike).
     pub served: u64,
-    /// v3 [`Configure`](WireMessage::Configure) pushes applied.
+    /// [`Configure`](WireMessage::Configure) pushes applied.
     pub reconfigured: u64,
     /// Fingerprint of the config the connection ended under.
     pub final_fingerprint: u64,
 }
 
-/// The full worker loop, including wire-v3 config push: a
-/// [`WireMessage::Configure`] replaces the connection's working config
-/// (the push was already re-validated during decode) and is answered
-/// with a [`WireMessage::ConfigureAck`] echoing the nonce and carrying
-/// the fingerprint recomputed from the **applied** config. Subsequent
-/// shards and pings run under the pushed physics; the configuration is
-/// connection-local, so a coordinator that reconnects must push again
-/// (which [`TcpTransport`] does automatically when
+/// The full worker loop behind [`serve_worker`], with config push and a
+/// fault-injection hook.
+///
+/// A [`WireMessage::Configure`] replaces the connection's working
+/// config (the push was already re-validated during decode) and is
+/// answered with a [`WireMessage::ConfigureAck`] echoing the nonce and
+/// carrying the fingerprint recomputed from the **applied** config.
+/// Subsequent shards and pings run under the pushed physics; the
+/// configuration is connection-local, so a coordinator that reconnects
+/// must push again (which [`TcpTransport`] does automatically when
 /// built with a config push).
+///
+/// `before_shard` runs after a shard decodes and before it executes,
+/// receiving the count of shards this call already answered. The
+/// `oisa_worker` daemon's `--fail-after-shards` flag aborts the
+/// process from this hook to simulate a worker dying mid-job;
+/// [`serve_worker`] passes a no-op.
 ///
 /// # Errors
 ///
@@ -473,19 +434,6 @@ pub fn serve_worker_configurable<R: Read, W: Write>(
     let mut reconfigured = 0u64;
     while let Some(payload) = wire::read_frame(reader)? {
         let reply = match wire::decode(&payload) {
-            Ok(WireMessage::Shard(shard)) => {
-                before_shard(shards);
-                shards += 1;
-                match execute_shard(&config, &shard) {
-                    Ok(report) => WireMessage::Report(report),
-                    Err(e) => WireMessage::Refusal(ShardRefusal {
-                        job_id: shard.job_id,
-                        shard_index: shard.shard_index,
-                        code: refusal_code_for(&e),
-                        reason: e.to_string(),
-                    }),
-                }
-            }
             Ok(WireMessage::ProgramShard(shard)) => {
                 before_shard(shards);
                 shards += 1;
@@ -515,7 +463,10 @@ pub fn serve_worker_configurable<R: Read, W: Write>(
                 job_id: 0,
                 shard_index: 0,
                 code: RefusalCode::Other,
-                reason: format!("worker expected a JobShard, got {}", message_name(&other)),
+                reason: format!(
+                    "worker expected a ProgramShard, got {}",
+                    message_name(&other)
+                ),
             }),
             Err(e) => WireMessage::Refusal(ShardRefusal {
                 job_id: 0,
@@ -575,15 +526,11 @@ fn refusal_to_error(refusal: ShardRefusal) -> OisaError {
 
 fn message_name(message: &WireMessage) -> &'static str {
     match message {
-        WireMessage::Job(_) => "InferenceJob",
-        WireMessage::Shard(_) => "JobShard",
-        WireMessage::Report(_) => "ShardReport",
         WireMessage::Refusal(_) => "ShardRefusal",
         WireMessage::Ping(_) => "Ping",
         WireMessage::Pong(_) => "Pong",
         WireMessage::Configure(_) => "Configure",
         WireMessage::ConfigureAck(_) => "ConfigureAck",
-        WireMessage::ProgramJob(_) => "ProgramJob",
         WireMessage::ProgramShard(_) => "ProgramShard",
         WireMessage::ProgramReport(_) => "ProgramReport",
     }
@@ -831,7 +778,7 @@ impl ShardedBackend {
     }
 
     /// Pushes this coordinator's full [`OisaConfig`] to worker `index`
-    /// as a wire-v3 [`WireMessage::Configure`] and verifies the
+    /// as a [`WireMessage::Configure`] and verifies the
     /// [`WireMessage::ConfigureAck`]: nonce echoed, applied fingerprint
     /// equal to the coordinator's. After this, a worker started with
     /// different physics serves this coordinator's shards instead of
@@ -844,7 +791,7 @@ impl ShardedBackend {
     /// fingerprint still differs (the worker did not apply the push);
     /// [`OisaError::Backend`] for an out-of-range index or an
     /// unexpected reply; [`OisaError::ShardRefused`] when the worker
-    /// refused the push (e.g. a v2 peer that cannot decode it).
+    /// refused the push.
     pub fn push_config_to_worker(&mut self, index: usize, nonce: u64) -> BackendResult<()> {
         let fleet = self.workers.len();
         let config = self.config;
@@ -856,74 +803,48 @@ impl ShardedBackend {
         push_config_to_transport(worker.as_mut(), &config, nonce)
     }
 
-    /// The fabric entry state a shard starting at job frame `start`
-    /// must carry (module docs, mechanism 2).
-    fn entry_for(&self, job: &InferenceJob, start: usize) -> FabricEntry {
-        if start == 0 {
-            match &self.last_staged {
-                None => FabricEntry::Cold,
-                Some((k, kernels)) if *k == job.k && *kernels == job.kernels => {
-                    FabricEntry::WarmSelf
-                }
-                Some((k, kernels)) => FabricEntry::Warm {
-                    k: *k,
-                    kernels: kernels.clone(),
-                },
-            }
-        } else {
-            FabricEntry::WarmSelf
+    /// The fabric entry state of a conv job's first shard (module docs,
+    /// mechanism 2): what the previous job left staged.
+    fn entry_for(&self, job: &InferenceJob) -> FabricEntry {
+        match &self.last_staged {
+            None => FabricEntry::Cold,
+            Some((k, kernels)) if *k == job.k && *kernels == job.kernels => FabricEntry::WarmSelf,
+            Some((k, kernels)) => FabricEntry::Warm {
+                k: *k,
+                kernels: kernels.clone(),
+            },
         }
     }
 
-    /// Builds the shard messages of a failure-free job — exactly what
-    /// round one of [`ShardedBackend::run_job_with_recovery`]
-    /// dispatches (same [`shard_for_range`], same [`split_count`]) —
+    /// The shard messages of a failure-free conv job, decoded — exactly
+    /// what round one of [`ShardedBackend::run_job_with_recovery`]
+    /// dispatches (same [`ShardPlan::shard`], same [`split_count`]) —
     /// so tests can inspect the partitioning.
     #[cfg(test)]
-    fn plan_shards(&self, job: &InferenceJob) -> Vec<JobShard> {
+    fn plan_shards(&self, job: &InferenceJob) -> Vec<ProgramShard> {
+        let program = conv_program(job);
+        let plan = ShardPlan {
+            job_id: job.job_id,
+            program: &program,
+            frames: &job.frames,
+            entry: self.entry_for(job),
+            base_epoch: self.next_epoch,
+            fingerprint: self.fingerprint,
+        };
         let n = job.frames.len();
-        let fleet = self.workers.len().min(n).max(1);
-        let splits = split_count(n, fleet);
-        let total = u32::try_from(splits.len()).expect("fleet fits u32");
-        let mut shards = Vec::with_capacity(splits.len());
+        let splits = split_count(n, self.workers.len().min(n));
+        let count = u32::try_from(splits.len()).expect("fleet fits u32");
         let mut start = 0usize;
-        for (index, len) in splits.into_iter().enumerate() {
-            shards.push(shard_for_range(
-                job,
-                start,
-                len,
-                u32::try_from(index).expect("fleet fits u32"),
-                total,
-                self.next_epoch,
-                self.fingerprint,
-                self.entry_for(job, start),
-            ));
+        let mut shards = Vec::with_capacity(splits.len());
+        for (index, len) in (0..).zip(splits) {
+            let bytes = wire::encode_program_shard_ref(&plan.shard(start, len, index, count));
+            match wire::decode(&bytes) {
+                Ok(WireMessage::ProgramShard(shard)) => shards.push(shard),
+                other => panic!("a planned shard must decode as one, got {other:?}"),
+            }
             start += len;
         }
         shards
-    }
-
-    /// Validation shared by [`ComputeBackend::run_job`] and the
-    /// recovery path.
-    fn validate_job(&self, job: &InferenceJob) -> BackendResult<()> {
-        if job.frames.is_empty() {
-            return Err(CoreError::InvalidParameter("no frames supplied".into()).into());
-        }
-        self.check_workload(&job.kernels, job.k)?;
-        let (width, height) = self.frame_dims();
-        if let Some(frame) = job
-            .frames
-            .iter()
-            .find(|f| f.width() != width || f.height() != height)
-        {
-            return Err(CoreError::InvalidParameter(format!(
-                "frame is {}x{} but the imager is {width}x{height}",
-                frame.width(),
-                frame.height()
-            ))
-            .into());
-        }
-        Ok(())
     }
 
     /// Dispatches pre-encoded shard messages concurrently, message `i`
@@ -949,6 +870,47 @@ impl ShardedBackend {
     }
 
     /// [`ComputeBackend::run_job`] with a pluggable failure policy —
+    /// the re-plan path of the self-healing fleet. The job runs as the
+    /// one-stage program `[Stage::Conv { k, kernels }]` through
+    /// [`ShardedBackend::run_program_with_recovery`]'s loop, its first
+    /// shard entering the fabric state the previous job left (module
+    /// docs, mechanism 2); each frame's conv stage report is returned.
+    ///
+    /// # Errors
+    ///
+    /// As [`ShardedBackend::run_program_with_recovery`].
+    pub fn run_job_with_recovery(
+        &mut self,
+        job: &InferenceJob,
+        on_failure: &mut dyn FnMut(&str, &OisaError) -> Recovery,
+    ) -> BackendResult<Vec<ConvolutionReport>> {
+        let program = conv_program(job);
+        let lens = validate_job(self, &program, &job.frames)?;
+        let plan = ShardPlan {
+            job_id: job.job_id,
+            program: &program,
+            frames: &job.frames,
+            entry: self.entry_for(job),
+            base_epoch: self.next_epoch,
+            fingerprint: self.fingerprint,
+        };
+        let merged = self.run_plan(&plan, &lens, on_failure)?;
+        // `check_program_reports` let through only one conv stage per
+        // frame.
+        let reports = merged
+            .into_iter()
+            .map(|frame| match <[StageReport; 1]>::try_from(frame.stages) {
+                Ok([StageReport::Conv(conv)]) => Ok(conv),
+                _ => Err(OisaError::Backend(
+                    "a conv job's frame report holds no conv stage".into(),
+                )),
+            })
+            .collect::<BackendResult<Vec<_>>>()?;
+        self.commit(&program, job.frames.len());
+        Ok(reports)
+    }
+
+    /// [`ComputeBackend::run_program`] with a pluggable failure policy —
     /// the re-plan path of the self-healing fleet.
     ///
     /// Execution proceeds in rounds. Each round covers the not yet
@@ -969,138 +931,68 @@ impl ShardedBackend {
     /// never affect results, the merged report stream is
     /// **bit-identical** whatever sequence of failures, promotions and
     /// re-plans occurred. Non-transport failures (refusals, fingerprint
-    /// mismatches, protocol faults) abort immediately — retrying them
-    /// cannot help. On error, no coordinator state advances, so the
-    /// whole job can be retried.
+    /// mismatches, protocol faults, replies of the wrong shape) abort
+    /// immediately — retrying them cannot help. On error, no
+    /// coordinator state advances, so the whole job can be retried.
     ///
     /// # Errors
     ///
     /// The aborting failure, or [`OisaError::Backend`] when the fleet
     /// is exhausted while frames remain.
-    pub fn run_job_with_recovery(
-        &mut self,
-        job: &InferenceJob,
-        on_failure: &mut dyn FnMut(&str, &OisaError) -> Recovery,
-    ) -> BackendResult<Vec<ConvolutionReport>> {
-        self.validate_job(job)?;
-        let n = job.frames.len();
-        let next_epoch = self.next_epoch;
-        let fingerprint = self.fingerprint;
-        // Entry state is a function of *pre-job* coordinator state, so
-        // it is captured before the rounds (which may mutate the fleet
-        // but never the staging cursor).
-        let entry0 = self.entry_for(job, 0);
-        let job_id = job.job_id;
-        let merged = self.run_with_recovery_impl(
-            n,
-            &mut |start, len, index, count| {
-                let entry = if start == 0 {
-                    entry0.clone()
-                } else {
-                    FabricEntry::WarmSelf
-                };
-                wire::encode_shard(&shard_for_range(
-                    job,
-                    start,
-                    len,
-                    index,
-                    count,
-                    next_epoch,
-                    fingerprint,
-                    entry,
-                ))
-            },
-            &|start, len, index, payload| settle_shard_reply(job_id, start, len, index, payload),
-            on_failure,
-        )?;
-
-        // Only now does coordinator state advance: a failed job above
-        // consumed nothing, so a retry re-executes identically.
-        self.next_epoch += n as u64;
-        self.last_staged = Some((job.k, job.kernels.clone()));
-        self.jobs_run += 1;
-        Ok(merged)
-    }
-
-    /// [`ComputeBackend::run_program`] with the same pluggable failure
-    /// policy as [`ShardedBackend::run_job_with_recovery`] — programs
-    /// ride the identical round/re-plan/merge engine, they just carry
-    /// a [`ProgramShard`] and stride
-    /// [`epochs_per_frame`](crate::program::LayerProgram::epochs_per_frame)
-    /// epochs per frame.
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardedBackend::run_job_with_recovery`].
     pub fn run_program_with_recovery(
         &mut self,
         job: &ProgramJob,
         on_failure: &mut dyn FnMut(&str, &OisaError) -> Recovery,
     ) -> BackendResult<Vec<ProgramFrameReport>> {
-        let lens = validate_program_job(self, job)?;
-        let dims = self.frame_dims();
-        let n = job.frames.len();
-        let stride = job.program.epochs_per_frame();
-        let next_epoch = self.next_epoch;
-        let fingerprint = self.fingerprint;
-        let job_id = job.job_id;
-        let merged = self.run_with_recovery_impl(
-            n,
-            &mut |start, len, index, count| {
-                wire::encode_program_shard_ref(&ProgramShardRef {
-                    job_id,
-                    shard_index: index,
-                    shard_count: count,
-                    first_frame: start as u64,
-                    first_epoch: next_epoch + start as u64 * stride,
-                    config_fingerprint: fingerprint,
-                    program: &job.program,
-                    frames: &job.frames[start..start + len],
-                })
-            },
-            &|start, len, index, payload| {
-                let reports = settle_program_reply(job_id, start, len, index, payload)?;
-                check_program_reports(&job.program, &lens, dims, index, &reports)?;
-                Ok(reports)
-            },
-            on_failure,
-        )?;
+        let lens = validate_job(self, &job.program, &job.frames)?;
+        let plan = ShardPlan {
+            job_id: job.job_id,
+            program: &job.program,
+            frames: &job.frames,
+            entry: FabricEntry::WarmSelf,
+            base_epoch: self.next_epoch,
+            fingerprint: self.fingerprint,
+        };
+        let merged = self.run_plan(&plan, &lens, on_failure)?;
+        self.commit(&job.program, job.frames.len());
+        Ok(merged)
+    }
 
-        self.next_epoch += n as u64 * stride;
-        // A pure conv program leaves the fabric holding its kernel set
-        // exactly like a conv job would; dense stages re-tune arms the
-        // conv entry-state protocol does not model, so the next conv
-        // job enters cold (module docs, "Layer programs").
-        let has_dense = job
-            .program
+    /// Advances the coordinator past a merged job of `frames` frames
+    /// through `program` — only ever after every shard merged, so a
+    /// failed job consumes nothing and a retry re-executes identically.
+    /// A program with no dense stage leaves its conv kernels staged;
+    /// any other program leaves nothing the entry states model (module
+    /// docs).
+    fn commit(&mut self, program: &LayerProgram, frames: usize) {
+        self.next_epoch += frames as u64 * program.epochs_per_frame();
+        let has_dense = program
             .stages
             .iter()
             .any(|s| matches!(s, Stage::Dense { .. }));
-        self.last_staged = match job.program.stages.first() {
+        self.last_staged = match program.stages.first() {
             Some(Stage::Conv { k, kernels }) if !has_dense => Some((*k, kernels.clone())),
             _ => None,
         };
         self.jobs_run += 1;
-        Ok(merged)
     }
 
-    /// The shared round/re-plan/merge engine behind both recovery
-    /// entry points. `make_message` builds the encoded shard message
-    /// for the frame range `start..start + len` with the given shard
-    /// index/count; `settle` decodes and echo-checks one reply,
-    /// returning that range's per-frame reports. Advances **no**
-    /// coordinator state — callers commit their epoch/staging cursors
-    /// only after this returns `Ok`.
-    fn run_with_recovery_impl<Out>(
+    /// The round/re-plan/merge engine behind both recovery entry
+    /// points: cuts the pending frame ranges into shards of `plan`,
+    /// dispatches them, settles every reply (echo fields, then shape
+    /// against the program's output `lens`) and merges in frame order.
+    /// Advances **no** coordinator state.
+    fn run_plan(
         &mut self,
-        n: usize,
-        make_message: &mut dyn FnMut(usize, usize, u32, u32) -> Vec<u8>,
-        settle: SettleFn<'_, Out>,
+        plan: &ShardPlan<'_>,
+        lens: &[usize],
         on_failure: &mut dyn FnMut(&str, &OisaError) -> Recovery,
-    ) -> BackendResult<Vec<Out>> {
+    ) -> BackendResult<Vec<ProgramFrameReport>> {
+        let n = plan.frames.len();
+        let dims = self.frame_dims();
         // Frame ranges not yet merged, kept sorted and disjoint.
         let mut pending: Vec<(usize, usize)> = vec![(0, n)];
-        let mut collected: Vec<(usize, Vec<Out>)> = Vec::new();
+        let mut collected: Vec<(usize, Vec<ProgramFrameReport>)> = Vec::new();
         let mut shard_seq = 0u32;
         while !pending.is_empty() {
             // Cover the pending ranges with at most one shard per
@@ -1149,7 +1041,9 @@ impl ShardedBackend {
                 .collect();
             let messages: Vec<Vec<u8>> = round
                 .iter()
-                .map(|&(start, len, index)| make_message(start, len, index, dispatched))
+                .map(|&(start, len, index)| {
+                    wire::encode_program_shard_ref(&plan.shard(start, len, index, dispatched))
+                })
                 .collect();
             let replies = self.dispatch_round(&messages);
 
@@ -1159,7 +1053,13 @@ impl ShardedBackend {
             // removals cannot shift a slot that still needs handling.
             let mut failures: Vec<(usize, OisaError)> = Vec::new();
             for (slot, (&(start, len, index), reply)) in round.iter().zip(replies).enumerate() {
-                match reply.and_then(|payload| settle(start, len, index, &payload)) {
+                let settled = reply
+                    .and_then(|payload| settle_reply(plan.job_id, start, len, index, &payload))
+                    .and_then(|reports| {
+                        check_program_reports(plan.program, lens, dims, index, &reports)?;
+                        Ok(reports)
+                    });
+                match settled {
                     Ok(reports) => collected.push((start, reports)),
                     Err(e @ OisaError::Transport { .. }) => failures.push((slot, e)),
                     Err(other) => return Err(other),
@@ -1190,7 +1090,7 @@ impl ShardedBackend {
         }
 
         // Merge in frame order and verify the cover is exact. The
-        // planned start doubles as the merge key because `settle`
+        // planned start doubles as the merge key because `settle_reply`
         // verified each reply's first-frame echo against it.
         collected.sort_by_key(|(first, _)| *first);
         let mut merged = Vec::with_capacity(n);
@@ -1214,38 +1114,56 @@ impl ShardedBackend {
     }
 }
 
-/// Builds one shard covering job frames `start..start + len`. Shard
-/// boundaries never affect results (module docs), so *any* contiguous
-/// cover of the job's frames merges bit-identically — the invariant
-/// the re-plan path stands on. A free function (not a method) because
-/// the recovery loop's planner closure runs while the loop mutates the
-/// fleet; coordinator state enters as explicit values.
-#[allow(clippy::too_many_arguments)]
-fn shard_for_range(
-    job: &InferenceJob,
-    start: usize,
-    len: usize,
-    shard_index: u32,
-    shard_count: u32,
-    next_epoch: u64,
-    fingerprint: u64,
-    entry: FabricEntry,
-) -> JobShard {
-    JobShard {
-        job_id: job.job_id,
-        shard_index,
-        shard_count,
-        first_frame: start as u64,
-        first_epoch: next_epoch + start as u64,
-        config_fingerprint: fingerprint,
-        entry,
-        k: job.k,
-        kernels: job.kernels.clone(),
-        frames: job.frames[start..start + len].to_vec(),
+/// The one-stage program a conv job runs as.
+fn conv_program(job: &InferenceJob) -> LayerProgram {
+    LayerProgram {
+        stages: vec![Stage::Conv {
+            k: job.k,
+            kernels: job.kernels.clone(),
+        }],
     }
 }
 
-/// How [`ShardedBackend::run_job_with_recovery`] reacts to a worker
+/// What every shard of one job shares, fixed before the first round —
+/// the coordinator state enters as values, because the recovery loop
+/// cuts shards while it mutates the fleet.
+struct ShardPlan<'a> {
+    job_id: u64,
+    program: &'a LayerProgram,
+    frames: &'a [Frame],
+    /// Entry state of the shard that holds frame 0; every other shard
+    /// enters [`FabricEntry::WarmSelf`].
+    entry: FabricEntry,
+    /// Absolute noise epoch of frame 0.
+    base_epoch: u64,
+    fingerprint: u64,
+}
+
+impl ShardPlan<'_> {
+    /// The shard covering job frames `start..start + len`. Shard
+    /// boundaries never affect results (module docs), so *any*
+    /// contiguous cover of the job's frames merges bit-identically —
+    /// the invariant the re-plan path stands on.
+    fn shard(&self, start: usize, len: usize, index: u32, count: u32) -> ProgramShardRef<'_> {
+        ProgramShardRef {
+            job_id: self.job_id,
+            shard_index: index,
+            shard_count: count,
+            first_frame: start as u64,
+            first_epoch: self.base_epoch + start as u64 * self.program.epochs_per_frame(),
+            config_fingerprint: self.fingerprint,
+            entry: if start == 0 {
+                &self.entry
+            } else {
+                &FabricEntry::WarmSelf
+            },
+            program: self.program,
+            frames: &self.frames[start..start + len],
+        }
+    }
+}
+
+/// How [`ShardedBackend::run_program_with_recovery`] reacts to a worker
 /// whose transport failed.
 pub enum Recovery {
     /// Swap the failed slot for this transport (a promoted spare) and
@@ -1309,7 +1227,7 @@ pub(crate) fn probe_transport(
     }
 }
 
-/// The wire-v3 [`WireMessage::Configure`] push over any
+/// The [`WireMessage::Configure`] push over any
 /// [`ShardTransport`]: sends `config` in full and verifies the
 /// [`WireMessage::ConfigureAck`] echoes `nonce` and acknowledges the
 /// fingerprint of the *applied* config.
@@ -1319,9 +1237,8 @@ pub(crate) fn probe_transport(
 /// Transport failures from the round trip;
 /// [`OisaError::FingerprintMismatch`] when the acknowledged
 /// fingerprint differs (the worker did not apply the push);
-/// [`OisaError::ShardRefused`] when the worker refused it (e.g. a v2
-/// peer that cannot decode a Configure); [`OisaError::Backend`] for
-/// any other reply.
+/// [`OisaError::ShardRefused`] when the worker refused it;
+/// [`OisaError::Backend`] for any other reply.
 pub(crate) fn push_config_to_transport(
     worker: &mut dyn ShardTransport,
     config: &OisaConfig,
@@ -1353,69 +1270,11 @@ pub(crate) fn push_config_to_transport(
     }
 }
 
-/// A recovery-loop settle callback: decodes and echo-checks one
-/// worker reply for the frame range `start..start + len` of shard
-/// `index`, yielding that range's per-frame outputs.
-type SettleFn<'a, Out> = &'a dyn Fn(usize, usize, u32, &[u8]) -> BackendResult<Vec<Out>>;
-
-/// Shared echo verification of [`settle_shard_reply`] /
-/// [`settle_program_reply`]: a misrouted or stale reply cannot
-/// silently corrupt the merged stream.
-fn check_reply_echo(
-    expected: (u64, u32, u64, usize),
-    got: (u64, u32, u64, usize),
-) -> BackendResult<()> {
-    let (job_id, shard_index, first_frame, frames) = expected;
-    let (got_job, got_index, got_first, got_reports) = got;
-    if got_job != job_id || got_index != shard_index || got_first != first_frame {
-        return Err(OisaError::Backend(format!(
-            "shard reply mismatch: expected job {job_id} shard {shard_index} \
-             first_frame {first_frame}, \
-             got job {got_job} shard {got_index} first_frame {got_first}"
-        )));
-    }
-    if got_reports != frames {
-        return Err(OisaError::Backend(format!(
-            "shard {shard_index} returned {got_reports} reports for {frames} frames"
-        )));
-    }
-    Ok(())
-}
-
-/// Verifies one conv-shard reply end to end: decodes it, maps refusals
-/// to typed errors and checks every echo field against the planned
-/// range.
-fn settle_shard_reply(
-    job_id: u64,
-    start: usize,
-    len: usize,
-    index: u32,
-    payload: &[u8],
-) -> BackendResult<Vec<ConvolutionReport>> {
-    let report = match wire::decode(payload)? {
-        WireMessage::Report(report) => report,
-        WireMessage::Refusal(refusal) => return Err(refusal_to_error(refusal)),
-        other => {
-            return Err(OisaError::Backend(format!(
-                "worker answered shard {index} with a {}",
-                message_name(&other)
-            )));
-        }
-    };
-    check_reply_echo(
-        (job_id, index, start as u64, len),
-        (
-            report.job_id,
-            report.shard_index,
-            report.first_frame,
-            report.reports.len(),
-        ),
-    )?;
-    Ok(report.reports)
-}
-
-/// [`settle_shard_reply`] for program shards.
-fn settle_program_reply(
+/// Verifies one worker reply for the frame range `start..start + len`
+/// of shard `index`: decodes it, maps refusals to typed errors and
+/// checks every echo field against the planned range, so a misrouted
+/// or stale reply cannot silently corrupt the merged stream.
+fn settle_reply(
     job_id: u64,
     start: usize,
     len: usize,
@@ -1427,20 +1286,25 @@ fn settle_program_reply(
         WireMessage::Refusal(refusal) => return Err(refusal_to_error(refusal)),
         other => {
             return Err(OisaError::Backend(format!(
-                "worker answered program shard {index} with a {}",
+                "worker answered shard {index} with a {}",
                 message_name(&other)
             )));
         }
     };
-    check_reply_echo(
-        (job_id, index, start as u64, len),
-        (
-            report.job_id,
-            report.shard_index,
-            report.first_frame,
-            report.reports.len(),
-        ),
-    )?;
+    let first_frame = start as u64;
+    if report.job_id != job_id || report.shard_index != index || report.first_frame != first_frame {
+        return Err(OisaError::Backend(format!(
+            "shard reply mismatch: expected job {job_id} shard {index} \
+             first_frame {first_frame}, got job {} shard {} first_frame {}",
+            report.job_id, report.shard_index, report.first_frame
+        )));
+    }
+    if report.reports.len() != len {
+        return Err(OisaError::Backend(format!(
+            "shard {index} returned {} reports for {len} frames",
+            report.reports.len()
+        )));
+    }
     Ok(report.reports)
 }
 
@@ -1554,7 +1418,7 @@ mod tests {
 
     #[test]
     fn shard_planning_partitions_frames_epochs_and_entry_states() {
-        let backend = ShardedBackend::in_process(cfg(6), 3).unwrap();
+        let mut backend = ShardedBackend::in_process(cfg(6), 3).unwrap();
         let job = InferenceJob {
             job_id: 9,
             k: 3,
@@ -1563,6 +1427,10 @@ mod tests {
         };
         let shards = backend.plan_shards(&job);
         assert_eq!(shards.len(), 3);
+        // Every shard carries the job as the one-stage conv program.
+        for shard in &shards {
+            assert_eq!(shard.program, conv_program(&job));
+        }
         // 7 frames over 3 workers: 3 + 2 + 2, contiguous.
         assert_eq!(
             shards.iter().map(|s| s.frames.len()).collect::<Vec<_>>(),
@@ -1580,6 +1448,26 @@ mod tests {
         assert_eq!(shards[0].entry, FabricEntry::Cold);
         assert_eq!(shards[1].entry, FabricEntry::WarmSelf);
         assert_eq!(shards[2].entry, FabricEntry::WarmSelf);
+        // After a job, the first shard replays what it left staged:
+        // the job's own kernels enter warm, other kernels enter from
+        // the previous set. Epochs continue the stream.
+        backend.commit(&conv_program(&job), job.frames.len());
+        let again = backend.plan_shards(&job);
+        assert_eq!(again[0].entry, FabricEntry::WarmSelf);
+        assert_eq!(again[0].first_epoch, 7);
+        let other = InferenceJob {
+            kernels: vec![vec![-0.25f32; 9]; 2],
+            ..job.clone()
+        };
+        let shards = backend.plan_shards(&other);
+        assert_eq!(
+            shards[0].entry,
+            FabricEntry::Warm {
+                k: 3,
+                kernels: job.kernels.clone(),
+            }
+        );
+        assert_eq!(shards[1].entry, FabricEntry::WarmSelf);
         // More workers than frames engages only as many as there are
         // frames.
         let tiny = InferenceJob {
@@ -1597,7 +1485,13 @@ mod tests {
         worker_cfg.seed = 8; // different physics
         let coordinator_fp = cfg(7).fingerprint();
         let worker_fp = worker_cfg.fingerprint();
-        let shard = JobShard {
+        let job = InferenceJob {
+            job_id: 3,
+            k: 3,
+            kernels: vec![vec![0.5f32; 9]],
+            frames: frames(1),
+        };
+        let shard = ProgramShard {
             job_id: 3,
             shard_index: 0,
             shard_count: 1,
@@ -1605,11 +1499,10 @@ mod tests {
             first_epoch: 0,
             config_fingerprint: coordinator_fp,
             entry: FabricEntry::Cold,
-            k: 3,
-            kernels: vec![vec![0.5f32; 9]],
+            program: conv_program(&job),
             frames: frames(1),
         };
-        let err = execute_shard(&worker_cfg, &shard).unwrap_err();
+        let err = execute_program_shard(&worker_cfg, &shard).unwrap_err();
         assert_eq!(
             err,
             OisaError::FingerprintMismatch {
@@ -1622,7 +1515,7 @@ mod tests {
         // carries both fingerprints...
         let mut transport = InProcessWorker::new(worker_cfg);
         let reply = transport
-            .round_trip(&wire::encode(&WireMessage::Shard(shard)))
+            .round_trip(&wire::encode(&WireMessage::ProgramShard(shard)))
             .unwrap();
         match wire::decode(&reply).unwrap() {
             WireMessage::Refusal(refusal) => {
@@ -1639,12 +1532,6 @@ mod tests {
         }
         // ...and the coordinator maps it back to the same typed error.
         let mut backend = ShardedBackend::new(cfg(7), vec![Box::new(transport)]).unwrap();
-        let job = InferenceJob {
-            job_id: 3,
-            k: 3,
-            kernels: vec![vec![0.5f32; 9]],
-            frames: frames(1),
-        };
         assert_eq!(
             backend.run_job(&job).unwrap_err(),
             OisaError::FingerprintMismatch {
@@ -1686,19 +1573,37 @@ mod tests {
         }
         // A well-formed message of the wrong type is named in the
         // refusal.
-        let job = InferenceJob {
-            job_id: 1,
-            k: 3,
-            kernels: vec![vec![0.5f32; 9]],
-            frames: frames(1),
-        };
         let reply = transport
-            .round_trip(&wire::encode(&WireMessage::Job(job)))
+            .round_trip(&wire::encode(&WireMessage::Pong(wire::Handshake {
+                nonce: 1,
+                config_fingerprint: 2,
+            })))
             .unwrap();
         match wire::decode(&reply).unwrap() {
             WireMessage::Refusal(refusal) => {
+                assert!(refusal.reason.contains("Pong"), "{}", refusal.reason);
+            }
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn worker_answers_a_ping_of_another_schema_version_with_a_refusal() {
+        let mut ping = wire::encode(&WireMessage::Ping(wire::Handshake {
+            nonce: 5,
+            config_fingerprint: 0,
+        }));
+        ping[2..4].copy_from_slice(&4u16.to_le_bytes());
+        let mut request = Vec::new();
+        wire::write_frame(&mut request, &ping).unwrap();
+        let mut replies = Vec::new();
+        let served = serve_worker(&cfg(12), &mut request.as_slice(), &mut replies).unwrap();
+        assert_eq!(served, 1, "the stale ping is answered, not dropped");
+        match wire::receive(&mut replies.as_slice()).unwrap() {
+            Some(WireMessage::Refusal(refusal)) => {
+                assert_eq!(refusal.code, RefusalCode::Other);
                 assert!(
-                    refusal.reason.contains("InferenceJob"),
+                    refusal.reason.contains("unsupported schema version 4"),
                     "{}",
                     refusal.reason
                 );

@@ -12,7 +12,7 @@
 //! 1. **Quarantine** — the failed endpoint is recorded (label + error)
 //!    and never dialed again by this supervisor.
 //! 2. **Promote** — a spare is admission-checked (liveness ping, or a
-//!    wire-v3 config push when
+//!    config push when
 //!    [`SupervisorOptions::push_config_to_spares`] is set) and swapped
 //!    into the failed slot; the failed shard re-runs on it.
 //! 3. **Re-plan** — with no admissible spare left, the failed shard's
@@ -55,10 +55,10 @@ pub struct SupervisorOptions {
     /// lazily before dispatching). `None` disables interval checks;
     /// [`FleetSupervisor::health_check_now`] still works.
     pub health_interval: Option<Duration>,
-    /// Admit spares (and newly supervised workers) with a wire-v3
-    /// config push instead of a fingerprint-checking ping — required
-    /// for heterogeneous fleets whose spares were started with
-    /// different physics.
+    /// Admit spares (and newly supervised workers) with a config push
+    /// instead of a fingerprint-checking ping — required for
+    /// heterogeneous fleets whose spares were started with different
+    /// physics.
     pub push_config_to_spares: bool,
 }
 
@@ -140,23 +140,19 @@ pub struct FleetStatus {
 /// ```
 pub struct FleetSupervisor {
     backend: ShardedBackend,
-    spares: Vec<Box<dyn ShardTransport>>,
+    ladder: Ladder,
     options: SupervisorOptions,
-    quarantined: Vec<QuarantineEvent>,
-    promotions: u64,
-    replans: u64,
     last_sweep: Option<Instant>,
-    nonce: u64,
 }
 
 impl std::fmt::Debug for FleetSupervisor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FleetSupervisor")
             .field("active", &self.backend.worker_count())
-            .field("spares", &self.spares.len())
-            .field("quarantined", &self.quarantined)
-            .field("promotions", &self.promotions)
-            .field("replans", &self.replans)
+            .field("spares", &self.ladder.spares.len())
+            .field("quarantined", &self.ladder.quarantined)
+            .field("promotions", &self.ladder.promotions)
+            .field("replans", &self.ladder.replans)
             .finish_non_exhaustive()
     }
 }
@@ -165,9 +161,9 @@ impl FleetSupervisor {
     /// Supervises `active` workers with `spares` on the bench, all
     /// executing under `config`. With
     /// [`SupervisorOptions::push_config_to_spares`] set, every active
-    /// worker receives a wire-v3 config push up front, so a
-    /// heterogeneous fleet converges at admission instead of refusing
-    /// the first shard.
+    /// worker receives a config push up front, so a heterogeneous
+    /// fleet converges at admission instead of refusing the first
+    /// shard.
     ///
     /// # Errors
     ///
@@ -182,26 +178,22 @@ impl FleetSupervisor {
         let backend = ShardedBackend::new(config, active)?;
         let mut supervisor = Self {
             backend,
-            spares,
+            ladder: Ladder {
+                spares,
+                quarantined: Vec::new(),
+                promotions: 0,
+                replans: 0,
+                nonce: 0,
+                push_config: options.push_config_to_spares.then_some(config),
+                fingerprint: config.fingerprint(),
+            },
             options,
-            quarantined: Vec::new(),
-            promotions: 0,
-            replans: 0,
             last_sweep: None,
-            nonce: 0,
         };
         if options.push_config_to_spares {
-            for index in 0..supervisor.backend.worker_count() {
-                let nonce = supervisor.next_nonce();
-                supervisor.backend.push_config_to_worker(index, nonce)?;
-            }
+            supervisor.push_config_to_fleet()?;
         }
         Ok(supervisor)
-    }
-
-    fn next_nonce(&mut self) -> u64 {
-        self.nonce = self.nonce.wrapping_add(1);
-        self.nonce
     }
 
     /// The current fleet shape and recovery counters.
@@ -209,17 +201,17 @@ impl FleetSupervisor {
     pub fn status(&self) -> FleetStatus {
         FleetStatus {
             active: self.backend.worker_count(),
-            spares: self.spares.len(),
-            quarantined: self.quarantined.len(),
-            promotions: self.promotions,
-            replans: self.replans,
+            spares: self.ladder.spares.len(),
+            quarantined: self.ladder.quarantined.len(),
+            promotions: self.ladder.promotions,
+            replans: self.ladder.replans,
         }
     }
 
     /// Every quarantine recorded so far, oldest first.
     #[must_use]
     pub fn quarantine_log(&self) -> &[QuarantineEvent] {
-        &self.quarantined
+        &self.ladder.quarantined
     }
 
     /// Read access to the supervised backend (fleet shape, job
@@ -240,7 +232,7 @@ impl FleetSupervisor {
     /// acknowledged a different fingerprint).
     pub fn push_config_to_fleet(&mut self) -> BackendResult<()> {
         for index in 0..self.backend.worker_count() {
-            let nonce = self.next_nonce();
+            let nonce = self.ladder.next_nonce();
             self.backend.push_config_to_worker(index, nonce)?;
         }
         Ok(())
@@ -264,19 +256,18 @@ impl FleetSupervisor {
         // Descending order: removals never shift a slot still waiting
         // to be probed.
         for index in (0..self.backend.worker_count()).rev() {
-            let nonce = self.next_nonce();
-            let outcome = self.backend.ping_worker(index, nonce);
-            let error = match outcome {
+            let nonce = self.ladder.next_nonce();
+            let error = match self.backend.ping_worker(index, nonce) {
                 Ok(_fingerprint) => continue,
                 Err(e) => e,
             };
             failed += 1;
-            self.quarantine(index, &error);
-            match self.promote_spare() {
-                Some(spare) => {
-                    self.promotions += 1;
-                    self.backend.replace_worker(index, spare)?;
-                }
+            let label = self
+                .backend
+                .worker_label(index)
+                .unwrap_or_else(|| format!("worker-{index}"));
+            match self.ladder.promote(&label, &error) {
+                Some(spare) => self.backend.replace_worker(index, spare)?,
                 None if self.backend.worker_count() > 1 => {
                     self.backend.remove_worker(index)?;
                 }
@@ -290,41 +281,6 @@ impl FleetSupervisor {
         Ok(failed)
     }
 
-    /// Records a quarantine for the worker currently at `index`.
-    fn quarantine(&mut self, index: usize, error: &OisaError) {
-        let label = self
-            .backend
-            .worker_label(index)
-            .unwrap_or_else(|| format!("worker-{index}"));
-        self.quarantined.push(QuarantineEvent {
-            label,
-            error: error.to_string(),
-        });
-    }
-
-    /// Takes the next admissible spare off the bench: each candidate
-    /// is liveness-probed (or config-pushed, per the options); dead
-    /// spares are quarantined too and the search continues.
-    fn promote_spare(&mut self) -> Option<Box<dyn ShardTransport>> {
-        while let Some(mut spare) = self.spares.pop() {
-            let nonce = self.next_nonce();
-            let admission = if self.options.push_config_to_spares {
-                push_config_to_transport(spare.as_mut(), self.backend.config(), nonce)
-            } else {
-                probe_transport(spare.as_mut(), self.backend.config().fingerprint(), nonce)
-                    .map(|_fingerprint| ())
-            };
-            match admission {
-                Ok(()) => return Some(spare),
-                Err(error) => self.quarantined.push(QuarantineEvent {
-                    label: spare.endpoint_label(),
-                    error: format!("spare failed admission: {error}"),
-                }),
-            }
-        }
-        None
-    }
-
     /// Runs the interval sweep if it is due.
     fn maybe_sweep(&mut self) -> BackendResult<()> {
         let Some(interval) = self.options.health_interval else {
@@ -335,6 +291,24 @@ impl FleetSupervisor {
             self.health_check_now()?;
         }
         Ok(())
+    }
+
+    /// Runs one job on the supervised backend after any due sweep,
+    /// with the escalation ladder as its failure policy — the body
+    /// both job kinds share. The ladder lives in its own field, so the
+    /// recovery closure borrows it while `run` borrows the backend.
+    fn run_supervised<T>(
+        &mut self,
+        run: impl FnOnce(
+            &mut ShardedBackend,
+            &mut dyn FnMut(&str, &OisaError) -> Recovery,
+        ) -> BackendResult<T>,
+    ) -> BackendResult<T> {
+        self.maybe_sweep()?;
+        let ladder = &mut self.ladder;
+        run(&mut self.backend, &mut |label, error| {
+            ladder.escalate(label, error)
+        })
     }
 }
 
@@ -349,114 +323,83 @@ impl ComputeBackend for FleetSupervisor {
     /// re-planned across the survivors. Either way the merged report
     /// stream is bit-identical to the no-failure run.
     fn run_job(&mut self, job: &InferenceJob) -> BackendResult<Vec<ConvolutionReport>> {
-        self.maybe_sweep()?;
-        // Split borrows: the recovery closure may not touch
-        // `self.backend` (mutably borrowed by the call), so promotion
-        // candidates and bookkeeping live in locals.
-        let config_fingerprint = self.backend.config().fingerprint();
-        let push_config = self
-            .options
-            .push_config_to_spares
-            .then(|| *self.backend.config());
-        let spares = &mut self.spares;
-        let quarantined = &mut self.quarantined;
-        let promotions = &mut self.promotions;
-        let replans = &mut self.replans;
-        let nonce = &mut self.nonce;
-        let backend = &mut self.backend;
-        backend.run_job_with_recovery(job, &mut |label, error| {
-            escalate(
-                spares,
-                quarantined,
-                promotions,
-                replans,
-                nonce,
-                push_config.as_ref(),
-                config_fingerprint,
-                label,
-                error,
-            )
-        })
+        self.run_supervised(|backend, on_failure| backend.run_job_with_recovery(job, on_failure))
     }
 
     /// [`ShardedBackend::run_program`](ComputeBackend::run_program)
-    /// behind the same escalation ladder as [`run_job`]: layer-program
-    /// shards lost to a dead worker re-run on promoted spares or
-    /// re-plan across the survivors, and the merged per-frame report
-    /// stream stays bit-identical to the no-failure run.
+    /// behind the same escalation ladder as [`run_job`].
     ///
     /// [`run_job`]: ComputeBackend::run_job
     fn run_program(&mut self, job: &ProgramJob) -> BackendResult<Vec<ProgramFrameReport>> {
-        self.maybe_sweep()?;
-        // Same split-borrow discipline as `run_job`.
-        let config_fingerprint = self.backend.config().fingerprint();
-        let push_config = self
-            .options
-            .push_config_to_spares
-            .then(|| *self.backend.config());
-        let spares = &mut self.spares;
-        let quarantined = &mut self.quarantined;
-        let promotions = &mut self.promotions;
-        let replans = &mut self.replans;
-        let nonce = &mut self.nonce;
-        let backend = &mut self.backend;
-        backend.run_program_with_recovery(job, &mut |label, error| {
-            escalate(
-                spares,
-                quarantined,
-                promotions,
-                replans,
-                nonce,
-                push_config.as_ref(),
-                config_fingerprint,
-                label,
-                error,
-            )
+        self.run_supervised(|backend, on_failure| {
+            backend.run_program_with_recovery(job, on_failure)
         })
     }
 }
 
-/// The escalation ladder shared by every supervised job kind (conv
-/// jobs and layer programs): quarantine the failed endpoint, admit a
-/// spare if one passes its admission check (promote), otherwise fall
-/// back to re-planning the lost range across the survivors (shrink).
-#[allow(clippy::too_many_arguments)]
-fn escalate(
-    spares: &mut Vec<Box<dyn ShardTransport>>,
-    quarantined: &mut Vec<QuarantineEvent>,
-    promotions: &mut u64,
-    replans: &mut u64,
-    nonce: &mut u64,
-    push_config: Option<&OisaConfig>,
-    config_fingerprint: u64,
-    label: &str,
-    error: &OisaError,
-) -> Recovery {
-    quarantined.push(QuarantineEvent {
-        label: label.to_string(),
-        error: error.to_string(),
-    });
-    while let Some(mut spare) = spares.pop() {
-        *nonce = nonce.wrapping_add(1);
-        let admission = match push_config {
-            Some(config) => push_config_to_transport(spare.as_mut(), config, *nonce),
+/// The spare bench and the escalation ladder's bookkeeping, apart from
+/// the backend so a recovery closure can hold it mid-job.
+struct Ladder {
+    spares: Vec<Box<dyn ShardTransport>>,
+    quarantined: Vec<QuarantineEvent>,
+    promotions: u64,
+    replans: u64,
+    nonce: u64,
+    /// Admission: push this config to a spare when set
+    /// ([`SupervisorOptions::push_config_to_spares`]), else ping it and
+    /// require `fingerprint` back.
+    push_config: Option<OisaConfig>,
+    fingerprint: u64,
+}
+
+impl Ladder {
+    fn next_nonce(&mut self) -> u64 {
+        self.nonce = self.nonce.wrapping_add(1);
+        self.nonce
+    }
+
+    /// Quarantines the failed endpoint `label` and promotes the next
+    /// admissible spare off the bench: each candidate is pinged, or
+    /// config-pushed per the options, and one that fails admission is
+    /// quarantined too while the search continues. `None` once the
+    /// bench is empty.
+    fn promote(&mut self, label: &str, error: &OisaError) -> Option<Box<dyn ShardTransport>> {
+        self.quarantined.push(QuarantineEvent {
+            label: label.to_string(),
+            error: error.to_string(),
+        });
+        while let Some(mut spare) = self.spares.pop() {
+            let nonce = self.next_nonce();
+            let admission = match &self.push_config {
+                Some(config) => push_config_to_transport(spare.as_mut(), config, nonce),
+                None => probe_transport(spare.as_mut(), self.fingerprint, nonce).map(|_| ()),
+            };
+            match admission {
+                Ok(()) => {
+                    self.promotions += 1;
+                    return Some(spare);
+                }
+                Err(admission_error) => self.quarantined.push(QuarantineEvent {
+                    label: spare.endpoint_label(),
+                    error: format!("spare failed admission: {admission_error}"),
+                }),
+            }
+        }
+        None
+    }
+
+    /// The ladder a failed shard climbs: promote a spare into its slot
+    /// or, with the bench empty, re-plan its range across the
+    /// survivors.
+    fn escalate(&mut self, label: &str, error: &OisaError) -> Recovery {
+        match self.promote(label, error) {
+            Some(spare) => Recovery::Promote(spare),
             None => {
-                probe_transport(spare.as_mut(), config_fingerprint, *nonce).map(|_fingerprint| ())
+                self.replans += 1;
+                Recovery::Shrink
             }
-        };
-        match admission {
-            Ok(()) => {
-                *promotions += 1;
-                return Recovery::Promote(spare);
-            }
-            Err(admission_error) => quarantined.push(QuarantineEvent {
-                label: spare.endpoint_label(),
-                error: format!("spare failed admission: {admission_error}"),
-            }),
         }
     }
-    *replans += 1;
-    Recovery::Shrink
 }
 
 #[cfg(test)]
@@ -521,12 +464,7 @@ mod tests {
 
     impl ShardTransport for DoomedWorker {
         fn round_trip(&mut self, message: &[u8]) -> BackendResult<Vec<u8>> {
-            if !self.dead
-                && matches!(
-                    wire::decode(message),
-                    Ok(WireMessage::Shard(_) | WireMessage::ProgramShard(_))
-                )
-            {
+            if !self.dead && matches!(wire::decode(message), Ok(WireMessage::ProgramShard(_))) {
                 if self.served >= self.shards_before_death {
                     self.dead = true;
                 } else {

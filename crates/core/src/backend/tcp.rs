@@ -18,7 +18,7 @@
 //!   [`OisaError::Transport`], never a hang: reads and writes carry
 //!   [`TcpTransportConfig::io_timeout`]. With
 //!   [`TcpTransport::connect_with_config`] the handshake becomes a
-//!   wire-v3 config *push* instead of a fingerprint *check*: the full
+//!   config *push* instead of a fingerprint *check*: the full
 //!   [`OisaConfig`] travels in a [`WireMessage::Configure`] and the
 //!   worker rebuilds its accelerator to match, so heterogeneous fleets
 //!   converge instead of refusing. The push repeats on every
@@ -146,7 +146,7 @@ pub struct TcpTransport {
     /// The coordinator's config fingerprint, offered in the handshake
     /// and checked against the worker's.
     fingerprint: u64,
-    /// When set, fresh connections open with a wire-v3
+    /// When set, fresh connections open with a
     /// [`WireMessage::Configure`] push of this config instead of a
     /// fingerprint-checking ping (module docs).
     push_config: Option<OisaConfig>,
@@ -198,15 +198,15 @@ impl TcpTransport {
     }
 
     /// Like [`TcpTransport::connect`], but every fresh connection
-    /// opens with a wire-v3 [`WireMessage::Configure`] carrying
+    /// opens with a [`WireMessage::Configure`] carrying
     /// `config` in full: the worker rebuilds its accelerator from it
     /// and acknowledges with the fingerprint of what it *applied*. A
     /// worker started with different physics therefore serves this
     /// coordinator instead of refusing on fingerprint mismatch — the
     /// heterogeneous-fleet admission path. The push repeats on every
     /// reconnect (a worker's adopted config is connection-local), and
-    /// genuine v2 workers answer it with a typed refusal, surfaced
-    /// here as [`OisaError::ShardRefused`].
+    /// a worker that refuses it surfaces here as
+    /// [`OisaError::ShardRefused`].
     ///
     /// # Errors
     ///
@@ -354,8 +354,11 @@ impl TcpTransport {
 
     /// The connection-opening exchange: a ping/pong proving the peer
     /// speaks this schema version and runs the same physics — or, when
-    /// built via [`TcpTransport::connect_with_config`], a wire-v3
-    /// config push making the peer *adopt* this physics.
+    /// built via [`TcpTransport::connect_with_config`], a config push
+    /// making the peer *adopt* this physics. A reply stamped with
+    /// another schema version, or a refusal (what a worker of another
+    /// version answers), is fatal: reconnecting cannot change a peer's
+    /// version.
     fn handshake(&mut self) -> Result<(), AttemptError> {
         self.nonce = self.nonce.wrapping_add(1);
         let request = match self.push_config {
@@ -383,9 +386,8 @@ impl TcpTransport {
             (WireMessage::Pong(pong), false) => *pong,
             (WireMessage::ConfigureAck(ack), true) => *ack,
             (WireMessage::Refusal(refusal), _) => {
-                // A v2 worker cannot decode a Configure and refuses it
-                // (typed) instead of adopting it — fatal, not a
-                // reconnect-and-hope situation.
+                // A worker that cannot decode the request refuses it
+                // (typed) — fatal, not a reconnect-and-hope situation.
                 return Err(AttemptError::Fatal(refusal_to_error(refusal.clone())));
             }
             (other, _) => {
@@ -459,12 +461,12 @@ pub struct WorkerOptions {
     pub fail_after_shards: Option<u64>,
 }
 
-/// The worker daemon: an accept loop serving [`JobShard`]s (and
+/// The worker daemon: an accept loop serving [`ProgramShard`]s (and
 /// handshake pings) to any coordinator that connects. The `oisa_worker`
 /// binary is a CLI wrapper around this; tests use
 /// [`TcpWorker::spawn`] to run one on a background thread.
 ///
-/// [`JobShard`]: crate::wire::JobShard
+/// [`ProgramShard`]: crate::wire::ProgramShard
 #[derive(Debug)]
 pub struct TcpWorker {
     listener: TcpListener,

@@ -1,6 +1,6 @@
 //! `oisa_worker` — the OISA shard-worker daemon.
 //!
-//! Binds a TCP port and serves [`JobShard`]s (and handshake pings) to
+//! Binds a TCP port and serves [`ProgramShard`]s (and handshake pings) to
 //! any coordinator that connects, speaking the versioned wire schema.
 //! One daemon per host is the deployment unit of a
 //! [`ShardedBackend`](oisa_core::backend::ShardedBackend) fleet; the
@@ -23,8 +23,8 @@
 //! reports them before any shard is sent). Defaults match
 //! `examples/multi_node.rs`.
 //!
-//! **Except** when the coordinator pushes its config: the daemon
-//! speaks wire schema v3, so a `Configure` message (sent by
+//! **Except** when the coordinator pushes its config: a `Configure`
+//! message (sent by
 //! [`TcpTransport::connect_with_config`](oisa_core::backend::TcpTransport::connect_with_config)
 //! or a [`FleetSupervisor`](oisa_core::backend::FleetSupervisor) at
 //! admission) makes it rebuild its accelerator from the pushed
@@ -50,7 +50,7 @@
 //! scripts can scrape the bound address; everything else goes to
 //! stderr.
 //!
-//! [`JobShard`]: oisa_core::wire::JobShard
+//! [`ProgramShard`]: oisa_core::wire::ProgramShard
 
 use std::io::Write;
 use std::time::Duration;

@@ -26,24 +26,26 @@
 //!   handles return per-request reports bit-identical to a sequential
 //!   per-frame loop.
 //! * [`backend`] — the unified execution seam: [`ComputeBackend`]
-//!   executes [`wire::InferenceJob`]s, either on this host
-//!   ([`LocalBackend`]) or sharded across worker processes
-//!   ([`ShardedBackend`]) with bit-identical merges. The
+//!   executes [`wire::InferenceJob`]s and [`wire::ProgramJob`]s,
+//!   either on this host ([`LocalBackend`]) or sharded across worker
+//!   processes ([`ShardedBackend`], one shard type for both) with
+//!   bit-identical merges. The
 //!   [`backend::tcp`] submodule makes the fleet genuinely multi-host:
 //!   [`TcpTransport`] dials worker daemons ([`backend::TcpWorker`],
 //!   wrapped by the `oisa_worker` binary) with connect/read timeouts,
 //!   a connect-time handshake and jittered reconnect-with-backoff
 //!   retry. [`FleetSupervisor`] makes operating that fleet hands-off:
 //!   interval health checks, automatic quarantine-promote-re-plan
-//!   failover mid-job (results stay bit-identical), and wire-v3
-//!   config push so heterogeneous workers adopt the coordinator's
-//!   physics instead of refusing.
+//!   failover mid-job (results stay bit-identical), and config push
+//!   so heterogeneous workers adopt the coordinator's physics instead
+//!   of refusing.
 //! * [`program`] — layer programs: ordered `conv → quantize → dense →
 //!   activation` stages executed per frame by any [`ComputeBackend`],
 //!   with a steady-state prewarm that keeps sharded merges
 //!   bit-identical ([`LayerProgram`]).
 //! * [`wire`] — the versioned, length-prefixed binary schema those
-//!   processes speak (strict decode errors, schema-version checks).
+//!   processes speak: seven messages under one schema version, strict
+//!   decode errors.
 //! * [`error`] — [`OisaError`], the one error type backend/serving
 //!   callers handle; every layer's error folds in via `From`.
 //! * [`deploy`] — the Table II bridge: converts the AWC→MR level tables
@@ -134,7 +136,7 @@ pub use program::{
     ActivationKind, LayerProgram, ProgramFrameReport, QuantizeKind, Stage, StageReport,
 };
 pub use serving::{ServingConfig, ServingEngine, ServingStats};
-pub use wire::{InferenceJob, JobShard, ProgramJob, ShardReport};
+pub use wire::{InferenceJob, ProgramJob};
 
 use std::fmt;
 

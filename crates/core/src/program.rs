@@ -481,6 +481,19 @@ impl OisaAccelerator {
         frames: &[Frame],
     ) -> Result<Vec<ProgramFrameReport>> {
         self.prewarm_program(program)?;
+        self.program_frames(program, frames)
+    }
+
+    /// The frame loop of [`OisaAccelerator::run_program_frames`], from
+    /// whatever fabric state the caller staged: each dense stage stages
+    /// its matrix on its first frame and evaluates the later frames
+    /// from the same bytes. `program` must have passed
+    /// [`LayerProgram::output_lens`] for the imager.
+    pub(crate) fn program_frames(
+        &mut self,
+        program: &LayerProgram,
+        frames: &[Frame],
+    ) -> Result<Vec<ProgramFrameReport>> {
         let mut staged = no_staging(program);
         frames
             .iter()

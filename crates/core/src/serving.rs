@@ -966,7 +966,12 @@ mod tests {
 
         impl ShardTransport for DyingWorker {
             fn round_trip(&mut self, message: &[u8]) -> Result<Vec<u8>, OisaError> {
-                if !self.dead && matches!(crate::wire::decode(message), Ok(WireMessage::Shard(_))) {
+                if !self.dead
+                    && matches!(
+                        crate::wire::decode(message),
+                        Ok(WireMessage::ProgramShard(_))
+                    )
+                {
                     if self.served >= self.shards_before_death {
                         self.dead = true;
                     } else {

@@ -1,11 +1,13 @@
 //! Versioned wire schema for distributed execution.
 //!
-//! The sharded backend splits an [`InferenceJob`] into [`JobShard`]s,
-//! ships each to a worker process and merges the returned
-//! [`ShardReport`]s ([`crate::backend`]). This module is the protocol
-//! between those processes: a small, explicit, **versioned** binary
-//! encoding with strict decode errors, so a coordinator and a worker
-//! that disagree about anything fail loudly instead of silently
+//! The sharded backend splits every job into [`ProgramShard`]s, ships
+//! each to a worker process and merges the returned [`ProgramReport`]s
+//! ([`crate::backend`]). A conv [`InferenceJob`] travels as the
+//! one-stage program `[Stage::Conv]`, a [`ProgramJob`] as its own
+//! program, so one shard/report pair serves both. This module is the
+//! protocol between those processes: a small, explicit, **versioned**
+//! binary encoding with strict decode errors, so a coordinator and a
+//! worker that disagree about anything fail loudly instead of silently
 //! computing on garbage.
 //!
 //! # Framing and layout
@@ -23,50 +25,23 @@
 //! not a nicety, because the sharding contract is bit-identical merges.
 //! Collections are a `u32` count followed by the elements.
 //!
-//! # Versioning and interop
+//! # Versioning
 //!
-//! The schema is at [`SCHEMA_VERSION`] (4). The rule that has held
-//! since v3: a new version adds *messages* and changes no existing
-//! layout, and every message keeps travelling stamped with the
-//! **minimum** version that knows its tag (the `TAG_MIN_VERSION`
-//! registry). Concretely:
-//!
-//! * v2 messages (job, shard, report, refusal, ping, pong) travel
-//!   stamped [`LEGACY_SCHEMA_VERSION`] (2), so a genuine v2 peer
-//!   accepts everything an up-to-date coordinator sends it — except
-//!   the newer messages below.
-//! * v3 added [`WireMessage::Configure`] / [`WireMessage::ConfigureAck`]
-//!   (a structured [`OisaConfig`] push, field by field, **not** the
-//!   build-local Debug fingerprint); both travel stamped
-//!   [`V3_SCHEMA_VERSION`] (3).
-//! * v4 adds the layer-program trio — [`WireMessage::ProgramJob`],
-//!   [`WireMessage::ProgramShard`], [`WireMessage::ProgramReport`] —
-//!   carrying a [`crate::program::LayerProgram`] instead of a single
-//!   kernel set; these travel stamped [`SCHEMA_VERSION`] (4).
-//! * The decoder accepts any stamp in
-//!   `LEGACY_SCHEMA_VERSION..=SCHEMA_VERSION`, then gates per tag: a
-//!   tag stamped below its registry minimum is
-//!   [`WireError::Malformed`].
-//! * An older peer receiving a newer-versioned message rejects it as
-//!   an unsupported version and (per the worker loop's contract)
-//!   answers with a typed [`ShardRefusal`] rather than hanging up —
-//!   so a mixed fleet degrades (fingerprint refusal instead of config
-//!   push; conv-only jobs instead of programs) instead of breaking.
-//!
-//! The complete byte-level layout of every tag, the version-gating
-//! table and the refusal-code catalogue live in
-//! `docs/wire-format.md`, whose examples are pinned by doctests in
-//! this module.
+//! Every message travels stamped [`SCHEMA_VERSION`] (5), and decoding
+//! accepts no other stamp: anything else is
+//! [`WireError::UnsupportedVersion`]. A worker answers such a request
+//! with a typed [`ShardRefusal`] rather than hanging up, and a TCP
+//! coordinator's handshake reports it as a fatal error without
+//! retrying. The complete byte-level layout of every message and the
+//! refusal-code catalogue live in `docs/wire-format.md`, whose
+//! examples are pinned by the doctest below.
 //!
 //! # Strictness
 //!
 //! Decoding rejects, with a typed [`WireError`] and never a panic:
 //!
-//! * a bad magic or an unknown message tag,
-//! * any schema version outside
-//!   `LEGACY_SCHEMA_VERSION..=SCHEMA_VERSION` (no silent best-effort
-//!   reads of future layouts), and newer-only tags stamped with an
-//!   older version,
+//! * a bad magic, a version other than [`SCHEMA_VERSION`] or an
+//!   unknown message tag,
 //! * truncated payloads and truncated length prefixes,
 //! * trailing bytes after a complete message,
 //! * length prefixes beyond [`MAX_MESSAGE_BYTES`] (a corrupt prefix
@@ -83,18 +58,17 @@
 //! # Examples
 //!
 //! This doctest pins the worked byte examples of `docs/wire-format.md`
-//! — if the layout or the stamping rule drifts, it fails before the
-//! spec lies:
+//! — if the layout drifts, it fails before the spec lies:
 //!
 //! ```
 //! use oisa_core::program::LayerProgram;
 //! use oisa_core::wire::{
-//!     self, ConfigPush, Handshake, ProgramJob, RefusalCode, ShardRefusal, WireMessage,
+//!     self, FabricEntry, Handshake, ProgramShard, RefusalCode, ShardRefusal, WireMessage,
 //! };
-//! use oisa_core::OisaConfig;
+//! use oisa_sensor::Frame;
 //!
-//! // A Ping payload, byte for byte: magic "OW", version 2 (the tag's
-//! // registry minimum), tag 5, then the two u64le handshake fields.
+//! // A Ping payload, byte for byte: magic "OW", version 5, tag 5,
+//! // then the two u64le handshake fields.
 //! let ping = WireMessage::Ping(Handshake {
 //!     nonce: 7,
 //!     config_fingerprint: 0x0123_4567_89AB_CDEF,
@@ -104,7 +78,7 @@
 //!     payload,
 //!     [
 //!         0x4F, 0x57, // magic "OW"
-//!         0x02, 0x00, // version 2
+//!         0x05, 0x00, // version 5
 //!         0x05, // tag 5 = Ping
 //!         0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // nonce
 //!         0xEF, 0xCD, 0xAB, 0x89, 0x67, 0x45, 0x23, 0x01, // fingerprint
@@ -117,19 +91,22 @@
 //! assert_eq!(&framed[..4], &21u32.to_le_bytes());
 //! assert_eq!(&framed[4..], &payload[..]);
 //!
-//! // Minimum-stamp rule: Configure travels stamped v3, ProgramJob v4,
-//! // regardless of the sender's build version.
-//! let configure = wire::encode(&WireMessage::Configure(ConfigPush {
-//!     nonce: 1,
-//!     config: OisaConfig::small_test(),
-//! }));
-//! assert_eq!(&configure[..5], &[0x4F, 0x57, 0x03, 0x00, 0x07]);
-//! let program_job = wire::encode(&WireMessage::ProgramJob(ProgramJob {
+//! // A shard: header, then 40 bytes of ids, epoch and fingerprint,
+//! // then the entry byte (1 = WarmSelf) and the program's stage count.
+//! let shard = wire::encode(&WireMessage::ProgramShard(ProgramShard {
 //!     job_id: 1,
+//!     shard_index: 0,
+//!     shard_count: 1,
+//!     first_frame: 0,
+//!     first_epoch: 0,
+//!     config_fingerprint: 0,
+//!     entry: FabricEntry::WarmSelf,
 //!     program: LayerProgram::autoencoder(16, 16, 2, 4, 1).unwrap(),
-//!     frames: Vec::new(),
+//!     frames: vec![Frame::constant(16, 16, 0.5).unwrap()],
 //! }));
-//! assert_eq!(&program_job[..5], &[0x4F, 0x57, 0x04, 0x00, 0x09]);
+//! assert_eq!(&shard[..5], &[0x4F, 0x57, 0x05, 0x00, 0x0A]);
+//! assert_eq!(shard[45], 1);
+//! assert_eq!(&shard[46..50], &4u32.to_le_bytes());
 //!
 //! // A refusal with the fingerprint-mismatch code.
 //! let refusal = wire::encode(&WireMessage::Refusal(ShardRefusal {
@@ -141,7 +118,7 @@
 //!     },
 //!     reason: "no".into(),
 //! }));
-//! let mut expected = vec![0x4F, 0x57, 0x02, 0x00, 0x04]; // header
+//! let mut expected = vec![0x4F, 0x57, 0x05, 0x00, 0x04]; // header
 //! expected.extend_from_slice(&9u64.to_le_bytes()); // job_id
 //! expected.extend_from_slice(&2u32.to_le_bytes()); // shard_index
 //! expected.push(1); // code discriminant: fingerprint mismatch
@@ -151,8 +128,15 @@
 //! expected.extend_from_slice(b"no");
 //! assert_eq!(refusal, expected);
 //!
-//! // Round trip: decode returns the identical message.
+//! // Round trip: decode returns the identical message; any other
+//! // stamp is refused.
 //! assert_eq!(wire::decode(&payload).unwrap(), ping);
+//! let mut v4 = payload.clone();
+//! v4[2] = 0x04;
+//! assert_eq!(
+//!     wire::decode(&v4),
+//!     Err(wire::WireError::UnsupportedVersion { got: 4 })
+//! );
 //! ```
 
 use std::io::{Read, Write};
@@ -179,34 +163,10 @@ use crate::controller::{ControllerTiming, Timeline};
 use crate::mapping::MappingPlan;
 use oisa_units::{Ampere, Farad, Hertz, Joule, Kelvin, Meter, Ohm, Second, Volt, Watt};
 
-/// Version of the message layout. Bump on **any** layout change.
-///
-/// v2 added the [`Handshake`] ping/pong pair (so a TCP coordinator can
-/// verify liveness and config agreement before dispatching shards) and
-/// gave [`ShardRefusal`] a machine-readable [`RefusalCode`] alongside
-/// its human-readable reason.
-///
-/// v3 added [`WireMessage::Configure`] / [`WireMessage::ConfigureAck`]
-/// — a structured [`OisaConfig`] push so a coordinator can align a
-/// heterogeneous fleet's physics instead of refusing on fingerprint
-/// mismatch.
-///
-/// v4 adds [`WireMessage::ProgramJob`] / [`WireMessage::ProgramShard`]
-/// / [`WireMessage::ProgramReport`] — multi-stage
-/// [`crate::program::LayerProgram`] execution (conv → quantize →
-/// dense → activation) through the same sharded backend. No earlier
-/// layout changed; see the module docs for the interop rule.
-pub const SCHEMA_VERSION: u16 = 4;
-
-/// The version that introduced the config-push pair.
-/// [`WireMessage::Configure`] / [`WireMessage::ConfigureAck`] travel
-/// stamped with this, per the minimum-stamp rule.
-pub const V3_SCHEMA_VERSION: u16 = 3;
-
-/// The oldest schema version this build decodes. v2 messages are still
-/// stamped with this on the wire, so genuine v2 peers interoperate for
-/// everything except config push and layer programs.
-pub const LEGACY_SCHEMA_VERSION: u16 = 2;
+/// Version of the message layout: the stamp every message carries and
+/// the only one [`decode`] accepts. Bump on **any** layout change, so
+/// a peer built against another layout is refused, never misparsed.
+pub const SCHEMA_VERSION: u16 = 5;
 
 /// Magic prefix of every payload (`"OW"`, OISA wire).
 pub const MAGIC: u16 = u16::from_le_bytes(*b"OW");
@@ -216,48 +176,14 @@ pub const MAGIC: u16 = u16::from_le_bytes(*b"OW");
 /// prefix from looking like a 4 GiB allocation.
 pub const MAX_MESSAGE_BYTES: u32 = 256 * 1024 * 1024;
 
-const TAG_JOB: u8 = 1;
-const TAG_SHARD: u8 = 2;
-const TAG_REPORT: u8 = 3;
+// Tags 1–3 and 9 belonged to the retired conv-shard and job messages.
 const TAG_REFUSAL: u8 = 4;
 const TAG_PING: u8 = 5;
 const TAG_PONG: u8 = 6;
-// v3-only tags: the decoder refuses these under a pre-v3 version stamp.
 const TAG_CONFIGURE: u8 = 7;
 const TAG_CONFIGURE_ACK: u8 = 8;
-// v4-only tags: layer-program execution.
-const TAG_PROGRAM_JOB: u8 = 9;
 const TAG_PROGRAM_SHARD: u8 = 10;
 const TAG_PROGRAM_REPORT: u8 = 11;
-
-/// The version-gating registry: every message tag, paired with the
-/// minimum schema version a payload may stamp it with. Adding a message
-/// means adding a row here — `oisa-lint`'s `wire-tag-registry` rule
-/// asserts tag values are unique and that no tag constant is missing
-/// from this table, so a new message can neither collide nor silently
-/// skip gating.
-const TAG_MIN_VERSION: &[(u8, u16)] = &[
-    (TAG_JOB, LEGACY_SCHEMA_VERSION),
-    (TAG_SHARD, LEGACY_SCHEMA_VERSION),
-    (TAG_REPORT, LEGACY_SCHEMA_VERSION),
-    (TAG_REFUSAL, LEGACY_SCHEMA_VERSION),
-    (TAG_PING, LEGACY_SCHEMA_VERSION),
-    (TAG_PONG, LEGACY_SCHEMA_VERSION),
-    (TAG_CONFIGURE, V3_SCHEMA_VERSION),
-    (TAG_CONFIGURE_ACK, V3_SCHEMA_VERSION),
-    (TAG_PROGRAM_JOB, SCHEMA_VERSION),
-    (TAG_PROGRAM_SHARD, SCHEMA_VERSION),
-    (TAG_PROGRAM_REPORT, SCHEMA_VERSION),
-];
-
-/// Minimum schema version for `tag`, or `None` for tags this build does
-/// not know.
-fn min_version_for(tag: u8) -> Option<u16> {
-    TAG_MIN_VERSION
-        .iter()
-        .find(|&&(t, _)| t == tag)
-        .map(|&(_, v)| v)
-}
 
 /// Decode/framing failures. Every variant is a *protocol* fault — the
 /// bytes were readable but wrong — except [`WireError::Io`], which
@@ -267,8 +193,7 @@ fn min_version_for(tag: u8) -> Option<u16> {
 pub enum WireError {
     /// The payload does not start with [`MAGIC`].
     BadMagic(u16),
-    /// The payload's schema version is outside
-    /// `LEGACY_SCHEMA_VERSION..=SCHEMA_VERSION`.
+    /// The payload's schema version is not [`SCHEMA_VERSION`].
     UnsupportedVersion {
         /// The version the peer wrote.
         got: u16,
@@ -298,8 +223,7 @@ impl std::fmt::Display for WireError {
             Self::BadMagic(got) => write!(f, "bad magic 0x{got:04x} (expected 0x{MAGIC:04x})"),
             Self::UnsupportedVersion { got } => write!(
                 f,
-                "unsupported schema version {got} (this build speaks \
-                 {SCHEMA_VERSION}, accepting {LEGACY_SCHEMA_VERSION}..={SCHEMA_VERSION})"
+                "unsupported schema version {got} (this build speaks only {SCHEMA_VERSION})"
             ),
             Self::UnknownTag(tag) => write!(f, "unknown message tag {tag}"),
             Self::Truncated { needed, available } => write!(
@@ -322,8 +246,10 @@ impl std::error::Error for WireError {}
 /// Wire-level result alias.
 pub type Result<T> = std::result::Result<T, WireError>;
 
-/// A batch of frames to convolve with a fixed kernel set — the unit of
-/// work a [`ComputeBackend`](crate::backend::ComputeBackend) executes.
+/// A batch of frames to convolve with a fixed kernel set — the conv
+/// job a [`ComputeBackend`](crate::backend::ComputeBackend) executes.
+/// Not itself a wire message: a sharded backend ships it as the
+/// one-stage program `[Stage::Conv { k, kernels }]`.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct InferenceJob {
     /// Caller-chosen identifier, echoed in every shard and report.
@@ -337,8 +263,9 @@ pub struct InferenceJob {
 }
 
 /// A batch of frames to run through a multi-stage
-/// [`LayerProgram`](crate::program::LayerProgram) (v4) — the
-/// program-capable counterpart of [`InferenceJob`].
+/// [`LayerProgram`](crate::program::LayerProgram) — the
+/// program-capable counterpart of [`InferenceJob`]. Not itself a wire
+/// message: a sharded backend ships it as [`ProgramShard`]s.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ProgramJob {
     /// Caller-chosen identifier, echoed in every shard and report.
@@ -349,12 +276,10 @@ pub struct ProgramJob {
     pub frames: Vec<Frame>,
 }
 
-/// A contiguous `(frame, epoch)` range of a [`ProgramJob`], assigned to
-/// one worker (v4). Unlike [`JobShard`] there is no
-/// [`FabricEntry`]: every program shard enters through
-/// [`prewarm_program`](crate::program), which stages the program's own
-/// steady state regardless of fabric history, so per-frame reports are
-/// history-independent by construction.
+/// A contiguous `(frame, epoch)` range of a job, assigned to one
+/// worker — the one shard message. Self-contained: a stateless worker
+/// can execute it from nothing but this message plus the out-of-band
+/// deployment config (checked via [`ProgramShard::config_fingerprint`]).
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ProgramShard {
     /// The job this shard belongs to.
@@ -373,14 +298,16 @@ pub struct ProgramShard {
     /// Fingerprint of the coordinator's [`OisaConfig`]; a worker
     /// refuses shards whose fingerprint differs from its own config's.
     pub config_fingerprint: u64,
+    /// The fabric state the shard's first frame must see.
+    pub entry: FabricEntry,
     /// The stages every frame passes through, in order.
     pub program: crate::program::LayerProgram,
     /// This shard's frames, in job order.
     pub frames: Vec<Frame>,
 }
 
-/// A [`ProgramShard`] with its program and frames borrowed, which
-/// encodes to the owned shard's exact bytes.
+/// A [`ProgramShard`] with its entry, program and frames borrowed,
+/// which encodes to the owned shard's exact bytes.
 pub(crate) struct ProgramShardRef<'a> {
     pub(crate) job_id: u64,
     pub(crate) shard_index: u32,
@@ -388,6 +315,7 @@ pub(crate) struct ProgramShardRef<'a> {
     pub(crate) first_frame: u64,
     pub(crate) first_epoch: u64,
     pub(crate) config_fingerprint: u64,
+    pub(crate) entry: &'a FabricEntry,
     pub(crate) program: &'a crate::program::LayerProgram,
     pub(crate) frames: &'a [Frame],
 }
@@ -401,15 +329,17 @@ impl ProgramShard {
             first_frame: self.first_frame,
             first_epoch: self.first_epoch,
             config_fingerprint: self.config_fingerprint,
+            entry: &self.entry,
             program: &self.program,
             frames: &self.frames,
         }
     }
 }
 
-/// One worker's results for one program shard: per-frame
+/// One worker's results for one shard: per-frame
 /// [`ProgramFrameReport`](crate::program::ProgramFrameReport)s in
-/// frame order, merge-ready (v4).
+/// frame order, merge-ready. A conv job's frame reports each hold one
+/// [`StageReport::Conv`](crate::program::StageReport::Conv).
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ProgramReport {
     /// Echo of [`ProgramShard::job_id`].
@@ -427,65 +357,25 @@ pub struct ProgramReport {
 /// previous operating point).
 #[derive(Debug, Clone, PartialEq)]
 pub enum FabricEntry {
-    /// Pristine fabric: the shard starts at the job stream's very first
-    /// frame, which pays the cold-entry tuning cost.
+    /// Pristine fabric: nothing staged. A conv job whose first frame
+    /// opens the coordinator's stream enters so, paying the cold-entry
+    /// tuning cost a sequential host's first frame pays.
     Cold,
-    /// Stage the shard's own kernel set once before computing — the
-    /// steady state a sequential loop reaches after its first frame.
+    /// Stage the shard program's own steady state once before
+    /// computing
+    /// ([`prewarm_program`](crate::accelerator::OisaAccelerator::prewarm_program))
+    /// — the state a sequential loop reaches after any complete frame.
+    /// Every program shard, and every conv shard but a job's first,
+    /// enters so.
     WarmSelf,
     /// Stage *this* kernel set once before computing: the state a
-    /// previous job (with different kernels) left the fabric in.
+    /// previous conv job (with different kernels) left the fabric in.
     Warm {
         /// Kernel side of the previous set.
         k: usize,
         /// The previous kernel planes.
         kernels: Vec<Vec<f32>>,
     },
-}
-
-/// A contiguous `(frame, epoch)` range of an [`InferenceJob`], assigned
-/// to one worker. Self-contained: a stateless worker can execute it
-/// from nothing but this message plus the out-of-band deployment
-/// config (checked via [`JobShard::config_fingerprint`]).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct JobShard {
-    /// The job this shard belongs to.
-    pub job_id: u64,
-    /// Position of this shard in the job's split.
-    pub shard_index: u32,
-    /// Number of shards the job was split into.
-    pub shard_count: u32,
-    /// Index (within the job) of this shard's first frame.
-    pub first_frame: u64,
-    /// Absolute noise epoch of this shard's first frame.
-    pub first_epoch: u64,
-    /// Fingerprint of the coordinator's
-    /// [`OisaConfig`]
-    /// ([`crate::accelerator::OisaConfig::fingerprint`]); a worker
-    /// refuses shards whose fingerprint differs from its own config's.
-    pub config_fingerprint: u64,
-    /// Fabric entry state (see [`FabricEntry`]).
-    pub entry: FabricEntry,
-    /// Kernel side.
-    pub k: usize,
-    /// The job's kernel planes.
-    pub kernels: Vec<Vec<f32>>,
-    /// This shard's frames, in job order.
-    pub frames: Vec<Frame>,
-}
-
-/// One worker's results for one shard: per-frame reports in frame
-/// order, merge-ready.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct ShardReport {
-    /// Echo of [`JobShard::job_id`].
-    pub job_id: u64,
-    /// Echo of [`JobShard::shard_index`].
-    pub shard_index: u32,
-    /// Echo of [`JobShard::first_frame`].
-    pub first_frame: u64,
-    /// One report per shard frame, in order.
-    pub reports: Vec<ConvolutionReport>,
 }
 
 /// Machine-readable class of a [`ShardRefusal`], so the coordinator can
@@ -528,7 +418,7 @@ impl std::fmt::Display for RefusalCode {
 
 /// A worker's typed "no": the shard could not run (fingerprint
 /// mismatch, substrate failure, undecodable request). Travels instead
-/// of a [`ShardReport`] so coordinator-side errors carry the worker's
+/// of a [`ProgramReport`] so coordinator-side errors carry the worker's
 /// reason rather than a broken pipe.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct ShardRefusal {
@@ -559,7 +449,7 @@ pub struct Handshake {
     pub config_fingerprint: u64,
 }
 
-/// A configuration push (v3): the coordinator's complete
+/// A configuration push: the coordinator's complete
 /// [`OisaConfig`], serialized **field by field** — every pixel, ring,
 /// detector, laser, timing and noise parameter — so a worker started
 /// with different physics can rebuild its accelerator to match instead
@@ -588,30 +478,22 @@ pub struct ConfigPush {
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum WireMessage {
-    /// A full job (client → coordinator).
-    Job(InferenceJob),
-    /// One shard of a job (coordinator → worker).
-    Shard(JobShard),
-    /// A shard's results (worker → coordinator).
-    Report(ShardReport),
     /// A shard's typed failure (worker → coordinator).
     Refusal(ShardRefusal),
     /// Liveness/config probe (coordinator → worker).
     Ping(Handshake),
     /// Probe reply (worker → coordinator), nonce echoed.
     Pong(Handshake),
-    /// v3: a structured config push (coordinator → worker).
+    /// A structured config push (coordinator → worker).
     Configure(ConfigPush),
-    /// v3: config-push acknowledgement (worker → coordinator) — nonce
+    /// Config-push acknowledgement (worker → coordinator) — nonce
     /// echoed, `config_fingerprint` recomputed from the **applied**
     /// config, so the coordinator can verify the worker now runs its
     /// physics.
     ConfigureAck(Handshake),
-    /// v4: a full layer-program job (client → coordinator).
-    ProgramJob(ProgramJob),
-    /// v4: one shard of a program job (coordinator → worker).
+    /// One shard of a job (coordinator → worker).
     ProgramShard(ProgramShard),
-    /// v4: a program shard's results (worker → coordinator).
+    /// A shard's results (worker → coordinator).
     ProgramReport(ProgramReport),
 }
 
@@ -1061,21 +943,29 @@ fn get_stage_report(r: &mut Reader<'_>) -> Result<crate::program::StageReport> {
     }
 }
 
+/// Writes one frame report. A report whose last stage is a conv stage
+/// omits `output`, which is then the concatenation of that stage's
+/// maps: [`get_frame_report`] rebuilds it, so the maps travel once.
 fn put_frame_report(w: &mut Writer, report: &crate::program::ProgramFrameReport) {
+    use crate::program::StageReport;
     w.len(report.stages.len());
     for stage in &report.stages {
         put_stage_report(w, stage);
     }
-    put_f32s(w, &report.output);
+    if !matches!(report.stages.last(), Some(StageReport::Conv(_))) {
+        put_f32s(w, &report.output);
+    }
 }
 
 fn get_frame_report(r: &mut Reader<'_>) -> Result<crate::program::ProgramFrameReport> {
+    use crate::program::StageReport;
     let n = r.len(1)?;
-    let stages = (0..n).map(|_| get_stage_report(r)).collect::<Result<_>>()?;
-    Ok(crate::program::ProgramFrameReport {
-        stages,
-        output: get_f32s(r)?,
-    })
+    let stages: Vec<StageReport> = (0..n).map(|_| get_stage_report(r)).collect::<Result<_>>()?;
+    let output = match stages.last() {
+        Some(StageReport::Conv(conv)) => conv.output.concat(),
+        _ => get_f32s(r)?,
+    };
+    Ok(crate::program::ProgramFrameReport { stages, output })
 }
 
 fn put_refusal_code(w: &mut Writer, code: &RefusalCode) {
@@ -1118,7 +1008,7 @@ fn get_string(r: &mut Reader<'_>) -> Result<String> {
 }
 
 // ---------------------------------------------------------------------
-// OisaConfig codec (v3)
+// OisaConfig codec
 // ---------------------------------------------------------------------
 
 fn put_pixel(w: &mut Writer, p: &PixelDesign) {
@@ -1420,53 +1310,31 @@ fn get_config(r: &mut Reader<'_>) -> Result<OisaConfig> {
 /// The tag [`encode`] writes for `message`.
 fn tag_for(message: &WireMessage) -> u8 {
     match message {
-        WireMessage::Job(_) => TAG_JOB,
-        WireMessage::Shard(_) => TAG_SHARD,
-        WireMessage::Report(_) => TAG_REPORT,
         WireMessage::Refusal(_) => TAG_REFUSAL,
         WireMessage::Ping(_) => TAG_PING,
         WireMessage::Pong(_) => TAG_PONG,
         WireMessage::Configure(_) => TAG_CONFIGURE,
         WireMessage::ConfigureAck(_) => TAG_CONFIGURE_ACK,
-        WireMessage::ProgramJob(_) => TAG_PROGRAM_JOB,
         WireMessage::ProgramShard(_) => TAG_PROGRAM_SHARD,
         WireMessage::ProgramReport(_) => TAG_PROGRAM_REPORT,
     }
 }
 
-/// The version stamp a message travels under: its [`TAG_MIN_VERSION`]
-/// entry — the minimum-stamp rule of the module docs. v2 messages keep
-/// their [`LEGACY_SCHEMA_VERSION`] stamp, the config-push pair is
-/// stamped [`V3_SCHEMA_VERSION`], program messages [`SCHEMA_VERSION`].
-fn version_for(message: &WireMessage) -> u16 {
-    min_version_for(tag_for(message)).unwrap_or(SCHEMA_VERSION)
+/// A writer holding the 5-byte `magic version tag` header.
+fn header(tag: u8) -> Writer {
+    let mut w = Writer(Vec::with_capacity(64));
+    w.u16(MAGIC);
+    w.u16(SCHEMA_VERSION);
+    w.u8(tag);
+    w
 }
 
 /// Encodes one message as a versioned payload (no length prefix — see
 /// [`write_frame`] for framing).
 #[must_use]
 pub fn encode(message: &WireMessage) -> Vec<u8> {
-    let mut w = Writer(Vec::with_capacity(64));
-    w.u16(MAGIC);
-    w.u16(version_for(message));
-    w.u8(tag_for(message));
+    let mut w = header(tag_for(message));
     match message {
-        WireMessage::Job(job) => {
-            w.u64(job.job_id);
-            w.u64(job.k as u64);
-            put_kernels(&mut w, &job.kernels);
-            put_frames(&mut w, &job.frames);
-        }
-        WireMessage::Shard(shard) => put_shard_body(&mut w, shard),
-        WireMessage::Report(report) => {
-            w.u64(report.job_id);
-            w.u32(report.shard_index);
-            w.u64(report.first_frame);
-            w.len(report.reports.len());
-            for r in &report.reports {
-                put_report(&mut w, r);
-            }
-        }
         WireMessage::Refusal(refusal) => {
             w.u64(refusal.job_id);
             w.u32(refusal.shard_index);
@@ -1480,11 +1348,6 @@ pub fn encode(message: &WireMessage) -> Vec<u8> {
         WireMessage::Configure(push) => {
             w.u64(push.nonce);
             put_config(&mut w, &push.config);
-        }
-        WireMessage::ProgramJob(job) => {
-            w.u64(job.job_id);
-            put_program(&mut w, &job.program);
-            put_frames(&mut w, &job.frames);
         }
         WireMessage::ProgramShard(shard) => put_program_shard_body(&mut w, &shard.borrowed()),
         WireMessage::ProgramReport(report) => {
@@ -1500,33 +1363,6 @@ pub fn encode(message: &WireMessage) -> Vec<u8> {
     w.0
 }
 
-/// Body of a [`TAG_SHARD`] message (everything after the tag byte).
-fn put_shard_body(w: &mut Writer, shard: &JobShard) {
-    w.u64(shard.job_id);
-    w.u32(shard.shard_index);
-    w.u32(shard.shard_count);
-    w.u64(shard.first_frame);
-    w.u64(shard.first_epoch);
-    w.u64(shard.config_fingerprint);
-    put_entry(w, &shard.entry);
-    w.u64(shard.k as u64);
-    put_kernels(w, &shard.kernels);
-    put_frames(w, &shard.frames);
-}
-
-/// [`encode`] for a [`JobShard`] by reference — the coordinator's
-/// dispatch path, which would otherwise have to clone the shard
-/// (frames included) just to wrap it in a [`WireMessage`].
-#[must_use]
-pub fn encode_shard(shard: &JobShard) -> Vec<u8> {
-    let mut w = Writer(Vec::with_capacity(64));
-    w.u16(MAGIC);
-    w.u16(LEGACY_SCHEMA_VERSION);
-    w.u8(TAG_SHARD);
-    put_shard_body(&mut w, shard);
-    w.0
-}
-
 /// Body of a [`TAG_PROGRAM_SHARD`] message (everything after the tag
 /// byte).
 fn put_program_shard_body(w: &mut Writer, shard: &ProgramShardRef<'_>) {
@@ -1536,26 +1372,17 @@ fn put_program_shard_body(w: &mut Writer, shard: &ProgramShardRef<'_>) {
     w.u64(shard.first_frame);
     w.u64(shard.first_epoch);
     w.u64(shard.config_fingerprint);
+    put_entry(w, shard.entry);
     put_program(w, shard.program);
     put_frames(w, shard.frames);
 }
 
-/// [`encode`] for a [`ProgramShard`] by reference, mirroring
-/// [`encode_shard`].
-#[must_use]
-pub fn encode_program_shard(shard: &ProgramShard) -> Vec<u8> {
-    encode_program_shard_ref(&shard.borrowed())
-}
-
-/// [`encode_program_shard`] over borrowed parts — the coordinator's
-/// program dispatch path, which encodes each shard straight from the
-/// job instead of copying its program and frames into a
+/// [`encode`] for a [`ProgramShard`] over borrowed parts — the
+/// coordinator's dispatch path, which encodes each shard straight from
+/// the job instead of copying its program and frames into a
 /// [`ProgramShard`] first.
 pub(crate) fn encode_program_shard_ref(shard: &ProgramShardRef<'_>) -> Vec<u8> {
-    let mut w = Writer(Vec::with_capacity(64));
-    w.u16(MAGIC);
-    w.u16(SCHEMA_VERSION);
-    w.u8(TAG_PROGRAM_SHARD);
+    let mut w = header(TAG_PROGRAM_SHARD);
     put_program_shard_body(&mut w, shard);
     w.0
 }
@@ -1573,48 +1400,10 @@ pub fn decode(payload: &[u8]) -> Result<WireMessage> {
         return Err(WireError::BadMagic(magic));
     }
     let version = r.u16()?;
-    if !(LEGACY_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&version) {
+    if version != SCHEMA_VERSION {
         return Err(WireError::UnsupportedVersion { got: version });
     }
-    let tag = r.u8()?;
-    let min_version = min_version_for(tag).ok_or(WireError::UnknownTag(tag))?;
-    if version < min_version {
-        return Err(WireError::Malformed(format!(
-            "message tag {tag} requires schema v{min_version}, but was stamped v{version}"
-        )));
-    }
-    let message = match tag {
-        TAG_JOB => WireMessage::Job(InferenceJob {
-            job_id: r.u64()?,
-            k: r.usize_from_u64("job.k")?,
-            kernels: get_kernels(&mut r)?,
-            frames: get_frames(&mut r)?,
-        }),
-        TAG_SHARD => WireMessage::Shard(JobShard {
-            job_id: r.u64()?,
-            shard_index: r.u32()?,
-            shard_count: r.u32()?,
-            first_frame: r.u64()?,
-            first_epoch: r.u64()?,
-            config_fingerprint: r.u64()?,
-            entry: get_entry(&mut r)?,
-            k: r.usize_from_u64("shard.k")?,
-            kernels: get_kernels(&mut r)?,
-            frames: get_frames(&mut r)?,
-        }),
-        TAG_REPORT => {
-            let job_id = r.u64()?;
-            let shard_index = r.u32()?;
-            let first_frame = r.u64()?;
-            let n = r.len(1)?;
-            let reports = (0..n).map(|_| get_report(&mut r)).collect::<Result<_>>()?;
-            WireMessage::Report(ShardReport {
-                job_id,
-                shard_index,
-                first_frame,
-                reports,
-            })
-        }
+    let message = match r.u8()? {
         TAG_REFUSAL => WireMessage::Refusal(ShardRefusal {
             job_id: r.u64()?,
             shard_index: r.u32()?,
@@ -1637,11 +1426,6 @@ pub fn decode(payload: &[u8]) -> Result<WireMessage> {
             nonce: r.u64()?,
             config_fingerprint: r.u64()?,
         }),
-        TAG_PROGRAM_JOB => WireMessage::ProgramJob(ProgramJob {
-            job_id: r.u64()?,
-            program: get_program(&mut r)?,
-            frames: get_frames(&mut r)?,
-        }),
         TAG_PROGRAM_SHARD => WireMessage::ProgramShard(ProgramShard {
             job_id: r.u64()?,
             shard_index: r.u32()?,
@@ -1649,6 +1433,7 @@ pub fn decode(payload: &[u8]) -> Result<WireMessage> {
             first_frame: r.u64()?,
             first_epoch: r.u64()?,
             config_fingerprint: r.u64()?,
+            entry: get_entry(&mut r)?,
             program: get_program(&mut r)?,
             frames: get_frames(&mut r)?,
         }),
@@ -1769,55 +1554,58 @@ pub fn receive<R: Read>(reader: &mut R) -> Result<Option<WireMessage>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::program::{ProgramFrameReport, StageReport};
 
-    fn sample_job() -> InferenceJob {
-        InferenceJob {
-            job_id: 7,
-            k: 3,
-            kernels: vec![vec![0.5f32; 9], vec![-0.25f32; 9]],
-            frames: vec![
-                Frame::constant(4, 4, 0.25).unwrap(),
-                Frame::constant(4, 4, 0.75).unwrap(),
-            ],
+    fn sample_report() -> ConvolutionReport {
+        ConvolutionReport {
+            output: vec![vec![1.5f32, -2.25, 0.0, f32::MIN_POSITIVE]],
+            out_h: 2,
+            out_w: 2,
+            plan: MappingPlan {
+                kernel_size_class: 3,
+                slots_per_pass: 20,
+                passes: 1,
+                planes_last_pass: 2,
+                parallel_positions: 10,
+                cycles_per_pass: 4,
+                rings_per_pass: 18,
+                tuning_iterations_per_pass: 2,
+                macs_per_cycle: 90,
+            },
+            timeline: Timeline {
+                capture: Second::new(5e-5),
+                mapping: Second::new(2e-9),
+                compute: Second::new(2.232e-10),
+                transmit: Second::new(4e-10),
+                control: Second::new(4e-9),
+            },
+            energy: EnergyReport {
+                sensing: Joule::new(1.25e-9),
+                encoding: Joule::new(3.5e-12),
+                tuning: Joule::new(7.75e-12),
+                compute: Joule::new(9.5e-13),
+                aggregation: Joule::new(0.0),
+                memory: Joule::new(1.5e-12),
+            },
         }
     }
 
-    fn sample_report() -> ShardReport {
-        ShardReport {
-            job_id: 7,
+    /// A conv job's frame report: the one conv stage, and as output
+    /// the concatenation of its maps.
+    fn conv_frame_report(conv: ConvolutionReport) -> ProgramFrameReport {
+        let output = conv.output.concat();
+        ProgramFrameReport {
+            stages: vec![StageReport::Conv(conv)],
+            output,
+        }
+    }
+
+    fn sample_program_report(reports: Vec<ProgramFrameReport>) -> ProgramReport {
+        ProgramReport {
+            job_id: 11,
             shard_index: 1,
-            first_frame: 4,
-            reports: vec![ConvolutionReport {
-                output: vec![vec![1.5f32, -2.25, 0.0, f32::MIN_POSITIVE]],
-                out_h: 2,
-                out_w: 2,
-                plan: MappingPlan {
-                    kernel_size_class: 3,
-                    slots_per_pass: 20,
-                    passes: 1,
-                    planes_last_pass: 2,
-                    parallel_positions: 10,
-                    cycles_per_pass: 4,
-                    rings_per_pass: 18,
-                    tuning_iterations_per_pass: 2,
-                    macs_per_cycle: 90,
-                },
-                timeline: Timeline {
-                    capture: Second::new(5e-5),
-                    mapping: Second::new(2e-9),
-                    compute: Second::new(2.232e-10),
-                    transmit: Second::new(4e-10),
-                    control: Second::new(4e-9),
-                },
-                energy: EnergyReport {
-                    sensing: Joule::new(1.25e-9),
-                    encoding: Joule::new(3.5e-12),
-                    tuning: Joule::new(7.75e-12),
-                    compute: Joule::new(9.5e-13),
-                    aggregation: Joule::new(0.0),
-                    memory: Joule::new(1.5e-12),
-                },
-            }],
+            first_frame: 2,
+            reports,
         }
     }
 
@@ -1847,6 +1635,7 @@ mod tests {
             first_frame: 2,
             first_epoch: 24,
             config_fingerprint: 0xCAFE,
+            entry: FabricEntry::WarmSelf,
             program: sample_program(),
             frames: vec![Frame::constant(4, 4, 0.25).unwrap()],
         }
@@ -1854,25 +1643,24 @@ mod tests {
 
     #[test]
     fn every_message_round_trips() {
-        let shard = JobShard {
-            job_id: 7,
-            shard_index: 2,
-            shard_count: 4,
-            first_frame: 4,
-            first_epoch: 104,
-            config_fingerprint: 0xDEAD_BEEF,
-            entry: FabricEntry::Warm {
+        let entries = [
+            FabricEntry::Cold,
+            FabricEntry::WarmSelf,
+            FabricEntry::Warm {
                 k: 5,
                 kernels: vec![vec![0.1f32; 25]],
             },
-            k: 3,
-            kernels: vec![vec![0.5f32; 9]],
-            frames: vec![Frame::constant(3, 5, 0.5).unwrap()],
-        };
-        let messages = [
-            WireMessage::Job(sample_job()),
-            WireMessage::Shard(shard),
-            WireMessage::Report(sample_report()),
+        ];
+        let mut messages: Vec<WireMessage> = entries
+            .into_iter()
+            .map(|entry| {
+                WireMessage::ProgramShard(ProgramShard {
+                    entry,
+                    ..sample_program_shard()
+                })
+            })
+            .collect();
+        messages.extend([
             WireMessage::Refusal(ShardRefusal {
                 job_id: 9,
                 shard_index: 0,
@@ -1908,35 +1696,68 @@ mod tests {
                 nonce: 42,
                 config_fingerprint: 0xBEEF,
             }),
-            WireMessage::ProgramJob(ProgramJob {
-                job_id: 11,
-                program: sample_program(),
-                frames: vec![Frame::constant(4, 4, 0.5).unwrap()],
-            }),
-            WireMessage::ProgramShard(sample_program_shard()),
-            WireMessage::ProgramReport(ProgramReport {
-                job_id: 11,
-                shard_index: 1,
-                first_frame: 2,
-                reports: vec![crate::program::ProgramFrameReport {
-                    stages: vec![
-                        crate::program::StageReport::Conv(sample_report().reports[0].clone()),
-                        crate::program::StageReport::Quantize,
-                        crate::program::StageReport::Dense(crate::mlp::MatVecReport {
-                            output: vec![0.5f32, -1.25],
-                            chunks: 6,
-                            energy: Joule::new(3.5e-12),
-                            latency: Second::new(2e-10),
-                        }),
-                        crate::program::StageReport::Activation,
-                    ],
-                    output: vec![0.5f32, 0.0],
-                }],
-            }),
-        ];
+            WireMessage::ProgramReport(sample_program_report(vec![conv_frame_report(
+                sample_report(),
+            )])),
+            WireMessage::ProgramReport(sample_program_report(vec![ProgramFrameReport {
+                stages: vec![
+                    StageReport::Conv(sample_report()),
+                    StageReport::Quantize,
+                    StageReport::Dense(crate::mlp::MatVecReport {
+                        output: vec![0.5f32, -1.25],
+                        chunks: 6,
+                        energy: Joule::new(3.5e-12),
+                        latency: Second::new(2e-10),
+                    }),
+                    StageReport::Activation,
+                ],
+                output: vec![0.5f32, 0.0],
+            }])),
+        ]);
         for message in messages {
             let bytes = encode(&message);
             assert_eq!(decode(&bytes).unwrap(), message);
+        }
+    }
+
+    #[test]
+    fn conv_last_frame_reports_ship_their_maps_once() {
+        let mut conv = sample_report();
+        conv.output = vec![
+            vec![-0.0f32, f32::from_bits(1), 3.0, f32::MAX],
+            vec![f32::MIN, 0.5, -7.25, f32::EPSILON],
+        ];
+        let report = conv_frame_report(conv);
+        let bytes = encode(&WireMessage::ProgramReport(sample_program_report(vec![
+            report.clone(),
+        ])));
+        let Ok(WireMessage::ProgramReport(decoded)) = decode(&bytes) else {
+            panic!("the report round-trips");
+        };
+        let bits = |values: &[f32]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&decoded.reports[0].output), bits(&report.output));
+        assert_eq!(decoded.reports[0], report);
+        // A trailing elementwise stage makes `output` travel: exactly
+        // one discriminant byte, one count and the values more.
+        let mut with_output = report.clone();
+        with_output.stages.push(StageReport::Activation);
+        let longer = encode(&WireMessage::ProgramReport(sample_program_report(vec![
+            with_output,
+        ])));
+        assert_eq!(longer.len() - bytes.len(), 1 + 4 + 4 * report.output.len());
+    }
+
+    #[test]
+    fn other_schema_stamps_are_unsupported() {
+        let bytes = encode(&WireMessage::ProgramShard(sample_program_shard()));
+        assert_eq!(u16::from_le_bytes([bytes[2], bytes[3]]), SCHEMA_VERSION);
+        for got in [4u16, 6] {
+            let mut restamped = bytes.clone();
+            restamped[2..4].copy_from_slice(&got.to_le_bytes());
+            assert_eq!(
+                decode(&restamped),
+                Err(WireError::UnsupportedVersion { got })
+            );
         }
     }
 
@@ -1967,46 +1788,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_messages_stay_stamped_v2_and_both_versions_decode() {
-        // The v2-interop rule: pre-v3 messages travel under the legacy
-        // stamp so genuine v2 peers accept them...
-        let bytes = encode(&WireMessage::Job(sample_job()));
-        assert_eq!(
-            u16::from_le_bytes([bytes[2], bytes[3]]),
-            LEGACY_SCHEMA_VERSION
-        );
-        // ...while this decoder accepts the same layout under either
-        // stamp (a future peer may stamp v3 on everything).
-        let mut restamped = bytes.clone();
-        restamped[2..4].copy_from_slice(&SCHEMA_VERSION.to_le_bytes());
-        assert_eq!(decode(&restamped).unwrap(), decode(&bytes).unwrap());
-        // Configure keeps its v3 stamp (minimum-stamp rule)...
-        let push = encode(&WireMessage::Configure(ConfigPush {
-            nonce: 1,
-            config: OisaConfig::small_test(),
-        }));
-        assert_eq!(u16::from_le_bytes([push[2], push[3]]), V3_SCHEMA_VERSION);
-        // ...and the program messages are the only v4-stamped ones.
-        let program = encode(&WireMessage::ProgramShard(sample_program_shard()));
-        assert_eq!(u16::from_le_bytes([program[2], program[3]]), SCHEMA_VERSION);
-    }
-
-    #[test]
-    fn program_messages_under_an_older_stamp_are_rejected() {
-        let bytes = encode(&WireMessage::ProgramShard(sample_program_shard()));
-        for older in [LEGACY_SCHEMA_VERSION, V3_SCHEMA_VERSION] {
-            let mut restamped = bytes.clone();
-            restamped[2..4].copy_from_slice(&older.to_le_bytes());
-            match decode(&restamped) {
-                Err(WireError::Malformed(what)) => {
-                    assert!(what.contains("requires schema v4"), "{what}");
-                }
-                other => panic!("expected Malformed, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
     fn invalid_program_is_rejected_on_decode() {
         // A structurally valid encoding of a semantically invalid
         // program (conv after stage 0) must fail decode, typed.
@@ -2024,13 +1805,14 @@ mod tests {
 
     #[test]
     fn encode_program_shard_matches_the_owned_message_encoding() {
-        let shard = sample_program_shard();
+        let shard = ProgramShard {
+            entry: FabricEntry::Warm {
+                k: 3,
+                kernels: vec![vec![0.75f32; 9]],
+            },
+            ..sample_program_shard()
+        };
         let owned = encode(&WireMessage::ProgramShard(shard.clone()));
-        assert_eq!(
-            encode_program_shard(&shard),
-            owned,
-            "the by-reference dispatch path must emit identical bytes"
-        );
         // The coordinator's writer over parts borrowed from a job: the
         // frames are a sub-slice of a longer frame list.
         let other = Frame::constant(4, 4, 0.75).unwrap();
@@ -2044,6 +1826,7 @@ mod tests {
             first_frame: shard.first_frame,
             first_epoch: shard.first_epoch,
             config_fingerprint: shard.config_fingerprint,
+            entry: &shard.entry,
             program: &shard.program,
             frames: &job_frames[1..=shard.frames.len()],
         };
@@ -2055,76 +1838,16 @@ mod tests {
     }
 
     #[test]
-    fn truncated_program_messages_are_errors_not_panics() {
-        let bytes = encode(&WireMessage::ProgramShard(sample_program_shard()));
-        for cut in 0..bytes.len() {
-            let err = decode(&bytes[..cut]).expect_err("truncation must fail");
-            assert!(
-                matches!(err, WireError::Truncated { .. } | WireError::Malformed(_)),
-                "cut at {cut}: {err:?}"
-            );
-        }
-        let mut trailing = bytes;
-        trailing.push(0);
-        assert_eq!(decode(&trailing), Err(WireError::TrailingBytes(1)));
-    }
-
-    #[test]
-    fn configure_under_a_legacy_stamp_is_rejected() {
-        let mut bytes = encode(&WireMessage::Configure(ConfigPush {
-            nonce: 9,
-            config: OisaConfig::small_test(),
-        }));
-        bytes[2..4].copy_from_slice(&LEGACY_SCHEMA_VERSION.to_le_bytes());
-        match decode(&bytes) {
-            Err(WireError::Malformed(what)) => {
-                assert!(what.contains("requires schema v3"), "{what}");
-            }
-            other => panic!("expected Malformed, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn tag_registry_is_unique_and_version_sane() {
-        for (i, &(tag, min)) in TAG_MIN_VERSION.iter().enumerate() {
-            assert!(
-                !TAG_MIN_VERSION[..i].iter().any(|&(t, _)| t == tag),
-                "tag {tag} registered twice"
-            );
-            assert!(
-                (LEGACY_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&min),
-                "tag {tag}: min version {min} outside the supported range"
-            );
-        }
-        // The interop rule: exactly the config-push pair is v3-only.
-        // Pinned to the literal version, not SCHEMA_VERSION, so a
-        // future bump cannot silently turn this into a different set.
-        let v3_only: Vec<u8> = TAG_MIN_VERSION
-            .iter()
-            .filter(|&&(_, v)| v == V3_SCHEMA_VERSION)
-            .map(|&(t, _)| t)
-            .collect();
-        assert_eq!(v3_only, vec![TAG_CONFIGURE, TAG_CONFIGURE_ACK]);
-        // ...and exactly the layer-program trio is v4-only.
-        let v4_only: Vec<u8> = TAG_MIN_VERSION
-            .iter()
-            .filter(|&&(_, v)| v == 4)
-            .map(|&(t, _)| t)
-            .collect();
-        assert_eq!(
-            v4_only,
-            vec![TAG_PROGRAM_JOB, TAG_PROGRAM_SHARD, TAG_PROGRAM_REPORT]
-        );
-    }
-
-    #[test]
     fn unknown_tag_is_rejected_before_body_parsing() {
         let mut bytes = encode(&WireMessage::Ping(Handshake {
             nonce: 1,
             config_fingerprint: 2,
         }));
-        bytes[4] = 0xEE;
-        assert_eq!(decode(&bytes), Err(WireError::UnknownTag(0xEE)));
+        // The retired conv-shard and job tags included.
+        for tag in [1, 2, 3, 9, 0xEE] {
+            bytes[4] = tag;
+            assert_eq!(decode(&bytes), Err(WireError::UnknownTag(tag)));
+        }
     }
 
     #[test]
@@ -2162,24 +1885,6 @@ mod tests {
     }
 
     #[test]
-    fn truncated_configure_is_an_error_not_a_panic() {
-        let bytes = encode(&WireMessage::Configure(ConfigPush {
-            nonce: 11,
-            config: OisaConfig::paper_default(16, 16),
-        }));
-        for cut in 0..bytes.len() {
-            let err = decode(&bytes[..cut]).expect_err("truncation must fail");
-            assert!(
-                matches!(err, WireError::Truncated { .. } | WireError::Malformed(_)),
-                "cut at {cut}: {err:?}"
-            );
-        }
-        let mut trailing = bytes;
-        trailing.push(0);
-        assert_eq!(decode(&trailing), Err(WireError::TrailingBytes(1)));
-    }
-
-    #[test]
     fn refusal_code_display_is_stable_and_greppable() {
         assert_eq!(RefusalCode::Other.to_string(), "other");
         let shown = RefusalCode::FingerprintMismatch {
@@ -2193,29 +1898,9 @@ mod tests {
     }
 
     #[test]
-    fn encode_shard_matches_the_owned_message_encoding() {
-        let shard = JobShard {
-            job_id: 3,
-            shard_index: 1,
-            shard_count: 2,
-            first_frame: 2,
-            first_epoch: 12,
-            config_fingerprint: 5,
-            entry: FabricEntry::WarmSelf,
-            k: 3,
-            kernels: vec![vec![0.25f32; 9]],
-            frames: vec![Frame::constant(2, 3, 0.5).unwrap()],
-        };
-        assert_eq!(
-            encode_shard(&shard),
-            encode(&WireMessage::Shard(shard.clone())),
-            "the by-reference dispatch path must emit identical bytes"
-        );
-    }
-
-    #[test]
     fn version_and_magic_are_enforced() {
-        let mut bytes = encode(&WireMessage::Job(sample_job()));
+        let shard = WireMessage::ProgramShard(sample_program_shard());
+        let mut bytes = encode(&shard);
         // Payload layout: magic(2) version(2) tag(1) ...
         bytes[2] = 0xFF;
         bytes[3] = 0xFF;
@@ -2223,32 +1908,43 @@ mod tests {
             decode(&bytes),
             Err(WireError::UnsupportedVersion { got: 0xFFFF })
         );
-        let mut bad_magic = encode(&WireMessage::Job(sample_job()));
+        let mut bad_magic = encode(&shard);
         bad_magic[0] = b'X';
         assert!(matches!(decode(&bad_magic), Err(WireError::BadMagic(_))));
-        let mut bad_tag = encode(&WireMessage::Job(sample_job()));
+        let mut bad_tag = encode(&shard);
         bad_tag[4] = 0xEE;
         assert_eq!(decode(&bad_tag), Err(WireError::UnknownTag(0xEE)));
     }
 
     #[test]
     fn truncation_and_trailing_bytes_are_errors_not_panics() {
-        let bytes = encode(&WireMessage::Report(sample_report()));
-        for cut in 0..bytes.len() {
-            let err = decode(&bytes[..cut]).expect_err("truncation must fail");
-            assert!(
-                matches!(err, WireError::Truncated { .. } | WireError::Malformed(_)),
-                "cut at {cut}: {err:?}"
-            );
+        for message in [
+            WireMessage::ProgramShard(sample_program_shard()),
+            WireMessage::ProgramReport(sample_program_report(vec![conv_frame_report(
+                sample_report(),
+            )])),
+            WireMessage::Configure(ConfigPush {
+                nonce: 11,
+                config: OisaConfig::paper_default(16, 16),
+            }),
+        ] {
+            let bytes = encode(&message);
+            for cut in 0..bytes.len() {
+                let err = decode(&bytes[..cut]).expect_err("truncation must fail");
+                assert!(
+                    matches!(err, WireError::Truncated { .. } | WireError::Malformed(_)),
+                    "cut at {cut}: {err:?}"
+                );
+            }
+            let mut trailing = bytes;
+            trailing.push(0);
+            assert_eq!(decode(&trailing), Err(WireError::TrailingBytes(1)));
         }
-        let mut trailing = bytes;
-        trailing.push(0);
-        assert_eq!(decode(&trailing), Err(WireError::TrailingBytes(1)));
     }
 
     #[test]
     fn frame_pixels_outside_unit_range_are_rejected() {
-        let mut bytes = encode(&WireMessage::Job(sample_job()));
+        let mut bytes = encode(&WireMessage::ProgramShard(sample_program_shard()));
         // The last 8 bytes are the final pixel; overwrite with 2.0.
         let n = bytes.len();
         bytes[n - 8..].copy_from_slice(&2.0f64.to_bits().to_le_bytes());
@@ -2310,10 +2006,10 @@ mod tests {
 
     #[test]
     fn corrupt_collection_count_fails_before_allocating() {
-        let mut bytes = encode(&WireMessage::Job(sample_job()));
-        // kernels count lives right after magic+version+tag+job_id+k =
-        // 2+2+1+8+8 = 21 bytes.
-        bytes[21..25].copy_from_slice(&u32::MAX.to_le_bytes());
+        let mut bytes = encode(&WireMessage::ProgramShard(sample_program_shard()));
+        // The stage count follows the 5-byte header, 40 bytes of ids,
+        // epoch and fingerprint, and the 1-byte WarmSelf entry.
+        bytes[46..50].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(decode(&bytes), Err(WireError::Truncated { .. })));
     }
 }

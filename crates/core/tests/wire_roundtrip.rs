@@ -9,84 +9,101 @@ use std::io::Cursor;
 
 use oisa_core::accelerator::{EnergyReport, OisaConfig};
 use oisa_core::controller::Timeline;
+use oisa_core::mlp::MatVecReport;
+use oisa_core::program::{LayerProgram, ProgramFrameReport, StageReport};
 use oisa_core::wire::{
     decode, encode, read_frame, receive, send, write_frame, ConfigPush, FabricEntry, Handshake,
-    InferenceJob, JobShard, RefusalCode, ShardRefusal, ShardReport, WireMessage,
+    ProgramReport, ProgramShard, RefusalCode, ShardRefusal, WireMessage,
 };
 use oisa_core::{ConvolutionReport, MappingPlan};
 use oisa_sensor::frame::Frame;
 use oisa_units::{Joule, Second};
 
-fn sample_shard() -> JobShard {
-    JobShard {
+fn sample_shard(entry: FabricEntry) -> ProgramShard {
+    ProgramShard {
         job_id: 11,
         shard_index: 2,
         shard_count: 4,
         first_frame: 6,
         first_epoch: 106,
         config_fingerprint: 0x00C0_FFEE,
-        entry: FabricEntry::Warm {
-            k: 5,
-            kernels: vec![vec![0.125f32; 25]],
-        },
-        k: 3,
-        kernels: vec![vec![0.5f32; 9], vec![-0.25f32; 9]],
-        frames: vec![Frame::constant(3, 5, 0.5).expect("valid frame")],
+        entry,
+        program: LayerProgram::autoencoder(5, 3, 2, 2, 7).expect("valid program"),
+        frames: vec![Frame::constant(5, 3, 0.5).expect("valid frame")],
     }
 }
 
-fn sample_report() -> ShardReport {
-    ShardReport {
+fn sample_conv() -> ConvolutionReport {
+    ConvolutionReport {
+        output: vec![vec![1.5f32, -2.25, 0.0, f32::MIN_POSITIVE]],
+        out_h: 2,
+        out_w: 2,
+        plan: MappingPlan {
+            kernel_size_class: 3,
+            slots_per_pass: 20,
+            passes: 1,
+            planes_last_pass: 2,
+            parallel_positions: 10,
+            cycles_per_pass: 4,
+            rings_per_pass: 18,
+            tuning_iterations_per_pass: 2,
+            macs_per_cycle: 90,
+        },
+        timeline: Timeline {
+            capture: Second::new(5e-5),
+            mapping: Second::new(2e-9),
+            compute: Second::new(2.232e-10),
+            transmit: Second::new(4e-10),
+            control: Second::new(4e-9),
+        },
+        energy: EnergyReport {
+            sensing: Joule::new(1.25e-9),
+            encoding: Joule::new(3.5e-12),
+            tuning: Joule::new(7.75e-12),
+            compute: Joule::new(9.5e-13),
+            aggregation: Joule::new(0.0),
+            memory: Joule::new(1.5e-12),
+        },
+    }
+}
+
+fn sample_report(frame: ProgramFrameReport) -> ProgramReport {
+    ProgramReport {
         job_id: 11,
         shard_index: 2,
         first_frame: 6,
-        reports: vec![ConvolutionReport {
-            output: vec![vec![1.5f32, -2.25, 0.0, f32::MIN_POSITIVE]],
-            out_h: 2,
-            out_w: 2,
-            plan: MappingPlan {
-                kernel_size_class: 3,
-                slots_per_pass: 20,
-                passes: 1,
-                planes_last_pass: 2,
-                parallel_positions: 10,
-                cycles_per_pass: 4,
-                rings_per_pass: 18,
-                tuning_iterations_per_pass: 2,
-                macs_per_cycle: 90,
-            },
-            timeline: Timeline {
-                capture: Second::new(5e-5),
-                mapping: Second::new(2e-9),
-                compute: Second::new(2.232e-10),
-                transmit: Second::new(4e-10),
-                control: Second::new(4e-9),
-            },
-            energy: EnergyReport {
-                sensing: Joule::new(1.25e-9),
-                encoding: Joule::new(3.5e-12),
-                tuning: Joule::new(7.75e-12),
-                compute: Joule::new(9.5e-13),
-                aggregation: Joule::new(0.0),
-                memory: Joule::new(1.5e-12),
-            },
-        }],
+        reports: vec![frame],
     }
 }
 
 fn all_messages() -> Vec<WireMessage> {
+    let conv = sample_conv();
     vec![
-        WireMessage::Job(InferenceJob {
-            job_id: 11,
-            k: 3,
-            kernels: vec![vec![0.5f32; 9]],
-            frames: vec![
-                Frame::constant(4, 4, 0.25).expect("valid frame"),
-                Frame::constant(4, 4, 0.75).expect("valid frame"),
+        WireMessage::ProgramShard(sample_shard(FabricEntry::Cold)),
+        WireMessage::ProgramShard(sample_shard(FabricEntry::WarmSelf)),
+        WireMessage::ProgramShard(sample_shard(FabricEntry::Warm {
+            k: 5,
+            kernels: vec![vec![0.125f32; 25]],
+        })),
+        // A conv job's report: the output travels as the maps alone.
+        WireMessage::ProgramReport(sample_report(ProgramFrameReport {
+            output: conv.output.concat(),
+            stages: vec![StageReport::Conv(conv.clone())],
+        })),
+        WireMessage::ProgramReport(sample_report(ProgramFrameReport {
+            stages: vec![
+                StageReport::Conv(conv),
+                StageReport::Quantize,
+                StageReport::Dense(MatVecReport {
+                    output: vec![0.5f32, -1.25],
+                    chunks: 6,
+                    energy: Joule::new(3.5e-12),
+                    latency: Second::new(2e-10),
+                }),
+                StageReport::Activation,
             ],
-        }),
-        WireMessage::Shard(sample_shard()),
-        WireMessage::Report(sample_report()),
+            output: vec![0.5f32, 0.0],
+        })),
         WireMessage::Refusal(ShardRefusal {
             job_id: 9,
             shard_index: 0,
@@ -158,7 +175,12 @@ fn raw_frame_layer_round_trips_arbitrary_payloads() {
 
 #[test]
 fn truncated_payloads_error_without_panicking() {
-    let bytes = encode(&WireMessage::Shard(sample_shard()));
+    let bytes = encode(&WireMessage::ProgramShard(sample_shard(
+        FabricEntry::Warm {
+            k: 3,
+            kernels: vec![vec![0.5f32; 9]],
+        },
+    )));
     // Every short prefix near the header plus a spread through the
     // body must yield a typed error, never a panic or wraparound. The
     // stride keeps the case count Miri-friendly.

@@ -1,7 +1,5 @@
-// Fixture: a colliding tag value plus a tag skipped by the gating
-// table — both of the regressions a "just add a message" PR can make.
+// Fixture: a colliding tag value — the regression a "just add a
+// message" PR can make.
 pub const TAG_JOB: u8 = 1;
 pub const TAG_RESULT: u8 = 2;
 pub const TAG_CLASH: u8 = 2;
-
-pub const TAG_MIN_VERSION: &[(u8, u16)] = &[(TAG_JOB, 2), (TAG_CLASH, 3)];

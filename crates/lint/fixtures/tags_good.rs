@@ -1,7 +1,4 @@
-// Fixture: unique tags, every one of them version-gated.
+// Fixture: unique tags.
 pub const TAG_JOB: u8 = 1;
 pub const TAG_RESULT: u8 = 2;
 pub const TAG_CONFIGURE: u8 = 3;
-
-pub const TAG_MIN_VERSION: &[(u8, u16)] =
-    &[(TAG_JOB, 2), (TAG_RESULT, 2), (TAG_CONFIGURE, 3)];

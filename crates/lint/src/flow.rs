@@ -850,7 +850,7 @@ mod tests {
     fn wire_must_not_import_backend_or_serving() {
         let f = check(&[(
             "crates/core/src/wire.rs",
-            "use crate::backend::LocalBackend;\nconst TAG_A: u8 = 1;\nconst TAG_MIN_VERSION: &[(u8, u16)] = &[(TAG_A, 2)];",
+            "use crate::backend::LocalBackend;\nconst TAG_A: u8 = 1;",
         )]);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, RULE_LAYERING);

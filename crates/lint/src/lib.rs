@@ -10,7 +10,7 @@
 //! order, panic reachability from serving entry points,
 //! wall-clock/entropy taint into the wire codec, and crate layering,
 //! alongside the five per-file rules (unsafe hygiene, counter-based
-//! determinism, bit-exact float transport, wire-tag version gating,
+//! determinism, bit-exact float transport, unique wire tags,
 //! centralized thread spawning).
 //!
 //! ## Quickstart

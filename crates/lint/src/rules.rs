@@ -25,8 +25,7 @@ pub const RULE_WALLCLOCK: &str = "deterministic-no-wallclock";
 /// No float `==`/`!=` or float text formatting on the wire/merge path;
 /// floats cross as `to_bits`/`from_bits`.
 pub const RULE_FLOAT_WIRE: &str = "float-bit-exact-wire";
-/// Wire message tags must be unique and each must appear in the
-/// `TAG_MIN_VERSION` version-gating table.
+/// Wire message tags must be unique.
 pub const RULE_TAG_REGISTRY: &str = "wire-tag-registry";
 /// `thread::spawn` only in the scheduler, the backend and serving.
 pub const RULE_BARE_SPAWN: &str = "no-bare-spawn";
@@ -311,9 +310,6 @@ fn has_float_format_spec(text: &str) -> bool {
 // Rule 4: wire-tag-registry
 // ---------------------------------------------------------------------
 
-/// The table every tag constant must appear in.
-const TAG_TABLE_NAME: &str = "TAG_MIN_VERSION";
-
 fn wire_tag_registry(file: &SourceFile, sig: &[usize], out: &mut Vec<Finding>) {
     if !file.path.ends_with("wire.rs") {
         return;
@@ -329,7 +325,6 @@ fn wire_tag_registry(file: &SourceFile, sig: &[usize], out: &mut Vec<Finding>) {
         };
         if name.kind == TokenKind::Ident
             && name.text.starts_with("TAG_")
-            && name.text != TAG_TABLE_NAME
             && colon.is(TokenKind::Punct, ":")
             && ty.is(TokenKind::Ident, "u8")
             && eq.is(TokenKind::Punct, "=")
@@ -338,10 +333,6 @@ fn wire_tag_registry(file: &SourceFile, sig: &[usize], out: &mut Vec<Finding>) {
             defs.push((name.text.clone(), value.text.clone(), name.line, name.col));
         }
     }
-    if defs.is_empty() {
-        return; // Not a wire schema file (or a fixture without tags).
-    }
-    // Duplicate values.
     for (a, def) in defs.iter().enumerate() {
         if defs[..a].iter().any(|d| d.1 == def.1) {
             out.push(finding(
@@ -350,101 +341,6 @@ fn wire_tag_registry(file: &SourceFile, sig: &[usize], out: &mut Vec<Finding>) {
                 def.2,
                 def.3,
                 format!("message tag `{}` reuses value {}", def.0, def.1),
-            ));
-        }
-    }
-    // The gating table: `TAG_MIN_VERSION … = … [ <entries> ]`.
-    let table_pos = sig
-        .iter()
-        .position(|&i| file.tokens[i].is(TokenKind::Ident, TAG_TABLE_NAME));
-    let Some(tp) = table_pos else {
-        out.push(finding(
-            file,
-            RULE_TAG_REGISTRY,
-            defs[0].2,
-            defs[0].3,
-            format!(
-                "no `{TAG_TABLE_NAME}` version-gating table — every tag must declare \
-                 the minimum schema version it may travel under"
-            ),
-        ));
-        return;
-    };
-    let eq_pos = (tp..sig.len()).find(|&p| tok(p).is_some_and(|t| t.is(TokenKind::Punct, "=")));
-    let open = eq_pos.and_then(|e| {
-        (e..sig.len()).find(|&p| tok(p).is_some_and(|t| t.is(TokenKind::Punct, "[")))
-    });
-    let Some(open) = open else {
-        out.push(finding(
-            file,
-            RULE_TAG_REGISTRY,
-            file.tokens[sig[tp]].line,
-            file.tokens[sig[tp]].col,
-            format!("`{TAG_TABLE_NAME}` exists but no table literal follows it"),
-        ));
-        return;
-    };
-    let mut depth = 0usize;
-    let mut close = open;
-    for p in open..sig.len() {
-        match tok(p) {
-            Some(t) if t.is(TokenKind::Punct, "[") => depth += 1,
-            Some(t) if t.is(TokenKind::Punct, "]") => {
-                depth = depth.saturating_sub(1);
-                if depth == 0 {
-                    close = p;
-                    break;
-                }
-            }
-            _ => {}
-        }
-    }
-    let mut listed: Vec<(String, u32, u32)> = Vec::new();
-    for p in open..close {
-        if let Some(t) = tok(p) {
-            if t.kind == TokenKind::Ident && t.text.starts_with("TAG_") {
-                listed.push((t.text.clone(), t.line, t.col));
-            }
-        }
-    }
-    for (name, line, col) in &listed {
-        if listed.iter().filter(|(n, _, _)| n == name).count() > 1 {
-            // Report once, at the first occurrence.
-            if listed
-                .iter()
-                .find(|(n, _, _)| n == name)
-                .is_some_and(|(_, l, _)| l == line)
-            {
-                out.push(finding(
-                    file,
-                    RULE_TAG_REGISTRY,
-                    *line,
-                    *col,
-                    format!("tag `{name}` listed more than once in `{TAG_TABLE_NAME}`"),
-                ));
-            }
-        }
-        if !defs.iter().any(|(n, _, _, _)| n == name) {
-            out.push(finding(
-                file,
-                RULE_TAG_REGISTRY,
-                *line,
-                *col,
-                format!("`{TAG_TABLE_NAME}` lists `{name}` but no such tag constant exists"),
-            ));
-        }
-    }
-    for (name, _, line, col) in &defs {
-        if !listed.iter().any(|(n, _, _)| n == name) {
-            out.push(finding(
-                file,
-                RULE_TAG_REGISTRY,
-                *line,
-                *col,
-                format!(
-                    "tag `{name}` missing from the `{TAG_TABLE_NAME}` version-gating \
-                     table — decide whether it is legacy (v2) or v3-only"
-                ),
             ));
         }
     }
@@ -567,32 +463,13 @@ mod tests {
     }
 
     #[test]
-    fn tag_registry_checks_uniqueness_and_table_membership() {
-        let dup = "const TAG_A: u8 = 1;\nconst TAG_B: u8 = 1;\nconst TAG_MIN_VERSION: &[(u8, u16)] = &[(TAG_A, 2), (TAG_B, 2)];";
+    fn tag_registry_checks_uniqueness() {
+        let dup = "const TAG_A: u8 = 1;\nconst TAG_B: u8 = 1;";
         let hits = run("crates/core/src/wire.rs", dup);
-        assert!(hits
-            .iter()
-            .any(|f| f.rule == RULE_TAG_REGISTRY && f.message.contains("reuses")));
-        let missing = "const TAG_A: u8 = 1;\nconst TAG_B: u8 = 2;\nconst TAG_MIN_VERSION: &[(u8, u16)] = &[(TAG_A, 2)];";
-        let hits = run("crates/core/src/wire.rs", missing);
-        assert!(hits.iter().any(|f| f.message.contains("missing from")));
-        let good = "const TAG_A: u8 = 1;\nconst TAG_B: u8 = 2;\nconst TAG_MIN_VERSION: &[(u8, u16)] = &[(TAG_A, 2), (TAG_B, 3)];";
-        assert!(run("crates/core/src/wire.rs", good).is_empty());
-    }
-
-    #[test]
-    fn tag_registry_flags_unknown_table_entries() {
-        let src = "const TAG_A: u8 = 1;\nconst TAG_MIN_VERSION: &[(u8, u16)] = &[(TAG_A, 2), (TAG_GHOST, 2)];";
-        let hits = run("crates/core/src/wire.rs", src);
-        assert!(hits.iter().any(|f| f.message.contains("TAG_GHOST")));
-    }
-
-    #[test]
-    fn missing_table_fires_once() {
-        let src = "const TAG_A: u8 = 1;";
-        let hits = run("crates/core/src/wire.rs", src);
         assert_eq!(hits.len(), 1);
-        assert!(hits[0].message.contains("version-gating table"));
+        assert!(hits[0].rule == RULE_TAG_REGISTRY && hits[0].message.contains("reuses"));
+        let good = "const TAG_A: u8 = 1;\nconst TAG_B: u8 = 2;";
+        assert!(run("crates/core/src/wire.rs", good).is_empty());
     }
 
     #[test]

@@ -75,8 +75,8 @@ const CASES: &[Case] = &[
         source: include_str!("../fixtures/tags_bad.rs"),
         virtual_path: "crates/core/src/wire.rs",
         rule: r::RULE_TAG_REGISTRY,
-        // One value collision, one tag missing from the gating table.
-        expect: 2,
+        // One value collision.
+        expect: 1,
     },
     Case {
         name: "tags_good.rs",

@@ -21,7 +21,6 @@
 //! cargo run --release --example multi_node -- --in-process   # same wire path, no processes
 //! cargo run --release --example multi_node -- --supervisor   # self-healing drill: kill a daemon
 //!                                                            # mid-job, FleetSupervisor recovers
-//! cargo run --release --example multi_node -- --interop      # wire v2↔v3 smoke: stamps + config push
 //! ```
 //!
 //! The `--tcp` mode also runs a **fault-injection drill**: one daemon
@@ -36,11 +35,7 @@
 //! [`FleetSupervisor`](oisa::core::backend::FleetSupervisor) promotes
 //! a spare daemon and re-runs the failed shard with **zero manual
 //! intervention** — `replace_worker` is never called — and the merged
-//! report still matches the sequential loop bit for bit. The
-//! `--interop` mode proves the wire-v3 rules: legacy messages stay
-//! stamped v2 (so v2 peers interoperate), `Configure` stamps v3, and
-//! a config push makes a daemon running *different physics* serve the
-//! coordinator correctly instead of refusing.
+//! report still matches the sequential loop bit for bit.
 
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, Command, Stdio};
@@ -50,7 +45,7 @@ use oisa::core::backend::{
     ComputeBackend, FleetSupervisor, InProcessWorker, ShardTransport, ShardedBackend,
     SupervisorOptions, TcpTransport, TcpTransportConfig, TcpWorker, WorkerOptions,
 };
-use oisa::core::wire::{self, ConfigPush, Handshake, InferenceJob, WireMessage};
+use oisa::core::wire::{self, InferenceJob};
 use oisa::core::{ConvolutionReport, OisaAccelerator, OisaConfig, OisaError};
 use oisa::device::noise::NoiseConfig;
 use oisa::sensor::Frame;
@@ -65,17 +60,11 @@ const IMG: usize = 16;
 /// fleet this ships with the deployment, out-of-band (the `oisa_worker`
 /// daemon's defaults reproduce it).
 fn node_config() -> OisaConfig {
-    node_config_with_seed(2024)
-}
-
-/// `node_config` with a different noise seed — "different physics" for
-/// the interop smoke's mismatched daemon.
-fn node_config_with_seed(seed: u64) -> OisaConfig {
     OisaConfig::builder()
         .imager_dims(IMG, IMG)
         .opc_shape(4, 2, 10)
         .noise(NoiseConfig::paper_default())
-        .seed(seed)
+        .seed(2024)
         .build()
         .expect("deployment config validates")
 }
@@ -193,24 +182,13 @@ struct TcpDaemon {
 }
 
 impl TcpDaemon {
+    /// Spawns a daemon, optionally rigged to abort after N shards.
     fn spawn(fail_after_shards: Option<u64>) -> Result<Self, Box<dyn std::error::Error>> {
-        Self::spawn_opts(fail_after_shards, None)
-    }
-
-    /// Spawns a daemon, optionally rigged to abort after N shards
-    /// and/or built with a different noise seed ("different physics").
-    fn spawn_opts(
-        fail_after_shards: Option<u64>,
-        seed: Option<u64>,
-    ) -> Result<Self, Box<dyn std::error::Error>> {
         let exe = std::env::current_exe()?;
         let mut cmd = Command::new(exe);
         cmd.args(["--worker-tcp", "127.0.0.1:0"]);
         if let Some(limit) = fail_after_shards {
             cmd.args(["--fail-after-shards", &limit.to_string()]);
-        }
-        if let Some(seed) = seed {
-            cmd.args(["--seed", &seed.to_string()]);
         }
         let mut child = cmd.stdout(Stdio::piped()).spawn()?;
         let stdout = child.stdout.take().expect("piped stdout");
@@ -573,94 +551,6 @@ fn run_supervisor_drill() -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// The wire v2↔v3 interop smoke: proves the on-the-wire stamps match
-/// the module-doc rules, then proves a v3 config push turns a daemon
-/// running *different physics* into a serving member of this
-/// coordinator's fleet.
-fn run_interop_smoke() -> Result<(), Box<dyn std::error::Error>> {
-    println!("wire v2<->v3 interop smoke");
-    println!("--------------------------");
-    let config = node_config();
-    let kernels = kernel_bank();
-
-    // Stamp check straight off the encoder: every pre-v3 message stays
-    // stamped v2 (so v2 peers keep decoding it), while Configure — the
-    // one message v2 peers cannot understand — stamps v3. Bytes 2..4
-    // of a payload are the little-endian schema version.
-    let legacy = wire::encode(&WireMessage::Ping(Handshake {
-        nonce: 7,
-        config_fingerprint: config.fingerprint(),
-    }));
-    assert_eq!(
-        u16::from_le_bytes([legacy[2], legacy[3]]),
-        wire::LEGACY_SCHEMA_VERSION,
-        "legacy messages must stay stamped v2 for v2 peers"
-    );
-    let configure = wire::encode(&WireMessage::Configure(ConfigPush { nonce: 7, config }));
-    assert_eq!(
-        u16::from_le_bytes([configure[2], configure[3]]),
-        wire::V3_SCHEMA_VERSION,
-        "Configure needs v3 and must say exactly that on the wire — not the \
-         build's own (v4) version, which would lock out v3 peers"
-    );
-    println!(
-        "stamps: Ping -> v{}, Configure -> v{} (every message carries the *minimum* \
-         version that understands it, so older peers keep decoding)",
-        wire::LEGACY_SCHEMA_VERSION,
-        wire::V3_SCHEMA_VERSION
-    );
-
-    // A daemon running different physics (different noise seed — a
-    // different config fingerprint) refuses a plain v2-style handshake…
-    let daemon = TcpDaemon::spawn_opts(None, Some(4242))?;
-    match TcpTransport::connect(
-        daemon.addr.clone(),
-        config.fingerprint(),
-        transport_config(),
-    ) {
-        Err(OisaError::FingerprintMismatch {
-            coordinator,
-            worker,
-        }) => {
-            println!(
-                "plain handshake: refused as expected \
-                 (coordinator {coordinator:#018x} vs worker {worker:#018x})"
-            );
-        }
-        Err(other) => return Err(format!("expected a fingerprint mismatch, got {other}").into()),
-        Ok(_) => return Err("mismatched daemon accepted a plain handshake".into()),
-    }
-
-    // …but a v3 config push makes the same daemon rebuild its
-    // accelerator from the coordinator's config and serve correctly.
-    let transport =
-        TcpTransport::connect_with_config(daemon.addr.clone(), config, transport_config())?;
-    let mut backend = ShardedBackend::new(config, vec![Box::new(transport)])?;
-    let frames: Vec<Frame> = (0..4).map(capture).collect();
-    let job = InferenceJob {
-        job_id: 1,
-        k: 3,
-        kernels: kernels.clone(),
-        frames: frames.clone(),
-    };
-    let merged = backend.run_job(&job)?;
-    let mut oracle = OisaAccelerator::new(config)?;
-    let looped: Vec<ConvolutionReport> = frames
-        .iter()
-        .map(|f| oracle.convolve_frame_sequential(f, &kernels, 3))
-        .collect::<Result<_, _>>()?;
-    assert_eq!(
-        merged, looped,
-        "config-pushed worker must serve bit-identically to the sequential loop"
-    );
-    println!("config push: mismatched daemon adopted the coordinator's physics and served");
-    println!(
-        "             a {}-frame job bit-identically to the sequential loop",
-        frames.len()
-    );
-    Ok(())
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let value_of = |flag: &str| {
@@ -674,11 +564,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let fail_after_shards = value_of("--fail-after-shards")
             .map(|raw| raw.parse::<u64>())
             .transpose()?;
-        let config = match value_of("--seed") {
-            Some(raw) => node_config_with_seed(raw.parse::<u64>()?),
-            None => node_config(),
-        };
-        let worker = TcpWorker::bind(config, &addr)?.with_options(WorkerOptions {
+        let worker = TcpWorker::bind(node_config(), &addr)?.with_options(WorkerOptions {
             io_timeout: None,
             fail_after_shards,
         });
@@ -699,9 +585,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     if args.iter().any(|a| a == "--supervisor") {
         return run_supervisor_drill();
-    }
-    if args.iter().any(|a| a == "--interop") {
-        return run_interop_smoke();
     }
     let fleet = if args.iter().any(|a| a == "--tcp") {
         Fleet::Tcp

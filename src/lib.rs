@@ -30,8 +30,10 @@
 //! backend it fronts. [`core::backend::LocalBackend`] runs jobs on
 //! this host; [`core::backend::ShardedBackend`] splits each job's
 //! frames into `(frame, epoch)` ranges, ships them to worker
-//! processes over the versioned wire schema ([`core::wire`]) and
-//! merges the reports **bit-identically** to one sequential loop —
+//! processes over the versioned wire schema ([`core::wire`]) — a conv
+//! job as the one-stage layer program `[Stage::Conv]`, in the same
+//! shard message as any program — and merges the reports
+//! **bit-identically** to one sequential loop —
 //! `examples/multi_node.rs` is the runnable coordinator/worker pair.
 //!
 //! ```

@@ -16,7 +16,7 @@ use oisa::core::backend::{
     ComputeBackend, LocalBackend, ShardedBackend, TcpTransport, TcpTransportConfig, TcpWorker,
 };
 use oisa::core::serving::{ServingConfig, ServingEngine};
-use oisa::core::wire::{self, InferenceJob};
+use oisa::core::wire::{self, InferenceJob, WireError};
 use oisa::core::{ConvolutionReport, OisaAccelerator, OisaConfig, OisaError};
 use oisa::device::noise::NoiseConfig;
 use oisa::sensor::Frame;
@@ -68,7 +68,7 @@ fn sequential_loop(
         .collect()
 }
 
-/// The acceptance property: merged `ShardReport`s across 1/2/4 workers
+/// The acceptance property: merged shard reports across 1/2/4 workers
 /// are bit-identical (outputs *and* energy totals) to
 /// `convolve_frame_sequential` over the same frames — including a
 /// multi-pass 3×3 workload and a VOM-aggregated 5×5 workload.
@@ -513,6 +513,36 @@ fn tcp_fingerprint_mismatch_is_typed_at_handshake_and_shard_level() {
             worker: worker_cfg.fingerprint(),
         }
     );
+}
+
+/// A worker of another schema version answers the connect-time ping
+/// with a Pong stamped v4: the handshake fails on the first attempt
+/// with the typed version error, since reconnecting cannot change a
+/// peer's version.
+#[test]
+fn tcp_connect_refuses_a_pong_of_another_schema_version_without_retrying() {
+    use std::io::Write as _;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    static CONNECTIONS: AtomicUsize = AtomicUsize::new(0);
+    let endpoint = evil_server(|mut stream| {
+        CONNECTIONS.fetch_add(1, Ordering::SeqCst);
+        let Ok(Some(request)) = wire::read_frame(&mut stream) else {
+            return;
+        };
+        let Ok(wire::WireMessage::Ping(ping)) = wire::decode(&request) else {
+            return;
+        };
+        let mut pong = wire::encode(&wire::WireMessage::Pong(ping));
+        pong[2..4].copy_from_slice(&4u16.to_le_bytes());
+        let _ = wire::write_frame(&mut stream, &pong);
+        let _ = stream.flush();
+    });
+    let err = TcpTransport::connect(endpoint, 0, fast_tcp(true)).unwrap_err();
+    assert_eq!(
+        err,
+        OisaError::Wire(WireError::UnsupportedVersion { got: 4 })
+    );
+    assert_eq!(CONNECTIONS.load(Ordering::SeqCst), 1, "connect retried");
 }
 
 /// A daemon accepts any number of sequential coordinator connections:

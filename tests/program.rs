@@ -9,8 +9,8 @@
 //! [`run_reference`]: oisa::core::program::run_reference
 
 use oisa::core::backend::{
-    execute_program_shard, execute_shard, ComputeBackend, InProcessWorker, LocalBackend,
-    ShardTransport, ShardedBackend,
+    execute_program_shard, ComputeBackend, InProcessWorker, LocalBackend, ShardTransport,
+    ShardedBackend,
 };
 use oisa::core::mlp::matvec_parallel;
 use oisa::core::program::{
@@ -18,9 +18,9 @@ use oisa::core::program::{
     StageReport,
 };
 use oisa::core::wire::{
-    self, FabricEntry, InferenceJob, JobShard, ProgramJob, ProgramShard, WireError, WireMessage,
+    self, FabricEntry, InferenceJob, ProgramJob, ProgramShard, WireError, WireMessage,
 };
-use oisa::core::{CoreError, OisaAccelerator, OisaConfig, OisaError};
+use oisa::core::{ConvolutionReport, CoreError, OisaAccelerator, OisaConfig, OisaError};
 use oisa::device::noise::{NoiseConfig, NoiseSource};
 use oisa::optics::opc::Opc;
 use oisa::optics::vom::Vom;
@@ -281,7 +281,9 @@ fn non_finite_dense_weights_fail_alike_on_every_path() {
 /// 4×4 imager's 2×2 conv output the product wraps to 4 — the matrix's
 /// own length — so an unchecked size check passes and staging indexes
 /// far past the matrix. The wire decoder accepts any row count, so a
-/// decoded shard reaches the worker with it.
+/// decoded shard reaches the worker with it — whatever its entry
+/// state, a cold or warm entry included, which skips the program
+/// prewarm that checks shapes on the default path.
 #[test]
 fn overflowing_dense_shape_is_refused_on_every_entry_point() {
     let config = OisaConfig::builder()
@@ -316,23 +318,39 @@ fn overflowing_dense_shape_is_refused_on_every_entry_point() {
         .unwrap_err();
     assert!(refused(&err), "{err}");
 
-    let shard = ProgramShard {
-        job_id: 1,
-        shard_index: 0,
-        shard_count: 1,
-        first_frame: 0,
-        first_epoch: 0,
-        config_fingerprint: config.fingerprint(),
-        program,
-        frames,
-    };
-    let Ok(WireMessage::ProgramShard(decoded)) =
-        wire::decode(&wire::encode(&WireMessage::ProgramShard(shard)))
-    else {
-        panic!("the shard round-trips the wire");
-    };
-    let err = execute_program_shard(&config, &decoded).unwrap_err();
-    assert!(refused(&err), "{err}");
+    for entry in entry_states() {
+        let shard = ProgramShard {
+            job_id: 1,
+            shard_index: 0,
+            shard_count: 1,
+            first_frame: 0,
+            first_epoch: 0,
+            config_fingerprint: config.fingerprint(),
+            entry,
+            program: program.clone(),
+            frames: frames.clone(),
+        };
+        let Ok(WireMessage::ProgramShard(decoded)) =
+            wire::decode(&wire::encode(&WireMessage::ProgramShard(shard)))
+        else {
+            panic!("the shard round-trips the wire");
+        };
+        let err = execute_program_shard(&config, &decoded).unwrap_err();
+        assert!(refused(&err), "{:?}: {err}", decoded.entry);
+    }
+}
+
+/// One of each fabric entry state a shard can carry; the warm one
+/// stages a 3×3 kernel that fits a 4×4 imager.
+fn entry_states() -> [FabricEntry; 3] {
+    [
+        FabricEntry::Cold,
+        FabricEntry::WarmSelf,
+        FabricEntry::Warm {
+            k: 3,
+            kernels: kernel_bank(2, 3, 5),
+        },
+    ]
 }
 
 /// A conv kernel side whose square overflows `usize` is refused with a
@@ -358,42 +376,17 @@ fn overflowing_kernel_side_is_refused_on_every_entry_point() {
         _ => false,
     };
 
-    // A program shard: the decoder validates every program it decodes.
+    // A shard — a conv job's one-stage program — fails decode, since
+    // the decoder validates every program, and the shard executor
+    // refuses it from every entry state.
     let program = LayerProgram {
         stages: vec![Stage::Conv {
             k,
             kernels: kernels.clone(),
         }],
     };
-    let program_shard = ProgramShard {
-        job_id: 1,
-        shard_index: 0,
-        shard_count: 1,
-        first_frame: 0,
-        first_epoch: 0,
-        config_fingerprint: config.fingerprint(),
-        program: program.clone(),
-        frames: frames.clone(),
-    };
-    let decoded = wire::decode(&wire::encode(&WireMessage::ProgramShard(
-        program_shard.clone(),
-    )));
-    assert!(
-        matches!(decoded, Err(WireError::Malformed(_))),
-        "{decoded:?}"
-    );
-    let err = execute_program_shard(&config, &program_shard).unwrap_err();
-    assert!(refused(&err), "{err}");
-    let err = LocalBackend::new(config)
-        .unwrap()
-        .run_program(&job(1, program, frames.clone()))
-        .unwrap_err();
-    assert!(refused(&err), "{err}");
-
-    // A conv shard decodes (its decoder checks no kernel shape), and
-    // executing it refuses, whether it starts cold or prewarms.
-    for entry in [FabricEntry::Cold, FabricEntry::WarmSelf] {
-        let shard = JobShard {
+    for entry in entry_states() {
+        let shard = ProgramShard {
             job_id: 1,
             shard_index: 0,
             shard_count: 1,
@@ -401,28 +394,35 @@ fn overflowing_kernel_side_is_refused_on_every_entry_point() {
             first_epoch: 0,
             config_fingerprint: config.fingerprint(),
             entry,
-            k,
-            kernels: kernels.clone(),
+            program: program.clone(),
             frames: frames.clone(),
         };
-        let Ok(WireMessage::Shard(decoded)) =
-            wire::decode(&wire::encode(&WireMessage::Shard(shard)))
-        else {
-            panic!("the conv shard round-trips the wire");
-        };
-        let err = execute_shard(&config, &decoded).unwrap_err();
-        assert!(refused(&err), "{err}");
+        let decoded = wire::decode(&wire::encode(&WireMessage::ProgramShard(shard.clone())));
+        assert!(
+            matches!(decoded, Err(WireError::Malformed(_))),
+            "{decoded:?}"
+        );
+        let err = execute_program_shard(&config, &shard).unwrap_err();
+        assert!(refused(&err), "{:?}: {err}", shard.entry);
     }
     let err = LocalBackend::new(config)
         .unwrap()
-        .run_job(&InferenceJob {
-            job_id: 1,
-            k,
-            kernels,
-            frames,
-        })
+        .run_program(&job(1, program, frames.clone()))
         .unwrap_err();
     assert!(refused(&err), "{err}");
+    let conv_job = InferenceJob {
+        job_id: 1,
+        k,
+        kernels,
+        frames,
+    };
+    for backend in [
+        &mut LocalBackend::new(config).unwrap() as &mut dyn ComputeBackend,
+        &mut ShardedBackend::in_process(config, 1).unwrap(),
+    ] {
+        let err = backend.run_job(&conv_job).unwrap_err();
+        assert!(refused(&err), "{err}");
+    }
 }
 
 /// Consecutive program jobs on one coordinator continue the noise
@@ -628,6 +628,81 @@ fn program_replies_of_the_wrong_shape_are_refused() {
         .run_program(&job(1, program.clone(), frames.clone()))
         .unwrap();
     assert_eq!(retried, oracle, "the retry must merge as if nothing failed");
+}
+
+/// The conv-job twin of `program_replies_of_the_wrong_shape_are_refused`:
+/// a conv job travels as a one-stage program, so a reply whose frame
+/// reports hold a map too few or too many, maps of another size or a
+/// stage of another kind fails the job before anything merges. A
+/// retry on a healthy fleet merges bit-identically to the sequential
+/// loop.
+#[test]
+fn conv_replies_of_the_wrong_shape_are_refused() {
+    let config = noisy_config(43);
+    let job = InferenceJob {
+        job_id: 1,
+        k: 3,
+        kernels: kernel_bank(3, 3, 1),
+        frames: textured_frames(4, 8),
+    };
+    let mut oracle = OisaAccelerator::new(config).unwrap();
+    let looped: Vec<ConvolutionReport> = job
+        .frames
+        .iter()
+        .map(|f| {
+            oracle
+                .convolve_frame_sequential(f, &job.kernels, 3)
+                .unwrap()
+        })
+        .collect();
+    let bends: [(&str, Bend); 4] = [
+        ("a map missing", |r| {
+            if let StageReport::Conv(conv) = &mut r.stages[0] {
+                conv.output.pop();
+            }
+        }),
+        ("a map added", |r| {
+            if let StageReport::Conv(conv) = &mut r.stages[0] {
+                conv.output.push(conv.output[0].clone());
+            }
+        }),
+        ("13 rows of maps where 14 are due", |r| {
+            if let StageReport::Conv(conv) = &mut r.stages[0] {
+                conv.out_h -= 1;
+                let len = conv.out_h * conv.out_w;
+                conv.output.iter_mut().for_each(|map| map.truncate(len));
+            }
+        }),
+        ("a stage of another kind", |r| {
+            r.stages[0] = StageReport::Activation;
+        }),
+    ];
+    let mut backend = ShardedBackend::in_process(config, 2).unwrap();
+    for (case, bend) in bends {
+        backend
+            .replace_worker(
+                1,
+                Box::new(Misshapen {
+                    worker: InProcessWorker::new(config),
+                    bend,
+                }),
+            )
+            .unwrap();
+        let err = backend.run_job(&job).unwrap_err();
+        assert!(
+            matches!(err, OisaError::Backend(ref what) if what.contains("does not match the program")),
+            "{case}: {err}"
+        );
+        assert_eq!(backend.jobs_run(), 0, "{case}: no state advanced");
+    }
+    backend
+        .replace_worker(1, Box::new(InProcessWorker::new(config)))
+        .unwrap();
+    assert_eq!(
+        backend.run_job(&job).unwrap(),
+        looped,
+        "the retry must merge as if nothing failed"
+    );
 }
 
 /// `ProgramFrameReport` exposes the per-stage breakdown: an

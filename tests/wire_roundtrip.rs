@@ -1,15 +1,17 @@
 //! Property tests of the wire schema: encode → decode is lossless
 //! (bit-exact, including every float field of a `ConvolutionReport`),
-//! and malformed inputs — wrong schema version, truncated payloads,
+//! and malformed inputs — any other schema version, truncated payloads,
 //! truncated length prefixes — fail with typed decode errors, never
 //! panics.
 
 use oisa::core::accelerator::EnergyReport;
 use oisa::core::controller::Timeline;
-use oisa::core::program::{ActivationKind, LayerProgram, QuantizeKind, Stage};
+use oisa::core::program::{
+    ActivationKind, LayerProgram, ProgramFrameReport, QuantizeKind, Stage, StageReport,
+};
 use oisa::core::wire::{
-    self, FabricEntry, Handshake, InferenceJob, JobShard, ProgramJob, ProgramShard, RefusalCode,
-    ShardRefusal, ShardReport, WireError, WireMessage, LEGACY_SCHEMA_VERSION, SCHEMA_VERSION,
+    self, FabricEntry, Handshake, ProgramReport, ProgramShard, RefusalCode, ShardRefusal,
+    WireError, WireMessage, SCHEMA_VERSION,
 };
 use oisa::core::{ConvolutionReport, MappingPlan};
 use oisa::sensor::Frame;
@@ -72,97 +74,96 @@ fn report_from(out_h: usize, out_w: usize, maps: usize, floats: &[f64]) -> Convo
     }
 }
 
-proptest! {
-    /// `InferenceJob` encode → decode is lossless for arbitrary
-    /// shapes, kernel weights and pixel values.
-    #[test]
-    fn inference_job_roundtrip_is_lossless(
-        job_id in 0u64..u64::MAX,
-        // width 1–11 × height 1–11, packed into one sample so the shim
-        // reporter's tuple stays within `Debug`'s 12-element cap.
-        dims in 0usize..121,
-        nframes in 1usize..5,
-        nkernels in 1usize..6,
-        pixels in prop::collection::vec(0.0f64..=1.0, 16),
-        weights in prop::collection::vec(-4.0f32..4.0, 18),
-    ) {
-        let (width, height) = (dims % 11 + 1, dims / 11 + 1);
-        let job = InferenceJob {
-            job_id,
-            k: 3,
-            kernels: kernels_from(nkernels, 3, &weights),
-            frames: (0..nframes)
-                .map(|i| frame_from(width, height, &pixels[i % 8..]))
-                .collect(),
-        };
-        let bytes = wire::encode(&WireMessage::Job(job.clone()));
-        let decoded = wire::decode(&bytes);
-        prop_assert_eq!(decoded, Ok(WireMessage::Job(job)));
+/// Entry state `kind % 3` of a shard: cold, warm on its own program,
+/// or warm on a previous 5×5 kernel set.
+fn entry_from(kind: usize, weights: &[f32]) -> FabricEntry {
+    match kind % 3 {
+        0 => FabricEntry::Cold,
+        1 => FabricEntry::WarmSelf,
+        _ => FabricEntry::Warm {
+            k: 5,
+            kernels: kernels_from(2, 5, weights),
+        },
     }
+}
 
-    /// `ShardReport` (with full `ConvolutionReport`s inside) and
-    /// `JobShard` round-trip bit-exactly.
+/// A conv job's frame report, honest as a worker builds it: the one
+/// conv stage, and as output the concatenation of its maps.
+fn conv_frame_report(conv: ConvolutionReport) -> ProgramFrameReport {
+    let output = conv.output.concat();
+    ProgramFrameReport {
+        stages: vec![StageReport::Conv(conv)],
+        output,
+    }
+}
+
+proptest! {
+    /// A conv job's shard — the one-stage conv program, in every entry
+    /// state — and its report, whose frame reports carry full
+    /// `ConvolutionReport`s, round-trip bit-exactly.
     #[test]
     fn shard_messages_roundtrip_is_lossless(
         job_id in 0u64..u64::MAX,
         // out_h 1–8 × out_w 1–8 × maps 1–3 × shard_index 0–63, packed
-        // (see `inference_job_roundtrip_is_lossless`).
+        // so the shim reporter's tuple stays within `Debug`'s
+        // 12-element cap.
         shape in 0usize..(8 * 8 * 3 * 64),
         floats in prop::collection::vec(-1.0e-3f64..1.0e-3, 24),
         weights in prop::collection::vec(-2.0f32..2.0, 27),
         pixels in prop::collection::vec(0.0f64..=1.0, 16),
-        warm in proptest::bool::ANY,
+        entry_kind in 0usize..3,
     ) {
         let out_h = shape % 8 + 1;
         let out_w = (shape / 8) % 8 + 1;
         let maps = (shape / 64) % 3 + 1;
         let shard_index = (shape / 192) as u32;
         let first_frame = job_id % 1_000_000;
-        let report = ShardReport {
+        let report = ProgramReport {
             job_id,
             shard_index,
             first_frame,
-            reports: (0..2).map(|i| report_from(out_h, out_w, maps, &floats[i..])).collect(),
+            reports: (0..2)
+                .map(|i| conv_frame_report(report_from(out_h, out_w, maps, &floats[i..])))
+                .collect(),
         };
-        let bytes = wire::encode(&WireMessage::Report(report.clone()));
-        prop_assert_eq!(wire::decode(&bytes), Ok(WireMessage::Report(report)));
+        let bytes = wire::encode(&WireMessage::ProgramReport(report.clone()));
+        prop_assert_eq!(wire::decode(&bytes), Ok(WireMessage::ProgramReport(report)));
 
-        let shard = JobShard {
+        let shard = ProgramShard {
             job_id,
             shard_index,
             shard_count: shard_index + 1,
             first_frame,
             first_epoch: first_frame.wrapping_mul(3),
             config_fingerprint: job_id ^ 0xABCD,
-            entry: if warm {
-                FabricEntry::Warm { k: 5, kernels: kernels_from(2, 5, &weights) }
-            } else {
-                FabricEntry::Cold
-            },
-            k: 3,
-            kernels: kernels_from(maps, 3, &weights),
+            entry: entry_from(entry_kind, &weights),
+            program: LayerProgram::new(vec![Stage::Conv {
+                k: 3,
+                kernels: kernels_from(maps, 3, &weights),
+            }])
+            .unwrap(),
             frames: vec![frame_from(4, 4, &pixels)],
         };
-        let bytes = wire::encode(&WireMessage::Shard(shard.clone()));
-        prop_assert_eq!(wire::decode(&bytes), Ok(WireMessage::Shard(shard)));
+        let bytes = wire::encode(&WireMessage::ProgramShard(shard.clone()));
+        prop_assert_eq!(wire::decode(&bytes), Ok(WireMessage::ProgramShard(shard)));
     }
 
-    /// The v4 layer-program messages (`ProgramJob`, `ProgramShard`)
-    /// round-trip bit-exactly, covering every stage kind the schema
-    /// can carry (conv, both quantisers, dense, activation).
+    /// Shards of multi-stage layer programs round-trip bit-exactly,
+    /// covering every stage kind the schema can carry (conv, both
+    /// quantisers, dense, activation) and every entry state.
     #[test]
     fn program_messages_roundtrip_is_lossless(
         job_id in 0u64..u64::MAX,
-        // shard_index 0–63 × bits 1–8 × nframes 1–3, packed (see
-        // `inference_job_roundtrip_is_lossless`).
-        packed in 0usize..(64 * 8 * 3),
+        // shard_index 0–63 × bits 1–8 × nframes 1–3 × entry 0–2,
+        // packed (see `shard_messages_roundtrip_is_lossless`).
+        packed in 0usize..(64 * 8 * 3 * 3),
         weights in prop::collection::vec(-2.0f32..2.0, 27),
         matrix in prop::collection::vec(-1.0f32..1.0, 12),
         pixels in prop::collection::vec(0.0f64..=1.0, 16),
     ) {
         let shard_index = (packed % 64) as u32;
         let bits = ((packed / 64) % 8 + 1) as u8;
-        let nframes = packed / 512 + 1;
+        let nframes = (packed / 512) % 3 + 1;
         let program = LayerProgram::new(vec![
             Stage::Conv { k: 3, kernels: kernels_from(2, 3, &weights) },
             Stage::Quantize(QuantizeKind::Levels { bits }),
@@ -174,10 +175,6 @@ proptest! {
         let frames: Vec<Frame> = (0..nframes)
             .map(|i| frame_from(5, 5, &pixels[i % 8..]))
             .collect();
-        let job = ProgramJob { job_id, program: program.clone(), frames: frames.clone() };
-        let bytes = wire::encode(&WireMessage::ProgramJob(job.clone()));
-        prop_assert_eq!(wire::decode(&bytes), Ok(WireMessage::ProgramJob(job)));
-
         let shard = ProgramShard {
             job_id,
             shard_index,
@@ -185,14 +182,15 @@ proptest! {
             first_frame: job_id % 1_000_000,
             first_epoch: job_id % 7_000,
             config_fingerprint: job_id ^ 0x5A5A,
+            entry: entry_from(packed / 1536, &weights),
             program,
             frames,
         };
-        let bytes = wire::encode_program_shard(&shard);
+        let bytes = wire::encode(&WireMessage::ProgramShard(shard.clone()));
         prop_assert_eq!(wire::decode(&bytes), Ok(WireMessage::ProgramShard(shard)));
     }
 
-    /// The v2 control messages — handshake pings/pongs and coded
+    /// The control messages — handshake pings/pongs and coded
     /// refusals — round-trip losslessly for arbitrary field values,
     /// including the fingerprint pair a mismatch refusal carries.
     #[test]
@@ -203,7 +201,7 @@ proptest! {
         job_id in 0u64..u64::MAX,
         // shard_index 0–999 × mismatch × reason length 0–63, packed so
         // the shim reporter's tuple stays within `Debug`'s 12-element
-        // cap (see `inference_job_roundtrip_is_lossless`).
+        // cap (see `shard_messages_roundtrip_is_lossless`).
         packed in 0usize..(1000 * 2 * 64),
     ) {
         let shard_index = (packed % 1000) as u32;
@@ -246,18 +244,26 @@ proptest! {
         cut_salt in 0usize..10_000,
         pixels in prop::collection::vec(0.0f64..=1.0, 16),
     ) {
-        // v4 decoders accept every stamp in the legacy..=current
-        // range, so only versions outside it are "unknown".
-        prop_assume!(!(LEGACY_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&version));
-        let job = InferenceJob {
+        // Decoders accept exactly one stamp.
+        prop_assume!(version != SCHEMA_VERSION);
+        let shard = ProgramShard {
             job_id,
-            k: 3,
-            kernels: kernels_from(1, 3, &[0.5, -0.5]),
+            shard_index: 0,
+            shard_count: 1,
+            first_frame: 0,
+            first_epoch: 0,
+            config_fingerprint: job_id,
+            entry: FabricEntry::Cold,
+            program: LayerProgram::new(vec![Stage::Conv {
+                k: 3,
+                kernels: kernels_from(1, 3, &[0.5, -0.5]),
+            }])
+            .unwrap(),
             frames: vec![frame_from(4, 4, &pixels)],
         };
-        let bytes = wire::encode(&WireMessage::Job(job));
+        let bytes = wire::encode(&WireMessage::ProgramShard(shard));
 
-        // Unknown schema version.
+        // Any other schema version.
         let mut versioned = bytes.clone();
         versioned[2..4].copy_from_slice(&version.to_le_bytes());
         prop_assert_eq!(
