@@ -39,29 +39,22 @@ fn bench_awc_levels(c: &mut Criterion) {
 
 fn bench_arm_mac(c: &mut Criterion) {
     let mapper = WeightMapper::paper(4).unwrap();
+    let weights = [0.5, -0.25, 1.0, 0.1, 0.7, -0.9, 0.3, 0.2, -0.6];
     let mut arm = Arm::new(ArmConfig::paper_default()).unwrap();
-    arm.load_weights(&[0.5, -0.25, 1.0, 0.1, 0.7, -0.9, 0.3, 0.2, -0.6], &mapper)
-        .unwrap();
+    arm.load_weights(&weights, &mapper).unwrap();
     let activations = [1.0, 0.5, 0.0, 1.0, 0.5, 1.0, 0.0, 0.5, 1.0];
     let mut noise = NoiseSource::seeded(1, NoiseConfig::paper_default());
     c.bench_function("arm_mac_9tap", |b| {
         b.iter(|| arm.mac(black_box(&activations), &mut noise).unwrap());
     });
-    // The fused fast path with counter-addressed noise streams.
+    // A dense chunk: nine staged bytes on the same ladder against the
+    // same activations, its taps formed inline and folded by the fused
+    // MAC with counter-addressed noise, as the dense engine runs it.
+    // Consecutive calls walk a pool of chunks whose weight signs are
+    // random, as along a dense row.
     let source = NoiseSource::seeded(1, NoiseConfig::paper_default());
     let slot = source.slot_stream(0, 0);
     let mut position = 0u64;
-    c.bench_function("arm_mac_indexed_9tap", |b| {
-        b.iter(|| {
-            position = position.wrapping_add(1);
-            let stream = slot.at(position);
-            arm.mac_indexed(black_box(&activations), &stream, 0)
-        });
-    });
-    // A dense chunk beside the conv window: nine staged bytes on the
-    // same ladder against the same activations, through the fused
-    // chunk MAC the dense engine runs. Consecutive calls walk a pool of
-    // chunks whose weight signs are random, as along a dense row.
     const POOL: usize = 1024;
     let table = RingTable::new(
         ArmConfig::paper_default(),
@@ -81,7 +74,8 @@ fn bench_arm_mac(c: &mut Criterion) {
             position = position.wrapping_add(1);
             let chunk = (position % POOL as u64) as usize * 9;
             let stream = slot.at(position);
-            table.mac_indexed(&staged[chunk..chunk + 9], black_box(&activations), &stream)
+            let taps = table.taps(&staged[chunk..chunk + 9]);
+            table.fused_mac(&taps, black_box(&activations), &stream, 0)
         });
     });
     // The pre-optimisation port the speedup is measured against.
@@ -91,22 +85,15 @@ fn bench_arm_mac(c: &mut Criterion) {
                 .unwrap()
         });
     });
-}
-
-/// Sweeps the fused MAC over longer ring sequences so the per-ring
-/// cost is visible without per-call overhead: `rings` total rings are
-/// evaluated as repeated 9-tap windows (arms hold [`RINGS_PER_ARM`]
-/// rings, so larger "rows" are chains of windows in practice). The
-/// reported time divided by `rings` is the ns/ring figure quoted in
-/// the arm module docs and `perf_json`.
-fn bench_mac_rings(c: &mut Criterion) {
-    let mapper = WeightMapper::paper(4).unwrap();
-    let mut arm = Arm::new(ArmConfig::paper_default()).unwrap();
-    arm.load_weights(&[0.5, -0.25, 1.0, 0.1, 0.7, -0.9, 0.3, 0.2, -0.6], &mapper)
-        .unwrap();
-    let snap = arm.snapshot(&NoiseConfig::paper_default());
-    let source = NoiseSource::seeded(3, NoiseConfig::paper_default());
-    let slot = source.slot_stream(0, 0);
+    // The fused MAC over longer ring sequences, so the per-ring cost is
+    // visible without per-call overhead: `rings` total rings are
+    // evaluated as repeated 9-tap windows against the arm's taps,
+    // formed once as a conv pass forms them (arms hold ten rings, so
+    // larger "rows" are chains of windows in practice). The reported
+    // time divided by `rings` is the ns/ring figure quoted in the arm
+    // module docs and `perf_json`.
+    let staged: Vec<u8> = weights.iter().map(|&w| table.stage(w).unwrap()).collect();
+    let taps = table.taps(&staged);
     for rings in [72usize, 256, 1024] {
         let windows = rings / 9;
         let acts: Vec<f64> = (0..windows * 9)
@@ -122,7 +109,7 @@ fn bench_mac_rings(c: &mut Criterion) {
                 for (wi, window) in acts.chunks_exact(9).enumerate() {
                     position = position.wrapping_add(1);
                     let stream = slot.at(position.wrapping_add(wi as u64));
-                    let (v, _) = snap.mac_indexed(black_box(window), &stream, 0);
+                    let (v, _) = table.fused_mac(&taps, black_box(window), &stream, 0);
                     acc += v;
                 }
                 acc
@@ -428,7 +415,6 @@ criterion_group! {
         bench_mr_transfer,
         bench_awc_levels,
         bench_arm_mac,
-        bench_mac_rings,
         bench_pixel_exposure,
         bench_conv2d,
         bench_mapping_plan,

@@ -1,4 +1,5 @@
-//! Ablations of the design choices DESIGN.md calls out.
+//! Ablations of five design choices the paper makes (§III), each
+//! against the alternative it rejects:
 //!
 //! 1. **AWC vs ideal DAC** — worst-case weight error per bit width.
 //! 2. **NRZ bias floor vs return-to-zero** — per-symbol energy/latency.

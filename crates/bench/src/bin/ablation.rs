@@ -1,4 +1,4 @@
-//! Runs the design-choice ablations DESIGN.md calls out.
+//! Runs the design-choice ablations of [`oisa_bench::ablation`].
 
 use oisa_bench::ablation;
 

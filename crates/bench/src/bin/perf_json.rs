@@ -73,7 +73,7 @@ use oisa_device::noise::{NoiseConfig, NoiseSource};
 use oisa_nn::conv::Conv2d;
 use oisa_nn::layer::Layer;
 use oisa_nn::tensor::Tensor;
-use oisa_optics::arm::{Arm, ArmConfig, COUNTER_STRIDE};
+use oisa_optics::arm::{ArmConfig, RingTable, COUNTER_STRIDE};
 use oisa_optics::opc::{Opc, OpcConfig};
 use oisa_optics::vom::{Vom, VomConfig};
 use oisa_optics::weights::WeightMapper;
@@ -472,7 +472,7 @@ fn main() {
     );
 
     // Dense path: a 256-row layer over a 1152-wide input (128 chunks
-    // per row), parallel snapshot evaluation vs the serial oracle.
+    // per row), parallel staged evaluation vs the serial oracle.
     let mv_rows = 256usize;
     let mv_cols = 1152usize;
     let mv_matrix: Vec<f32> = (0..mv_rows * mv_cols)
@@ -559,17 +559,25 @@ fn main() {
         std::hint::black_box(y.as_slice()[0]);
     });
 
-    // MAC-core cost at three working-set sizes: chained 9-tap
-    // `mac_indexed` folds, the kernel every engine above amortises.
-    // Reported as nanoseconds per ring so the bench covers the fold
-    // itself, not just the engines.
-    let mac_snap = {
+    // MAC-core cost at three working-set sizes: chained 9-tap windows
+    // through `RingTable::fused_mac` against one arm's taps, formed
+    // once as a conv pass forms them — the kernel every engine above
+    // amortises. Reported as nanoseconds per ring so the bench covers
+    // the fold itself, not just the engines.
+    let (mac_table, mac_taps) = {
         let mac_mapper = WeightMapper::ideal(4).expect("mapper construction");
-        let weights: Vec<f64> = (0..9).map(|i| ((i as f64) * 0.61).sin()).collect();
-        let mut arm = Arm::new(ArmConfig::paper_default()).expect("arm construction");
-        arm.load_weights(&weights, &mac_mapper)
-            .expect("arm weights");
-        arm.snapshot(&NoiseConfig::paper_default())
+        let table = RingTable::new(
+            ArmConfig::paper_default(),
+            &mac_mapper,
+            &NoiseConfig::paper_default(),
+        )
+        .expect("ring table construction");
+        let staged: Vec<u8> = (0..9)
+            .map(|i| table.stage(((i as f64) * 0.61).sin()))
+            .collect::<Result<_, _>>()
+            .expect("staged weights");
+        let taps = table.taps(&staged);
+        (table, taps)
     };
     let mac_noise = NoiseSource::seeded(11, NoiseConfig::paper_default());
     let mac_stream = mac_noise.stream(1, 0, 0);
@@ -585,7 +593,7 @@ fn main() {
                 let mut base = (it * 64) as u64;
                 let mut acc = 0.0;
                 for _ in 0..windows {
-                    let (v, _e) = mac_snap.mac_indexed(&mac_acts, &mac_stream, base);
+                    let (v, _e) = mac_table.fused_mac(&mac_taps, &mac_acts, &mac_stream, base);
                     acc += v;
                     base += COUNTER_STRIDE;
                 }

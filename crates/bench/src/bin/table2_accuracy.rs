@@ -14,7 +14,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     println!("=== Table II — accuracy (%) on the four dataset stand-ins ===");
     println!(
-        "(synthetic substitutes for MNIST/SVHN/CIFAR — see DESIGN.md; {} epochs)\n",
+        "(synthetic substitutes for MNIST/SVHN/CIFAR from oisa_datasets; {} epochs)\n",
         cfg.epochs
     );
     let mut results = Vec::new();

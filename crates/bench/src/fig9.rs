@@ -141,8 +141,8 @@ mod tests {
         let (_, factors) = power_sweep().unwrap();
         // Paper averages: 8.3× (Crosslight), 7.9× (AppCiP), 18.4× (ASIC).
         // The averaging across bit widths differs from the paper's exact
-        // normalisation, so allow a generous band; EXPERIMENTS.md records
-        // the measured values.
+        // normalisation, so allow a generous band; the `fig9_power`
+        // binary prints the measured values.
         assert!(
             factors.crosslight > 2.0 && factors.crosslight < 12.0,
             "crosslight {}",

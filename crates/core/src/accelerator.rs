@@ -18,13 +18,14 @@
 //!   [`OisaAccelerator::convolve_frame_sequential`] are bit-identical.
 //! * **Zero per-pixel allocation.** Windows are gathered into a stack
 //!   scratch array, per-pass results land in one flat row-major buffer,
-//!   and the fused [`ArmSnapshot::mac_indexed`] skips
+//!   and the fused [`RingTable::fused_mac`] skips
 //!   [`MacResult`](oisa_optics::arm::MacResult) construction entirely.
-//! * **Precomputed arm constants.** Crosstalk, waveguide loss and
-//!   full-scale terms are folded into per-ring gains at weight-load
-//!   time, and each tap's rail-moment coefficients under the
-//!   configured [`NoiseConfig`] into the pass's arm snapshots, instead
-//!   of being re-derived on every MAC.
+//! * **Taps formed once per pass.** Each call builds one
+//!   [`RingTable`], which holds every code's rail-moment coefficients
+//!   under the configured [`NoiseConfig`] and every neighbour pair's
+//!   crosstalk × waveguide gain. A pass stages its weights through it
+//!   and forms each arm's taps once ([`RingTable::taps`]), so no window
+//!   re-derives them or reads the fabric.
 //! * **Three draws per MAC.** VCSEL RIN and ring drift reach the
 //!   detector through one Gaussian per rail, drawn from the rail's
 //!   closed-form mean and variance, plus the detector draw (see
@@ -44,8 +45,8 @@
 //! engine; [`OisaAccelerator::convolve_frame`] (and so the conv stage
 //! of a layer program and each channel of
 //! [`OisaAccelerator::convolve_channels`]) is its one-frame batch. It
-//! stages every weight pass **once for the whole batch**, snapshots
-//! each pass's arms ([`ArmSnapshot`]), and spreads
+//! stages every weight pass **once for the whole batch**, forms each
+//! pass's arm taps ([`oisa_optics::arm::StagedTaps`]), and spreads
 //! `(frame, pass, row-band)` work items over the work-stealing
 //! scheduler in [`crate::scheduler`]. Each frame is keyed to its own
 //! noise epoch, so the batch output — feature maps, energy report and
@@ -61,7 +62,7 @@
 use oisa_device::awc::{AwcModel, AwcParams};
 use oisa_device::noise::{NoiseConfig, NoiseSource, SlotStream};
 use oisa_memory::bank::KernelBank;
-use oisa_optics::arm::{ArmSnapshot, COUNTER_STRIDE, RINGS_PER_ARM};
+use oisa_optics::arm::{RingTable, StagedTaps, COUNTER_STRIDE, RINGS_PER_ARM};
 use oisa_optics::bank::RINGS_PER_BANK;
 use oisa_optics::opc::{KernelSize, Opc, OpcConfig};
 use oisa_optics::vom::{Vom, VomConfig};
@@ -527,8 +528,9 @@ impl OisaAccelerator {
         let (height, width) = (self.config.imager.height, self.config.imager.width);
         let (ks, plan, _) = self.plan_conv(&planes, k, height, width)?;
         let scales = kernel_scales(&planes);
+        let table = RingTable::new(self.config.opc.arm, &self.mapper, &self.config.noise)?;
         for (_, pass_kernels, pass_scales) in conv_passes(&planes, &scales, &plan) {
-            self.stage_pass(pass_kernels, pass_scales, ks)?;
+            self.stage_pass(&table, pass_kernels, pass_scales, ks)?;
         }
         // Staging cycled the kernel bank; the next convolution's memory
         // energy must account only its own accesses.
@@ -598,9 +600,10 @@ impl OisaAccelerator {
         };
         let mut output = vec![vec![0.0f32; oh * ow]; planes.len()];
         let epoch = self.noise.begin_epoch()?;
+        let table = RingTable::new(self.config.opc.arm, &self.mapper, &self.config.noise)?;
         // Each pass stages only after the previous one fully drained.
         for (kernel_index, pass_kernels, pass_scales) in conv_passes(&planes, &scales, &plan) {
-            let pass = self.stage_pass(pass_kernels, pass_scales, ks)?;
+            let pass = self.stage_pass(&table, pass_kernels, pass_scales, ks)?;
             energy.tuning += pass.tuning;
             // Hoist the (seed, epoch, slot) key mixing out of the pixel
             // loop: per position only one extra mix remains.
@@ -617,6 +620,7 @@ impl OisaAccelerator {
                     frame.width(),
                     ow,
                     k,
+                    &table,
                     &pass.arms,
                     &slot_streams,
                     pass_scales,
@@ -651,7 +655,7 @@ impl OisaAccelerator {
     /// [`OisaAccelerator::convolve_frame`] is its one-frame batch.
     ///
     /// The engine stages each weight pass once for the whole batch,
-    /// snapshots the pass's arms, then spreads `(frame, pass, row-band)`
+    /// forms the pass's arm taps, then spreads `(frame, pass, row-band)`
     /// work items across the work-stealing scheduler
     /// ([`crate::scheduler`]): every worker stays busy until the entire
     /// batch is drained, stealing bands from slower neighbours instead
@@ -732,23 +736,24 @@ impl OisaAccelerator {
 
         let scales = kernel_scales(kernels);
 
-        // Phase 2 — stage every pass and snapshot its arms. Ring tuning
-        // cost depends on the fabric's previous operating point, so the
-        // pass sequence is applied twice: the first application records
-        // what the batch's first frame pays from the fabric's entry
-        // state, the second what every later frame pays from the steady
-        // state a per-frame loop would cycle through. (The ring
-        // *operating points* — and therefore the snapshots — are
-        // identical either way; only the tuning energy differs.)
+        // Phase 2 — stage every pass and form its arms' taps. Ring
+        // tuning cost depends on the fabric's previous operating point,
+        // so the pass sequence is applied twice: the first application
+        // records what the batch's first frame pays from the fabric's
+        // entry state, the second what every later frame pays from the
+        // steady state a per-frame loop would cycle through. (The taps
+        // depend only on the staged weights, so they are identical
+        // either way; only the tuning energy differs.)
         struct PassCtx {
             kernel_index: usize,
-            arms: Vec<Vec<ArmSnapshot>>,
+            arms: Vec<Vec<StagedTaps>>,
             tuning_first: Joule,
             tuning_steady: Joule,
         }
+        let table = RingTable::new(self.config.opc.arm, &self.mapper, &self.config.noise)?;
         let mut passes: Vec<PassCtx> = Vec::with_capacity(plan.passes);
         for (kernel_index, pass_kernels, pass_scales) in conv_passes(kernels, &scales, &plan) {
-            let staged = self.stage_pass(pass_kernels, pass_scales, ks)?;
+            let staged = self.stage_pass(&table, pass_kernels, pass_scales, ks)?;
             passes.push(PassCtx {
                 kernel_index,
                 arms: staged.arms,
@@ -766,7 +771,9 @@ impl OisaAccelerator {
             for (pass, (_, pass_kernels, pass_scales)) in
                 passes.iter_mut().zip(conv_passes(kernels, &scales, &plan))
             {
-                pass.tuning_steady = self.stage_pass(pass_kernels, pass_scales, ks)?.tuning;
+                pass.tuning_steady = self
+                    .stage_pass(&table, pass_kernels, pass_scales, ks)?
+                    .tuning;
             }
             memory_steady = self.bank.total_energy();
             self.bank.reset_counters();
@@ -849,6 +856,7 @@ impl OisaAccelerator {
                     width,
                     ow,
                     k,
+                    &table,
                     &pass.arms,
                     &slot_streams[item.buffer],
                     pass_scales,
@@ -926,10 +934,11 @@ impl OisaAccelerator {
     }
 
     /// Stages one pass end to end — quantise each kernel through the
-    /// mapper, store its codes in the kernel bank, tune its rings,
-    /// snapshot its arms — and charges the tuning of exactly the arms
-    /// it staged. Every conv path stages through here, so all of them
-    /// quantise, tune and charge identically.
+    /// mapper, store its codes in the kernel bank, tune its rings, stage
+    /// its weights through `table` and form each of its arms' taps —
+    /// and charges the tuning of exactly the arms it staged. Every conv
+    /// path stages through here, so all of them quantise, tune and
+    /// charge identically.
     ///
     /// Summing [`Opc::tuning_energy`] instead would re-charge the
     /// *last* load of every arm on the fabric, double-counting earlier
@@ -939,6 +948,7 @@ impl OisaAccelerator {
     /// [`crate::backend`]).
     fn stage_pass(
         &mut self,
+        table: &RingTable,
         pass_kernels: &[&[f32]],
         pass_scales: &[f32],
         ks: KernelSize,
@@ -946,35 +956,36 @@ impl OisaAccelerator {
         let slots = assign_slots(pass_kernels.len(), ks, &self.config.opc)?;
         let mut normalised: Vec<f64> = Vec::with_capacity(ks.weights());
         let mut codes: Vec<u16> = Vec::with_capacity(ks.weights());
+        let mut bytes: Vec<u8> = Vec::with_capacity(ks.weights());
+        let mut tuning = Joule::ZERO;
+        let mut arms = Vec::with_capacity(slots.len());
         for ((kn, &scale), &(bank, first_arm)) in pass_kernels.iter().zip(pass_scales).zip(&slots) {
             normalised.clear();
             normalised.extend(kn.iter().map(|&w| f64::from(w / scale)));
             codes.clear();
+            bytes.clear();
             for &w in &normalised {
                 codes.push(self.mapper.quantize(w)?.code);
+                bytes.push(table.stage(w)?);
             }
             let offset = (bank * RINGS_PER_BANK + first_arm * RINGS_PER_ARM) % self.bank.len();
             self.bank.store(offset, &codes)?;
-            self.opc
+            let used = self
+                .opc
                 .load_kernel(bank, first_arm, &normalised, &self.mapper)?;
-        }
-        // Snapshot every slot's arms once per pass, rail coefficients
-        // included; the hot loop then walks immutable captured state
-        // instead of doing checked bank/arm lookups per pixel.
-        let arms_per_kernel = ks.arms_per_kernel();
-        let mut tuning = Joule::ZERO;
-        let mut arms = Vec::with_capacity(slots.len());
-        for &(bank, first_arm) in &slots {
             let staged_bank = self.opc.bank(bank)?;
-            for arm in first_arm..first_arm + arms_per_kernel {
+            for arm in first_arm..first_arm + used {
                 tuning += staged_bank.arm(arm)?.tuning_energy();
             }
-            arms.push(self.opc.snapshot_kernel_arms(
-                bank,
-                first_arm,
-                arms_per_kernel,
-                &self.config.noise,
-            )?);
+            // An arm's taps depend only on the weights it holds, so the
+            // row tasks read them instead of the fabric, which a later
+            // pass re-tunes.
+            arms.push(
+                bytes
+                    .chunks(RINGS_PER_ARM)
+                    .map(|arm| table.taps(arm))
+                    .collect(),
+            );
         }
         Ok(StagedPass {
             slots,
@@ -1027,9 +1038,10 @@ impl OisaAccelerator {
             ..EnergyReport::default()
         };
         let mut output = vec![vec![0.0f32; oh * ow]; kernels.len()];
+        let table = RingTable::new(self.config.opc.arm, &self.mapper, &self.config.noise)?;
 
         for (kernel_index, pass_kernels, pass_scales) in conv_passes(&planes, &scales, &plan) {
-            let pass = self.stage_pass(pass_kernels, pass_scales, ks)?;
+            let pass = self.stage_pass(&table, pass_kernels, pass_scales, ks)?;
             energy.tuning += pass.tuning;
 
             for oy in 0..oh {
@@ -1178,8 +1190,8 @@ impl OisaAccelerator {
     ///
     /// Rows evaluate in parallel from the matrix staged once per call
     /// (as in [`crate::mlp::matvec_parallel`]); the result is
-    /// bit-identical to [`OisaAccelerator::dense_layer_serial`], the
-    /// serial oracle.
+    /// bit-identical to [`crate::mlp::matvec`], the serial oracle, on
+    /// the encoded frame.
     ///
     /// # Errors
     ///
@@ -1192,33 +1204,6 @@ impl OisaAccelerator {
     ) -> Result<crate::mlp::MatVecReport> {
         let input = self.encode_frame(frame)?;
         self.dense_vector(&input, matrix, rows)
-    }
-
-    /// Single-threaded twin of [`OisaAccelerator::dense_layer`]: chunks
-    /// serialise on shared-fabric arm loading, exactly as the hardware
-    /// would — the parity oracle the parallel dense path is tested
-    /// against.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`OisaAccelerator::dense_layer`].
-    pub fn dense_layer_serial(
-        &mut self,
-        frame: &Frame,
-        matrix: &[f32],
-        rows: usize,
-    ) -> Result<crate::mlp::MatVecReport> {
-        let input = self.encode_frame(frame)?;
-        crate::mlp::matvec(
-            &mut self.opc,
-            &self.vom,
-            &self.mapper,
-            matrix,
-            rows,
-            input.len(),
-            &input,
-            &mut self.noise,
-        )
     }
 
     /// Executes a dense layer on a raw activation vector already in the
@@ -1339,13 +1324,13 @@ fn validate_optical(optical: &[f64]) -> Result<()> {
 }
 
 /// One staged weight pass, ready to drain: where its kernels sit, the
-/// immutable arm snapshots the row tasks read and the tuning energy
-/// the pass is charged. Produced by [`OisaAccelerator::stage_pass`].
+/// taps of the arms the row tasks evaluate and the tuning energy the
+/// pass is charged. Produced by [`OisaAccelerator::stage_pass`].
 struct StagedPass {
     /// `(bank, first arm)` of each kernel in the pass.
     slots: Vec<(usize, usize)>,
-    /// Captured arm state per slot, taken right after ring tuning.
-    arms: Vec<Vec<ArmSnapshot>>,
+    /// Per slot, the taps of each arm its kernel occupies.
+    arms: Vec<Vec<StagedTaps>>,
     /// Tuning energy of exactly the arms this pass staged.
     tuning: Joule,
 }
@@ -1389,17 +1374,17 @@ fn kernel_scales(kernels: &[&[f32]]) -> Vec<f32> {
         .collect()
 }
 
-/// Evaluates one output row of one pass against immutable arm
-/// snapshots — the shared hot loop of the serial oracle and the batch
-/// engine's `(frame, pass, row-band)` work items. Windows gather into a
-/// stack scratch array, noise comes from the counter-addressed slot
-/// streams, and multi-arm kernels aggregate through the VOM.
+/// Evaluates one output row of one pass against the taps its arms hold
+/// — the shared hot loop of the serial oracle and the batch engine's
+/// `(frame, pass, row-band)` work items. Windows gather into a stack
+/// scratch array, noise comes from the counter-addressed slot streams,
+/// and multi-arm kernels aggregate through the VOM.
 ///
-/// Every window goes through the per-window [`ArmSnapshot::mac_indexed`]
-/// fold, which reads the rail coefficients the pass staged into its
-/// snapshots and draws three Gaussians per arm: one per detector rail
-/// and one for the detector. A multi-arm kernel's arms share the
-/// window's stream, arm `i` starting at counter `i · COUNTER_STRIDE`.
+/// Every window goes through [`RingTable::fused_mac`], the fused MAC a
+/// dense chunk runs too, which folds the taps the pass formed and draws
+/// three Gaussians per arm: one per detector rail and one for the
+/// detector. A multi-arm kernel's arms share the window's stream, arm
+/// `i` starting at counter `i · COUNTER_STRIDE`.
 #[allow(clippy::too_many_arguments)]
 fn eval_row(
     oy: usize,
@@ -1408,7 +1393,8 @@ fn eval_row(
     width: usize,
     ow: usize,
     k: usize,
-    slot_arms: &[Vec<ArmSnapshot>],
+    table: &RingTable,
+    slot_arms: &[Vec<StagedTaps>],
     slot_streams: &[SlotStream],
     pass_scales: &[f32],
     vom: &Vom,
@@ -1426,14 +1412,14 @@ fn eval_row(
         for (si, arms) in slot_arms.iter().enumerate() {
             let stream = slot_streams[si].at(position);
             let value = if arms.len() == 1 {
-                let (value, e) = arms[0].mac_indexed(window, &stream, 0);
+                let (value, e) = table.fused_mac(&arms[0], window, &stream, 0);
                 partial.compute += e;
                 value
             } else {
                 let mut values = [0.0f64; MAX_ARMS];
                 let mut base = 0u64;
                 for (ai, chunk) in window.chunks(RINGS_PER_ARM).enumerate() {
-                    let (value, e) = arms[ai].mac_indexed(chunk, &stream, base);
+                    let (value, e) = table.fused_mac(&arms[ai], chunk, &stream, base);
                     values[ai] = value;
                     partial.compute += e;
                     base += COUNTER_STRIDE;
@@ -1822,7 +1808,18 @@ mod tests {
         let mut parallel = OisaAccelerator::new(cfg).unwrap();
         let mut serial = OisaAccelerator::new(cfg).unwrap();
         let rp = parallel.dense_layer(&frame, &matrix, rows).unwrap();
-        let rs = serial.dense_layer_serial(&frame, &matrix, rows).unwrap();
+        let input = serial.encode_frame(&frame).unwrap();
+        let rs = crate::mlp::matvec(
+            &mut serial.opc,
+            &serial.vom,
+            &serial.mapper,
+            &matrix,
+            rows,
+            input.len(),
+            &input,
+            &mut serial.noise,
+        )
+        .unwrap();
         assert_eq!(rp, rs);
         // The engines also leave the fabric in the same operating
         // point, so interleaved dense + conv workloads keep identical
@@ -1833,6 +1830,81 @@ mod tests {
             serial.convolve_frame(&frame, &kernels, 3).unwrap(),
             "post-dense fabric state must match the serial oracle's"
         );
+    }
+
+    #[test]
+    fn noisy_windows_equal_the_fabric_arms_that_hold_them() {
+        // The engines evaluate windows from ring-table taps and never
+        // read an arm. Under paper noise, re-evaluate windows through
+        // `Arm::mac` on the fabric arms the pass loaded — arms that
+        // carry earlier passes' tuning history — with arm `i` of a
+        // window drawing from counter `3·i` of the window's stream, and
+        // aggregate and scale back as the engines do.
+        let mut cfg = OisaConfig::small_test();
+        cfg.noise = NoiseConfig::paper_default();
+        cfg.seed = 23;
+        let data: Vec<f64> = (0..256).map(|i| ((i * 7) % 17) as f64 / 17.0).collect();
+        let frame = Frame::new(16, 16, data).unwrap();
+        let kernel_set = |count: usize, k: usize| -> Vec<Vec<f32>> {
+            (0..count)
+                .map(|i| {
+                    (0..k * k)
+                        .map(|j| ((i * 13 + j) as f32 * 0.53).sin())
+                        .collect()
+                })
+                .collect()
+        };
+        let mut accel = OisaAccelerator::new(cfg).unwrap();
+        // Two passes of history on every arm the sets below reuse.
+        accel
+            .convolve_frame_sequential(&frame, &kernel_set(25, 3), 3)
+            .unwrap();
+        let optical = accel.encode_frame(&frame).unwrap();
+        for (kernels, k) in [(kernel_set(7, 3), 3usize), (kernel_set(3, 5), 5)] {
+            let epoch = accel.next_noise_epoch();
+            let report = accel
+                .convolve_frame_sequential(&frame, &kernels, k)
+                .unwrap();
+            assert_eq!(report.plan.passes, 1, "k={k}: the set must fit one pass");
+            let planes: Vec<&[f32]> = kernels.iter().map(Vec::as_slice).collect();
+            let scales = kernel_scales(&planes);
+            let ks = KernelSize::from_k(k).unwrap();
+            let slots = assign_slots(kernels.len(), ks, &accel.config.opc).unwrap();
+            let (oh, ow) = (report.out_h, report.out_w);
+            for (oy, ox) in [(0, 0), (3, 7), (oh - 1, ow - 1)] {
+                let window = gather_window(&optical, frame.width(), oy, ox, k);
+                let position = oy * ow + ox;
+                for (si, &(bank, first_arm)) in slots.iter().enumerate() {
+                    let stream = accel
+                        .noise
+                        .slot_stream(epoch, si as u64)
+                        .at(position as u64);
+                    // Each `Arm::mac` draws exactly three counters, so
+                    // one cursor walked over the arms in order starts
+                    // arm `i` at counter `3·i`.
+                    let mut cursor = stream.cursor();
+                    let bank = accel.opc.bank(bank).unwrap();
+                    let values: Vec<f64> = window
+                        .chunks(RINGS_PER_ARM)
+                        .enumerate()
+                        .map(|(i, chunk)| {
+                            let arm = bank.arm(first_arm + i).unwrap();
+                            arm.mac(chunk, &mut cursor).unwrap().value
+                        })
+                        .collect();
+                    let value = if values.len() == 1 {
+                        values[0]
+                    } else {
+                        accel.vom.accumulate_values(&values).0
+                    };
+                    assert_eq!(
+                        (value * f64::from(scales[si])) as f32,
+                        report.output[si][position],
+                        "k={k}, kernel {si}, output ({oy}, {ox})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -59,8 +59,9 @@
 //! oracles under a fixed seed:
 //!
 //! * **Convolution** — [`OisaAccelerator::convolve_frames`] stages
-//!   each weight pass once per batch (not once per frame), snapshots
-//!   the pass's arms ([`oisa_optics::arm::ArmSnapshot`]), and
+//!   each weight pass once per batch (not once per frame), forms each
+//!   of the pass's arms' taps once through a per-code
+//!   [`oisa_optics::arm::RingTable`], and
 //!   work-steals `(frame, pass, row-band)` items so no worker idles at
 //!   a frame boundary. Each frame keys its own counter-based noise
 //!   epoch; the oracle is the per-frame
@@ -72,8 +73,9 @@
 //!   scheduler; each row task stages its row through one per-code
 //!   [`oisa_optics::arm::RingTable`] into one byte per weight (code and
 //!   sign) and evaluates every chunk from those bytes through the
-//!   table's fused, check-free chunk MAC (two table lookups per tap
-//!   instead of an arm re-tune), so rows never serialise on
+//!   table's fused, check-free MAC — the one every convolution window
+//!   runs — with two table lookups per tap instead of an arm re-tune,
+//!   so rows never serialise on
 //!   shared-fabric `load_arm` and keep no per-worker state. A layer
 //!   program run ([`OisaAccelerator::run_program_frames`]) stages each
 //!   dense matrix once for all its frames. [`mlp::matvec`] is the

@@ -19,13 +19,14 @@
 //! * [`matvec_parallel`] — fans rows out over the work-stealing
 //!   scheduler; each row task stages its row once per call, one byte
 //!   per weight (quantisation code and sign, through a per-code
-//!   [`RingTable`]), and evaluates every chunk from the staged bytes
-//!   through the table's fused chunk MAC
-//!   ([`RingTable::mac_indexed`]) — a ring's state depends only on its
-//!   weight's code, so a chunk needs two table lookups per tap, not an
-//!   arm re-tune. The input is validated once per call, so no chunk is
-//!   checked, and no chunk allocates, branches on a weight's sign or
-//!   builds a [`MacResult`](oisa_optics::arm::MacResult): a row task
+//!   [`RingTable`]), forms each chunk's taps from the staged bytes
+//!   ([`RingTable::taps`]) and evaluates them through
+//!   [`RingTable::fused_mac`], the fused MAC every convolution window
+//!   runs too — a ring's state depends only on its weight's code, so a
+//!   chunk needs two table lookups per tap, not an arm re-tune. The
+//!   input is validated once per call, so no chunk is checked, and no
+//!   chunk allocates, branches on a weight's sign or builds a
+//!   [`MacResult`](oisa_optics::arm::MacResult): a row task
 //!   returns each chunk's value and optical energy, and the reduction
 //!   feeds them to the VOM ([`Vom::accumulate_and_transmit_values`]) in
 //!   the serial engine's order. No row keeps per-worker state or
@@ -138,11 +139,12 @@ pub fn matvec(
 /// After the noise epoch is consumed, one [`RingTable`] is built from
 /// the core's arm design and `mapper`. Each row task stages its row
 /// through it ([`RingTable::stage`]: one byte per weight, quantised
-/// once per call instead of once per chunk load), then evaluates each
-/// chunk through [`RingTable::mac_indexed`], which forms each ring's
-/// crosstalk × waveguide gain from its in-chunk neighbours' codes and
-/// draws from the same `(epoch, row, chunk)` noise stream the serial
-/// engine would use — arm state after `load_weights` depends only on
+/// once per call instead of once per chunk load), then forms each
+/// chunk's taps ([`RingTable::taps`]), which takes each ring's
+/// crosstalk × waveguide gain from its in-chunk neighbours' codes, and
+/// evaluates them through [`RingTable::fused_mac`] at base counter 0 of
+/// the same `(epoch, row, chunk)` noise stream the serial engine would
+/// use — arm state after `load_weights` depends only on
 /// the loaded chunk, never on fabric history, so every chunk's value
 /// and energy are bit-identical to the serial path's
 /// [`MacResult`](oisa_optics::arm::MacResult). The final reduction
@@ -239,7 +241,8 @@ pub(crate) fn matvec_staged(
         let mut values = Vec::with_capacity(chunks);
         let mut energies = Vec::with_capacity(chunks);
         for (ci, (w_chunk, a_chunk)) in codes.chunks(CHUNK).zip(input.chunks(CHUNK)).enumerate() {
-            let (value, energy) = table.mac_indexed(w_chunk, a_chunk, &row_stream.at(ci as u64));
+            let stream = row_stream.at(ci as u64);
+            let (value, energy) = table.fused_mac(&table.taps(w_chunk), a_chunk, &stream, 0);
             values.push(value);
             energies.push(energy);
         }

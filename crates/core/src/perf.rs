@@ -10,9 +10,9 @@
 //! | Table I power 0.00012–0.00034 mW | sensing front-end (pixel + dual SA) plus a per-weight-bit ring-refresh term |
 //! | 1.92 mm² | ring + imager + laser/detector + routing area sum |
 //!
-//! Component constants are documented inline; where the paper gives no
-//! number, values come from the cited technologies (see DESIGN.md's
-//! calibration notes).
+//! Component constants are documented inline, with their calibration in
+//! [`OisaPerfModel::compute_power`]'s docs; where the paper gives no
+//! number, values come from the cited technologies.
 
 use oisa_optics::opc::OpcConfig;
 use oisa_sensor::imager::ImagerConfig;

@@ -58,7 +58,9 @@ impl MrDesign {
     ///
     /// The heater efficiency is the high end of demonstrated silicon
     /// designs; it is what lets 4000 simultaneously-held rings fit inside
-    /// the paper's 6.68 TOp/s/W budget (see DESIGN.md calibration notes).
+    /// the paper's 6.68 TOp/s/W budget: at an average 0.25 nm detuning
+    /// each ring holds about 0.1 mW, the thermal-tuning term of
+    /// `oisa_core::perf`'s power breakdown.
     #[must_use]
     pub fn paper_default() -> Self {
         Self {

@@ -4,9 +4,9 @@
 //! (CIFAR-100). Training full-scale ResNet18/VGG16 offline in pure Rust is
 //! out of budget, so the zoo provides **topology-faithful reduced models**
 //! — same layer patterns (residual blocks with projection shortcuts,
-//! stacked 3×3 VGG groups), fewer channels/blocks. DESIGN.md records this
-//! substitution; the Table II experiment compares *relative* accuracy
-//! across quantisation configurations, which the reduced models preserve.
+//! stacked 3×3 VGG groups), fewer channels/blocks. The Table II
+//! experiment compares *relative* accuracy across quantisation
+//! configurations, which the reduced models preserve.
 
 use crate::conv::Conv2d;
 use crate::layer::{Flatten, GlobalAvgPool, Layer, MaxPool2, Relu, UpdateRule};

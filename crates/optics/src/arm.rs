@@ -31,14 +31,13 @@
 //!
 //! # Performance notes: the lane-accumulator determinism contract
 //!
-//! Every MAC path in this module — [`Arm::mac_indexed`],
-//! [`ArmSnapshot::mac_indexed`] and [`RingTable::mac_indexed`] (the
-//! fused fast paths), [`Arm::mac`] (general [`NoiseModel`]
-//! evaluation), [`RingTable::mac`] and [`Arm::mac_reference`] (the
-//! pre-optimisation port) — folds four rail-moment accumulators, `Σa·α`
-//! and `Σa²·β` for each rail, into **[`LANES`] fixed lanes** each
-//! (element `i` lands in lane `i mod LANES`) and reduces them through
-//! one canonical tree:
+//! The module has three MAC evaluations: [`RingTable::fused_mac`], the
+//! fast path every engine runs, [`Arm::mac`], the general
+//! [`NoiseModel`] evaluation, and [`Arm::mac_reference`], the
+//! pre-optimisation port. Each folds four rail-moment accumulators,
+//! `Σa·α` and `Σa²·β` for each rail, into **[`LANES`] fixed lanes**
+//! each (element `i` lands in lane `i mod LANES`) and reduces them
+//! through one canonical tree:
 //! `(l0 + l2) + (l1 + l3)`. Floating-point addition is not associative,
 //! so the fold order is part of the wire-level bit-identity guarantee:
 //! the parallel, sequential, batched, sharded, TCP and serving engines
@@ -47,11 +46,10 @@
 //! host vector width dictate a different lane count — [`LANES`] is a
 //! contract constant, not a tuning knob.
 //!
-//! The coefficients are computed where weights are staged — per tap by
-//! [`Arm::snapshot`], per code and sign by [`RingTable::new`] — from the
-//! [`NoiseConfig`] the caller passes in. The general paths compute them
-//! on the fly through the same function, so every path produces the
-//! same bits.
+//! The coefficients are computed where weights are staged — per code
+//! and sign by [`RingTable::new`] — from the [`NoiseConfig`] the caller
+//! passes in. The arm paths compute them on the fly through the same
+//! functions, so every path produces the same bits.
 //!
 //! # Where the time goes
 //!
@@ -69,19 +67,20 @@
 //! arm's sign pattern, but a dense row's chunks carry random signs,
 //! which a branch mispredicts about half the time.
 //!
-//! A convolution window reads its taps from its [`ArmSnapshot`]. A
-//! dense chunk forms them: per tap, [`RingTable`] scales the unit-gain
-//! coefficients of the tap's byte by a gain looked up by its
-//! neighbours' codes, and checks nothing.
+//! [`RingTable::taps`] forms a chunk's taps: per tap, the unit-gain
+//! coefficients of its staged byte scaled by a gain looked up by its
+//! neighbours' codes, with nothing checked. A convolution pass forms
+//! each arm's taps once and runs every window of the pass against
+//! them; a dense chunk forms its taps right before its one MAC.
 //!
 //! Measured on a 2-vCPU Intel Xeon host, paper noise:
 //! `perf_json`'s `mac_ns_per_ring` read 3.6–7.8 ns over eight runs
 //! (11.4–22.9 ns over three with per-ring draws). The
-//! `mac_core_1024_rings` microbench, 113 snapshot windows, read
-//! 5.9–6.6 µs, about 55 ns a window; `ring_table_mac_9wide`, one
-//! random-sign chunk, read 89–95 ns (152–170 ns when each chunk went
-//! through `RingTable::mac`'s checks, per-tap closures and sign
-//! branch).
+//! `mac_core_1024_rings` microbench, 113 windows against one arm's
+//! taps, read 4.6–5.7 µs over four runs, about 45 ns a window;
+//! `ring_table_mac_9wide`, one random-sign chunk with its taps formed
+//! inline, read 70–80 ns (152–170 ns when each chunk went through an
+//! arm-style activation check, per-tap closures and a sign branch).
 
 use oisa_device::mr::{Microring, MrDesign, TuningOutcome};
 use oisa_device::noise::{NoiseConfig, NoiseModel, NoiseStream};
@@ -157,80 +156,6 @@ pub struct MacResult {
     pub latency: Second,
     /// Optical energy consumed by this arm for one symbol.
     pub optical_energy: Joule,
-}
-
-/// Immutable snapshot of everything an arm-level MAC consumes: the
-/// mapped weights, the precomputed per-ring gains and rail-moment
-/// coefficients, the detector and the full-scale / dwell constants.
-///
-/// A snapshot is what lets evaluation outlive fabric mutation: the
-/// batched convolution engine snapshots every pass's arms before the
-/// next pass re-tunes the same physical rings. Both MAC entry points
-/// are bit-identical to their [`Arm`] counterparts — they share the
-/// same inner evaluation, not a re-implementation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ArmSnapshot {
-    weights: Vec<MappedWeight>,
-    ring_gain: Vec<f64>,
-    /// Per-tap rail coefficients under `noise`.
-    taps: Vec<RailTap>,
-    noise: NoiseConfig,
-    detector: BalancedPhotodetector,
-    per_channel_full: f64,
-    channel_power: f64,
-    dwell: Second,
-}
-
-impl ArmSnapshot {
-    /// The weights captured by this snapshot.
-    #[must_use]
-    pub fn weights(&self) -> &[MappedWeight] {
-        &self.weights
-    }
-
-    /// Fused fast-path MAC over counter-addressed noise — bit-identical
-    /// to [`Arm::mac_indexed`] on the arm this snapshot was taken from,
-    /// reading the coefficients staged by [`Arm::snapshot`] instead of
-    /// computing them.
-    ///
-    /// Activations must already be validated to `[0, 1]` by the caller,
-    /// and `stream` must carry the [`NoiseConfig`] the snapshot was
-    /// taken under.
-    #[must_use]
-    pub fn mac_indexed(&self, activations: &[f64], stream: &NoiseStream, base: u64) -> (f64, f64) {
-        debug_assert!(activations.len() <= self.taps.len());
-        debug_assert_eq!(stream.config(), &self.noise);
-        let (noisy, power) = mac_indexed_core(
-            &self.taps,
-            &self.detector,
-            self.per_channel_full,
-            self.channel_power,
-            activations,
-            stream,
-            base,
-        );
-        (noisy / self.per_channel_full, power * self.dwell.get())
-    }
-
-    /// General MAC through any [`NoiseModel`] — bit-identical to
-    /// [`Arm::mac`] on the arm this snapshot was taken from.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Arm::mac`].
-    pub fn mac<N: NoiseModel>(&self, activations: &[f64], noise: &mut N) -> Result<MacResult> {
-        validate_activation_window(self.weights.len(), activations)?;
-        let taps = rail_taps(&self.weights, &self.ring_gain, noise.config());
-        Ok(mac_core(
-            &taps[..self.weights.len()],
-            &self.detector,
-            self.per_channel_full,
-            self.channel_power,
-            self.dwell,
-            activations,
-            noise,
-        ))
-    }
 }
 
 /// A single arm with its loaded weights.
@@ -405,67 +330,28 @@ impl Arm {
     /// offending index and no partial evaluation happens.
     pub fn mac<N: NoiseModel>(&self, activations: &[f64], noise: &mut N) -> Result<MacResult> {
         self.validate_activations(activations)?;
-        let taps = rail_taps(&self.weights, &self.ring_gain, noise.config());
-        Ok(mac_core(
-            &taps[..self.weights.len()],
-            &self.detector,
-            self.per_channel_full,
-            self.config.channel_power.get(),
-            self.dwell,
-            activations,
-            noise,
-        ))
-    }
-
-    /// Captures the compute-relevant state of this arm as an immutable
-    /// [`ArmSnapshot`]: the mapped weights, the precomputed per-ring
-    /// gains, each tap's rail coefficients under `noise`, and the
-    /// detector / full-scale / dwell constants. Evaluating the snapshot
-    /// is bit-identical to evaluating the arm under `noise`, and stays
-    /// valid after the arm is re-tuned with new weights.
-    #[must_use]
-    pub fn snapshot(&self, noise: &NoiseConfig) -> ArmSnapshot {
-        let taps = rail_taps(&self.weights, &self.ring_gain, noise);
-        ArmSnapshot {
-            weights: self.weights.clone(),
-            ring_gain: self.ring_gain.clone(),
-            taps: taps[..self.weights.len()].to_vec(),
-            noise: *noise,
-            detector: self.detector,
-            per_channel_full: self.per_channel_full,
-            channel_power: self.config.channel_power.get(),
-            dwell: self.dwell,
+        let mut taps = [RailTap::PARKED; RINGS_PER_ARM];
+        for ((tap, w), &gain) in taps.iter_mut().zip(&self.weights).zip(&self.ring_gain) {
+            *tap =
+                RailTap::unit(ring_moments(w.magnitude, noise.config()), w.negative).scaled(gain);
         }
-    }
-
-    /// Fused fast-path MAC for the accelerator's inner loop: the two
-    /// rail draws and the detector draw are addressed on `stream` by
-    /// explicit counters `base`, `base + 1` and `base + 2`
-    /// ([`COUNTER_STRIDE`]), and no [`MacResult`] is built. The rail
-    /// coefficients are computed on the fly from `stream`'s config;
-    /// [`ArmSnapshot::mac_indexed`] reads them precomputed instead.
-    ///
-    /// Returns `(value, optical_energy_joules)`. Activations must
-    /// already be validated to `[0, 1]` by the caller — the accelerator
-    /// validates each encoded frame once instead of once per window.
-    ///
-    /// Bit-identical to [`Arm::mac`] driven by a
-    /// [`oisa_device::noise::StreamCursor`] over the same stream and
-    /// base counter 0.
-    #[must_use]
-    pub fn mac_indexed(&self, activations: &[f64], stream: &NoiseStream, base: u64) -> (f64, f64) {
-        debug_assert!(activations.len() <= self.weights.len());
-        let taps = rail_taps(&self.weights, &self.ring_gain, stream.config());
-        let (noisy, power) = mac_indexed_core(
-            &taps[..self.weights.len()],
-            &self.detector,
-            self.per_channel_full,
-            self.config.channel_power.get(),
-            activations,
-            stream,
-            base,
-        );
-        (noisy / self.per_channel_full, power * self.dwell.get())
+        let rails = RailSums::fold(&taps[..self.weights.len()], activations);
+        let (g_pos, g_neg) = (noise.standard_normal(), noise.standard_normal());
+        let (p_pos, p_neg) = rails.powers(self.config.channel_power.get(), g_pos, g_neg);
+        let diff = self
+            .detector
+            .difference_current(Watt::new(p_pos), Watt::new(p_neg));
+        // Full scale: all channels at activation 1 with weight magnitude
+        // 1 on one waveguide.
+        let full_scale = self.per_channel_full * activations.len().max(1) as f64;
+        let noisy = noise.detector(diff.get(), full_scale);
+        Ok(MacResult {
+            // Loss-normalised value in weight·activation units.
+            value: noisy / self.per_channel_full,
+            raw_current: noisy,
+            latency: self.dwell,
+            optical_energy: Watt::new(p_pos + p_neg) * self.dwell,
+        })
     }
 
     /// Faithful port of the pre-optimisation MAC: validates inside the
@@ -513,7 +399,7 @@ impl Arm {
             taps[i] = RailTap::unit(ring_moments(w.magnitude, &cfg), w.negative)
                 .scaled(xt * self.path_transmission);
         }
-        // The same rail evaluation and draw order as `mac_core`: the
+        // The same rail evaluation and draw order as `Arm::mac`: the
         // reference port must stay bit-equal to the optimised paths.
         let rails = RailSums::fold(&taps[..activations.len()], activations);
         let (g_pos, g_neg) = (noise.standard_normal(), noise.standard_normal());
@@ -541,10 +427,23 @@ impl Arm {
         })
     }
 
-    /// Checks activation count and range, reporting the first offending
-    /// index.
+    /// Checks activation count against the loaded weights and the
+    /// `[0, 1]` range, reporting the first offending index.
     fn validate_activations(&self, activations: &[f64]) -> Result<()> {
-        validate_activation_window(self.weights.len(), activations)
+        let loaded = self.weights.len();
+        if activations.len() > loaded {
+            return Err(OpticsError::InvalidParameter(format!(
+                "{} activations for {loaded} loaded weights",
+                activations.len(),
+            )));
+        }
+        if let Some(i) = activations.iter().position(|a| !(0.0..=1.0).contains(a)) {
+            return Err(OpticsError::InvalidParameter(format!(
+                "activation {} at index {i} outside [0, 1]",
+                activations[i]
+            )));
+        }
+        Ok(())
     }
 
     /// Optical time of flight along the arm (group velocity c/n_g).
@@ -568,8 +467,8 @@ const STAGED_CODES: usize = 1 << 7;
 /// Sign bit of a staged weight byte: set for the negative waveguide.
 const STAGED_NEGATIVE: u8 = 1 << 7;
 
-/// Per-code ring table: stages dense-layer weights as one byte each and
-/// evaluates chunks of them without an arm.
+/// Per-code ring table: the one staged MAC state both engines evaluate,
+/// with no arm involved.
 ///
 /// A [`Microring`]'s state is its absolute detuning, and the detuning
 /// [`Arm::load_weights`] gives a ring depends only on its weight's
@@ -584,17 +483,18 @@ const STAGED_NEGATIVE: u8 = 1 << 7;
 /// each computed once in the product order `load_weights` uses.
 ///
 /// [`RingTable::stage`] quantises a weight once, into a byte holding
-/// its code and sign. [`RingTable::mac_indexed`] then evaluates a chunk
-/// of staged bytes: per tap, the unit-gain rail coefficients of its byte
-/// scaled by the gain of its neighbour pair, then the fused
-/// counter-addressed core the convolution drain uses — no check, no
-/// sign branch, no heap allocation, no mutable state and no fabric
-/// access, so any number of threads can evaluate chunks against one
-/// table. [`RingTable::mac`] is the same evaluation behind the checks
-/// an arm makes.
+/// its code and sign. [`RingTable::taps`] forms the rail taps of an
+/// arm chunk of staged bytes: per tap, the unit-gain rail coefficients
+/// of its byte scaled by the gain of its neighbour pair.
+/// [`RingTable::fused_mac`] folds those taps against a window's
+/// activations — no check, no sign branch, no heap allocation, no
+/// mutable state and no fabric access, so any number of threads can
+/// evaluate against one table. A convolution pass forms each arm's taps
+/// once and runs every window against them; a dense chunk forms its
+/// taps right before its MAC.
 #[derive(Debug, Clone)]
-pub struct RingTable<'a> {
-    mapper: &'a WeightMapper,
+pub struct RingTable {
+    mapper: WeightMapper,
     /// Crosstalk × waveguide gain of a tap, row-major by the slots of
     /// its neighbours `i − 1` and `i + 1`: slot 0 is no neighbour (a
     /// chunk edge, or crosstalk modelling off), slot `c + 1` a ring
@@ -613,11 +513,21 @@ pub struct RingTable<'a> {
     dwell: Second,
 }
 
-impl<'a> RingTable<'a> {
+/// The rail taps of one arm chunk, formed by [`RingTable::taps`] and
+/// folded by [`RingTable::fused_mac`]: the taps [`Arm::load_weights`]
+/// gives an arm holding the same weights.
+#[derive(Debug, Clone)]
+pub struct StagedTaps {
+    taps: [RailTap; RINGS_PER_ARM],
+    len: usize,
+}
+
+impl RingTable {
     /// Builds the table for arms of design `config` loaded through
     /// `mapper`, evaluated under `noise`: one ring tuning and one
     /// moment evaluation per code (16 at 4 bits), and one gain per
-    /// neighbour pair (289 at 4 bits).
+    /// neighbour pair (289 at 4 bits). The table keeps its own copy of
+    /// `mapper`.
     ///
     /// # Errors
     ///
@@ -625,7 +535,7 @@ impl<'a> RingTable<'a> {
     ///   than a staged byte holds (128).
     /// * [`OpticsError::Device`] when the arm design or a ring tuning
     ///   is rejected.
-    pub fn new(config: ArmConfig, mapper: &'a WeightMapper, noise: &NoiseConfig) -> Result<Self> {
+    pub fn new(config: ArmConfig, mapper: &WeightMapper, noise: &NoiseConfig) -> Result<Self> {
         let codes = mapper.levels().len();
         if codes > STAGED_CODES {
             return Err(OpticsError::CapacityExceeded {
@@ -668,7 +578,7 @@ impl<'a> RingTable<'a> {
             }
         }
         Ok(Self {
-            mapper,
+            mapper: mapper.clone(),
             gains,
             slots,
             unit_taps,
@@ -696,97 +606,25 @@ impl<'a> RingTable<'a> {
         Ok(mapped.code as u8 | sign)
     }
 
-    /// Optical + detection latency of one chunk evaluation: the
-    /// `latency` of every [`MacResult`] [`RingTable::mac`] returns.
+    /// Optical + detection latency of one MAC: the `latency` of every
+    /// [`MacResult`] an arm of the table's design returns.
     #[must_use]
     pub fn latency(&self) -> Second {
         self.dwell
     }
 
-    /// Fused chunk MAC over bytes staged by [`RingTable::stage`],
-    /// drawing noise from `stream` at base counter 0. Returns
-    /// `(value, optical_energy_joules)` like
-    /// [`ArmSnapshot::mac_indexed`], bit-identical to the `value` and
-    /// `optical_energy` of [`RingTable::mac`] on the same arguments.
+    /// The rail taps of an arm chunk of bytes staged by
+    /// [`RingTable::stage`]: each tap's unit-gain coefficients scaled by
+    /// the gain of its neighbours' codes, with no neighbour past either
+    /// end of the chunk.
     ///
     /// Nothing is checked (debug builds assert it): `staged` must hold
     /// at most [`RINGS_PER_ARM`] bytes staged by a table over the same
-    /// mapper, `activations` must be no longer than `staged` and lie in
-    /// `[0, 1]`, and `stream` must carry the [`NoiseConfig`] the table
-    /// was built under. The dense engine validates its input once per
-    /// call instead of once per chunk.
-    #[must_use]
-    pub fn mac_indexed(
-        &self,
-        staged: &[u8],
-        activations: &[f64],
-        stream: &NoiseStream,
-    ) -> (f64, f64) {
-        let (noisy, power) = self.chunk_core(staged, activations, stream);
-        (noisy / self.per_channel_full, power * self.dwell.get())
-    }
-
-    /// Evaluates a chunk of bytes staged by [`RingTable::stage`]
-    /// against `activations`, drawing noise from `stream` at base
-    /// counter 0 — bit-identical to [`Arm::load_weights`] of the same
-    /// weights on an idle arm of the table's design followed by
-    /// [`Arm::mac`] under `stream.cursor()`, errors included. The checks
-    /// are the arm's; the evaluation is [`RingTable::mac_indexed`]'s.
-    ///
-    /// `stream` must carry the [`NoiseConfig`] the table was built
-    /// under.
-    ///
-    /// # Errors
-    ///
-    /// * [`OpticsError::CapacityExceeded`] for more than
-    ///   [`RINGS_PER_ARM`] weights.
-    /// * [`OpticsError::InvalidParameter`] for more activations than
-    ///   weights, an activation outside `[0, 1]`, or a byte holding a
-    ///   code the table's mapper does not have.
-    pub fn mac(
-        &self,
-        staged: &[u8],
-        activations: &[f64],
-        stream: &NoiseStream,
-    ) -> Result<MacResult> {
-        let n = staged.len();
-        if n > RINGS_PER_ARM {
-            return Err(OpticsError::CapacityExceeded {
-                capacity: RINGS_PER_ARM,
-                requested: n,
-            });
-        }
-        validate_activation_window(n, activations)?;
-        let codes = self.slots - 1;
-        if let Some(c) = staged
-            .iter()
-            .map(|&byte| usize::from(byte & !STAGED_NEGATIVE))
-            .find(|&c| c >= codes)
-        {
-            return Err(OpticsError::InvalidParameter(format!(
-                "staged code {c} outside the table's {codes} codes"
-            )));
-        }
-        let (noisy, power) = self.chunk_core(staged, activations, stream);
-        Ok(MacResult {
-            value: noisy / self.per_channel_full,
-            raw_current: noisy,
-            latency: self.dwell,
-            optical_energy: Watt::new(power) * self.dwell,
-        })
-    }
-
-    /// The one chunk evaluation behind [`RingTable::mac_indexed`] and
-    /// [`RingTable::mac`]: each tap's unit-gain coefficients scaled by
-    /// the gain of its neighbours' slots, then [`mac_indexed_core`].
-    /// Returns the noisy BPD difference current and the summed rail
-    /// power.
+    /// mapper.
     #[inline(always)]
-    fn chunk_core(&self, staged: &[u8], activations: &[f64], stream: &NoiseStream) -> (f64, f64) {
+    #[must_use]
+    pub fn taps(&self, staged: &[u8]) -> StagedTaps {
         debug_assert!(staged.len() <= RINGS_PER_ARM);
-        debug_assert!(activations.len() <= staged.len());
-        debug_assert!(activations.iter().all(|a| (0.0..=1.0).contains(a)));
-        debug_assert_eq!(stream.config(), &self.noise);
         // Tap `i`'s slot sits at `slot[i + 1]`, with the no-neighbour
         // slot 0 past both ends of the chunk.
         let mut slot = [0usize; RINGS_PER_ARM + 2];
@@ -798,14 +636,56 @@ impl<'a> RingTable<'a> {
             *tap = self.unit_taps[usize::from(byte)]
                 .scaled(self.gains[slot[i] * self.slots + slot[i + 2]]);
         }
-        mac_indexed_core(
-            &taps[..staged.len()],
-            &self.detector,
-            self.per_channel_full,
-            self.channel_power,
+        StagedTaps {
+            taps,
+            len: staged.len(),
+        }
+    }
+
+    /// The fused, counter-addressed MAC every engine runs: folds `taps`
+    /// against `activations` and draws on `stream` the positive rail at
+    /// counter `base`, the negative rail at `base + 1` and the detector
+    /// at `base + 2` ([`COUNTER_STRIDE`]), for every window length.
+    /// Returns `(value, optical_energy_joules)` and builds no
+    /// [`MacResult`]: the `value` and `optical_energy` of [`Arm::mac`]
+    /// on an arm holding the same weights, driven by a cursor that
+    /// starts at counter `base`.
+    ///
+    /// A rail whose variance is zero skips its draw. That changes no
+    /// bit: the general path's draw would be multiplied by `√0`, adding
+    /// an exact `±0.0` to a non-negative mean.
+    ///
+    /// Nothing is checked (debug builds assert it): `activations` must
+    /// be no longer than `taps` and lie in `[0, 1]`, and `stream` must
+    /// carry the [`NoiseConfig`] the table was built under. The engines
+    /// validate their input once per call instead of once per MAC.
+    #[inline(always)]
+    #[must_use]
+    pub fn fused_mac(
+        &self,
+        taps: &StagedTaps,
+        activations: &[f64],
+        stream: &NoiseStream,
+        base: u64,
+    ) -> (f64, f64) {
+        debug_assert!(activations.len() <= taps.len);
+        debug_assert!(activations.iter().all(|a| (0.0..=1.0).contains(a)));
+        debug_assert_eq!(stream.config(), &self.noise);
+        let (p_pos, p_neg) = rail_powers_at(
+            &taps.taps[..taps.len],
             activations,
+            self.channel_power,
             stream,
-            0,
+            base,
+        );
+        let diff = self
+            .detector
+            .difference_current(Watt::new(p_pos), Watt::new(p_neg));
+        let full_scale = self.per_channel_full * activations.len().max(1) as f64;
+        let noisy = stream.detector_at(base + 2, diff.get(), full_scale);
+        (
+            noisy / self.per_channel_full,
+            (p_pos + p_neg) * self.dwell.get(),
         )
     }
 }
@@ -836,25 +716,6 @@ fn tap_gain(path_transmission: f64, prev: Option<f64>, next: Option<f64>) -> f64
         xt *= next;
     }
     xt * path_transmission
-}
-
-/// Checks activation count against `loaded` weights and the `[0, 1]`
-/// range, reporting the first offending index — shared by [`Arm`],
-/// [`ArmSnapshot`] and [`RingTable`] so all reject identically.
-fn validate_activation_window(loaded: usize, activations: &[f64]) -> Result<()> {
-    if activations.len() > loaded {
-        return Err(OpticsError::InvalidParameter(format!(
-            "{} activations for {loaded} loaded weights",
-            activations.len(),
-        )));
-    }
-    if let Some(i) = activations.iter().position(|a| !(0.0..=1.0).contains(a)) {
-        return Err(OpticsError::InvalidParameter(format!(
-            "activation {} at index {i} outside [0, 1]",
-            activations[i]
-        )));
-    }
-    Ok(())
 }
 
 /// One tap's rail coefficients: its ring adds `a·α` to its rail's mean
@@ -900,21 +761,6 @@ impl RailTap {
             beta: self.beta.map(|var| square * var),
         }
     }
-}
-
-/// The [`RailTap`]s of `weights` under per-ring gains `ring_gain` and
-/// `noise`, computed on the fly; slots past `weights.len()` stay
-/// parked.
-fn rail_taps(
-    weights: &[MappedWeight],
-    ring_gain: &[f64],
-    noise: &NoiseConfig,
-) -> [RailTap; RINGS_PER_ARM] {
-    let mut taps = [RailTap::PARKED; RINGS_PER_ARM];
-    for ((tap, w), &gain) in taps.iter_mut().zip(weights).zip(ring_gain) {
-        *tap = RailTap::unit(ring_moments(w.magnitude, noise), w.negative).scaled(gain);
-    }
-    taps
 }
 
 /// Mean `E[t′]` and variance coefficient `(1 + σv²)·E[t′²] − E[t′]²` of
@@ -1085,38 +931,6 @@ impl RailSums {
     }
 }
 
-/// The general MAC evaluation shared bit-for-bit by [`Arm::mac`] and
-/// [`ArmSnapshot::mac`]: rail moments → one draw per rail → BPD
-/// subtraction with detector noise → loss-normalised signed result.
-/// Both rail draws are taken even when a rail's variance is zero, so a
-/// sequential [`NoiseModel`] stays on the fused path's counter layout.
-fn mac_core<N: NoiseModel>(
-    taps: &[RailTap],
-    detector: &BalancedPhotodetector,
-    per_channel_full: f64,
-    channel_power_w: f64,
-    dwell: Second,
-    activations: &[f64],
-    noise: &mut N,
-) -> MacResult {
-    let rails = RailSums::fold(taps, activations);
-    let (g_pos, g_neg) = (noise.standard_normal(), noise.standard_normal());
-    let (p_pos, p_neg) = rails.powers(channel_power_w, g_pos, g_neg);
-    let diff = detector.difference_current(Watt::new(p_pos), Watt::new(p_neg));
-    // Full scale: all channels at activation 1 with weight magnitude 1
-    // on one waveguide.
-    let full_scale = per_channel_full * activations.len().max(1) as f64;
-    let noisy = noise.detector(diff.get(), full_scale);
-    // Loss-normalised value in weight·activation units.
-    let value = noisy / per_channel_full;
-    MacResult {
-        value,
-        raw_current: noisy,
-        latency: dwell,
-        optical_energy: Watt::new(p_pos + p_neg) * dwell,
-    }
-}
-
 /// Reduces the lane accumulators through the one canonical tree:
 /// fold the high half onto the low half (`l0+l2`, `l1+l3`), then add
 /// the halves — the order a 256-bit register split produces. Every MAC
@@ -1125,33 +939,6 @@ fn mac_core<N: NoiseModel>(
 #[inline]
 fn reduce_lanes(acc: [f64; LANES]) -> f64 {
     (acc[0] + acc[2]) + (acc[1] + acc[3])
-}
-
-/// The fused counter-addressed MAC shared bit-for-bit by
-/// [`Arm::mac_indexed`], [`ArmSnapshot::mac_indexed`] and both
-/// [`RingTable`] MACs: the positive rail draws counter `base`, the
-/// negative rail `base + 1` and the detector `base + 2`, for every
-/// window length. Returns the noisy BPD difference current and the
-/// optical power summed over both rails; callers normalise the first by
-/// the full-scale current and charge the second over their dwell.
-///
-/// A rail whose variance is zero skips its draw. That changes no bit:
-/// the general path's draw would be multiplied by `√0`, adding an exact
-/// `±0.0` to a non-negative mean.
-fn mac_indexed_core(
-    taps: &[RailTap],
-    detector: &BalancedPhotodetector,
-    per_channel_full: f64,
-    channel_power_w: f64,
-    activations: &[f64],
-    stream: &NoiseStream,
-    base: u64,
-) -> (f64, f64) {
-    let (p_pos, p_neg) = rail_powers_at(taps, activations, channel_power_w, stream, base);
-    let diff = detector.difference_current(Watt::new(p_pos), Watt::new(p_neg));
-    let full_scale = per_channel_full * activations.len().max(1) as f64;
-    let noisy = stream.detector_at(base + 2, diff.get(), full_scale);
-    (noisy, p_pos + p_neg)
 }
 
 /// Both rails' optical powers for one window of the fused path: the
@@ -1183,7 +970,7 @@ fn rail_powers_at(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oisa_device::noise::{NoiseConfig, NoiseSource};
+    use oisa_device::noise::{NoiseConfig, NoiseSource, StreamCursor};
     use proptest::prelude::*;
 
     fn quiet() -> NoiseSource {
@@ -1199,6 +986,27 @@ mod tests {
 
     fn loaded_arm(weights: &[f64], bits: u8) -> Arm {
         loaded_arm_with(ArmConfig::paper_default(), weights, bits)
+    }
+
+    /// The ring table of a paper-default arm under `noise` and the taps
+    /// of `weights` staged through it: the state [`loaded_arm`] tunes
+    /// onto an arm.
+    fn staged(weights: &[f64], bits: u8, noise: &NoiseConfig) -> (RingTable, StagedTaps) {
+        let mapper = WeightMapper::ideal(bits).unwrap();
+        let table = RingTable::new(ArmConfig::paper_default(), &mapper, noise).unwrap();
+        let bytes: Vec<u8> = weights.iter().map(|&w| table.stage(w).unwrap()).collect();
+        let taps = table.taps(&bytes);
+        (table, taps)
+    }
+
+    /// A cursor over `stream` that has drawn counters `0..base`, so the
+    /// next MAC through it draws at `base`, `base + 1` and `base + 2`.
+    fn cursor_from(stream: &NoiseStream, base: u64) -> StreamCursor {
+        let mut cursor = stream.cursor();
+        for _ in 0..base {
+            cursor.standard_normal();
+        }
+        cursor
     }
 
     #[test]
@@ -1337,16 +1145,17 @@ mod tests {
     #[test]
     fn indexed_reference_and_general_macs_are_bit_identical() {
         // Same stream, three evaluation strategies: the fused fast path
-        // (explicit counters, coefficients computed per call), the
+        // (explicit counters, coefficients staged in a ring table), the
         // general path behind a sequential cursor, and the
         // pre-optimisation reference port.
         let w = [0.5, -0.25, 1.0, 0.0, 0.75, -1.0, 0.25, 0.5, -0.5];
         let a = [1.0, 0.0, 0.5, 0.0, 1.0, 0.5, 0.0, 0.022, 1.0]; // ternary-ish, with zeros
         let arm = loaded_arm(&w, 4);
+        let (table, taps) = staged(&w, 4, &NoiseConfig::paper_default());
         let source = NoiseSource::seeded(99, NoiseConfig::paper_default());
         let stream = source.stream(0, 3, 17);
 
-        let (fast_value, fast_energy) = arm.mac_indexed(&a, &stream, 0);
+        let (fast_value, fast_energy) = table.fused_mac(&taps, &a, &stream, 0);
         let general = arm.mac(&a, &mut stream.cursor()).unwrap();
         let reference = arm.mac_reference(&a, &mut stream.cursor()).unwrap();
 
@@ -1360,23 +1169,23 @@ mod tests {
     #[test]
     fn detector_counter_is_base_plus_two_for_every_window_length() {
         // The contract: the detector draws at `base + 2` whatever the
-        // window length — 0, shorter than the loaded weights, or a full
+        // window length — 0, shorter than the staged weights, or a full
         // arm. With the rails noiseless, the fused value is the
         // noiseless value plus exactly that draw.
         let w10 = [0.5, -0.25, 1.0, 0.0, 0.75, -1.0, 0.25, 0.5, -0.5, 0.3];
-        let arm10 = loaded_arm(&w10, 4);
-        let arm9 = loaded_arm(&w10[..9], 4);
         let detector_only = NoiseConfig {
             detector: 0.005,
             ..NoiseConfig::noiseless()
         };
+        let (quiet_table, quiet_taps) = staged(&w10, 4, &NoiseConfig::noiseless());
+        let (table10, taps10) = staged(&w10, 4, &detector_only);
         let clean = quiet().stream(0, 1, 9);
         let stream = NoiseSource::seeded(13, detector_only).stream(0, 1, 9);
         let base = 7;
         for m in 0..=RINGS_PER_ARM {
             let a: Vec<f64> = (0..m).map(|i| (i as f64 * 0.37).sin().abs()).collect();
-            let (value, _) = arm10.mac_indexed(&a, &stream, base);
-            let expected = arm10.mac_indexed(&a, &clean, base).0
+            let (value, _) = table10.fused_mac(&taps10, &a, &stream, base);
+            let expected = quiet_table.fused_mac(&quiet_taps, &a, &clean, base).0
                 + 0.005 * m.max(1) as f64 * stream.gaussian_at(base + 2);
             assert!(
                 (value - expected).abs() < 1e-12,
@@ -1384,21 +1193,24 @@ mod tests {
             );
         }
         // Under paper noise all three MAC paths agree on every length,
-        // and the same short window on an arm holding fewer weights
-        // replays the same draws: no counter tracks `weights.len()`.
+        // and the same short window against fewer staged weights
+        // replays the same draws: no counter tracks the weight count.
         // (m ≤ 8 keeps the last evaluated ring's crosstalk
-        // neighbourhood identical between the 9- and 10-weight arms.)
+        // neighbourhood identical between the 9- and 10-weight taps.)
+        let arm10 = loaded_arm(&w10, 4);
+        let (table, taps10) = staged(&w10, 4, &NoiseConfig::paper_default());
+        let (_, taps9) = staged(&w10[..9], 4, &NoiseConfig::paper_default());
         let stream = NoiseSource::seeded(13, NoiseConfig::paper_default()).stream(0, 1, 9);
         for m in 0..=RINGS_PER_ARM {
             let a: Vec<f64> = (0..m).map(|i| (i as f64 * 0.37).sin().abs()).collect();
-            let (fast, fast_energy) = arm10.mac_indexed(&a, &stream, 0);
+            let (fast, fast_energy) = table.fused_mac(&taps10, &a, &stream, 0);
             let general = arm10.mac(&a, &mut stream.cursor()).unwrap();
             let reference = arm10.mac_reference(&a, &mut stream.cursor()).unwrap();
             assert_eq!(fast, general.value, "m={m}");
             assert_eq!(fast, reference.value, "m={m}");
             assert_eq!(fast_energy, general.optical_energy.get(), "m={m}");
             if m <= 8 {
-                assert_eq!(fast, arm9.mac_indexed(&a, &stream, 0).0, "m={m}");
+                assert_eq!(fast, table.fused_mac(&taps9, &a, &stream, 0).0, "m={m}");
             }
         }
     }
@@ -1407,72 +1219,29 @@ mod tests {
     fn noiseless_mac_draws_nothing() {
         // Every rail variance is 0 and the detector σ is 0, so no
         // draw enters the result: any two streams give the same bits.
-        let arm = loaded_arm(&[0.5, -0.25, 1.0, 0.0, 0.75, -1.0, 0.25, 0.5, -0.5], 4);
-        let snap = arm.snapshot(&NoiseConfig::noiseless());
+        let w = [0.5, -0.25, 1.0, 0.0, 0.75, -1.0, 0.25, 0.5, -0.5];
+        let (table, taps) = staged(&w, 4, &NoiseConfig::noiseless());
         let a = [1.0, 0.2, 0.5, 0.0, 1.0, 0.5, 0.9, 0.022, 1.0];
         let one = quiet().stream(0, 1, 2);
         let other = NoiseSource::seeded(77, NoiseConfig::noiseless()).stream(5, 6, 7);
         assert_eq!(
-            snap.mac_indexed(&a, &one, 0),
-            snap.mac_indexed(&a, &other, 3)
+            table.fused_mac(&taps, &a, &one, 0),
+            table.fused_mac(&taps, &a, &other, 3)
         );
-        for w in snap.taps.iter() {
+        for w in &taps.taps[..taps.len] {
             assert_eq!(w.beta, [0.0; 2]);
         }
-    }
-
-    #[test]
-    fn snapshot_macs_bit_identical_to_arm() {
-        let w = [0.5, -0.25, 1.0, 0.0, 0.75, -1.0, 0.25, 0.5, -0.5];
-        let a = [1.0, 0.0, 0.5, 0.0, 1.0, 0.5, 0.0, 0.022, 1.0];
-        let arm = loaded_arm(&w, 4);
-        let snap = arm.snapshot(&NoiseConfig::paper_default());
-        let source = NoiseSource::seeded(7, NoiseConfig::paper_default());
-        let stream = source.stream(1, 2, 33);
-
-        assert_eq!(
-            arm.mac_indexed(&a, &stream, 5),
-            snap.mac_indexed(&a, &stream, 5)
-        );
-        assert_eq!(
-            arm.mac(&a, &mut stream.cursor()).unwrap(),
-            snap.mac(&a, &mut stream.cursor()).unwrap()
-        );
-        assert_eq!(snap.weights(), arm.weights());
-    }
-
-    #[test]
-    fn snapshot_outlives_arm_retuning() {
-        let mapper = WeightMapper::ideal(4).unwrap();
-        let mut arm = Arm::new(ArmConfig::paper_default()).unwrap();
-        arm.load_weights(&[0.8; 9], &mapper).unwrap();
-        let snap = arm.snapshot(&NoiseConfig::noiseless());
-        let a = [1.0; 9];
-        let before = snap.mac(&a, &mut quiet()).unwrap();
-        // Re-tune the physical arm; the snapshot must keep replaying the
-        // old weights.
-        arm.load_weights(&[-0.8; 9], &mapper).unwrap();
-        let after_snap = snap.mac(&a, &mut quiet()).unwrap();
-        let after_arm = arm.mac(&a, &mut quiet()).unwrap();
-        assert_eq!(before, after_snap);
-        assert!(after_arm.value < 0.0 && after_snap.value > 0.0);
-    }
-
-    #[test]
-    fn snapshot_validates_like_arm() {
-        let arm = loaded_arm(&[0.5; 9], 4);
-        let snap = arm.snapshot(&NoiseConfig::noiseless());
-        assert!(snap.mac(&[1.5; 9], &mut quiet()).is_err());
-        assert!(snap.mac(&[1.0; 10], &mut quiet()).is_err());
     }
 
     #[test]
     fn ring_table_matches_a_freshly_loaded_arm() {
         // Every ladder the fabric uses, every resolution, crosstalk on
         // and off, every chunk length up to a full arm: staging a chunk
-        // and evaluating the staged bytes equals loading the chunk onto
-        // an arm and evaluating it under a cursor, bit for bit, and a
-        // re-loaded arm never remembers its previous chunk.
+        // and evaluating its taps equals loading the chunk onto an arm
+        // and evaluating it under a cursor, bit for bit — from counter
+        // 0, as a dense chunk draws, and from a later base, as a
+        // convolution window's second arm draws — and a re-loaded arm
+        // never remembers its previous chunk.
         let noise = NoiseConfig::paper_default();
         let source = NoiseSource::seeded(5, noise);
         for crosstalk in [false, true] {
@@ -1497,60 +1266,22 @@ mod tests {
                             .collect();
                         let stream = source.stream(0, salt, n as u64);
                         let staged: Vec<u8> = w.iter().map(|&w| table.stage(w).unwrap()).collect();
+                        let taps = table.taps(&staged);
                         arm.load_weights(&w, &mapper).unwrap();
-                        let loaded = arm.mac(&a, &mut stream.cursor()).unwrap();
                         let case = format!("crosstalk {crosstalk}, {bits} bits, {n} weights");
-                        assert_eq!(table.mac(&staged, &a, &stream).unwrap(), loaded, "{case}");
-                        // The fused evaluation the dense engine runs.
-                        assert_eq!(
-                            table.mac_indexed(&staged, &a, &stream),
-                            (loaded.value, loaded.optical_energy.get()),
-                            "{case}"
-                        );
-                        assert_eq!(table.latency(), loaded.latency, "{case}");
+                        for base in [0, COUNTER_STRIDE] {
+                            let loaded = arm.mac(&a, &mut cursor_from(&stream, base)).unwrap();
+                            assert_eq!(
+                                table.fused_mac(&taps, &a, &stream, base),
+                                (loaded.value, loaded.optical_energy.get()),
+                                "{case}, base {base}"
+                            );
+                            assert_eq!(table.latency(), loaded.latency, "{case}");
+                        }
                     }
                 }
             }
         }
-    }
-
-    #[test]
-    fn ring_table_rejects_like_a_loaded_arm() {
-        let mapper = WeightMapper::paper(4).unwrap();
-        let table = RingTable::new(
-            ArmConfig::paper_default(),
-            &mapper,
-            &NoiseConfig::noiseless(),
-        )
-        .unwrap();
-        let mut arm = Arm::new(ArmConfig::paper_default()).unwrap();
-        let stream = quiet().stream(0, 0, 0);
-        let staged = [table.stage(0.5).unwrap(); RINGS_PER_ARM + 1];
-        assert!(matches!(
-            table.mac(&staged, &[0.5; 9], &stream),
-            Err(OpticsError::CapacityExceeded { .. })
-        ));
-        for bad in [1.5, -1.5, f64::NAN, f64::INFINITY] {
-            assert_eq!(
-                table.stage(bad).unwrap_err().to_string(),
-                arm.load_weights(&[0.1, bad, 0.1], &mapper)
-                    .unwrap_err()
-                    .to_string()
-            );
-        }
-        assert!(table.mac(&staged[..3], &[0.5; 4], &stream).is_err());
-        let mut acts = [0.5; 9];
-        acts[6] = 1.5;
-        arm.load_weights(&[0.5; 9], &mapper).unwrap();
-        assert_eq!(
-            table
-                .mac(&staged[..9], &acts, &stream)
-                .unwrap_err()
-                .to_string(),
-            arm.mac(&acts, &mut quiet()).unwrap_err().to_string()
-        );
-        // A byte no 4-bit table stages: code 16, past codes 0..=15.
-        assert!(table.mac(&[16], &[0.5], &stream).is_err());
     }
 
     #[test]
@@ -1746,13 +1477,18 @@ mod tests {
                 .collect();
             let mut arm = Arm::new(config).unwrap();
             arm.load_weights(&weights, &mapper).unwrap();
-            let snap = arm.snapshot(&noise);
+            let table = RingTable::new(config, &mapper, &noise).unwrap();
+            let staged: Vec<u8> = weights.iter().map(|&w| table.stage(w).unwrap()).collect();
+            let taps = table.taps(&staged);
             let p_in = config.channel_power.get();
             let per_ring: Vec<(f64, f64)> = (0..WINDOWS)
                 .map(|w| per_ring_rails(&arm, &activations, &source.stream(0, 0, w)))
                 .collect();
             let rails: Vec<(f64, f64)> = (0..WINDOWS)
-                .map(|w| rail_powers_at(&snap.taps, &activations, p_in, &source.stream(0, 1, w), 0))
+                .map(|w| {
+                    let stream = source.stream(0, 1, w);
+                    rail_powers_at(&taps.taps[..taps.len], &activations, p_in, &stream, 0)
+                })
                 .collect();
             let (a, b) = (rail_stats(&per_ring), rail_stats(&rails));
             let n = WINDOWS as f64;

@@ -1,10 +1,9 @@
 //! A bank: five arms, fifty microrings (paper Fig. 6).
 
-use oisa_device::noise::{NoiseConfig, NoiseModel};
 use oisa_units::{Joule, Second, Watt};
 use serde::{Deserialize, Serialize};
 
-use crate::arm::{Arm, ArmConfig, ArmSnapshot, MacResult, RINGS_PER_ARM};
+use crate::arm::{Arm, ArmConfig, RINGS_PER_ARM};
 use crate::weights::WeightMapper;
 use crate::{OpticsError, Result};
 
@@ -27,14 +26,13 @@ pub const RINGS_PER_BANK: usize = ARMS_PER_BANK * RINGS_PER_ARM;
 /// let mut bank = Bank::new(ArmConfig::paper_default())?;
 /// let mapper = WeightMapper::ideal(4)?;
 /// bank.load_arm(0, &[0.5; 9], &mapper)?;
-/// assert_eq!(bank.loaded_arm_count(), 1);
+/// assert_eq!(bank.arm(0)?.weights().len(), 9);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Bank {
     arms: Vec<Arm>,
-    loaded: Vec<bool>,
 }
 
 impl Bank {
@@ -47,10 +45,7 @@ impl Bank {
         let arms = (0..ARMS_PER_BANK)
             .map(|_| Arm::new(config))
             .collect::<Result<Vec<_>>>()?;
-        Ok(Self {
-            arms,
-            loaded: vec![false; ARMS_PER_BANK],
-        })
+        Ok(Self { arms })
     }
 
     /// Shared arm reference.
@@ -64,17 +59,6 @@ impl Bank {
             .ok_or_else(|| OpticsError::IndexOutOfRange(format!("arm {index}")))
     }
 
-    /// Immutable snapshot of arm `index` under `noise` (see
-    /// [`Arm::snapshot`]): the captured state keeps evaluating
-    /// bit-identically even after the arm is re-tuned for a later pass.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OpticsError::IndexOutOfRange`] for an invalid index.
-    pub fn snapshot_arm(&self, index: usize, noise: &NoiseConfig) -> Result<ArmSnapshot> {
-        Ok(self.arm(index)?.snapshot(noise))
-    }
-
     /// Loads `weights` into arm `index`.
     ///
     /// # Errors
@@ -86,56 +70,7 @@ impl Bank {
             .arms
             .get_mut(index)
             .ok_or_else(|| OpticsError::IndexOutOfRange(format!("arm {index}")))?;
-        arm.load_weights(weights, mapper)?;
-        self.loaded[index] = true;
-        Ok(())
-    }
-
-    /// Marks an arm idle (weights cleared at next load; rings keep their
-    /// tuning until then, as in hardware).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OpticsError::IndexOutOfRange`] for an invalid index.
-    pub fn unload_arm(&mut self, index: usize) -> Result<()> {
-        if index >= ARMS_PER_BANK {
-            return Err(OpticsError::IndexOutOfRange(format!("arm {index}")));
-        }
-        self.loaded[index] = false;
-        Ok(())
-    }
-
-    /// Number of arms currently holding kernels.
-    #[must_use]
-    pub fn loaded_arm_count(&self) -> usize {
-        self.loaded.iter().filter(|&&l| l).count()
-    }
-
-    /// Evaluates every loaded arm against its slice of `activations`
-    /// (one activation vector per loaded arm, in arm order).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OpticsError::InvalidParameter`] when the number of
-    /// activation vectors differs from the loaded arm count.
-    pub fn compute<N: NoiseModel>(
-        &self,
-        activations: &[Vec<f64>],
-        noise: &mut N,
-    ) -> Result<Vec<MacResult>> {
-        let loaded_indices: Vec<usize> = (0..ARMS_PER_BANK).filter(|&i| self.loaded[i]).collect();
-        if activations.len() != loaded_indices.len() {
-            return Err(OpticsError::InvalidParameter(format!(
-                "{} activation vectors for {} loaded arms",
-                activations.len(),
-                loaded_indices.len()
-            )));
-        }
-        loaded_indices
-            .iter()
-            .zip(activations)
-            .map(|(&i, a)| self.arms[i].mac(a, noise))
-            .collect()
+        arm.load_weights(weights, mapper)
     }
 
     /// Static heater power of all arms.
@@ -163,14 +98,9 @@ impl Bank {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oisa_device::noise::{NoiseConfig, NoiseSource};
 
     fn mapper() -> WeightMapper {
         WeightMapper::ideal(4).unwrap()
-    }
-
-    fn quiet() -> NoiseSource {
-        NoiseSource::seeded(0, NoiseConfig::noiseless())
     }
 
     #[test]
@@ -180,41 +110,10 @@ mod tests {
     }
 
     #[test]
-    fn load_and_compute_multiple_kernels() {
-        let mut bank = Bank::new(ArmConfig::paper_default()).unwrap();
-        let m = mapper();
-        bank.load_arm(0, &[1.0; 9], &m).unwrap();
-        bank.load_arm(2, &[-1.0; 9], &m).unwrap();
-        assert_eq!(bank.loaded_arm_count(), 2);
-        let acts = vec![vec![1.0; 9], vec![1.0; 9]];
-        let out = bank.compute(&acts, &mut quiet()).unwrap();
-        assert_eq!(out.len(), 2);
-        assert!(out[0].value > 8.0); // Σ 1·1 over 9 channels ≈ 9
-        assert!(out[1].value < -8.0);
-    }
-
-    #[test]
-    fn activation_count_must_match_loaded_arms() {
-        let mut bank = Bank::new(ArmConfig::paper_default()).unwrap();
-        bank.load_arm(0, &[0.5; 9], &mapper()).unwrap();
-        let err = bank.compute(&[], &mut quiet()).unwrap_err();
-        assert!(matches!(err, OpticsError::InvalidParameter(_)));
-    }
-
-    #[test]
     fn invalid_arm_index_rejected() {
         let mut bank = Bank::new(ArmConfig::paper_default()).unwrap();
         assert!(bank.load_arm(5, &[0.5; 9], &mapper()).is_err());
         assert!(bank.arm(5).is_err());
-        assert!(bank.unload_arm(9).is_err());
-    }
-
-    #[test]
-    fn unload_reduces_loaded_count() {
-        let mut bank = Bank::new(ArmConfig::paper_default()).unwrap();
-        bank.load_arm(1, &[0.5; 9], &mapper()).unwrap();
-        bank.unload_arm(1).unwrap();
-        assert_eq!(bank.loaded_arm_count(), 0);
     }
 
     #[test]

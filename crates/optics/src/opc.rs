@@ -6,11 +6,11 @@
 //! exactly **100 iterations**, the number the paper quotes for a complete
 //! weight-map.
 
-use oisa_device::noise::{NoiseConfig, NoiseModel};
+use oisa_device::noise::NoiseModel;
 use oisa_units::{Joule, Second, Watt};
 use serde::{Deserialize, Serialize};
 
-use crate::arm::{ArmConfig, ArmSnapshot, MacResult, RINGS_PER_ARM};
+use crate::arm::{ArmConfig, MacResult, RINGS_PER_ARM};
 use crate::bank::{Bank, ARMS_PER_BANK, RINGS_PER_BANK};
 use crate::weights::WeightMapper;
 use crate::{OpticsError, Result};
@@ -244,28 +244,6 @@ impl Opc {
         Ok(arms_needed)
     }
 
-    /// Snapshots the `arms` consecutive arms holding one kernel,
-    /// starting at `(bank, first_arm)`, with their rail coefficients
-    /// under `noise`. The snapshots keep evaluating the kernel
-    /// bit-identically even after a later pass re-tunes the same
-    /// physical arms — the basis of the batched convolution engine.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OpticsError::IndexOutOfRange`] for invalid indices.
-    pub fn snapshot_kernel_arms(
-        &self,
-        bank: usize,
-        first_arm: usize,
-        arms: usize,
-        noise: &NoiseConfig,
-    ) -> Result<Vec<ArmSnapshot>> {
-        let bank_ref = self.bank(bank)?;
-        (0..arms)
-            .map(|i| bank_ref.snapshot_arm(first_arm + i, noise))
-            .collect()
-    }
-
     /// Evaluates one loaded arm.
     ///
     /// # Errors
@@ -364,7 +342,6 @@ mod tests {
         let mapper = WeightMapper::ideal(4).unwrap();
         let used = opc.load_kernel(0, 0, &[0.5; 9], &mapper).unwrap();
         assert_eq!(used, 1);
-        assert_eq!(opc.bank(0).unwrap().loaded_arm_count(), 1);
     }
 
     #[test]
@@ -374,7 +351,6 @@ mod tests {
         let weights = vec![0.25; 25]; // 5×5
         let used = opc.load_kernel(1, 0, &weights, &mapper).unwrap();
         assert_eq!(used, 3);
-        assert_eq!(opc.bank(1).unwrap().loaded_arm_count(), 3);
     }
 
     #[test]

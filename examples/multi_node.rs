@@ -219,6 +219,7 @@ impl Drop for TcpDaemon {
 // ---------------------------------------------------------------------
 
 /// How the coordinator reaches its workers.
+#[derive(Debug, PartialEq)]
 enum Fleet {
     /// Spawn `--worker` child processes over stdio pipes.
     Processes,
@@ -551,53 +552,93 @@ fn run_supervisor_drill() -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
+const USAGE: &str = "usage: multi_node [--tcp | --connect HOST:PORT,... | --in-process | \
+                     --supervisor | --worker | --worker-tcp HOST:PORT [--fail-after-shards N]]";
+
+/// What one invocation runs: a worker, the self-healing drill, or a
+/// coordinator over a fleet.
+#[derive(Debug, PartialEq)]
+enum Mode {
+    /// `--worker-tcp ADDR [--fail-after-shards N]`: a TCP worker daemon.
+    WorkerTcp {
+        addr: String,
+        fail_after_shards: Option<u64>,
+    },
+    /// `--worker`: a stdio worker.
+    Worker,
+    /// `--supervisor`: the self-healing drill.
+    Supervisor,
+    /// `--tcp`, `--connect A,B`, `--in-process` or no flag at all.
+    Coordinator(Fleet),
+}
+
+/// Parses the arguments after the program name into one [`Mode`]: one
+/// mode flag with its values, or none for the default stdio fleet.
+/// Anything else — an unknown flag, a missing or malformed value, a
+/// second mode — is an error naming the arguments.
+fn parse_mode(args: &[String]) -> Result<Mode, String> {
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    Ok(match args.as_slice() {
+        [] => Mode::Coordinator(Fleet::Processes),
+        ["--tcp"] => Mode::Coordinator(Fleet::Tcp),
+        ["--in-process"] => Mode::Coordinator(Fleet::InProcess),
+        ["--connect", endpoints] => Mode::Coordinator(Fleet::Connect(
+            endpoints.split(',').map(str::to_string).collect(),
+        )),
+        ["--supervisor"] => Mode::Supervisor,
+        ["--worker"] => Mode::Worker,
+        ["--worker-tcp", addr] => Mode::WorkerTcp {
+            addr: (*addr).to_string(),
+            fail_after_shards: None,
+        },
+        ["--worker-tcp", addr, "--fail-after-shards", limit] => Mode::WorkerTcp {
+            addr: (*addr).to_string(),
+            fail_after_shards: Some(
+                limit
+                    .parse()
+                    .map_err(|_| format!("bad --fail-after-shards {limit}"))?,
+            ),
+        },
+        _ => return Err(format!("unrecognised arguments {args:?}")),
+    })
+}
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let value_of = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    if args.iter().any(|a| a == "--worker-tcp") {
-        // TCP worker daemon mode: bind, announce, serve until killed.
-        let addr = value_of("--worker-tcp").ok_or("--worker-tcp needs a bind address")?;
-        let fail_after_shards = value_of("--fail-after-shards")
-            .map(|raw| raw.parse::<u64>())
-            .transpose()?;
-        let worker = TcpWorker::bind(node_config(), &addr)?.with_options(WorkerOptions {
-            io_timeout: None,
+    let mode = parse_mode(&args).unwrap_or_else(|reason| {
+        eprintln!("multi_node: {reason}\n{USAGE}");
+        std::process::exit(2);
+    });
+    match mode {
+        Mode::WorkerTcp {
+            addr,
             fail_after_shards,
-        });
-        println!("LISTENING {}", worker.local_addr()?);
-        std::io::stdout().flush()?;
-        worker.serve()?;
-        return Ok(());
-    }
-    if args.iter().any(|a| a == "--worker") {
-        // Stdio worker mode: speak the wire protocol over stdio until
-        // the coordinator closes the pipe. Nothing else may touch
-        // stdout.
-        let config = node_config();
-        let stdin = std::io::stdin();
-        let stdout = std::io::stdout();
-        oisa::core::backend::serve_worker(&config, &mut stdin.lock(), &mut stdout.lock())?;
-        return Ok(());
-    }
-    if args.iter().any(|a| a == "--supervisor") {
-        return run_supervisor_drill();
-    }
-    let fleet = if args.iter().any(|a| a == "--tcp") {
-        Fleet::Tcp
-    } else if let Some(endpoints) = value_of("--connect") {
-        Fleet::Connect(endpoints.split(',').map(str::to_string).collect())
-    } else if args.iter().any(|a| a == "--in-process") {
-        Fleet::InProcess
-    } else {
-        Fleet::Processes
-    };
-    run_coordinator(&fleet)?;
-    if matches!(fleet, Fleet::Tcp) {
-        run_fault_drill()?;
+        } => {
+            // TCP worker daemon mode: bind, announce, serve until killed.
+            let worker = TcpWorker::bind(node_config(), &addr)?.with_options(WorkerOptions {
+                io_timeout: None,
+                fail_after_shards,
+            });
+            println!("LISTENING {}", worker.local_addr()?);
+            std::io::stdout().flush()?;
+            worker.serve()?;
+        }
+        Mode::Worker => {
+            // Stdio worker mode: speak the wire protocol over stdio
+            // until the coordinator closes the pipe. Nothing else may
+            // touch stdout.
+            let config = node_config();
+            let stdin = std::io::stdin();
+            let stdout = std::io::stdout();
+            oisa::core::backend::serve_worker(&config, &mut stdin.lock(), &mut stdout.lock())?;
+        }
+        Mode::Supervisor => run_supervisor_drill()?,
+        Mode::Coordinator(fleet) => {
+            run_coordinator(&fleet)?;
+            if fleet == Fleet::Tcp {
+                run_fault_drill()?;
+            }
+        }
     }
     Ok(())
 }
@@ -605,6 +646,46 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn mode(args: &[&str]) -> Result<Mode, String> {
+        parse_mode(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn unknown_flags_and_missing_values_are_errors() {
+        for args in [
+            &["--interop"][..],
+            &["--connect"],
+            &["--tcp", "--bogus"],
+            &["--worker-tcp"],
+            &["--worker-tcp", "127.0.0.1:0", "--fail-after-shards"],
+            &["--worker-tcp", "127.0.0.1:0", "--fail-after-shards", "two"],
+            &["--worker-tcp", "127.0.0.1:0", "--seed", "3"],
+        ] {
+            assert!(mode(args).is_err(), "{args:?} must be refused");
+        }
+    }
+
+    #[test]
+    fn each_mode_parses_to_its_run() {
+        assert_eq!(mode(&[]), Ok(Mode::Coordinator(Fleet::Processes)));
+        assert_eq!(
+            mode(&["--connect", "a,b"]),
+            Ok(Mode::Coordinator(Fleet::Connect(vec![
+                "a".into(),
+                "b".into()
+            ])))
+        );
+        assert_eq!(
+            mode(&["--worker-tcp", "127.0.0.1:0", "--fail-after-shards", "2"]),
+            Ok(Mode::WorkerTcp {
+                addr: "127.0.0.1:0".into(),
+                fail_after_shards: Some(2),
+            })
+        );
+        assert_eq!(mode(&["--tcp"]), Ok(Mode::Coordinator(Fleet::Tcp)));
+        assert_eq!(mode(&["--supervisor"]), Ok(Mode::Supervisor));
+    }
 
     #[test]
     fn traffic_bytes_covers_odd_pooled_outputs() {

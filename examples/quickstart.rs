@@ -65,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // -----------------
     // For sustained workloads, hand a whole batch to `convolve_frames`:
     // the engine stages each weight pass once for the batch (instead of
-    // once per frame), snapshots the tuned arms, and spreads
+    // once per frame), forms each tuned arm's taps once, and spreads
     // (frame, pass, row-band) work items over a work-stealing scheduler
     // so no worker idles at a frame boundary. Every frame keys its own
     // noise epoch, which makes the reports bit-identical to calling

@@ -160,11 +160,14 @@
 //!   waveguide loss, detector full-scale and dwell time depend only on
 //!   the loaded weights and geometry, so `Arm::load_weights` folds them
 //!   into per-ring gains. VCSEL RIN and ring drift enter through each
-//!   detector rail's closed-form mean and variance: `Arm::snapshot`
-//!   computes every tap's two rail coefficients once per staged pass,
-//!   and `ArmSnapshot::mac_indexed`, the fused allocation-free MAC the
-//!   inner loop calls, draws three Gaussians per MAC: one per rail and
-//!   one for the detector.
+//!   detector rail's closed-form mean and variance. The engines never
+//!   read an arm: a ring's state depends only on its weight's code, so
+//!   a per-code `RingTable` holds every code's rail coefficients and
+//!   every neighbour pair's gain, a conv pass forms each arm's taps
+//!   from it once (`RingTable::taps`), and `RingTable::fused_mac`, the
+//!   fused allocation-free MAC every conv window and dense chunk runs,
+//!   draws three Gaussians per MAC: one per rail and one for the
+//!   detector.
 //!   `Arm::mac_reference` keeps the pre-optimisation cost profile as
 //!   the benchmark baseline. Every MAC path folds its rail moments
 //!   into 4 fixed lanes reduced through one canonical tree — reduction
@@ -181,7 +184,7 @@
 //!   bit-for-bit. `convolve_frame` is the engine's one-frame batch.
 //!
 //! Benchmarks: `cargo bench -p oisa_bench` runs the microbenchmarks
-//! (`arm_mac_indexed_9tap`, `mac_core_{72,256,1024}_rings`,
+//! (`ring_table_mac_9wide`, `mac_core_{72,256,1024}_rings`,
 //! `conv_32x32_multipass`, `oisa_convolve_frame_128x128_16k`, …);
 //! `cargo run --release -p oisa_bench --bin perf_json` emits one
 //! machine-readable `BENCH JSON` line comparing the optimised pipeline

@@ -1,6 +1,7 @@
 //! Integration tests asserting the paper's quantitative claims hold in
-//! this reproduction (shape and calibrated magnitudes; see
-//! EXPERIMENTS.md for the full comparison).
+//! this reproduction (shape and calibrated magnitudes; the `oisa_bench`
+//! binaries `table1_comparison`, `fig9_power` and
+//! `throughput_efficiency` print the full comparison).
 
 use oisa::baselines::platforms::{AppCipLike, AsicBaseline, CrosslightLike};
 use oisa::core::mapping::{ConvWorkload, MappingPlan};
