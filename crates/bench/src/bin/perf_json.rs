@@ -61,8 +61,8 @@ use std::time::{Duration, Instant};
 
 use oisa_bench::gate::{self, Metric};
 use oisa_core::backend::{
-    ComputeBackend, FleetSupervisor, InProcessWorker, ShardTransport, ShardedBackend,
-    SupervisorOptions, TcpTransport, TcpTransportConfig, TcpWorker,
+    ComputeBackend, FleetSupervisor, InProcessWorker, ShardTransport, SupervisorOptions,
+    TcpTransport, TcpTransportConfig, TcpWorker,
 };
 use oisa_core::mlp::{matvec, matvec_parallel};
 use oisa_core::program::{run_reference, LayerProgram};
@@ -283,7 +283,7 @@ fn main() {
     let shard_workers = 2usize;
     {
         let mut check =
-            ShardedBackend::in_process(cfg, shard_workers).expect("sharded backend construction");
+            FleetSupervisor::in_process(cfg, shard_workers).expect("sharded backend construction");
         let job = InferenceJob {
             job_id: 0,
             k,
@@ -297,7 +297,7 @@ fn main() {
         );
     }
     let mut shard_backend =
-        ShardedBackend::in_process(cfg, shard_workers).expect("sharded backend construction");
+        FleetSupervisor::in_process(cfg, shard_workers).expect("sharded backend construction");
     let mut shard_job_id = 0u64;
     let backend_shard_ms = median_ms(reps, || {
         let job = InferenceJob {
@@ -331,7 +331,9 @@ fn main() {
             Box::new(transport) as Box<dyn ShardTransport>
         })
         .collect();
-    let mut tcp_backend = ShardedBackend::new(cfg, tcp_fleet).expect("tcp backend construction");
+    let mut tcp_backend =
+        FleetSupervisor::new(cfg, tcp_fleet, Vec::new(), SupervisorOptions::default())
+            .expect("tcp backend construction");
     {
         let job = InferenceJob {
             job_id: 0,
@@ -372,7 +374,7 @@ fn main() {
         let oracle =
             run_reference(&cfg, 0, &program, &batch_frames).expect("program sequential forward");
         let mut check =
-            ShardedBackend::in_process(cfg, shard_workers).expect("sharded backend construction");
+            FleetSupervisor::in_process(cfg, shard_workers).expect("sharded backend construction");
         let merged = check
             .run_program(&ProgramJob {
                 job_id: 0,
@@ -386,7 +388,7 @@ fn main() {
         );
     }
     let mut program_backend =
-        ShardedBackend::in_process(cfg, shard_workers).expect("sharded backend construction");
+        FleetSupervisor::in_process(cfg, shard_workers).expect("sharded backend construction");
     let mut program_job_id = 0u64;
     let program_ms = median_ms(reps, || {
         let job = ProgramJob {

@@ -39,12 +39,15 @@
 //! A worker daemon dying mid-shard surfaces to the coordinator as a
 //! connection reset / EOF; [`TcpTransport`] retries against the same
 //! endpoint (covering daemon restarts and transient network faults) and
-//! then reports [`OisaError::Transport`]. Because
-//! [`ShardedBackend::run_job`](super::ComputeBackend::run_job) advances
-//! no coordinator state on failure, the caller repairs the fleet
-//! ([`ShardedBackend::replace_worker`](super::ShardedBackend::replace_worker))
-//! and retries the job, which re-executes **bit-identically** whatever
-//! the new fleet shape.
+//! then reports [`OisaError::Transport`]. The
+//! [`FleetSupervisor`](super::FleetSupervisor) takes it from there: it
+//! quarantines the endpoint and promotes a spare or re-plans the shard
+//! across the surviving workers, so the job still merges
+//! **bit-identically**. When the failed daemon was the last worker, the
+//! job returns this error having advanced no coordinator state; the
+//! transport stays in the fleet and redials on the next job, so a retry
+//! after the daemon restarts at the same endpoint re-executes
+//! bit-identically.
 
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -250,32 +253,6 @@ impl TcpTransport {
     #[must_use]
     pub fn endpoint(&self) -> &str {
         &self.endpoint
-    }
-
-    /// Round-trips a liveness probe under the full retry policy: a
-    /// fresh connection handshakes (or config-pushes), an established
-    /// one re-pings. This is the quarantine hook
-    /// [`FleetSupervisor`](super::FleetSupervisor) calls between jobs;
-    /// a hung worker fails it within the transport's bounded
-    /// `attempts × (io_timeout + backoff)` budget rather than hanging
-    /// the coordinator.
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardTransport::round_trip`]: [`OisaError::Transport`] on
-    /// exhaustion, fatal protocol/config errors immediately.
-    pub fn health_check(&mut self) -> BackendResult<()> {
-        self.with_retries(|t| {
-            t.ensure_connected()?;
-            t.handshake()
-        })
-    }
-
-    /// Drops the current connection (if any) without talking to the
-    /// peer. The next round trip reconnects — and re-runs the
-    /// handshake or config push.
-    pub fn disconnect(&mut self) {
-        self.stream = None;
     }
 
     /// Runs `step` under the retry policy: transient failures drop the
@@ -658,7 +635,7 @@ fn serve_connection(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{ComputeBackend, ShardedBackend};
+    use crate::backend::{ComputeBackend, FleetSupervisor, SupervisorOptions};
     use crate::wire::InferenceJob;
     use oisa_device::noise::NoiseConfig;
     use oisa_sensor::frame::Frame;
@@ -668,6 +645,11 @@ mod tests {
         cfg.noise = NoiseConfig::paper_default();
         cfg.seed = seed;
         cfg
+    }
+
+    fn one_worker_fleet(config: OisaConfig, transport: TcpTransport) -> FleetSupervisor {
+        let options = SupervisorOptions::default();
+        FleetSupervisor::new(config, vec![Box::new(transport)], Vec::new(), options).unwrap()
     }
 
     fn fast() -> TcpTransportConfig {
@@ -689,7 +671,7 @@ mod tests {
             .unwrap();
         let transport =
             TcpTransport::connect(worker.endpoint(), config.fingerprint(), fast()).unwrap();
-        let mut backend = ShardedBackend::new(config, vec![Box::new(transport)]).unwrap();
+        let mut backend = one_worker_fleet(config, transport);
         let job = InferenceJob {
             job_id: 1,
             k: 3,
@@ -791,7 +773,7 @@ mod tests {
         // physics and serves — bit-identical to a local run.
         let transport =
             TcpTransport::connect_with_config(worker.endpoint(), coordinator_cfg, fast()).unwrap();
-        let mut backend = ShardedBackend::new(coordinator_cfg, vec![Box::new(transport)]).unwrap();
+        let mut backend = one_worker_fleet(coordinator_cfg, transport);
         let job = InferenceJob {
             job_id: 31,
             k: 3,
@@ -807,42 +789,6 @@ mod tests {
     }
 
     #[test]
-    fn health_check_passes_on_a_live_worker_and_fails_fast_on_a_hung_one() {
-        let config = cfg(22);
-        let worker = TcpWorker::bind(config, "127.0.0.1:0")
-            .unwrap()
-            .spawn()
-            .unwrap();
-        let mut transport =
-            TcpTransport::connect(worker.endpoint(), config.fingerprint(), fast()).unwrap();
-        transport.health_check().unwrap();
-
-        // A listener that accepts and then never replies simulates a
-        // hung worker: the probe must fail within the bounded
-        // attempts × io_timeout budget instead of hanging.
-        let hung = TcpListener::bind("127.0.0.1:0").unwrap();
-        let hung_addr = hung.local_addr().unwrap();
-        let _keep_accepting = std::thread::spawn(move || {
-            let mut held = Vec::new();
-            while let Ok((stream, _)) = hung.accept() {
-                held.push(stream); // hold the socket open, say nothing
-            }
-        });
-        let mut options = fast();
-        options.io_timeout = Some(Duration::from_millis(200));
-        let mut probe =
-            TcpTransport::deferred(hung_addr.to_string(), config.fingerprint(), options);
-        let started = std::time::Instant::now();
-        let err = probe.health_check().unwrap_err();
-        let elapsed = started.elapsed();
-        assert!(matches!(err, OisaError::Transport { .. }), "{err}");
-        assert!(
-            elapsed < Duration::from_secs(5),
-            "hung-worker probe took {elapsed:?}, not bounded"
-        );
-    }
-
-    #[test]
     fn deferred_transport_connects_on_first_use() {
         let config = cfg(4);
         let worker = TcpWorker::bind(config, "127.0.0.1:0")
@@ -850,8 +796,8 @@ mod tests {
             .spawn()
             .unwrap();
         let transport = TcpTransport::deferred(worker.endpoint(), config.fingerprint(), fast());
-        let mut backend = ShardedBackend::new(config, vec![Box::new(transport)]).unwrap();
-        assert_eq!(backend.worker_count(), 1);
+        let mut backend = one_worker_fleet(config, transport);
+        assert_eq!(backend.status().active, 1);
         let job = InferenceJob {
             job_id: 9,
             k: 3,

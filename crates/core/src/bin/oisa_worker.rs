@@ -3,7 +3,7 @@
 //! Binds a TCP port and serves [`ProgramShard`]s (and handshake pings) to
 //! any coordinator that connects, speaking the versioned wire schema.
 //! One daemon per host is the deployment unit of a
-//! [`ShardedBackend`](oisa_core::backend::ShardedBackend) fleet; the
+//! [`FleetSupervisor`](oisa_core::backend::FleetSupervisor) fleet; the
 //! coordinator reaches it through
 //! [`TcpTransport`](oisa_core::backend::TcpTransport).
 //!

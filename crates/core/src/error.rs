@@ -62,10 +62,12 @@ pub enum OisaError {
     Backend(String),
     /// A transport to a worker broke and stayed broken: every connect /
     /// reconnect / resend attempt failed. The shard was **not**
-    /// executed as far as the coordinator knows; because
-    /// [`ShardedBackend::run_job`](crate::backend::ShardedBackend) only
-    /// advances state after a full merge, the job can be retried (after
-    /// repairing or replacing the worker) and will re-execute
+    /// executed as far as the coordinator knows. Mid-job the
+    /// [`FleetSupervisor`](crate::backend::FleetSupervisor) heals
+    /// around it (promote a spare or re-plan across the survivors); a
+    /// caller sees it only when the last worker failed, and because
+    /// the coordinator advances state only after a full merge, the job
+    /// can be retried once the worker is back and will re-execute
     /// identically.
     Transport {
         /// The worker endpoint (e.g. `127.0.0.1:7401`, `stdio`).

@@ -28,17 +28,17 @@
 //! * [`backend`] — the unified execution seam: [`ComputeBackend`]
 //!   executes [`wire::InferenceJob`]s and [`wire::ProgramJob`]s,
 //!   either on this host ([`LocalBackend`]) or sharded across worker
-//!   processes ([`ShardedBackend`], one shard type for both) with
-//!   bit-identical merges. The
-//!   [`backend::tcp`] submodule makes the fleet genuinely multi-host:
-//!   [`TcpTransport`] dials worker daemons ([`backend::TcpWorker`],
-//!   wrapped by the `oisa_worker` binary) with connect/read timeouts,
-//!   a connect-time handshake and jittered reconnect-with-backoff
-//!   retry. [`FleetSupervisor`] makes operating that fleet hands-off:
-//!   interval health checks, automatic quarantine-promote-re-plan
-//!   failover mid-job (results stay bit-identical), and config push
-//!   so heterogeneous workers adopt the coordinator's physics instead
-//!   of refusing.
+//!   processes by the one coordinator, [`FleetSupervisor`] (one shard
+//!   type for both), with bit-identical merges. The coordinator runs
+//!   the fleet hands-off: interval health checks, quarantine → promote
+//!   → re-plan failover mid-job (results stay bit-identical), a typed
+//!   error with no state consumed when the last worker fails, and
+//!   config push so heterogeneous workers adopt the coordinator's
+//!   physics instead of refusing. The [`backend::tcp`] submodule makes
+//!   the fleet genuinely multi-host: [`TcpTransport`] dials worker
+//!   daemons ([`backend::TcpWorker`], wrapped by the `oisa_worker`
+//!   binary) with connect/read timeouts, a connect-time handshake and
+//!   jittered reconnect-with-backoff retry.
 //! * [`program`] — layer programs: ordered `conv → quantize → dense →
 //!   activation` stages executed per frame by any [`ComputeBackend`],
 //!   with a steady-state prewarm that keeps sharded merges
@@ -128,8 +128,8 @@ pub mod wire;
 
 pub use accelerator::{ConvolutionReport, OisaAccelerator, OisaConfig, OisaConfigBuilder};
 pub use backend::{
-    ComputeBackend, FleetSupervisor, LocalBackend, ShardTransport, ShardedBackend,
-    SupervisorOptions, TcpTransport, TcpTransportConfig, TcpWorker,
+    ComputeBackend, FleetSupervisor, LocalBackend, ShardTransport, SupervisorOptions, TcpTransport,
+    TcpTransportConfig, TcpWorker,
 };
 pub use error::OisaError;
 pub use mapping::{ConvWorkload, MappingPlan};

@@ -47,7 +47,7 @@
 //! reaches after any complete frame, so a shard worker entering the
 //! stream at *any* frame boundary pays bit-identical tuning cost.
 //! That makes per-frame reports history-independent, which is what
-//! lets [`crate::backend::ShardedBackend`] shard the frame axis and
+//! lets [`crate::backend::FleetSupervisor`] shard the frame axis and
 //! merge [`ProgramFrameReport`]s bit-identically (inter-stage tensors
 //! never cross a frame boundary).
 //!
@@ -570,7 +570,7 @@ fn no_staging(program: &LayerProgram) -> Vec<Option<StagedMatrix>> {
 /// `base_epoch`, then [`OisaAccelerator::run_program_frames`] — one
 /// [`OisaAccelerator::prewarm_program`] and a per-frame loop.
 /// Bit-identical to a
-/// [`ShardedBackend`](crate::backend::ShardedBackend) merge over any
+/// [`FleetSupervisor`](crate::backend::FleetSupervisor) merge over any
 /// fleet shape, by the module-docs argument.
 ///
 /// # Errors

@@ -10,13 +10,12 @@
 //! them through whatever [`ComputeBackend`] the engine fronts —
 //! a [`LocalBackend`] (one accelerator, the work-stealing scheduler in
 //! [`crate::scheduler`] underneath) by default, or a
-//! [`ShardedBackend`](crate::backend::ShardedBackend) for multi-host
-//! serving, via [`ServingEngine::with_backend`]. Fronting a
-//! [`FleetSupervisor`](crate::backend::FleetSupervisor) instead makes
-//! the served fleet *self-healing*: a worker dying mid-batch is
-//! quarantined and its shard re-run on a promoted spare (or re-planned
-//! across the survivors) inside the same job, so submitters never see
-//! the failure — and the reports stay bit-identical.
+//! [`FleetSupervisor`](crate::backend::FleetSupervisor) for multi-host
+//! serving, via [`ServingEngine::with_backend`]. The served fleet is
+//! *self-healing*: a worker dying mid-batch is quarantined and its
+//! shard re-run on a promoted spare (or re-planned across the
+//! survivors) inside the same job, so submitters never see the failure
+//! — and the reports stay bit-identical.
 //!
 //! # Batching policy — the latency/throughput knobs
 //!
@@ -108,7 +107,8 @@ pub struct ServingConfig {
     pub max_batch: usize,
     /// Longest the *oldest* pending frame waits before its batch
     /// launches anyway, however small. `Duration::MAX` disables the
-    /// deadline (batches form only on size or drain).
+    /// deadline (batches form only on size or drain), which requires
+    /// `max_batch <= queue_depth` so a full queue can launch one.
     pub deadline: Duration,
     /// Bound on the pending queue (≥ 1). A full queue blocks
     /// [`ServingEngine::submit`] and bounces
@@ -133,7 +133,10 @@ impl Default for ServingConfig {
 type ServeResult<T> = std::result::Result<T, OisaError>;
 
 impl ServingConfig {
-    /// Rejects degenerate configurations.
+    /// Rejects degenerate configurations, and one that cannot serve:
+    /// with no deadline and `max_batch` beyond `queue_depth`, no batch
+    /// could launch before shutdown, so a blocking submit past the
+    /// queue bound would wait forever.
     fn validate(&self) -> crate::Result<()> {
         if self.max_batch == 0 {
             return Err(CoreError::InvalidParameter(
@@ -144,6 +147,13 @@ impl ServingConfig {
             return Err(CoreError::InvalidParameter(
                 "serving queue_depth must be at least 1".into(),
             ));
+        }
+        if self.deadline == Duration::MAX && self.max_batch > self.queue_depth {
+            return Err(CoreError::InvalidParameter(format!(
+                "serving with no deadline needs max_batch ({}) <= queue_depth ({}), \
+                 or no batch launches before shutdown",
+                self.max_batch, self.queue_depth
+            )));
         }
         Ok(())
     }
@@ -311,7 +321,8 @@ struct StatsInner {
     deadline_batches: u64,
     size_batches: u64,
     drain_batches: u64,
-    /// Index = batch size (0 unused), length `max_batch + 1`.
+    /// Index = batch size (0 unused), length one past the largest
+    /// batch that can form.
     batch_size_counts: Vec<u64>,
     /// Ring buffer of observed queue waits in microseconds.
     waits_us: Vec<u64>,
@@ -322,14 +333,14 @@ struct StatsInner {
 }
 
 impl StatsInner {
-    fn new(max_batch: usize) -> Self {
+    fn new(largest_batch: usize) -> Self {
         Self {
             frames_completed: 0,
             batches_run: 0,
             deadline_batches: 0,
             size_batches: 0,
             drain_batches: 0,
-            batch_size_counts: vec![0; max_batch + 1],
+            batch_size_counts: vec![0; largest_batch + 1],
             waits_us: Vec::new(),
             wait_cursor: 0,
             wait_max_us: 0,
@@ -371,7 +382,8 @@ pub struct ServingStats {
     /// Batches launched by the shutdown drain.
     pub drain_batches: u64,
     /// `batch_size_histogram[s]` = number of batches of exactly `s`
-    /// frames (index 0 unused); length is `max_batch + 1`.
+    /// frames (index 0 unused); length is the largest batch that can
+    /// form, `min(max_batch, queue_depth)`, plus one.
     pub batch_size_histogram: Vec<u64>,
     /// Median time a frame spent queued before its batch launched, µs.
     pub queue_wait_p50_us: f64,
@@ -498,7 +510,9 @@ impl<B: ComputeBackend + 'static> ServingEngine<B> {
             }),
             submitted: Condvar::new(),
             space: Condvar::new(),
-            stats: Mutex::new(StatsInner::new(config.max_batch)),
+            // The queue never holds more than `queue_depth` frames, so
+            // no batch is larger than that, whatever `max_batch` says.
+            stats: Mutex::new(StatsInner::new(config.max_batch.min(config.queue_depth))),
             config,
         });
         let worker_shared = Arc::clone(&shared);
@@ -778,6 +792,22 @@ fn worker_loop<B: ComputeBackend>(
         let outcome =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| backend.run_job(&job)));
         kernel_set = job.kernels;
+        // A backend that answers with the wrong number of reports
+        // cannot say which frame a report belongs to: that is a
+        // batch-wide failure, and no handle is left unresolved.
+        let outcome = outcome.map(|result| {
+            result.and_then(|reports| {
+                if reports.len() == slots.len() {
+                    Ok(reports)
+                } else {
+                    Err(OisaError::Backend(format!(
+                        "backend returned {} reports for a batch of {} frames",
+                        reports.len(),
+                        slots.len()
+                    )))
+                }
+            })
+        });
         match outcome {
             Ok(Ok(reports)) => {
                 for (slot, report) in slots.iter().zip(reports) {
@@ -785,8 +815,9 @@ fn worker_loop<B: ComputeBackend>(
                 }
             }
             // A batch-wide failure (the frames were validated at
-            // submit, so this is fabric-level) resolves every handle
-            // with the same error rather than leaving waiters hanging.
+            // submit, so this is fabric-level or a miscounted reply)
+            // resolves every handle with the same error rather than
+            // leaving waiters hanging.
             Ok(Err(e)) => {
                 for slot in &slots {
                     slot.fulfil(Err(e.clone()));
@@ -941,6 +972,100 @@ mod tests {
         match engine.submit(frame_16(1)) {
             Err(SubmitError::ShutDown(frame)) => assert_eq!(frame, frame_16(1)),
             other => panic!("expected ShutDown, got {other:?}"),
+        }
+    }
+
+    /// With no deadline, a `max_batch` the queue cannot hold would
+    /// launch no batch before shutdown, and a blocking submit past the
+    /// queue bound would wait forever: refused at construction.
+    #[test]
+    fn no_deadline_with_an_unfillable_batch_is_refused() {
+        let unfillable = ServingConfig {
+            max_batch: 8,
+            deadline: Duration::MAX,
+            queue_depth: 4,
+        };
+        let accel = OisaAccelerator::new(engine_config(5)).unwrap();
+        let err = ServingEngine::new(accel, vec![vec![0.5f32; 9]], 3, unfillable).unwrap_err();
+        assert!(
+            matches!(err, OisaError::Core(CoreError::InvalidParameter(ref what)) if what.contains("deadline")),
+            "{err}"
+        );
+        let fillable = ServingConfig {
+            max_batch: 4,
+            ..unfillable
+        };
+        let accel = OisaAccelerator::new(engine_config(5)).unwrap();
+        assert!(ServingEngine::new(accel, vec![vec![0.5f32; 9]], 3, fillable).is_ok());
+    }
+
+    /// `max_batch: usize::MAX` (take whatever is queued) builds and
+    /// serves: the histogram is sized by the largest batch that can
+    /// form, which the queue bounds.
+    #[test]
+    fn an_unbounded_max_batch_sizes_the_histogram_by_the_queue() {
+        let accel = OisaAccelerator::new(engine_config(6)).unwrap();
+        let serving = ServingConfig {
+            max_batch: usize::MAX,
+            deadline: Duration::from_millis(1),
+            queue_depth: 4,
+        };
+        let engine = ServingEngine::new(accel, vec![vec![0.5f32; 9]], 3, serving).unwrap();
+        let handles: Vec<_> = (0..3)
+            .map(|t| engine.submit(frame_16(t)).unwrap())
+            .collect();
+        for handle in handles {
+            assert!(handle.wait().is_ok());
+        }
+        let (_backend, stats) = engine.shutdown();
+        assert_eq!(stats.frames_completed, 3);
+        assert_eq!(stats.batch_size_histogram.len(), 5);
+        assert_eq!(
+            stats.batch_size_histogram.iter().sum::<u64>(),
+            stats.batches_run
+        );
+    }
+
+    /// A backend that answers a batch with the wrong number of reports
+    /// fails the whole batch: every handle resolves with an error
+    /// instead of a slot past the short list waiting forever.
+    #[test]
+    fn a_miscounted_reply_resolves_every_handle_with_an_error() {
+        /// Runs the job locally, then drops the last report.
+        struct DropsLastReport(LocalBackend);
+
+        impl ComputeBackend for DropsLastReport {
+            fn config(&self) -> &OisaConfig {
+                self.0.config()
+            }
+
+            fn run_job(&mut self, job: &InferenceJob) -> ServeResult<Vec<ConvolutionReport>> {
+                let mut reports = self.0.run_job(job)?;
+                reports.pop();
+                Ok(reports)
+            }
+        }
+
+        let backend = DropsLastReport(LocalBackend::new(engine_config(7)).unwrap());
+        let serving = ServingConfig {
+            max_batch: 2,
+            deadline: Duration::MAX,
+            queue_depth: 2,
+        };
+        let engine =
+            ServingEngine::with_backend(backend, vec![vec![0.5f32; 9]], 3, serving).unwrap();
+        let handles: Vec<_> = (0..2)
+            .map(|t| engine.submit(frame_16(t)).unwrap())
+            .collect();
+        let (_backend, stats) = engine.shutdown();
+        assert_eq!(stats.frames_completed, 2);
+        for handle in handles {
+            assert!(handle.is_ready());
+            let err = handle.wait().unwrap_err();
+            assert!(
+                matches!(err, OisaError::Backend(ref what) if what.contains("1 reports for a batch of 2")),
+                "{err}"
+            );
         }
     }
 

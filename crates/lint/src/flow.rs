@@ -364,8 +364,8 @@ const ENTRY_QUALS: &[&str] = &[
     "FrameHandle::is_ready",
 ];
 
-/// Any fn with this name (on any backend impl) is an entry point.
-const ENTRY_NAMES: &[&str] = &["run_job"];
+/// Any fn with these names (on any backend impl) is an entry point.
+const ENTRY_NAMES: &[&str] = &["run_job", "run_program"];
 
 /// Any fn whose name starts with this prefix is an entry point.
 const ENTRY_PREFIX: &str = "serve_worker";
@@ -805,6 +805,16 @@ mod tests {
         let panics: Vec<_> = f.iter().filter(|x| x.rule == RULE_PANIC).collect();
         assert_eq!(panics.len(), 1, "{f:?}");
         assert!(panics[0].message.contains("serve_worker_x"));
+        assert_eq!(panics[0].line, 5);
+    }
+
+    #[test]
+    fn panic_reachable_only_through_run_program_fires() {
+        let src = "pub fn run_program(v: Option<u8>) -> u8 {\n    stage(v)\n}\nfn stage(v: Option<u8>) -> u8 {\n    v.expect(\"p\")\n}";
+        let f = check(&[("crates/core/src/rp.rs", src)]);
+        let panics: Vec<_> = f.iter().filter(|x| x.rule == RULE_PANIC).collect();
+        assert_eq!(panics.len(), 1, "{f:?}");
+        assert!(panics[0].message.contains("run_program"), "{f:?}");
         assert_eq!(panics[0].line, 5);
     }
 

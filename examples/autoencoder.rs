@@ -32,7 +32,8 @@
 //! ```
 
 use oisa::core::backend::{
-    ComputeBackend, ShardTransport, ShardedBackend, TcpTransport, TcpTransportConfig, TcpWorker,
+    ComputeBackend, FleetSupervisor, ShardTransport, SupervisorOptions, TcpTransport,
+    TcpTransportConfig, TcpWorker,
 };
 use oisa::core::program::{run_reference, LayerProgram, QuantizeKind, Stage};
 use oisa::core::wire::ProgramJob;
@@ -77,9 +78,9 @@ fn capture(t: usize) -> Frame {
 fn build_backend(
     tcp: bool,
     config: OisaConfig,
-) -> Result<ShardedBackend, Box<dyn std::error::Error>> {
+) -> Result<FleetSupervisor, Box<dyn std::error::Error>> {
     if !tcp {
-        return Ok(ShardedBackend::in_process(config, WORKERS)?);
+        return Ok(FleetSupervisor::in_process(config, WORKERS)?);
     }
     // Loopback TCP daemons: real sockets, the real wire path — the
     // multi-host deployment shape without process re-exec.
@@ -103,7 +104,12 @@ fn build_backend(
     // The daemon threads serve until their listener drops; leaking the
     // handles keeps them alive for the process lifetime of this drill.
     std::mem::forget(daemons);
-    Ok(ShardedBackend::new(config, workers)?)
+    Ok(FleetSupervisor::new(
+        config,
+        workers,
+        Vec::new(),
+        SupervisorOptions::default(),
+    )?)
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

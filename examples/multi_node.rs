@@ -4,7 +4,7 @@
 //!
 //! This is the paper's Fig. 2 scenario grown up: instead of four
 //! independent nodes each printing their own numbers, one coordinator
-//! process runs a [`ShardedBackend`] whose workers are separate OS
+//! process runs a [`FleetSupervisor`] whose workers are separate OS
 //! processes. Shards travel as length-prefixed [`oisa::core::wire`]
 //! messages; every worker aligns its noise epochs and fabric entry
 //! state from the shard message, so the merged reports are
@@ -15,7 +15,6 @@
 //! ```sh
 //! cargo run --release --example multi_node             # coordinator + 4 stdio worker processes
 //! cargo run --release --example multi_node -- --tcp    # coordinator + 3 TCP worker daemons
-//!                                                      # (+ kill-one-mid-job retry drill)
 //! cargo run --release --example multi_node -- --connect 127.0.0.1:7401,127.0.0.1:7402
 //!                                                      # externally started oisa_worker daemons
 //! cargo run --release --example multi_node -- --in-process   # same wire path, no processes
@@ -23,18 +22,10 @@
 //!                                                            # mid-job, FleetSupervisor recovers
 //! ```
 //!
-//! The `--tcp` mode also runs a **fault-injection drill**: one daemon
-//! is started with `--fail-after-shards` so it aborts mid-job; the
-//! coordinator sees a typed `OisaError::Transport`, replaces the dead
-//! worker ([`ShardedBackend::replace_worker`]) and retries the job —
-//! which, because `run_job` advances no state on failure, completes
-//! bit-identically to the uninterrupted sequential loop.
-//!
-//! The `--supervisor` mode runs the **self-healing** version of that
-//! drill: the rigged daemon dies mid-job and a
-//! [`FleetSupervisor`](oisa::core::backend::FleetSupervisor) promotes
-//! a spare daemon and re-runs the failed shard with **zero manual
-//! intervention** — `replace_worker` is never called — and the merged
+//! The `--supervisor` mode runs the **self-healing drill**: one daemon
+//! is started with `--fail-after-shards` so it aborts mid-job, and the
+//! [`FleetSupervisor`] promotes a spare daemon and re-runs the failed
+//! shard inside the same job call, with no manual step — the merged
 //! report still matches the sequential loop bit for bit.
 
 use std::io::{BufRead, BufReader, Write};
@@ -42,8 +33,8 @@ use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
 use oisa::core::backend::{
-    ComputeBackend, FleetSupervisor, InProcessWorker, ShardTransport, ShardedBackend,
-    SupervisorOptions, TcpTransport, TcpTransportConfig, TcpWorker, WorkerOptions,
+    ComputeBackend, FleetSupervisor, InProcessWorker, ShardTransport, SupervisorOptions,
+    TcpTransport, TcpTransportConfig, TcpWorker, WorkerOptions,
 };
 use oisa::core::wire::{self, InferenceJob};
 use oisa::core::{ConvolutionReport, OisaAccelerator, OisaConfig, OisaError};
@@ -307,7 +298,8 @@ fn run_coordinator(fleet: &Fleet) -> Result<(), Box<dyn std::error::Error>> {
     let kernels = kernel_bank();
     let (workers, _daemons) = build_fleet(fleet, config)?;
     let worker_count = workers.len();
-    let mut backend = ShardedBackend::new(config, workers)?;
+    let mut backend =
+        FleetSupervisor::new(config, workers, Vec::new(), SupervisorOptions::default())?;
 
     println!("OISA multi-node coordinator ({})", fleet.describe());
     println!("==============================================\n");
@@ -377,96 +369,12 @@ fn run_coordinator(fleet: &Fleet) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// The fault-injection drill: daemon 1 is rigged to abort mid-job; the
-/// coordinator must surface a typed transport error, swap in a
-/// replacement daemon and retry the job to a bit-identical result.
-fn run_fault_drill() -> Result<(), Box<dyn std::error::Error>> {
-    println!("\nfault-injection drill (kill a worker mid-job)");
-    println!("---------------------------------------------");
-    let config = node_config();
-    let kernels = kernel_bank();
-    // Daemon 1 serves exactly one shard, then aborts on its next one.
-    let mut daemons = [
-        TcpDaemon::spawn(None)?,
-        TcpDaemon::spawn(Some(1))?,
-        TcpDaemon::spawn(None)?,
-    ];
-    let workers: Vec<Box<dyn ShardTransport>> = daemons
-        .iter()
-        .map(|d| {
-            d.transport(config.fingerprint())
-                .map(|t| Box::new(t) as Box<dyn ShardTransport>)
-        })
-        .collect::<Result<_, _>>()?;
-    let mut backend = ShardedBackend::new(config, workers)?;
-
-    let bursts: [Vec<Frame>; 2] = [
-        (0..6).map(capture).collect(),
-        (6..12).map(capture).collect(),
-    ];
-    let mut oracle = OisaAccelerator::new(config)?;
-    let oracle_reports: Vec<Vec<ConvolutionReport>> = bursts
-        .iter()
-        .map(|frames| {
-            frames
-                .iter()
-                .map(|f| oracle.convolve_frame_sequential(f, &kernels, 3))
-                .collect::<Result<_, _>>()
-        })
-        .collect::<Result<_, _>>()?;
-
-    // Job 1 succeeds: every daemon (the doomed one included) serves its
-    // first shard.
-    let job1 = InferenceJob {
-        job_id: 1,
-        k: 3,
-        kernels: kernels.clone(),
-        frames: bursts[0].clone(),
-    };
-    assert_eq!(backend.run_job(&job1)?, oracle_reports[0], "burst 0 parity");
-    println!("job 1: merged clean across 3 daemons");
-
-    // Job 2: daemon 1 aborts mid-shard. The other shards are already in
-    // flight — a genuinely mid-job death — and the coordinator must
-    // report it as a typed transport failure without advancing state.
-    let job2 = InferenceJob {
-        job_id: 2,
-        k: 3,
-        kernels: kernels.clone(),
-        frames: bursts[1].clone(),
-    };
-    match backend.run_job(&job2) {
-        Err(OisaError::Transport {
-            endpoint, attempts, ..
-        }) => {
-            println!("job 2: worker {endpoint} died mid-job (after {attempts} attempts) — typed error, no state consumed");
-        }
-        Err(other) => return Err(format!("expected a transport error, got {other}").into()),
-        Ok(_) => return Err("job 2 should have failed: a worker was killed mid-job".into()),
-    }
-
-    // Repair: replace the dead daemon, retry the *same* job. Because
-    // run_job advances no coordinator state on failure, the retry is
-    // bit-identical to an uninterrupted run.
-    let replacement = TcpDaemon::spawn(None)?;
-    backend.replace_worker(1, Box::new(replacement.transport(config.fingerprint())?))?;
-    daemons[1] = replacement; // keep the new daemon alive, drop the dead one
-    assert_eq!(
-        backend.run_job(&job2)?,
-        oracle_reports[1],
-        "retried job must be bit-identical to the uninterrupted sequential loop"
-    );
-    println!("job 2 retried after replace_worker: bit-identical to the sequential loop");
-    Ok(())
-}
-
-/// The self-healing drill: the same kill-a-daemon-mid-job scenario as
-/// [`run_fault_drill`], but nobody repairs anything by hand. A
+/// The self-healing drill: daemon 1 is rigged to abort mid-job. A
 /// [`FleetSupervisor`] owns the fleet plus one spare daemon; when the
-/// rigged daemon aborts mid-job the supervisor quarantines it,
-/// promotes the spare and re-runs the failed shard — the job call that
-/// observed the death still **returns the merged result**, bit-identical
-/// to the sequential loop, and `replace_worker` is never called.
+/// rigged daemon aborts it quarantines it, promotes the spare and
+/// re-runs the failed shard — the job call that observed the death
+/// still **returns the merged result**, bit-identical to the
+/// sequential loop, with no manual step.
 fn run_supervisor_drill() -> Result<(), Box<dyn std::error::Error>> {
     println!("self-healing drill (FleetSupervisor, kill a daemon mid-job)");
     println!("-----------------------------------------------------------");
@@ -524,7 +432,7 @@ fn run_supervisor_drill() -> Result<(), Box<dyn std::error::Error>> {
 
     // Job 2: daemon 1 aborts mid-job. The *same call* must come back
     // Ok: the supervisor quarantines the corpse, promotes the spare and
-    // re-runs the failed shard. No replace_worker, no retry loop here.
+    // re-runs the failed shard. No repair step, no retry loop here.
     let job2 = InferenceJob {
         job_id: 2,
         k: 3,
@@ -633,12 +541,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             oisa::core::backend::serve_worker(&config, &mut stdin.lock(), &mut stdout.lock())?;
         }
         Mode::Supervisor => run_supervisor_drill()?,
-        Mode::Coordinator(fleet) => {
-            run_coordinator(&fleet)?;
-            if fleet == Fleet::Tcp {
-                run_fault_drill()?;
-            }
-        }
+        Mode::Coordinator(fleet) => run_coordinator(&fleet)?,
     }
     Ok(())
 }

@@ -143,15 +143,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Sharded execution
     // -----------------
     // The serving engine talks to a `ComputeBackend`, and so can you:
-    // `LocalBackend` runs jobs on this host, `ShardedBackend` splits
+    // `LocalBackend` runs jobs on this host, `FleetSupervisor` splits
     // each job's frames into `(frame, epoch)` ranges, ships them to
     // workers as versioned wire messages and merges the reports
     // bit-identically to one sequential loop. Here the workers are
     // in-process; `examples/multi_node.rs` runs the same protocol over
     // real worker processes.
-    use oisa::core::backend::{ComputeBackend, ShardedBackend};
+    use oisa::core::backend::{ComputeBackend, FleetSupervisor, SupervisorOptions};
     use oisa::core::wire::InferenceJob;
-    let mut sharded = ShardedBackend::in_process(OisaConfig::small_test(), 2)?;
+    let mut sharded = FleetSupervisor::in_process(OisaConfig::small_test(), 2)?;
     let job = InferenceJob {
         job_id: 1,
         k: 3,
@@ -162,7 +162,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "\nsharded inference: {} frames over {} workers -> {} reports",
         job.frames.len(),
-        sharded.worker_count(),
+        sharded.status().active,
         merged.len()
     );
 
@@ -180,10 +180,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //   host-b$ oisa_worker --addr 0.0.0.0:7401 --seed 2024
     //
     // Workers are stateless per shard, so a daemon lost mid-job costs
-    // nothing: `run_job` fails with a typed `OisaError::Transport`
-    // having consumed no coordinator state, and retrying after
-    // `replace_worker` re-executes bit-identically (see
-    // `examples/multi_node.rs --tcp` for the full drill).
+    // nothing: the coordinator re-runs its shard on a spare or on the
+    // surviving daemons and the merge stays bit-identical (see
+    // `examples/multi_node.rs --supervisor` for the drill). Only when
+    // the last daemon is lost does `run_job` fail, with a typed
+    // `OisaError::Transport` having consumed no coordinator state.
     use oisa::core::backend::{TcpTransport, TcpTransportConfig, TcpWorker};
     let config = OisaConfig::small_test();
     let endpoints: Vec<String> = (0..2)
@@ -200,7 +201,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .map(|t| Box::new(t) as _)
         })
         .collect::<Result<Vec<_>, _>>()?;
-    let mut tcp_backend = ShardedBackend::new(config, workers)?;
+    let mut tcp_backend =
+        FleetSupervisor::new(config, workers, Vec::new(), SupervisorOptions::default())?;
     let tcp_merged = tcp_backend.run_job(&job)?;
     assert_eq!(
         tcp_merged, merged,

@@ -28,22 +28,22 @@
 //! the serving engine ([`core::serving::ServingEngine`]) batches
 //! submissions into [`core::wire::InferenceJob`]s and drives whichever
 //! backend it fronts. [`core::backend::LocalBackend`] runs jobs on
-//! this host; [`core::backend::ShardedBackend`] splits each job's
-//! frames into `(frame, epoch)` ranges, ships them to worker
-//! processes over the versioned wire schema ([`core::wire`]) — a conv
-//! job as the one-stage layer program `[Stage::Conv]`, in the same
-//! shard message as any program — and merges the reports
+//! this host; [`core::backend::FleetSupervisor`], the coordinator,
+//! splits each job's frames into `(frame, epoch)` ranges, ships them to
+//! worker processes over the versioned wire schema ([`core::wire`]) —
+//! a conv job as the one-stage layer program `[Stage::Conv]`, in the
+//! same shard message as any program — and merges the reports
 //! **bit-identically** to one sequential loop —
 //! `examples/multi_node.rs` is the runnable coordinator/worker pair.
 //!
 //! ```
-//! use oisa::core::backend::{ComputeBackend, ShardedBackend};
+//! use oisa::core::backend::{ComputeBackend, FleetSupervisor};
 //! use oisa::core::wire::InferenceJob;
 //! use oisa::core::OisaConfig;
 //! use oisa::sensor::Frame;
 //!
 //! # fn main() -> Result<(), oisa::core::OisaError> {
-//! let mut backend = ShardedBackend::in_process(OisaConfig::small_test(), 2)?;
+//! let mut backend = FleetSupervisor::in_process(OisaConfig::small_test(), 2)?;
 //! let job = InferenceJob {
 //!     job_id: 1,
 //!     k: 3,
@@ -57,17 +57,18 @@
 //!
 //! # Supervised fleets
 //!
-//! For hands-off operation, wrap the fleet in a
-//! [`core::backend::FleetSupervisor`] instead of driving a
-//! `ShardedBackend` directly. The supervisor health-checks idle
+//! The coordinator runs its fleet hands-off. It health-checks the
 //! workers on an interval, and when a worker dies mid-job it
 //! quarantines the endpoint, promotes a spare (or re-plans the
 //! remaining shards across the survivors when the bench is empty) and
 //! finishes the job — the merged reports stay bit-identical to the
-//! sequential loop, so failover is invisible in the results. With
+//! sequential loop, so failover is invisible in the results. Only when
+//! the last worker fails does the job return that worker's typed error,
+//! having consumed no coordinator state, so a retry merges
+//! bit-identically. With
 //! [`core::backend::SupervisorOptions::push_config_to_spares`] set,
 //! admission pushes the coordinator's full `OisaConfig` over the wire
-//! (schema v3 `Configure`), so spares started with different physics
+//! (a `Configure` message), so spares started with different physics
 //! converge instead of refusing shards.
 //!
 //! ```
@@ -116,7 +117,7 @@
 //! reply the conv feature maps next to the latents (ARCHITECTURE.md).
 //!
 //! ```
-//! use oisa::core::backend::{ComputeBackend, ShardedBackend};
+//! use oisa::core::backend::{ComputeBackend, FleetSupervisor};
 //! use oisa::core::program::{run_reference, LayerProgram};
 //! use oisa::core::wire::ProgramJob;
 //! use oisa::core::OisaConfig;
@@ -129,7 +130,7 @@
 //! let program = LayerProgram::autoencoder(16, 16, 2, 4, 7)?;
 //! let frames = vec![Frame::constant(16, 16, 0.6)?; 3];
 //!
-//! let mut backend = ShardedBackend::in_process(config, 2)?;
+//! let mut backend = FleetSupervisor::in_process(config, 2)?;
 //! let job = ProgramJob { job_id: 1, program: program.clone(), frames: frames.clone() };
 //! let reports = backend.run_program(&job)?;
 //!

@@ -1,19 +1,23 @@
-//! Cross-crate guarantees of the `ComputeBackend` seam: a sharded
-//! coordinator merging worker reports must be **bit-identical** —
-//! outputs, energy, timeline, every field — to one sequential per-frame
-//! loop on a single accelerator, for any worker count, across multiple
-//! jobs, over any transport (in-process or real TCP sockets), and when
-//! fronted by the serving engine. The TCP fault-injection suite pins
-//! the failure contract: broken streams, dead workers and unreachable
-//! endpoints surface as typed errors — never hangs — and a retried job
-//! re-executes bit-identically.
+//! Cross-crate guarantees of the `ComputeBackend` seam: the coordinator
+//! (`FleetSupervisor`) merging worker reports must be
+//! **bit-identical** — outputs, energy, timeline, every field — to one
+//! sequential per-frame loop on a single accelerator, for any worker
+//! count, across multiple jobs, over any transport (in-process or real
+//! TCP sockets), and when fronted by the serving engine. The TCP
+//! fault-injection suite pins the failure contract: a worker lost
+//! mid-job is re-planned around bit-identically; broken streams, a
+//! lost last worker and unreachable endpoints surface as typed errors —
+//! never hangs — and a retried job re-executes bit-identically.
 
 use std::io::Read;
 use std::net::TcpListener;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use oisa::core::backend::{
-    ComputeBackend, LocalBackend, ShardedBackend, TcpTransport, TcpTransportConfig, TcpWorker,
+    ComputeBackend, FleetSupervisor, InProcessWorker, LocalBackend, ShardTransport,
+    SupervisorOptions, TcpTransport, TcpTransportConfig, TcpWorker,
 };
 use oisa::core::serving::{ServingConfig, ServingEngine};
 use oisa::core::wire::{self, InferenceJob, WireError};
@@ -84,7 +88,7 @@ fn shard_merge_bit_identical_to_sequential_loop_across_worker_counts() {
         let looped = sequential_loop(&mut oracle, &frames, kernels, k);
         let oracle_energy: Joule = looped.iter().map(|r| r.energy.total()).sum();
         for workers in [1usize, 2, 4] {
-            let mut backend = ShardedBackend::in_process(noisy_config(42), workers).unwrap();
+            let mut backend = FleetSupervisor::in_process(noisy_config(42), workers).unwrap();
             let job = InferenceJob {
                 job_id: 1,
                 k,
@@ -122,7 +126,7 @@ fn consecutive_jobs_continue_the_stream_bit_identically() {
     let looped_b = sequential_loop(&mut oracle, &frames_b, &kernels_b, 3);
 
     for workers in [2usize, 3] {
-        let mut backend = ShardedBackend::in_process(noisy_config(9), workers).unwrap();
+        let mut backend = FleetSupervisor::in_process(noisy_config(9), workers).unwrap();
         let job_a = InferenceJob {
             job_id: 1,
             k: 3,
@@ -149,7 +153,7 @@ fn consecutive_jobs_continue_the_stream_bit_identically() {
     }
 }
 
-/// `LocalBackend` and `ShardedBackend` are interchangeable behind the
+/// `LocalBackend` and `FleetSupervisor` are interchangeable behind the
 /// trait: the same job stream produces the same bytes.
 #[test]
 fn local_and_sharded_backends_agree_behind_the_trait() {
@@ -162,7 +166,7 @@ fn local_and_sharded_backends_agree_behind_the_trait() {
         frames: frames.to_vec(),
     };
     let mut local = LocalBackend::new(noisy_config(17)).unwrap();
-    let mut sharded = ShardedBackend::in_process(noisy_config(17), 3).unwrap();
+    let mut sharded = FleetSupervisor::in_process(noisy_config(17), 3).unwrap();
     let (first, second) = frames.split_at(4);
     assert_eq!(
         local.run_job(&job(1, first)).unwrap(),
@@ -175,13 +179,13 @@ fn local_and_sharded_backends_agree_behind_the_trait() {
 }
 
 /// Sharded multi-host serving: a `ServingEngine` fronting a
-/// `ShardedBackend` serves reports bit-identical to the sequential
+/// `FleetSupervisor` serves reports bit-identical to the sequential
 /// loop, whatever batch shapes the queue forms.
 #[test]
 fn serving_over_a_sharded_backend_is_bit_identical() {
     let frames = textured_frames(9, 4);
     let kernels = kernel_bank(3, 3);
-    let backend = ShardedBackend::in_process(noisy_config(23), 2).unwrap();
+    let backend = FleetSupervisor::in_process(noisy_config(23), 2).unwrap();
     let engine = ServingEngine::with_backend(
         backend,
         kernels.clone(),
@@ -235,7 +239,17 @@ fn spawn_tcp_fleet(config: OisaConfig, count: usize) -> Vec<String> {
         .collect()
 }
 
-fn tcp_backend(config: OisaConfig, endpoints: &[String]) -> ShardedBackend {
+/// A coordinator over `workers` with no spares and no interval health
+/// sweep, so every round trip a job makes is one of its shards.
+fn coordinator(config: OisaConfig, workers: Vec<Box<dyn ShardTransport>>) -> FleetSupervisor {
+    let options = SupervisorOptions {
+        health_interval: None,
+        ..SupervisorOptions::default()
+    };
+    FleetSupervisor::new(config, workers, Vec::new(), options).expect("backend")
+}
+
+fn tcp_backend(config: OisaConfig, endpoints: &[String]) -> FleetSupervisor {
     let workers = endpoints
         .iter()
         .map(|endpoint| {
@@ -244,7 +258,7 @@ fn tcp_backend(config: OisaConfig, endpoints: &[String]) -> ShardedBackend {
         })
         .collect::<Result<Vec<_>, _>>()
         .expect("connect fleet");
-    ShardedBackend::new(config, workers).expect("backend")
+    coordinator(config, workers)
 }
 
 /// The acceptance property over real sockets: merged reports across
@@ -334,7 +348,7 @@ fn tcp_truncated_stream_mid_message_is_a_typed_error_not_a_hang() {
     });
     let config = noisy_config(33);
     let transport = TcpTransport::deferred(endpoint.clone(), config.fingerprint(), fast_tcp(false));
-    let mut backend = ShardedBackend::new(config, vec![Box::new(transport)]).unwrap();
+    let mut backend = coordinator(config, vec![Box::new(transport)]);
     let started = std::time::Instant::now();
     let err = backend.run_job(&small_job(1)).unwrap_err();
     match &err {
@@ -372,7 +386,7 @@ fn tcp_unresponsive_worker_hits_the_read_timeout_not_a_hang() {
         ..fast_tcp(false)
     };
     let transport = TcpTransport::deferred(endpoint, config.fingerprint(), options);
-    let mut backend = ShardedBackend::new(config, vec![Box::new(transport)]).unwrap();
+    let mut backend = coordinator(config, vec![Box::new(transport)]);
     let started = std::time::Instant::now();
     let err = backend.run_job(&small_job(2)).unwrap_err();
     assert!(
@@ -411,21 +425,61 @@ fn tcp_connect_to_an_unreachable_endpoint_is_typed_and_fast() {
     assert!(started.elapsed() < Duration::from_secs(10));
 }
 
-/// A worker lost mid-stream: job N succeeds, the worker dies, job N+1
-/// fails with a typed transport error having consumed **no** state, a
-/// replacement worker is swapped in, and the retried job merges
-/// bit-identically to the uninterrupted sequential loop.
+/// A worker daemon the test can take down and bring back at the same
+/// endpoint: it serves like `TcpWorker` while `down` is clear, and
+/// while it is set hangs up on every request unanswered, as a daemon
+/// dying mid-request would.
+fn restartable_daemon(config: OisaConfig, down: Arc<AtomicBool>) -> String {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let endpoint = listener.local_addr().unwrap().to_string();
+    std::thread::spawn(move || {
+        for mut stream in listener.incoming().flatten() {
+            let down = Arc::clone(&down);
+            std::thread::spawn(move || {
+                let mut worker = InProcessWorker::new(config);
+                while let Ok(Some(request)) = wire::read_frame(&mut stream) {
+                    if down.load(Ordering::SeqCst) {
+                        return;
+                    }
+                    let Ok(reply) = worker.round_trip(&request) else {
+                        return;
+                    };
+                    if wire::write_frame(&mut stream, &reply).is_err() {
+                        return;
+                    }
+                }
+            });
+        }
+    });
+    endpoint
+}
+
+/// Workers lost mid-stream over TCP: job 1 merges across two daemons;
+/// daemon B dies and job 2 still merges, re-planned onto daemon A;
+/// then A dies too, and job 3 fails with A's typed transport error
+/// having consumed **no** state; A restarts at the same endpoint and
+/// the retried job 3 merges bit-identically to the uninterrupted
+/// sequential loop.
 #[test]
-fn tcp_worker_death_mid_stream_retries_bit_identically_after_replacement() {
+fn tcp_worker_death_replans_and_a_restarted_daemon_retries_bit_identically() {
     let config = noisy_config(35);
     let kernels = kernel_bank(3, 3);
     let frames_a = textured_frames(4, 11);
     let frames_b = textured_frames(5, 12);
+    let frames_c = textured_frames(3, 13);
     let mut oracle = OisaAccelerator::new(config).unwrap();
     let looped_a = sequential_loop(&mut oracle, &frames_a, &kernels, 3);
     let looped_b = sequential_loop(&mut oracle, &frames_b, &kernels, 3);
+    let looped_c = sequential_loop(&mut oracle, &frames_c, &kernels, 3);
 
-    let endpoints = spawn_tcp_fleet(config, 2);
+    let down = [
+        Arc::new(AtomicBool::new(false)),
+        Arc::new(AtomicBool::new(false)),
+    ];
+    let endpoints: Vec<String> = down
+        .iter()
+        .map(|flag| restartable_daemon(config, Arc::clone(flag)))
+        .collect();
     let mut backend = tcp_backend(config, &endpoints);
     let job = |id: u64, frames: &[Frame]| InferenceJob {
         job_id: id,
@@ -435,42 +489,31 @@ fn tcp_worker_death_mid_stream_retries_bit_identically_after_replacement() {
     };
     assert_eq!(backend.run_job(&job(1, &frames_a)).unwrap(), looped_a);
 
-    // "Kill" worker 1: point its slot at an endpoint that refuses, as
-    // a daemon host that dropped off the network would.
-    let dead = {
-        let probe = TcpListener::bind("127.0.0.1:0").unwrap();
-        probe.local_addr().unwrap().to_string()
-    };
-    backend
-        .replace_worker(
-            1,
-            Box::new(TcpTransport::deferred(
-                dead,
-                config.fingerprint(),
-                fast_tcp(true),
-            )),
-        )
-        .unwrap();
-    let err = backend.run_job(&job(2, &frames_b)).unwrap_err();
-    assert!(
-        matches!(err, OisaError::Transport { .. }),
-        "expected a transport error, got {err}"
-    );
-
-    // Repair and retry: a fresh daemon takes slot 1; the job must
-    // re-execute identically because the failure consumed nothing.
-    let replacement = spawn_tcp_fleet(config, 1).remove(0);
-    backend
-        .replace_worker(
-            1,
-            Box::new(
-                TcpTransport::connect(replacement, config.fingerprint(), fast_tcp(true)).unwrap(),
-            ),
-        )
-        .unwrap();
+    // Daemon B dies: its shard re-plans onto A inside the same job.
+    down[1].store(true, Ordering::SeqCst);
     assert_eq!(
         backend.run_job(&job(2, &frames_b)).unwrap(),
         looped_b,
+        "a re-planned job must be bit-identical to the uninterrupted loop"
+    );
+    let status = backend.status();
+    assert_eq!((status.active, status.replans), (1, 1), "{status:?}");
+
+    // A, now the last worker, dies too: a typed error, nothing consumed.
+    down[0].store(true, Ordering::SeqCst);
+    let err = backend.run_job(&job(3, &frames_c)).unwrap_err();
+    assert!(
+        matches!(err, OisaError::Transport { ref endpoint, .. } if *endpoint == endpoints[0]),
+        "expected A's transport error, got {err}"
+    );
+    assert_eq!(backend.jobs_run(), 2);
+
+    // A restarts at the same endpoint: the retry on the same
+    // coordinator must re-execute identically.
+    down[0].store(false, Ordering::SeqCst);
+    assert_eq!(
+        backend.run_job(&job(3, &frames_c)).unwrap(),
+        looped_c,
         "retried job must be bit-identical to the uninterrupted loop"
     );
 }
@@ -505,7 +548,7 @@ fn tcp_fingerprint_mismatch_is_typed_at_handshake_and_shard_level() {
     // to the same typed error.
     let transport =
         TcpTransport::deferred(endpoint, coordinator_cfg.fingerprint(), fast_tcp(false));
-    let mut backend = ShardedBackend::new(coordinator_cfg, vec![Box::new(transport)]).unwrap();
+    let mut backend = coordinator(coordinator_cfg, vec![Box::new(transport)]);
     assert_eq!(
         backend.run_job(&small_job(3)).unwrap_err(),
         OisaError::FingerprintMismatch {

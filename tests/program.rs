@@ -1,6 +1,6 @@
 //! Cross-crate guarantees of layer programs on the `ComputeBackend`
 //! seam: a multi-stage program (conv → quantize → dense → activation)
-//! executed by a `ShardedBackend` across two or more workers must
+//! executed by a `FleetSupervisor` across two or more workers must
 //! merge **bit-identically** — per-frame outputs and every stage
 //! report — to one sequential forward on a single accelerator
 //! ([`run_reference`]), for random program shapes, any worker count,
@@ -9,8 +9,8 @@
 //! [`run_reference`]: oisa::core::program::run_reference
 
 use oisa::core::backend::{
-    execute_program_shard, ComputeBackend, InProcessWorker, LocalBackend, ShardTransport,
-    ShardedBackend,
+    execute_program_shard, ComputeBackend, FleetSupervisor, InProcessWorker, LocalBackend,
+    ShardTransport, SupervisorOptions,
 };
 use oisa::core::mlp::matvec_parallel;
 use oisa::core::program::{
@@ -26,6 +26,7 @@ use oisa::optics::opc::Opc;
 use oisa::optics::vom::Vom;
 use oisa::sensor::Frame;
 use proptest::prelude::*;
+use std::sync::{Arc, Mutex};
 
 fn noisy_config(seed: u64) -> OisaConfig {
     OisaConfig::builder()
@@ -153,7 +154,7 @@ proptest! {
         let config = noisy_config(seed);
         let oracle = run_reference(&config, 0, &program, &frames).unwrap();
         for workers in [2usize, 3] {
-            let mut backend = ShardedBackend::in_process(config, workers).unwrap();
+            let mut backend = FleetSupervisor::in_process(config, workers).unwrap();
             let merged = backend
                 .run_program(&job(seed, program.clone(), frames.clone()))
                 .unwrap();
@@ -418,7 +419,7 @@ fn overflowing_kernel_side_is_refused_on_every_entry_point() {
     };
     for backend in [
         &mut LocalBackend::new(config).unwrap() as &mut dyn ComputeBackend,
-        &mut ShardedBackend::in_process(config, 1).unwrap(),
+        &mut FleetSupervisor::in_process(config, 1).unwrap(),
     ] {
         let err = backend.run_job(&conv_job).unwrap_err();
         assert!(refused(&err), "{err}");
@@ -442,7 +443,7 @@ fn consecutive_program_jobs_continue_the_epoch_stream() {
 
     for backend in [
         &mut LocalBackend::new(config).unwrap() as &mut dyn ComputeBackend,
-        &mut ShardedBackend::in_process(config, 3).unwrap(),
+        &mut FleetSupervisor::in_process(config, 3).unwrap(),
     ] {
         let got_a = backend
             .run_program(&job(1, program_a.clone(), frames_a.clone()))
@@ -475,7 +476,7 @@ fn programs_and_conv_jobs_share_a_coordinator() {
         frames: frames.clone(),
     };
 
-    let mut sharded = ShardedBackend::in_process(config, 2).unwrap();
+    let mut sharded = FleetSupervisor::in_process(config, 2).unwrap();
     let got_program = sharded
         .run_program(&job(8, program.clone(), frames.clone()))
         .unwrap();
@@ -504,7 +505,7 @@ fn programs_and_conv_jobs_share_a_coordinator() {
 #[test]
 fn invalid_programs_are_refused_before_execution() {
     let config = noisy_config(21);
-    let mut backend = ShardedBackend::in_process(config, 2).unwrap();
+    let mut backend = FleetSupervisor::in_process(config, 2).unwrap();
 
     // Dense matrix sized for the wrong column count.
     let bad = LayerProgram::new(vec![
@@ -552,27 +553,44 @@ fn invalid_programs_are_refused_before_execution() {
 type Bend = fn(&mut ProgramFrameReport);
 
 /// A worker that executes honestly, then bends every frame report of
-/// its reply before re-encoding it: a well-formed `ProgramReport` of
-/// the wrong shape.
+/// its reply with the bend currently set before re-encoding it: a
+/// well-formed `ProgramReport` of the wrong shape. With no bend set it
+/// is a healthy worker.
 struct Misshapen {
     worker: InProcessWorker,
-    bend: Bend,
+    bend: Arc<Mutex<Option<Bend>>>,
 }
 
 impl ShardTransport for Misshapen {
     fn round_trip(&mut self, message: &[u8]) -> Result<Vec<u8>, OisaError> {
         let reply = self.worker.round_trip(message)?;
-        let WireMessage::ProgramReport(mut report) = wire::decode(&reply)? else {
+        let bend = *self.bend.lock().expect("bend lock");
+        let (Some(bend), WireMessage::ProgramReport(mut report)) = (bend, wire::decode(&reply)?)
+        else {
             return Ok(reply);
         };
-        report.reports.iter_mut().for_each(self.bend);
+        report.reports.iter_mut().for_each(bend);
         Ok(wire::encode(&WireMessage::ProgramReport(report)))
     }
 }
 
+/// A two-worker fleet, no spares, whose second worker is a
+/// [`Misshapen`] bending with whatever `bend` holds.
+fn misshapen_fleet(config: OisaConfig, bend: &Arc<Mutex<Option<Bend>>>) -> FleetSupervisor {
+    let workers: Vec<Box<dyn ShardTransport>> = vec![
+        Box::new(InProcessWorker::new(config)),
+        Box::new(Misshapen {
+            worker: InProcessWorker::new(config),
+            bend: Arc::clone(bend),
+        }),
+    ];
+    FleetSupervisor::new(config, workers, Vec::new(), SupervisorOptions::default()).unwrap()
+}
+
 /// A reply whose frame reports do not have the program's shape fails
-/// the job with a typed backend error before anything merges, and
-/// consumes no coordinator state: a retry on a healthy fleet merges
+/// the job at once with a typed backend error before anything merges —
+/// no worker is quarantined — and consumes no coordinator state: a
+/// retry on the same coordinator, its worker healthy again, merges
 /// bit-identically to the sequential forward.
 #[test]
 fn program_replies_of_the_wrong_shape_are_refused() {
@@ -601,17 +619,10 @@ fn program_replies_of_the_wrong_shape_are_refused() {
             r.stages.pop();
         }),
     ];
-    let mut backend = ShardedBackend::in_process(config, 2).unwrap();
+    let bending = Arc::new(Mutex::new(None));
+    let mut backend = misshapen_fleet(config, &bending);
     for (case, bend) in bends {
-        backend
-            .replace_worker(
-                1,
-                Box::new(Misshapen {
-                    worker: InProcessWorker::new(config),
-                    bend,
-                }),
-            )
-            .unwrap();
+        *bending.lock().unwrap() = Some(bend);
         let err = backend
             .run_program(&job(1, program.clone(), frames.clone()))
             .unwrap_err();
@@ -620,10 +631,9 @@ fn program_replies_of_the_wrong_shape_are_refused() {
             "{case}: {err}"
         );
         assert_eq!(backend.jobs_run(), 0, "{case}: no state advanced");
+        assert_eq!(backend.status().quarantined, 0, "{case}: failed at once");
     }
-    backend
-        .replace_worker(1, Box::new(InProcessWorker::new(config)))
-        .unwrap();
+    *bending.lock().unwrap() = None;
     let retried = backend
         .run_program(&job(1, program.clone(), frames.clone()))
         .unwrap();
@@ -634,8 +644,8 @@ fn program_replies_of_the_wrong_shape_are_refused() {
 /// a conv job travels as a one-stage program, so a reply whose frame
 /// reports hold a map too few or too many, maps of another size or a
 /// stage of another kind fails the job before anything merges. A
-/// retry on a healthy fleet merges bit-identically to the sequential
-/// loop.
+/// retry on the same coordinator, its worker healthy again, merges
+/// bit-identically to the sequential loop.
 #[test]
 fn conv_replies_of_the_wrong_shape_are_refused() {
     let config = noisy_config(43);
@@ -677,27 +687,19 @@ fn conv_replies_of_the_wrong_shape_are_refused() {
             r.stages[0] = StageReport::Activation;
         }),
     ];
-    let mut backend = ShardedBackend::in_process(config, 2).unwrap();
+    let bending = Arc::new(Mutex::new(None));
+    let mut backend = misshapen_fleet(config, &bending);
     for (case, bend) in bends {
-        backend
-            .replace_worker(
-                1,
-                Box::new(Misshapen {
-                    worker: InProcessWorker::new(config),
-                    bend,
-                }),
-            )
-            .unwrap();
+        *bending.lock().unwrap() = Some(bend);
         let err = backend.run_job(&job).unwrap_err();
         assert!(
             matches!(err, OisaError::Backend(ref what) if what.contains("does not match the program")),
             "{case}: {err}"
         );
         assert_eq!(backend.jobs_run(), 0, "{case}: no state advanced");
+        assert_eq!(backend.status().quarantined, 0, "{case}: failed at once");
     }
-    backend
-        .replace_worker(1, Box::new(InProcessWorker::new(config)))
-        .unwrap();
+    *bending.lock().unwrap() = None;
     assert_eq!(
         backend.run_job(&job).unwrap(),
         looped,
