@@ -49,7 +49,8 @@ fn bench_arm_mac(c: &mut Criterion) {
     });
     // A dense chunk: nine staged bytes on the same ladder against the
     // same activations, its taps formed inline and folded by the fused
-    // MAC with counter-addressed noise, as the dense engine runs it.
+    // MAC with counter-addressed noise, as a one-frame dense call runs
+    // it (a call over several frames forms the taps once per chunk).
     // Consecutive calls walk a pool of chunks whose weight signs are
     // random, as along a dense row.
     let source = NoiseSource::seeded(1, NoiseConfig::paper_default());

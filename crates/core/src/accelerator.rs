@@ -505,6 +505,19 @@ impl OisaAccelerator {
         Ok(())
     }
 
+    /// Fails, leaving the counter as it is, when reserving `count` more
+    /// noise epochs would wrap it: the counter's own check, for a caller
+    /// that keys its frames' epochs explicitly and advances the counter
+    /// once it is done.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Substrate`] as [`NoiseSource::reserve_epochs`].
+    pub(crate) fn check_noise_epochs(&self, count: u64) -> Result<()> {
+        self.noise.clone().reserve_epochs(count)?;
+        Ok(())
+    }
+
     /// Stages `kernels` onto the fabric once — tuning the rings and
     /// cycling the kernel bank exactly as one convolution pass sequence
     /// would — **without** computing anything, consuming noise epochs,
@@ -662,14 +675,17 @@ impl OisaAccelerator {
     /// of idling at a frame boundary.
     ///
     /// **Exactness.** Each frame is keyed to its own noise epoch
-    /// (reserved contiguously once the batch has validated), partial
-    /// energies reduce in `(frame, pass, row)` order, and frame 0 pays
-    /// the fabric's entry-state tuning cost while later frames pay the
-    /// steady-state cost — so the returned reports are bit-identical,
-    /// field for field, to calling
+    /// (reserved contiguously from the counter once the batch has
+    /// validated, so frame `f` draws under the first epoch plus `f`),
+    /// partial energies reduce in `(frame, pass, row)` order, and
+    /// frame 0 pays the fabric's entry-state tuning cost while later
+    /// frames pay the steady-state cost — so the returned reports are
+    /// bit-identical, field for field, to calling
     /// [`OisaAccelerator::convolve_frame_sequential`] once per frame in
     /// order, and the accelerator is left in the same state that loop
-    /// would leave it in.
+    /// would leave it in. A layer program's conv stage runs the same
+    /// engine over all of a run's frames, under the epochs the program
+    /// assigns it ([`crate::program`]).
     ///
     /// # Errors
     ///
@@ -698,8 +714,9 @@ impl OisaAccelerator {
             .ok_or_else(|| CoreError::InvalidParameter("no frame convolved".into()))
     }
 
-    /// The batch engine behind [`OisaAccelerator::convolve_frames`],
-    /// over borrowed kernel planes.
+    /// [`OisaAccelerator::convolve_frames`] over borrowed kernel planes:
+    /// the checks, sensing and epoch reservation in front of the batch
+    /// engine ([`OisaAccelerator::convolve_sensed`]).
     fn convolve_batch(
         &mut self,
         frames: &[Frame],
@@ -709,31 +726,41 @@ impl OisaAccelerator {
         let Some(first) = frames.first() else {
             return Err(CoreError::InvalidParameter("no frames supplied".into()));
         };
-        let width = first.width();
-        let (ks, plan, (oh, ow)) = self.plan_conv(kernels, k, first.height(), width)?;
-
+        self.plan_conv(kernels, k, first.height(), first.width())?;
         // Phase 1 — sense + encode every frame up front (the imager
         // enforces uniform dimensions). No noise epochs are consumed
         // until the whole batch has validated.
-        struct FrameCtx {
-            optical: Vec<f64>,
-            sensing: Joule,
-            encoding: Joule,
-        }
-        let mut ctxs: Vec<FrameCtx> = Vec::with_capacity(frames.len());
-        for frame in frames {
-            let capture = self.imager.expose(frame)?;
-            let encoded = self.vam.encode_capture(&capture)?;
-            validate_optical(&encoded.optical)?;
-            let encoding = encoded.total_energy();
-            ctxs.push(FrameCtx {
-                optical: encoded.optical,
-                sensing: capture.energy,
-                encoding,
-            });
-        }
-        let first_epoch = self.noise.reserve_epochs(frames.len() as u64)?;
+        let sensed = frames
+            .iter()
+            .map(|frame| self.sense_optical(frame))
+            .collect::<Result<Vec<_>>>()?;
+        let epochs = FrameEpochs {
+            first: self.noise.reserve_epochs(frames.len() as u64)?,
+            stride: 1,
+        };
+        self.convolve_sensed(&sensed, kernels, k, epochs, &mut |_| Ok(()))
+    }
 
+    /// The batch engine, phases 2–4, over frames sensed and validated
+    /// by [`OisaAccelerator::sense_optical`]: frame `f` draws under
+    /// `epochs.of(f)`. The caller owns the epochs; nothing here touches
+    /// the noise counter.
+    ///
+    /// A batch of more than one frame stages its passes twice (phase
+    /// 2), and `before_restage` runs between the two stagings: a layer
+    /// program replays its later dense stages' exit states there, so
+    /// every later frame pays tuning from the state the previous
+    /// frame's last optical stage left.
+    pub(crate) fn convolve_sensed(
+        &mut self,
+        sensed: &[Sensed],
+        kernels: &[&[f32]],
+        k: usize,
+        epochs: FrameEpochs,
+        before_restage: &mut dyn FnMut(&mut Self) -> Result<()>,
+    ) -> Result<Vec<ConvolutionReport>> {
+        let (width, height) = (self.config.imager.width, self.config.imager.height);
+        let (ks, plan, (oh, ow)) = self.plan_conv(kernels, k, height, width)?;
         let scales = kernel_scales(kernels);
 
         // Phase 2 — stage every pass and form its arms' taps. Ring
@@ -764,10 +791,11 @@ impl OisaAccelerator {
         let memory_first = self.bank.total_energy();
         self.bank.reset_counters();
         let mut memory_steady = memory_first;
-        if frames.len() > 1 {
+        if sensed.len() > 1 {
             // Steady-state restage: the fabric now holds the last
-            // pass's weights, exactly the state a per-frame loop leaves
-            // between frames.
+            // pass's weights — with `before_restage` applied, exactly
+            // the state a per-frame loop leaves between frames.
+            before_restage(self)?;
             for (pass, (_, pass_kernels, pass_scales)) in
                 passes.iter_mut().zip(conv_passes(kernels, &scales, &plan))
             {
@@ -791,7 +819,7 @@ impl OisaAccelerator {
         // every worker spread the allocator over more arenas and raise
         // peak RSS.
         let n_passes = passes.len();
-        let buffers = frames.len() * n_passes;
+        let buffers = sensed.len() * n_passes;
         let mut pass_out: Vec<Vec<f32>> = (0..buffers)
             .map(|bi| vec![0.0f32; oh * passes[bi % n_passes].arms.len() * ow])
             .collect();
@@ -802,9 +830,7 @@ impl OisaAccelerator {
         let slot_streams: Vec<Vec<SlotStream>> = (0..buffers)
             .map(|bi| {
                 let pass = &passes[bi % n_passes];
-                // The reservation above is overflow-checked, so plain
-                // addition cannot wrap here.
-                let epoch = first_epoch + (bi / n_passes) as u64;
+                let epoch = epochs.of(bi / n_passes);
                 (0..pass.arms.len())
                     .map(|si| {
                         self.noise
@@ -845,7 +871,7 @@ impl OisaAccelerator {
         scheduler::execute(items, |_, item| {
             let pass = &passes[item.buffer % n_passes];
             let nslots = pass.arms.len();
-            let optical = &ctxs[item.buffer / n_passes].optical;
+            let optical = &sensed[item.buffer / n_passes].optical;
             let pass_scales = &scales[pass.kernel_index..pass.kernel_index + nslots];
             let rows = item.out.chunks_mut(nslots * ow).zip(item.energies);
             for (i, (row, energy)) in rows.enumerate() {
@@ -867,8 +893,8 @@ impl OisaAccelerator {
 
         // Phase 4 — per-frame assembly: ordered energy reduction,
         // scatter into per-kernel maps, controller timeline.
-        let mut reports = Vec::with_capacity(frames.len());
-        for (f, ctx) in ctxs.iter().enumerate() {
+        let mut reports = Vec::with_capacity(sensed.len());
+        for (f, ctx) in sensed.iter().enumerate() {
             let mut energy = EnergyReport {
                 sensing: ctx.sensing,
                 encoding: ctx.encoding,
@@ -910,7 +936,7 @@ impl OisaAccelerator {
     /// point runs before it touches the fabric or the noise epochs.
     /// Returns the kernel size, the mapping plan and the output
     /// `(height, width)`.
-    fn plan_conv(
+    pub(crate) fn plan_conv(
         &self,
         kernels: &[&[f32]],
         k: usize,
@@ -1202,7 +1228,7 @@ impl OisaAccelerator {
         matrix: &[f32],
         rows: usize,
     ) -> Result<crate::mlp::MatVecReport> {
-        let input = self.encode_frame(frame)?;
+        let input = self.sense(frame)?.optical;
         self.dense_vector(&input, matrix, rows)
     }
 
@@ -1212,9 +1238,10 @@ impl OisaAccelerator {
     /// [`OisaAccelerator::dense_layer`] no frame is sensed or encoded,
     /// the predecessor stage's output drives the arms directly.
     ///
-    /// Rows fan out as in [`crate::mlp::matvec_parallel`], staging the
-    /// matrix for this call alone; one noise epoch is consumed, exactly
-    /// as [`OisaAccelerator::dense_layer`] does.
+    /// This is [`crate::mlp::matvec_parallel`] on the accelerator's
+    /// fabric: a one-frame call of the staged dense engine, which
+    /// consumes one noise epoch, exactly as
+    /// [`OisaAccelerator::dense_layer`] does.
     ///
     /// # Errors
     ///
@@ -1226,21 +1253,7 @@ impl OisaAccelerator {
         matrix: &[f32],
         rows: usize,
     ) -> Result<crate::mlp::MatVecReport> {
-        self.dense_staged(input, matrix, rows, &mut None)
-    }
-
-    /// [`OisaAccelerator::dense_vector`] with the matrix's staging kept
-    /// by the caller ([`crate::mlp::matvec_staged`]): a layer-program
-    /// run stages each dense stage on its first frame and evaluates
-    /// every later frame from the same bytes.
-    pub(crate) fn dense_staged(
-        &mut self,
-        input: &[f64],
-        matrix: &[f32],
-        rows: usize,
-        staged: &mut Option<crate::mlp::StagedMatrix>,
-    ) -> Result<crate::mlp::MatVecReport> {
-        crate::mlp::matvec_staged(
+        crate::mlp::matvec_parallel(
             &mut self.opc,
             &self.vom,
             &self.mapper,
@@ -1249,15 +1262,53 @@ impl OisaAccelerator {
             input.len(),
             input,
             &mut self.noise,
-            staged,
         )
     }
 
-    /// Senses `frame` and encodes it into the VAM's optical domain — the
-    /// input a frame-consuming dense layer drives the arms with.
-    pub(crate) fn encode_frame(&mut self, frame: &Frame) -> Result<Vec<f64>> {
+    /// The staged dense engine ([`crate::mlp::matvec_parallel`]'s) on
+    /// the accelerator's fabric over many frames' inputs, frame `f`
+    /// drawing under `epochs.of(f)`: a layer program's dense stage. The
+    /// caller checked the shape and the inputs and owns the epochs.
+    pub(crate) fn dense_frames<T: Copy + Into<f64> + Sync>(
+        &mut self,
+        matrix: &[f32],
+        rows: usize,
+        cols: usize,
+        inputs: &[&[T]],
+        epochs: FrameEpochs,
+    ) -> Result<Vec<crate::mlp::MatVecReport>> {
+        crate::mlp::matvec_frames(
+            &mut self.opc,
+            &self.vom,
+            &self.mapper,
+            matrix,
+            rows,
+            cols,
+            inputs,
+            &self.noise,
+            epochs,
+        )
+    }
+
+    /// Senses `frame` and encodes it into the VAM's optical domain, the
+    /// input a frame-consuming stage drives the arms with, keeping what
+    /// both steps cost.
+    pub(crate) fn sense(&self, frame: &Frame) -> Result<Sensed> {
         let capture = self.imager.expose(frame)?;
-        Ok(self.vam.encode_capture(&capture)?.optical)
+        let encoded = self.vam.encode_capture(&capture)?;
+        Ok(Sensed {
+            sensing: capture.energy,
+            encoding: encoded.total_energy(),
+            optical: encoded.optical,
+        })
+    }
+
+    /// [`OisaAccelerator::sense`] for the conv engine, which validates
+    /// the optical frame once so no window is checked.
+    pub(crate) fn sense_optical(&self, frame: &Frame) -> Result<Sensed> {
+        let sensed = self.sense(frame)?;
+        validate_optical(&sensed.optical)?;
+        Ok(sensed)
     }
 
     /// Stages the fabric into the exit state one dense `rows × cols`
@@ -1285,6 +1336,33 @@ impl OisaAccelerator {
 const MAX_WINDOW: usize = 49;
 /// Maximum arms one kernel spans (7×7 → 5 arms).
 const MAX_ARMS: usize = 5;
+
+/// The noise epochs of an engine call's frames: frame `f` draws under
+/// `first + f · stride`. A stand-alone call reserves its frames' epochs
+/// from the accelerator's counter (stride 1); a layer program hands
+/// each optical stage its own epochs, stride
+/// [`LayerProgram::epochs_per_frame`](crate::program::LayerProgram::epochs_per_frame).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FrameEpochs {
+    pub(crate) first: u64,
+    pub(crate) stride: u64,
+}
+
+impl FrameEpochs {
+    /// The epoch frame `f` draws under. Whoever reserved the epochs
+    /// checked that the last one fits the counter.
+    pub(crate) fn of(self, frame: usize) -> u64 {
+        self.first + frame as u64 * self.stride
+    }
+}
+
+/// A frame sensed and encoded by [`OisaAccelerator::sense`].
+pub(crate) struct Sensed {
+    /// The VAM's optical amplitudes, one per pixel.
+    pub(crate) optical: Vec<f64>,
+    sensing: Joule,
+    encoding: Joule,
+}
 
 /// Per-row energy partial reduced in row order after a pass.
 #[derive(Debug, Default, Clone, Copy)]
@@ -1808,7 +1886,7 @@ mod tests {
         let mut parallel = OisaAccelerator::new(cfg).unwrap();
         let mut serial = OisaAccelerator::new(cfg).unwrap();
         let rp = parallel.dense_layer(&frame, &matrix, rows).unwrap();
-        let input = serial.encode_frame(&frame).unwrap();
+        let input = serial.sense(&frame).unwrap().optical;
         let rs = crate::mlp::matvec(
             &mut serial.opc,
             &serial.vom,
@@ -1859,7 +1937,7 @@ mod tests {
         accel
             .convolve_frame_sequential(&frame, &kernel_set(25, 3), 3)
             .unwrap();
-        let optical = accel.encode_frame(&frame).unwrap();
+        let optical = accel.sense(&frame).unwrap().optical;
         for (kernels, k) in [(kernel_set(7, 3), 3usize), (kernel_set(3, 5), 5)] {
             let epoch = accel.next_noise_epoch();
             let report = accel

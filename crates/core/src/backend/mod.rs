@@ -269,8 +269,8 @@ impl ComputeBackend for LocalBackend {
 
     /// [`run_program_frames`](crate::accelerator::OisaAccelerator::run_program_frames):
     /// one prewarm (so reports are history-independent, matching the
-    /// sequential reference and any sharded merge), then a per-frame
-    /// loop.
+    /// sequential reference and any sharded merge), then the
+    /// stage-major program loop.
     fn run_program(&mut self, job: &ProgramJob) -> BackendResult<Vec<ProgramFrameReport>> {
         validate_job(self, &job.program, &job.frames)?;
         Ok(self.accel.run_program_frames(&job.program, &job.frames)?)
@@ -322,10 +322,10 @@ fn validate_job(
 /// in the message (plus the out-of-band `config`, guarded by the
 /// fingerprint), so any worker can execute any shard of any job. The
 /// worker aligns its noise epochs to the shard, stages the shard's
-/// [`FabricEntry`] (module docs, mechanism 2) and runs the frame loop
-/// of [`run_program_frames`](OisaAccelerator::run_program_frames), so
-/// the reports are bit-identical to the same frames' slice of a
-/// sequential run.
+/// [`FabricEntry`] (module docs, mechanism 2) and runs the stage-major
+/// loop of [`run_program_frames`](OisaAccelerator::run_program_frames)
+/// over the shard's frames, so the reports are bit-identical to the
+/// same frames' slice of a sequential run.
 ///
 /// # Errors
 ///
@@ -387,7 +387,8 @@ pub fn serve_worker<R: Read, W: Write>(
     reader: &mut R,
     writer: &mut W,
 ) -> BackendResult<u64> {
-    serve_worker_configurable(*config, reader, writer, &mut |_| {}).map(|o| o.served)
+    let mut config = *config;
+    serve_worker_configurable(&mut config, reader, writer, &mut |_| {}).map(|o| o.served)
 }
 
 /// What a worker connection did over its lifetime — returned by
@@ -405,14 +406,15 @@ pub struct ServeOutcome {
 /// The full worker loop behind [`serve_worker`], with config push and a
 /// fault-injection hook.
 ///
-/// A [`WireMessage::Configure`] replaces the connection's working
-/// config (the push was already re-validated during decode) and is
-/// answered with a [`WireMessage::ConfigureAck`] echoing the nonce and
-/// carrying the fingerprint recomputed from the **applied** config.
-/// Subsequent shards and pings run under the pushed physics; the
-/// configuration is connection-local, so a coordinator that reconnects
-/// must push again (which [`TcpTransport`] does automatically when
-/// built with a config push).
+/// A [`WireMessage::Configure`] replaces the working `config` (the push
+/// was already re-validated during decode) and is answered with a
+/// [`WireMessage::ConfigureAck`] echoing the nonce and carrying the
+/// fingerprint recomputed from the **applied** config. Subsequent
+/// shards and pings run under the pushed physics, and the caller keeps
+/// the config the call ends under: a daemon per connection, so a
+/// coordinator that reconnects must push again (which [`TcpTransport`]
+/// does automatically when built with a config push), and an
+/// [`InProcessWorker`] for its lifetime.
 ///
 /// `before_shard` runs after a shard decodes and before it executes,
 /// receiving the count of shards this call already answered. The
@@ -424,12 +426,11 @@ pub struct ServeOutcome {
 ///
 /// As [`serve_worker`].
 pub fn serve_worker_configurable<R: Read, W: Write>(
-    initial: OisaConfig,
+    config: &mut OisaConfig,
     reader: &mut R,
     writer: &mut W,
     before_shard: &mut dyn FnMut(u64),
 ) -> BackendResult<ServeOutcome> {
-    let mut config = initial;
     let mut served = 0u64;
     let mut shards = 0u64;
     let mut reconfigured = 0u64;
@@ -438,7 +439,7 @@ pub fn serve_worker_configurable<R: Read, W: Write>(
             Ok(WireMessage::ProgramShard(shard)) => {
                 before_shard(shards);
                 shards += 1;
-                match execute_program_shard(&config, &shard) {
+                match execute_program_shard(config, &shard) {
                     Ok(report) => WireMessage::ProgramReport(report),
                     Err(e) => WireMessage::Refusal(ShardRefusal {
                         job_id: shard.job_id,
@@ -453,7 +454,7 @@ pub fn serve_worker_configurable<R: Read, W: Write>(
                 config_fingerprint: config.fingerprint(),
             }),
             Ok(WireMessage::Configure(push)) => {
-                config = push.config;
+                *config = push.config;
                 reconfigured += 1;
                 WireMessage::ConfigureAck(wire::Handshake {
                     nonce: push.nonce,
@@ -566,14 +567,17 @@ pub trait ShardTransport: Send {
 /// so the full encode → frame → decode → execute → encode path is
 /// exercised without spawning a process. This is what the bench
 /// harness and the parity tests use; `examples/multi_node.rs` swaps in
-/// a real child-process transport over the same trait.
+/// a real child-process transport over the same trait. A
+/// [`WireMessage::Configure`] push holds for every later round trip,
+/// as it holds for a TCP daemon's connection.
 #[derive(Debug, Clone)]
 pub struct InProcessWorker {
     config: OisaConfig,
 }
 
 impl InProcessWorker {
-    /// A worker that executes under `config`.
+    /// A worker that executes under `config` until a config push
+    /// replaces it.
     #[must_use]
     pub fn new(config: OisaConfig) -> Self {
         Self { config }
@@ -586,7 +590,12 @@ impl ShardTransport for InProcessWorker {
         wire::write_frame(&mut request, message)?;
         let mut reader = std::io::Cursor::new(request);
         let mut reply_stream = Vec::new();
-        serve_worker(&self.config, &mut reader, &mut reply_stream)?;
+        serve_worker_configurable(
+            &mut self.config,
+            &mut reader,
+            &mut reply_stream,
+            &mut |_| {},
+        )?;
         let mut cursor = std::io::Cursor::new(reply_stream);
         wire::read_frame(&mut cursor)?
             .ok_or_else(|| OisaError::Backend("in-process worker produced no reply".into()))

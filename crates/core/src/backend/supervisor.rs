@@ -1370,10 +1370,14 @@ mod tests {
         );
     }
 
+    /// A spare of other physics, pushed the coordinator's config on
+    /// admission, is promoted and serves the job bit-identically — a
+    /// TCP daemon and an in-process worker alike, each keeping the push
+    /// for its later shards.
     #[test]
     fn config_push_admits_a_mismatched_tcp_spare_bit_identically() {
         let coordinator_cfg = cfg(45);
-        let spare_cfg = cfg(46); // different physics on the spare daemon
+        let spare_cfg = cfg(46); // different physics on the spare
         assert_ne!(coordinator_cfg.fingerprint(), spare_cfg.fingerprint());
         let spare_daemon = TcpWorker::bind(spare_cfg, "127.0.0.1:0")
             .unwrap()
@@ -1386,19 +1390,31 @@ mod tests {
             backoff: Duration::from_millis(5),
             handshake: false, // admission happens via the supervisor's push
         };
+        let spares: [(&str, Box<dyn ShardTransport>); 2] = [
+            (
+                "tcp",
+                Box::new(TcpTransport::deferred(
+                    spare_daemon.endpoint(),
+                    coordinator_cfg.fingerprint(),
+                    options,
+                )),
+            ),
+            ("in-process", Box::new(InProcessWorker::new(spare_cfg))),
+        ];
+        for (kind, spare) in spares {
+            config_push_admits(coordinator_cfg, spare, kind);
+        }
+    }
+
+    fn config_push_admits(coordinator_cfg: OisaConfig, spare: Box<dyn ShardTransport>, kind: &str) {
         let active: Vec<Box<dyn ShardTransport>> = vec![
             Box::new(InProcessWorker::new(coordinator_cfg)),
             Box::new(DoomedWorker::new(coordinator_cfg, 0, "doomed")),
         ];
-        let spares: Vec<Box<dyn ShardTransport>> = vec![Box::new(TcpTransport::deferred(
-            spare_daemon.endpoint(),
-            coordinator_cfg.fingerprint(),
-            options,
-        ))];
         let mut supervisor = FleetSupervisor::new(
             coordinator_cfg,
             active,
-            spares,
+            vec![spare],
             SupervisorOptions {
                 push_config_to_spares: true,
                 ..SupervisorOptions::default()
@@ -1406,15 +1422,17 @@ mod tests {
         )
         .unwrap();
         let the_job = job(6);
-        let reports = supervisor.run_job(&the_job).unwrap();
+        let reports = supervisor
+            .run_job(&the_job)
+            .unwrap_or_else(|e| panic!("{kind} spare: {e}"));
         assert_eq!(
             reports,
             oracle(coordinator_cfg, &the_job),
-            "a config-pushed spare must serve the coordinator's physics"
+            "a config-pushed {kind} spare must serve the coordinator's physics"
         );
         let status = supervisor.status();
-        assert_eq!(status.promotions, 1, "{status:?}");
-        assert_eq!(status.replans, 0, "{status:?}");
+        assert_eq!(status.promotions, 1, "{kind} spare: {status:?}");
+        assert_eq!(status.replans, 0, "{kind} spare: {status:?}");
     }
 
     #[test]

@@ -622,7 +622,8 @@ fn serve_connection(
             }
         }
     };
-    match serve_worker_configurable(*config, &mut reader, &mut writer, &mut before_shard) {
+    let mut config = *config;
+    match serve_worker_configurable(&mut config, &mut reader, &mut writer, &mut before_shard) {
         Ok(outcome) => eprintln!(
             "oisa worker: connection from {peer} closed: {} shard(s) served, \
              {} config push(es), final fingerprint {:#018x}",

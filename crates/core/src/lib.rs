@@ -77,9 +77,10 @@
 //!   runs — with two table lookups per tap instead of an arm re-tune,
 //!   so rows never serialise on
 //!   shared-fabric `load_arm` and keep no per-worker state. A layer
-//!   program run ([`OisaAccelerator::run_program_frames`]) stages each
-//!   dense matrix once for all its frames. [`mlp::matvec`] is the
-//!   oracle.
+//!   program run ([`OisaAccelerator::run_program_frames`]) runs each
+//!   stage once over all its frames: one batch conv call, and per dense
+//!   stage one call that stages the matrix and forms each chunk's taps
+//!   once for every frame. [`mlp::matvec`] is the oracle.
 //! * **Served frames** — [`serving::ServingEngine`] queues frames that
 //!   arrive over time and feeds the batch engine; the oracle is the
 //!   same sequential per-frame loop, independent of how requests

@@ -27,18 +27,21 @@
 //!   input is validated once per call, so no chunk is checked, and no
 //!   chunk allocates, branches on a weight's sign or builds a
 //!   [`MacResult`](oisa_optics::arm::MacResult): a row task
-//!   returns each chunk's value and optical energy, and the reduction
+//!   writes each chunk's value and optical energy into a buffer laid
+//!   out before the call, and the reduction
 //!   feeds them to the VOM ([`Vom::accumulate_and_transmit_values`]) in
 //!   the serial engine's order. No row keeps per-worker state or
 //!   touches the fabric. Output, energy, latency and chunk count are
 //!   bit-identical to [`matvec`] under the same seed and epoch.
 //!
-//! Staging depends only on the weights and the mapper, so a caller
-//! that evaluates one matrix on many inputs stages it once: a layer
-//! program run
+//! [`matvec_parallel`] is a one-frame call of the staged engine behind
+//! it, which evaluates one matrix against many frames' inputs at once,
+//! each frame under its own noise epoch: a row task stages its row once,
+//! forms each chunk's taps once and folds them against every frame, and
+//! the fabric exit state is replayed once per call. A layer program
+//! run
 //! ([`OisaAccelerator::run_program_frames`](crate::accelerator::OisaAccelerator::run_program_frames))
-//! stages each dense stage on its first frame and evaluates every
-//! later frame from the same bytes.
+//! runs each dense stage that way, once over all its frames.
 
 use oisa_device::noise::NoiseSource;
 use oisa_optics::arm::RingTable;
@@ -48,6 +51,7 @@ use oisa_optics::weights::WeightMapper;
 use oisa_units::{Joule, Second};
 use serde::{Deserialize, Serialize};
 
+use crate::accelerator::FrameEpochs;
 use crate::{scheduler, CoreError, Result};
 
 /// Elements of a dense row executed per arm (the paper's 3×3-sized
@@ -133,18 +137,20 @@ pub fn matvec(
     })
 }
 
-/// Parallel twin of [`matvec`]: rows fan out over the work-stealing
-/// scheduler and evaluate without touching the shared fabric.
+/// Parallel twin of [`matvec`]: a one-frame call of the staged dense
+/// engine every dense stage of a layer program runs too. Rows fan out
+/// over the work-stealing scheduler and evaluate without touching the
+/// shared fabric.
 ///
-/// After the noise epoch is consumed, one [`RingTable`] is built from
-/// the core's arm design and `mapper`. Each row task stages its row
-/// through it ([`RingTable::stage`]: one byte per weight, quantised
-/// once per call instead of once per chunk load), then forms each
-/// chunk's taps ([`RingTable::taps`]), which takes each ring's
-/// crosstalk × waveguide gain from its in-chunk neighbours' codes, and
-/// evaluates them through [`RingTable::fused_mac`] at base counter 0 of
-/// the same `(epoch, row, chunk)` noise stream the serial engine would
-/// use — arm state after `load_weights` depends only on
+/// After the input is validated and the noise epoch is consumed, one
+/// [`RingTable`] is built from the core's arm design and `mapper`. Each
+/// row task stages its row through it ([`RingTable::stage`]: one byte
+/// per weight, quantised once per call instead of once per chunk load),
+/// then forms each chunk's taps ([`RingTable::taps`]), which takes each
+/// ring's crosstalk × waveguide gain from its in-chunk neighbours'
+/// codes, and evaluates them through [`RingTable::fused_mac`] at base
+/// counter 0 of the same `(epoch, row, chunk)` noise stream the serial
+/// engine would use — arm state after `load_weights` depends only on
 /// the loaded chunk, never on fabric history, so every chunk's value
 /// and energy are bit-identical to the serial path's
 /// [`MacResult`](oisa_optics::arm::MacResult). The final reduction
@@ -175,117 +181,131 @@ pub fn matvec_parallel(
     input: &[f64],
     noise: &mut NoiseSource,
 ) -> Result<MatVecReport> {
-    matvec_staged(
-        opc, vom, mapper, matrix, rows, cols, input, noise, &mut None,
-    )
+    validate_matvec(matrix, rows, cols, input)?;
+    let epochs = FrameEpochs {
+        first: noise.begin_epoch()?,
+        stride: 1,
+    };
+    matvec_frames(
+        opc,
+        vom,
+        mapper,
+        matrix,
+        rows,
+        cols,
+        &[input],
+        noise,
+        epochs,
+    )?
+    .pop()
+    .ok_or_else(|| CoreError::InvalidParameter("no input evaluated".into()))
 }
 
-/// A dense matrix staged for the fabric: one byte per weight (code and
-/// sign, [`RingTable::stage`]) per row, plus the per-tensor scale the
-/// outputs are multiplied back by.
-#[derive(Debug)]
-pub(crate) struct StagedMatrix {
-    rows: Vec<Vec<u8>>,
-    scale: f32,
-}
-
-/// The engine behind [`matvec_parallel`], with the staging slot
-/// supplied by the caller. A filled slot is evaluated as is; an empty
-/// one is filled by the row tasks themselves, each staging its own row
-/// right before evaluating it — after the noise epoch is consumed, so
-/// a non-finite weight fails exactly where [`matvec`] fails, and
-/// staging fans out with the evaluation. A caller that keeps the slot
-/// between calls stages `matrix` once; it must pass the same `matrix`
-/// and `mapper` with it every time.
+/// The staged dense engine: `matrix · inputs[f]` for every frame `f`
+/// in one scheduler call over rows, frame `f` drawing under
+/// `epochs.of(f)`. The caller owns the epochs and has made sure the
+/// shape holds ([`check_shape`]) and every input lies in `[0, 1]`;
+/// nothing here checks an input or touches the noise counter.
 ///
-/// # Errors
-///
-/// Same contract as [`matvec`].
+/// A row task stages its row, then forms each chunk's taps once and
+/// folds them against every frame's activations, each at base counter
+/// 0 of that frame's `(epoch, row, chunk)` stream — a chunk's taps
+/// depend only on its staged bytes, never on the frame. Activations
+/// widen to `f64` a chunk at a time, so a caller holding `f32` values
+/// keeps no wide copy. Each frame's reduction then walks rows in order
+/// with [`matvec`]'s grouping, and the fabric exit state is replayed
+/// once for the whole call: it depends only on the matrix. A
+/// non-finite weight fails staging in every frame alike, so the error
+/// is frame 0's.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn matvec_staged(
+pub(crate) fn matvec_frames<T: Copy + Into<f64> + Sync>(
     opc: &mut Opc,
     vom: &Vom,
     mapper: &WeightMapper,
     matrix: &[f32],
     rows: usize,
     cols: usize,
-    input: &[f64],
-    noise: &mut NoiseSource,
-    staged: &mut Option<StagedMatrix>,
-) -> Result<MatVecReport> {
-    validate_matvec(matrix, rows, cols, input)?;
-    let epoch = noise.begin_epoch()?;
+    inputs: &[&[T]],
+    noise: &NoiseSource,
+    epochs: FrameEpochs,
+) -> Result<Vec<MatVecReport>> {
     let table = RingTable::new(opc.config().arm, mapper, noise.config())?;
-    let kept = staged.as_ref();
-    let scale = kept.map_or_else(|| matrix_scale(matrix), |kept| kept.scale);
+    let scale = matrix_scale(matrix);
     let chunks = cols.div_ceil(CHUNK);
-    // Per row: each chunk's value and optical energy, and the row's
-    // freshly staged bytes (empty when the slot was already filled).
-    type RowChunks = (Vec<f64>, Vec<f64>, Vec<u8>);
-    let row_results = scheduler::execute((0..rows).collect(), |_, r| -> Result<RowChunks> {
-        let mut fresh = Vec::new();
-        let codes = match kept {
-            Some(kept) => &kept.rows[r],
-            None => {
-                fresh = matrix[r * cols..(r + 1) * cols]
-                    .iter()
-                    .map(|&w| table.stage(normalise(w, scale)))
-                    .collect::<oisa_optics::Result<_>>()?;
-                &fresh
+    let span = inputs.len() * chunks;
+    // Every buffer is laid out here, one slice per row task: the row's
+    // staged bytes, and its chunk values and optical energies in
+    // `(frame, chunk)` order.
+    let mut codes = vec![0u8; rows * cols];
+    let mut values = vec![0.0f64; rows * span];
+    let mut energies = vec![0.0f64; rows * span];
+    let items: Vec<_> = codes
+        .chunks_mut(cols)
+        .zip(values.chunks_mut(span))
+        .zip(energies.chunks_mut(span))
+        .enumerate()
+        .collect();
+    let staged = scheduler::execute(items, |_, (r, ((codes, values), energies))| -> Result<()> {
+        for (code, &w) in codes.iter_mut().zip(&matrix[r * cols..(r + 1) * cols]) {
+            *code = table.stage(normalise(w, scale))?;
+        }
+        let streams: Vec<_> = (0..inputs.len())
+            .map(|f| noise.slot_stream(epochs.of(f), r as u64))
+            .collect();
+        for (ci, w_chunk) in codes.chunks(CHUNK).enumerate() {
+            // The checks were made once per call and every byte came
+            // from `table.stage`, so the chunk skips them.
+            let taps = table.taps(w_chunk);
+            let lanes = ci * CHUNK..ci * CHUNK + w_chunk.len();
+            for (f, (input, stream)) in inputs.iter().zip(&streams).enumerate() {
+                let mut activations = [0.0f64; CHUNK];
+                for (a, &x) in activations.iter_mut().zip(&input[lanes.clone()]) {
+                    *a = x.into();
+                }
+                let (value, energy) = table.fused_mac(
+                    &taps,
+                    &activations[..w_chunk.len()],
+                    &stream.at(ci as u64),
+                    0,
+                );
+                values[f * chunks + ci] = value;
+                energies[f * chunks + ci] = energy;
             }
-        };
-        debug_assert_eq!(codes.len(), cols);
-        // `validate_matvec` checked the input and every byte came
-        // from `table.stage`, so each chunk skips the checks.
-        let row_stream = noise.slot_stream(epoch, r as u64);
-        let mut values = Vec::with_capacity(chunks);
-        let mut energies = Vec::with_capacity(chunks);
-        for (ci, (w_chunk, a_chunk)) in codes.chunks(CHUNK).zip(input.chunks(CHUNK)).enumerate() {
-            let stream = row_stream.at(ci as u64);
-            let (value, energy) = table.fused_mac(&table.taps(w_chunk), a_chunk, &stream, 0);
-            values.push(value);
-            energies.push(energy);
         }
-        Ok((values, energies, fresh))
+        Ok(())
     });
-    // Ordered reduction with the serial engine's exact grouping: per
-    // row, chunk energies first, then the VOM aggregate. The first
-    // failing row in row order — the serial engine's first failure —
-    // is the error.
-    let mut output = Vec::with_capacity(rows);
-    let mut total_chunks = 0usize;
-    let mut energy = Joule::ZERO;
-    let mut latency = Second::ZERO;
-    let mut fresh_rows = Vec::with_capacity(rows);
-    for result in row_results {
-        let (values, energies, fresh) = result?;
-        for &e in &energies {
-            energy += Joule::new(e);
+    // The first failing row in row order — the serial engine's first
+    // failure — is the error.
+    staged.into_iter().collect::<Result<()>>()?;
+    // Per frame, the ordered reduction with the serial engine's exact
+    // grouping: per row, chunk energies first, then the VOM aggregate.
+    let mut reports = Vec::with_capacity(inputs.len());
+    for f in 0..inputs.len() {
+        let mut output = Vec::with_capacity(rows);
+        let mut energy = Joule::ZERO;
+        let mut latency = Second::ZERO;
+        for r in 0..rows {
+            let lanes = r * span + f * chunks..r * span + (f + 1) * chunks;
+            for &e in &energies[lanes.clone()] {
+                energy += Joule::new(e);
+            }
+            let agg = vom.accumulate_and_transmit_values(&values[lanes], table.latency())?;
+            energy += agg.energy;
+            latency += agg.latency;
+            output.push((agg.value * f64::from(scale)) as f32);
         }
-        total_chunks += values.len();
-        let agg = vom.accumulate_and_transmit_values(&values, table.latency())?;
-        energy += agg.energy;
-        latency += agg.latency;
-        output.push((agg.value * f64::from(scale)) as f32);
-        fresh_rows.push(fresh);
-    }
-    if staged.is_none() {
-        *staged = Some(StagedMatrix {
-            rows: fresh_rows,
-            scale,
+        reports.push(MatVecReport {
+            output,
+            chunks: rows * chunks,
+            energy,
+            latency,
         });
     }
 
     // Leave the shared fabric exactly as the serial engine would, so
     // the two paths stay interchangeable for whatever runs next.
     replay_exit_state(opc, mapper, matrix, scale, rows, cols)?;
-
-    Ok(MatVecReport {
-        output,
-        chunks: total_chunks,
-        energy,
-        latency,
-    })
+    Ok(reports)
 }
 
 /// Reproduces the fabric exit state a serial [`matvec`] over the
@@ -300,8 +320,8 @@ pub(crate) fn matvec_staged(
 /// cost bounded by the fabric size, not the chunk count. Only the
 /// reloaded chunks are normalised.
 ///
-/// [`matvec_parallel`] runs this after its ordered reduction; the
-/// layer-program prewarm
+/// The staged engine behind [`matvec_parallel`] runs this once per
+/// call, after its ordered reduction; the layer-program prewarm
 /// ([`OisaAccelerator::prewarm_program`](crate::accelerator::OisaAccelerator::prewarm_program))
 /// runs it per dense stage so a shard's first frame sees exactly the
 /// steady-state fabric a sequential per-frame loop reaches.
@@ -352,6 +372,13 @@ fn validate_matvec(matrix: &[f32], rows: usize, cols: usize, input: &[f64]) -> R
             input.len()
         )));
     }
+    check_input(input)
+}
+
+/// Rejects an input activation outside `[0, 1]`, naming its index —
+/// the range check of [`validate_matvec`], which a layer program runs
+/// on a frame-consuming dense stage's input when it senses the frame.
+pub(crate) fn check_input(input: &[f64]) -> Result<()> {
     if let Some(i) = input.iter().position(|a| !(0.0..=1.0).contains(a)) {
         return Err(CoreError::InvalidParameter(format!(
             "input activation {} at index {i} outside [0, 1]",

@@ -1,11 +1,11 @@
 //! Layer programs: whole (small) edge models through the optical
 //! pipeline, not just the paper's first-layer story.
 //!
-//! A [`LayerProgram`] is an ordered list of [`Stage`]s executed
-//! per frame:
+//! A [`LayerProgram`] is an ordered list of [`Stage`]s every frame
+//! passes through:
 //!
 //! * [`Stage::Conv`] — the existing optical convolution path
-//!   ([`OisaAccelerator::convolve_frame`]); stage 0 only, because the
+//!   ([`OisaAccelerator::convolve_frames`]); stage 0 only, because the
 //!   sensor-attached Optical Processing Core convolves *captured
 //!   frames*, and every later stage's tensor is a flat vector.
 //! * [`Stage::Quantize`] — a sensor-domain re-encode between optical
@@ -51,13 +51,30 @@
 //! merge [`ProgramFrameReport`]s bit-identically (inter-stage tensors
 //! never cross a frame boundary).
 //!
+//! # The stage-major loop
+//!
 //! A stream of frames runs through
-//! [`OisaAccelerator::run_program_frames`]: one prewarm, then a
-//! per-frame loop that stages each dense matrix once, on its first
-//! frame, and evaluates the later frames from the same staged bytes —
+//! [`OisaAccelerator::run_program_frames`]: one prewarm, then each
+//! stage once over all the frames, as OISA keeps a layer's weights in
+//! its rings and kernel bank while frames stream through. Every frame
+//! is sensed and encoded first; the conv stage is one call of the
+//! batch conv engine; each dense stage is one call of the staged dense
+//! engine ([`crate::mlp`]), which stages the matrix, forms each chunk's
+//! taps once and folds them against every frame's activations; the
+//! elementwise stages run frame by frame. Frame `f`'s `j`-th optical
+//! stage draws under epoch `base + f·E + j`, the key a per-frame loop
+//! gives it, so the order of the work moves no bit.
+//!
+//! Ring tuning is the one cost that depends on what ran before:
+//! frame 0 pays it from the fabric's entry state, and every later frame
+//! from the state the previous frame's last optical stage left. So the
+//! conv stage stages its passes, replays the exit state of every later
+//! dense stage, and only then restages the passes for the later frames;
+//! each dense stage replays its own exit state once, after its frames.
+//! The reports, the epochs consumed and the fabric left behind are
 //! bit-identical to prewarming and calling
-//! [`OisaAccelerator::run_program_frame`] per frame, which stages per
-//! call.
+//! [`OisaAccelerator::run_program_frame`] — a one-frame call of the same
+//! loop — per frame, errors included.
 //!
 //! # Examples
 //!
@@ -84,8 +101,10 @@ use oisa_nn::tensor::Tensor;
 use oisa_sensor::frame::Frame;
 use serde::{Deserialize, Serialize};
 
-use crate::accelerator::{kernel_shape_error, ConvolutionReport, OisaAccelerator, OisaConfig};
-use crate::mlp::{MatVecReport, StagedMatrix};
+use crate::accelerator::{
+    kernel_shape_error, ConvolutionReport, FrameEpochs, OisaAccelerator, OisaConfig, Sensed,
+};
+use crate::mlp::MatVecReport;
 use crate::{CoreError, Result};
 
 /// The quantiser a [`Stage::Quantize`] applies, elementwise.
@@ -154,8 +173,8 @@ enum ValueRange {
 
 /// An ordered, validated list of [`Stage`]s — the unit of work a
 /// [`crate::wire::ProgramJob`] carries and a
-/// [`ComputeBackend`](crate::backend::ComputeBackend) executes
-/// per frame. See the module docs for the execution and determinism
+/// [`ComputeBackend`](crate::backend::ComputeBackend) executes on
+/// every frame. See the module docs for the execution and determinism
 /// model.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LayerProgram {
@@ -183,8 +202,13 @@ impl LayerProgram {
     /// shipped latent (see `examples/autoencoder.rs`); only the encoder
     /// executes on the optical fabric.
     ///
-    /// Weights are deterministic He-normal draws from `seed`, so two
-    /// hosts that agree on the arguments build bit-identical programs.
+    /// Weights are deterministic He-normal draws from `seed`. The draws
+    /// call the platform's libm `ln` and `cos`, which Rust does not
+    /// promise are correctly rounded, so two hosts that agree on the
+    /// arguments build bit-identical programs only where their libm
+    /// agrees: the programs the tests pin are those of a glibc host. The
+    /// ROADMAP item on host-independent numerics ("Bits that do not
+    /// depend on the host") tracks this.
     ///
     /// # Errors
     ///
@@ -359,10 +383,15 @@ impl LayerProgram {
     /// `base + i · epochs_per_frame()`.
     #[must_use]
     pub fn epochs_per_frame(&self) -> u64 {
-        self.stages
-            .iter()
-            .filter(|s| matches!(s, Stage::Conv { .. } | Stage::Dense { .. }))
-            .count() as u64
+        self.stages.iter().filter(|s| s.is_optical()).count() as u64
+    }
+}
+
+impl Stage {
+    /// Whether the stage runs on the fabric (conv or dense), drawing
+    /// one noise epoch per frame.
+    fn is_optical(&self) -> bool {
+        matches!(self, Stage::Conv { .. } | Stage::Dense { .. })
     }
 }
 
@@ -414,30 +443,21 @@ impl OisaAccelerator {
     /// Validation errors from [`LayerProgram::output_lens`]; substrate
     /// errors from staging.
     pub fn prewarm_program(&mut self, program: &LayerProgram) -> Result<()> {
-        let (width, height) = (self.config().imager.width, self.config().imager.height);
-        let lens = program.output_lens(width, height)?;
-        let mut prev_len = width * height;
-        for (i, stage) in program.stages.iter().enumerate() {
-            match stage {
-                Stage::Conv { k, kernels } => self.prewarm(kernels, *k)?,
-                Stage::Dense { rows, matrix } => {
-                    let cols = if i == 0 { width * height } else { prev_len };
-                    self.prewarm_dense(matrix, *rows, cols)?;
-                }
-                Stage::Quantize(_) | Stage::Activation(_) => {}
-            }
-            prev_len = lens[i];
+        let lens = self.output_lens(program)?;
+        if let Some(Stage::Conv { k, kernels }) = program.stages.first() {
+            self.prewarm(kernels, *k)?;
         }
-        Ok(())
+        self.replay_dense_stages(program, &lens, 0)
     }
 
     /// Executes `program` on one captured frame, stage by stage,
-    /// returning the per-stage trace and the final output vector.
+    /// returning the per-stage trace and the final output vector: a
+    /// one-frame call of the program loop behind
+    /// [`OisaAccelerator::run_program_frames`].
     ///
     /// Optical stages each consume one noise epoch
     /// ([`LayerProgram::epochs_per_frame`] in total); elementwise
-    /// stages run in the electrical domain and are free. Each dense
-    /// stage stages its matrix for this frame alone. Call
+    /// stages run in the electrical domain and are free. Call
     /// [`OisaAccelerator::prewarm_program`] once before the first
     /// frame of a stream for history-independent reports (module
     /// docs), or run the stream through
@@ -445,24 +465,22 @@ impl OisaAccelerator {
     ///
     /// # Errors
     ///
-    /// Program validation errors; sensing, shape and fabric failures
-    /// from the optical stages.
+    /// Validation errors from [`LayerProgram::output_lens`]; sensing
+    /// and fabric failures from the optical stages.
     pub fn run_program_frame(
         &mut self,
         program: &LayerProgram,
         frame: &Frame,
     ) -> Result<ProgramFrameReport> {
-        program.validate()?;
-        self.program_frame(program, frame, &mut no_staging(program))
+        self.program_frames(program, std::slice::from_ref(frame))?
+            .pop()
+            .ok_or_else(|| CoreError::InvalidParameter("no frame ran".into()))
     }
 
     /// Runs `program` over `frames` as one stream:
-    /// [`OisaAccelerator::prewarm_program`] once, then the per-frame
-    /// body of [`OisaAccelerator::run_program_frame`] for every frame,
-    /// with each dense stage's matrix staged once — on its first frame,
-    /// after that frame's noise epoch is consumed, where a per-frame
-    /// call stages it — and every later frame evaluated from the same
-    /// bytes.
+    /// [`OisaAccelerator::prewarm_program`] once, then the stage-major
+    /// program loop, which runs each stage once over all the frames
+    /// (module docs).
     ///
     /// The reports, the noise epochs consumed and the fabric left
     /// behind are bit-identical to `prewarm_program` followed by a
@@ -484,91 +502,227 @@ impl OisaAccelerator {
         self.program_frames(program, frames)
     }
 
-    /// The frame loop of [`OisaAccelerator::run_program_frames`], from
-    /// whatever fabric state the caller staged: each dense stage stages
-    /// its matrix on its first frame and evaluates the later frames
-    /// from the same bytes. `program` must have passed
-    /// [`LayerProgram::output_lens`] for the imager.
+    /// The stage-major loop of [`OisaAccelerator::run_program_frames`],
+    /// from whatever fabric state the caller staged.
+    ///
+    /// Every frame is sensed and encoded before any epoch is consumed,
+    /// and the frames whose epochs fit the counter run stage by stage
+    /// ([`OisaAccelerator::run_stages`]). The run then ends where a
+    /// per-frame loop ends: at the first frame that fails sensing, or at
+    /// the first optical stage whose epoch would wrap the counter, after
+    /// running that frame's earlier stages.
     pub(crate) fn program_frames(
         &mut self,
         program: &LayerProgram,
         frames: &[Frame],
     ) -> Result<Vec<ProgramFrameReport>> {
-        let mut staged = no_staging(program);
-        frames
-            .iter()
-            .map(|frame| self.program_frame(program, frame, &mut staged))
-            .collect()
-    }
-
-    /// One frame through an already validated `program`. `staged`
-    /// holds one staging slot per stage: a dense stage stages into its
-    /// empty slot and evaluates from a filled one.
-    fn program_frame(
-        &mut self,
-        program: &LayerProgram,
-        frame: &Frame,
-        staged: &mut [Option<StagedMatrix>],
-    ) -> Result<ProgramFrameReport> {
-        let mut stages = Vec::with_capacity(program.stages.len());
-        let mut values: Vec<f32> = Vec::new();
-        for ((i, stage), staged) in program.stages.iter().enumerate().zip(staged) {
-            match stage {
-                Stage::Conv { k, kernels } => {
-                    let report = self.convolve_frame(frame, kernels, *k)?;
-                    values = report.output.concat();
-                    stages.push(StageReport::Conv(report));
-                }
-                Stage::Dense { rows, matrix } => {
-                    let input = if i == 0 {
-                        self.encode_frame(frame)?
-                    } else {
-                        values.iter().map(|&v| f64::from(v)).collect()
-                    };
-                    let report = self.dense_staged(&input, matrix, *rows, staged)?;
-                    values.clone_from(&report.output);
-                    stages.push(StageReport::Dense(report));
-                }
-                Stage::Quantize(QuantizeKind::Ternary) => {
-                    let t = TernaryActivation::paper_default();
-                    for v in &mut values {
-                        *v = t.encode(*v);
-                    }
-                    stages.push(StageReport::Quantize);
-                }
-                Stage::Quantize(QuantizeKind::Levels { bits }) => {
-                    let q = LevelQuantizer::uniform(*bits)?;
-                    for v in &mut values {
-                        *v = q.nearest(*v);
-                    }
-                    stages.push(StageReport::Quantize);
-                }
-                Stage::Activation(ActivationKind::Relu) => {
-                    for v in &mut values {
-                        *v = v.max(0.0);
-                    }
-                    stages.push(StageReport::Activation);
+        let lens = self.output_lens(program)?;
+        let conv = match program.stages.first() {
+            Some(Stage::Conv { k, kernels }) => {
+                Some((*k, kernels.iter().map(Vec::as_slice).collect::<Vec<_>>()))
+            }
+            _ => None,
+        };
+        let mut sensed = Vec::with_capacity(frames.len());
+        let mut failure = Ok(());
+        for frame in frames {
+            // Stage 0's checks, in the order a per-frame call makes
+            // them: a conv stage plans for the frame before sensing it.
+            let input = match &conv {
+                Some((k, planes)) => self
+                    .plan_conv(planes, *k, frame.height(), frame.width())
+                    .and_then(|_| self.sense_optical(frame)),
+                None => self
+                    .sense(frame)
+                    .and_then(|s| crate::mlp::check_input(&s.optical).map(|()| s)),
+            };
+            match input {
+                Ok(input) => sensed.push(input),
+                Err(e) => {
+                    failure = Err(e);
+                    break;
                 }
             }
         }
-        Ok(ProgramFrameReport {
-            stages,
-            output: values,
-        })
+        let stride = program.epochs_per_frame();
+        let room = u64::MAX - self.next_noise_epoch();
+        let whole = usize::try_from(room / stride).map_or(sensed.len(), |w| w.min(sensed.len()));
+        let reports = self.run_stages(program, &lens, &sensed[..whole], u64::MAX)?;
+        if whole < sensed.len() {
+            // The next frame runs the stages whose epochs fit, leaving
+            // the counter at `u64::MAX`, and fails reserving one more.
+            self.run_stages(program, &lens, &sensed[whole..=whole], room % stride)?;
+            self.check_noise_epochs(1)?;
+        }
+        failure.map(|()| reports)
     }
-}
 
-/// One empty staging slot per stage of `program`.
-fn no_staging(program: &LayerProgram) -> Vec<Option<StagedMatrix>> {
-    std::iter::repeat_with(|| None)
-        .take(program.stages.len())
-        .collect()
+    /// Runs the stages of `program` in order, each once over all of
+    /// `sensed`'s frames, stopping before optical stage `optical`
+    /// (counting from 0; `u64::MAX` runs every stage). Frame `f`'s
+    /// `j`-th optical stage draws under epoch `base + f·E + j`,
+    /// where `base` is the counter on entry and `E` is
+    /// [`LayerProgram::epochs_per_frame`] — the keys a per-frame loop
+    /// uses. The counter advances once, on exit, to where that loop
+    /// leaves it. The caller checked that every epoch fits.
+    ///
+    /// A stage's error does not depend on a frame's data — sensing,
+    /// the one check that does, already passed — so the per-frame loop
+    /// meets it on frame 0, after that frame's earlier epochs and the
+    /// stage's own. The fabric is left where that loop leaves it, on
+    /// an error too when the run entered from `prewarm_program`'s steady
+    /// state (as `run_program_frames` does): the conv stage's replay of
+    /// the later dense stages' exit states and its restage then put
+    /// back exactly what its first staging left. A shard worker drops
+    /// its accelerator after an error.
+    fn run_stages(
+        &mut self,
+        program: &LayerProgram,
+        lens: &[usize],
+        sensed: &[Sensed],
+        optical: u64,
+    ) -> Result<Vec<ProgramFrameReport>> {
+        if sensed.is_empty() {
+            return Ok(Vec::new());
+        }
+        let stride = program.epochs_per_frame();
+        let base = self.next_noise_epoch();
+        let mut reports: Vec<ProgramFrameReport> = sensed
+            .iter()
+            .map(|_| ProgramFrameReport {
+                stages: Vec::with_capacity(program.stages.len()),
+                output: Vec::new(),
+            })
+            .collect();
+        // Frame 0's epoch for the next optical stage.
+        let mut epoch = base;
+        for (i, stage) in program.stages.iter().enumerate() {
+            let epochs = FrameEpochs {
+                first: epoch,
+                stride,
+            };
+            if stage.is_optical() {
+                if epoch - base == optical {
+                    break;
+                }
+                epoch += 1;
+            }
+            if let Err(e) = self.run_stage(program, i, lens, sensed, &mut reports, epochs) {
+                self.align_noise_epoch(epoch)?;
+                return Err(e);
+            }
+        }
+        self.align_noise_epoch(epoch + (sensed.len() as u64 - 1) * stride)?;
+        Ok(reports)
+    }
+
+    /// Stage `i` of `program` over every frame, under `epochs`: each
+    /// frame's report gains the stage's, and its output becomes the
+    /// stage's output.
+    fn run_stage(
+        &mut self,
+        program: &LayerProgram,
+        i: usize,
+        lens: &[usize],
+        sensed: &[Sensed],
+        reports: &mut [ProgramFrameReport],
+        epochs: FrameEpochs,
+    ) -> Result<()> {
+        match &program.stages[i] {
+            Stage::Conv { k, kernels } => {
+                let planes: Vec<&[f32]> = kernels.iter().map(Vec::as_slice).collect();
+                // Conv is stage 0: every dense stage comes after it.
+                let conv = self.convolve_sensed(sensed, &planes, *k, epochs, &mut |accel| {
+                    accel.replay_dense_stages(program, lens, 1)
+                })?;
+                for (report, conv) in reports.iter_mut().zip(conv) {
+                    report.output = conv.output.concat();
+                    report.stages.push(StageReport::Conv(conv));
+                }
+            }
+            Stage::Dense { rows, matrix } => {
+                let cols = self.stage_input_len(lens, i);
+                // Stage 0's input was checked when the frames were
+                // sensed; a later stage's is in [0, 1] by
+                // `LayerProgram::validate`'s range inference.
+                let dense = if i == 0 {
+                    let inputs: Vec<&[f64]> = sensed.iter().map(|s| s.optical.as_slice()).collect();
+                    self.dense_frames(matrix, *rows, cols, &inputs, epochs)?
+                } else {
+                    let inputs: Vec<&[f32]> = reports.iter().map(|r| r.output.as_slice()).collect();
+                    self.dense_frames(matrix, *rows, cols, &inputs, epochs)?
+                };
+                for (report, dense) in reports.iter_mut().zip(dense) {
+                    report.output = dense.output.clone();
+                    report.stages.push(StageReport::Dense(dense));
+                }
+            }
+            Stage::Quantize(QuantizeKind::Ternary) => {
+                let t = TernaryActivation::paper_default();
+                for report in reports {
+                    for v in &mut report.output {
+                        *v = t.encode(*v);
+                    }
+                    report.stages.push(StageReport::Quantize);
+                }
+            }
+            Stage::Quantize(QuantizeKind::Levels { bits }) => {
+                let q = LevelQuantizer::uniform(*bits)?;
+                for report in reports {
+                    for v in &mut report.output {
+                        *v = q.nearest(*v);
+                    }
+                    report.stages.push(StageReport::Quantize);
+                }
+            }
+            Stage::Activation(ActivationKind::Relu) => {
+                for report in reports {
+                    for v in &mut report.output {
+                        *v = v.max(0.0);
+                    }
+                    report.stages.push(StageReport::Activation);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Replays the exit state of every dense stage of `program` from
+    /// stage `from` on, in stage order ([`OisaAccelerator::prewarm_dense`]).
+    fn replay_dense_stages(
+        &mut self,
+        program: &LayerProgram,
+        lens: &[usize],
+        from: usize,
+    ) -> Result<()> {
+        for (i, stage) in program.stages.iter().enumerate().skip(from) {
+            if let Stage::Dense { rows, matrix } = stage {
+                let cols = self.stage_input_len(lens, i);
+                self.prewarm_dense(matrix, *rows, cols)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// `program`'s [`LayerProgram::output_lens`] for the imager.
+    fn output_lens(&self, program: &LayerProgram) -> Result<Vec<usize>> {
+        let imager = self.config().imager;
+        program.output_lens(imager.width, imager.height)
+    }
+
+    /// The input length of stage `i`, given the program's output
+    /// lengths: the frame's pixel count at stage 0.
+    fn stage_input_len(&self, lens: &[usize], i: usize) -> usize {
+        let imager = self.config().imager;
+        i.checked_sub(1)
+            .map_or(imager.width * imager.height, |prev| lens[prev])
+    }
 }
 
 /// The sequential oracle every program-capable backend is tested
 /// against: a fresh accelerator from `config`, epochs aligned to
 /// `base_epoch`, then [`OisaAccelerator::run_program_frames`] — one
-/// [`OisaAccelerator::prewarm_program`] and a per-frame loop.
+/// [`OisaAccelerator::prewarm_program`] and the stage-major loop.
 /// Bit-identical to a
 /// [`FleetSupervisor`](crate::backend::FleetSupervisor) merge over any
 /// fleet shape, by the module-docs argument.

@@ -110,11 +110,19 @@ pub struct ServingConfig {
     /// deadline (batches form only on size or drain), which requires
     /// `max_batch <= queue_depth` so a full queue can launch one.
     pub deadline: Duration,
-    /// Bound on the pending queue (≥ 1). A full queue blocks
-    /// [`ServingEngine::submit`] and bounces
+    /// Bound on the pending queue (≥ 1, at most [`MAX_QUEUE_DEPTH`]).
+    /// A full queue blocks [`ServingEngine::submit`] and bounces
     /// [`ServingEngine::try_submit`].
     pub queue_depth: usize,
 }
+
+/// The largest [`ServingConfig::queue_depth`] an engine accepts. The
+/// engine allocates its queue and its batch-size histogram
+/// ([`ServingStats::batch_size_histogram`]) for the full depth when it
+/// is built, so the bound keeps construction from asking the allocator
+/// for more than it can give: 65,536 pending frames is over a minute of
+/// the paper's 1,000 frames/s sensor.
+pub const MAX_QUEUE_DEPTH: usize = 1 << 16;
 
 impl Default for ServingConfig {
     /// Frame-rate-friendly defaults: batches of 8, a 2 ms deadline and
@@ -133,7 +141,8 @@ impl Default for ServingConfig {
 type ServeResult<T> = std::result::Result<T, OisaError>;
 
 impl ServingConfig {
-    /// Rejects degenerate configurations, and one that cannot serve:
+    /// Rejects degenerate configurations, a queue deeper than
+    /// [`MAX_QUEUE_DEPTH`], and one that cannot serve:
     /// with no deadline and `max_batch` beyond `queue_depth`, no batch
     /// could launch before shutdown, so a blocking submit past the
     /// queue bound would wait forever.
@@ -147,6 +156,12 @@ impl ServingConfig {
             return Err(CoreError::InvalidParameter(
                 "serving queue_depth must be at least 1".into(),
             ));
+        }
+        if self.queue_depth > MAX_QUEUE_DEPTH {
+            return Err(CoreError::InvalidParameter(format!(
+                "serving queue_depth {} exceeds MAX_QUEUE_DEPTH ({MAX_QUEUE_DEPTH})",
+                self.queue_depth
+            )));
         }
         if self.deadline == Duration::MAX && self.max_batch > self.queue_depth {
             return Err(CoreError::InvalidParameter(format!(
@@ -893,6 +908,31 @@ mod tests {
         };
         let accel = OisaAccelerator::new(engine_config(1)).unwrap();
         assert!(ServingEngine::new(accel, kernels.clone(), 3, bad_depth).is_err());
+        // A queue too deep to allocate is a typed error, not an
+        // allocator panic inside the constructor — with a batch bound
+        // as large too, whose histogram would overflow its `+ 1`.
+        for max_batch in [8, usize::MAX] {
+            let huge = ServingConfig {
+                max_batch,
+                queue_depth: usize::MAX,
+                ..ServingConfig::default()
+            };
+            let accel = OisaAccelerator::new(engine_config(1)).unwrap();
+            assert!(matches!(
+                ServingEngine::new(accel, kernels.clone(), 3, huge),
+                Err(OisaError::Core(CoreError::InvalidParameter(ref what)))
+                    if what.contains("MAX_QUEUE_DEPTH")
+            ));
+        }
+        let deepest = ServingConfig {
+            queue_depth: MAX_QUEUE_DEPTH,
+            ..ServingConfig::default()
+        };
+        let accel = OisaAccelerator::new(engine_config(1)).unwrap();
+        let (_, stats) = ServingEngine::new(accel, kernels.clone(), 3, deepest)
+            .unwrap()
+            .shutdown();
+        assert_eq!(stats.batch_size_histogram.len(), 9);
         let accel = OisaAccelerator::new(engine_config(1)).unwrap();
         assert!(ServingEngine::new(accel, vec![], 3, ServingConfig::default()).is_err());
         let accel = OisaAccelerator::new(engine_config(1)).unwrap();

@@ -491,7 +491,8 @@ const STAGED_NEGATIVE: u8 = 1 << 7;
 /// mutable state and no fabric access, so any number of threads can
 /// evaluate against one table. A convolution pass forms each arm's taps
 /// once and runs every window against them; a dense chunk forms its
-/// taps right before its MAC.
+/// taps once per engine call and folds them against every frame's
+/// activations.
 #[derive(Debug, Clone)]
 pub struct RingTable {
     mapper: WeightMapper,

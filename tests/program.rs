@@ -354,6 +354,70 @@ fn entry_states() -> [FabricEntry; 3] {
     ]
 }
 
+/// A shard's reports equal a per-frame loop's from every fabric entry
+/// state a shard can carry, staged the same way: `Cold` stages nothing,
+/// `WarmSelf` runs `prewarm_program` and `Warm` runs `prewarm` with its
+/// kernels. Frame 0 pays conv tuning from the entry state and every
+/// later frame from the state the previous frame's dense stage left, so
+/// only `WarmSelf` would agree with a loop that charged every frame the
+/// entry tuning.
+#[test]
+fn every_fabric_entry_state_matches_the_per_frame_loop() {
+    let config = noisy_config(19);
+    let program = LayerProgram::autoencoder(16, 16, 4, 8, 23).unwrap();
+    let frames = textured_frames(3, 6);
+    for entry in entry_states() {
+        let shard = ProgramShard {
+            job_id: 1,
+            shard_index: 0,
+            shard_count: 1,
+            first_frame: 0,
+            first_epoch: 6,
+            config_fingerprint: config.fingerprint(),
+            entry: entry.clone(),
+            program: program.clone(),
+            frames: frames.clone(),
+        };
+        let sharded = execute_program_shard(&config, &shard).unwrap();
+        let mut looped = OisaAccelerator::new(config).unwrap();
+        looped.align_noise_epoch(6).unwrap();
+        match &entry {
+            FabricEntry::Cold => {}
+            FabricEntry::WarmSelf => looped.prewarm_program(&program).unwrap(),
+            FabricEntry::Warm { k, kernels } => looped.prewarm(kernels, *k).unwrap(),
+        }
+        let expected: Vec<ProgramFrameReport> = frames
+            .iter()
+            .map(|frame| looped.run_program_frame(&program, frame).unwrap())
+            .collect();
+        assert_eq!(sharded.reports, expected, "{entry:?}");
+    }
+}
+
+/// A frame that fails sensing mid-stream ends the run where it ends the
+/// per-frame loop: the same error, the two frames before it run with
+/// their epochs consumed, and the fabric left as that loop leaves it,
+/// so the next frame agrees.
+#[test]
+fn a_mid_stream_failure_ends_where_the_per_frame_loop_ends() {
+    let config = noisy_config(29);
+    let program = shaped_program(false, 2, None, 3);
+    let mut frames = textured_frames(4, 8);
+    frames[2] = Frame::constant(12, 12, 0.5).unwrap();
+    let mut staged = OisaAccelerator::new(config).unwrap();
+    let staged_err = staged.run_program_frames(&program, &frames).unwrap_err();
+    let mut looped = OisaAccelerator::new(config).unwrap();
+    let looped_err = per_frame_loop(&mut looped, &program, &frames).unwrap_err();
+    assert_eq!(staged_err, looped_err);
+    assert_eq!(staged.next_noise_epoch(), 2 * program.epochs_per_frame());
+    assert_eq!(looped.next_noise_epoch(), 2 * program.epochs_per_frame());
+    let next = &textured_frames(1, 9)[0];
+    assert_eq!(
+        staged.run_program_frame(&program, next).unwrap(),
+        looped.run_program_frame(&program, next).unwrap()
+    );
+}
+
 /// A conv kernel side whose square overflows `usize` is refused with a
 /// typed error on every entry point a decoded or caller-built shape
 /// reaches: the wire decoder, both shard executors and both local
