@@ -16,9 +16,10 @@
 //!   evaluation order — including across threads — never changes the
 //!   physics. The parallel engine and
 //!   [`OisaAccelerator::convolve_frame_sequential`] are bit-identical.
-//! * **Zero per-pixel allocation.** Windows are gathered into a stack
-//!   scratch array, per-pass results land in one flat row-major buffer,
-//!   and the fused [`RingTable::fused_mac`] skips
+//! * **Zero per-pixel allocation, one write per value.** Windows are
+//!   gathered into a stack scratch array, each value is written once,
+//!   straight into its kernel's feature map in the report, and the
+//!   fused [`RingTable::fused_mac`] skips
 //!   [`MacResult`](oisa_optics::arm::MacResult) construction entirely.
 //! * **Taps formed once per pass.** Each call builds one
 //!   [`RingTable`], which holds every code's rail-moment coefficients
@@ -567,7 +568,8 @@ impl OisaAccelerator {
     ///
     /// # Errors
     ///
-    /// * [`CoreError::InvalidParameter`] for empty/ill-sized kernels.
+    /// * [`CoreError::InvalidParameter`] for empty or ill-sized kernels
+    ///   and for a weight that is not finite.
     /// * [`CoreError::Unmappable`] for unsupported kernel sizes.
     /// * Substrate errors from the optical fabric.
     pub fn convolve_frame(
@@ -611,7 +613,7 @@ impl OisaAccelerator {
             encoding: encoded.total_energy(),
             ..EnergyReport::default()
         };
-        let mut output = vec![vec![0.0f32; oh * ow]; planes.len()];
+        let mut output = zeroed_maps(planes.len(), oh * ow);
         let epoch = self.noise.begin_epoch()?;
         let table = RingTable::new(self.config.opc.arm, &self.mapper, &self.config.noise)?;
         // Each pass stages only after the previous one fully drained.
@@ -623,12 +625,17 @@ impl OisaAccelerator {
             let slot_streams: Vec<SlotStream> = (0..pass.arms.len())
                 .map(|si| self.noise.slot_stream(epoch, (kernel_index + si) as u64))
                 .collect();
-            let row_len = pass.arms.len() * ow;
-            let mut pass_out = vec![0.0f32; oh * row_len];
-            for (oy, row) in pass_out.chunks_mut(row_len).enumerate() {
+            // The pass writes its kernels' maps whole: one band of `oh`
+            // rows.
+            let mut maps: Vec<&mut [f32]> = output[kernel_index..kernel_index + pass.arms.len()]
+                .iter_mut()
+                .map(Vec::as_mut_slice)
+                .collect();
+            for oy in 0..oh {
                 let partial = eval_row(
                     oy,
-                    row,
+                    oy,
+                    &mut maps,
                     &encoded.optical,
                     frame.width(),
                     ow,
@@ -642,11 +649,6 @@ impl OisaAccelerator {
                 energy.compute += Joule::new(partial.compute);
                 energy.aggregation += Joule::new(partial.aggregation);
             }
-            scatter_pass(
-                &mut output[kernel_index..kernel_index + pass.arms.len()],
-                &pass_out,
-                ow,
-            );
         }
 
         // Kernel-bank access energy.
@@ -672,7 +674,10 @@ impl OisaAccelerator {
     /// work items across the work-stealing scheduler
     /// ([`crate::scheduler`]): every worker stays busy until the entire
     /// batch is drained, stealing bands from slower neighbours instead
-    /// of idling at a frame boundary.
+    /// of idling at a frame boundary. Every frame's feature maps are
+    /// allocated before the drain, and each item writes its windows'
+    /// values straight into its band's rows of its pass's maps, so each
+    /// value is written once and the maps are returned as written.
     ///
     /// **Exactness.** Each frame is keyed to its own noise epoch
     /// (reserved contiguously from the counter once the batch has
@@ -809,28 +814,53 @@ impl OisaAccelerator {
 
         // Phase 3 — fan `(frame, pass, row-band)` items out over the
         // work-stealing scheduler. Every worker gets several bands over
-        // the batch and at least two per `(frame, pass)` buffer, so
-        // stealing has slack without shredding locality. A batch of
-        // few buffers (a one-frame batch) is cut finer, so a worker
-        // the host preempts mid-band holds back few rows. Items
-        // allocate nothing — each writes its rows' outputs and energy
-        // partials into slices of buffers laid out here and reads slot
-        // streams keyed here — because fine bands that allocate on
-        // every worker spread the allocator over more arenas and raise
-        // peak RSS.
+        // the batch and at least two per `(frame, pass)`, so stealing
+        // has slack without shredding locality. A batch of few
+        // `(frame, pass)` pairs (a one-frame batch) is cut finer, so a
+        // worker the host preempts mid-band holds back few rows. Each
+        // item writes its windows' values straight into its band's rows
+        // of its pass's maps, the maps the reports return, and its
+        // rows' energy partials into a slice of one buffer. Items
+        // allocate nothing — the maps, the slices they write and the
+        // slot streams they read are all laid out here — because fine
+        // bands that allocate on every worker spread the allocator over
+        // more arenas and raise peak RSS.
         let n_passes = passes.len();
-        let buffers = sensed.len() * n_passes;
-        let mut pass_out: Vec<Vec<f32>> = (0..buffers)
-            .map(|bi| vec![0.0f32; oh * passes[bi % n_passes].arms.len() * ow])
+        let units = sensed.len() * n_passes;
+        let band_rows = band_rows(oh, units, rayon::current_num_threads());
+        let bands_per_pass = oh.div_ceil(band_rows);
+        let mut maps: Vec<Vec<Vec<f32>>> = sensed
+            .iter()
+            .map(|_| zeroed_maps(kernels.len(), oh * ow))
             .collect();
+        // The slices the items write, in `(frame, pass, band, slot)`
+        // order: a pass owns its kernels' maps, chunked as
+        // `conv_passes` chunks the kernels, and a band the next
+        // `band_rows` rows of each of them.
+        let mut slices: Vec<&mut [f32]> =
+            Vec::with_capacity(sensed.len() * kernels.len() * bands_per_pass);
+        let mut bands = Vec::with_capacity(plan.slots_per_pass);
+        for frame_maps in &mut maps {
+            for pass_maps in frame_maps.chunks_mut(plan.slots_per_pass) {
+                bands.clear();
+                bands.extend(
+                    pass_maps
+                        .iter_mut()
+                        .map(|map| map.chunks_mut(band_rows * ow)),
+                );
+                for _ in 0..bands_per_pass {
+                    slices.extend(bands.iter_mut().filter_map(Iterator::next));
+                }
+            }
+        }
         // One energy partial per output row, in `(frame, pass, row)`
         // order, so the reduction below replays the sequential engine's
         // exact floating-point grouping.
-        let mut row_energies = vec![RowEnergy::default(); buffers * oh];
-        let slot_streams: Vec<Vec<SlotStream>> = (0..buffers)
-            .map(|bi| {
-                let pass = &passes[bi % n_passes];
-                let epoch = epochs.of(bi / n_passes);
+        let mut row_energies = vec![RowEnergy::default(); units * oh];
+        let slot_streams: Vec<Vec<SlotStream>> = (0..units)
+            .map(|unit| {
+                let pass = &passes[unit % n_passes];
+                let epoch = epochs.of(unit / n_passes);
                 (0..pass.arms.len())
                     .map(|si| {
                         self.noise
@@ -839,84 +869,69 @@ impl OisaAccelerator {
                     .collect()
             })
             .collect();
-        let threads = rayon::current_num_threads();
-        let band_rows = oh
-            .div_ceil((threads * 16).div_ceil(buffers).max(threads * 2))
-            .clamp(1, oh.max(1));
-        struct BandItem<'a> {
-            buffer: usize,
+        struct BandItem<'a, 'm> {
+            unit: usize,
             row0: usize,
-            out: &'a mut [f32],
+            maps: &'a mut [&'m mut [f32]],
             energies: &'a mut [RowEnergy],
         }
-        let mut items: Vec<BandItem<'_>> = Vec::with_capacity(buffers * oh.div_ceil(band_rows));
-        for (bi, (buf, energies)) in pass_out
-            .iter_mut()
-            .zip(row_energies.chunks_mut(oh))
-            .enumerate()
-        {
-            let row_len = passes[bi % n_passes].arms.len() * ow;
-            let bands = buf
-                .chunks_mut(band_rows * row_len)
-                .zip(energies.chunks_mut(band_rows));
-            for (band, (out, energies)) in bands.enumerate() {
+        let mut items: Vec<BandItem<'_, '_>> = Vec::with_capacity(units * bands_per_pass);
+        let mut rest = slices.as_mut_slice();
+        for (unit, energies) in row_energies.chunks_mut(oh).enumerate() {
+            let slots = passes[unit % n_passes].arms.len();
+            for (band, energies) in energies.chunks_mut(band_rows).enumerate() {
+                let (maps, tail) = std::mem::take(&mut rest).split_at_mut(slots);
+                rest = tail;
                 items.push(BandItem {
-                    buffer: bi,
+                    unit,
                     row0: band * band_rows,
-                    out,
+                    maps,
                     energies,
                 });
             }
         }
         scheduler::execute(items, |_, item| {
-            let pass = &passes[item.buffer % n_passes];
-            let nslots = pass.arms.len();
-            let optical = &sensed[item.buffer / n_passes].optical;
-            let pass_scales = &scales[pass.kernel_index..pass.kernel_index + nslots];
-            let rows = item.out.chunks_mut(nslots * ow).zip(item.energies);
-            for (i, (row, energy)) in rows.enumerate() {
+            let pass = &passes[item.unit % n_passes];
+            let optical = &sensed[item.unit / n_passes].optical;
+            let pass_scales = &scales[pass.kernel_index..pass.kernel_index + pass.arms.len()];
+            for (row, energy) in item.energies.iter_mut().enumerate() {
                 *energy = eval_row(
-                    item.row0 + i,
+                    item.row0 + row,
                     row,
+                    item.maps,
                     optical,
                     width,
                     ow,
                     k,
                     &table,
                     &pass.arms,
-                    &slot_streams[item.buffer],
+                    &slot_streams[item.unit],
                     pass_scales,
                     &self.vom,
                 );
             }
         });
 
-        // Phase 4 — per-frame assembly: ordered energy reduction,
-        // scatter into per-kernel maps, controller timeline.
+        // Phase 4 — per frame, the ordered energy reduction and the
+        // controller timeline; the maps are already written.
         let mut reports = Vec::with_capacity(sensed.len());
-        for (f, ctx) in sensed.iter().enumerate() {
+        for (f, (ctx, output)) in sensed.iter().zip(maps).enumerate() {
             let mut energy = EnergyReport {
                 sensing: ctx.sensing,
                 encoding: ctx.encoding,
                 ..EnergyReport::default()
             };
-            let mut output = vec![vec![0.0f32; oh * ow]; kernels.len()];
             for (p, pass) in passes.iter().enumerate() {
-                let bi = f * n_passes + p;
+                let unit = f * n_passes + p;
                 energy.tuning += if f == 0 {
                     pass.tuning_first
                 } else {
                     pass.tuning_steady
                 };
-                for row_energy in &row_energies[bi * oh..(bi + 1) * oh] {
+                for row_energy in &row_energies[unit * oh..(unit + 1) * oh] {
                     energy.compute += Joule::new(row_energy.compute);
                     energy.aggregation += Joule::new(row_energy.aggregation);
                 }
-                scatter_pass(
-                    &mut output[pass.kernel_index..pass.kernel_index + pass.arms.len()],
-                    &pass_out[bi],
-                    ow,
-                );
             }
             energy.memory = if f == 0 { memory_first } else { memory_steady };
             reports.push(ConvolutionReport {
@@ -931,9 +946,10 @@ impl OisaAccelerator {
         Ok(reports)
     }
 
-    /// Rejects kernels that are not `k × k` and maps them onto the
-    /// fabric for `height × width` frames: the checks every conv entry
-    /// point runs before it touches the fabric or the noise epochs.
+    /// Rejects kernels that are not `k × k` or hold a weight that is
+    /// not finite, and maps them onto the fabric for `height × width`
+    /// frames: the checks every conv entry point runs before it touches
+    /// the fabric or the noise epochs.
     /// Returns the kernel size, the mapping plan and the output
     /// `(height, width)`.
     pub(crate) fn plan_conv(
@@ -943,7 +959,7 @@ impl OisaAccelerator {
         height: usize,
         width: usize,
     ) -> Result<(KernelSize, MappingPlan, (usize, usize))> {
-        if let Some(reason) = kernel_shape_error(kernels, k) {
+        if let Some(reason) = kernel_set_error(kernels, k) {
             return Err(CoreError::InvalidParameter(reason));
         }
         let ks = KernelSize::from_k(k).map_err(|e| CoreError::Unmappable(e.to_string()))?;
@@ -1268,10 +1284,12 @@ impl OisaAccelerator {
     /// The staged dense engine ([`crate::mlp::matvec_parallel`]'s) on
     /// the accelerator's fabric over many frames' inputs, frame `f`
     /// drawing under `epochs.of(f)`: a layer program's dense stage. The
-    /// caller checked the shape and the inputs and owns the epochs.
+    /// caller checked the shape and the inputs, took the matrix's
+    /// [`matrix_scale`](crate::mlp::matrix_scale) and owns the epochs.
     pub(crate) fn dense_frames<T: Copy + Into<f64> + Sync>(
         &mut self,
         matrix: &[f32],
+        scale: f32,
         rows: usize,
         cols: usize,
         inputs: &[&[T]],
@@ -1282,6 +1300,7 @@ impl OisaAccelerator {
             &self.vom,
             &self.mapper,
             matrix,
+            scale,
             rows,
             cols,
             inputs,
@@ -1327,7 +1346,18 @@ impl OisaAccelerator {
     /// substrate errors from the optical fabric.
     pub fn prewarm_dense(&mut self, matrix: &[f32], rows: usize, cols: usize) -> Result<()> {
         crate::mlp::check_shape(matrix.len(), rows, cols)?;
-        let scale = crate::mlp::matrix_scale(matrix);
+        self.replay_dense(matrix, crate::mlp::matrix_scale(matrix), rows, cols)
+    }
+
+    /// [`OisaAccelerator::prewarm_dense`] for a caller that checked the
+    /// shape and took the matrix's [`matrix_scale`](crate::mlp::matrix_scale).
+    pub(crate) fn replay_dense(
+        &mut self,
+        matrix: &[f32],
+        scale: f32,
+        rows: usize,
+        cols: usize,
+    ) -> Result<()> {
         crate::mlp::replay_exit_state(&mut self.opc, &self.mapper, matrix, scale, rows, cols)
     }
 }
@@ -1371,22 +1401,33 @@ struct RowEnergy {
     aggregation: f64,
 }
 
-/// Names what is wrong with a kernel set that is empty or holds a
-/// kernel that is not `k × k` weights: the one kernel-shape check the
-/// conv engines, [`LayerProgram::validate`](crate::program::LayerProgram::validate)
+/// Names what is wrong with a kernel set that is empty, holds a kernel
+/// that is not `k × k` weights or holds a weight that is not finite
+/// (the first one, by kernel and index): the one kernel check the conv
+/// engines, [`LayerProgram::validate`](crate::program::LayerProgram::validate)
 /// and [`ComputeBackend::check_workload`](crate::backend::ComputeBackend::check_workload)
-/// share. `k` may come from decoded bytes, so its square is checked: a
-/// side whose square overflows `usize` matches no kernel instead of
-/// wrapping onto one.
-pub(crate) fn kernel_shape_error<K: AsRef<[f32]>>(kernels: &[K], k: usize) -> Option<String> {
+/// share, so every conv path refuses such a set before it touches the
+/// fabric or the noise epochs. `k` may come from decoded bytes, so its
+/// square is checked: a side whose square overflows `usize` matches no
+/// kernel instead of wrapping onto one.
+pub(crate) fn kernel_set_error<K: AsRef<[f32]>>(kernels: &[K], k: usize) -> Option<String> {
     if kernels.is_empty() {
         return Some("no kernels supplied".into());
     }
     let weights = k.checked_mul(k);
-    kernels
-        .iter()
-        .any(|kn| Some(kn.as_ref().len()) != weights)
-        .then(|| format!("every kernel must have {k}x{k} weights"))
+    if kernels.iter().any(|kn| Some(kn.as_ref().len()) != weights) {
+        return Some(format!("every kernel must have {k}x{k} weights"));
+    }
+    kernels.iter().enumerate().find_map(|(kernel, kn)| {
+        let (index, w) = kn
+            .as_ref()
+            .iter()
+            .enumerate()
+            .find(|(_, w)| !w.is_finite())?;
+        Some(format!(
+            "kernel {kernel} weight {index} is {w}: weights must be finite"
+        ))
+    })
 }
 
 /// Validates an encoded optical frame once so the hot loop can skip the
@@ -1428,14 +1469,19 @@ fn conv_passes<'a, 'k>(
         .map(move |(p, (pass_kernels, pass_scales))| (p * spp, pass_kernels, pass_scales))
 }
 
-/// Scatters one pass's row-major `[row][slot][ox]` buffer into the
-/// pass's per-kernel maps.
-fn scatter_pass(maps: &mut [Vec<f32>], pass_out: &[f32], ow: usize) {
-    for (oy, row) in pass_out.chunks(maps.len() * ow).enumerate() {
-        for (map, src) in maps.iter_mut().zip(row.chunks(ow)) {
-            map[oy * ow..(oy + 1) * ow].copy_from_slice(src);
-        }
-    }
+/// The rows of a batch engine work item: `oh` output rows per
+/// `(frame, pass)`, `units` such pairs, `threads` workers.
+fn band_rows(oh: usize, units: usize, threads: usize) -> usize {
+    oh.div_ceil((threads * 16).div_ceil(units).max(threads * 2))
+        .clamp(1, oh.max(1))
+}
+
+/// `n` zeroed feature maps of `len` values, each allocated on its own:
+/// maps cloned from one zeroed map would be copied page by page on the
+/// calling thread, where a fresh zeroed allocation leaves its pages to
+/// whoever first writes them.
+fn zeroed_maps(n: usize, len: usize) -> Vec<Vec<f32>> {
+    (0..n).map(|_| vec![0.0f32; len]).collect()
 }
 
 /// Per-kernel weight normalisation scales: each kernel's arm carries
@@ -1452,9 +1498,12 @@ fn kernel_scales(kernels: &[&[f32]]) -> Vec<f32> {
         .collect()
 }
 
-/// Evaluates one output row of one pass against the taps its arms hold
-/// — the shared hot loop of the serial oracle and the batch engine's
-/// `(frame, pass, row-band)` work items. Windows gather into a stack
+/// Evaluates output row `oy` of one pass against the taps its arms
+/// hold and writes slot `si`'s value at `x` to `maps[si][row · ow + x]`
+/// — the shared hot loop and the one write path of the serial oracle,
+/// whose `maps` are the pass's whole maps (`row == oy`), and of the
+/// batch engine's `(frame, pass, row-band)` work items, whose `maps`
+/// are their band's rows of those maps. Windows gather into a stack
 /// scratch array, noise comes from the counter-addressed slot streams,
 /// and multi-arm kernels aggregate through the VOM.
 ///
@@ -1466,7 +1515,8 @@ fn kernel_scales(kernels: &[&[f32]]) -> Vec<f32> {
 #[allow(clippy::too_many_arguments)]
 fn eval_row(
     oy: usize,
-    row: &mut [f32],
+    row: usize,
+    maps: &mut [&mut [f32]],
     optical: &[f64],
     width: usize,
     ow: usize,
@@ -1478,6 +1528,7 @@ fn eval_row(
     vom: &Vom,
 ) -> RowEnergy {
     let k2 = k * k;
+    let at = row * ow;
     let mut partial = RowEnergy::default();
     let mut scratch = [0.0f64; MAX_WINDOW];
     for ox in 0..ow {
@@ -1506,7 +1557,7 @@ fn eval_row(
                 partial.aggregation += agg;
                 value
             };
-            row[si * ow + ox] = (value * f64::from(pass_scales[si])) as f32;
+            maps[si][at + ox] = (value * f64::from(pass_scales[si])) as f32;
         }
     }
     partial
@@ -1983,6 +2034,135 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn batch_maps_equal_oracles_that_share_no_write_path() {
+        // The serial oracle writes its maps through `eval_row`, as the
+        // batch engine does, so a slot or a band written to the wrong
+        // place in both would pass every engine-vs-oracle test. Here the
+        // batch engine's maps meet code that writes no map alike:
+        // noiselessly the reference port, frame by frame; under paper
+        // noise a window-by-window re-evaluation of the first and last
+        // row of every band, from taps formed here and the window's own
+        // `(frame epoch, kernel)` stream, scaled back as the engine
+        // does. Two passes of 3×3 kernels, one of 5×5 and an output
+        // height of 11 rows, which no band size from 2 to 10 divides,
+        // at 1 to 4 scheduler threads.
+        let _guard = crate::test_sync::thread_count_lock();
+        let kernel_set = |count: usize, k: usize| -> Vec<Vec<f32>> {
+            (0..count)
+                .map(|i| {
+                    (0..k * k)
+                        .map(|j| ((i * 11 + j * 3) as f32 * 0.47).sin())
+                        .collect()
+                })
+                .collect()
+        };
+        let cases = [
+            (16, kernel_set(25, 3), 3usize),
+            (16, kernel_set(4, 5), 5),
+            (13, kernel_set(6, 3), 3),
+        ];
+        let mut ragged = 0;
+        for threads in 1..=4 {
+            rayon::set_num_threads(threads);
+            for (height, kernels, k) in &cases {
+                let frames: Vec<Frame> = (0..3)
+                    .map(|f| {
+                        let data = (0..16 * height)
+                            .map(|i| ((i * (f + 3)) % 19) as f64 / 19.0)
+                            .collect();
+                        Frame::new(16, *height, data).unwrap()
+                    })
+                    .collect();
+                let noiseless = OisaConfig::builder()
+                    .imager_dims(16, *height)
+                    .opc_shape(4, 2, 10)
+                    .noise(NoiseConfig::noiseless())
+                    .awc_model(AwcModel::Ideal)
+                    .config;
+                let what = |f: usize| format!("{height}-row frame {f}, {k}x{k}, {threads} threads");
+                let batch = OisaAccelerator::new(noiseless)
+                    .unwrap()
+                    .convolve_frames(&frames, kernels, *k)
+                    .unwrap();
+                for (f, frame) in frames.iter().enumerate() {
+                    let reference = OisaAccelerator::new(noiseless)
+                        .unwrap()
+                        .convolve_frame_reference(frame, kernels, *k)
+                        .unwrap();
+                    assert_eq!(batch[f].output, reference.output, "{}", what(f));
+                }
+
+                let noisy = OisaConfig {
+                    noise: NoiseConfig::paper_default(),
+                    seed: 19,
+                    ..noiseless
+                };
+                let mut accel = OisaAccelerator::new(noisy).unwrap();
+                let epoch = accel.next_noise_epoch();
+                let reports = accel.convolve_frames(&frames, kernels, *k).unwrap();
+                let (oh, ow) = (reports[0].out_h, reports[0].out_w);
+                let band = band_rows(oh, frames.len() * reports[0].plan.passes, threads);
+                ragged += usize::from(oh % band != 0);
+                let rows: Vec<usize> = (0..oh)
+                    .step_by(band)
+                    .flat_map(|r0| [r0, (r0 + band).min(oh) - 1])
+                    .collect();
+                let table = RingTable::new(noisy.opc.arm, &accel.mapper, &noisy.noise).unwrap();
+                let planes: Vec<&[f32]> = kernels.iter().map(Vec::as_slice).collect();
+                let scales = kernel_scales(&planes);
+                let taps: Vec<Vec<StagedTaps>> = planes
+                    .iter()
+                    .zip(&scales)
+                    .map(|(kernel, &scale)| {
+                        let staged: Vec<u8> = kernel
+                            .iter()
+                            .map(|&w| table.stage(f64::from(w / scale)).unwrap())
+                            .collect();
+                        staged
+                            .chunks(RINGS_PER_ARM)
+                            .map(|arm| table.taps(arm))
+                            .collect()
+                    })
+                    .collect();
+                for (f, frame) in frames.iter().enumerate() {
+                    let optical = accel.sense(frame).unwrap().optical;
+                    for (kernel, arms) in taps.iter().enumerate() {
+                        let slot = accel.noise.slot_stream(epoch + f as u64, kernel as u64);
+                        for &oy in &rows {
+                            for ox in 0..ow {
+                                let window = gather_window(&optical, frame.width(), oy, ox, *k);
+                                let position = oy * ow + ox;
+                                let stream = slot.at(position as u64);
+                                let values: Vec<f64> = window
+                                    .chunks(RINGS_PER_ARM)
+                                    .zip(arms)
+                                    .enumerate()
+                                    .map(|(i, (chunk, taps))| {
+                                        let base = i as u64 * COUNTER_STRIDE;
+                                        table.fused_mac(taps, chunk, &stream, base).0
+                                    })
+                                    .collect();
+                                let value = if values.len() == 1 {
+                                    values[0]
+                                } else {
+                                    accel.vom.accumulate_values(&values).0
+                                };
+                                assert_eq!(
+                                    reports[f].output[kernel][position],
+                                    (value * f64::from(scales[kernel])) as f32,
+                                    "{}, kernel {kernel}, output ({oy}, {ox})",
+                                    what(f)
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(ragged > 0, "some case must end in a short band");
     }
 
     #[test]

@@ -82,7 +82,7 @@
 
 use std::io::{Read, Write};
 
-use crate::accelerator::{kernel_shape_error, ConvolutionReport, OisaAccelerator, OisaConfig};
+use crate::accelerator::{kernel_set_error, ConvolutionReport, OisaAccelerator, OisaConfig};
 use crate::error::OisaError;
 use crate::mapping::{ConvWorkload, MappingPlan};
 use crate::program::{LayerProgram, ProgramFrameReport, Stage};
@@ -177,9 +177,10 @@ pub trait ComputeBackend: Send {
         (imager.width, imager.height)
     }
 
-    /// Validates that a kernel set maps onto this backend's OPC and
-    /// imager — the up-front check front ends run at construction so
-    /// unmappable workloads fail before the first frame arrives.
+    /// Validates that a kernel set holds only finite weights and maps
+    /// onto this backend's OPC and imager — the up-front check front
+    /// ends run at construction so a workload no frame could run fails
+    /// before the first frame arrives.
     ///
     /// # Errors
     ///
@@ -187,7 +188,7 @@ pub trait ComputeBackend: Send {
     /// (wrapped in [`OisaError::Core`]) exactly as the execution path
     /// would report them.
     fn check_workload(&self, kernels: &[Vec<f32>], k: usize) -> BackendResult<()> {
-        if let Some(reason) = kernel_shape_error(kernels, k) {
+        if let Some(reason) = kernel_set_error(kernels, k) {
             return Err(CoreError::InvalidParameter(reason).into());
         }
         let config = self.config();

@@ -191,6 +191,7 @@ pub fn matvec_parallel(
         vom,
         mapper,
         matrix,
+        matrix_scale(matrix),
         rows,
         cols,
         &[input],
@@ -203,7 +204,8 @@ pub fn matvec_parallel(
 
 /// The staged dense engine: `matrix · inputs[f]` for every frame `f`
 /// in one scheduler call over rows, frame `f` drawing under
-/// `epochs.of(f)`. The caller owns the epochs and has made sure the
+/// `epochs.of(f)`, with `matrix` normalised by `scale`, its
+/// [`matrix_scale`]. The caller owns the epochs and has made sure the
 /// shape holds ([`check_shape`]) and every input lies in `[0, 1]`;
 /// nothing here checks an input or touches the noise counter.
 ///
@@ -223,6 +225,7 @@ pub(crate) fn matvec_frames<T: Copy + Into<f64> + Sync>(
     vom: &Vom,
     mapper: &WeightMapper,
     matrix: &[f32],
+    scale: f32,
     rows: usize,
     cols: usize,
     inputs: &[&[T]],
@@ -230,7 +233,6 @@ pub(crate) fn matvec_frames<T: Copy + Into<f64> + Sync>(
     epochs: FrameEpochs,
 ) -> Result<Vec<MatVecReport>> {
     let table = RingTable::new(opc.config().arm, mapper, noise.config())?;
-    let scale = matrix_scale(matrix);
     let chunks = cols.div_ceil(CHUNK);
     let span = inputs.len() * chunks;
     // Every buffer is laid out here, one slice per row task: the row's

@@ -102,7 +102,7 @@ use oisa_sensor::frame::Frame;
 use serde::{Deserialize, Serialize};
 
 use crate::accelerator::{
-    kernel_shape_error, ConvolutionReport, FrameEpochs, OisaAccelerator, OisaConfig, Sensed,
+    kernel_set_error, ConvolutionReport, FrameEpochs, OisaAccelerator, OisaConfig, Sensed,
 };
 use crate::mlp::MatVecReport;
 use crate::{CoreError, Result};
@@ -279,7 +279,7 @@ impl LayerProgram {
                              (the sensor-attached layer)"
                         )));
                     }
-                    if let Some(reason) = kernel_shape_error(kernels, *k) {
+                    if let Some(reason) = kernel_set_error(kernels, *k) {
                         return Err(CoreError::InvalidParameter(format!("stage 0: {reason}")));
                     }
                     range = ValueRange::Unknown;
@@ -424,6 +424,17 @@ pub struct ProgramFrameReport {
     pub output: Vec<f32>,
 }
 
+/// What the program loop works out once per call of `program`: each
+/// stage's input length and each dense stage's matrix scale, so one
+/// scan of a matrix serves its exit-state replays and its drain.
+struct StagePlan {
+    /// Stage `i`'s input length: the frame's pixel count at stage 0,
+    /// the previous stage's output length after it.
+    inputs: Vec<usize>,
+    /// Stage `i`'s per-tensor matrix scale if it is dense, else 1.
+    scales: Vec<f32>,
+}
+
 impl OisaAccelerator {
     /// Stages the fabric into the steady state a sequential per-frame
     /// loop over `program` reaches after any complete frame — kernel
@@ -443,11 +454,11 @@ impl OisaAccelerator {
     /// Validation errors from [`LayerProgram::output_lens`]; substrate
     /// errors from staging.
     pub fn prewarm_program(&mut self, program: &LayerProgram) -> Result<()> {
-        let lens = self.output_lens(program)?;
+        let plan = self.stage_plan(program)?;
         if let Some(Stage::Conv { k, kernels }) = program.stages.first() {
             self.prewarm(kernels, *k)?;
         }
-        self.replay_dense_stages(program, &lens, 0)
+        self.replay_dense_stages(program, &plan, 0)
     }
 
     /// Executes `program` on one captured frame, stage by stage,
@@ -516,7 +527,7 @@ impl OisaAccelerator {
         program: &LayerProgram,
         frames: &[Frame],
     ) -> Result<Vec<ProgramFrameReport>> {
-        let lens = self.output_lens(program)?;
+        let plan = self.stage_plan(program)?;
         let conv = match program.stages.first() {
             Some(Stage::Conv { k, kernels }) => {
                 Some((*k, kernels.iter().map(Vec::as_slice).collect::<Vec<_>>()))
@@ -547,11 +558,11 @@ impl OisaAccelerator {
         let stride = program.epochs_per_frame();
         let room = u64::MAX - self.next_noise_epoch();
         let whole = usize::try_from(room / stride).map_or(sensed.len(), |w| w.min(sensed.len()));
-        let reports = self.run_stages(program, &lens, &sensed[..whole], u64::MAX)?;
+        let reports = self.run_stages(program, &plan, &sensed[..whole], u64::MAX)?;
         if whole < sensed.len() {
             // The next frame runs the stages whose epochs fit, leaving
             // the counter at `u64::MAX`, and fails reserving one more.
-            self.run_stages(program, &lens, &sensed[whole..=whole], room % stride)?;
+            self.run_stages(program, &plan, &sensed[whole..=whole], room % stride)?;
             self.check_noise_epochs(1)?;
         }
         failure.map(|()| reports)
@@ -578,7 +589,7 @@ impl OisaAccelerator {
     fn run_stages(
         &mut self,
         program: &LayerProgram,
-        lens: &[usize],
+        plan: &StagePlan,
         sensed: &[Sensed],
         optical: u64,
     ) -> Result<Vec<ProgramFrameReport>> {
@@ -607,7 +618,7 @@ impl OisaAccelerator {
                 }
                 epoch += 1;
             }
-            if let Err(e) = self.run_stage(program, i, lens, sensed, &mut reports, epochs) {
+            if let Err(e) = self.run_stage(program, i, plan, sensed, &mut reports, epochs) {
                 self.align_noise_epoch(epoch)?;
                 return Err(e);
             }
@@ -623,7 +634,7 @@ impl OisaAccelerator {
         &mut self,
         program: &LayerProgram,
         i: usize,
-        lens: &[usize],
+        plan: &StagePlan,
         sensed: &[Sensed],
         reports: &mut [ProgramFrameReport],
         epochs: FrameEpochs,
@@ -633,7 +644,7 @@ impl OisaAccelerator {
                 let planes: Vec<&[f32]> = kernels.iter().map(Vec::as_slice).collect();
                 // Conv is stage 0: every dense stage comes after it.
                 let conv = self.convolve_sensed(sensed, &planes, *k, epochs, &mut |accel| {
-                    accel.replay_dense_stages(program, lens, 1)
+                    accel.replay_dense_stages(program, plan, 1)
                 })?;
                 for (report, conv) in reports.iter_mut().zip(conv) {
                     report.output = conv.output.concat();
@@ -641,16 +652,16 @@ impl OisaAccelerator {
                 }
             }
             Stage::Dense { rows, matrix } => {
-                let cols = self.stage_input_len(lens, i);
+                let (scale, cols) = (plan.scales[i], plan.inputs[i]);
                 // Stage 0's input was checked when the frames were
                 // sensed; a later stage's is in [0, 1] by
                 // `LayerProgram::validate`'s range inference.
                 let dense = if i == 0 {
                     let inputs: Vec<&[f64]> = sensed.iter().map(|s| s.optical.as_slice()).collect();
-                    self.dense_frames(matrix, *rows, cols, &inputs, epochs)?
+                    self.dense_frames(matrix, scale, *rows, cols, &inputs, epochs)?
                 } else {
                     let inputs: Vec<&[f32]> = reports.iter().map(|r| r.output.as_slice()).collect();
-                    self.dense_frames(matrix, *rows, cols, &inputs, epochs)?
+                    self.dense_frames(matrix, scale, *rows, cols, &inputs, epochs)?
                 };
                 for (report, dense) in reports.iter_mut().zip(dense) {
                     report.output = dense.output.clone();
@@ -688,34 +699,42 @@ impl OisaAccelerator {
     }
 
     /// Replays the exit state of every dense stage of `program` from
-    /// stage `from` on, in stage order ([`OisaAccelerator::prewarm_dense`]).
+    /// stage `from` on, in stage order, as
+    /// [`OisaAccelerator::prewarm_dense`] does but with the scale `plan`
+    /// holds.
     fn replay_dense_stages(
         &mut self,
         program: &LayerProgram,
-        lens: &[usize],
+        plan: &StagePlan,
         from: usize,
     ) -> Result<()> {
         for (i, stage) in program.stages.iter().enumerate().skip(from) {
             if let Stage::Dense { rows, matrix } = stage {
-                let cols = self.stage_input_len(lens, i);
-                self.prewarm_dense(matrix, *rows, cols)?;
+                self.replay_dense(matrix, plan.scales[i], *rows, plan.inputs[i])?;
             }
         }
         Ok(())
     }
 
-    /// `program`'s [`LayerProgram::output_lens`] for the imager.
-    fn output_lens(&self, program: &LayerProgram) -> Result<Vec<usize>> {
+    /// `program`'s [`StagePlan`] on this accelerator's imager: checks
+    /// every shape ([`LayerProgram::output_lens`]) and scans each dense
+    /// matrix once for its scale.
+    fn stage_plan(&self, program: &LayerProgram) -> Result<StagePlan> {
         let imager = self.config().imager;
-        program.output_lens(imager.width, imager.height)
-    }
-
-    /// The input length of stage `i`, given the program's output
-    /// lengths: the frame's pixel count at stage 0.
-    fn stage_input_len(&self, lens: &[usize], i: usize) -> usize {
-        let imager = self.config().imager;
-        i.checked_sub(1)
-            .map_or(imager.width * imager.height, |prev| lens[prev])
+        let lens = program.output_lens(imager.width, imager.height)?;
+        let inputs = std::iter::once(imager.width * imager.height)
+            .chain(lens)
+            .take(program.stages.len())
+            .collect();
+        let scales = program
+            .stages
+            .iter()
+            .map(|stage| match stage {
+                Stage::Dense { matrix, .. } => crate::mlp::matrix_scale(matrix),
+                _ => 1.0,
+            })
+            .collect();
+        Ok(StagePlan { inputs, scales })
     }
 }
 

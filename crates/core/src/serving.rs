@@ -504,10 +504,13 @@ impl<B: ComputeBackend + 'static> ServingEngine<B> {
     /// # Errors
     ///
     /// * [`CoreError::InvalidParameter`] (wrapped in [`OisaError`])
-    ///   for a degenerate [`ServingConfig`] or empty/ill-sized kernels.
+    ///   for a degenerate [`ServingConfig`], or for kernels that are
+    ///   empty, ill-sized or hold a weight that is not finite.
     /// * [`CoreError::Unmappable`] when the kernels do not fit the
-    ///   backend's OPC ([`ComputeBackend::check_workload`] — failing at
-    ///   construction, not on the first submitted frame).
+    ///   backend's OPC.
+    ///
+    /// Kernel errors come from [`ComputeBackend::check_workload`], so
+    /// they fail at construction, not on the first submitted frame.
     pub fn with_backend(
         backend: B,
         kernels: Vec<Vec<f32>>,

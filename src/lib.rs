@@ -175,12 +175,13 @@
 //!   order is part of the wire-level bit-identity guarantee (see the
 //!   performance notes in `optics::arm`). The fold is plain scalar
 //!   code and the workspace holds no `unsafe`.
-//! * **One parallel conv engine with flat pass buffers**
+//! * **One parallel conv engine that writes each value once**
 //!   ([`core::OisaAccelerator::convolve_frames`]). Each weight pass is
 //!   staged once per batch, windows gather into a stack scratch array,
-//!   each pass writes one flat `[row][slot][x]` buffer per frame, and
-//!   `(frame, pass, row-band)` items drain over the work-stealing
-//!   scheduler (`core::scheduler`). Per-row energy partials are
+//!   and `(frame, pass, row-band)` items drain over the work-stealing
+//!   scheduler (`core::scheduler`), each writing its windows' values
+//!   straight into its band's rows of the feature maps the report
+//!   returns. Per-row energy partials are
 //!   reduced in `(frame, pass, row)` order so reports are reproducible
 //!   bit-for-bit. `convolve_frame` is the engine's one-frame batch.
 //!

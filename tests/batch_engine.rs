@@ -7,7 +7,8 @@
 //! random frame shapes on the paper configuration, 3×3 and 5×5.
 
 use oisa::core::mlp::{matvec, matvec_parallel};
-use oisa::core::{ConvolutionReport, OisaAccelerator, OisaConfig};
+use oisa::core::serving::{ServingConfig, ServingEngine};
+use oisa::core::{ConvolutionReport, CoreError, OisaAccelerator, OisaConfig, OisaError};
 use oisa::device::noise::{NoiseConfig, NoiseSource};
 use oisa::optics::arm::ArmConfig;
 use oisa::optics::opc::{Opc, OpcConfig};
@@ -91,6 +92,81 @@ fn batch_parity_covers_multi_pass_and_vom_kernels() {
             .map(|f| serial.convolve_frame_sequential(f, &kernels, k).unwrap())
             .collect();
         assert_eq!(batched, looped, "{count} kernels of {k}x{k}");
+    }
+}
+
+/// A kernel set holding a NaN or an infinite weight is refused with a
+/// typed error naming the weight, by every conv path and before any
+/// noise epoch or fabric change: serving construction, the batch engine
+/// and the serial oracle. One-pass (6 kernels) and two-pass (25 kernels
+/// on the 20-slot fabric) sets, the bad weight first, in the middle or
+/// last.
+#[test]
+fn non_finite_conv_weights_fail_before_any_epoch_or_fabric_change() {
+    let cfg = batch_config(5);
+    let frames: Vec<Frame> = (0..3).map(|f| frame_16(f + 60)).collect();
+    for count in [6usize, 25] {
+        let kernels = kernel_bank(17, count, 3);
+        let fresh_batch = OisaAccelerator::new(cfg)
+            .unwrap()
+            .convolve_frames(&frames, &kernels, 3)
+            .unwrap();
+        let fresh_serial = OisaAccelerator::new(cfg)
+            .unwrap()
+            .convolve_frame_sequential(&frames[0], &kernels, 3)
+            .unwrap();
+        let weights = count * 9;
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            for at in [0, weights / 2, weights - 1] {
+                let what = format!("{count} kernels, {bad} at weight {at}");
+                let named = format!("kernel {} weight {} is {bad}", at / 9, at % 9);
+                let mut poisoned = kernels.clone();
+                poisoned[at / 9][at % 9] = bad;
+
+                let served = ServingEngine::new(
+                    OisaAccelerator::new(cfg).unwrap(),
+                    poisoned.clone(),
+                    3,
+                    ServingConfig::default(),
+                );
+                match served.err() {
+                    Some(OisaError::Core(CoreError::InvalidParameter(msg))) => {
+                        assert!(msg.contains(&named), "{what}: {msg}");
+                    }
+                    other => panic!("{what}: construction must refuse, got {other:?}"),
+                }
+
+                let mut batch = OisaAccelerator::new(cfg).unwrap();
+                let mut serial = OisaAccelerator::new(cfg).unwrap();
+                let batch_err = batch.convolve_frames(&frames, &poisoned, 3).unwrap_err();
+                let serial_err = serial
+                    .convolve_frame_sequential(&frames[0], &poisoned, 3)
+                    .unwrap_err();
+                assert_eq!(batch_err, serial_err, "{what}");
+                match &batch_err {
+                    CoreError::InvalidParameter(msg) => {
+                        assert!(msg.contains(&named), "{what}: {msg}")
+                    }
+                    other => panic!("{what}: expected InvalidParameter, got {other:?}"),
+                }
+                assert_eq!(batch.next_noise_epoch(), 0, "{what}");
+                assert_eq!(serial.next_noise_epoch(), 0, "{what}");
+                // Nothing moved, so a valid call next runs as it would
+                // on a fresh accelerator.
+                assert_eq!(
+                    batch.convolve_frames(&frames, &kernels, 3).unwrap(),
+                    fresh_batch,
+                    "{what}"
+                );
+                assert_eq!(
+                    serial
+                        .convolve_frame_sequential(&frames[0], &kernels, 3)
+                        .unwrap(),
+                    fresh_serial,
+                    "{what}"
+                );
+            }
+        }
     }
 }
 
