@@ -578,8 +578,9 @@ impl OisaAccelerator {
         kernels: &[Vec<f32>],
         k: usize,
     ) -> Result<ConvolutionReport> {
-        let planes: Vec<&[f32]> = kernels.iter().map(Vec::as_slice).collect();
-        self.convolve_one(frame, &planes, k)
+        self.convolve_frames(std::slice::from_ref(frame), kernels, k)?
+            .pop()
+            .ok_or_else(|| CoreError::InvalidParameter("no frame convolved".into()))
     }
 
     /// Single-threaded twin of [`OisaAccelerator::convolve_frame`]:
@@ -705,18 +706,6 @@ impl OisaAccelerator {
     ) -> Result<Vec<ConvolutionReport>> {
         let planes: Vec<&[f32]> = kernels.iter().map(Vec::as_slice).collect();
         self.convolve_batch(frames, &planes, k)
-    }
-
-    /// One frame through [`OisaAccelerator::convolve_frames`]' engine.
-    fn convolve_one(
-        &mut self,
-        frame: &Frame,
-        kernels: &[&[f32]],
-        k: usize,
-    ) -> Result<ConvolutionReport> {
-        self.convolve_batch(std::slice::from_ref(frame), kernels, k)?
-            .pop()
-            .ok_or_else(|| CoreError::InvalidParameter("no frame convolved".into()))
     }
 
     /// [`OisaAccelerator::convolve_frames`] over borrowed kernel planes:
@@ -1162,10 +1151,15 @@ impl OisaAccelerator {
     /// `kernels[oc][ic]` holds the `k²` weights of output channel `oc`
     /// applied to input channel `ic`.
     ///
+    /// Every channel's kernel planes and frame are checked, and the
+    /// channels' noise epochs reserved, before the first channel runs,
+    /// so a refused call moves neither the counter nor the fabric.
+    ///
     /// # Errors
     ///
     /// * [`CoreError::InvalidParameter`] for empty inputs or mismatched
-    ///   channel counts/shapes.
+    ///   channel counts/shapes, and as
+    ///   [`OisaAccelerator::convolve_frame`] for any channel.
     /// * Substrate errors from the optical fabric.
     pub fn convolve_channels(
         &mut self,
@@ -1184,15 +1178,29 @@ impl OisaAccelerator {
                 "every kernel needs {in_ch} planes (one per input channel)"
             )));
         }
+        // Channel `ic` is a one-frame batch of its own, checked in
+        // channel order as `convolve_frame` checks one.
+        let planes: Vec<Vec<&[f32]>> = (0..in_ch)
+            .map(|ic| kernels.iter().map(|kn| kn[ic].as_slice()).collect())
+            .collect();
+        let mut sensed = Vec::with_capacity(in_ch);
+        for (planes, frame) in planes.iter().zip(frames) {
+            self.plan_conv(planes, k, frame.height(), frame.width())?;
+            sensed.push(self.sense_optical(frame)?);
+        }
+        let first = self.noise.reserve_epochs(in_ch as u64)?;
         let mut combined: Option<ConvolutionReport> = None;
-        // One borrow buffer reused across channels: each iteration
-        // refills it with the channel's plane slices instead of
-        // allocating a fresh `Vec` per channel.
-        let mut planes: Vec<&[f32]> = Vec::with_capacity(kernels.len());
-        for (ic, frame) in frames.iter().enumerate() {
-            planes.clear();
-            planes.extend(kernels.iter().map(|kn| kn[ic].as_slice()));
-            let partial = self.convolve_one(frame, &planes, k)?;
+        for (ic, (planes, sensed)) in planes.iter().zip(&sensed).enumerate() {
+            let epochs = FrameEpochs {
+                first: first + ic as u64,
+                stride: 1,
+            };
+            let partial = self
+                .convolve_sensed(std::slice::from_ref(sensed), planes, k, epochs, &mut |_| {
+                    Ok(())
+                })?
+                .pop()
+                .ok_or_else(|| CoreError::InvalidParameter("no channel convolved".into()))?;
             combined = Some(match combined {
                 None => partial,
                 Some(mut acc) => {
@@ -1322,8 +1330,9 @@ impl OisaAccelerator {
         })
     }
 
-    /// [`OisaAccelerator::sense`] for the conv engine, which validates
-    /// the optical frame once so no window is checked.
+    /// [`OisaAccelerator::sense`] for an engine that drives the arms with
+    /// the frame, which validates it once so no window or chunk is
+    /// checked.
     pub(crate) fn sense_optical(&self, frame: &Frame) -> Result<Sensed> {
         let sensed = self.sense(frame)?;
         validate_optical(&sensed.optical)?;
@@ -1342,11 +1351,13 @@ impl OisaAccelerator {
     /// # Errors
     ///
     /// [`CoreError::InvalidParameter`] for a matrix that is not
-    /// `rows × cols` (including a shape whose size overflows `usize`);
+    /// `rows × cols` (including a shape whose size overflows `usize`)
+    /// or holds a weight that is not finite, before any arm loads;
     /// substrate errors from the optical fabric.
     pub fn prewarm_dense(&mut self, matrix: &[f32], rows: usize, cols: usize) -> Result<()> {
         crate::mlp::check_shape(matrix.len(), rows, cols)?;
-        self.replay_dense(matrix, crate::mlp::matrix_scale(matrix), rows, cols)
+        let scale = crate::mlp::matrix_scale(matrix).map_err(CoreError::InvalidParameter)?;
+        self.replay_dense(matrix, scale, rows, cols)
     }
 
     /// [`OisaAccelerator::prewarm_dense`] for a caller that checked the

@@ -46,14 +46,14 @@
 //!    ([`OisaAccelerator::align_noise_epoch`]).
 //! 2. **Fabric entry state** — ring-tuning and kernel-bank energies
 //!    depend on what the fabric held *before* a frame, so a shard
-//!    carries a [`FabricEntry`] the worker stages first. Program-job
-//!    shards, and conv-job shards but the first, carry
-//!    [`FabricEntry::WarmSelf`]: the program's own steady state
+//!    carries a [`FabricEntry`](wire::FabricEntry) the worker stages
+//!    first. Program-job shards, and conv-job shards but the first,
+//!    carry `WarmSelf`: the program's own steady state
 //!    ([`OisaAccelerator::prewarm_program`]), exactly what the
 //!    sequential loop's fabric holds mid-stream. A conv job's first
-//!    shard replays what the previous job left staged —
-//!    [`FabricEntry::Cold`], `WarmSelf` or [`FabricEntry::Warm`] —
-//!    because [`LocalBackend::run_job`] carries that history too.
+//!    shard replays what the previous job left staged — `Cold`,
+//!    `WarmSelf` or `Warm` — because [`LocalBackend::run_job`] carries
+//!    that history too.
 //! 3. **Config fingerprinting** — every shard carries
 //!    [`OisaConfig::fingerprint`]; a worker refuses shards from a
 //!    coordinator whose physics differ.
@@ -68,7 +68,7 @@
 //!
 //! One caveat bounds the contract: the coordinator reproduces fabric
 //! history **one job deep** (the previous job's kernel set travels in
-//! [`FabricEntry::Warm`]). Feature maps are always exact — noise
+//! `FabricEntry::Warm`). Feature maps are always exact — noise
 //! depends only on epochs — but if a job stages an arm that the
 //! *immediately previous* job left untouched while some older job had
 //! loaded it, that arm's tuning energy reads from a pristine operating
@@ -87,8 +87,8 @@ use crate::error::OisaError;
 use crate::mapping::{ConvWorkload, MappingPlan};
 use crate::program::{LayerProgram, ProgramFrameReport, Stage};
 use crate::wire::{
-    self, FabricEntry, InferenceJob, ProgramJob, ProgramReport, ProgramShard, RefusalCode,
-    ShardRefusal, WireMessage,
+    self, InferenceJob, ProgramJob, ProgramReport, ProgramShard, RefusalCode, ShardRefusal,
+    WireMessage,
 };
 use crate::CoreError;
 use oisa_sensor::frame::Frame;
@@ -322,16 +322,21 @@ fn validate_job(
 /// Statelessness is the point: everything the shard's physics needs is
 /// in the message (plus the out-of-band `config`, guarded by the
 /// fingerprint), so any worker can execute any shard of any job. The
-/// worker aligns its noise epochs to the shard, stages the shard's
-/// [`FabricEntry`] (module docs, mechanism 2) and runs the stage-major
-/// loop of [`run_program_frames`](OisaAccelerator::run_program_frames)
-/// over the shard's frames, so the reports are bit-identical to the
-/// same frames' slice of a sequential run.
+/// worker aligns its noise epochs to the shard, makes the check every
+/// program run makes (the program against the imager, every frame's
+/// sensing and room on the counter for the shard's epochs; see
+/// [`crate::program`]), stages the shard's
+/// [`FabricEntry`](wire::FabricEntry) (module docs, mechanism 2) and
+/// runs the stage-major loop of
+/// [`run_program_frames`](OisaAccelerator::run_program_frames) over
+/// the shard's frames, so the reports are bit-identical to the same
+/// frames' slice of a sequential run.
 ///
 /// # Errors
 ///
 /// [`OisaError::FingerprintMismatch`] on a fingerprint mismatch;
-/// otherwise program validation and substrate errors.
+/// otherwise the check's errors, before anything is staged, and
+/// substrate errors.
 pub fn execute_program_shard(
     config: &OisaConfig,
     shard: &ProgramShard,
@@ -345,20 +350,7 @@ pub fn execute_program_shard(
     }
     let mut accel = OisaAccelerator::new(*config)?;
     accel.align_noise_epoch(shard.first_epoch)?;
-    match &shard.entry {
-        FabricEntry::WarmSelf => accel.prewarm_program(&shard.program)?,
-        entry => {
-            // `prewarm_program` checks the program's shapes against the
-            // imager; entering any other way, check them here.
-            shard
-                .program
-                .output_lens(config.imager.width, config.imager.height)?;
-            if let FabricEntry::Warm { k, kernels } = entry {
-                accel.prewarm(kernels, *k)?;
-            }
-        }
-    }
-    let reports = accel.program_frames(&shard.program, &shard.frames)?;
+    let reports = accel.run_program_from(&shard.program, &shard.frames, &shard.entry)?;
     Ok(ProgramReport {
         job_id: shard.job_id,
         shard_index: shard.shard_index,
@@ -610,6 +602,7 @@ impl ShardTransport for InProcessWorker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::FabricEntry;
     use oisa_device::noise::NoiseConfig;
     use oisa_sensor::frame::Frame;
 

@@ -81,8 +81,9 @@ pub struct MatVecReport {
 ///
 /// # Errors
 ///
-/// * [`CoreError::InvalidParameter`] for shape mismatches or
-///   out-of-range inputs.
+/// * [`CoreError::InvalidParameter`] for shape mismatches, out-of-range
+///   inputs or a weight that is not finite (the first, by index),
+///   before the noise epoch is consumed or any arm loads.
 /// * Substrate errors from the optical fabric.
 #[allow(clippy::too_many_arguments)]
 pub fn matvec(
@@ -95,8 +96,7 @@ pub fn matvec(
     input: &[f64],
     noise: &mut NoiseSource,
 ) -> Result<MatVecReport> {
-    validate_matvec(matrix, rows, cols, input)?;
-    let scale = matrix_scale(matrix);
+    let scale = validate_matvec(matrix, rows, cols, input)?;
     let normalised: Vec<f64> = matrix.iter().map(|&w| normalise(w, scale)).collect();
     let arms_per_bank = oisa_optics::bank::ARMS_PER_BANK;
     let epoch = noise.begin_epoch()?;
@@ -142,7 +142,7 @@ pub fn matvec(
 /// over the work-stealing scheduler and evaluate without touching the
 /// shared fabric.
 ///
-/// After the input is validated and the noise epoch is consumed, one
+/// After the call is validated and the noise epoch is consumed, one
 /// [`RingTable`] is built from the core's arm design and `mapper`. Each
 /// row task stages its row through it ([`RingTable::stage`]: one byte
 /// per weight, quantised once per call instead of once per chunk load),
@@ -157,10 +157,7 @@ pub fn matvec(
 /// walks rows in order with the serial engine's exact floating-point
 /// grouping.
 ///
-/// The consumed noise epoch matches [`matvec`], errors included (a
-/// non-finite weight fails staging after the epoch is consumed, and
-/// the first one in row-major order is the one the serial engine's
-/// loads reject first), and the fabric is left
+/// The consumed noise epoch matches [`matvec`], and the fabric is left
 /// in the serial engine's exact exit state (each used arm's final two
 /// round-robin loads are replayed, which pins both the ring operating
 /// points and the per-arm recorded tuning energy/latency) — so the two
@@ -181,7 +178,7 @@ pub fn matvec_parallel(
     input: &[f64],
     noise: &mut NoiseSource,
 ) -> Result<MatVecReport> {
-    validate_matvec(matrix, rows, cols, input)?;
+    let scale = validate_matvec(matrix, rows, cols, input)?;
     let epochs = FrameEpochs {
         first: noise.begin_epoch()?,
         stride: 1,
@@ -191,7 +188,7 @@ pub fn matvec_parallel(
         vom,
         mapper,
         matrix,
-        matrix_scale(matrix),
+        scale,
         rows,
         cols,
         &[input],
@@ -216,9 +213,7 @@ pub fn matvec_parallel(
 /// widen to `f64` a chunk at a time, so a caller holding `f32` values
 /// keeps no wide copy. Each frame's reduction then walks rows in order
 /// with [`matvec`]'s grouping, and the fabric exit state is replayed
-/// once for the whole call: it depends only on the matrix. A
-/// non-finite weight fails staging in every frame alike, so the error
-/// is frame 0's.
+/// once for the whole call: it depends only on the matrix.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn matvec_frames<T: Copy + Into<f64> + Sync>(
     opc: &mut Opc,
@@ -364,9 +359,10 @@ pub(crate) fn replay_exit_state(
     Ok(())
 }
 
-/// Shape/range validation shared by both matvec engines; range errors
-/// report the offending index before any fabric state changes.
-fn validate_matvec(matrix: &[f32], rows: usize, cols: usize, input: &[f64]) -> Result<()> {
+/// Shape, input and weight validation shared by both matvec engines,
+/// before the noise epoch or any fabric state changes: errors name the
+/// offending index. Returns the matrix's [`matrix_scale`].
+fn validate_matvec(matrix: &[f32], rows: usize, cols: usize, input: &[f64]) -> Result<f32> {
     check_shape(matrix.len(), rows, cols)?;
     if input.len() != cols {
         return Err(CoreError::InvalidParameter(format!(
@@ -374,20 +370,13 @@ fn validate_matvec(matrix: &[f32], rows: usize, cols: usize, input: &[f64]) -> R
             input.len()
         )));
     }
-    check_input(input)
-}
-
-/// Rejects an input activation outside `[0, 1]`, naming its index —
-/// the range check of [`validate_matvec`], which a layer program runs
-/// on a frame-consuming dense stage's input when it senses the frame.
-pub(crate) fn check_input(input: &[f64]) -> Result<()> {
     if let Some(i) = input.iter().position(|a| !(0.0..=1.0).contains(a)) {
         return Err(CoreError::InvalidParameter(format!(
             "input activation {} at index {i} outside [0, 1]",
             input[i]
         )));
     }
-    Ok(())
+    matrix_scale(matrix).map_err(CoreError::InvalidParameter)
 }
 
 /// Rejects a matrix of `len` weights that is not a non-empty
@@ -403,13 +392,21 @@ pub(crate) fn check_shape(len: usize, rows: usize, cols: usize) -> Result<()> {
 }
 
 /// The per-tensor scale: the joint maximum weight magnitude (floored so
-/// an all-zero matrix divides safely). Shared by both engines and the
-/// layer-program dense prewarm so every path normalises identically.
-pub(crate) fn matrix_scale(matrix: &[f32]) -> f32 {
-    matrix
-        .iter()
-        .fold(0.0f32, |m, w| m.max(w.abs()))
-        .max(f32::MIN_POSITIVE)
+/// an all-zero matrix divides safely), or what is wrong with the first
+/// weight that is not finite. The one scan of a matrix every dense path
+/// makes before anything moves, so all of them normalise and refuse
+/// alike.
+pub(crate) fn matrix_scale(matrix: &[f32]) -> std::result::Result<f32, String> {
+    let mut scale = 0.0f32;
+    for (index, w) in matrix.iter().enumerate() {
+        if !w.is_finite() {
+            return Err(format!(
+                "dense weight {index} is {w}: weights must be finite"
+            ));
+        }
+        scale = scale.max(w.abs());
+    }
+    Ok(scale.max(f32::MIN_POSITIVE))
 }
 
 /// One weight normalised by `scale` into `[-1, 1]` — in `f32`, then

@@ -54,10 +54,10 @@
 //! # The stage-major loop
 //!
 //! A stream of frames runs through
-//! [`OisaAccelerator::run_program_frames`]: one prewarm, then each
-//! stage once over all the frames, as OISA keeps a layer's weights in
-//! its rings and kernel bank while frames stream through. Every frame
-//! is sensed and encoded first; the conv stage is one call of the
+//! [`OisaAccelerator::run_program_frames`]: one check, one prewarm,
+//! then each stage once over all the frames, as OISA keeps a layer's
+//! weights in its rings and kernel bank while frames stream through.
+//! The conv stage is one call of the
 //! batch conv engine; each dense stage is one call of the staged dense
 //! engine ([`crate::mlp`]), which stages the matrix, forms each chunk's
 //! taps once and folds them against every frame's activations; the
@@ -74,7 +74,14 @@
 //! The reports, the epochs consumed and the fabric left behind are
 //! bit-identical to prewarming and calling
 //! [`OisaAccelerator::run_program_frame`] — a one-frame call of the same
-//! loop — per frame, errors included.
+//! loop — per frame.
+//!
+//! # Check, then run
+//!
+//! A run checks its whole input before the noise counter or the fabric
+//! moves (shapes, the conv mapping, finite dense weights, every frame's
+//! sensing, room on the counter), so a refused run leaves both as they
+//! were and a retry, on one host or a fleet, runs to the same bits.
 //!
 //! # Examples
 //!
@@ -105,6 +112,7 @@ use crate::accelerator::{
     kernel_set_error, ConvolutionReport, FrameEpochs, OisaAccelerator, OisaConfig, Sensed,
 };
 use crate::mlp::MatVecReport;
+use crate::wire::FabricEntry;
 use crate::{CoreError, Result};
 
 /// The quantiser a [`Stage::Quantize`] applies, elementwise.
@@ -424,9 +432,9 @@ pub struct ProgramFrameReport {
     pub output: Vec<f32>,
 }
 
-/// What the program loop works out once per call of `program`: each
-/// stage's input length and each dense stage's matrix scale, so one
-/// scan of a matrix serves its exit-state replays and its drain.
+/// What a program run works out before anything moves: each stage's
+/// input length and each dense stage's matrix scale, so one scan of a
+/// matrix serves its check, its exit-state replays and its drain.
 struct StagePlan {
     /// Stage `i`'s input length: the frame's pixel count at stage 0,
     /// the previous stage's output length after it.
@@ -451,14 +459,13 @@ impl OisaAccelerator {
     ///
     /// # Errors
     ///
-    /// Validation errors from [`LayerProgram::output_lens`]; substrate
-    /// errors from staging.
+    /// Validation errors from [`LayerProgram::output_lens`], the conv
+    /// stage's mapping and a dense weight that is not finite, before the
+    /// fabric moves; substrate errors from staging.
     pub fn prewarm_program(&mut self, program: &LayerProgram) -> Result<()> {
-        let plan = self.stage_plan(program)?;
-        if let Some(Stage::Conv { k, kernels }) = program.stages.first() {
-            self.prewarm(kernels, *k)?;
-        }
-        self.replay_dense_stages(program, &plan, 0)
+        // A run over no frames stages its entry and nothing else.
+        self.run_program_from(program, &[], &FabricEntry::WarmSelf)
+            .map(drop)
     }
 
     /// Executes `program` on one captured frame, stage by stage,
@@ -476,14 +483,15 @@ impl OisaAccelerator {
     ///
     /// # Errors
     ///
-    /// Validation errors from [`LayerProgram::output_lens`]; sensing
-    /// and fabric failures from the optical stages.
+    /// As [`OisaAccelerator::prewarm_program`], plus sensing failures and
+    /// a counter without room for the frame's epochs, all before the
+    /// counter or the fabric moves (module docs).
     pub fn run_program_frame(
         &mut self,
         program: &LayerProgram,
         frame: &Frame,
     ) -> Result<ProgramFrameReport> {
-        self.program_frames(program, std::slice::from_ref(frame))?
+        self.run_program_from(program, std::slice::from_ref(frame), &FabricEntry::Cold)?
             .pop()
             .ok_or_else(|| CoreError::InvalidParameter("no frame ran".into()))
     }
@@ -495,103 +503,106 @@ impl OisaAccelerator {
     ///
     /// The reports, the noise epochs consumed and the fabric left
     /// behind are bit-identical to `prewarm_program` followed by a
-    /// `run_program_frame` per frame, errors included. This is the
-    /// loop [`run_reference`], the local backend and every shard
-    /// worker run.
+    /// `run_program_frame` per frame. This is the loop
+    /// [`run_reference`], the local backend and every shard worker run.
     ///
     /// # Errors
     ///
-    /// Validation errors from [`LayerProgram::output_lens`]; then, at
-    /// the first failing frame, as
-    /// [`OisaAccelerator::run_program_frame`].
+    /// As [`OisaAccelerator::run_program_frame`], for the first frame
+    /// that fails; a refused run stages nothing and consumes no epoch.
     pub fn run_program_frames(
         &mut self,
         program: &LayerProgram,
         frames: &[Frame],
     ) -> Result<Vec<ProgramFrameReport>> {
-        self.prewarm_program(program)?;
-        self.program_frames(program, frames)
+        self.run_program_from(program, frames, &FabricEntry::WarmSelf)
     }
 
-    /// The stage-major loop of [`OisaAccelerator::run_program_frames`],
-    /// from whatever fabric state the caller staged.
-    ///
-    /// Every frame is sensed and encoded before any epoch is consumed,
-    /// and the frames whose epochs fit the counter run stage by stage
-    /// ([`OisaAccelerator::run_stages`]). The run then ends where a
-    /// per-frame loop ends: at the first frame that fails sensing, or at
-    /// the first optical stage whose epoch would wrap the counter, after
-    /// running that frame's earlier stages.
-    pub(crate) fn program_frames(
+    /// The one program run: [`OisaAccelerator::check_run`], then `entry`
+    /// staged — nothing for [`FabricEntry::Cold`], the program's steady
+    /// state (kernel prewarm, then each dense stage's exit state) for
+    /// [`FabricEntry::WarmSelf`], its kernels through
+    /// [`OisaAccelerator::prewarm`] for [`FabricEntry::Warm`] — then the
+    /// stage-major loop.
+    pub(crate) fn run_program_from(
         &mut self,
         program: &LayerProgram,
         frames: &[Frame],
+        entry: &FabricEntry,
     ) -> Result<Vec<ProgramFrameReport>> {
-        let plan = self.stage_plan(program)?;
-        let conv = match program.stages.first() {
-            Some(Stage::Conv { k, kernels }) => {
-                Some((*k, kernels.iter().map(Vec::as_slice).collect::<Vec<_>>()))
-            }
-            _ => None,
-        };
-        let mut sensed = Vec::with_capacity(frames.len());
-        let mut failure = Ok(());
-        for frame in frames {
-            // Stage 0's checks, in the order a per-frame call makes
-            // them: a conv stage plans for the frame before sensing it.
-            let input = match &conv {
-                Some((k, planes)) => self
-                    .plan_conv(planes, *k, frame.height(), frame.width())
-                    .and_then(|_| self.sense_optical(frame)),
-                None => self
-                    .sense(frame)
-                    .and_then(|s| crate::mlp::check_input(&s.optical).map(|()| s)),
-            };
-            match input {
-                Ok(input) => sensed.push(input),
-                Err(e) => {
-                    failure = Err(e);
-                    break;
+        let (plan, sensed) = self.check_run(program, frames)?;
+        match entry {
+            FabricEntry::Cold => {}
+            FabricEntry::WarmSelf => {
+                if let Some(Stage::Conv { k, kernels }) = program.stages.first() {
+                    self.prewarm(kernels, *k)?;
                 }
+                self.replay_dense_stages(program, &plan, 0)?;
             }
+            FabricEntry::Warm { k, kernels } => self.prewarm(kernels, *k)?,
         }
-        let stride = program.epochs_per_frame();
-        let room = u64::MAX - self.next_noise_epoch();
-        let whole = usize::try_from(room / stride).map_or(sensed.len(), |w| w.min(sensed.len()));
-        let reports = self.run_stages(program, &plan, &sensed[..whole], u64::MAX)?;
-        if whole < sensed.len() {
-            // The next frame runs the stages whose epochs fit, leaving
-            // the counter at `u64::MAX`, and fails reserving one more.
-            self.run_stages(program, &plan, &sensed[whole..=whole], room % stride)?;
-            self.check_noise_epochs(1)?;
+        self.run_stages(program, &plan, &sensed)
+    }
+
+    /// The check a program run makes before the noise counter or the
+    /// fabric moves. It builds the [`StagePlan`], checking every shape
+    /// ([`LayerProgram::output_lens`]), that the conv stage maps onto the
+    /// fabric ([`OisaAccelerator::plan_conv`]) and, in the scan that
+    /// finds each dense matrix's scale, that every dense weight is
+    /// finite; senses and encodes every frame in order, the first that
+    /// fails being the error; and checks that the counter has room for
+    /// every frame's epochs. A run that passes has nothing left to fail
+    /// on its input.
+    fn check_run(
+        &self,
+        program: &LayerProgram,
+        frames: &[Frame],
+    ) -> Result<(StagePlan, Vec<Sensed>)> {
+        let imager = self.config().imager;
+        let lens = program.output_lens(imager.width, imager.height)?;
+        if let Some(Stage::Conv { k, kernels }) = program.stages.first() {
+            let planes: Vec<&[f32]> = kernels.iter().map(Vec::as_slice).collect();
+            self.plan_conv(&planes, *k, imager.height, imager.width)?;
         }
-        failure.map(|()| reports)
+        let scales = program
+            .stages
+            .iter()
+            .enumerate()
+            .map(|(i, stage)| match stage {
+                Stage::Dense { matrix, .. } => crate::mlp::matrix_scale(matrix)
+                    .map_err(|reason| CoreError::InvalidParameter(format!("stage {i}: {reason}"))),
+                _ => Ok(1.0),
+            })
+            .collect::<Result<_>>()?;
+        let sensed = frames
+            .iter()
+            .map(|frame| self.sense_optical(frame))
+            .collect::<Result<Vec<_>>>()?;
+        let epochs = (frames.len() as u64)
+            .checked_mul(program.epochs_per_frame())
+            .ok_or_else(|| {
+                CoreError::InvalidParameter("the run's noise epochs overflow u64".into())
+            })?;
+        self.check_noise_epochs(epochs)?;
+        let inputs = std::iter::once(imager.width * imager.height)
+            .chain(lens)
+            .take(program.stages.len())
+            .collect();
+        Ok((StagePlan { inputs, scales }, sensed))
     }
 
     /// Runs the stages of `program` in order, each once over all of
-    /// `sensed`'s frames, stopping before optical stage `optical`
-    /// (counting from 0; `u64::MAX` runs every stage). Frame `f`'s
-    /// `j`-th optical stage draws under epoch `base + f·E + j`,
-    /// where `base` is the counter on entry and `E` is
-    /// [`LayerProgram::epochs_per_frame`] — the keys a per-frame loop
-    /// uses. The counter advances once, on exit, to where that loop
-    /// leaves it. The caller checked that every epoch fits.
-    ///
-    /// A stage's error does not depend on a frame's data — sensing,
-    /// the one check that does, already passed — so the per-frame loop
-    /// meets it on frame 0, after that frame's earlier epochs and the
-    /// stage's own. The fabric is left where that loop leaves it, on
-    /// an error too when the run entered from `prewarm_program`'s steady
-    /// state (as `run_program_frames` does): the conv stage's replay of
-    /// the later dense stages' exit states and its restage then put
-    /// back exactly what its first staging left. A shard worker drops
-    /// its accelerator after an error.
+    /// `sensed`'s frames. Frame `f`'s `j`-th optical stage draws under
+    /// epoch `base + f·E + j`, where `base` is the counter on entry and
+    /// `E` is [`LayerProgram::epochs_per_frame`] — the keys a per-frame
+    /// loop uses — and the counter advances once, after the last stage,
+    /// to where that loop leaves it. [`OisaAccelerator::check_run`]
+    /// checked everything a stage could refuse, the epochs included.
     fn run_stages(
         &mut self,
         program: &LayerProgram,
         plan: &StagePlan,
         sensed: &[Sensed],
-        optical: u64,
     ) -> Result<Vec<ProgramFrameReport>> {
         if sensed.is_empty() {
             return Ok(Vec::new());
@@ -613,17 +624,11 @@ impl OisaAccelerator {
                 stride,
             };
             if stage.is_optical() {
-                if epoch - base == optical {
-                    break;
-                }
                 epoch += 1;
             }
-            if let Err(e) = self.run_stage(program, i, plan, sensed, &mut reports, epochs) {
-                self.align_noise_epoch(epoch)?;
-                return Err(e);
-            }
+            self.run_stage(program, i, plan, sensed, &mut reports, epochs)?;
         }
-        self.align_noise_epoch(epoch + (sensed.len() as u64 - 1) * stride)?;
+        self.align_noise_epoch(base + sensed.len() as u64 * stride)?;
         Ok(reports)
     }
 
@@ -714,27 +719,6 @@ impl OisaAccelerator {
             }
         }
         Ok(())
-    }
-
-    /// `program`'s [`StagePlan`] on this accelerator's imager: checks
-    /// every shape ([`LayerProgram::output_lens`]) and scans each dense
-    /// matrix once for its scale.
-    fn stage_plan(&self, program: &LayerProgram) -> Result<StagePlan> {
-        let imager = self.config().imager;
-        let lens = program.output_lens(imager.width, imager.height)?;
-        let inputs = std::iter::once(imager.width * imager.height)
-            .chain(lens)
-            .take(program.stages.len())
-            .collect();
-        let scales = program
-            .stages
-            .iter()
-            .map(|stage| match stage {
-                Stage::Dense { matrix, .. } => crate::mlp::matrix_scale(matrix),
-                _ => 1.0,
-            })
-            .collect();
-        Ok(StagePlan { inputs, scales })
     }
 }
 

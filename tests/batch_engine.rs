@@ -170,6 +170,53 @@ fn non_finite_conv_weights_fail_before_any_epoch_or_fabric_change() {
     }
 }
 
+/// A multi-channel convolution checks every channel before the first
+/// one runs: a misshapen third frame, or a non-finite weight in the
+/// second channel's planes, returns the error that channel's own
+/// one-frame call meets, consumes no noise epoch and leaves the fabric
+/// as it was, so a valid call next equals a fresh accelerator's.
+#[test]
+fn multichannel_convolution_refuses_before_any_channel_runs() {
+    let cfg = batch_config(9);
+    let frames: Vec<Frame> = (0..3).map(|f| frame_16(f + 70)).collect();
+    // `kernels[oc][ic]`: 4 output channels over 3 input channels.
+    let kernels: Vec<Vec<Vec<f32>>> = (0..4).map(|oc| kernel_bank(oc * 5 + 1, 3, 3)).collect();
+    let fresh = OisaAccelerator::new(cfg)
+        .unwrap()
+        .convolve_channels(&frames, &kernels, 3)
+        .unwrap();
+    let mut misshapen = frames.clone();
+    misshapen[2] = Frame::constant(12, 12, 0.5).unwrap();
+    let mut poisoned = kernels.clone();
+    poisoned[1][1][4] = f32::NAN;
+    for (what, channel, bad_frames, bad_kernels) in [
+        ("a 12x12 third frame", 2, &misshapen, &kernels),
+        (
+            "a NaN in the second channel's planes",
+            1,
+            &frames,
+            &poisoned,
+        ),
+    ] {
+        let planes: Vec<Vec<f32>> = bad_kernels.iter().map(|kn| kn[channel].clone()).collect();
+        let own = OisaAccelerator::new(cfg)
+            .unwrap()
+            .convolve_frame(&bad_frames[channel], &planes, 3)
+            .unwrap_err();
+        let mut accel = OisaAccelerator::new(cfg).unwrap();
+        let err = accel
+            .convolve_channels(bad_frames, bad_kernels, 3)
+            .unwrap_err();
+        assert_eq!(err, own, "{what}");
+        assert_eq!(accel.next_noise_epoch(), 0, "{what}");
+        assert_eq!(
+            accel.convolve_channels(&frames, &kernels, 3).unwrap(),
+            fresh,
+            "{what}"
+        );
+    }
+}
+
 proptest! {
     /// Randomised batches are element-exact against the per-frame
     /// sequential oracle: every field of every report.

@@ -12,7 +12,7 @@ use oisa::core::backend::{
     execute_program_shard, ComputeBackend, FleetSupervisor, InProcessWorker, LocalBackend,
     ShardTransport, SupervisorOptions,
 };
-use oisa::core::mlp::matvec_parallel;
+use oisa::core::mlp::{matvec, matvec_parallel};
 use oisa::core::program::{
     run_reference, ActivationKind, LayerProgram, ProgramFrameReport, QuantizeKind, Stage,
     StageReport,
@@ -221,27 +221,52 @@ fn run_program_frames_stages_every_dense_stage_on_its_own() {
     assert_eq!(staged.next_noise_epoch(), 4 * program.epochs_per_frame());
 }
 
-/// A non-finite dense weight fails alike on every path. The staged
-/// multi-frame run, the per-frame loop and a bare `matvec_parallel`
-/// return the same error, and the two program paths consume the same
-/// noise epochs: staging runs after the dense stage's epoch is
-/// consumed. A weight the prewarm replay reloads (the last 2 × 20
-/// chunks of this 88-chunk matrix on a 20-arm fabric) fails before any
-/// epoch; any other fails frame 0's dense stage after its conv and
-/// dense epochs.
+/// A non-finite dense weight refuses the call alike on every path, in
+/// the scan that finds the matrix's scale: the staged multi-frame run,
+/// the per-frame loop, both matvec engines, the dense prewarm, the
+/// local backend and the shard executor all name the same weight (a
+/// program run names its stage too), consume no noise epoch and leave
+/// the fabric as it was, so a following valid call runs as it would on
+/// a fresh accelerator or fabric. The bad weight sits first, in the
+/// middle or last, where the prewarm's exit-state replay reloads it.
 #[test]
 fn non_finite_dense_weights_fail_alike_on_every_path() {
     let config = noisy_config(17);
     let base = shaped_program(false, 1, None, 4);
-    let Stage::Dense { rows, matrix } = &base.stages[2] else {
+    let Stage::Dense { rows, matrix: good } = &base.stages[2] else {
         panic!("the shaped program's third stage is dense");
     };
-    let (rows, cols) = (*rows, matrix.len() / *rows);
-    assert_eq!(rows * cols.div_ceil(9), 88);
+    let (rows, cols) = (*rows, good.len() / *rows);
     let frames = textured_frames(3, 4);
     let input = vec![0.5f64; cols];
-    for (index, program_epochs) in [(0, 2), (5 * 9 + 4, 2), (matrix.len() - 1, 0)] {
+    // A one-frame run without a prewarm pays conv tuning from whatever
+    // the fabric holds, so it shows a fabric that moved.
+    let next_frame = |accel: &mut OisaAccelerator| accel.run_program_frame(&base, &frames[0]);
+    let fresh_frame = next_frame(&mut OisaAccelerator::new(config).unwrap()).unwrap();
+    let oracle = run_reference(&config, 0, &base, &frames).unwrap();
+    let bare = || {
+        (
+            Opc::new(config.opc).unwrap(),
+            NoiseSource::seeded(config.seed, config.noise),
+        )
+    };
+    let vom = Vom::new(config.vom).unwrap();
+    let mapper = OisaAccelerator::new(config).unwrap().mapper().clone();
+    let fresh_matvec = {
+        let (mut opc, mut noise) = bare();
+        matvec(
+            &mut opc, &vom, &mapper, good, rows, cols, &input, &mut noise,
+        )
+        .unwrap()
+    };
+    for index in [0, 5 * 9 + 4, good.len() - 1] {
         for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let what = format!("weight {index} = {bad}");
+            let named = format!("dense weight {index} is {bad}: weights must be finite");
+            let refused = |err: &CoreError| match err {
+                CoreError::InvalidParameter(msg) => msg.contains(&named),
+                _ => false,
+            };
             let mut program = base.clone();
             let Stage::Dense { matrix, .. } = &mut program.stages[2] else {
                 panic!("the shaped program's third stage is dense");
@@ -253,27 +278,106 @@ fn non_finite_dense_weights_fail_alike_on_every_path() {
             let staged_err = staged.run_program_frames(&program, &frames).unwrap_err();
             let mut looped = OisaAccelerator::new(config).unwrap();
             let looped_err = per_frame_loop(&mut looped, &program, &frames).unwrap_err();
-
-            let mut opc = Opc::new(config.opc).unwrap();
-            let vom = Vom::new(config.vom).unwrap();
-            let mapper = staged.mapper().clone();
-            let mut noise = NoiseSource::seeded(config.seed, config.noise);
-            let matvec_err = matvec_parallel(
-                &mut opc, &vom, &mapper, &matrix, rows, cols, &input, &mut noise,
-            )
-            .unwrap_err();
-
-            let what = format!("weight {index} = {bad}");
+            let mut prewarmed = OisaAccelerator::new(config).unwrap();
+            let prewarm_err = prewarmed.prewarm_dense(&matrix, rows, cols).unwrap_err();
             assert!(
-                staged_err.to_string().contains("outside [-1, 1]"),
+                staged_err
+                    .to_string()
+                    .contains(&format!("stage 2: {named}")),
                 "{what}: {staged_err}"
             );
             assert_eq!(staged_err, looped_err, "{what}");
-            assert_eq!(staged_err, matvec_err, "{what}");
-            assert_eq!(staged.next_noise_epoch(), program_epochs, "{what}");
-            assert_eq!(looped.next_noise_epoch(), program_epochs, "{what}");
-            assert_eq!(noise.next_epoch(), 1, "{what}");
+            assert!(refused(&prewarm_err), "{what}: {prewarm_err}");
+            for accel in [&mut staged, &mut looped, &mut prewarmed] {
+                assert_eq!(accel.next_noise_epoch(), 0, "{what}");
+                assert_eq!(next_frame(accel).unwrap(), fresh_frame, "{what}");
+            }
+
+            for engine in [matvec, matvec_parallel] {
+                let (mut opc, mut noise) = bare();
+                let err = engine(
+                    &mut opc, &vom, &mapper, &matrix, rows, cols, &input, &mut noise,
+                )
+                .unwrap_err();
+                assert!(refused(&err), "{what}: {err}");
+                assert_eq!(noise.next_epoch(), 0, "{what}");
+                assert_eq!(opc, bare().0, "{what}: the fabric moved");
+                let valid = engine(
+                    &mut opc, &vom, &mapper, good, rows, cols, &input, &mut noise,
+                );
+                assert_eq!(valid.unwrap(), fresh_matvec, "{what}");
+            }
+
+            let mut local = LocalBackend::new(config).unwrap();
+            let err = local
+                .run_program(&job(1, program.clone(), frames.clone()))
+                .unwrap_err();
+            assert!(
+                matches!(&err, OisaError::Core(e) if refused(e)),
+                "{what}: {err}"
+            );
+            assert_eq!(local.accelerator().next_noise_epoch(), 0, "{what}");
+            let retried = local.run_program(&job(2, base.clone(), frames.clone()));
+            assert_eq!(retried.unwrap(), oracle, "{what}");
+
+            let shard = ProgramShard {
+                job_id: 1,
+                shard_index: 0,
+                shard_count: 1,
+                first_frame: 0,
+                first_epoch: 0,
+                config_fingerprint: config.fingerprint(),
+                entry: FabricEntry::WarmSelf,
+                program,
+                frames: frames.clone(),
+            };
+            let err = execute_program_shard(&config, &shard).unwrap_err();
+            assert!(
+                matches!(&err, OisaError::Core(e) if refused(e)),
+                "{what}: {err}"
+            );
         }
+    }
+}
+
+/// The `ComputeBackend` promise — a refused job advances no observable
+/// state, so a retry runs to the same bits — holds alike on one host
+/// and on a fleet: after program jobs refused for a non-finite dense
+/// weight (first, in the middle or last) and for a misshapen frame, a
+/// valid job on either backend equals the sequential forward at
+/// epoch 0.
+#[test]
+fn refused_program_jobs_leave_every_backend_as_it_was() {
+    let config = noisy_config(47);
+    let program = shaped_program(false, 2, None, 3);
+    let frames = textured_frames(3, 12);
+    let oracle = run_reference(&config, 0, &program, &frames).unwrap();
+    let Stage::Dense { matrix, .. } = &program.stages[2] else {
+        panic!("the shaped program's third stage is dense");
+    };
+    let weights = matrix.len();
+    let mut refused: Vec<ProgramJob> = [0, weights / 2, weights - 1]
+        .into_iter()
+        .map(|index| {
+            let mut bad = program.clone();
+            if let Stage::Dense { matrix, .. } = &mut bad.stages[2] {
+                matrix[index] = f32::NAN;
+            }
+            job(1, bad, frames.clone())
+        })
+        .collect();
+    let mut misshapen = frames.clone();
+    misshapen[1] = Frame::constant(12, 12, 0.5).unwrap();
+    refused.push(job(1, program.clone(), misshapen));
+    for backend in [
+        &mut LocalBackend::new(config).unwrap() as &mut dyn ComputeBackend,
+        &mut FleetSupervisor::in_process(config, 2).unwrap(),
+    ] {
+        for bad in &refused {
+            assert!(backend.run_program(bad).is_err());
+        }
+        let valid = backend.run_program(&job(2, program.clone(), frames.clone()));
+        assert_eq!(valid.unwrap(), oracle);
     }
 }
 
@@ -394,28 +498,101 @@ fn every_fabric_entry_state_matches_the_per_frame_loop() {
     }
 }
 
-/// A frame that fails sensing mid-stream ends the run where it ends the
-/// per-frame loop: the same error, the two frames before it run with
-/// their epochs consumed, and the fabric left as that loop leaves it,
-/// so the next frame agrees.
+/// A frame that fails sensing anywhere in a run refuses the whole run
+/// with the error the per-frame loop meets at that frame, after that
+/// loop ran the frames before it. The run itself consumes no epoch and
+/// stages nothing, so its next run equals a fresh accelerator's.
 #[test]
-fn a_mid_stream_failure_ends_where_the_per_frame_loop_ends() {
+fn a_frame_that_fails_sensing_anywhere_refuses_the_whole_run() {
     let config = noisy_config(29);
     let program = shaped_program(false, 2, None, 3);
-    let mut frames = textured_frames(4, 8);
-    frames[2] = Frame::constant(12, 12, 0.5).unwrap();
-    let mut staged = OisaAccelerator::new(config).unwrap();
-    let staged_err = staged.run_program_frames(&program, &frames).unwrap_err();
-    let mut looped = OisaAccelerator::new(config).unwrap();
-    let looped_err = per_frame_loop(&mut looped, &program, &frames).unwrap_err();
-    assert_eq!(staged_err, looped_err);
-    assert_eq!(staged.next_noise_epoch(), 2 * program.epochs_per_frame());
-    assert_eq!(looped.next_noise_epoch(), 2 * program.epochs_per_frame());
     let next = &textured_frames(1, 9)[0];
+    let fresh = OisaAccelerator::new(config)
+        .unwrap()
+        .run_program_frame(&program, next)
+        .unwrap();
+    for at in [0, 2, 3] {
+        let mut frames = textured_frames(4, 8);
+        frames[at] = Frame::constant(12, 12, 0.5).unwrap();
+        let mut staged = OisaAccelerator::new(config).unwrap();
+        let staged_err = staged.run_program_frames(&program, &frames).unwrap_err();
+        let mut looped = OisaAccelerator::new(config).unwrap();
+        let looped_err = per_frame_loop(&mut looped, &program, &frames).unwrap_err();
+        assert_eq!(staged_err, looped_err, "bad frame {at}");
+        assert_eq!(staged.next_noise_epoch(), 0, "bad frame {at}");
+        assert_eq!(
+            looped.next_noise_epoch(),
+            at as u64 * program.epochs_per_frame(),
+            "bad frame {at}"
+        );
+        assert_eq!(
+            staged.run_program_frame(&program, next).unwrap(),
+            fresh,
+            "bad frame {at}"
+        );
+    }
+}
+
+/// A run whose epochs would wrap the noise counter is refused whole. On
+/// an accelerator aligned to `u64::MAX − 2E` two frames fit and leave
+/// the counter at `u64::MAX`; three are refused with the counter's own
+/// error, the counter and the fabric left as they were. A shard whose
+/// first epoch leaves room for fewer frames than it holds is refused
+/// before its entry is staged, from every entry state: even a warm
+/// entry whose kernels could not stage fails on the counter.
+#[test]
+fn a_run_whose_epochs_would_wrap_the_counter_is_refused_whole() {
+    let config = noisy_config(37);
+    let program = shaped_program(false, 2, None, 3);
+    let start = u64::MAX - 2 * program.epochs_per_frame();
+    let frames = textured_frames(3, 10);
+    let aligned = || {
+        let mut accel = OisaAccelerator::new(config).unwrap();
+        accel.align_noise_epoch(start).unwrap();
+        accel
+    };
+    let wraps = |err: &CoreError| match err {
+        CoreError::Substrate(what) => what.contains("noise epoch counter would wrap"),
+        _ => false,
+    };
+
+    let mut fits = aligned();
+    fits.run_program_frames(&program, &frames[..2]).unwrap();
+    assert_eq!(fits.next_noise_epoch(), u64::MAX);
+
+    let mut refused = aligned();
+    let err = refused.run_program_frames(&program, &frames).unwrap_err();
+    assert!(wraps(&err), "{err}");
+    assert_eq!(refused.next_noise_epoch(), start);
     assert_eq!(
-        staged.run_program_frame(&program, next).unwrap(),
-        looped.run_program_frame(&program, next).unwrap()
+        refused.run_program_frame(&program, &frames[0]).unwrap(),
+        aligned().run_program_frame(&program, &frames[0]).unwrap(),
+        "the refused run moved the fabric"
     );
+
+    let unstageable = FabricEntry::Warm {
+        k: 3,
+        kernels: vec![vec![f32::NAN; 9]],
+    };
+    for entry in entry_states().into_iter().chain([unstageable]) {
+        let shard = ProgramShard {
+            job_id: 1,
+            shard_index: 0,
+            shard_count: 1,
+            first_frame: 0,
+            first_epoch: start,
+            config_fingerprint: config.fingerprint(),
+            entry,
+            program: program.clone(),
+            frames: frames.clone(),
+        };
+        let err = execute_program_shard(&config, &shard).unwrap_err();
+        assert!(
+            matches!(&err, OisaError::Core(e) if wraps(e)),
+            "{:?}: {err}",
+            shard.entry
+        );
+    }
 }
 
 /// A conv kernel side whose square overflows `usize` is refused with a
