@@ -170,9 +170,11 @@ impl OisaConfig {
     /// two processes disagreeing about the physics would otherwise
     /// merge incompatible shards. The hash is derived from the `Debug`
     /// format, so it discriminates configs **within one build of this
-    /// crate**; deployments spanning different builds must ship the
-    /// config out-of-band (it intentionally does not travel on the
-    /// wire).
+    /// crate**: two builds that render a config differently disagree on
+    /// its fingerprint. The config itself does travel on the wire: a
+    /// [`Configure`](crate::wire::WireMessage::Configure) push carries
+    /// every field, and the worker answers with the fingerprint of the
+    /// config it applied.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         let mut hash = 0xcbf2_9ce4_8422_2325u64;

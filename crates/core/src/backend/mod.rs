@@ -624,6 +624,27 @@ mod tests {
             .collect()
     }
 
+    /// `job` as the one shard of its one-stage conv program, stamped
+    /// with `fingerprint`.
+    fn conv_shard(fingerprint: u64, job: &InferenceJob) -> ProgramShard {
+        ProgramShard {
+            job_id: job.job_id,
+            shard_index: 0,
+            shard_count: 1,
+            first_frame: 0,
+            first_epoch: 0,
+            config_fingerprint: fingerprint,
+            entry: FabricEntry::Cold,
+            program: LayerProgram {
+                stages: vec![Stage::Conv {
+                    k: job.k,
+                    kernels: job.kernels.clone(),
+                }],
+            },
+            frames: job.frames.clone(),
+        }
+    }
+
     #[test]
     fn local_backend_matches_direct_batch_calls() {
         let job = InferenceJob {
@@ -653,22 +674,7 @@ mod tests {
             kernels: vec![vec![0.5f32; 9]],
             frames: frames(1),
         };
-        let shard = ProgramShard {
-            job_id: 3,
-            shard_index: 0,
-            shard_count: 1,
-            first_frame: 0,
-            first_epoch: 0,
-            config_fingerprint: coordinator_fp,
-            entry: FabricEntry::Cold,
-            program: LayerProgram {
-                stages: vec![Stage::Conv {
-                    k: 3,
-                    kernels: job.kernels.clone(),
-                }],
-            },
-            frames: frames(1),
-        };
+        let shard = conv_shard(coordinator_fp, &job);
         let err = execute_program_shard(&worker_cfg, &shard).unwrap_err();
         assert_eq!(
             err,
@@ -712,6 +718,42 @@ mod tests {
                 worker: worker_fp,
             }
         );
+    }
+
+    #[test]
+    fn in_process_worker_keeps_a_config_push() {
+        // A worker of other physics adopts a pushed config and serves
+        // the next shard under it instead of refusing it.
+        let coordinator = cfg(7);
+        let mut worker = InProcessWorker::new(cfg(8));
+        let push = wire::encode(&WireMessage::Configure(wire::ConfigPush {
+            nonce: 5,
+            config: coordinator,
+        }));
+        match wire::decode(&worker.round_trip(&push).unwrap()).unwrap() {
+            WireMessage::ConfigureAck(ack) => {
+                assert_eq!(
+                    (ack.nonce, ack.config_fingerprint),
+                    (5, coordinator.fingerprint())
+                );
+            }
+            other => panic!("expected a ConfigureAck, got {other:?}"),
+        }
+        let job = InferenceJob {
+            job_id: 4,
+            k: 3,
+            kernels: vec![vec![0.5f32; 9]],
+            frames: frames(2),
+        };
+        let shard = conv_shard(coordinator.fingerprint(), &job);
+        let expected = execute_program_shard(&coordinator, &shard).unwrap();
+        let reply = worker
+            .round_trip(&wire::encode(&WireMessage::ProgramShard(shard)))
+            .unwrap();
+        match wire::decode(&reply).unwrap() {
+            WireMessage::ProgramReport(report) => assert_eq!(report, expected),
+            other => panic!("expected a ProgramReport, got {other:?}"),
+        }
     }
 
     #[test]

@@ -19,10 +19,13 @@
 //! 1. **Quarantine** — the failed endpoint is recorded (label + error)
 //!    and never dialed again by this supervisor.
 //! 2. **Promote** — a spare is admission-checked (a liveness ping that
-//!    must return the coordinator's config fingerprint, or a config
-//!    push when [`SupervisorOptions::push_config_to_spares`] is set)
-//!    and swapped into the failed slot; the failed shard re-runs on it.
-//!    A spare that fails admission is quarantined too.
+//!    must return the coordinator's config fingerprint) and swapped
+//!    into the failed slot; the failed shard re-runs on it. A spare
+//!    that fails admission is quarantined too. A worker started with
+//!    other physics joins through
+//!    [`TcpTransport::connect_with_config`](super::TcpTransport::connect_with_config),
+//!    whose handshake pushes this config on every connection, so it
+//!    answers the ping with this coordinator's fingerprint.
 //! 3. **Re-plan** — with no admissible spare left, the failed worker is
 //!    dropped and its frame range is re-split across the survivors; the
 //!    *current job* continues on the shrunken fleet.
@@ -70,18 +73,12 @@ pub struct SupervisorOptions {
     /// dispatching). `None` disables interval checks;
     /// [`FleetSupervisor::health_check_now`] still works.
     pub health_interval: Option<Duration>,
-    /// Admit spares (and newly supervised workers) with a config push
-    /// instead of a fingerprint-checking ping — required for
-    /// heterogeneous fleets whose spares were started with different
-    /// physics.
-    pub push_config_to_spares: bool,
 }
 
 impl Default for SupervisorOptions {
     fn default() -> Self {
         Self {
             health_interval: Some(Duration::from_secs(10)),
-            push_config_to_spares: false,
         }
     }
 }
@@ -188,16 +185,11 @@ impl std::fmt::Debug for FleetSupervisor {
 
 impl FleetSupervisor {
     /// Supervises `active` workers with `spares` on the bench, all
-    /// executing under `config`. With
-    /// [`SupervisorOptions::push_config_to_spares`] set, every active
-    /// worker receives a config push up front, so a heterogeneous
-    /// fleet converges at admission instead of refusing the first
-    /// shard.
+    /// executing under `config`.
     ///
     /// # Errors
     ///
-    /// [`OisaError::Backend`] for an empty active fleet;
-    /// admission-push failures from any active worker.
+    /// [`OisaError::Backend`] for an empty active fleet.
     pub fn new(
         config: OisaConfig,
         active: Vec<Box<dyn ShardTransport>>,
@@ -209,7 +201,7 @@ impl FleetSupervisor {
                 "a fleet needs at least one active worker".into(),
             ));
         }
-        let mut supervisor = Self {
+        Ok(Self {
             config,
             fingerprint: config.fingerprint(),
             workers: active,
@@ -223,11 +215,7 @@ impl FleetSupervisor {
             jobs_run: 0,
             options,
             last_sweep: None,
-        };
-        if options.push_config_to_spares {
-            supervisor.push_config_to_fleet()?;
-        }
-        Ok(supervisor)
+        })
     }
 
     /// A fleet of `workers` in-process workers and no spares, with the
@@ -266,23 +254,6 @@ impl FleetSupervisor {
     #[must_use]
     pub fn jobs_run(&self) -> u64 {
         self.jobs_run
-    }
-
-    /// Pushes the supervisor's config to every active worker — the
-    /// between-jobs physics-update path. Workers rebuild their
-    /// accelerators; the next job runs under the new physics on every
-    /// node.
-    ///
-    /// # Errors
-    ///
-    /// The first failing push (transport, refusal, or a worker that
-    /// acknowledged a different fingerprint).
-    pub fn push_config_to_fleet(&mut self) -> BackendResult<()> {
-        for slot in 0..self.workers.len() {
-            let nonce = self.next_nonce();
-            push_config_to_transport(self.workers[slot].as_mut(), &self.config, nonce)?;
-        }
-        Ok(())
     }
 
     /// Probes every active worker now (liveness ping + fingerprint
@@ -327,20 +298,13 @@ impl FleetSupervisor {
         self.nonce
     }
 
-    /// Pops spares off the bench until one passes admission — a config
-    /// push when [`SupervisorOptions::push_config_to_spares`] is set,
-    /// else a probe that must return this coordinator's fingerprint. A
-    /// spare that fails admission is quarantined. `None` once the bench
-    /// is empty.
+    /// Pops spares off the bench until one passes admission, a probe
+    /// that must return this coordinator's fingerprint. A spare that
+    /// fails admission is quarantined. `None` once the bench is empty.
     fn admit_spare(&mut self) -> Option<Box<dyn ShardTransport>> {
         while let Some(mut spare) = self.spares.pop() {
             let nonce = self.next_nonce();
-            let admission = if self.options.push_config_to_spares {
-                push_config_to_transport(spare.as_mut(), &self.config, nonce)
-            } else {
-                probe_transport(spare.as_mut(), self.fingerprint, nonce)
-            };
-            match admission {
+            match probe_transport(spare.as_mut(), self.fingerprint, nonce) {
                 Ok(()) => return Some(spare),
                 Err(e) => self.quarantined.push(QuarantineEvent {
                     label: spare.endpoint_label(),
@@ -670,8 +634,8 @@ fn split_count(n: usize, parts: usize) -> Vec<usize> {
 
 /// The [`WireMessage::Ping`]/[`WireMessage::Pong`] probe over any
 /// [`ShardTransport`] — the health sweep's check and a spare's
-/// admission unless config push is on: the Pong must echo `nonce` and
-/// carry `fingerprint`, the coordinator's physics.
+/// admission: the Pong must echo `nonce` and carry `fingerprint`, the
+/// coordinator's physics.
 ///
 /// # Errors
 ///
@@ -703,49 +667,6 @@ fn probe_transport(
         WireMessage::Pong(_) => Ok(()),
         other => Err(OisaError::Backend(format!(
             "worker answered the ping with a {}",
-            message_name(&other)
-        ))),
-    }
-}
-
-/// The [`WireMessage::Configure`] push over any [`ShardTransport`]:
-/// sends `config` in full and verifies the
-/// [`WireMessage::ConfigureAck`] echoes `nonce` and acknowledges the
-/// fingerprint of the *applied* config.
-///
-/// # Errors
-///
-/// Transport failures from the round trip;
-/// [`OisaError::FingerprintMismatch`] when the acknowledged
-/// fingerprint differs (the worker did not apply the push);
-/// [`OisaError::ShardRefused`] when the worker refused it;
-/// [`OisaError::Backend`] for any other reply.
-fn push_config_to_transport(
-    worker: &mut dyn ShardTransport,
-    config: &OisaConfig,
-    nonce: u64,
-) -> BackendResult<()> {
-    let fingerprint = config.fingerprint();
-    let push = wire::encode(&WireMessage::Configure(wire::ConfigPush {
-        nonce,
-        config: *config,
-    }));
-    let reply = worker.round_trip(&push)?;
-    match wire::decode(&reply)? {
-        WireMessage::ConfigureAck(ack) if ack.nonce != nonce => Err(OisaError::Backend(format!(
-            "worker acknowledged the config push with a stale nonce ({} ≠ {nonce})",
-            ack.nonce
-        ))),
-        WireMessage::ConfigureAck(ack) if ack.config_fingerprint != fingerprint => {
-            Err(OisaError::FingerprintMismatch {
-                coordinator: fingerprint,
-                worker: ack.config_fingerprint,
-            })
-        }
-        WireMessage::ConfigureAck(_) => Ok(()),
-        WireMessage::Refusal(refusal) => Err(refusal_to_error(refusal)),
-        other => Err(OisaError::Backend(format!(
-            "worker answered the config push with a {}",
             message_name(&other)
         ))),
     }
@@ -837,6 +758,9 @@ fn check_program_reports(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
     use crate::backend::tcp::{TcpTransport, TcpTransportConfig, TcpWorker};
     use crate::backend::LocalBackend;
     use crate::wire::ProgramShard;
@@ -1302,7 +1226,6 @@ mod tests {
         // No sweep, so the mismatch meets a shard, not a probe.
         let options = SupervisorOptions {
             health_interval: None,
-            ..SupervisorOptions::default()
         };
         let mut supervisor = FleetSupervisor::new(config, active, spares, options).unwrap();
         let err = supervisor.run_job(&job(4)).unwrap_err();
@@ -1370,12 +1293,12 @@ mod tests {
         );
     }
 
-    /// A spare of other physics, pushed the coordinator's config on
-    /// admission, is promoted and serves the job bit-identically — a
-    /// TCP daemon and an in-process worker alike, each keeping the push
-    /// for its later shards.
+    /// A spare started with other physics joins through
+    /// `connect_with_config`: its handshake pushes the coordinator's
+    /// config, so it passes the fingerprint ping at admission and, once
+    /// promoted, merges equal to the oracle.
     #[test]
-    fn config_push_admits_a_mismatched_tcp_spare_bit_identically() {
+    fn a_spare_of_other_physics_behind_connect_with_config_is_promoted() {
         let coordinator_cfg = cfg(45);
         let spare_cfg = cfg(46); // different physics on the spare
         assert_ne!(coordinator_cfg.fingerprint(), spare_cfg.fingerprint());
@@ -1383,30 +1306,12 @@ mod tests {
             .unwrap()
             .spawn()
             .unwrap();
-        let options = TcpTransportConfig {
-            connect_timeout: Duration::from_millis(500),
-            io_timeout: Some(Duration::from_secs(10)),
-            attempts: 2,
-            backoff: Duration::from_millis(5),
-            handshake: false, // admission happens via the supervisor's push
-        };
-        let spares: [(&str, Box<dyn ShardTransport>); 2] = [
-            (
-                "tcp",
-                Box::new(TcpTransport::deferred(
-                    spare_daemon.endpoint(),
-                    coordinator_cfg.fingerprint(),
-                    options,
-                )),
-            ),
-            ("in-process", Box::new(InProcessWorker::new(spare_cfg))),
-        ];
-        for (kind, spare) in spares {
-            config_push_admits(coordinator_cfg, spare, kind);
-        }
-    }
-
-    fn config_push_admits(coordinator_cfg: OisaConfig, spare: Box<dyn ShardTransport>, kind: &str) {
+        let spare = TcpTransport::connect_with_config(
+            spare_daemon.endpoint(),
+            coordinator_cfg,
+            TcpTransportConfig::default(),
+        )
+        .unwrap();
         let active: Vec<Box<dyn ShardTransport>> = vec![
             Box::new(InProcessWorker::new(coordinator_cfg)),
             Box::new(DoomedWorker::new(coordinator_cfg, 0, "doomed")),
@@ -1414,63 +1319,77 @@ mod tests {
         let mut supervisor = FleetSupervisor::new(
             coordinator_cfg,
             active,
-            vec![spare],
-            SupervisorOptions {
-                push_config_to_spares: true,
-                ..SupervisorOptions::default()
-            },
+            vec![Box::new(spare)],
+            SupervisorOptions::default(),
         )
         .unwrap();
         let the_job = job(6);
-        let reports = supervisor
-            .run_job(&the_job)
-            .unwrap_or_else(|e| panic!("{kind} spare: {e}"));
         assert_eq!(
-            reports,
-            oracle(coordinator_cfg, &the_job),
-            "a config-pushed {kind} spare must serve the coordinator's physics"
+            supervisor.run_job(&the_job).unwrap(),
+            oracle(coordinator_cfg, &the_job)
         );
         let status = supervisor.status();
-        assert_eq!(status.promotions, 1, "{kind} spare: {status:?}");
-        assert_eq!(status.replans, 0, "{kind} spare: {status:?}");
+        assert_eq!((status.promotions, status.replans), (1, 0), "{status:?}");
     }
 
+    /// A worker daemon of `config`'s physics that answers each
+    /// connection until its first shard, then drops the connection, as
+    /// a daemon whose idle timeout fires between jobs would. Every
+    /// connection starts from `config`, as a `TcpWorker`'s does.
+    /// Returns the endpoint and the count of connections accepted.
+    fn one_shard_per_connection(config: OisaConfig) -> (String, Arc<AtomicUsize>) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let endpoint = listener.local_addr().unwrap().to_string();
+        let connections = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::clone(&connections);
+        std::thread::spawn(move || {
+            for stream in listener.incoming() {
+                let Ok(mut stream) = stream else { return };
+                seen.fetch_add(1, Ordering::SeqCst);
+                let mut worker = InProcessWorker::new(config);
+                while let Ok(Some(request)) = wire::read_frame(&mut stream) {
+                    let shard = matches!(wire::decode(&request), Ok(WireMessage::ProgramShard(_)));
+                    let Ok(reply) = worker.round_trip(&request) else {
+                        break;
+                    };
+                    if wire::write_frame(&mut stream, &reply).is_err() || shard {
+                        break;
+                    }
+                }
+            }
+        });
+        (endpoint, connections)
+    }
+
+    /// A worker of other physics behind `connect_with_config` keeps
+    /// serving the coordinator's physics across a reconnect: the
+    /// transport's handshake pushes the config again on every new
+    /// connection, so the second job's shard never meets the daemon's
+    /// own physics.
     #[test]
-    fn push_config_to_fleet_reaches_every_active_worker() {
-        let config = cfg(47);
-        let daemons: Vec<_> = (0..2)
-            .map(|_| {
-                TcpWorker::bind(cfg(99), "127.0.0.1:0")
-                    .unwrap()
-                    .spawn()
-                    .unwrap()
-            })
-            .collect();
-        let options = TcpTransportConfig {
-            connect_timeout: Duration::from_millis(500),
-            io_timeout: Some(Duration::from_secs(10)),
-            attempts: 2,
-            backoff: Duration::from_millis(5),
-            handshake: false,
+    fn connect_with_config_pushes_again_after_a_reconnect() {
+        let coordinator_cfg = cfg(45);
+        let (endpoint, connections) = one_shard_per_connection(cfg(46));
+        let worker = TcpTransport::connect_with_config(
+            endpoint,
+            coordinator_cfg,
+            TcpTransportConfig::default(),
+        )
+        .unwrap();
+        let options = SupervisorOptions {
+            health_interval: None,
         };
-        let active: Vec<Box<dyn ShardTransport>> = daemons
-            .iter()
-            .map(|d| {
-                Box::new(TcpTransport::deferred(
-                    d.endpoint(),
-                    config.fingerprint(),
-                    options,
-                )) as Box<dyn ShardTransport>
-            })
-            .collect();
         let mut supervisor =
-            FleetSupervisor::new(config, active, Vec::new(), SupervisorOptions::default()).unwrap();
-        // Both daemons run different physics; the between-jobs push
-        // converges them, after which a job serves with parity.
-        supervisor.push_config_to_fleet().unwrap();
-        let the_job = job(4);
-        let reports = supervisor.run_job(&the_job).unwrap();
-        assert_eq!(reports, oracle(config, &the_job));
+            FleetSupervisor::new(coordinator_cfg, vec![Box::new(worker)], Vec::new(), options)
+                .unwrap();
+        let mut local = LocalBackend::new(coordinator_cfg).unwrap();
+        for the_job in [job(4), job(3)] {
+            assert_eq!(
+                supervisor.run_job(&the_job).unwrap(),
+                local.run_job(&the_job).unwrap()
+            );
+        }
+        assert!(connections.load(Ordering::SeqCst) >= 2);
         assert_eq!(supervisor.status().quarantined, 0);
     }
 }

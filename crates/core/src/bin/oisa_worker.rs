@@ -26,12 +26,12 @@
 //! **Except** when the coordinator pushes its config: a `Configure`
 //! message (sent by
 //! [`TcpTransport::connect_with_config`](oisa_core::backend::TcpTransport::connect_with_config)
-//! or a [`FleetSupervisor`](oisa_core::backend::FleetSupervisor) at
-//! admission) makes it rebuild its accelerator from the pushed
-//! `OisaConfig` and serve that coordinator's physics for the rest of
-//! the connection — the flags above only set the *starting* config.
-//! The adoption is connection-local: a new connection starts from the
-//! flag-built config again. When a connection closes cleanly the
+//! as it opens each connection) makes it rebuild its accelerator from
+//! the pushed `OisaConfig` and serve that coordinator's physics for the
+//! rest of the connection — the flags above only set the *starting*
+//! config. The adoption is connection-local: a new connection starts
+//! from the flag-built config again, which is why the transport pushes
+//! again on every reconnect. When a connection closes cleanly the
 //! daemon logs to stderr how many shards it served, how many config
 //! pushes it applied, and the fingerprint it ended on.
 //!

@@ -22,7 +22,7 @@ use crate::{CoreError, Result};
 /// # Errors
 ///
 /// Returns [`CoreError::InvalidParameter`] for unsupported bit widths.
-pub fn level_table(bits: u8, model: AwcModel) -> Result<Vec<f32>> {
+pub(crate) fn level_table(bits: u8, model: AwcModel) -> Result<Vec<f32>> {
     let params = AwcParams {
         bits,
         model,

@@ -32,9 +32,10 @@
 //!   type for both), with bit-identical merges. The coordinator runs
 //!   the fleet hands-off: interval health checks, quarantine → promote
 //!   → re-plan failover mid-job (results stay bit-identical), a typed
-//!   error with no state consumed when the last worker fails, and
-//!   config push so heterogeneous workers adopt the coordinator's
-//!   physics instead of refusing. The [`backend::tcp`] submodule makes
+//!   error with no state consumed when the last worker fails, and a
+//!   transport that pushes its config on every connection, so
+//!   heterogeneous workers adopt the coordinator's physics instead of
+//!   refusing. The [`backend::tcp`] submodule makes
 //!   the fleet genuinely multi-host: [`TcpTransport`] dials worker
 //!   daemons ([`backend::TcpWorker`], wrapped by the `oisa_worker`
 //!   binary) with connect/read timeouts, a connect-time handshake and

@@ -78,15 +78,8 @@ impl ConvWorkload {
 
     /// Kernel planes to map (`out_ch × in_ch`).
     #[must_use]
-    pub fn kernel_planes(&self) -> usize {
+    pub(crate) fn kernel_planes(&self) -> usize {
         self.out_channels * self.in_channels
-    }
-
-    /// Total elementwise MACs per frame.
-    #[must_use]
-    pub fn macs_per_frame(&self) -> u64 {
-        let (oh, ow) = self.output_size();
-        (oh * ow * self.kernel_planes() * self.kernel * self.kernel) as u64
     }
 }
 
@@ -180,7 +173,7 @@ impl MappingPlan {
 /// # Errors
 ///
 /// Returns [`CoreError::Unmappable`] when the planes do not fit.
-pub fn assign_slots(
+pub(crate) fn assign_slots(
     plane_count: usize,
     kernel: KernelSize,
     opc: &OpcConfig,
@@ -309,10 +302,10 @@ mod tests {
     }
 
     #[test]
-    fn output_size_and_mac_count() {
+    fn output_size_and_kernel_planes() {
         let w = ConvWorkload::resnet18_first_layer();
         assert_eq!(w.output_size(), (61, 61));
-        assert_eq!(w.macs_per_frame(), 61 * 61 * 64 * 3 * 49);
+        assert_eq!(w.kernel_planes(), 64 * 3);
     }
 
     #[test]

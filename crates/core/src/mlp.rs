@@ -56,7 +56,7 @@ use crate::{scheduler, CoreError, Result};
 
 /// Elements of a dense row executed per arm (the paper's 3×3-sized
 /// chunks: nine weights plus the spare slot).
-pub const CHUNK: usize = 9;
+pub(crate) const CHUNK: usize = 9;
 
 /// Result of one dense matrix–vector product.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

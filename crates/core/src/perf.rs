@@ -128,7 +128,7 @@ impl OisaPerfModel {
     /// Arm-level results per second — the paper's "TOp/s" counting (one
     /// Op = one arm's dot-product result).
     #[must_use]
-    pub fn throughput_ops_per_s(&self) -> f64 {
+    pub(crate) fn throughput_ops_per_s(&self) -> f64 {
         let arms = (self.opc.banks * oisa_optics::bank::ARMS_PER_BANK) as f64;
         arms / self.timing.cycle.get()
     }

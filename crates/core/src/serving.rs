@@ -256,18 +256,6 @@ impl FrameHandle {
         }
     }
 
-    /// Whether the result is available and not yet taken (non-blocking).
-    #[must_use]
-    pub fn is_ready(&self) -> bool {
-        !self.taken
-            && self
-                .slot
-                .result
-                .lock()
-                .expect("serving: poisoned result slot")
-                .is_some()
-    }
-
     /// Takes the result if it is available, leaving the handle empty
     /// (non-blocking poll counterpart of [`FrameHandle::wait`]).
     pub fn try_take(&mut self) -> Option<ServeResult<ConvolutionReport>> {
@@ -974,14 +962,15 @@ mod tests {
         let mut handle = engine.submit(frame_16(0)).unwrap();
         // Spin briefly; max_batch = 1 launches immediately.
         let deadline = Instant::now() + Duration::from_secs(10);
-        while !handle.is_ready() && Instant::now() < deadline {
+        let report = loop {
+            if let Some(result) = handle.try_take() {
+                break result.unwrap();
+            }
+            assert!(Instant::now() < deadline, "no result within 10 s");
             std::thread::yield_now();
-        }
-        assert!(handle.is_ready());
-        let report = handle.try_take().expect("ready").unwrap();
+        };
         assert_eq!(report.output.len(), 1);
         assert!(handle.try_take().is_none(), "result is taken exactly once");
-        assert!(!handle.is_ready(), "a taken handle is no longer ready");
         // Waiting on a consumed handle fails fast instead of parking on
         // a condvar that will never fire again.
         assert!(matches!(
@@ -1102,9 +1091,11 @@ mod tests {
             .collect();
         let (_backend, stats) = engine.shutdown();
         assert_eq!(stats.frames_completed, 2);
-        for handle in handles {
-            assert!(handle.is_ready());
-            let err = handle.wait().unwrap_err();
+        for mut handle in handles {
+            let err = handle
+                .try_take()
+                .expect("shutdown answers every handle")
+                .unwrap_err();
             assert!(
                 matches!(err, OisaError::Backend(ref what) if what.contains("1 reports for a batch of 2")),
                 "{err}"

@@ -272,16 +272,6 @@ impl SyntheticDataset {
     pub fn train_batch(&self, start: usize, size: usize) -> Result<(Tensor, Vec<usize>)> {
         batch_of(&self.train_images, &self.train_labels, start, size)
     }
-
-    /// Samples per class in the training split.
-    #[must_use]
-    pub fn train_class_histogram(&self) -> Vec<usize> {
-        let mut hist = vec![0usize; self.spec.classes];
-        for &l in &self.train_labels {
-            hist[l] += 1;
-        }
-        hist
-    }
 }
 
 fn batch_of(
@@ -367,8 +357,12 @@ mod tests {
     fn labels_cover_classes() {
         let spec = DatasetSpec::digits().with_counts(500, 10);
         let ds = SyntheticDataset::generate(&spec, 2).unwrap();
-        let hist = ds.train_class_histogram();
-        assert_eq!(hist.len(), 10);
+        // Samples per class in the training split; indexing also checks
+        // that every label is one of the 10 classes.
+        let mut hist = [0usize; 10];
+        for &l in &ds.train_labels {
+            hist[l] += 1;
+        }
         assert!(hist.iter().all(|&c| c > 10), "unbalanced: {hist:?}");
     }
 

@@ -74,13 +74,13 @@ impl ShapeClass {
     /// Maximum class count of the objects family: 10 shapes × 2 texture
     /// variants.
     #[must_use]
-    pub fn max_classes() -> usize {
+    pub(crate) fn max_classes() -> usize {
         Self::BASE.len() * 2
     }
 
     /// Shape and texture-variant for a class index.
     #[must_use]
-    pub fn for_class(class: usize) -> (Self, bool) {
+    pub(crate) fn for_class(class: usize) -> (Self, bool) {
         let shape = Self::BASE[class % Self::BASE.len()];
         let textured = class >= Self::BASE.len();
         (shape, textured)

@@ -239,30 +239,6 @@ impl AwcLadder {
             .collect()
     }
 
-    /// Differential nonlinearity per code (in LSBs): the deviation of each
-    /// step from the ideal step.
-    #[must_use]
-    pub fn dnl(&self) -> Vec<f64> {
-        let levels = self.levels();
-        let lsb = self.params.lsb_current.get();
-        levels
-            .windows(2)
-            .map(|w| (w[1].get() - w[0].get()) / lsb - 1.0)
-            .collect()
-    }
-
-    /// Integral nonlinearity per code (in LSBs): the deviation of each
-    /// level from the ideal line.
-    #[must_use]
-    pub fn inl(&self) -> Vec<f64> {
-        let lsb = self.params.lsb_current.get();
-        self.levels()
-            .iter()
-            .enumerate()
-            .map(|(c, i)| (i.get() - lsb * c as f64) / lsb)
-            .collect()
-    }
-
     /// Static power while holding `code`.
     ///
     /// # Errors
@@ -270,12 +246,6 @@ impl AwcLadder {
     /// Returns [`DeviceError::OutOfRange`] when `code ≥ 2^bits`.
     pub fn holding_power(&self, code: u16) -> Result<Watt> {
         Ok(self.output_current(code)? * self.params.vdd)
-    }
-
-    /// Energy and latency of switching to a new code.
-    #[must_use]
-    pub fn switch_cost(&self) -> (Second, Joule) {
-        (self.params.settle, self.params.switch_energy)
     }
 
     /// Transistor-level netlist of the ladder for transient co-simulation
@@ -360,8 +330,15 @@ mod tests {
             let i = awc.output_current(code).unwrap().get();
             assert!((i - lsb * f64::from(code)).abs() < 1e-15);
         }
-        assert!(awc.dnl().iter().all(|d| d.abs() < 1e-12));
-        assert!(awc.inl().iter().all(|d| d.abs() < 1e-12));
+        // Every level sits on the ideal line and every step is one LSB.
+        let levels = awc.levels();
+        assert!(levels
+            .iter()
+            .enumerate()
+            .all(|(c, i)| (i.get() / lsb - c as f64).abs() < 1e-12));
+        assert!(levels
+            .windows(2)
+            .all(|w| ((w[1].get() - w[0].get()) / lsb - 1.0).abs() < 1e-12));
     }
 
     #[test]
@@ -383,10 +360,12 @@ mod tests {
             "high step {step_high} should compress below low step {step_low}"
         );
         // Monotonicity may survive compression at these settings, but the
-        // DNL at the top must be clearly negative.
-        let dnl = awc.dnl();
-        assert!(dnl[14] < -0.1, "top DNL {}", dnl[14]);
-        assert!(dnl[0].abs() < 0.05, "bottom DNL {}", dnl[0]);
+        // DNL (a step's deviation from one LSB) at the top must be clearly
+        // negative.
+        let lsb = awc.params().lsb_current.get();
+        let dnl = |c: usize| (levels[c + 1].get() - levels[c].get()) / lsb - 1.0;
+        assert!(dnl(14) < -0.1, "top DNL {}", dnl(14));
+        assert!(dnl(0).abs() < 0.05, "bottom DNL {}", dnl(0));
     }
 
     #[test]
@@ -416,8 +395,9 @@ mod tests {
         let mut min_step_lsb = f64::INFINITY;
         for _ in 0..100 {
             let awc = AwcLadder::fabricate(AwcParams::paper_default(), &mut rng).unwrap();
-            for d in awc.dnl() {
-                min_step_lsb = min_step_lsb.min(1.0 + d);
+            let lsb = awc.params().lsb_current.get();
+            for w in awc.levels().windows(2) {
+                min_step_lsb = min_step_lsb.min((w[1].get() - w[0].get()) / lsb);
             }
         }
         assert!(

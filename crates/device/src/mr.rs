@@ -106,7 +106,7 @@ impl MrDesign {
 
     /// Ring circumference `L = 2πR`.
     #[must_use]
-    pub fn circumference(&self) -> Meter {
+    pub(crate) fn circumference(&self) -> Meter {
         self.radius * core::f64::consts::TAU
     }
 

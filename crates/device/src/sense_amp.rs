@@ -49,7 +49,7 @@ impl SenseAmpParams {
 
     /// Default parameters at an arbitrary reference.
     #[must_use]
-    pub fn with_reference(reference: Volt) -> Self {
+    pub(crate) fn with_reference(reference: Volt) -> Self {
         Self {
             reference,
             offset_sigma: Volt::from_milli(5.0),
@@ -143,12 +143,6 @@ impl SenseAmp {
         input.get() > self.params.reference.get() + self.offset.get()
     }
 
-    /// Clocked decision including per-evaluation thermal noise.
-    pub fn decide<R: Rng + ?Sized>(&self, input: Volt, rng: &mut R) -> bool {
-        let noise = gaussian(rng) * self.params.noise_sigma.get();
-        input.get() + noise > self.params.reference.get() + self.offset.get()
-    }
-
     /// Energy of one evaluation.
     #[must_use]
     pub fn decision_energy(&self) -> Joule {
@@ -205,22 +199,6 @@ mod tests {
         assert!(mean.abs() < 1e-3, "offset mean {mean}");
         let sigma = var.sqrt();
         assert!((sigma - 5e-3).abs() < 1e-3, "offset sigma {sigma}");
-    }
-
-    #[test]
-    fn noisy_decisions_flip_near_threshold_only() {
-        let sa = SenseAmp::ideal(SenseAmpParams::lower_threshold()).unwrap();
-        let mut rng = StdRng::seed_from_u64(11);
-        // 10 mV above threshold with 1 mV noise: essentially always true.
-        let hits = (0..200)
-            .filter(|_| sa.decide(Volt::new(0.17), &mut rng))
-            .count();
-        assert!(hits > 195, "hits {hits}");
-        // Exactly at threshold: coin flip.
-        let coin = (0..400)
-            .filter(|_| sa.decide(Volt::new(0.16), &mut rng))
-            .count();
-        assert!((120..280).contains(&coin), "coin {coin}");
     }
 
     #[test]

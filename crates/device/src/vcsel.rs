@@ -114,9 +114,6 @@ pub enum TernaryLevel {
 }
 
 impl TernaryLevel {
-    /// All levels in ascending order.
-    pub const ALL: [Self; 3] = [Self::Zero, Self::One, Self::Two];
-
     /// Numeric activation value (0, 1, 2).
     #[must_use]
     pub fn value(self) -> u8 {
@@ -265,7 +262,7 @@ mod tests {
     #[test]
     fn ternary_levels_strictly_increasing() {
         let v = vcsel();
-        let p: Vec<f64> = TernaryLevel::ALL
+        let p: Vec<f64> = [TernaryLevel::Zero, TernaryLevel::One, TernaryLevel::Two]
             .iter()
             .map(|&l| v.output_for(l).get())
             .collect();

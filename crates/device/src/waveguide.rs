@@ -126,7 +126,7 @@ impl OpticalPath {
 
     /// Total insertion loss in dB (positive number).
     #[must_use]
-    pub fn insertion_loss_db(&self) -> f64 {
+    pub(crate) fn insertion_loss_db(&self) -> f64 {
         self.budget.propagation_db_per_m * self.length.get()
             + self.budget.per_ring_db * f64::from(self.ring_passes)
             + self.budget.splitter_db * f64::from(self.splitters)
@@ -192,20 +192,6 @@ impl ChannelPlan {
             spacing,
             count,
         })
-    }
-
-    /// The paper's arm plan: ten channels spread over the ring's free
-    /// spectral range (≈ 1.8 nm spacing around 1550 nm). The spacing must
-    /// clear the worst-case weight detuning (≈ 0.67 nm) with margin, or
-    /// a fully-programmed ring would land on its neighbour's channel.
-    ///
-    /// # Errors
-    ///
-    /// Never fails for the built-in constants; the `Result` mirrors
-    /// [`ChannelPlan::new`].
-    pub fn paper_arm() -> Result<Self> {
-        let fsr = crate::mr::MrDesign::paper_default().free_spectral_range();
-        Self::new(Meter::from_nano(1550.0), Meter::new(fsr.get() / 10.0), 10)
     }
 
     /// Number of channels.
@@ -283,37 +269,35 @@ mod tests {
 
     #[test]
     fn channel_plan_centres_and_spacing() {
-        let plan = ChannelPlan::paper_arm().unwrap();
+        // The paper arm's plan, as an optics arm builds it: ten channels
+        // spread over the ring's free spectral range around 1550 nm.
+        let ring = crate::mr::MrDesign::paper_default();
+        let fsr = ring.free_spectral_range();
+        let plan =
+            ChannelPlan::new(ring.resonance_wavelength, Meter::new(fsr.get() / 10.0), 10).unwrap();
         let w0 = plan.wavelength(0).unwrap();
         let w9 = plan.wavelength(9).unwrap();
         // Symmetric around 1550 nm.
         assert!(((w0.as_nano() + w9.as_nano()) / 2.0 - 1550.0).abs() < 1e-9);
         // Total span 9 × (FSR/10) ≈ 16.4 nm, inside one FSR.
-        let fsr = crate::mr::MrDesign::paper_default()
-            .free_spectral_range()
-            .as_nano();
+        let fsr = fsr.as_nano();
         assert!((w9.as_nano() - w0.as_nano() - 0.9 * fsr).abs() < 1e-9);
         assert!((plan.separation(3, 4).unwrap().as_nano() - fsr / 10.0).abs() < 1e-9);
-        // Spacing clears the worst-case weight detuning with margin.
+        // Spacing clears the worst-case weight detuning with margin, so a
+        // fully-programmed ring does not land on its neighbour's channel.
         assert!(plan.spacing().as_nano() > 2.0 * 0.67);
+        // Guard invariant the optics crate depends on: the spacing is
+        // ≥ 2 × FWHM of the paper ring (0.31 nm).
+        assert!(plan.spacing().get() >= 2.0 * ring.fwhm().get());
     }
 
     #[test]
     fn channel_plan_bounds_checked() {
-        let plan = ChannelPlan::paper_arm().unwrap();
+        let plan = ChannelPlan::new(Meter::from_nano(1550.0), Meter::from_nano(1.8), 10).unwrap();
         assert!(plan.wavelength(10).is_err());
         assert!(plan.separation(0, 10).is_err());
         assert!(ChannelPlan::new(Meter::from_nano(1550.0), Meter::ZERO, 4).is_err());
         assert!(ChannelPlan::new(Meter::from_nano(1550.0), Meter::from_nano(0.8), 0).is_err());
-    }
-
-    #[test]
-    fn channel_spacing_exceeds_ring_fwhm() {
-        // Guard invariant the optics crate depends on: the paper plan's
-        // spacing is ≥ 2 × FWHM of the paper ring (0.31 nm).
-        let plan = ChannelPlan::paper_arm().unwrap();
-        let fwhm = crate::mr::MrDesign::paper_default().fwhm();
-        assert!(plan.spacing().get() >= 2.0 * fwhm.get());
     }
 
     proptest! {

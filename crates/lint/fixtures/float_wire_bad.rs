@@ -1,9 +1,9 @@
 // Fixture: the two float leaks the wire path must never contain —
 // a tolerance-free float comparison and decimal text formatting.
-pub fn merge_equal(x: f64) -> bool {
+pub(crate) fn merge_equal(x: f64) -> bool {
     x == 1.5
 }
 
-pub fn render(x: f64) -> String {
+pub(crate) fn render(x: f64) -> String {
     format!("{x:.6}")
 }

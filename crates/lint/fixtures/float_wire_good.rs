@@ -1,8 +1,8 @@
 // Fixture: bit-exact float handling — compare and ship as bits.
-pub fn merge_equal(a: f64, b: f64) -> bool {
+pub(crate) fn merge_equal(a: f64, b: f64) -> bool {
     a.to_bits() == b.to_bits()
 }
 
-pub fn render(x: f64) -> String {
+pub(crate) fn render(x: f64) -> String {
     format!("{:#018x}", x.to_bits())
 }

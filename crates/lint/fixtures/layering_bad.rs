@@ -4,6 +4,6 @@
 
 use oisa_core::serving::ServingEngine;
 
-pub fn peek(engine: &ServingEngine) -> usize {
+pub(crate) fn peek(engine: &ServingEngine) -> usize {
     core::mem::size_of_val(engine)
 }

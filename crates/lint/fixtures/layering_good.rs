@@ -6,7 +6,7 @@ use oisa_spice::op_point;
 use oisa_units::{Seconds, Volts};
 use std::collections::BTreeMap;
 
-pub fn sweep(bias: Volts, dt: Seconds) -> BTreeMap<u32, f64> {
+pub(crate) fn sweep(bias: Volts, dt: Seconds) -> BTreeMap<u32, f64> {
     let _ = (bias, dt, op_point);
     BTreeMap::new()
 }

@@ -8,14 +8,14 @@ pub struct Shared {
 }
 
 /// Takes `queue` then `stats`.
-pub fn drain(s: &Shared) {
+pub(crate) fn drain(s: &Shared) {
     let queue = s.queue.lock().expect("poisoned");
     let mut stats = s.stats.lock().expect("poisoned");
     *stats += queue.len() as u64;
 }
 
 /// Takes `stats` then `queue` — inverted.
-pub fn report(s: &Shared) {
+pub(crate) fn report(s: &Shared) {
     let stats = s.stats.lock().expect("poisoned");
     let queue = s.queue.lock().expect("poisoned");
     let _ = (*stats, queue.len());

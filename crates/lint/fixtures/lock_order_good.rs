@@ -9,14 +9,14 @@ pub struct Shared {
 }
 
 /// Takes `queue` then `stats` — the canonical order.
-pub fn drain(s: &Shared) {
+pub(crate) fn drain(s: &Shared) {
     let queue = s.queue.lock().expect("poisoned");
     let mut stats = s.stats.lock().expect("poisoned");
     *stats += queue.len() as u64;
 }
 
 /// Same order; `drop` releases `queue` before `stats` is touched.
-pub fn report(s: &Shared) {
+pub(crate) fn report(s: &Shared) {
     let queue = s.queue.lock().expect("poisoned");
     let len = queue.len();
     drop(queue);
@@ -25,7 +25,7 @@ pub fn report(s: &Shared) {
 }
 
 /// Statement-scoped temporary: the guard lives only to the `;`.
-pub fn steal(s: &Shared) -> Option<u8> {
+pub(crate) fn steal(s: &Shared) -> Option<u8> {
     let item = s.queue.lock().expect("poisoned").pop();
     let mut stats = s.stats.lock().expect("poisoned");
     *stats += 1;

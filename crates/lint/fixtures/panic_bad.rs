@@ -3,7 +3,7 @@
 //! from the entry, so a per-file unwrap scan tied to the entry's body
 //! would miss it — reachability must not.
 
-pub fn serve_worker_fixture(job: Option<u8>) -> u8 {
+pub(crate) fn serve_worker_fixture(job: Option<u8>) -> u8 {
     dispatch(job)
 }
 

@@ -2,7 +2,7 @@
 //! `Result` instead of panicking — and an *unreachable* helper may
 //! still unwrap (nothing on the entry's call graph touches it).
 
-pub fn serve_worker_fixture(job: Option<u8>) -> Result<u8, String> {
+pub(crate) fn serve_worker_fixture(job: Option<u8>) -> Result<u8, String> {
     dispatch(job)
 }
 

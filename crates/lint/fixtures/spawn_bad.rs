@@ -1,6 +1,6 @@
 // Fixture: a bare thread::spawn outside the scheduler/backend layer.
 use std::thread;
 
-pub fn fire_and_forget() {
+pub(crate) fn fire_and_forget() {
     thread::spawn(|| {});
 }

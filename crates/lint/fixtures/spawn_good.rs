@@ -2,10 +2,10 @@
 // process spawns are never thread spawns.
 use std::thread;
 
-pub fn worker_thread() {
+pub(crate) fn worker_thread() {
     thread::spawn(|| {});
 }
 
-pub fn launch_daemon() {
+pub(crate) fn launch_daemon() {
     let _ = std::process::Command::new("oisa-worker").spawn();
 }

@@ -1,4 +1,4 @@
 // Fixture: unique tags.
-pub const TAG_JOB: u8 = 1;
-pub const TAG_RESULT: u8 = 2;
-pub const TAG_CONFIGURE: u8 = 3;
+pub(crate) const TAG_JOB: u8 = 1;
+pub(crate) const TAG_RESULT: u8 = 2;
+pub(crate) const TAG_CONFIGURE: u8 = 3;

@@ -2,7 +2,7 @@
 //! `Instant::now`) flows through a local into `wire::encode_header`.
 //! Replays of the same job would produce different bytes.
 
-pub fn snapshot(buf: &mut Vec<u8>) {
+pub(crate) fn snapshot(buf: &mut Vec<u8>) {
     let stamp = wall_stamp();
     wire::encode_header(buf, stamp);
 }

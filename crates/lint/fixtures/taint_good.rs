@@ -2,11 +2,11 @@
 //! a pure function of the job — and the wall clock is used only for
 //! latency stats that never reach an encoder or a noise key.
 
-pub fn snapshot(buf: &mut Vec<u8>, epoch: u64) {
+pub(crate) fn snapshot(buf: &mut Vec<u8>, epoch: u64) {
     wire::encode_header(buf, epoch);
 }
 
-pub fn latency_probe() -> u64 {
+pub(crate) fn latency_probe() -> u64 {
     let t = std::time::Instant::now();
     t.elapsed().as_nanos() as u64
 }

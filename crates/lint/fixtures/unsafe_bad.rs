@@ -1,4 +1,4 @@
 // Fixture: an `unsafe` block with no SAFETY comment anywhere near it.
-pub fn read_raw(p: *const u8) -> u8 {
+pub(crate) fn read_raw(p: *const u8) -> u8 {
     unsafe { *p }
 }

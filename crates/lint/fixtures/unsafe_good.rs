@@ -1,5 +1,5 @@
 // Fixture: both the documented-unsafe shapes the rule accepts.
-pub fn read_raw(p: *const u8) -> u8 {
+pub(crate) fn read_raw(p: *const u8) -> u8 {
     // SAFETY: caller guarantees `p` is valid for reads.
     unsafe { *p }
 }
@@ -8,12 +8,12 @@ pub fn read_raw(p: *const u8) -> u8 {
 ///
 /// # Safety
 /// `p` must be valid for reads.
-pub unsafe fn read_raw_unchecked(p: *const u8) -> u8 {
+pub(crate) unsafe fn read_raw_unchecked(p: *const u8) -> u8 {
     // SAFETY: forwarded verbatim from this fn's own contract.
     unsafe { *p }
 }
 
-pub fn decoy() -> &'static str {
+pub(crate) fn decoy() -> &'static str {
     // The word unsafe in comments and strings must not count.
     "unsafe { totally_fine() }"
 }

@@ -1,5 +1,5 @@
 // Fixture: counter-based determinism — and clocks confined to tests.
-pub fn sample(seed: u64, counter: u64) -> u64 {
+pub(crate) fn sample(seed: u64, counter: u64) -> u64 {
     seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(31) ^ counter
 }
 

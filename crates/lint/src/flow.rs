@@ -361,7 +361,6 @@ const ENTRY_QUALS: &[&str] = &[
     "ServingEngine::shutdown",
     "FrameHandle::wait",
     "FrameHandle::try_take",
-    "FrameHandle::is_ready",
 ];
 
 /// Any fn with these names (on any backend impl) is an entry point.

@@ -11,7 +11,8 @@
 //! wall-clock/entropy taint into the wire codec, and crate layering,
 //! alongside the five per-file rules (unsafe hygiene, counter-based
 //! determinism, bit-exact float transport, unique wire tags,
-//! centralized thread spawning).
+//! centralized thread spawning). The tenth rule, [`dead_pub`], reports
+//! library API that nothing outside its crate names.
 //!
 //! ## Quickstart
 //!
@@ -51,6 +52,7 @@
 #![forbid(unsafe_code)]
 
 pub mod allowlist;
+pub mod dead_pub;
 pub mod flow;
 pub mod graph;
 pub mod lexer;
@@ -70,6 +72,11 @@ use rules::{Finding, SourceFile};
 /// crates and follow those crates' idioms, not ours.
 pub const WALK_ROOTS: &[&str] = &["crates", "src", "examples"];
 
+/// Directories only the `dead-pub` rule reads, and only for the names
+/// they use: the root integration tests and the benchmark build
+/// against the library crates, but no other rule checks them.
+pub const REFERENCE_ROOTS: &[&str] = &["tests", "oisabench/src", "oisabench/tests"];
+
 /// Directory names never descended into.
 const SKIP_DIR_NAMES: &[&str] = &["target", ".git"];
 
@@ -79,8 +86,18 @@ const SKIP_DIR_PREFIXES: &[&str] = &["crates/lint/fixtures"];
 
 /// Collects every `.rs` file in scope, workspace-relative and sorted.
 pub fn source_files(root: &Path) -> Result<Vec<PathBuf>, String> {
+    files_under(root, WALK_ROOTS)
+}
+
+/// Collects every `.rs` file under [`REFERENCE_ROOTS`], workspace-relative
+/// and sorted.
+pub fn reference_files(root: &Path) -> Result<Vec<PathBuf>, String> {
+    files_under(root, REFERENCE_ROOTS)
+}
+
+fn files_under(root: &Path, tops: &[&str]) -> Result<Vec<PathBuf>, String> {
     let mut out = Vec::new();
-    for top in WALK_ROOTS {
+    for top in tops {
         let dir = root.join(top);
         if dir.is_dir() {
             walk(root, &dir, &mut out)?;
@@ -121,24 +138,38 @@ fn relative(root: &Path, path: &Path) -> String {
         .join("/")
 }
 
-/// Lexes, parses and rule-checks every in-scope file under `root`:
-/// the per-file rules run on each token stream, the flow rules
-/// ([`flow`]) run once over the whole parsed workspace.
+/// Lexes, parses and rule-checks every in-scope file under `root`,
+/// reading the [`REFERENCE_ROOTS`] for `dead-pub` too.
 pub fn collect_findings(root: &Path) -> Result<Vec<Finding>, String> {
-    let mut files = Vec::new();
-    for rel in source_files(root)? {
-        let abs = root.join(&rel);
-        let source =
-            fs::read_to_string(&abs).map_err(|e| format!("read {}: {e}", abs.display()))?;
-        let rel = rel.to_string_lossy();
-        files.push(SourceFile::parse(&rel, &source));
-    }
+    let read = |paths: Vec<PathBuf>| -> Result<Vec<SourceFile>, String> {
+        paths
+            .iter()
+            .map(|rel| {
+                let abs = root.join(rel);
+                let source =
+                    fs::read_to_string(&abs).map_err(|e| format!("read {}: {e}", abs.display()))?;
+                Ok(SourceFile::parse(&rel.to_string_lossy(), &source))
+            })
+            .collect()
+    };
+    let files = read(source_files(root)?)?;
+    let refs = read(reference_files(root)?)?;
+    Ok(check_sources(files, refs))
+}
+
+/// Runs every rule: the per-file rules on each token stream, the flow
+/// rules ([`flow`]) once over `files`, and [`dead_pub`] over `files`
+/// plus the reference-only `refs`. Findings come back sorted.
+#[must_use]
+pub fn check_sources(mut files: Vec<SourceFile>, refs: Vec<SourceFile>) -> Vec<Finding> {
     let mut findings: Vec<Finding> = files.iter().flat_map(rules::check_file).collect();
     findings.extend(flow::check_workspace_files(&files));
+    files.extend(refs);
+    findings.extend(dead_pub::check(&files));
     findings.sort_by(|a, b| {
         (a.path.as_str(), a.line, a.col, a.rule).cmp(&(b.path.as_str(), b.line, b.col, b.rule))
     });
-    Ok(findings)
+    findings
 }
 
 /// Full run: walk, check, subtract the allowlist at `allow_path`.

@@ -2,8 +2,9 @@
 //!
 //! [`parse_items`] recovers just enough structure for flow-aware
 //! rules: items (`fn`/`impl`/`mod`/`use`/`struct`/`enum`/`const`/…)
-//! with token spans, bodies as brace trees (children of `impl` and
-//! `mod` blocks are parsed recursively), expanded `use` paths, and
+//! with token spans and bare-`pub` visibility, bodies as brace trees
+//! (children of `impl`, `mod` and `macro_rules!` blocks are parsed
+//! recursively), expanded `use` paths, and
 //! call-site extraction ([`extract_calls`]) distinguishing free,
 //! path-qualified, method and macro calls.
 //!
@@ -41,7 +42,7 @@ pub enum ItemKind {
     Static,
     /// A `type` alias.
     TypeAlias,
-    /// A `macro_rules!` definition (body skipped).
+    /// A `macro_rules!` definition; its expansions parse as children.
     MacroDef,
 }
 
@@ -62,9 +63,10 @@ pub struct Item {
     /// Raw token index of the closing `}` / `;` (inclusive).
     pub end: usize,
     /// Raw token indices of the body braces `{ … }`, when the item has
-    /// a body (`fn`, inline `mod`, `impl`, `trait`).
+    /// a body (`fn`, inline `mod`, `impl`, `trait`, `macro_rules!`).
     pub body: Option<(usize, usize)>,
-    /// Items parsed inside the body (`impl` and inline `mod` only).
+    /// Items parsed inside the body (`impl`, inline `mod` and
+    /// `macro_rules!` only).
     pub children: Vec<Item>,
     /// For [`ItemKind::Use`]: every expanded path, `::`-joined, with
     /// `as` renames dropped (the original path is what layering cares
@@ -73,6 +75,9 @@ pub struct Item {
     /// For [`ItemKind::Impl`]: the implementing type's last path
     /// segment (`impl Trait for Type` resolves to `Type`).
     pub self_type: Option<String>,
+    /// True when the item is declared bare `pub` — not `pub(crate)`,
+    /// `pub(super)` or `pub(in …)`.
+    pub public: bool,
 }
 
 /// How a call site invokes its target.
@@ -200,6 +205,8 @@ impl Parser<'_> {
     fn items_in(&self, lo: usize, hi: usize) -> Vec<Item> {
         let mut out = Vec::new();
         let mut p = lo;
+        // Bare `pub` seen since the last item, through modifiers.
+        let mut public = false;
         while p < hi {
             // Attributes `#[…]` / `#![…]`: skip.
             if self.is_punct(p, "#") {
@@ -215,61 +222,56 @@ impl Parser<'_> {
                     continue;
                 }
             }
-            // Visibility `pub` / `pub(crate)` / `pub(in path)`: skip.
+            // Visibility `pub` / `pub(crate)` / `pub(in path)`: note
+            // whether it is bare, then skip it.
             if self.is_ident(p, "pub") {
-                p = if self.is_punct(p + 1, "(") {
-                    self.match_pair(p + 1, "(", ")", hi) + 1
-                } else {
+                public = !self.is_punct(p + 1, "(");
+                p = if public {
                     p + 1
+                } else {
+                    self.match_pair(p + 1, "(", ")", hi) + 1
                 };
                 continue;
             }
             let Some(kw) = self.ident_text(p) else {
+                public = false;
                 p += 1;
                 continue;
             };
-            match kw {
+            let (mut item, next) = match kw {
                 // Modifiers that precede `fn` / `impl` / `trait`.
-                "unsafe" | "async" => p += 1,
+                "unsafe" | "async" => {
+                    p += 1;
+                    continue;
+                }
                 "extern" => {
                     p += 1;
                     if self.tok(p).is_some_and(|t| t.kind == TokenKind::StrLit) {
                         p += 1; // ABI string
                     }
+                    continue;
                 }
-                "const" | "static" if self.is_ident(p + 1, "fn") => p += 1,
-                "fn" => {
-                    let (item, next) = self.parse_fn(p, hi);
-                    out.push(item);
-                    p = next;
+                "const" | "static" if self.is_ident(p + 1, "fn") => {
+                    p += 1;
+                    continue;
                 }
-                "impl" => {
-                    let (item, next) = self.parse_impl(p, hi);
-                    out.push(item);
-                    p = next;
-                }
-                "mod" => {
-                    let (item, next) = self.parse_mod(p, hi);
-                    out.push(item);
-                    p = next;
-                }
-                "use" => {
-                    let (item, next) = self.parse_use(p, hi);
-                    out.push(item);
-                    p = next;
-                }
+                "fn" => self.parse_fn(p, hi),
+                "impl" => self.parse_impl(p, hi),
+                "mod" => self.parse_mod(p, hi),
+                "use" => self.parse_use(p, hi),
                 "struct" | "enum" | "trait" | "type" | "const" | "static" => {
-                    let (item, next) = self.parse_named(p, kw, hi);
-                    out.push(item);
-                    p = next;
+                    self.parse_named(p, kw, hi)
                 }
-                "macro_rules" => {
-                    let (item, next) = self.parse_macro_def(p, hi);
-                    out.push(item);
-                    p = next;
+                "macro_rules" => self.parse_macro_def(p, hi),
+                _ => {
+                    public = false;
+                    p += 1;
+                    continue;
                 }
-                _ => p += 1,
-            }
+            };
+            item.public = std::mem::take(&mut public);
+            out.push(item);
+            p = next;
         }
         out
     }
@@ -287,6 +289,7 @@ impl Parser<'_> {
             children: Vec::new(),
             use_paths: Vec::new(),
             self_type: None,
+            public: false,
         }
     }
 
@@ -478,7 +481,9 @@ impl Parser<'_> {
         (self.item_at(kind, name, p, hi - 1), hi)
     }
 
-    /// `macro_rules ! name { … }` — body skipped entirely.
+    /// `macro_rules ! name { … }`. The rules' expansions are parsed as
+    /// children, so an `impl $name { pub fn … }` template shows its
+    /// methods; matchers and metavariables parse as noise.
     fn parse_macro_def(&self, p: usize, hi: usize) -> (Item, usize) {
         let name = self.ident_text(p + 2).unwrap_or("").to_string();
         let mut q = p + 2;
@@ -489,7 +494,10 @@ impl Parser<'_> {
             return (self.item_at(ItemKind::MacroDef, name, p, hi - 1), hi);
         }
         let close = self.match_pair(q, "{", "}", hi);
-        (self.item_at(ItemKind::MacroDef, name, p, close), close + 1)
+        let mut item = self.item_at(ItemKind::MacroDef, name, p, close);
+        item.body = Some((self.sig[q], self.sig[close.min(self.sig.len() - 1)]));
+        item.children = self.items_in(q + 1, close);
+        (item, close + 1)
     }
 }
 

@@ -7,9 +7,10 @@
 //! `#[cfg(test)]` / `#[test]` regions via the file's test mask.
 //!
 //! The four flow-aware rules (lock-order, panic-reachability,
-//! determinism-taint, crate-layering) need the whole workspace at
-//! once; they live in [`crate::flow`] but share the [`Finding`] type
-//! and the [`ALL_RULES`] catalogue defined here.
+//! determinism-taint, crate-layering) and `dead-pub` need the whole
+//! workspace at once; they live in [`crate::flow`] and
+//! [`crate::dead_pub`] but share the [`Finding`] type and the
+//! [`ALL_RULES`] catalogue defined here.
 //!
 //! The rule catalogue (ids, rationale, how to allowlist) lives in
 //! `crates/lint/README.md`; keep the two in sync.
@@ -40,6 +41,9 @@ pub const RULE_PANIC: &str = "panic-reachability";
 pub const RULE_TAINT: &str = "determinism-taint";
 /// `use` declarations must respect the crate/module dependency DAG.
 pub const RULE_LAYERING: &str = "crate-layering";
+/// A library crate's `pub fn` / `pub const` must be named somewhere
+/// outside that crate's library source.
+pub const RULE_DEAD_PUB: &str = "dead-pub";
 
 /// Every rule id, in reporting order.
 pub const ALL_RULES: &[&str] = &[
@@ -52,6 +56,7 @@ pub const ALL_RULES: &[&str] = &[
     RULE_PANIC,
     RULE_TAINT,
     RULE_LAYERING,
+    RULE_DEAD_PUB,
 ];
 
 /// How many lines above an `unsafe` token a `SAFETY:` comment may sit

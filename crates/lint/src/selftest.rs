@@ -5,12 +5,14 @@
 //! so the binary self-tests from any working directory). Each is
 //! checked under a *virtual* workspace path that puts it in the rule's
 //! scope — the fixtures directory itself is never walked by a normal
-//! run. Per-file **and** workspace (flow) rules both run on every
-//! fixture: the flow rules see the fixture as a one-file virtual
-//! workspace, and any stray finding from another rule fails the case.
+//! run. Per-file **and** workspace rules all run on every fixture: the
+//! workspace rules see the fixture as a one-file virtual workspace, and
+//! any stray finding from another rule fails the case. The `dead-pub`
+//! cases add an outside file that names the fixture's live API, so the
+//! other fixtures keep their items `pub(crate)`.
 
-use crate::rules::{self, SourceFile};
-use crate::{flow, rules as r};
+use crate::check_sources;
+use crate::rules::{self as r, SourceFile};
 
 struct Case {
     /// Fixture file name, for reporting.
@@ -23,7 +25,17 @@ struct Case {
     rule: &'static str,
     /// Exact number of findings expected.
     expect: usize,
+    /// Reference-only files `(virtual path, source)` that `dead-pub`
+    /// reads for names.
+    refs: &'static [(&'static str, &'static str)],
 }
+
+/// The outside half of the `dead-pub` cases: a benchmark file naming
+/// the API it uses.
+const DEAD_PUB_OUTSIDE: &[(&str, &str)] = &[(
+    "oisabench/src/lint_fixture.rs",
+    include_str!("../fixtures/dead_pub_outside.rs"),
+)];
 
 const CASES: &[Case] = &[
     Case {
@@ -32,6 +44,7 @@ const CASES: &[Case] = &[
         virtual_path: "crates/device/src/lint_fixture.rs",
         rule: r::RULE_UNSAFE,
         expect: 1,
+        refs: &[],
     },
     Case {
         name: "unsafe_good.rs",
@@ -39,6 +52,7 @@ const CASES: &[Case] = &[
         virtual_path: "crates/device/src/lint_fixture.rs",
         rule: r::RULE_UNSAFE,
         expect: 0,
+        refs: &[],
     },
     Case {
         name: "wallclock_bad.rs",
@@ -47,6 +61,7 @@ const CASES: &[Case] = &[
         rule: r::RULE_WALLCLOCK,
         // Two clock types, each named in the `use` and at a call site.
         expect: 4,
+        refs: &[],
     },
     Case {
         name: "wallclock_good.rs",
@@ -54,6 +69,7 @@ const CASES: &[Case] = &[
         virtual_path: "crates/optics/src/lint_fixture.rs",
         rule: r::RULE_WALLCLOCK,
         expect: 0,
+        refs: &[],
     },
     Case {
         name: "float_wire_bad.rs",
@@ -62,6 +78,7 @@ const CASES: &[Case] = &[
         rule: r::RULE_FLOAT_WIRE,
         // One float `==`, one `{x:.6}` format spec.
         expect: 2,
+        refs: &[],
     },
     Case {
         name: "float_wire_good.rs",
@@ -69,6 +86,7 @@ const CASES: &[Case] = &[
         virtual_path: "crates/core/src/backend/mod.rs",
         rule: r::RULE_FLOAT_WIRE,
         expect: 0,
+        refs: &[],
     },
     Case {
         name: "tags_bad.rs",
@@ -77,6 +95,7 @@ const CASES: &[Case] = &[
         rule: r::RULE_TAG_REGISTRY,
         // One value collision.
         expect: 1,
+        refs: &[],
     },
     Case {
         name: "tags_good.rs",
@@ -84,6 +103,7 @@ const CASES: &[Case] = &[
         virtual_path: "crates/core/src/wire.rs",
         rule: r::RULE_TAG_REGISTRY,
         expect: 0,
+        refs: &[],
     },
     Case {
         name: "spawn_bad.rs",
@@ -91,6 +111,7 @@ const CASES: &[Case] = &[
         virtual_path: "crates/nn/src/lint_fixture.rs",
         rule: r::RULE_BARE_SPAWN,
         expect: 1,
+        refs: &[],
     },
     Case {
         name: "spawn_good.rs",
@@ -98,6 +119,7 @@ const CASES: &[Case] = &[
         virtual_path: "crates/core/src/backend/lint_fixture.rs",
         rule: r::RULE_BARE_SPAWN,
         expect: 0,
+        refs: &[],
     },
     Case {
         name: "lock_order_bad.rs",
@@ -106,6 +128,7 @@ const CASES: &[Case] = &[
         rule: r::RULE_LOCK_ORDER,
         // One cycle in the queue/stats order graph.
         expect: 1,
+        refs: &[],
     },
     Case {
         name: "lock_order_good.rs",
@@ -113,6 +136,7 @@ const CASES: &[Case] = &[
         virtual_path: "crates/core/src/lint_fixture.rs",
         rule: r::RULE_LOCK_ORDER,
         expect: 0,
+        refs: &[],
     },
     Case {
         name: "panic_bad.rs",
@@ -121,6 +145,7 @@ const CASES: &[Case] = &[
         rule: r::RULE_PANIC,
         // One `.unwrap()` two call edges below the entry point.
         expect: 1,
+        refs: &[],
     },
     Case {
         name: "panic_good.rs",
@@ -128,6 +153,7 @@ const CASES: &[Case] = &[
         virtual_path: "crates/core/src/lint_fixture.rs",
         rule: r::RULE_PANIC,
         expect: 0,
+        refs: &[],
     },
     Case {
         name: "taint_bad.rs",
@@ -136,6 +162,7 @@ const CASES: &[Case] = &[
         rule: r::RULE_TAINT,
         // One tainted local reaching `wire::encode_header`.
         expect: 1,
+        refs: &[],
     },
     Case {
         name: "taint_good.rs",
@@ -143,6 +170,7 @@ const CASES: &[Case] = &[
         virtual_path: "crates/core/src/lint_fixture.rs",
         rule: r::RULE_TAINT,
         expect: 0,
+        refs: &[],
     },
     Case {
         name: "layering_bad.rs",
@@ -150,6 +178,7 @@ const CASES: &[Case] = &[
         virtual_path: "crates/device/src/lint_fixture.rs",
         rule: r::RULE_LAYERING,
         expect: 1,
+        refs: &[],
     },
     Case {
         name: "layering_good.rs",
@@ -157,6 +186,25 @@ const CASES: &[Case] = &[
         virtual_path: "crates/device/src/lint_fixture.rs",
         rule: r::RULE_LAYERING,
         expect: 0,
+        refs: &[],
+    },
+    Case {
+        name: "dead_pub_bad.rs",
+        source: include_str!("../fixtures/dead_pub_bad.rs"),
+        virtual_path: "crates/optics/src/lint_fixture.rs",
+        rule: r::RULE_DEAD_PUB,
+        // One fn named only in its own doc and crate, one const named
+        // only in its own crate.
+        expect: 2,
+        refs: DEAD_PUB_OUTSIDE,
+    },
+    Case {
+        name: "dead_pub_good.rs",
+        source: include_str!("../fixtures/dead_pub_good.rs"),
+        virtual_path: "crates/optics/src/lint_fixture.rs",
+        rule: r::RULE_DEAD_PUB,
+        expect: 0,
+        refs: DEAD_PUB_OUTSIDE,
     },
 ];
 
@@ -168,8 +216,12 @@ pub fn run() -> Result<String, String> {
     let mut fired: Vec<&'static str> = Vec::new();
     for case in CASES {
         let file = SourceFile::parse(case.virtual_path, case.source);
-        let mut findings = rules::check_file(&file);
-        findings.extend(flow::check_workspace_files(std::slice::from_ref(&file)));
+        let refs = case
+            .refs
+            .iter()
+            .map(|(path, source)| SourceFile::parse(path, source))
+            .collect();
+        let findings = check_sources(vec![file], refs);
         let (hits, strays): (Vec<_>, Vec<_>) =
             findings.into_iter().partition(|f| f.rule == case.rule);
         let ok = hits.len() == case.expect && strays.is_empty();
@@ -201,7 +253,7 @@ pub fn run() -> Result<String, String> {
     }
     // Defense in depth: every rule in the catalogue must have fired on
     // at least one bad fixture.
-    for rule in rules::ALL_RULES {
+    for rule in r::ALL_RULES {
         if !fired.contains(rule) {
             failures += 1;
             report.push_str(&format!("FAIL no fixture exercises rule `{rule}`\n"));

@@ -57,6 +57,24 @@ fn the_walk_actually_covers_the_workspace() {
 }
 
 #[test]
+fn the_reference_walk_reads_the_root_tests_and_the_benchmark() {
+    // dead-pub reads these only for the names they use. A walker that
+    // silently dropped them would flag the API they call as dead.
+    let files = oisa_lint::reference_files(workspace_root()).expect("walk must complete");
+    let as_str: Vec<String> = files
+        .iter()
+        .map(|p| p.to_string_lossy().into_owned())
+        .collect();
+    for must_see in ["oisabench/src/fleet.rs", "tests/program.rs"] {
+        assert!(as_str.iter().any(|p| p == must_see), "missing {must_see}");
+    }
+    assert!(
+        !as_str.iter().any(|p| p.contains("/target/")),
+        "build output must never be walked"
+    );
+}
+
+#[test]
 fn embedded_fixture_selftest_passes() {
     if let Err(report) = oisa_lint::selftest::run() {
         panic!("{report}");

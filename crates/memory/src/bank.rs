@@ -5,7 +5,7 @@
 //! tracks every access so the architecture simulator can charge the exact
 //! CACTI-model energy for a mapping pass.
 
-use oisa_units::{Joule, Second, Watt};
+use oisa_units::{Joule, Watt};
 use serde::{Deserialize, Serialize};
 
 use crate::model::{MemoryKind, MemoryMacro};
@@ -71,12 +71,6 @@ impl KernelBank {
         })
     }
 
-    /// The underlying macro model.
-    #[must_use]
-    pub fn macro_model(&self) -> &MemoryMacro {
-        &self.macro_model
-    }
-
     /// Number of code slots.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -135,12 +129,6 @@ impl KernelBank {
         Ok(self.codes[offset..end].to_vec())
     }
 
-    /// Accesses so far: `(reads, writes)`.
-    #[must_use]
-    pub fn access_counts(&self) -> (u64, u64) {
-        (self.reads, self.writes)
-    }
-
     /// Total dynamic energy of all accesses so far.
     #[must_use]
     pub fn total_energy(&self) -> Joule {
@@ -152,12 +140,6 @@ impl KernelBank {
     #[must_use]
     pub fn leakage_power(&self) -> Watt {
         self.macro_model.leakage_power()
-    }
-
-    /// Latency of a full sequential read of `count` codes.
-    #[must_use]
-    pub fn sequential_read_latency(&self, count: usize) -> Second {
-        self.macro_model.access_latency() * count as f64
     }
 
     /// Clears the access counters (e.g. between experiments).
@@ -176,7 +158,7 @@ mod tests {
         let mut bank = KernelBank::new(45, 4, 100).unwrap();
         bank.store(10, &[1, 2, 3, 15]).unwrap();
         assert_eq!(bank.load(10, 4).unwrap(), vec![1, 2, 3, 15]);
-        assert_eq!(bank.access_counts(), (4, 4));
+        assert_eq!((bank.reads, bank.writes), (4, 4));
     }
 
     #[test]
@@ -220,14 +202,6 @@ mod tests {
             e.as_nano() > 0.1 && e.as_nano() < 10_000.0,
             "full-map read energy {e}"
         );
-    }
-
-    #[test]
-    fn sequential_latency_scales() {
-        let bank = KernelBank::new(45, 4, 4000).unwrap();
-        let l40 = bank.sequential_read_latency(40);
-        let l4000 = bank.sequential_read_latency(4000);
-        assert!((l4000.get() / l40.get() - 100.0).abs() < 1e-9);
     }
 
     #[test]

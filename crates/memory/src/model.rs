@@ -101,18 +101,6 @@ impl MemoryMacro {
         self.kind
     }
 
-    /// Capacity in bytes.
-    #[must_use]
-    pub fn capacity_bytes(&self) -> usize {
-        self.capacity_bytes
-    }
-
-    /// Word width in bits.
-    #[must_use]
-    pub fn word_bits(&self) -> u32 {
-        self.word_bits
-    }
-
     /// Technology scaling relative to the 45 nm anchor (dynamic energy
     /// ∝ node).
     fn tech_energy_scale(&self) -> f64 {
@@ -153,7 +141,7 @@ impl MemoryMacro {
 
     /// Word access latency.
     #[must_use]
-    pub fn access_latency(&self) -> Second {
+    pub(crate) fn access_latency(&self) -> Second {
         // Anchor: 0.5 ns at 4 KB / 45 nm.
         let base_ns = 0.5 * self.tech_energy_scale() * self.size_scale();
         let factor = match self.kind {

@@ -62,18 +62,6 @@ impl Linear {
         })
     }
 
-    /// Input width.
-    #[must_use]
-    pub fn in_features(&self) -> usize {
-        self.in_features
-    }
-
-    /// Output width.
-    #[must_use]
-    pub fn out_features(&self) -> usize {
-        self.out_features
-    }
-
     /// Weight matrix `[out, in]`.
     #[must_use]
     pub fn weights(&self) -> &Tensor {

@@ -13,21 +13,7 @@ use crate::{NnError, Result};
 ///
 /// Returns [`NnError::ShapeMismatch`] when the label count differs from
 /// the batch size or a label exceeds the class count.
-///
-/// # Examples
-///
-/// ```
-/// use oisa_nn::loss::softmax_cross_entropy;
-/// use oisa_nn::Tensor;
-///
-/// # fn main() -> Result<(), oisa_nn::NnError> {
-/// let logits = Tensor::from_vec(vec![1, 3], vec![5.0, 0.0, 0.0])?;
-/// let (loss, _grad) = softmax_cross_entropy(&logits, &[0])?;
-/// assert!(loss < 0.02); // confident and correct
-/// # Ok(())
-/// # }
-/// ```
-pub fn softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> Result<(f32, Tensor)> {
+pub(crate) fn softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> Result<(f32, Tensor)> {
     let s = logits.shape();
     if s.len() != 2 || s[0] != labels.len() {
         return Err(NnError::ShapeMismatch {
@@ -65,7 +51,7 @@ pub fn softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> Result<(f32, 
 /// # Errors
 ///
 /// Returns [`NnError::ShapeMismatch`] for non-2-D input.
-pub fn predictions(logits: &Tensor) -> Result<Vec<usize>> {
+pub(crate) fn predictions(logits: &Tensor) -> Result<Vec<usize>> {
     let s = logits.shape();
     if s.len() != 2 {
         return Err(NnError::ShapeMismatch {
@@ -89,6 +75,13 @@ pub fn predictions(logits: &Tensor) -> Result<Vec<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn confident_correct_logits_give_a_small_loss() {
+        let logits = Tensor::from_vec(vec![1, 3], vec![5.0, 0.0, 0.0]).unwrap();
+        let (loss, _grad) = softmax_cross_entropy(&logits, &[0]).unwrap();
+        assert!(loss < 0.02);
+    }
 
     #[test]
     fn uniform_logits_give_log_classes() {

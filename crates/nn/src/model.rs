@@ -46,11 +46,6 @@ impl Sequential {
         self.layers.push(Box::new(layer));
     }
 
-    /// Appends a boxed layer.
-    pub fn push_boxed(&mut self, layer: Box<dyn Layer>) {
-        self.layers.push(layer);
-    }
-
     /// Number of layers.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -98,7 +93,7 @@ impl Sequential {
 
     /// Total trainable parameters.
     #[must_use]
-    pub fn parameter_count(&self) -> usize {
+    pub(crate) fn parameter_count(&self) -> usize {
         self.layers.iter().map(|l| l.parameter_count()).sum()
     }
 

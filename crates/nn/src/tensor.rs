@@ -112,7 +112,7 @@ impl Tensor {
     /// # Errors
     ///
     /// Returns [`NnError::ShapeMismatch`] when volumes differ.
-    pub fn reshape(&self, shape: Vec<usize>) -> Result<Self> {
+    pub(crate) fn reshape(&self, shape: Vec<usize>) -> Result<Self> {
         let len: usize = shape.iter().product();
         if len != self.data.len() {
             return Err(NnError::ShapeMismatch {
@@ -145,7 +145,7 @@ impl Tensor {
     ///
     /// Panics when the tensor is not 4-D or the index is out of range.
     #[inline]
-    pub fn at4_mut(&mut self, n: usize, c: usize, h: usize, w: usize) -> &mut f32 {
+    pub(crate) fn at4_mut(&mut self, n: usize, c: usize, h: usize, w: usize) -> &mut f32 {
         debug_assert_eq!(self.shape.len(), 4);
         let (_, ch, hh, ww) = (self.shape[0], self.shape[1], self.shape[2], self.shape[3]);
         &mut self.data[((n * ch + c) * hh + h) * ww + w]
@@ -188,7 +188,7 @@ impl Tensor {
     /// # Errors
     ///
     /// Returns [`NnError::ShapeMismatch`] when shapes differ.
-    pub fn add_scaled(&mut self, other: &Self, alpha: f32) -> Result<()> {
+    pub(crate) fn add_scaled(&mut self, other: &Self, alpha: f32) -> Result<()> {
         if self.shape != other.shape {
             return Err(NnError::ShapeMismatch {
                 expected: format!("{:?}", self.shape),
@@ -209,7 +209,7 @@ impl Tensor {
 
     /// Maximum absolute element.
     #[must_use]
-    pub fn max_abs(&self) -> f32 {
+    pub(crate) fn max_abs(&self) -> f32 {
         self.data.iter().fold(0.0f32, |m, v| m.max(v.abs()))
     }
 
@@ -241,7 +241,7 @@ impl Tensor {
     /// # Errors
     ///
     /// Returns [`NnError::ShapeMismatch`] for non-2-D input.
-    pub fn transpose(&self) -> Result<Self> {
+    pub(crate) fn transpose(&self) -> Result<Self> {
         if self.shape.len() != 2 {
             return Err(NnError::ShapeMismatch {
                 expected: "2-D tensor".into(),

@@ -172,8 +172,6 @@ pub struct Arm {
     path_transmission: f64,
     /// Total tuning energy spent loading the current weights.
     tuning_energy: Joule,
-    /// Worst-case tuning latency of the last load.
-    tuning_latency: Second,
     /// Per-ring crosstalk × waveguide gain, precomputed at
     /// [`Arm::load_weights`] time (it depends only on the loaded weights
     /// and the channel plan, never on activations).
@@ -223,7 +221,6 @@ impl Arm {
             detector,
             path_transmission,
             tuning_energy: Joule::ZERO,
-            tuning_latency: Second::ZERO,
             ring_gain: Vec::new(),
             per_channel_full,
             dwell,
@@ -248,13 +245,6 @@ impl Arm {
         self.tuning_energy
     }
 
-    /// Worst-case settling latency of the last load (rings tune in
-    /// parallel).
-    #[must_use]
-    pub fn tuning_latency(&self) -> Second {
-        self.tuning_latency
-    }
-
     /// Static heater power holding the current weights.
     #[must_use]
     pub fn holding_power(&self) -> Watt {
@@ -276,16 +266,12 @@ impl Arm {
         }
         let mapped = mapper.quantize_all(weights)?;
         let mut energy = Joule::ZERO;
-        let mut latency = Second::ZERO;
         for (i, ring) in self.rings.iter_mut().enumerate() {
             let magnitude = mapped.get(i).map_or(0.0, |m| m.magnitude);
-            let outcome = tune_to_magnitude(ring, magnitude)?;
-            energy += outcome.energy;
-            latency = latency.max(outcome.latency);
+            energy += tune_to_magnitude(ring, magnitude)?.energy;
         }
         self.weights = mapped;
         self.tuning_energy = energy;
-        self.tuning_latency = latency;
         // Crosstalk and waveguide attenuation depend only on the loaded
         // weights (ring detunings) and the channel spacing, so fold them
         // into one per-ring gain here instead of re-evaluating two
@@ -448,15 +434,9 @@ impl Arm {
 
     /// Optical time of flight along the arm (group velocity c/n_g).
     #[must_use]
-    pub fn time_of_flight(&self) -> Second {
+    pub(crate) fn time_of_flight(&self) -> Second {
         let v = oisa_units::SPEED_OF_LIGHT_M_PER_S / self.config.ring.group_index;
         Second::new(self.config.length.get() / v)
-    }
-
-    /// The WDM channel plan used by this arm.
-    #[must_use]
-    pub fn channel_plan(&self) -> &ChannelPlan {
-        &self.plan
     }
 }
 
@@ -1101,7 +1081,6 @@ mod tests {
     fn tuning_costs_accounted() {
         let arm = loaded_arm(&[0.9; 9], 4);
         assert!(arm.tuning_energy().get() > 0.0);
-        assert!(arm.tuning_latency().get() > 0.0);
         assert!(arm.holding_power().get() > 0.0);
     }
 

@@ -1,6 +1,6 @@
 //! A bank: five arms, fifty microrings (paper Fig. 6).
 
-use oisa_units::{Joule, Second, Watt};
+use oisa_units::{Joule, Watt};
 use serde::{Deserialize, Serialize};
 
 use crate::arm::{Arm, ArmConfig, RINGS_PER_ARM};
@@ -84,15 +84,6 @@ impl Bank {
     pub fn tuning_energy(&self) -> Joule {
         self.arms.iter().map(Arm::tuning_energy).sum()
     }
-
-    /// Worst-case tuning latency across arms (they settle in parallel).
-    #[must_use]
-    pub fn tuning_latency(&self) -> Second {
-        self.arms
-            .iter()
-            .map(Arm::tuning_latency)
-            .fold(Second::ZERO, Second::max)
-    }
 }
 
 #[cfg(test)]
@@ -126,6 +117,5 @@ mod tests {
         let p2 = bank.holding_power();
         assert!(p2.get() > p1.get());
         assert!(bank.tuning_energy().get() > 0.0);
-        assert!(bank.tuning_latency().get() > 0.0);
     }
 }

@@ -7,7 +7,7 @@
 //! weight-map.
 
 use oisa_device::noise::NoiseModel;
-use oisa_units::{Joule, Second, Watt};
+use oisa_units::{Joule, Watt};
 use serde::{Deserialize, Serialize};
 
 use crate::arm::{ArmConfig, MacResult, RINGS_PER_ARM};
@@ -270,19 +270,6 @@ impl Opc {
     pub fn tuning_energy(&self) -> Joule {
         self.banks.iter().map(Bank::tuning_energy).sum()
     }
-
-    /// Latency of a full map: iterations are serialised over the AWC row,
-    /// each bounded by the slowest ring settle.
-    #[must_use]
-    pub fn mapping_latency(&self, rings_programmed: usize) -> Second {
-        let per_iteration = self
-            .banks
-            .iter()
-            .map(Bank::tuning_latency)
-            .fold(Second::ZERO, Second::max)
-            .max(Second::from_nano(1.0)); // at least the AWC settle
-        per_iteration * self.config.tuning_iterations(rings_programmed) as f64
-    }
 }
 
 #[cfg(test)]
@@ -374,16 +361,6 @@ mod tests {
         let out = opc.compute_arm(2, 0, &[1.0; 9], &mut quiet).unwrap();
         assert!(out.value > 8.0);
         assert!(opc.compute_arm(3, 0, &[1.0; 9], &mut quiet).is_err()); // nothing loaded? still works physically
-    }
-
-    #[test]
-    fn mapping_latency_scales_with_iterations() {
-        let mut opc = Opc::new(small_config()).unwrap();
-        let mapper = WeightMapper::ideal(4).unwrap();
-        opc.load_kernel(0, 0, &[1.0; 9], &mapper).unwrap();
-        let l10 = opc.mapping_latency(10);
-        let l100 = opc.mapping_latency(100);
-        assert!((l100.get() / l10.get() - 10.0).abs() < 1e-9);
     }
 
     #[test]

@@ -175,22 +175,6 @@ impl Vom {
             self.config.accumulate_energy.get() * values.len() as f64,
         )
     }
-
-    /// Splits an oversized dot product (an MLP row of `total` elements)
-    /// into per-arm chunks of at most `chunk` elements, returning the
-    /// chunk count — the "break down the MAC" behaviour.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OpticsError::InvalidParameter`] when `chunk` is zero.
-    pub fn chunk_count(&self, total: usize, chunk: usize) -> Result<usize> {
-        if chunk == 0 {
-            return Err(OpticsError::InvalidParameter(
-                "chunk size must be positive".into(),
-            ));
-        }
-        Ok(total.div_ceil(chunk))
-    }
 }
 
 /// The error for an aggregation over no partial sums.
@@ -264,14 +248,5 @@ mod tests {
         assert!(vom()
             .accumulate_and_transmit_values(&[], Second::ZERO)
             .is_err());
-    }
-
-    #[test]
-    fn chunking_for_mlp_rows() {
-        let v = vom();
-        assert_eq!(v.chunk_count(784, 9).unwrap(), 88);
-        assert_eq!(v.chunk_count(9, 9).unwrap(), 1);
-        assert_eq!(v.chunk_count(10, 9).unwrap(), 2);
-        assert!(v.chunk_count(10, 0).is_err());
     }
 }

@@ -164,7 +164,7 @@ impl WeightMapper {
     /// # Errors
     ///
     /// Propagates the first per-element failure.
-    pub fn quantize_all(&self, weights: &[f64]) -> Result<Vec<MappedWeight>> {
+    pub(crate) fn quantize_all(&self, weights: &[f64]) -> Result<Vec<MappedWeight>> {
         weights.iter().map(|&w| self.quantize(w)).collect()
     }
 

@@ -176,12 +176,6 @@ impl TernaryFrame {
         &self.data
     }
 
-    /// Numeric view (0/1/2 per pixel) for the behavioural NN path.
-    #[must_use]
-    pub fn to_values(&self) -> Vec<u8> {
-        self.data.iter().map(|l| l.value()).collect()
-    }
-
     /// Histogram of levels `(zeros, ones, twos)`.
     #[must_use]
     pub fn histogram(&self) -> (usize, usize, usize) {
@@ -244,7 +238,7 @@ mod tests {
         use TernaryLevel::{One, Two, Zero};
         let t = TernaryFrame::new(2, 2, vec![Zero, One, Two, Two]).unwrap();
         assert_eq!(t.histogram(), (1, 1, 2));
-        assert_eq!(t.to_values(), vec![0, 1, 2, 2]);
+        assert_eq!(t.as_slice(), &[Zero, One, Two, Two]);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! also accounts the sensing energy that appears in Table I's power
 //! column.
 
-use oisa_units::{Joule, Second, SquareMeter, Volt, Watt};
+use oisa_units::{Joule, Second, Volt, Watt};
 use serde::{Deserialize, Serialize};
 
 use crate::frame::Frame;
@@ -172,12 +172,6 @@ impl Imager {
         let e = self.config.pixel.access_energy * self.config.pixel_count() as f64;
         Watt::new(e.get() * self.config.frame_rate_hz)
     }
-
-    /// Total focal-plane area.
-    #[must_use]
-    pub fn array_area(&self) -> SquareMeter {
-        SquareMeter::new(self.config.pixel.area().get() * self.config.pixel_count() as f64)
-    }
 }
 
 #[cfg(test)]
@@ -239,13 +233,6 @@ mod tests {
         let mut cfg = ImagerConfig::paper_default(8, 8);
         cfg.frame_rate_hz = 1e9; // 1 ns period << 50 µs exposure
         assert!(Imager::new(cfg).is_err());
-    }
-
-    #[test]
-    fn array_area_scales() {
-        let a128 = imager(128).array_area();
-        // 16384 × 20.25 µm² ≈ 0.332 mm².
-        assert!((a128.get() - 16384.0 * 20.25e-12).abs() < 1e-12);
     }
 
     proptest! {

@@ -95,16 +95,6 @@ impl PixelDesign {
         Ok(Volt::new(drop.min(self.swing.get())))
     }
 
-    /// Illumination level at which the pixel saturates (reaches full
-    /// swing). With the paper defaults this is 1.0 — the design uses the
-    /// whole range without clipping mid-scale.
-    #[must_use]
-    pub fn saturation_illumination(&self) -> f64 {
-        let full_drop =
-            self.full_scale_current.get() * self.exposure.get() / self.pd_capacitance.get();
-        (self.swing.get() / full_drop).min(1.0)
-    }
-
     /// Pixel area (`pitch²`).
     #[must_use]
     pub fn area(&self) -> oisa_units::SquareMeter {
@@ -199,15 +189,6 @@ impl PixelDesign {
     }
 }
 
-/// Standard Fig. 8 drive timing: a reset pulse, then exposure with
-/// `Dcharge` held high.
-#[must_use]
-pub fn fig8_timing(reset_until: Second) -> (Waveform, Waveform) {
-    let rst = Waveform::pulse(1.0, 0.0, reset_until.get(), 1e-10, 1e-10, 1.0, 0.0);
-    let dcharge = Waveform::pulse(0.0, 1.0, reset_until.get(), 1e-10, 1e-10, 1.0, 0.0);
-    (rst, dcharge)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,14 +208,18 @@ mod tests {
 
     #[test]
     fn saturation_point_at_paper_defaults() {
+        // The paper pixel reaches full swing exactly at illumination 1.0:
+        // the design uses the whole range without clipping mid-scale.
         let d = PixelDesign::paper_default();
-        assert!((d.saturation_illumination() - 1.0).abs() < 1e-9);
+        assert!((d.sense_voltage(1.0).unwrap().get() - d.swing.get()).abs() < 1e-9);
+        assert!(d.sense_voltage(0.99).unwrap().get() < d.swing.get());
         // Doubling the exposure halves the saturation illumination.
         let d2 = PixelDesign {
             exposure: Second::from_micro(100.0),
             ..d
         };
-        assert!((d2.saturation_illumination() - 0.5).abs() < 1e-9);
+        assert!((d2.sense_voltage(0.5).unwrap().get() - d2.swing.get()).abs() < 1e-9);
+        assert!(d2.sense_voltage(0.49).unwrap().get() < d2.swing.get());
     }
 
     #[test]
@@ -270,7 +255,9 @@ mod tests {
             exposure: Second::from_nano(2.5),
             ..PixelDesign::paper_default()
         };
-        let (rst, dch) = fig8_timing(Second::from_nano(2.0));
+        // Fig. 8 drive: reset until 2 ns, then expose with Dcharge high.
+        let rst = Waveform::pulse(1.0, 0.0, 2e-9, 1e-10, 1e-10, 1.0, 0.0);
+        let dch = Waveform::pulse(0.0, 1.0, 2e-9, 1e-10, 1e-10, 1.0, 0.0);
         let ckt = d.build_netlist(1.0, rst, dch).unwrap();
         let trace = TransientAnalysis::new(Second::from_nano(6.0), Second::from_pico(10.0))
             .run(&ckt)
@@ -295,7 +282,9 @@ mod tests {
             exposure: Second::from_nano(2.5),
             ..PixelDesign::paper_default()
         };
-        let (rst, dch) = fig8_timing(Second::from_nano(2.0));
+        // Fig. 8 drive: reset until 2 ns, then expose with Dcharge high.
+        let rst = Waveform::pulse(1.0, 0.0, 2e-9, 1e-10, 1e-10, 1.0, 0.0);
+        let dch = Waveform::pulse(0.0, 1.0, 2e-9, 1e-10, 1e-10, 1.0, 0.0);
         let ckt = d.build_netlist(0.0, rst, dch).unwrap();
         let trace = TransientAnalysis::new(Second::from_nano(6.0), Second::from_pico(10.0))
             .run(&ckt)

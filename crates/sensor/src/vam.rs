@@ -237,7 +237,8 @@ mod tests {
         // Paper pixel: ΔV = 0.5 × illumination, so bins split at
         // lux = 0.32 and 0.64.
         let enc = encode_levels(&[0.1, 0.5, 0.9]);
-        assert_eq!(enc.ternary.to_values(), vec![0, 1, 2]);
+        use oisa_device::vcsel::TernaryLevel::{One, Two, Zero};
+        assert_eq!(enc.ternary.as_slice(), &[Zero, One, Two]);
     }
 
     #[test]

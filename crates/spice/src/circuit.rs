@@ -66,18 +66,6 @@ impl Circuit {
         id
     }
 
-    /// Looks up an existing node by name.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpiceError::UnknownNode`] if the node was never declared.
-    pub fn find_node(&self, name: &str) -> Result<NodeId> {
-        self.by_name
-            .get(name)
-            .copied()
-            .ok_or_else(|| SpiceError::UnknownNode(name.to_owned()))
-    }
-
     /// Number of non-ground nodes.
     #[must_use]
     pub fn node_count(&self) -> usize {
@@ -86,7 +74,7 @@ impl Circuit {
 
     /// Node names in declaration order.
     #[must_use]
-    pub fn node_names(&self) -> &[String] {
+    pub(crate) fn node_names(&self) -> &[String] {
         &self.names
     }
 
@@ -261,7 +249,7 @@ impl Circuit {
     /// Total number of MNA unknowns: node voltages plus voltage-source
     /// branch currents.
     #[must_use]
-    pub fn unknown_count(&self) -> usize {
+    pub(crate) fn unknown_count(&self) -> usize {
         self.node_count() + self.vsource_count
     }
 }
@@ -277,15 +265,6 @@ mod tests {
         let b = ckt.node("x");
         assert_eq!(a, b);
         assert_eq!(ckt.node_count(), 1);
-    }
-
-    #[test]
-    fn find_node_errors_on_unknown() {
-        let ckt = Circuit::new();
-        assert!(matches!(
-            ckt.find_node("nope"),
-            Err(SpiceError::UnknownNode(_))
-        ));
     }
 
     #[test]

@@ -19,13 +19,13 @@ const GMIN: f64 = 1e-12;
 const V_TOL: f64 = 1e-9;
 const MAX_NEWTON: usize = 300;
 
-/// Solution of one DC operating point: node voltages plus voltage-source
-/// branch currents, indexed like the transient solution vector.
+/// Solution of one DC operating point, indexed like the transient
+/// solution vector: node voltages first, then voltage-source branch
+/// currents.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OperatingPoint {
     node_names: Vec<String>,
     solution: Vec<f64>,
-    node_count: usize,
 }
 
 impl OperatingPoint {
@@ -42,13 +42,6 @@ impl OperatingPoint {
             .ok_or_else(|| SpiceError::UnknownNode(node.to_owned()))?;
         Ok(Volt::new(self.solution[idx]))
     }
-
-    /// Branch current of the `k`-th declared voltage source (MNA
-    /// convention: positive into the + terminal).
-    #[must_use]
-    pub fn branch_current(&self, k: usize) -> Option<f64> {
-        self.solution.get(self.node_count + k).copied()
-    }
 }
 
 /// Solves the DC operating point with sources evaluated at `t = 0`.
@@ -57,7 +50,7 @@ impl OperatingPoint {
 ///
 /// * [`SpiceError::SingularMatrix`] for ill-formed topologies.
 /// * [`SpiceError::NonConvergent`] if Newton iteration stalls.
-pub fn dc_operating_point(circuit: &Circuit) -> Result<OperatingPoint> {
+pub(crate) fn dc_operating_point(circuit: &Circuit) -> Result<OperatingPoint> {
     let n_nodes = circuit.node_count();
     let n = circuit.unknown_count();
     let mut solution = vec![0.0f64; n];
@@ -87,7 +80,6 @@ pub fn dc_operating_point(circuit: &Circuit) -> Result<OperatingPoint> {
     Ok(OperatingPoint {
         node_names: circuit.node_names().to_vec(),
         solution,
-        node_count: n_nodes,
     })
 }
 
@@ -232,8 +224,6 @@ mod tests {
             .unwrap();
         let op = dc_operating_point(&ckt).unwrap();
         assert!((op.voltage("mid").unwrap().get() - 1.0).abs() < 1e-6);
-        // Source delivers 1 mA (reads negative by MNA convention).
-        assert!((op.branch_current(0).unwrap() + 1e-3).abs() < 1e-9);
     }
 
     #[test]
@@ -317,6 +307,5 @@ mod tests {
             .unwrap();
         let op = dc_operating_point(&ckt).unwrap();
         assert!(op.voltage("zzz").is_err());
-        assert!(op.branch_current(5).is_none());
     }
 }

@@ -51,7 +51,7 @@ mod transient;
 mod waveform;
 
 pub use circuit::{Circuit, NodeId};
-pub use dc::{dc_operating_point, dc_sweep, OperatingPoint};
+pub use dc::{dc_sweep, OperatingPoint};
 pub use elements::{MosParams, MosType, SwitchParams};
 pub use trace::Trace;
 pub use transient::TransientAnalysis;

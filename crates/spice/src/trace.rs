@@ -8,23 +8,18 @@ use crate::{Result, SpiceError};
 
 /// Time-series output of a transient analysis.
 ///
-/// Stores one voltage sample per node per accepted timestep. Branch
-/// currents of voltage sources are also retained so tests can check
-/// conservation.
+/// Stores one voltage sample per node per accepted timestep.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Trace {
     times: Vec<f64>,
-    node_names: Vec<String>,
     /// `voltages[node][step]`.
     voltages: Vec<Vec<f64>>,
-    /// `branch_currents[source][step]` in voltage-source declaration order.
-    branch_currents: Vec<Vec<f64>>,
     #[serde(skip)]
     index: HashMap<String, usize>,
 }
 
 impl Trace {
-    pub(crate) fn new(node_names: &[String], vsource_count: usize) -> Self {
+    pub(crate) fn new(node_names: &[String]) -> Self {
         let index = node_names
             .iter()
             .enumerate()
@@ -32,21 +27,15 @@ impl Trace {
             .collect();
         Self {
             times: Vec::new(),
-            node_names: node_names.to_vec(),
             voltages: vec![Vec::new(); node_names.len()],
-            branch_currents: vec![Vec::new(); vsource_count],
             index,
         }
     }
 
     pub(crate) fn push(&mut self, t: f64, solution: &[f64]) {
         self.times.push(t);
-        let n = self.node_names.len();
         for (i, samples) in self.voltages.iter_mut().enumerate() {
             samples.push(solution[i]);
-        }
-        for (j, samples) in self.branch_currents.iter_mut().enumerate() {
-            samples.push(solution[n + j]);
         }
     }
 
@@ -81,16 +70,6 @@ impl Trace {
         Ok(&self.voltages[i])
     }
 
-    /// Branch current samples of the `k`-th declared voltage source.
-    ///
-    /// Positive current flows *into* the positive terminal (MNA
-    /// convention), i.e. a source delivering power reports negative
-    /// current.
-    #[must_use]
-    pub fn branch_current(&self, k: usize) -> Option<&[f64]> {
-        self.branch_currents.get(k).map(Vec::as_slice)
-    }
-
     /// Voltage of `node` at the sample nearest to time `t`.
     ///
     /// # Errors
@@ -119,64 +98,6 @@ impl Trace {
         };
         Ok(samples[idx])
     }
-
-    /// Names of all recorded nodes.
-    #[must_use]
-    pub fn node_names(&self) -> &[String] {
-        &self.node_names
-    }
-
-    /// Writes the trace as CSV (`time` column plus one column per node)
-    /// to any writer — a mut reference works for writers you want back.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpiceError::InvalidParameter`] wrapping any I/O failure.
-    pub fn write_csv<W: std::io::Write>(&self, mut writer: W) -> Result<()> {
-        let io_err =
-            |e: std::io::Error| SpiceError::InvalidParameter(format!("csv write failed: {e}"));
-        write!(writer, "time").map_err(io_err)?;
-        for name in &self.node_names {
-            write!(writer, ",{name}").map_err(io_err)?;
-        }
-        writeln!(writer).map_err(io_err)?;
-        for (i, t) in self.times.iter().enumerate() {
-            write!(writer, "{t:e}").map_err(io_err)?;
-            for samples in &self.voltages {
-                write!(writer, ",{}", samples[i]).map_err(io_err)?;
-            }
-            writeln!(writer).map_err(io_err)?;
-        }
-        Ok(())
-    }
-
-    /// Renders one node as a compact ASCII waveform, `width` columns wide —
-    /// handy for harness output that mirrors the paper's figures.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpiceError::UnknownNode`] when the node does not exist.
-    pub fn ascii_waveform(&self, node: &str, width: usize) -> Result<String> {
-        let samples = self.voltage(node)?;
-        if samples.is_empty() || width == 0 {
-            return Ok(String::new());
-        }
-        let (min, max) = samples
-            .iter()
-            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
-                (lo.min(v), hi.max(v))
-            });
-        let span = (max - min).max(1e-12);
-        const LEVELS: &[char] = &['_', '.', '-', '~', '^', '"'];
-        let step = samples.len().max(width) / width;
-        let mut out = String::with_capacity(width);
-        for col in 0..width {
-            let v = samples[(col * step).min(samples.len() - 1)];
-            let lvl = (((v - min) / span) * (LEVELS.len() - 1) as f64).round() as usize;
-            out.push(LEVELS[lvl.min(LEVELS.len() - 1)]);
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -185,7 +106,7 @@ mod tests {
 
     fn sample_trace() -> Trace {
         let names = vec!["a".to_owned(), "b".to_owned()];
-        let mut tr = Trace::new(&names, 1);
+        let mut tr = Trace::new(&names);
         tr.push(0.0, &[0.0, 1.0, -0.001]);
         tr.push(1.0, &[0.5, 0.8, -0.002]);
         tr.push(2.0, &[1.0, 0.6, -0.003]);
@@ -201,13 +122,6 @@ mod tests {
     }
 
     #[test]
-    fn branch_current_by_index() {
-        let tr = sample_trace();
-        assert_eq!(tr.branch_current(0).unwrap(), &[-0.001, -0.002, -0.003]);
-        assert!(tr.branch_current(1).is_none());
-    }
-
-    #[test]
     fn voltage_at_picks_nearest_sample() {
         let tr = sample_trace();
         assert_eq!(tr.voltage_at("a", -5.0).unwrap(), 0.0);
@@ -217,34 +131,10 @@ mod tests {
     }
 
     #[test]
-    fn ascii_waveform_has_requested_width() {
-        let tr = sample_trace();
-        let art = tr.ascii_waveform("a", 10).unwrap();
-        assert_eq!(art.chars().count(), 10);
-        // Rising ramp: first char must be the lowest glyph, last the highest.
-        assert_eq!(art.chars().next().unwrap(), '_');
-        assert_eq!(art.chars().last().unwrap(), '"');
-    }
-
-    #[test]
-    fn csv_export_structure() {
-        let tr = sample_trace();
-        let mut buf = Vec::new();
-        tr.write_csv(&mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines[0], "time,a,b");
-        assert_eq!(lines.len(), 4); // header + 3 samples
-        assert!(lines[1].starts_with("0e0,0,1"));
-        assert!(lines[3].contains(",1,0.6"));
-    }
-
-    #[test]
     fn empty_trace_behaviour() {
-        let tr = Trace::new(&["n".to_owned()], 0);
+        let tr = Trace::new(&["n".to_owned()]);
         assert!(tr.is_empty());
         assert_eq!(tr.len(), 0);
         assert!(tr.voltage_at("n", 0.0).is_err());
-        assert_eq!(tr.ascii_waveform("n", 5).unwrap(), "");
     }
 }

@@ -74,22 +74,10 @@ macro_rules! quantity {
                 Self(value * 1e3)
             }
 
-            /// Creates a quantity from a value in units of 10⁶ (mega).
-            #[must_use]
-            pub fn from_mega(value: f64) -> Self {
-                Self(value * 1e6)
-            }
-
             /// Creates a quantity from a value in units of 10⁹ (giga).
             #[must_use]
             pub fn from_giga(value: f64) -> Self {
                 Self(value * 1e9)
-            }
-
-            /// Creates a quantity from a value in units of 10¹² (tera).
-            #[must_use]
-            pub fn from_tera(value: f64) -> Self {
-                Self(value * 1e12)
             }
 
             /// Returns the value in units of 10⁻¹⁵ (femto).
@@ -120,30 +108,6 @@ macro_rules! quantity {
             #[must_use]
             pub fn as_milli(self) -> f64 {
                 self.0 * 1e3
-            }
-
-            /// Returns the value in units of 10³ (kilo).
-            #[must_use]
-            pub fn as_kilo(self) -> f64 {
-                self.0 * 1e-3
-            }
-
-            /// Returns the value in units of 10⁶ (mega).
-            #[must_use]
-            pub fn as_mega(self) -> f64 {
-                self.0 * 1e-6
-            }
-
-            /// Returns the value in units of 10⁹ (giga).
-            #[must_use]
-            pub fn as_giga(self) -> f64 {
-                self.0 * 1e-9
-            }
-
-            /// Returns the value in units of 10¹² (tera).
-            #[must_use]
-            pub fn as_tera(self) -> f64 {
-                self.0 * 1e-12
             }
 
             /// Absolute value.
@@ -481,7 +445,7 @@ mod tests {
         assert_eq!(Second::from_nano(5.0).get(), 5e-9);
         assert!((Second::from_pico(55.8).as_nano() - 0.0558).abs() < 1e-12);
         assert_eq!(Watt::from_milli(3.0).as_micro(), 3000.0);
-        assert_eq!(Hertz::from_giga(2.5).as_mega(), 2500.0);
+        assert_eq!(Hertz::from_giga(2.5).get(), 2.5e9);
         assert_eq!(Meter::from_micro(5.0).as_nano(), 5000.0);
         assert!((Joule::from_femto(12.0).get() - 12e-15).abs() < 1e-27);
     }
@@ -526,7 +490,7 @@ mod tests {
     fn display_uses_engineering_prefixes() {
         assert_eq!(format!("{:.1}", Watt::from_milli(1.6)), "1.6 mW");
         assert_eq!(format!("{:.0}", Second::from_pico(55.8)), "56 ps");
-        assert_eq!(format!("{:.2}", Hertz::from_tera(7.1)), "7.10 THz");
+        assert_eq!(format!("{:.2}", Hertz::new(7.1e12)), "7.10 THz");
         assert_eq!(format!("{:.1}", Volt::ZERO), "0.0 V");
     }
 

@@ -65,11 +65,11 @@
 //! sequential loop, so failover is invisible in the results. Only when
 //! the last worker fails does the job return that worker's typed error,
 //! having consumed no coordinator state, so a retry merges
-//! bit-identically. With
-//! [`core::backend::SupervisorOptions::push_config_to_spares`] set,
-//! admission pushes the coordinator's full `OisaConfig` over the wire
-//! (a `Configure` message), so spares started with different physics
-//! converge instead of refusing shards.
+//! bit-identically. A worker started with different physics joins
+//! through [`core::backend::TcpTransport::connect_with_config`], which
+//! opens every connection, reconnects included, with the coordinator's
+//! full `OisaConfig` (a `Configure` message), so the worker converges
+//! instead of refusing shards.
 //!
 //! ```
 //! use oisa::core::backend::{
@@ -203,7 +203,8 @@
 //! per-file token rules it parses every item, builds an approximate
 //! cross-crate call graph, and checks lock-acquisition order, panic
 //! reachability from the serving entry points, wall-clock/entropy
-//! taint into the wire codec, and the crate layering DAG. See
+//! taint into the wire codec, and the crate layering DAG. It also
+//! reports library API that nothing outside its crate names. See
 //! `crates/lint/README.md` for the rule catalogue and analysis model.
 
 // No unsafe: this crate must stay entirely safe Rust, as every crate

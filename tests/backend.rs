@@ -244,7 +244,6 @@ fn spawn_tcp_fleet(config: OisaConfig, count: usize) -> Vec<String> {
 fn coordinator(config: OisaConfig, workers: Vec<Box<dyn ShardTransport>>) -> FleetSupervisor {
     let options = SupervisorOptions {
         health_interval: None,
-        ..SupervisorOptions::default()
     };
     FleetSupervisor::new(config, workers, Vec::new(), options).expect("backend")
 }
