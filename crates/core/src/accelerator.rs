@@ -38,7 +38,7 @@
 //! [`OisaAccelerator::convolve_frame_reference`] keeps a faithful port
 //! of the pre-optimisation MAC path (per-window allocation, per-MAC
 //! validation and crosstalk evaluation, order-dependent noise) as the
-//! wall-clock baseline for `perf_json` and the microbenchmarks.
+//! wall-clock baseline for `perf_json`.
 //!
 //! # One parallel engine
 //!
@@ -76,6 +76,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::controller::{Controller, ControllerTiming, Timeline};
 use crate::mapping::{assign_slots, ConvWorkload, MappingPlan};
+use crate::program::{check_job, conv_job};
 use crate::{scheduler, CoreError, Result};
 
 /// Accelerator configuration.
@@ -161,28 +162,26 @@ impl OisaConfig {
         OisaConfigBuilder::default()
     }
 
-    /// A stable-within-a-build fingerprint of every configuration
-    /// field, mixed with FNV-1a over the `Debug` rendering.
+    /// A fingerprint of every configuration field: 64-bit FNV-1a over
+    /// the bytes a [`Configure`](crate::wire::WireMessage::Configure)
+    /// push writes for the config.
     ///
     /// The sharded backend stamps this into every
     /// [`ProgramShard`](crate::wire::ProgramShard) and workers refuse shards
     /// whose fingerprint differs from their own deployment config —
     /// two processes disagreeing about the physics would otherwise
-    /// merge incompatible shards. The hash is derived from the `Debug`
-    /// format, so it discriminates configs **within one build of this
-    /// crate**: two builds that render a config differently disagree on
-    /// its fingerprint. The config itself does travel on the wire: a
-    /// [`Configure`](crate::wire::WireMessage::Configure) push carries
-    /// every field, and the worker answers with the fingerprint of the
-    /// config it applied.
+    /// merge incompatible shards. The hash reads the wire layout, which
+    /// [`SCHEMA_VERSION`](crate::wire::SCHEMA_VERSION) fixes, so two
+    /// builds that speak one schema version agree on every config's
+    /// fingerprint. A `Configure` push carries the config itself, and
+    /// the worker answers with the fingerprint of the config it applied.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for byte in format!("{self:?}").bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        hash
+        crate::wire::config_bytes(self)
+            .into_iter()
+            .fold(0xcbf2_9ce4_8422_2325u64, |hash, byte| {
+                (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3)
+            })
     }
 
     /// Re-runs the [`OisaConfigBuilder::build`] validation on an
@@ -508,17 +507,22 @@ impl OisaAccelerator {
         Ok(())
     }
 
-    /// Fails, leaving the counter as it is, when reserving `count` more
-    /// noise epochs would wrap it: the counter's own check, for a caller
-    /// that keys its frames' epochs explicitly and advances the counter
-    /// once it is done.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Substrate`] as [`NoiseSource::reserve_epochs`].
-    pub(crate) fn check_noise_epochs(&self, count: u64) -> Result<()> {
+    /// What a run checks on the accelerator after [`check_job`]: every
+    /// frame's sensing, in order, then room on the counter for the
+    /// frames' `per_frame` epochs each, which the caller keys itself and
+    /// advances the counter past once it is done.
+    pub(crate) fn sense_run(&self, frames: &[Frame], per_frame: u64) -> Result<Vec<Sensed>> {
+        let sensed = frames
+            .iter()
+            .map(|frame| self.sense_optical(frame))
+            .collect::<Result<Vec<_>>>()?;
+        let count = (frames.len() as u64)
+            .checked_mul(per_frame)
+            .ok_or_else(|| {
+                CoreError::InvalidParameter("the run's noise epochs overflow u64".into())
+            })?;
         self.noise.clone().reserve_epochs(count)?;
-        Ok(())
+        Ok(sensed)
     }
 
     /// Stages `kernels` onto the fabric once — tuning the rings and
@@ -540,13 +544,17 @@ impl OisaAccelerator {
     /// Same kernel-validation and mapping contract as
     /// [`OisaAccelerator::convolve_frame`].
     pub fn prewarm(&mut self, kernels: &[Vec<f32>], k: usize) -> Result<()> {
+        let conv = plan_conv(&self.config, kernels, k)?;
+        self.stage_kernels(kernels, &conv)
+    }
+
+    /// [`OisaAccelerator::prewarm`] for kernels planned by [`plan_conv`].
+    pub(crate) fn stage_kernels(&mut self, kernels: &[Vec<f32>], conv: &ConvPlan) -> Result<()> {
         let planes: Vec<&[f32]> = kernels.iter().map(Vec::as_slice).collect();
-        let (height, width) = (self.config.imager.height, self.config.imager.width);
-        let (ks, plan, _) = self.plan_conv(&planes, k, height, width)?;
         let scales = kernel_scales(&planes);
         let table = RingTable::new(self.config.opc.arm, &self.mapper, &self.config.noise)?;
-        for (_, pass_kernels, pass_scales) in conv_passes(&planes, &scales, &plan) {
-            self.stage_pass(&table, pass_kernels, pass_scales, ks)?;
+        for (_, pass_kernels, pass_scales) in conv_passes(&planes, &scales, &conv.mapping) {
+            self.stage_pass(&table, pass_kernels, pass_scales, conv.ks)?;
         }
         // Staging cycled the kernel bank; the next convolution's memory
         // energy must account only its own accesses.
@@ -570,8 +578,10 @@ impl OisaAccelerator {
     ///
     /// # Errors
     ///
-    /// * [`CoreError::InvalidParameter`] for empty or ill-sized kernels
-    ///   and for a weight that is not finite.
+    /// * [`CoreError::InvalidParameter`] for a frame that is not the
+    ///   imager's size, for empty or ill-sized kernels and for a weight
+    ///   that is not finite: the job check every backend makes alike
+    ///   (see [`crate::program`]).
     /// * [`CoreError::Unmappable`] for unsupported kernel sizes.
     /// * Substrate errors from the optical fabric.
     pub fn convolve_frame(
@@ -599,8 +609,9 @@ impl OisaAccelerator {
         kernels: &[Vec<f32>],
         k: usize,
     ) -> Result<ConvolutionReport> {
+        let conv = self.check_conv_job(std::slice::from_ref(frame), kernels, k)?;
+        let (ks, plan, oh, ow) = (conv.ks, conv.mapping, conv.out_h, conv.out_w);
         let planes: Vec<&[f32]> = kernels.iter().map(Vec::as_slice).collect();
-        let (ks, plan, (oh, ow)) = self.plan_conv(&planes, k, frame.height(), frame.width())?;
 
         // Sense + encode.
         let capture = self.imager.expose(frame)?;
@@ -697,35 +708,18 @@ impl OisaAccelerator {
     ///
     /// # Errors
     ///
-    /// Same contract as [`OisaAccelerator::convolve_frame`], plus
-    /// [`CoreError::InvalidParameter`] for an empty batch. Frames must
-    /// match the imager's dimensions.
+    /// Same contract as [`OisaAccelerator::convolve_frame`], for the
+    /// whole batch before any frame runs, plus
+    /// [`CoreError::InvalidParameter`] for an empty batch.
     pub fn convolve_frames(
         &mut self,
         frames: &[Frame],
         kernels: &[Vec<f32>],
         k: usize,
     ) -> Result<Vec<ConvolutionReport>> {
-        let planes: Vec<&[f32]> = kernels.iter().map(Vec::as_slice).collect();
-        self.convolve_batch(frames, &planes, k)
-    }
-
-    /// [`OisaAccelerator::convolve_frames`] over borrowed kernel planes:
-    /// the checks, sensing and epoch reservation in front of the batch
-    /// engine ([`OisaAccelerator::convolve_sensed`]).
-    fn convolve_batch(
-        &mut self,
-        frames: &[Frame],
-        kernels: &[&[f32]],
-        k: usize,
-    ) -> Result<Vec<ConvolutionReport>> {
-        let Some(first) = frames.first() else {
-            return Err(CoreError::InvalidParameter("no frames supplied".into()));
-        };
-        self.plan_conv(kernels, k, first.height(), first.width())?;
-        // Phase 1 — sense + encode every frame up front (the imager
-        // enforces uniform dimensions). No noise epochs are consumed
-        // until the whole batch has validated.
+        let conv = self.check_conv_job(frames, kernels, k)?;
+        // Phase 1 — sense + encode every frame up front. No noise
+        // epochs are consumed until the whole batch has validated.
         let sensed = frames
             .iter()
             .map(|frame| self.sense_optical(frame))
@@ -734,13 +728,25 @@ impl OisaAccelerator {
             first: self.noise.reserve_epochs(frames.len() as u64)?,
             stride: 1,
         };
-        self.convolve_sensed(&sensed, kernels, k, epochs, &mut |_| Ok(()))
+        let planes: Vec<&[f32]> = kernels.iter().map(Vec::as_slice).collect();
+        self.convolve_sensed(&sensed, &planes, &conv, epochs, &mut |_| Ok(()))
+    }
+
+    /// [`check_job`] for the [`conv_job`] of `kernels` over `frames`:
+    /// the conv stage's plan.
+    fn check_conv_job<K: AsRef<[f32]>>(
+        &self,
+        frames: &[Frame],
+        kernels: &[K],
+        k: usize,
+    ) -> Result<ConvPlan> {
+        check_job(&self.config, &conv_job(k, kernels), frames)?.conv()
     }
 
     /// The batch engine, phases 2–4, over frames sensed and validated
-    /// by [`OisaAccelerator::sense_optical`]: frame `f` draws under
-    /// `epochs.of(f)`. The caller owns the epochs; nothing here touches
-    /// the noise counter.
+    /// by [`OisaAccelerator::sense_optical`] and kernels planned by
+    /// [`plan_conv`]: frame `f` draws under `epochs.of(f)`. The caller
+    /// owns the epochs; nothing here touches the noise counter.
     ///
     /// A batch of more than one frame stages its passes twice (phase
     /// 2), and `before_restage` runs between the two stagings: a layer
@@ -751,12 +757,13 @@ impl OisaAccelerator {
         &mut self,
         sensed: &[Sensed],
         kernels: &[&[f32]],
-        k: usize,
+        conv: &ConvPlan,
         epochs: FrameEpochs,
         before_restage: &mut dyn FnMut(&mut Self) -> Result<()>,
     ) -> Result<Vec<ConvolutionReport>> {
-        let (width, height) = (self.config.imager.width, self.config.imager.height);
-        let (ks, plan, (oh, ow)) = self.plan_conv(kernels, k, height, width)?;
+        let width = self.config.imager.width;
+        let (ks, plan, oh, ow) = (conv.ks, conv.mapping, conv.out_h, conv.out_w);
+        let k = ks.k();
         let scales = kernel_scales(kernels);
 
         // Phase 2 — stage every pass and form its arms' taps. Ring
@@ -937,35 +944,6 @@ impl OisaAccelerator {
         Ok(reports)
     }
 
-    /// Rejects kernels that are not `k × k` or hold a weight that is
-    /// not finite, and maps them onto the fabric for `height × width`
-    /// frames: the checks every conv entry point runs before it touches
-    /// the fabric or the noise epochs.
-    /// Returns the kernel size, the mapping plan and the output
-    /// `(height, width)`.
-    pub(crate) fn plan_conv(
-        &self,
-        kernels: &[&[f32]],
-        k: usize,
-        height: usize,
-        width: usize,
-    ) -> Result<(KernelSize, MappingPlan, (usize, usize))> {
-        if let Some(reason) = kernel_set_error(kernels, k) {
-            return Err(CoreError::InvalidParameter(reason));
-        }
-        let ks = KernelSize::from_k(k).map_err(|e| CoreError::Unmappable(e.to_string()))?;
-        let workload = ConvWorkload {
-            out_channels: kernels.len(),
-            in_channels: 1,
-            kernel: k,
-            input_h: height,
-            input_w: width,
-            stride: 1,
-        };
-        let plan = MappingPlan::compute(&workload, &self.config.opc)?;
-        Ok((ks, plan, workload.output_size()))
-    }
-
     /// Stages one pass end to end — quantise each kernel through the
     /// mapper, store its codes in the kernel bank, tune its rings, stage
     /// its weights through `table` and form each of its arms' taps —
@@ -1058,8 +1036,9 @@ impl OisaAccelerator {
         kernels: &[Vec<f32>],
         k: usize,
     ) -> Result<ConvolutionReport> {
+        let conv = self.check_conv_job(std::slice::from_ref(frame), kernels, k)?;
+        let (ks, plan, oh, ow) = (conv.ks, conv.mapping, conv.out_h, conv.out_w);
         let planes: Vec<&[f32]> = kernels.iter().map(Vec::as_slice).collect();
-        let (ks, plan, (oh, ow)) = self.plan_conv(&planes, k, frame.height(), frame.width())?;
 
         let capture = self.imager.expose(frame)?;
         let encoded = self.vam.encode_capture(&capture)?;
@@ -1185,22 +1164,21 @@ impl OisaAccelerator {
         let planes: Vec<Vec<&[f32]>> = (0..in_ch)
             .map(|ic| kernels.iter().map(|kn| kn[ic].as_slice()).collect())
             .collect();
-        let mut sensed = Vec::with_capacity(in_ch);
+        let mut checked = Vec::with_capacity(in_ch);
         for (planes, frame) in planes.iter().zip(frames) {
-            self.plan_conv(planes, k, frame.height(), frame.width())?;
-            sensed.push(self.sense_optical(frame)?);
+            let conv = self.check_conv_job(std::slice::from_ref(frame), planes, k)?;
+            checked.push((conv, self.sense_optical(frame)?));
         }
         let first = self.noise.reserve_epochs(in_ch as u64)?;
         let mut combined: Option<ConvolutionReport> = None;
-        for (ic, (planes, sensed)) in planes.iter().zip(&sensed).enumerate() {
+        for (ic, (planes, (conv, sensed))) in planes.iter().zip(&checked).enumerate() {
             let epochs = FrameEpochs {
                 first: first + ic as u64,
                 stride: 1,
             };
+            let sensed = std::slice::from_ref(sensed);
             let partial = self
-                .convolve_sensed(std::slice::from_ref(sensed), planes, k, epochs, &mut |_| {
-                    Ok(())
-                })?
+                .convolve_sensed(sensed, planes, conv, epochs, &mut |_| Ok(()))?
                 .pop()
                 .ok_or_else(|| CoreError::InvalidParameter("no channel convolved".into()))?;
             combined = Some(match combined {
@@ -1414,11 +1392,54 @@ struct RowEnergy {
     aggregation: f64,
 }
 
+/// Where a kernel set sits on the fabric for imager-sized frames, as
+/// [`plan_conv`] works it out once per conv call.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ConvPlan {
+    ks: KernelSize,
+    mapping: MappingPlan,
+    /// Output feature-map height.
+    pub(crate) out_h: usize,
+    /// Output feature-map width.
+    pub(crate) out_w: usize,
+}
+
+/// Rejects kernels that are not `k × k` or hold a weight that is not
+/// finite, and maps them onto `config`'s fabric for imager-sized
+/// frames: the conv half of [`check_job`], which a serving engine's
+/// construction and [`OisaAccelerator::prewarm`] make alone.
+pub(crate) fn plan_conv<K: AsRef<[f32]>>(
+    config: &OisaConfig,
+    kernels: &[K],
+    k: usize,
+) -> Result<ConvPlan> {
+    if let Some(reason) = kernel_set_error(kernels, k) {
+        return Err(CoreError::InvalidParameter(reason));
+    }
+    let ks = KernelSize::from_k(k).map_err(|e| CoreError::Unmappable(e.to_string()))?;
+    let workload = ConvWorkload {
+        out_channels: kernels.len(),
+        in_channels: 1,
+        kernel: k,
+        input_h: config.imager.height,
+        input_w: config.imager.width,
+        stride: 1,
+    };
+    let mapping = MappingPlan::compute(&workload, &config.opc)?;
+    let (out_h, out_w) = workload.output_size();
+    Ok(ConvPlan {
+        ks,
+        mapping,
+        out_h,
+        out_w,
+    })
+}
+
 /// Names what is wrong with a kernel set that is empty, holds a kernel
 /// that is not `k × k` weights or holds a weight that is not finite
-/// (the first one, by kernel and index): the one kernel check the conv
-/// engines, [`LayerProgram::validate`](crate::program::LayerProgram::validate)
-/// and [`ComputeBackend::check_workload`](crate::backend::ComputeBackend::check_workload)
+/// (the first one, by kernel and index): the one kernel check
+/// [`plan_conv`] and
+/// [`LayerProgram::validate`](crate::program::LayerProgram::validate)
 /// share, so every conv path refuses such a set before it touches the
 /// fabric or the noise epochs. `k` may come from decoded bytes, so its
 /// square is checked: a side whose square overflows `usize` matches no

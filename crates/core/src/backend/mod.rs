@@ -60,7 +60,9 @@
 //!
 //! Because workers are *stateless per shard*, a failed job consumes no
 //! coordinator state: a job only advances the epoch cursor after every
-//! shard merged, so a retry re-executes identically. Before merging,
+//! shard merged, so a retry re-executes identically. Both backends make
+//! one check before anything moves ([`crate::program`]), so a refused
+//! job gets the same typed error from either. Before merging,
 //! the coordinator checks every frame report of a reply against the
 //! program (stage count and kinds, conv map count and size, dense and
 //! final output lengths) and fails the job with
@@ -82,16 +84,13 @@
 
 use std::io::{Read, Write};
 
-use crate::accelerator::{kernel_set_error, ConvolutionReport, OisaAccelerator, OisaConfig};
+use crate::accelerator::{ConvolutionReport, OisaAccelerator, OisaConfig};
 use crate::error::OisaError;
-use crate::mapping::{ConvWorkload, MappingPlan};
-use crate::program::{LayerProgram, ProgramFrameReport, Stage};
+use crate::program::ProgramFrameReport;
 use crate::wire::{
     self, InferenceJob, ProgramJob, ProgramReport, ProgramShard, RefusalCode, ShardRefusal,
     WireMessage,
 };
-use crate::CoreError;
-use oisa_sensor::frame::Frame;
 
 pub mod supervisor;
 pub mod tcp;
@@ -170,39 +169,6 @@ pub trait ComputeBackend: Send {
             "this backend does not support layer programs".into(),
         ))
     }
-
-    /// Frame dimensions (width, height) this backend accepts.
-    fn frame_dims(&self) -> (usize, usize) {
-        let imager = self.config().imager;
-        (imager.width, imager.height)
-    }
-
-    /// Validates that a kernel set holds only finite weights and maps
-    /// onto this backend's OPC and imager — the up-front check front
-    /// ends run at construction so a workload no frame could run fails
-    /// before the first frame arrives.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidParameter`] / [`CoreError::Unmappable`]
-    /// (wrapped in [`OisaError::Core`]) exactly as the execution path
-    /// would report them.
-    fn check_workload(&self, kernels: &[Vec<f32>], k: usize) -> BackendResult<()> {
-        if let Some(reason) = kernel_set_error(kernels, k) {
-            return Err(CoreError::InvalidParameter(reason).into());
-        }
-        let config = self.config();
-        let workload = ConvWorkload {
-            out_channels: kernels.len(),
-            in_channels: 1,
-            kernel: k,
-            input_h: config.imager.height,
-            input_w: config.imager.width,
-            stride: 1,
-        };
-        MappingPlan::compute(&workload, &config.opc)?;
-        Ok(())
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -273,42 +239,8 @@ impl ComputeBackend for LocalBackend {
     /// sequential reference and any sharded merge), then the
     /// stage-major program loop.
     fn run_program(&mut self, job: &ProgramJob) -> BackendResult<Vec<ProgramFrameReport>> {
-        validate_job(self, &job.program, &job.frames)?;
         Ok(self.accel.run_program_frames(&job.program, &job.frames)?)
     }
-}
-
-/// Validation every job path runs before anything executes: frames
-/// present, a first conv stage that maps onto the backend
-/// ([`ComputeBackend::check_workload`], the conv-job checks), a program
-/// shape-compatible with the imager, and imager-sized frames. Returns
-/// the program's per-stage output lengths
-/// ([`LayerProgram::output_lens`]).
-fn validate_job(
-    backend: &dyn ComputeBackend,
-    program: &LayerProgram,
-    frames: &[Frame],
-) -> BackendResult<Vec<usize>> {
-    if frames.is_empty() {
-        return Err(CoreError::InvalidParameter("no frames supplied".into()).into());
-    }
-    if let Some(Stage::Conv { k, kernels }) = program.stages.first() {
-        backend.check_workload(kernels, *k)?;
-    }
-    let (width, height) = backend.frame_dims();
-    let lens = program.output_lens(width, height)?;
-    if let Some(frame) = frames
-        .iter()
-        .find(|f| f.width() != width || f.height() != height)
-    {
-        return Err(CoreError::InvalidParameter(format!(
-            "frame is {}x{} but the imager is {width}x{height}",
-            frame.width(),
-            frame.height()
-        ))
-        .into());
-    }
-    Ok(lens)
 }
 
 // ---------------------------------------------------------------------
@@ -323,8 +255,8 @@ fn validate_job(
 /// in the message (plus the out-of-band `config`, guarded by the
 /// fingerprint), so any worker can execute any shard of any job. The
 /// worker aligns its noise epochs to the shard, makes the check every
-/// program run makes (the program against the imager, every frame's
-/// sensing and room on the counter for the shard's epochs; see
+/// program run makes (the job check the coordinator made too, then every
+/// frame's sensing and room on the counter for the shard's epochs; see
 /// [`crate::program`]), stages the shard's
 /// [`FabricEntry`](wire::FabricEntry) (module docs, mechanism 2) and
 /// runs the stage-major loop of
@@ -602,6 +534,7 @@ impl ShardTransport for InProcessWorker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::program::{LayerProgram, Stage};
     use crate::wire::FabricEntry;
     use oisa_device::noise::NoiseConfig;
     use oisa_sensor::frame::Frame;

@@ -56,13 +56,14 @@ use std::time::{Duration, Instant};
 
 use crate::accelerator::{ConvolutionReport, OisaConfig};
 use crate::error::OisaError;
-use crate::program::{LayerProgram, ProgramFrameReport, Stage, StageReport};
+use crate::program::{
+    check_job, conv_job, JobPlan, LayerProgram, ProgramFrameReport, Stage, StageReport,
+};
 use crate::wire::{self, FabricEntry, InferenceJob, ProgramJob, ProgramShardRef, WireMessage};
 use oisa_sensor::frame::Frame;
 
 use super::{
-    message_name, refusal_to_error, validate_job, BackendResult, ComputeBackend, InProcessWorker,
-    ShardTransport,
+    message_name, refusal_to_error, BackendResult, ComputeBackend, InProcessWorker, ShardTransport,
 };
 
 /// Operating knobs of a [`FleetSupervisor`].
@@ -400,8 +401,9 @@ impl FleetSupervisor {
         })
     }
 
-    /// The body both job kinds share: any due health sweep, validation,
-    /// then rounds until every frame merged. Each round covers the
+    /// The body both job kinds share: the job check every backend makes
+    /// ([`check_job`]), before anything is sent, then any due health
+    /// sweep, then rounds until every frame merged. Each round covers the
     /// frame ranges not yet merged with at most one shard per worker
     /// (shard `i` to worker `i`), dispatches them concurrently and
     /// settles every reply (echo fields, then shape against the
@@ -416,9 +418,8 @@ impl FleetSupervisor {
         frames: &[Frame],
         entry: FabricEntry,
     ) -> BackendResult<Vec<ProgramFrameReport>> {
+        let checked = check_job(&self.config, program, frames)?;
         self.maybe_sweep()?;
-        let lens = validate_job(self, program, frames)?;
-        let dims = self.frame_dims();
         let plan = ShardPlan {
             job_id,
             program,
@@ -460,7 +461,7 @@ impl FleetSupervisor {
                 let settled = reply
                     .and_then(|payload| settle_reply(job_id, start, len, index, &payload))
                     .and_then(|reports| {
-                        check_program_reports(program, &lens, dims, index, &reports)?;
+                        check_program_reports(program, &checked, index, &reports)?;
                         Ok(reports)
                     });
                 match settled {
@@ -514,7 +515,7 @@ impl ComputeBackend for FleetSupervisor {
     /// docs), so the merged stream is bit-identical to the no-failure
     /// run.
     fn run_job(&mut self, job: &InferenceJob) -> BackendResult<Vec<ConvolutionReport>> {
-        let program = conv_program(job);
+        let program = conv_job(job.k, &job.kernels);
         let entry = self.entry_for(job);
         let merged = self.run_plan(job.job_id, &program, &job.frames, entry)?;
         // `check_program_reports` let through only one conv stage per
@@ -539,16 +540,6 @@ impl ComputeBackend for FleetSupervisor {
         let merged = self.run_plan(job.job_id, &job.program, &job.frames, FabricEntry::WarmSelf)?;
         self.commit(&job.program, job.frames.len());
         Ok(merged)
-    }
-}
-
-/// The one-stage program a conv job runs as.
-fn conv_program(job: &InferenceJob) -> LayerProgram {
-    LayerProgram {
-        stages: vec![Stage::Conv {
-            k: job.k,
-            kernels: job.kernels.clone(),
-        }],
     }
 }
 
@@ -711,28 +702,23 @@ fn settle_reply(
 }
 
 /// Checks that every frame report of program shard `index`'s reply has
-/// the shape `program` gives on `width × height` frames: one stage
-/// report per stage, of that stage's kind; per conv stage one
-/// `(height − k + 1) × (width − k + 1)` map per kernel; per dense stage
-/// one output per row; and a final output as long as the last of
-/// `lens` ([`LayerProgram::output_lens`]). A well-formed reply of any
-/// other shape would otherwise merge into the caller's results.
+/// the shape `program` gives under `plan`, its job check's: one stage
+/// report per stage, of that stage's kind; per conv stage one map per
+/// kernel of the planned size; per dense stage one output per row; and
+/// a final output of the program's output length. A well-formed reply
+/// of any other shape would otherwise merge into the caller's results.
 fn check_program_reports(
     program: &LayerProgram,
-    lens: &[usize],
-    (width, height): (usize, usize),
+    plan: &JobPlan,
     index: u32,
     reports: &[ProgramFrameReport],
 ) -> BackendResult<()> {
     let stage_fits = |stage: &Stage, got: &StageReport| match (stage, got) {
-        (Stage::Conv { k, kernels }, StageReport::Conv(conv)) => {
-            // `output_lens` checked that the kernel fits the frame.
-            let (out_h, out_w) = (height + 1 - k, width + 1 - k);
-            conv.out_h == out_h
-                && conv.out_w == out_w
+        (Stage::Conv { kernels, .. }, StageReport::Conv(conv)) => plan.conv().is_ok_and(|p| {
+            (conv.out_h, conv.out_w) == (p.out_h, p.out_w)
                 && conv.output.len() == kernels.len()
-                && conv.output.iter().all(|map| map.len() == out_h * out_w)
-        }
+                && conv.output.iter().all(|map| map.len() == p.out_h * p.out_w)
+        }),
         (Stage::Dense { rows, .. }, StageReport::Dense(dense)) => dense.output.len() == *rows,
         (Stage::Quantize(_), StageReport::Quantize)
         | (Stage::Activation(_), StageReport::Activation) => true,
@@ -740,7 +726,7 @@ fn check_program_reports(
     };
     let fits = |report: &ProgramFrameReport| {
         report.stages.len() == program.stages.len()
-            && report.output.len() == lens.last().copied().unwrap_or(0)
+            && report.output.len() == plan.output_len
             && program
                 .stages
                 .iter()
@@ -859,7 +845,7 @@ mod tests {
     /// [`ShardPlan::shard`], same [`cover`]) — so tests can inspect the
     /// partitioning.
     fn plan_shards(fleet: &FleetSupervisor, job: &InferenceJob) -> Vec<ProgramShard> {
-        let program = conv_program(job);
+        let program = conv_job(job.k, &job.kernels);
         let plan = ShardPlan {
             job_id: job.job_id,
             program: &program,
@@ -895,7 +881,7 @@ mod tests {
         assert_eq!(shards.len(), 3);
         // Every shard carries the job as the one-stage conv program.
         for shard in &shards {
-            assert_eq!(shard.program, conv_program(&job));
+            assert_eq!(shard.program, conv_job(job.k, &job.kernels));
         }
         // 7 frames over 3 workers: 3 + 2 + 2, contiguous.
         assert_eq!(
@@ -917,7 +903,7 @@ mod tests {
         // After a job, the first shard replays what it left staged:
         // the job's own kernels enter warm, other kernels enter from
         // the previous set. Epochs continue the stream.
-        fleet.commit(&conv_program(&job), job.frames.len());
+        fleet.commit(&conv_job(job.k, &job.kernels), job.frames.len());
         let again = plan_shards(&fleet, &job);
         assert_eq!(again[0].entry, FabricEntry::WarmSelf);
         assert_eq!(again[0].first_epoch, 7);

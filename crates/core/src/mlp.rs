@@ -395,18 +395,22 @@ pub(crate) fn check_shape(len: usize, rows: usize, cols: usize) -> Result<()> {
 /// an all-zero matrix divides safely), or what is wrong with the first
 /// weight that is not finite. The one scan of a matrix every dense path
 /// makes before anything moves, so all of them normalise and refuse
-/// alike.
+/// alike. A magnitude's bits order as its value does, and a non-finite
+/// one's exceed `f32::MAX`'s, so the scan is one branch-free maximum
+/// over bits, which vectorises; only a matrix holding a non-finite
+/// weight is walked again, to name the first.
 pub(crate) fn matrix_scale(matrix: &[f32]) -> std::result::Result<f32, String> {
-    let mut scale = 0.0f32;
-    for (index, w) in matrix.iter().enumerate() {
-        if !w.is_finite() {
+    let bits = matrix
+        .iter()
+        .fold(0, |m, w| m.max(w.to_bits() & 0x7fff_ffff));
+    if bits > f32::MAX.to_bits() {
+        if let Some((index, w)) = matrix.iter().enumerate().find(|(_, w)| !w.is_finite()) {
             return Err(format!(
                 "dense weight {index} is {w}: weights must be finite"
             ));
         }
-        scale = scale.max(w.abs());
     }
-    Ok(scale.max(f32::MIN_POSITIVE))
+    Ok(f32::from_bits(bits).max(f32::MIN_POSITIVE))
 }
 
 /// One weight normalised by `scale` into `[-1, 1]` — in `f32`, then
@@ -592,6 +596,36 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.to_string().contains("index 4"));
+    }
+
+    #[test]
+    fn matrix_scale_is_the_largest_magnitude_or_the_first_bad_weight() {
+        // The bit maximum equals the float maximum of the magnitudes,
+        // zeros, subnormals and the extremes included.
+        let float_max = |m: &[f32]| m.iter().fold(0.0f32, |s, w| s.max(w.abs()));
+        for matrix in [
+            vec![],
+            vec![0.0, -0.0],
+            vec![1e-42, -3e-41, 0.0],
+            vec![-0.75, 0.5, f32::MIN_POSITIVE],
+            vec![f32::MAX, -f32::MAX, 1.0],
+            (0..999).map(|i| (i as f32 * 0.37).sin() * 3.0).collect(),
+        ] {
+            let expected = float_max(&matrix).max(f32::MIN_POSITIVE);
+            let scale = matrix_scale(&matrix).unwrap();
+            assert_eq!(scale.to_bits(), expected.to_bits(), "{matrix:?}");
+        }
+        // The refusal names the first weight that is not finite.
+        for bad in [f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut matrix = vec![0.5f32; 64];
+            matrix[40] = f32::NAN;
+            matrix[17] = bad;
+            let err = matrix_scale(&matrix).unwrap_err();
+            assert_eq!(
+                err,
+                format!("dense weight 17 is {bad}: weights must be finite")
+            );
+        }
     }
 
     #[test]

@@ -78,10 +78,12 @@
 //!
 //! # Check, then run
 //!
-//! A run checks its whole input before the noise counter or the fabric
-//! moves (shapes, the conv mapping, finite dense weights, every frame's
-//! sensing, room on the counter), so a refused run leaves both as they
-//! were and a retry, on one host or a fleet, runs to the same bits.
+//! One check, which needs only the config, decides whether a job may
+//! run (a conv job as the one-stage program `[Stage::Conv]`). The
+//! coordinator makes it before anything is sent, and every conv and
+//! program entry point of [`OisaAccelerator`] once, adding only the
+//! frames' sensing and room on the counter. So a refused job gets one
+//! typed error on every backend and leaves counter and fabric as they were.
 //!
 //! # Examples
 //!
@@ -106,12 +108,14 @@
 use oisa_nn::quantize::{LevelQuantizer, TernaryActivation};
 use oisa_nn::tensor::Tensor;
 use oisa_sensor::frame::Frame;
+use oisa_sensor::imager::ImagerConfig;
 use serde::{Deserialize, Serialize};
 
 use crate::accelerator::{
-    kernel_set_error, ConvolutionReport, FrameEpochs, OisaAccelerator, OisaConfig, Sensed,
+    kernel_set_error, plan_conv, ConvPlan, ConvolutionReport, FrameEpochs, OisaAccelerator,
+    OisaConfig, Sensed,
 };
-use crate::mlp::MatVecReport;
+use crate::mlp::{matrix_scale, MatVecReport};
 use crate::wire::FabricEntry;
 use crate::{CoreError, Result};
 
@@ -432,15 +436,99 @@ pub struct ProgramFrameReport {
     pub output: Vec<f32>,
 }
 
-/// What a program run works out before anything moves: each stage's
-/// input length and each dense stage's matrix scale, so one scan of a
+/// What [`check_job`] works out and the run uses, so one scan of a
 /// matrix serves its check, its exit-state replays and its drain.
-struct StagePlan {
+pub(crate) struct JobPlan {
+    /// The conv stage's plan, when stage 0 is a convolution.
+    conv: Option<ConvPlan>,
     /// Stage `i`'s input length: the frame's pixel count at stage 0,
     /// the previous stage's output length after it.
     inputs: Vec<usize>,
     /// Stage `i`'s per-tensor matrix scale if it is dense, else 1.
     scales: Vec<f32>,
+    /// The program's output length, its last stage's.
+    pub(crate) output_len: usize,
+}
+
+/// The one check of whether `program` may run over `frames` (module
+/// docs), returning the plan its run uses: at least one frame, each the
+/// imager's size ([`check_frame`]), then the program ([`JobPlan::new`]).
+pub(crate) fn check_job(
+    config: &OisaConfig,
+    program: &LayerProgram,
+    frames: &[Frame],
+) -> Result<JobPlan> {
+    if frames.is_empty() {
+        return Err(CoreError::InvalidParameter("no frames supplied".into()));
+    }
+    for frame in frames {
+        check_frame(&config.imager, frame)?;
+    }
+    JobPlan::new(config, program)
+}
+
+/// Refuses a frame that is not the imager's size, in the one wording
+/// [`check_job`] and a serving engine's submit share.
+pub(crate) fn check_frame(imager: &ImagerConfig, frame: &Frame) -> Result<()> {
+    let (width, height) = (frame.width(), frame.height());
+    if (width, height) == (imager.width, imager.height) {
+        return Ok(());
+    }
+    Err(CoreError::InvalidParameter(format!(
+        "frame is {width}x{height} but the imager is {}x{}",
+        imager.width, imager.height
+    )))
+}
+
+/// The one-stage program `[Stage::Conv]` a conv job of `kernels` runs
+/// as, on one host or a fleet.
+pub(crate) fn conv_job<K: AsRef<[f32]>>(k: usize, kernels: &[K]) -> LayerProgram {
+    let kernels = kernels.iter().map(|kn| kn.as_ref().to_vec()).collect();
+    LayerProgram {
+        stages: vec![Stage::Conv { k, kernels }],
+    }
+}
+
+impl JobPlan {
+    /// [`check_job`]'s program half, which a prewarm makes alone: the
+    /// conv stage's [`plan_conv`], every shape
+    /// ([`LayerProgram::output_lens`]) and, in the scan that finds each
+    /// dense matrix's scale, that every dense weight is finite.
+    fn new(config: &OisaConfig, program: &LayerProgram) -> Result<Self> {
+        let imager = config.imager;
+        let conv = match program.stages.first() {
+            Some(Stage::Conv { k, kernels }) => Some(plan_conv(config, kernels, *k)?),
+            _ => None,
+        };
+        let lens = program.output_lens(imager.width, imager.height)?;
+        let scales = program
+            .stages
+            .iter()
+            .enumerate()
+            .map(|(i, stage)| match stage {
+                Stage::Dense { matrix, .. } => matrix_scale(matrix)
+                    .map_err(|reason| CoreError::InvalidParameter(format!("stage {i}: {reason}"))),
+                _ => Ok(1.0),
+            })
+            .collect::<Result<_>>()?;
+        let output_len = lens.last().copied().unwrap_or(0);
+        let inputs = std::iter::once(imager.width * imager.height)
+            .chain(lens)
+            .take(program.stages.len())
+            .collect();
+        Ok(Self {
+            conv,
+            inputs,
+            scales,
+            output_len,
+        })
+    }
+
+    /// The conv stage's plan, which a program that opens with one has.
+    pub(crate) fn conv(&self) -> Result<ConvPlan> {
+        self.conv
+            .ok_or_else(|| CoreError::InvalidParameter("the job has no conv stage".into()))
+    }
 }
 
 impl OisaAccelerator {
@@ -459,13 +547,11 @@ impl OisaAccelerator {
     ///
     /// # Errors
     ///
-    /// Validation errors from [`LayerProgram::output_lens`], the conv
-    /// stage's mapping and a dense weight that is not finite, before the
+    /// The job check's refusals of the program (module docs) before the
     /// fabric moves; substrate errors from staging.
     pub fn prewarm_program(&mut self, program: &LayerProgram) -> Result<()> {
-        // A run over no frames stages its entry and nothing else.
-        self.run_program_from(program, &[], &FabricEntry::WarmSelf)
-            .map(drop)
+        let plan = JobPlan::new(self.config(), program)?;
+        self.stage_entry(program, &plan, &FabricEntry::WarmSelf)
     }
 
     /// Executes `program` on one captured frame, stage by stage,
@@ -483,9 +569,9 @@ impl OisaAccelerator {
     ///
     /// # Errors
     ///
-    /// As [`OisaAccelerator::prewarm_program`], plus sensing failures and
+    /// The job check's refusals (module docs), plus sensing failures and
     /// a counter without room for the frame's epochs, all before the
-    /// counter or the fabric moves (module docs).
+    /// counter or the fabric moves.
     pub fn run_program_frame(
         &mut self,
         program: &LayerProgram,
@@ -509,7 +595,8 @@ impl OisaAccelerator {
     /// # Errors
     ///
     /// As [`OisaAccelerator::run_program_frame`], for the first frame
-    /// that fails; a refused run stages nothing and consumes no epoch.
+    /// that fails, and for a run of no frames; a refused run stages
+    /// nothing and consumes no epoch.
     pub fn run_program_frames(
         &mut self,
         program: &LayerProgram,
@@ -518,77 +605,44 @@ impl OisaAccelerator {
         self.run_program_from(program, frames, &FabricEntry::WarmSelf)
     }
 
-    /// The one program run: [`OisaAccelerator::check_run`], then `entry`
-    /// staged — nothing for [`FabricEntry::Cold`], the program's steady
-    /// state (kernel prewarm, then each dense stage's exit state) for
-    /// [`FabricEntry::WarmSelf`], its kernels through
-    /// [`OisaAccelerator::prewarm`] for [`FabricEntry::Warm`] — then the
-    /// stage-major loop.
+    /// The one program run: [`check_job`] and
+    /// [`OisaAccelerator::sense_run`], before the counter or the fabric
+    /// moves, so a run that passes has nothing left to fail on its input,
+    /// then `entry` staged ([`OisaAccelerator::stage_entry`]) and the loop.
     pub(crate) fn run_program_from(
         &mut self,
         program: &LayerProgram,
         frames: &[Frame],
         entry: &FabricEntry,
     ) -> Result<Vec<ProgramFrameReport>> {
-        let (plan, sensed) = self.check_run(program, frames)?;
-        match entry {
-            FabricEntry::Cold => {}
-            FabricEntry::WarmSelf => {
-                if let Some(Stage::Conv { k, kernels }) = program.stages.first() {
-                    self.prewarm(kernels, *k)?;
-                }
-                self.replay_dense_stages(program, &plan, 0)?;
-            }
-            FabricEntry::Warm { k, kernels } => self.prewarm(kernels, *k)?,
-        }
+        let plan = check_job(self.config(), program, frames)?;
+        let sensed = self.sense_run(frames, program.epochs_per_frame())?;
+        self.stage_entry(program, &plan, entry)?;
         self.run_stages(program, &plan, &sensed)
     }
 
-    /// The check a program run makes before the noise counter or the
-    /// fabric moves. It builds the [`StagePlan`], checking every shape
-    /// ([`LayerProgram::output_lens`]), that the conv stage maps onto the
-    /// fabric ([`OisaAccelerator::plan_conv`]) and, in the scan that
-    /// finds each dense matrix's scale, that every dense weight is
-    /// finite; senses and encodes every frame in order, the first that
-    /// fails being the error; and checks that the counter has room for
-    /// every frame's epochs. A run that passes has nothing left to fail
-    /// on its input.
-    fn check_run(
-        &self,
+    /// Stages `entry`: nothing for [`FabricEntry::Cold`], the program's
+    /// steady state (its planned kernels, then each dense stage's exit
+    /// state) for [`FabricEntry::WarmSelf`], its own kernels through
+    /// [`OisaAccelerator::prewarm`] for [`FabricEntry::Warm`].
+    fn stage_entry(
+        &mut self,
         program: &LayerProgram,
-        frames: &[Frame],
-    ) -> Result<(StagePlan, Vec<Sensed>)> {
-        let imager = self.config().imager;
-        let lens = program.output_lens(imager.width, imager.height)?;
-        if let Some(Stage::Conv { k, kernels }) = program.stages.first() {
-            let planes: Vec<&[f32]> = kernels.iter().map(Vec::as_slice).collect();
-            self.plan_conv(&planes, *k, imager.height, imager.width)?;
+        plan: &JobPlan,
+        entry: &FabricEntry,
+    ) -> Result<()> {
+        match entry {
+            FabricEntry::Cold => Ok(()),
+            FabricEntry::WarmSelf => {
+                if let (Some(Stage::Conv { kernels, .. }), Some(conv)) =
+                    (program.stages.first(), &plan.conv)
+                {
+                    self.stage_kernels(kernels, conv)?;
+                }
+                self.replay_dense_stages(program, plan, 0)
+            }
+            FabricEntry::Warm { k, kernels } => self.prewarm(kernels, *k),
         }
-        let scales = program
-            .stages
-            .iter()
-            .enumerate()
-            .map(|(i, stage)| match stage {
-                Stage::Dense { matrix, .. } => crate::mlp::matrix_scale(matrix)
-                    .map_err(|reason| CoreError::InvalidParameter(format!("stage {i}: {reason}"))),
-                _ => Ok(1.0),
-            })
-            .collect::<Result<_>>()?;
-        let sensed = frames
-            .iter()
-            .map(|frame| self.sense_optical(frame))
-            .collect::<Result<Vec<_>>>()?;
-        let epochs = (frames.len() as u64)
-            .checked_mul(program.epochs_per_frame())
-            .ok_or_else(|| {
-                CoreError::InvalidParameter("the run's noise epochs overflow u64".into())
-            })?;
-        self.check_noise_epochs(epochs)?;
-        let inputs = std::iter::once(imager.width * imager.height)
-            .chain(lens)
-            .take(program.stages.len())
-            .collect();
-        Ok((StagePlan { inputs, scales }, sensed))
     }
 
     /// Runs the stages of `program` in order, each once over all of
@@ -596,17 +650,15 @@ impl OisaAccelerator {
     /// epoch `base + f·E + j`, where `base` is the counter on entry and
     /// `E` is [`LayerProgram::epochs_per_frame`] — the keys a per-frame
     /// loop uses — and the counter advances once, after the last stage,
-    /// to where that loop leaves it. [`OisaAccelerator::check_run`]
-    /// checked everything a stage could refuse, the epochs included.
+    /// to where that loop leaves it. [`OisaAccelerator::run_program_from`]
+    /// checked everything a stage could refuse, a run of no frames and
+    /// the epochs included.
     fn run_stages(
         &mut self,
         program: &LayerProgram,
-        plan: &StagePlan,
+        plan: &JobPlan,
         sensed: &[Sensed],
     ) -> Result<Vec<ProgramFrameReport>> {
-        if sensed.is_empty() {
-            return Ok(Vec::new());
-        }
         let stride = program.epochs_per_frame();
         let base = self.next_noise_epoch();
         let mut reports: Vec<ProgramFrameReport> = sensed
@@ -639,18 +691,19 @@ impl OisaAccelerator {
         &mut self,
         program: &LayerProgram,
         i: usize,
-        plan: &StagePlan,
+        plan: &JobPlan,
         sensed: &[Sensed],
         reports: &mut [ProgramFrameReport],
         epochs: FrameEpochs,
     ) -> Result<()> {
         match &program.stages[i] {
-            Stage::Conv { k, kernels } => {
+            Stage::Conv { kernels, .. } => {
                 let planes: Vec<&[f32]> = kernels.iter().map(Vec::as_slice).collect();
                 // Conv is stage 0: every dense stage comes after it.
-                let conv = self.convolve_sensed(sensed, &planes, *k, epochs, &mut |accel| {
-                    accel.replay_dense_stages(program, plan, 1)
-                })?;
+                let conv =
+                    self.convolve_sensed(sensed, &planes, &plan.conv()?, epochs, &mut |accel| {
+                        accel.replay_dense_stages(program, plan, 1)
+                    })?;
                 for (report, conv) in reports.iter_mut().zip(conv) {
                     report.output = conv.output.concat();
                     report.stages.push(StageReport::Conv(conv));
@@ -710,7 +763,7 @@ impl OisaAccelerator {
     fn replay_dense_stages(
         &mut self,
         program: &LayerProgram,
-        plan: &StagePlan,
+        plan: &JobPlan,
         from: usize,
     ) -> Result<()> {
         for (i, stage) in program.stages.iter().enumerate().skip(from) {

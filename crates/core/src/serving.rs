@@ -91,10 +91,12 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use oisa_sensor::frame::Frame;
+use oisa_sensor::imager::ImagerConfig;
 
-use crate::accelerator::{ConvolutionReport, OisaAccelerator};
+use crate::accelerator::{plan_conv, ConvolutionReport, OisaAccelerator};
 use crate::backend::{ComputeBackend, LocalBackend};
 use crate::error::OisaError;
+use crate::program::check_frame;
 use crate::wire::InferenceJob;
 use crate::CoreError;
 
@@ -458,8 +460,9 @@ struct Shared {
 pub struct ServingEngine<B: ComputeBackend + 'static = LocalBackend> {
     shared: Arc<Shared>,
     worker: Option<JoinHandle<B>>,
-    frame_width: usize,
-    frame_height: usize,
+    /// The backend's imager, whose size every submitted frame must
+    /// match.
+    imager: ImagerConfig,
 }
 
 impl ServingEngine<LocalBackend> {
@@ -497,8 +500,9 @@ impl<B: ComputeBackend + 'static> ServingEngine<B> {
     /// * [`CoreError::Unmappable`] when the kernels do not fit the
     ///   backend's OPC.
     ///
-    /// Kernel errors come from [`ComputeBackend::check_workload`], so
-    /// they fail at construction, not on the first submitted frame.
+    /// Kernel errors come from the job check every backend makes
+    /// ([`crate::program`]), so they fail at construction, not on the
+    /// first submitted frame.
     pub fn with_backend(
         backend: B,
         kernels: Vec<Vec<f32>>,
@@ -506,8 +510,8 @@ impl<B: ComputeBackend + 'static> ServingEngine<B> {
         config: ServingConfig,
     ) -> ServeResult<Self> {
         config.validate()?;
-        backend.check_workload(&kernels, k)?;
-        let (frame_width, frame_height) = backend.frame_dims();
+        plan_conv(backend.config(), &kernels, k)?;
+        let imager = backend.config().imager;
 
         let shared = Arc::new(Shared {
             queue: Mutex::new(QueueState {
@@ -533,8 +537,7 @@ impl<B: ComputeBackend + 'static> ServingEngine<B> {
         Ok(Self {
             shared,
             worker: Some(worker),
-            frame_width,
-            frame_height,
+            imager,
         })
     }
 
@@ -567,15 +570,7 @@ impl<B: ComputeBackend + 'static> ServingEngine<B> {
     }
 
     fn enqueue(&self, frame: Frame, block: bool) -> std::result::Result<FrameHandle, SubmitError> {
-        if frame.width() != self.frame_width || frame.height() != self.frame_height {
-            return Err(SubmitError::Rejected(CoreError::InvalidParameter(format!(
-                "frame is {}x{} but the imager is {}x{}",
-                frame.width(),
-                frame.height(),
-                self.frame_width,
-                self.frame_height
-            ))));
-        }
+        check_frame(&self.imager, &frame).map_err(SubmitError::Rejected)?;
         // Allocate the slot before taking the queue mutex: the worker
         // contends on it for every batch, so the critical section
         // should only cover the push itself.

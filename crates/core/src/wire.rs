@@ -1214,6 +1214,14 @@ fn put_config(w: &mut Writer, c: &OisaConfig) {
     w.u64(c.seed);
 }
 
+/// The bytes a [`WireMessage::Configure`] push writes for `config`: what
+/// [`OisaConfig::fingerprint`] hashes.
+pub(crate) fn config_bytes(config: &OisaConfig) -> Vec<u8> {
+    let mut w = Writer(Vec::new());
+    put_config(&mut w, config);
+    w.0
+}
+
 fn get_config(r: &mut Reader<'_>) -> Result<OisaConfig> {
     let pixel = get_pixel(r)?;
     let imager = ImagerConfig {
@@ -1785,6 +1793,17 @@ mod tests {
             }
             other => panic!("expected a Configure, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn fingerprint_hashes_the_bytes_a_configure_push_writes() {
+        // Header (magic, version, tag: 5 bytes) and nonce (8), then the
+        // config: the fingerprint follows the wire layout, not how a
+        // build renders the struct.
+        let config = OisaConfig::paper_default(128, 128);
+        let push = encode(&WireMessage::Configure(ConfigPush { nonce: 9, config }));
+        assert_eq!(config_bytes(&config), push[13..]);
+        assert_eq!(config.fingerprint(), 0xfad9_f583_eeda_6527);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! [`AwcLadder::build_netlist`] emits the transistor-level circuit for
 //! co-simulation with [`oisa_spice`], regenerating Fig. 4(b).
 
-use oisa_units::{Ampere, Joule, Second, Volt, Watt};
+use oisa_units::{Ampere, Volt, Watt};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -66,26 +66,19 @@ pub struct AwcParams {
     pub lsb_current: Ampere,
     /// Supply voltage.
     pub vdd: Volt,
-    /// Settling time to a new code (Fig. 4(b) shows ~1 ns steps).
-    pub settle: Second,
-    /// Switching energy per code change (gate charge).
-    pub switch_energy: Joule,
     /// Behavioural fidelity.
     pub model: AwcModel,
 }
 
 impl AwcParams {
     /// Paper design point: 4-bit, 26.7 µA LSB (full scale ≈ 400 µA as in
-    /// Fig. 4(b)), 1 V supply, 1 ns settling, 10 fJ per code switch, and
-    /// the calibrated mismatch model.
+    /// Fig. 4(b)), 1 V supply and the calibrated mismatch model.
     #[must_use]
     pub fn paper_default() -> Self {
         Self {
             bits: 4,
             lsb_current: Ampere::from_micro(26.7),
             vdd: Volt::new(1.0),
-            settle: Second::from_nano(1.0),
-            switch_energy: Joule::from_femto(10.0),
             model: AwcModel::paper_mismatch(),
         }
     }

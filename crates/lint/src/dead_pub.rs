@@ -243,10 +243,7 @@ mod tests {
                 "crates/optics/src/bin/x.rs",
                 "fn main() { scale_weight(1); }",
             ),
-            (
-                "crates/bench/benches/microbench.rs",
-                "fn b() { scale_weight(1); }",
-            ),
+            ("crates/bench/benches/x.rs", "fn b() { scale_weight(1); }"),
             ("crates/core/src/lib.rs", "fn g() { scale_weight(1); }"),
             (
                 "crates/optics/src/arm.rs",

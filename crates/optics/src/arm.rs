@@ -75,12 +75,12 @@
 //!
 //! Measured on a 2-vCPU Intel Xeon host, paper noise:
 //! `perf_json`'s `mac_ns_per_ring` read 3.6–7.8 ns over eight runs
-//! (11.4–22.9 ns over three with per-ring draws). The
-//! `mac_core_1024_rings` microbench, 113 windows against one arm's
-//! taps, read 4.6–5.7 µs over four runs, about 45 ns a window;
-//! `ring_table_mac_9wide`, one random-sign chunk with its taps formed
-//! inline, read 70–80 ns (152–170 ns when each chunk went through an
-//! arm-style activation check, per-tap closures and a sign branch).
+//! (11.4–22.9 ns over three with per-ring draws). oisabench's traced
+//! run (`--trace 1`, seed 1, 20 s) times the same paths:
+//! `optics.host_ns_per_ring_mac` read 3.5 ns on `camera_stream`'s
+//! 128² conv drain and 5.1 ns on `fleet_program`'s, and
+//! `mlp.host_ns_per_mac` 20.2 ns on `fleet_program`'s one-frame dense
+//! calls, each of which restages its matrix.
 
 use oisa_device::mr::{Microring, MrDesign, TuningOutcome};
 use oisa_device::noise::{NoiseConfig, NoiseModel, NoiseStream};

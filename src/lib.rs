@@ -185,9 +185,9 @@
 //!   reduced in `(frame, pass, row)` order so reports are reproducible
 //!   bit-for-bit. `convolve_frame` is the engine's one-frame batch.
 //!
-//! Benchmarks: `cargo bench -p oisa_bench` runs the microbenchmarks
-//! (`ring_table_mac_9wide`, `mac_core_{72,256,1024}_rings`,
-//! `conv_32x32_multipass`, `oisa_convolve_frame_128x128_16k`, …);
+//! Benchmarks: oisabench (`oisabench/`, the repository's wall-clock
+//! benchmark) times the hot paths in its traced run (`--trace 1`:
+//! `optics.host_ns_per_ring_mac`, `mlp.host_ns_per_mac`, …);
 //! `cargo run --release -p oisa_bench --bin perf_json` emits one
 //! machine-readable `BENCH JSON` line comparing the optimised pipeline
 //! against the pre-optimisation reference (≥ 5× on the 128×128,

@@ -17,6 +17,7 @@ use oisa::core::program::{
     run_reference, ActivationKind, LayerProgram, ProgramFrameReport, QuantizeKind, Stage,
     StageReport,
 };
+use oisa::core::serving::{ServingConfig, ServingEngine, SubmitError};
 use oisa::core::wire::{
     self, FabricEntry, InferenceJob, ProgramJob, ProgramShard, WireError, WireMessage,
 };
@@ -26,6 +27,7 @@ use oisa::optics::opc::Opc;
 use oisa::optics::vom::Vom;
 use oisa::sensor::Frame;
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 fn noisy_config(seed: u64) -> OisaConfig {
@@ -340,12 +342,28 @@ fn non_finite_dense_weights_fail_alike_on_every_path() {
     }
 }
 
-/// The `ComputeBackend` promise — a refused job advances no observable
-/// state, so a retry runs to the same bits — holds alike on one host
-/// and on a fleet: after program jobs refused for a non-finite dense
-/// weight (first, in the middle or last) and for a misshapen frame, a
-/// valid job on either backend equals the sequential forward at
-/// epoch 0.
+/// A worker that counts its round trips: pings and shards alike.
+struct Counted {
+    worker: InProcessWorker,
+    trips: Arc<AtomicUsize>,
+}
+
+impl ShardTransport for Counted {
+    fn round_trip(&mut self, message: &[u8]) -> Result<Vec<u8>, OisaError> {
+        self.trips.fetch_add(1, Ordering::SeqCst);
+        self.worker.round_trip(message)
+    }
+}
+
+/// One check decides whether a job may run, so a refused job gets one
+/// typed error on every backend and advances no observable state: the
+/// local backend and a two-worker fleet return equal errors for program
+/// jobs refused for a non-finite dense weight (first, in the middle or
+/// last), a misshapen frame or no frames, and for conv jobs refused for
+/// a misshapen frame mid-batch, a non-finite kernel weight, `k = 4` or no
+/// frames — and the fleet refuses each before any round trip. A
+/// misshapen frame reads the same wherever it enters. A valid job on
+/// either backend then equals the sequential forward at epoch 0.
 #[test]
 fn refused_program_jobs_leave_every_backend_as_it_was() {
     let config = noisy_config(47);
@@ -356,7 +374,7 @@ fn refused_program_jobs_leave_every_backend_as_it_was() {
         panic!("the shaped program's third stage is dense");
     };
     let weights = matrix.len();
-    let mut refused: Vec<ProgramJob> = [0, weights / 2, weights - 1]
+    let mut programs: Vec<ProgramJob> = [0, weights / 2, weights - 1]
         .into_iter()
         .map(|index| {
             let mut bad = program.clone();
@@ -368,14 +386,83 @@ fn refused_program_jobs_leave_every_backend_as_it_was() {
         .collect();
     let mut misshapen = frames.clone();
     misshapen[1] = Frame::constant(12, 12, 0.5).unwrap();
-    refused.push(job(1, program.clone(), misshapen));
-    for backend in [
-        &mut LocalBackend::new(config).unwrap() as &mut dyn ComputeBackend,
-        &mut FleetSupervisor::in_process(config, 2).unwrap(),
-    ] {
-        for bad in &refused {
-            assert!(backend.run_program(bad).is_err());
-        }
+    programs.push(job(1, program.clone(), misshapen.clone()));
+    programs.push(job(1, program.clone(), Vec::new()));
+    let kernels = kernel_bank(2, 3, 4);
+    let mut poisoned = kernels.clone();
+    poisoned[1][4] = f32::NAN;
+    let conv_job = |k, kernels, frames| InferenceJob {
+        job_id: 1,
+        k,
+        kernels,
+        frames,
+    };
+    let convs = [
+        conv_job(3, kernels.clone(), misshapen.clone()),
+        conv_job(3, poisoned, frames.clone()),
+        conv_job(4, kernel_bank(2, 4, 4), frames.clone()),
+        conv_job(3, kernels.clone(), Vec::new()),
+    ];
+
+    let trips = Arc::new(AtomicUsize::new(0));
+    let workers: Vec<Box<dyn ShardTransport>> = (0..2)
+        .map(|_| {
+            Box::new(Counted {
+                worker: InProcessWorker::new(config),
+                trips: Arc::clone(&trips),
+            }) as Box<dyn ShardTransport>
+        })
+        .collect();
+    let mut fleet =
+        FleetSupervisor::new(config, workers, Vec::new(), SupervisorOptions::default()).unwrap();
+    let mut local = LocalBackend::new(config).unwrap();
+    for (index, bad) in programs.iter().enumerate() {
+        let err = local.run_program(bad).unwrap_err();
+        assert_eq!(
+            fleet.run_program(bad).unwrap_err(),
+            err,
+            "program job {index}"
+        );
+    }
+    for (index, bad) in convs.iter().enumerate() {
+        let err = local.run_job(bad).unwrap_err();
+        assert_eq!(fleet.run_job(bad).unwrap_err(), err, "conv job {index}");
+    }
+    assert_eq!(
+        trips.load(Ordering::SeqCst),
+        0,
+        "a refused job reached a worker"
+    );
+
+    let misfit = CoreError::InvalidParameter("frame is 12x12 but the imager is 16x16".into());
+    assert_eq!(
+        local.run_job(&convs[0]).unwrap_err(),
+        OisaError::Core(misfit.clone())
+    );
+    let mut accel = OisaAccelerator::new(config).unwrap();
+    let entered = [
+        accel.convolve_frames(&misshapen, &kernels, 3).unwrap_err(),
+        accel
+            .convolve_frame_sequential(&misshapen[1], &kernels, 3)
+            .unwrap_err(),
+        accel.run_program_frames(&program, &misshapen).unwrap_err(),
+    ];
+    assert_eq!(entered, [misfit.clone(), misfit.clone(), misfit.clone()]);
+    let engine = ServingEngine::new(
+        OisaAccelerator::new(config).unwrap(),
+        kernels,
+        3,
+        ServingConfig::default(),
+    )
+    .unwrap();
+    match engine.submit(misshapen[1].clone()) {
+        Err(SubmitError::Rejected(err)) => assert_eq!(err, misfit),
+        other => panic!("expected a rejected submit, got {other:?}"),
+    }
+    let (_, stats) = engine.shutdown();
+    assert_eq!(stats.frames_completed, 0, "the rejected frame was queued");
+
+    for backend in [&mut local as &mut dyn ComputeBackend, &mut fleet] {
         let valid = backend.run_program(&job(2, program.clone(), frames.clone()));
         assert_eq!(valid.unwrap(), oracle);
     }
