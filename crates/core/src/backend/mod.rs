@@ -11,20 +11,20 @@
 //!   [`run_program_frames`](OisaAccelerator::run_program_frames).
 //! * [`FleetSupervisor`] — the coordinator: it splits each job's
 //!   frames into contiguous `(frame, epoch)` ranges, ships them as
-//!   length-prefixed [`ProgramShard`] [`wire`] messages to workers
-//!   (in-process for tests/bench, separate OS processes in
-//!   `examples/multi_node.rs`, remote hosts over [`TcpTransport`] —
-//!   anything implementing [`ShardTransport`]), merges the
-//!   [`ProgramReport`]s in frame order, and heals the fleet when a
-//!   worker fails ([`supervisor`]). A conv [`InferenceJob`] travels as
-//!   the one-stage program `[Stage::Conv { k, kernels }]`, so both job
-//!   kinds share one shard type, one worker entry point
+//!   [`ProgramShard`] [`wire`] messages to workers ([`InProcessWorker`]s
+//!   in tests and benches, worker daemons on this or other hosts over
+//!   [`TcpTransport`] — anything implementing [`ShardTransport`]),
+//!   merges the [`ProgramReport`]s in frame order, and heals the fleet
+//!   when a worker fails ([`supervisor`]). A conv [`InferenceJob`]
+//!   travels as the one-stage program `[Stage::Conv { k, kernels }]`,
+//!   so both job kinds share one shard type, one worker entry point
 //!   ([`execute_program_shard`]) and one failure path.
 //!
 //! The [`tcp`] submodule holds the multi-host deployment pieces: the
 //! [`TcpTransport`] coordinator side (connect/read timeouts, reconnect
 //! with backoff, a connect-time [`wire::Handshake`]) and the
-//! [`TcpWorker`] accept-loop daemon the `oisa_worker` binary wraps.
+//! [`TcpWorker`] accept-loop daemon the `oisa_worker` binary wraps,
+//! which answers each connection with one [`InProcessWorker`].
 //!
 //! # The determinism contract
 //!
@@ -81,8 +81,6 @@
 //! has no dense stage (dense stages re-tune arms the entry states do
 //! not model); otherwise the next conv job enters cold — the same
 //! one-job-deep energy caveat, with feature maps exact either way.
-
-use std::io::{Read, Write};
 
 use crate::accelerator::{ConvolutionReport, OisaAccelerator, OisaConfig};
 use crate::error::OisaError;
@@ -247,9 +245,9 @@ impl ComputeBackend for LocalBackend {
 // Worker side
 // ---------------------------------------------------------------------
 
-/// Executes one [`ProgramShard`] on a fresh accelerator — the
-/// worker-side core both the in-process transport and the process
-/// worker loop ([`serve_worker`]) share.
+/// Executes one [`ProgramShard`] on a fresh accelerator — the core of
+/// the request handler every worker runs ([`InProcessWorker`]), in
+/// process or behind a [`TcpWorker`] connection.
 ///
 /// Statelessness is the point: everything the shard's physics needs is
 /// in the message (plus the out-of-band `config`, guarded by the
@@ -291,80 +289,56 @@ pub fn execute_program_shard(
     })
 }
 
-/// Serves shards from a byte stream until clean EOF: the main loop of
-/// a worker process. Each incoming [`ProgramShard`] is answered with a
-/// [`ProgramReport`] on success or a typed [`ShardRefusal`] (never a
-/// dropped connection) when the shard cannot run, and so is any
-/// request that does not decode — one stamped with another schema
-/// version included; a [`WireMessage::Ping`] is answered with a
-/// [`WireMessage::Pong`] echoing the nonce and carrying this worker's
-/// config fingerprint.
+/// A shard worker: the config it executes under, and the one request
+/// handler (`serve_worker_request`) every worker answers with.
 ///
-/// Returns the number of requests answered.
-///
-/// # Errors
-///
-/// Only transport-level failures ([`OisaError::Wire`]): an undecodable
-/// *request* still gets a refusal reply, but a broken stream ends the
-/// loop.
-pub fn serve_worker<R: Read, W: Write>(
-    config: &OisaConfig,
-    reader: &mut R,
-    writer: &mut W,
-) -> BackendResult<u64> {
-    let mut config = *config;
-    serve_worker_configurable(&mut config, reader, writer, &mut |_| {}).map(|o| o.served)
+/// As a [`ShardTransport`] it hands each request straight to that
+/// handler — decode → handle → encode, with no framing — so the bench
+/// harness and the parity tests exercise the whole codec path without
+/// a socket. Each [`TcpWorker`] connection runs one behind its socket.
+/// A [`WireMessage::Configure`] push holds for every later request of
+/// the worker's lifetime: a daemon's for its connection, an in-process
+/// transport's for as long as it lives.
+#[derive(Debug, Clone)]
+pub struct InProcessWorker {
+    config: OisaConfig,
 }
 
-/// What a worker connection did over its lifetime — returned by
-/// [`serve_worker_configurable`] so daemons can log a status line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServeOutcome {
-    /// Requests answered (shards, pings and config pushes alike).
-    pub served: u64,
-    /// [`Configure`](WireMessage::Configure) pushes applied.
-    pub reconfigured: u64,
-    /// Fingerprint of the config the connection ended under.
-    pub final_fingerprint: u64,
-}
+impl InProcessWorker {
+    /// A worker that executes under `config` until a config push
+    /// replaces it.
+    #[must_use]
+    pub fn new(config: OisaConfig) -> Self {
+        Self { config }
+    }
 
-/// The full worker loop behind [`serve_worker`], with config push and a
-/// fault-injection hook.
-///
-/// A [`WireMessage::Configure`] replaces the working `config` (the push
-/// was already re-validated during decode) and is answered with a
-/// [`WireMessage::ConfigureAck`] echoing the nonce and carrying the
-/// fingerprint recomputed from the **applied** config. Subsequent
-/// shards and pings run under the pushed physics, and the caller keeps
-/// the config the call ends under: a daemon per connection, so a
-/// coordinator that reconnects must push again (which [`TcpTransport`]
-/// does automatically when built with a config push), and an
-/// [`InProcessWorker`] for its lifetime.
-///
-/// `before_shard` runs after a shard decodes and before it executes,
-/// receiving the count of shards this call already answered. The
-/// `oisa_worker` daemon's `--fail-after-shards` flag aborts the
-/// process from this hook to simulate a worker dying mid-job;
-/// [`serve_worker`] passes a no-op.
-///
-/// # Errors
-///
-/// As [`serve_worker`].
-pub fn serve_worker_configurable<R: Read, W: Write>(
-    config: &mut OisaConfig,
-    reader: &mut R,
-    writer: &mut W,
-    before_shard: &mut dyn FnMut(u64),
-) -> BackendResult<ServeOutcome> {
-    let mut served = 0u64;
-    let mut shards = 0u64;
-    let mut reconfigured = 0u64;
-    while let Some(payload) = wire::read_frame(reader)? {
-        let reply = match wire::decode(&payload) {
+    /// Answers one request, as every worker answers it: a
+    /// [`ProgramShard`] with its [`ProgramReport`], or with a typed
+    /// [`ShardRefusal`] (never a dropped connection) when it cannot
+    /// run; a [`WireMessage::Ping`] with a [`WireMessage::Pong`]
+    /// echoing the nonce and carrying this worker's config
+    /// fingerprint; a [`WireMessage::Configure`] by replacing the
+    /// config (the push was already re-validated during decode) and
+    /// acknowledging with a [`WireMessage::ConfigureAck`] that echoes
+    /// the nonce and carries the fingerprint of the **applied** config.
+    /// Any other message, and a request that did not decode (one
+    /// stamped with another schema version included), gets a refusal
+    /// naming what arrived.
+    pub(crate) fn serve_worker_request(
+        &mut self,
+        request: wire::Result<WireMessage>,
+    ) -> WireMessage {
+        let refuse = |reason| {
+            WireMessage::Refusal(ShardRefusal {
+                job_id: 0,
+                shard_index: 0,
+                code: RefusalCode::Other,
+                reason,
+            })
+        };
+        match request {
             Ok(WireMessage::ProgramShard(shard)) => {
-                before_shard(shards);
-                shards += 1;
-                match execute_program_shard(config, &shard) {
+                match execute_program_shard(&self.config, &shard) {
                     Ok(report) => WireMessage::ProgramReport(report),
                     Err(e) => WireMessage::Refusal(ShardRefusal {
                         job_id: shard.job_id,
@@ -376,43 +350,22 @@ pub fn serve_worker_configurable<R: Read, W: Write>(
             }
             Ok(WireMessage::Ping(hs)) => WireMessage::Pong(wire::Handshake {
                 nonce: hs.nonce,
-                config_fingerprint: config.fingerprint(),
+                config_fingerprint: self.config.fingerprint(),
             }),
             Ok(WireMessage::Configure(push)) => {
-                *config = push.config;
-                reconfigured += 1;
+                self.config = push.config;
                 WireMessage::ConfigureAck(wire::Handshake {
                     nonce: push.nonce,
-                    config_fingerprint: config.fingerprint(),
+                    config_fingerprint: self.config.fingerprint(),
                 })
             }
-            Ok(other) => WireMessage::Refusal(ShardRefusal {
-                job_id: 0,
-                shard_index: 0,
-                code: RefusalCode::Other,
-                reason: format!(
-                    "worker expected a ProgramShard, got {}",
-                    message_name(&other)
-                ),
-            }),
-            Err(e) => WireMessage::Refusal(ShardRefusal {
-                job_id: 0,
-                shard_index: 0,
-                code: RefusalCode::Other,
-                reason: format!("worker could not decode request: {e}"),
-            }),
-        };
-        wire::send(writer, &reply)?;
-        writer
-            .flush()
-            .map_err(|e| wire::WireError::Io(e.to_string()))?;
-        served += 1;
+            Ok(other) => refuse(format!(
+                "worker expected a ProgramShard, got {}",
+                message_name(&other)
+            )),
+            Err(e) => refuse(format!("worker could not decode request: {e}")),
+        }
     }
-    Ok(ServeOutcome {
-        served,
-        reconfigured,
-        final_fingerprint: config.fingerprint(),
-    })
 }
 
 /// The machine-readable class a worker-side error travels under.
@@ -488,42 +441,11 @@ pub trait ShardTransport: Send {
     }
 }
 
-/// An in-process worker: runs [`serve_worker`] over in-memory buffers,
-/// so the full encode → frame → decode → execute → encode path is
-/// exercised without spawning a process. This is what the bench
-/// harness and the parity tests use; `examples/multi_node.rs` swaps in
-/// a real child-process transport over the same trait. A
-/// [`WireMessage::Configure`] push holds for every later round trip,
-/// as it holds for a TCP daemon's connection.
-#[derive(Debug, Clone)]
-pub struct InProcessWorker {
-    config: OisaConfig,
-}
-
-impl InProcessWorker {
-    /// A worker that executes under `config` until a config push
-    /// replaces it.
-    #[must_use]
-    pub fn new(config: OisaConfig) -> Self {
-        Self { config }
-    }
-}
-
 impl ShardTransport for InProcessWorker {
     fn round_trip(&mut self, message: &[u8]) -> BackendResult<Vec<u8>> {
-        let mut request = Vec::with_capacity(message.len() + 4);
-        wire::write_frame(&mut request, message)?;
-        let mut reader = std::io::Cursor::new(request);
-        let mut reply_stream = Vec::new();
-        serve_worker_configurable(
-            &mut self.config,
-            &mut reader,
-            &mut reply_stream,
-            &mut |_| {},
-        )?;
-        let mut cursor = std::io::Cursor::new(reply_stream);
-        wire::read_frame(&mut cursor)?
-            .ok_or_else(|| OisaError::Backend("in-process worker produced no reply".into()))
+        Ok(wire::encode(
+            &self.serve_worker_request(wire::decode(message)),
+        ))
     }
 
     fn endpoint_label(&self) -> String {
@@ -711,7 +633,7 @@ mod tests {
     #[test]
     fn worker_answers_garbage_with_a_refusal_not_a_hangup() {
         let mut transport = InProcessWorker::new(cfg(8));
-        // A syntactically valid frame holding an undecodable payload.
+        // An undecodable payload.
         let reply = transport.round_trip(&[0xDE, 0xAD]).unwrap();
         match wire::decode(&reply).unwrap() {
             WireMessage::Refusal(refusal) => {
@@ -742,13 +664,9 @@ mod tests {
             config_fingerprint: 0,
         }));
         ping[2..4].copy_from_slice(&4u16.to_le_bytes());
-        let mut request = Vec::new();
-        wire::write_frame(&mut request, &ping).unwrap();
-        let mut replies = Vec::new();
-        let served = serve_worker(&cfg(12), &mut request.as_slice(), &mut replies).unwrap();
-        assert_eq!(served, 1, "the stale ping is answered, not dropped");
-        match wire::receive(&mut replies.as_slice()).unwrap() {
-            Some(WireMessage::Refusal(refusal)) => {
+        let reply = InProcessWorker::new(cfg(12)).round_trip(&ping).unwrap();
+        match wire::decode(&reply).unwrap() {
+            WireMessage::Refusal(refusal) => {
                 assert_eq!(refusal.code, RefusalCode::Other);
                 assert!(
                     refusal.reason.contains("unsupported schema version 4"),

@@ -1247,12 +1247,13 @@ mod tests {
             io_timeout: Some(Duration::from_millis(200)),
             attempts: 2,
             backoff: Duration::from_millis(5),
-            handshake: false, // the health probe itself must find the hang
         };
         let active: Vec<Box<dyn ShardTransport>> = vec![
             Box::new(
                 TcpTransport::connect(live.endpoint(), config.fingerprint(), options).unwrap(),
             ),
+            // Deferred, so the probe's own connection meets the hang in
+            // its handshake.
             Box::new(TcpTransport::deferred(
                 hung_addr.clone(),
                 config.fingerprint(),

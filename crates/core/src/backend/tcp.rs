@@ -2,9 +2,9 @@
 //! [`ShardTransport`] and the accept-loop worker daemon behind the
 //! `oisa_worker` binary.
 //!
-//! Everything here speaks the same length-prefixed, schema-versioned
-//! [`wire`] protocol the in-process and child-process transports speak;
-//! only the byte stream differs. The pieces:
+//! Everything here speaks the length-prefixed, schema-versioned
+//! [`wire`] protocol; the in-process transport hands the same payloads
+//! to the same request handler without the length prefix. The pieces:
 //!
 //! * [`TcpTransport`] — the coordinator's side of one worker
 //!   connection. Connects with a timeout, performs a
@@ -25,14 +25,13 @@
 //!   reconnect, because a worker's adopted config is
 //!   connection-local.
 //! * [`TcpWorker`] — the daemon: binds a port, accepts coordinator
-//!   connections, and serves each on its own thread via
-//!   [`serve_worker_configurable`] until the peer disconnects. Any
-//!   number of coordinators may connect over the daemon's lifetime;
-//!   every shard is self-contained, so the daemon keeps no
+//!   connections, and serves each on its own thread with one
+//!   [`InProcessWorker`] — the worker state and its request handler —
+//!   until the peer disconnects. Any number of coordinators may connect
+//!   over the daemon's lifetime; every shard is self-contained and a
+//!   config push holds for its connection only, so the daemon keeps no
 //!   cross-connection state (beyond the fault-injection shard
 //!   counter).
-//!
-//! [`serve_worker_configurable`]: super::serve_worker_configurable
 //!
 //! # Failure model
 //!
@@ -49,6 +48,7 @@
 //! after the daemon restarts at the same endpoint re-executes
 //! bit-identically.
 
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -58,7 +58,7 @@ use crate::accelerator::OisaConfig;
 use crate::error::OisaError;
 use crate::wire::{self, Handshake, WireError, WireMessage};
 
-use super::{refusal_to_error, serve_worker_configurable, BackendResult, ShardTransport};
+use super::{refusal_to_error, BackendResult, InProcessWorker, ShardTransport};
 
 // ---------------------------------------------------------------------
 // Coordinator side: TcpTransport
@@ -122,11 +122,6 @@ pub struct TcpTransportConfig {
     pub attempts: u32,
     /// Backoff before the first reconnect; doubles per further attempt.
     pub backoff: Duration,
-    /// Exchange a [`wire::Handshake`] on every fresh connection,
-    /// verifying liveness and config agreement before any shard is
-    /// sent. Disable only to test the shard-level fingerprint refusal
-    /// path itself.
-    pub handshake: bool,
 }
 
 impl Default for TcpTransportConfig {
@@ -136,7 +131,6 @@ impl Default for TcpTransportConfig {
             io_timeout: Some(Duration::from_secs(30)),
             attempts: 3,
             backoff: Duration::from_millis(50),
-            handshake: true,
         }
     }
 }
@@ -181,9 +175,9 @@ impl From<WireError> for AttemptError {
 }
 
 impl TcpTransport {
-    /// Connects to a worker daemon eagerly (handshake included when
-    /// enabled), so a bad endpoint or a mismatched config fails at
-    /// fleet construction instead of on the first job.
+    /// Connects to a worker daemon eagerly, handshake included, so a
+    /// bad endpoint or a mismatched config fails at fleet construction
+    /// instead of on the first job.
     ///
     /// # Errors
     ///
@@ -320,11 +314,9 @@ impl TcpTransport {
         configure(&stream)
             .map_err(|e| AttemptError::Retry(format!("socket configuration failed: {e}")))?;
         self.stream = Some(stream);
-        if self.options.handshake {
-            if let Err(e) = self.handshake() {
-                self.stream = None;
-                return Err(e);
-            }
+        if let Err(e) = self.handshake() {
+            self.stream = None;
+            return Err(e);
         }
         Ok(())
     }
@@ -522,7 +514,7 @@ impl TcpWorker {
                     let options = self.options;
                     let counter = Arc::clone(&self.shards_served);
                     std::thread::spawn(move || {
-                        serve_connection(&config, stream, options, &counter);
+                        serve_worker_connection(config, stream, options, &counter);
                     });
                 }
                 Err(e) => {
@@ -587,9 +579,14 @@ impl TcpWorkerHandle {
     }
 }
 
-/// Serves one coordinator connection until EOF or a stream fault.
-fn serve_connection(
-    config: &OisaConfig,
+/// Serves one coordinator connection with one [`InProcessWorker`]
+/// until EOF or a stream fault: reads a frame, decodes it, applies
+/// [`WorkerOptions::fail_after_shards`] to a decoded shard, hands the
+/// request to the worker's handler and sends the reply. The worker
+/// starts from the daemon's config, so a config push holds for this
+/// connection only.
+fn serve_worker_connection(
+    config: OisaConfig,
     stream: TcpStream,
     options: WorkerOptions,
     shards_served: &AtomicU64,
@@ -611,23 +608,46 @@ fn serve_connection(
         }
     };
     let mut writer = stream;
-    let mut before_shard = |_local: u64| {
-        let total = shards_served.fetch_add(1, Ordering::SeqCst);
-        if let Some(limit) = options.fail_after_shards {
-            if total >= limit {
-                // Fault injection: die mid-request, reply unsent —
-                // exactly what a crashed worker looks like on the wire.
-                eprintln!("oisa worker: fail-after-shards={limit} reached, aborting mid-shard");
-                std::process::exit(17);
+    let mut worker = InProcessWorker::new(config);
+    let (mut requests, mut shards, mut pushes) = (0u64, 0u64, 0u64);
+    let ended = loop {
+        let payload = match wire::read_frame(&mut reader) {
+            Ok(Some(payload)) => payload,
+            Ok(None) => break Ok(()),
+            Err(e) => break Err(e),
+        };
+        let request = wire::decode(&payload);
+        match &request {
+            Ok(WireMessage::ProgramShard(_)) => {
+                let total = shards_served.fetch_add(1, Ordering::SeqCst);
+                if let Some(limit) = options.fail_after_shards {
+                    if total >= limit {
+                        // Fault injection: die mid-request, reply unsent —
+                        // exactly what a crashed worker looks like on the wire.
+                        eprintln!(
+                            "oisa worker: fail-after-shards={limit} reached, aborting mid-shard"
+                        );
+                        std::process::exit(17);
+                    }
+                }
+                shards += 1;
             }
+            Ok(WireMessage::Configure(_)) => pushes += 1,
+            _ => {}
         }
+        let reply = worker.serve_worker_request(request);
+        let sent = wire::send(&mut writer, &reply)
+            .and_then(|()| writer.flush().map_err(|e| WireError::Io(e.to_string())));
+        if let Err(e) = sent {
+            break Err(e);
+        }
+        requests += 1;
     };
-    let mut config = *config;
-    match serve_worker_configurable(&mut config, &mut reader, &mut writer, &mut before_shard) {
-        Ok(outcome) => eprintln!(
-            "oisa worker: connection from {peer} closed: {} shard(s) served, \
-             {} config push(es), final fingerprint {:#018x}",
-            outcome.served, outcome.reconfigured, outcome.final_fingerprint
+    match ended {
+        Ok(()) => eprintln!(
+            "oisa worker: connection from {peer} closed: {requests} request(s) answered, \
+             {shards} shard(s), {pushes} config push(es), final fingerprint {:#018x}",
+            worker.config.fingerprint()
         ),
         Err(e) => eprintln!("oisa worker: connection from {peer} ended: {e}"),
     }
@@ -659,7 +679,6 @@ mod tests {
             io_timeout: Some(Duration::from_secs(10)),
             attempts: 2,
             backoff: Duration::from_millis(5),
-            handshake: true,
         }
     }
 

@@ -32,8 +32,9 @@
 //! config. The adoption is connection-local: a new connection starts
 //! from the flag-built config again, which is why the transport pushes
 //! again on every reconnect. When a connection closes cleanly the
-//! daemon logs to stderr how many shards it served, how many config
-//! pushes it applied, and the fingerprint it ended on.
+//! daemon logs to stderr how many requests it answered, how many of
+//! them were shards and how many config pushes, and the fingerprint it
+//! ended on.
 //!
 //! | flag | default | meaning |
 //! |---|---|---|

@@ -70,7 +70,7 @@ pub enum OisaError {
     /// can be retried once the worker is back and will re-execute
     /// identically.
     Transport {
-        /// The worker endpoint (e.g. `127.0.0.1:7401`, `stdio`).
+        /// The worker endpoint (e.g. `127.0.0.1:7401`).
         endpoint: String,
         /// How many attempts were made before giving up.
         attempts: u32,

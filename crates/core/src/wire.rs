@@ -12,8 +12,9 @@
 //!
 //! # Framing and layout
 //!
-//! Messages travel over any byte stream (child-process pipes and real
-//! TCP sockets in the in-tree transports) as length-prefixed frames:
+//! Messages travel over any byte stream (TCP sockets in the in-tree
+//! transports) as length-prefixed frames; the in-process transport
+//! hands over the bare payload:
 //!
 //! ```text
 //! frame   := len:u32le payload
@@ -453,9 +454,10 @@ pub struct Handshake {
 /// [`OisaConfig`], serialized **field by field** — every pixel, ring,
 /// detector, laser, timing and noise parameter — so a worker started
 /// with different physics can rebuild its accelerator to match instead
-/// of refusing every shard. The Debug-derived fingerprint never
-/// travels; the receiving end recomputes it from the decoded fields,
-/// which makes the push meaningful across heterogeneous builds too.
+/// of refusing every shard. The fingerprint itself never travels: it
+/// hashes these same config bytes ([`OisaConfig::fingerprint`]), so
+/// the receiving end recomputes it from the decoded config and any two
+/// builds of one schema version agree on it.
 ///
 /// Decoding re-runs the
 /// [`OisaConfigBuilder`](crate::accelerator::OisaConfigBuilder)

@@ -89,7 +89,6 @@ fn build_backend(
         io_timeout: Some(Duration::from_secs(20)),
         attempts: 2,
         backoff: Duration::from_millis(50),
-        handshake: true,
     };
     let daemons: Vec<_> = (0..WORKERS)
         .map(|_| TcpWorker::bind(config, "127.0.0.1:0")?.spawn())

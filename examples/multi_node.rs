@@ -1,6 +1,6 @@
 //! Multi-node deployment: a coordinator shards inference jobs across
-//! OISA worker **processes** — over stdio pipes or real TCP sockets —
-//! speaking the versioned wire protocol.
+//! OISA worker **daemon processes** over real TCP sockets, speaking the
+//! versioned wire protocol.
 //!
 //! This is the paper's Fig. 2 scenario grown up: instead of four
 //! independent nodes each printing their own numbers, one coordinator
@@ -13,14 +13,16 @@
 //! mismatch, making it a CI check).
 //!
 //! ```sh
-//! cargo run --release --example multi_node             # coordinator + 4 stdio worker processes
-//! cargo run --release --example multi_node -- --tcp    # coordinator + 3 TCP worker daemons
+//! cargo run --release --example multi_node                   # coordinator + 3 TCP worker daemons
 //! cargo run --release --example multi_node -- --connect 127.0.0.1:7401,127.0.0.1:7402
-//!                                                      # externally started oisa_worker daemons
-//! cargo run --release --example multi_node -- --in-process   # same wire path, no processes
+//!                                                            # externally started oisa_worker daemons
+//! cargo run --release --example multi_node -- --in-process   # same wire codec, no processes
 //! cargo run --release --example multi_node -- --supervisor   # self-healing drill: kill a daemon
 //!                                                            # mid-job, FleetSupervisor recovers
 //! ```
+//!
+//! The coordinator starts its daemons by re-running this binary as
+//! `--worker-tcp HOST:PORT [--fail-after-shards N]`.
 //!
 //! The `--supervisor` mode runs the **self-healing drill**: one daemon
 //! is started with `--fail-after-shards` so it aborts mid-job, and the
@@ -36,14 +38,13 @@ use oisa::core::backend::{
     ComputeBackend, FleetSupervisor, InProcessWorker, ShardTransport, SupervisorOptions,
     TcpTransport, TcpTransportConfig, TcpWorker, WorkerOptions,
 };
-use oisa::core::wire::{self, InferenceJob};
+use oisa::core::wire::InferenceJob;
 use oisa::core::{ConvolutionReport, OisaAccelerator, OisaConfig, OisaError};
 use oisa::device::noise::NoiseConfig;
 use oisa::sensor::Frame;
 use oisa::units::Joule;
 
-const WORKERS: usize = 4;
-const TCP_WORKERS: usize = 3;
+const WORKERS: usize = 3;
 const IMG: usize = 16;
 
 /// The deployment configuration every process must agree on: shards
@@ -67,7 +68,6 @@ fn transport_config() -> TcpTransportConfig {
         io_timeout: Some(Duration::from_secs(20)),
         attempts: 2,
         backoff: Duration::from_millis(50),
-        handshake: true,
     }
 }
 
@@ -112,56 +112,8 @@ fn traffic_bytes(img: usize, out: usize, kernels: usize) -> (usize, usize) {
 }
 
 // ---------------------------------------------------------------------
-// Worker transports
+// Worker daemons
 // ---------------------------------------------------------------------
-
-/// One stdio worker process: a child of this binary speaking the wire
-/// protocol over its stdin/stdout.
-struct ProcessWorker {
-    child: Child,
-}
-
-impl ProcessWorker {
-    fn spawn() -> std::io::Result<Self> {
-        let exe = std::env::current_exe()?;
-        let child = Command::new(exe)
-            .arg("--worker")
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .spawn()?;
-        Ok(Self { child })
-    }
-}
-
-impl ShardTransport for ProcessWorker {
-    fn round_trip(&mut self, message: &[u8]) -> Result<Vec<u8>, OisaError> {
-        let stdin = self
-            .child
-            .stdin
-            .as_mut()
-            .ok_or_else(|| OisaError::Backend("worker stdin already closed".into()))?;
-        wire::write_frame(stdin, message)?;
-        stdin
-            .flush()
-            .map_err(|e| OisaError::Backend(format!("worker stdin broke: {e}")))?;
-        let stdout = self
-            .child
-            .stdout
-            .as_mut()
-            .ok_or_else(|| OisaError::Backend("worker stdout already closed".into()))?;
-        wire::read_frame(stdout)?
-            .ok_or_else(|| OisaError::Backend("worker exited without replying".into()))
-    }
-}
-
-impl Drop for ProcessWorker {
-    fn drop(&mut self) {
-        // Closing stdin lets the worker's serve loop see clean EOF and
-        // exit; then reap it so no zombie outlives the coordinator.
-        drop(self.child.stdin.take());
-        let _ = self.child.wait();
-    }
-}
 
 /// One TCP worker **daemon** process: this binary re-executed in
 /// `--worker-tcp` mode, reached over a real socket. The daemon prints
@@ -212,14 +164,12 @@ impl Drop for TcpDaemon {
 /// How the coordinator reaches its workers.
 #[derive(Debug, PartialEq)]
 enum Fleet {
-    /// Spawn `--worker` child processes over stdio pipes.
-    Processes,
     /// Spawn `--worker-tcp` daemon processes and dial them on loopback
     /// (the real multi-host deployment shape).
     Tcp,
     /// Dial externally started `oisa_worker` daemons.
     Connect(Vec<String>),
-    /// In-process workers over the same wire path — used by the unit
+    /// In-process workers over the same wire codec — used by the unit
     /// test, where `current_exe` is the test harness, not this example.
     InProcess,
 }
@@ -227,8 +177,7 @@ enum Fleet {
 impl Fleet {
     fn describe(&self) -> String {
         match self {
-            Self::Processes => format!("{WORKERS} stdio worker processes"),
-            Self::Tcp => format!("{TCP_WORKERS} TCP worker daemons (loopback)"),
+            Self::Tcp => format!("{WORKERS} TCP worker daemons (loopback)"),
             Self::Connect(endpoints) => {
                 format!(
                     "{} external TCP daemons: {}",
@@ -251,14 +200,8 @@ fn build_fleet(
     config: OisaConfig,
 ) -> Result<BuiltFleet, Box<dyn std::error::Error>> {
     match fleet {
-        Fleet::Processes => {
-            let workers = (0..WORKERS)
-                .map(|_| ProcessWorker::spawn().map(|w| Box::new(w) as Box<dyn ShardTransport>))
-                .collect::<std::io::Result<_>>()?;
-            Ok((workers, Vec::new()))
-        }
         Fleet::Tcp => {
-            let daemons: Vec<TcpDaemon> = (0..TCP_WORKERS)
+            let daemons: Vec<TcpDaemon> = (0..WORKERS)
                 .map(|_| TcpDaemon::spawn(None))
                 .collect::<Result<_, _>>()?;
             let workers = daemons
@@ -460,8 +403,8 @@ fn run_supervisor_drill() -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-const USAGE: &str = "usage: multi_node [--tcp | --connect HOST:PORT,... | --in-process | \
-                     --supervisor | --worker | --worker-tcp HOST:PORT [--fail-after-shards N]]";
+const USAGE: &str = "usage: multi_node [--connect HOST:PORT,... | --in-process | --supervisor | \
+                     --worker-tcp HOST:PORT [--fail-after-shards N]]";
 
 /// What one invocation runs: a worker, the self-healing drill, or a
 /// coordinator over a fleet.
@@ -472,29 +415,25 @@ enum Mode {
         addr: String,
         fail_after_shards: Option<u64>,
     },
-    /// `--worker`: a stdio worker.
-    Worker,
     /// `--supervisor`: the self-healing drill.
     Supervisor,
-    /// `--tcp`, `--connect A,B`, `--in-process` or no flag at all.
+    /// `--connect A,B`, `--in-process` or no flag at all.
     Coordinator(Fleet),
 }
 
 /// Parses the arguments after the program name into one [`Mode`]: one
-/// mode flag with its values, or none for the default stdio fleet.
+/// mode flag with its values, or none for the default TCP daemon fleet.
 /// Anything else — an unknown flag, a missing or malformed value, a
 /// second mode — is an error naming the arguments.
 fn parse_mode(args: &[String]) -> Result<Mode, String> {
     let args: Vec<&str> = args.iter().map(String::as_str).collect();
     Ok(match args.as_slice() {
-        [] => Mode::Coordinator(Fleet::Processes),
-        ["--tcp"] => Mode::Coordinator(Fleet::Tcp),
+        [] => Mode::Coordinator(Fleet::Tcp),
         ["--in-process"] => Mode::Coordinator(Fleet::InProcess),
         ["--connect", endpoints] => Mode::Coordinator(Fleet::Connect(
             endpoints.split(',').map(str::to_string).collect(),
         )),
         ["--supervisor"] => Mode::Supervisor,
-        ["--worker"] => Mode::Worker,
         ["--worker-tcp", addr] => Mode::WorkerTcp {
             addr: (*addr).to_string(),
             fail_after_shards: None,
@@ -531,15 +470,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             std::io::stdout().flush()?;
             worker.serve()?;
         }
-        Mode::Worker => {
-            // Stdio worker mode: speak the wire protocol over stdio
-            // until the coordinator closes the pipe. Nothing else may
-            // touch stdout.
-            let config = node_config();
-            let stdin = std::io::stdin();
-            let stdout = std::io::stdout();
-            oisa::core::backend::serve_worker(&config, &mut stdin.lock(), &mut stdout.lock())?;
-        }
         Mode::Supervisor => run_supervisor_drill()?,
         Mode::Coordinator(fleet) => run_coordinator(&fleet)?,
     }
@@ -559,7 +489,9 @@ mod tests {
         for args in [
             &["--interop"][..],
             &["--connect"],
-            &["--tcp", "--bogus"],
+            &["--in-process", "--bogus"],
+            &["--tcp"],
+            &["--worker"],
             &["--worker-tcp"],
             &["--worker-tcp", "127.0.0.1:0", "--fail-after-shards"],
             &["--worker-tcp", "127.0.0.1:0", "--fail-after-shards", "two"],
@@ -571,7 +503,7 @@ mod tests {
 
     #[test]
     fn each_mode_parses_to_its_run() {
-        assert_eq!(mode(&[]), Ok(Mode::Coordinator(Fleet::Processes)));
+        assert_eq!(mode(&[]), Ok(Mode::Coordinator(Fleet::Tcp)));
         assert_eq!(
             mode(&["--connect", "a,b"]),
             Ok(Mode::Coordinator(Fleet::Connect(vec![
@@ -586,7 +518,10 @@ mod tests {
                 fail_after_shards: Some(2),
             })
         );
-        assert_eq!(mode(&["--tcp"]), Ok(Mode::Coordinator(Fleet::Tcp)));
+        assert_eq!(
+            mode(&["--in-process"]),
+            Ok(Mode::Coordinator(Fleet::InProcess))
+        );
         assert_eq!(mode(&["--supervisor"]), Ok(Mode::Supervisor));
     }
 
@@ -605,8 +540,8 @@ mod tests {
 
     /// The coordinator's full pipeline — shard, dispatch over the wire,
     /// merge, verify parity — with in-process workers (the test
-    /// harness binary cannot re-exec itself as `--worker`; CI runs the
-    /// example binary itself for the real multi-process and TCP paths).
+    /// harness binary cannot re-exec itself as `--worker-tcp`; CI runs
+    /// the example binary itself for the real daemon processes).
     #[test]
     fn coordinator_demo_runs_and_verifies() {
         run_coordinator(&Fleet::InProcess).expect("multi_node coordinator");

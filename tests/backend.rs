@@ -19,8 +19,9 @@ use oisa::core::backend::{
     ComputeBackend, FleetSupervisor, InProcessWorker, LocalBackend, ShardTransport,
     SupervisorOptions, TcpTransport, TcpTransportConfig, TcpWorker,
 };
+use oisa::core::program::{LayerProgram, Stage};
 use oisa::core::serving::{ServingConfig, ServingEngine};
-use oisa::core::wire::{self, InferenceJob, WireError};
+use oisa::core::wire::{self, InferenceJob, RefusalCode, WireError, WireMessage};
 use oisa::core::{ConvolutionReport, OisaAccelerator, OisaConfig, OisaError};
 use oisa::device::noise::NoiseConfig;
 use oisa::sensor::Frame;
@@ -215,13 +216,12 @@ fn serving_over_a_sharded_backend_is_bit_identical() {
 // ---------------------------------------------------------------------
 
 /// Transport knobs for loopback tests: fail fast, never hang.
-fn fast_tcp(handshake: bool) -> TcpTransportConfig {
+fn fast_tcp() -> TcpTransportConfig {
     TcpTransportConfig {
         connect_timeout: Duration::from_millis(500),
         io_timeout: Some(Duration::from_secs(10)),
         attempts: 2,
         backoff: Duration::from_millis(5),
-        handshake,
     }
 }
 
@@ -252,7 +252,7 @@ fn tcp_backend(config: OisaConfig, endpoints: &[String]) -> FleetSupervisor {
     let workers = endpoints
         .iter()
         .map(|endpoint| {
-            TcpTransport::connect(endpoint.clone(), config.fingerprint(), fast_tcp(true))
+            TcpTransport::connect(endpoint.clone(), config.fingerprint(), fast_tcp())
                 .map(|t| Box::new(t) as _)
         })
         .collect::<Result<Vec<_>, _>>()
@@ -320,10 +320,11 @@ fn small_job(id: u64) -> InferenceJob {
     }
 }
 
-/// A worker that dies mid-reply: the stream truncates inside a message.
-/// Every retry meets the same fate, so the coordinator must give up
-/// with a typed transport error whose cause names the truncation —
-/// and must never hang.
+/// A worker that dies mid-reply: the stream truncates inside a message
+/// (the first reply on a connection is the handshake's, so that is
+/// where it meets the fault). Every retry meets the same fate, so the
+/// coordinator must give up with a typed transport error whose cause
+/// names the truncation — and must never hang.
 #[test]
 fn tcp_truncated_stream_mid_message_is_a_typed_error_not_a_hang() {
     use std::io::Write as _;
@@ -346,7 +347,7 @@ fn tcp_truncated_stream_mid_message_is_a_typed_error_not_a_hang() {
         // Dropping the stream (clean FIN) cuts the reply mid-payload.
     });
     let config = noisy_config(33);
-    let transport = TcpTransport::deferred(endpoint.clone(), config.fingerprint(), fast_tcp(false));
+    let transport = TcpTransport::deferred(endpoint.clone(), config.fingerprint(), fast_tcp());
     let mut backend = coordinator(config, vec![Box::new(transport)]);
     let started = std::time::Instant::now();
     let err = backend.run_job(&small_job(1)).unwrap_err();
@@ -369,9 +370,10 @@ fn tcp_truncated_stream_mid_message_is_a_typed_error_not_a_hang() {
     );
 }
 
-/// A worker that accepts the shard and then goes silent: the read
-/// timeout must fire and surface as a typed transport error — the
-/// coordinator never blocks forever on a wedged worker.
+/// A worker that reads the first request (the handshake's ping) and
+/// then goes silent: the read timeout must fire and surface as a typed
+/// transport error — the coordinator never blocks forever on a wedged
+/// worker.
 #[test]
 fn tcp_unresponsive_worker_hits_the_read_timeout_not_a_hang() {
     let endpoint = evil_server(|mut stream| {
@@ -382,7 +384,7 @@ fn tcp_unresponsive_worker_hits_the_read_timeout_not_a_hang() {
     let config = noisy_config(34);
     let options = TcpTransportConfig {
         io_timeout: Some(Duration::from_millis(200)),
-        ..fast_tcp(false)
+        ..fast_tcp()
     };
     let transport = TcpTransport::deferred(endpoint, config.fingerprint(), options);
     let mut backend = coordinator(config, vec![Box::new(transport)]);
@@ -409,7 +411,7 @@ fn tcp_connect_to_an_unreachable_endpoint_is_typed_and_fast() {
         probe.local_addr().unwrap().to_string()
     };
     let started = std::time::Instant::now();
-    let err = TcpTransport::connect(endpoint.clone(), 0, fast_tcp(true)).unwrap_err();
+    let err = TcpTransport::connect(endpoint.clone(), 0, fast_tcp()).unwrap_err();
     match err {
         OisaError::Transport {
             endpoint: seen,
@@ -517,39 +519,20 @@ fn tcp_worker_death_replans_and_a_restarted_daemon_retries_bit_identically() {
     );
 }
 
-/// The config-fingerprint guard over TCP, both ways it can fire: the
-/// connect-time handshake reports a mismatch before any shard is sent,
-/// and with the handshake disabled the worker's shard-level refusal
-/// maps back to the same typed error naming both fingerprints.
+/// The config-fingerprint guard over TCP: the connect-time handshake
+/// reports a mismatch, naming both fingerprints, before any shard is
+/// sent. (The worker's shard-level refusal is the same handler's on
+/// every transport: see the byte-parity test below.)
 #[test]
-fn tcp_fingerprint_mismatch_is_typed_at_handshake_and_shard_level() {
+fn tcp_fingerprint_mismatch_is_typed_at_handshake() {
     let worker_cfg = noisy_config(36);
     let coordinator_cfg = noisy_config(37); // different seed → different physics
     let endpoint = spawn_tcp_fleet(worker_cfg, 1).remove(0);
 
-    // Handshake path: connect() itself names both fingerprints.
-    let err = TcpTransport::connect(
-        endpoint.clone(),
-        coordinator_cfg.fingerprint(),
-        fast_tcp(true),
-    )
-    .unwrap_err();
+    let err =
+        TcpTransport::connect(endpoint, coordinator_cfg.fingerprint(), fast_tcp()).unwrap_err();
     assert_eq!(
         err,
-        OisaError::FingerprintMismatch {
-            coordinator: coordinator_cfg.fingerprint(),
-            worker: worker_cfg.fingerprint(),
-        }
-    );
-
-    // Shard path: with the handshake off, the shard reaches the worker,
-    // is refused with a coded ShardRefusal, and the coordinator maps it
-    // to the same typed error.
-    let transport =
-        TcpTransport::deferred(endpoint, coordinator_cfg.fingerprint(), fast_tcp(false));
-    let mut backend = coordinator(coordinator_cfg, vec![Box::new(transport)]);
-    assert_eq!(
-        backend.run_job(&small_job(3)).unwrap_err(),
         OisaError::FingerprintMismatch {
             coordinator: coordinator_cfg.fingerprint(),
             worker: worker_cfg.fingerprint(),
@@ -579,7 +562,7 @@ fn tcp_connect_refuses_a_pong_of_another_schema_version_without_retrying() {
         let _ = wire::write_frame(&mut stream, &pong);
         let _ = stream.flush();
     });
-    let err = TcpTransport::connect(endpoint, 0, fast_tcp(true)).unwrap_err();
+    let err = TcpTransport::connect(endpoint, 0, fast_tcp()).unwrap_err();
     assert_eq!(
         err,
         OisaError::Wire(WireError::UnsupportedVersion { got: 4 })
@@ -644,4 +627,95 @@ fn tcp_worker_answers_a_raw_handshake_ping() {
         }
         other => panic!("expected a pong, got {other:?}"),
     }
+}
+
+/// One handler behind both transports: the same request payloads, sent
+/// over a raw socket to a `TcpWorker` daemon and through one
+/// `InProcessWorker`, get byte-equal replies — a report, refusals of
+/// every kind, a pong and a config push's acknowledgement — and on
+/// both the push holds for the shard after it.
+#[test]
+fn tcp_daemon_and_in_process_worker_reply_with_the_same_bytes() {
+    use std::io::Write as _;
+    let config = noisy_config(40);
+    let other = noisy_config(41); // other physics
+    let shard = |fingerprint: u64| {
+        wire::encode(&WireMessage::ProgramShard(wire::ProgramShard {
+            job_id: 7,
+            shard_index: 0,
+            shard_count: 1,
+            first_frame: 0,
+            first_epoch: 0,
+            config_fingerprint: fingerprint,
+            entry: wire::FabricEntry::Cold,
+            program: LayerProgram {
+                stages: vec![Stage::Conv {
+                    k: 3,
+                    kernels: kernel_bank(2, 3),
+                }],
+            },
+            frames: textured_frames(2, 40),
+        }))
+    };
+    let handshake = |nonce: u64| wire::Handshake {
+        nonce,
+        config_fingerprint: 0,
+    };
+    let ping = wire::encode(&WireMessage::Ping(handshake(1)));
+    let mut stale_ping = ping.clone();
+    stale_ping[2..4].copy_from_slice(&4u16.to_le_bytes());
+    let requests = [
+        ping,
+        shard(config.fingerprint()),
+        shard(other.fingerprint()),
+        stale_ping,
+        vec![0xDE, 0xAD],
+        wire::encode(&WireMessage::Pong(handshake(2))),
+        wire::encode(&WireMessage::Configure(wire::ConfigPush {
+            nonce: 3,
+            config: other,
+        })),
+        shard(other.fingerprint()),
+    ];
+
+    let endpoint = spawn_tcp_fleet(config, 1).remove(0);
+    let mut stream = std::net::TcpStream::connect(&endpoint).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut in_process = InProcessWorker::new(config);
+    let mut kinds = Vec::new();
+    for (i, request) in requests.iter().enumerate() {
+        wire::write_frame(&mut stream, request).unwrap();
+        stream.flush().unwrap();
+        let over_tcp = wire::read_frame(&mut stream).unwrap().expect("a reply");
+        assert_eq!(
+            over_tcp,
+            in_process.round_trip(request).unwrap(),
+            "request {i}"
+        );
+        kinds.push(match wire::decode(&over_tcp).unwrap() {
+            WireMessage::Refusal(refusal) => match refusal.code {
+                RefusalCode::FingerprintMismatch { .. } => "FingerprintMismatch",
+                _ => "Refusal",
+            },
+            WireMessage::Pong(_) => "Pong",
+            WireMessage::ConfigureAck(_) => "ConfigureAck",
+            WireMessage::ProgramReport(_) => "ProgramReport",
+            other => panic!("request {i} got {other:?}"),
+        });
+    }
+    assert_eq!(
+        kinds,
+        [
+            "Pong",
+            "ProgramReport",
+            "FingerprintMismatch",
+            "Refusal",
+            "Refusal",
+            "Refusal",
+            "ConfigureAck",
+            "ProgramReport",
+        ]
+    );
 }
