@@ -35,12 +35,7 @@
 //!   reduced in row order, so the energy report is identical no matter
 //!   how many worker threads ran.
 //!
-//! [`OisaAccelerator::convolve_frame_reference`] keeps a faithful port
-//! of the pre-optimisation MAC path (per-window allocation, per-MAC
-//! validation and crosstalk evaluation, order-dependent noise) as the
-//! wall-clock baseline for `perf_json`.
-//!
-//! # One parallel engine
+//! # Two conv paths: one parallel engine, one serial oracle
 //!
 //! [`OisaAccelerator::convolve_frames`] is the one parallel conv
 //! engine; [`OisaAccelerator::convolve_frame`] (and so the conv stage
@@ -57,8 +52,20 @@
 //! the fabric's previous operating point, the engine records two
 //! tuning/memory energies: the batch's first frame pays the entry-state
 //! cost, every later frame pays the steady-state cost a per-frame loop
-//! would see. Every path stages a pass through one routine, so all of
-//! them quantise, tune and charge identically.
+//! would see. Both paths load a pass onto the fabric through one
+//! routine, so both quantise, tune and charge identically.
+//!
+//! The oracle is the pre-optimisation pipeline, keyed like the engine:
+//! it gathers each window into a fresh `Vec` and evaluates each arm of
+//! a kernel on the fabric arm its pass loaded, through
+//! [`Arm::mac_reference`](oisa_optics::arm::Arm::mac_reference), which
+//! checks every activation and re-derives crosstalk, rail
+//! coefficients, full scale and dwell from ring state on every call.
+//! It shares with the engine only that fabric loading and the device
+//! models — not the ring-table taps, the window gather, the fused MAC,
+//! the slot streams or the map writes — so a slot, band, gather or
+//! counter mistake in the engine's hot loop cannot reach the oracle
+//! as well.
 
 use oisa_device::awc::{AwcModel, AwcParams};
 use oisa_device::noise::{NoiseConfig, NoiseSource, SlotStream};
@@ -552,9 +559,8 @@ impl OisaAccelerator {
     pub(crate) fn stage_kernels(&mut self, kernels: &[Vec<f32>], conv: &ConvPlan) -> Result<()> {
         let planes: Vec<&[f32]> = kernels.iter().map(Vec::as_slice).collect();
         let scales = kernel_scales(&planes);
-        let table = RingTable::new(self.config.opc.arm, &self.mapper, &self.config.noise)?;
         for (_, pass_kernels, pass_scales) in conv_passes(&planes, &scales, &conv.mapping) {
-            self.stage_pass(&table, pass_kernels, pass_scales, conv.ks)?;
+            self.stage_pass(pass_kernels, pass_scales, conv.ks)?;
         }
         // Staging cycled the kernel bank; the next convolution's memory
         // energy must account only its own accesses.
@@ -595,10 +601,21 @@ impl OisaAccelerator {
             .ok_or_else(|| CoreError::InvalidParameter("no frame convolved".into()))
     }
 
-    /// Single-threaded twin of [`OisaAccelerator::convolve_frame`]:
-    /// identical physics, identical noise streams, identical energy
-    /// reduction order — the strictly serial oracle the parallel engine
-    /// is tested against.
+    /// The strictly serial oracle the parallel engine is tested
+    /// against: the pre-optimisation pipeline (see the module docs),
+    /// keyed as the engine keys its noise, so its report equals
+    /// [`OisaAccelerator::convolve_frame`]'s bit for bit.
+    ///
+    /// The frame takes one noise epoch. Each window is gathered into a
+    /// fresh `Vec`, and each kernel evaluates it through one
+    /// [`StreamCursor`](oisa_device::noise::StreamCursor) on the stream
+    /// of `(epoch, kernel, output position)`, passed through the
+    /// kernel's arms in order, so arm `i` draws at counter `3·i`. Each
+    /// arm is the fabric arm its pass loaded, evaluated by
+    /// [`Arm::mac_reference`](oisa_optics::arm::Arm::mac_reference); a
+    /// multi-arm kernel aggregates through the VOM. Compute and
+    /// aggregation energies are summed per output row before they join
+    /// the frame's total, as the engine groups them.
     ///
     /// # Errors
     ///
@@ -613,12 +630,9 @@ impl OisaAccelerator {
         let (ks, plan, oh, ow) = (conv.ks, conv.mapping, conv.out_h, conv.out_w);
         let planes: Vec<&[f32]> = kernels.iter().map(Vec::as_slice).collect();
 
-        // Sense + encode.
         let capture = self.imager.expose(frame)?;
         let encoded = self.vam.encode_capture(&capture)?;
-        // Validate the optical frame once up front; every window below
-        // reuses the guarantee instead of re-checking k² amplitudes per
-        // output pixel.
+        // Refuse the frame the engine refuses, before the epoch moves.
         validate_optical(&encoded.optical)?;
 
         let scales = kernel_scales(&planes);
@@ -627,41 +641,42 @@ impl OisaAccelerator {
             encoding: encoded.total_energy(),
             ..EnergyReport::default()
         };
-        let mut output = zeroed_maps(planes.len(), oh * ow);
+        let mut output = vec![vec![0.0f32; oh * ow]; planes.len()];
         let epoch = self.noise.begin_epoch()?;
-        let table = RingTable::new(self.config.opc.arm, &self.mapper, &self.config.noise)?;
-        // Each pass stages only after the previous one fully drained.
         for (kernel_index, pass_kernels, pass_scales) in conv_passes(&planes, &scales, &plan) {
-            let pass = self.stage_pass(&table, pass_kernels, pass_scales, ks)?;
-            energy.tuning += pass.tuning;
-            // Hoist the (seed, epoch, slot) key mixing out of the pixel
-            // loop: per position only one extra mix remains.
-            let slot_streams: Vec<SlotStream> = (0..pass.arms.len())
-                .map(|si| self.noise.slot_stream(epoch, (kernel_index + si) as u64))
-                .collect();
-            // The pass writes its kernels' maps whole: one band of `oh`
-            // rows.
-            let mut maps: Vec<&mut [f32]> = output[kernel_index..kernel_index + pass.arms.len()]
-                .iter_mut()
-                .map(Vec::as_mut_slice)
-                .collect();
+            let (slots, tuning) = self.stage_pass(pass_kernels, pass_scales, ks)?;
+            energy.tuning += tuning;
             for oy in 0..oh {
-                let partial = eval_row(
-                    oy,
-                    oy,
-                    &mut maps,
-                    &encoded.optical,
-                    frame.width(),
-                    ow,
-                    k,
-                    &table,
-                    &pass.arms,
-                    &slot_streams,
-                    pass_scales,
-                    &self.vom,
-                );
-                energy.compute += Joule::new(partial.compute);
-                energy.aggregation += Joule::new(partial.aggregation);
+                let (mut compute, mut aggregation) = (0.0, 0.0);
+                for ox in 0..ow {
+                    let window = gather_window(&encoded.optical, frame.width(), oy, ox, k);
+                    let position = oy * ow + ox;
+                    for (slot_idx, &(bank, first_arm)) in slots.iter().enumerate() {
+                        let kernel = kernel_index + slot_idx;
+                        let mut cursor = self
+                            .noise
+                            .stream(epoch, kernel as u64, position as u64)
+                            .cursor();
+                        let bank = self.opc.bank(bank)?;
+                        let mut partials = Vec::with_capacity(ks.arms_per_kernel());
+                        for (i, chunk) in window.chunks(RINGS_PER_ARM).enumerate() {
+                            let result =
+                                bank.arm(first_arm + i)?.mac_reference(chunk, &mut cursor)?;
+                            compute += result.optical_energy.get();
+                            partials.push(result);
+                        }
+                        let value = if partials.len() == 1 {
+                            partials[0].value
+                        } else {
+                            let agg = self.vom.accumulate(&partials)?;
+                            aggregation += agg.energy.get();
+                            agg.value
+                        };
+                        output[kernel][position] = (value * f64::from(scales[kernel])) as f32;
+                    }
+                }
+                energy.compute += Joule::new(compute);
+                energy.aggregation += Joule::new(aggregation);
             }
         }
 
@@ -772,8 +787,8 @@ impl OisaAccelerator {
         // records what the batch's first frame pays from the fabric's
         // entry state, the second what every later frame pays from the
         // steady state a per-frame loop would cycle through. (The taps
-        // depend only on the staged weights, so they are identical
-        // either way; only the tuning energy differs.)
+        // depend only on the weights, so they are formed once; only the
+        // tuning energy differs.)
         struct PassCtx {
             kernel_index: usize,
             arms: Vec<Vec<StagedTaps>>,
@@ -783,12 +798,12 @@ impl OisaAccelerator {
         let table = RingTable::new(self.config.opc.arm, &self.mapper, &self.config.noise)?;
         let mut passes: Vec<PassCtx> = Vec::with_capacity(plan.passes);
         for (kernel_index, pass_kernels, pass_scales) in conv_passes(kernels, &scales, &plan) {
-            let staged = self.stage_pass(&table, pass_kernels, pass_scales, ks)?;
+            let (_, tuning) = self.stage_pass(pass_kernels, pass_scales, ks)?;
             passes.push(PassCtx {
                 kernel_index,
-                arms: staged.arms,
-                tuning_first: staged.tuning,
-                tuning_steady: staged.tuning,
+                arms: pass_taps(&table, pass_kernels, pass_scales)?,
+                tuning_first: tuning,
+                tuning_steady: tuning,
             });
         }
         let memory_first = self.bank.total_energy();
@@ -802,9 +817,7 @@ impl OisaAccelerator {
             for (pass, (_, pass_kernels, pass_scales)) in
                 passes.iter_mut().zip(conv_passes(kernels, &scales, &plan))
             {
-                pass.tuning_steady = self
-                    .stage_pass(&table, pass_kernels, pass_scales, ks)?
-                    .tuning;
+                (_, pass.tuning_steady) = self.stage_pass(pass_kernels, pass_scales, ks)?;
             }
             memory_steady = self.bank.total_energy();
             self.bank.reset_counters();
@@ -944,12 +957,12 @@ impl OisaAccelerator {
         Ok(reports)
     }
 
-    /// Stages one pass end to end — quantise each kernel through the
-    /// mapper, store its codes in the kernel bank, tune its rings, stage
-    /// its weights through `table` and form each of its arms' taps —
-    /// and charges the tuning of exactly the arms it staged. Every conv
-    /// path stages through here, so all of them quantise, tune and
-    /// charge identically.
+    /// Stages one pass onto the fabric — quantise each kernel through
+    /// the mapper, store its codes in the kernel bank, tune its rings —
+    /// and returns each kernel's `(bank, first arm)` slot with the
+    /// tuning of exactly the arms it loaded. The engine and the oracle
+    /// both stage through here, so both quantise, tune and charge
+    /// identically.
     ///
     /// Summing [`Opc::tuning_energy`] instead would re-charge the
     /// *last* load of every arm on the fabric, double-counting earlier
@@ -959,25 +972,20 @@ impl OisaAccelerator {
     /// [`crate::backend`]).
     fn stage_pass(
         &mut self,
-        table: &RingTable,
         pass_kernels: &[&[f32]],
         pass_scales: &[f32],
         ks: KernelSize,
-    ) -> Result<StagedPass> {
+    ) -> Result<(Vec<(usize, usize)>, Joule)> {
         let slots = assign_slots(pass_kernels.len(), ks, &self.config.opc)?;
         let mut normalised: Vec<f64> = Vec::with_capacity(ks.weights());
         let mut codes: Vec<u16> = Vec::with_capacity(ks.weights());
-        let mut bytes: Vec<u8> = Vec::with_capacity(ks.weights());
         let mut tuning = Joule::ZERO;
-        let mut arms = Vec::with_capacity(slots.len());
         for ((kn, &scale), &(bank, first_arm)) in pass_kernels.iter().zip(pass_scales).zip(&slots) {
             normalised.clear();
             normalised.extend(kn.iter().map(|&w| f64::from(w / scale)));
             codes.clear();
-            bytes.clear();
             for &w in &normalised {
                 codes.push(self.mapper.quantize(w)?.code);
-                bytes.push(table.stage(w)?);
             }
             let offset = (bank * RINGS_PER_BANK + first_arm * RINGS_PER_ARM) % self.bank.len();
             self.bank.store(offset, &codes)?;
@@ -988,21 +996,8 @@ impl OisaAccelerator {
             for arm in first_arm..first_arm + used {
                 tuning += staged_bank.arm(arm)?.tuning_energy();
             }
-            // An arm's taps depend only on the weights it holds, so the
-            // row tasks read them instead of the fabric, which a later
-            // pass re-tunes.
-            arms.push(
-                bytes
-                    .chunks(RINGS_PER_ARM)
-                    .map(|arm| table.taps(arm))
-                    .collect(),
-            );
         }
-        Ok(StagedPass {
-            slots,
-            arms,
-            tuning,
-        })
+        Ok((slots, tuning))
     }
 
     /// The controller timeline of one frame under `plan` that writes
@@ -1010,117 +1005,6 @@ impl OisaAccelerator {
     fn frame_timeline(&self, plan: &MappingPlan, output_words: usize) -> Result<Timeline> {
         let program = self.controller.frame_program(plan, output_words as u64);
         self.controller.execute(&program)
-    }
-
-    /// Faithful port of the pre-optimisation sequential pipeline: one
-    /// mutable noise stream shared by every MAC (order-dependent draws),
-    /// a freshly allocated `Vec` per activation window, per-MAC range
-    /// validation, and per-call crosstalk/rail-coefficient/full-scale/
-    /// time-of-flight evaluation through
-    /// [`Arm::mac_reference`](oisa_optics::arm::Arm::mac_reference).
-    /// Weight passes stage through the engines' own staging routine,
-    /// which is off the hot path.
-    ///
-    /// Kept as the wall-clock baseline the `perf_json` benchmark and the
-    /// acceptance speedup are measured against. Its outputs differ from
-    /// [`OisaAccelerator::convolve_frame`] only through the noise
-    /// drawing scheme (stateful stream vs. counter-based streams); with
-    /// noise disabled the two pipelines agree exactly.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`OisaAccelerator::convolve_frame`].
-    pub fn convolve_frame_reference(
-        &mut self,
-        frame: &Frame,
-        kernels: &[Vec<f32>],
-        k: usize,
-    ) -> Result<ConvolutionReport> {
-        let conv = self.check_conv_job(std::slice::from_ref(frame), kernels, k)?;
-        let (ks, plan, oh, ow) = (conv.ks, conv.mapping, conv.out_h, conv.out_w);
-        let planes: Vec<&[f32]> = kernels.iter().map(Vec::as_slice).collect();
-
-        let capture = self.imager.expose(frame)?;
-        let encoded = self.vam.encode_capture(&capture)?;
-
-        let scales = kernel_scales(&planes);
-        let mut energy = EnergyReport {
-            sensing: capture.energy,
-            encoding: encoded.total_energy(),
-            ..EnergyReport::default()
-        };
-        let mut output = vec![vec![0.0f32; oh * ow]; kernels.len()];
-        let table = RingTable::new(self.config.opc.arm, &self.mapper, &self.config.noise)?;
-
-        for (kernel_index, pass_kernels, pass_scales) in conv_passes(&planes, &scales, &plan) {
-            let pass = self.stage_pass(&table, pass_kernels, pass_scales, ks)?;
-            energy.tuning += pass.tuning;
-
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let window = gather_window(&encoded.optical, frame.width(), oy, ox, k);
-                    for (slot_idx, &(bank, first_arm)) in pass.slots.iter().enumerate() {
-                        let value = self.evaluate_kernel_reference(
-                            bank,
-                            first_arm,
-                            &window,
-                            ks,
-                            &mut energy,
-                        )?;
-                        output[kernel_index + slot_idx][oy * ow + ox] =
-                            (value * f64::from(pass_scales[slot_idx])) as f32;
-                    }
-                }
-            }
-        }
-
-        energy.memory = self.bank.total_energy();
-        self.bank.reset_counters();
-
-        Ok(ConvolutionReport {
-            output,
-            out_h: oh,
-            out_w: ow,
-            timeline: self.frame_timeline(&plan, oh * ow * kernels.len())?,
-            plan,
-            energy,
-        })
-    }
-
-    /// Evaluates one kernel the pre-optimisation way (see
-    /// [`OisaAccelerator::convolve_frame_reference`]).
-    fn evaluate_kernel_reference(
-        &mut self,
-        bank: usize,
-        first_arm: usize,
-        window: &[f64],
-        ks: KernelSize,
-        energy: &mut EnergyReport,
-    ) -> Result<f64> {
-        let arms = ks.arms_per_kernel();
-        if arms == 1 {
-            let result = self
-                .opc
-                .bank(bank)?
-                .arm(first_arm)?
-                .mac_reference(window, &mut self.noise)?;
-            energy.compute += result.optical_energy;
-            Ok(result.value)
-        } else {
-            let mut partials = Vec::with_capacity(arms);
-            for (i, chunk) in window.chunks(RINGS_PER_ARM).enumerate() {
-                let r = self
-                    .opc
-                    .bank(bank)?
-                    .arm(first_arm + i)?
-                    .mac_reference(chunk, &mut self.noise)?;
-                energy.compute += r.optical_energy;
-                partials.push(r);
-            }
-            let agg = self.vom.accumulate(&partials)?;
-            energy.aggregation += agg.energy;
-            Ok(agg.value)
-        }
     }
 
     /// Convolves a multi-channel input (e.g. RGB): one [`Frame`] per
@@ -1476,16 +1360,30 @@ fn validate_optical(optical: &[f64]) -> Result<()> {
     Ok(())
 }
 
-/// One staged weight pass, ready to drain: where its kernels sit, the
-/// taps of the arms the row tasks evaluate and the tuning energy the
-/// pass is charged. Produced by [`OisaAccelerator::stage_pass`].
-struct StagedPass {
-    /// `(bank, first arm)` of each kernel in the pass.
-    slots: Vec<(usize, usize)>,
-    /// Per slot, the taps of each arm its kernel occupies.
-    arms: Vec<Vec<StagedTaps>>,
-    /// Tuning energy of exactly the arms this pass staged.
-    tuning: Joule,
+/// Per kernel of a pass, the taps of each arm it occupies, its weights
+/// normalised as [`OisaAccelerator::stage_pass`] loads them and staged
+/// through `table`. An arm's taps depend only on the weights it holds,
+/// so the engine's row tasks read them instead of the fabric, which a
+/// later pass re-tunes.
+fn pass_taps(
+    table: &RingTable,
+    pass_kernels: &[&[f32]],
+    pass_scales: &[f32],
+) -> Result<Vec<Vec<StagedTaps>>> {
+    pass_kernels
+        .iter()
+        .zip(pass_scales)
+        .map(|(kn, &scale)| {
+            let bytes = kn
+                .iter()
+                .map(|&w| table.stage(f64::from(w / scale)))
+                .collect::<std::result::Result<Vec<u8>, _>>()?;
+            Ok(bytes
+                .chunks(RINGS_PER_ARM)
+                .map(|arm| table.taps(arm))
+                .collect())
+        })
+        .collect()
 }
 
 /// The weight passes of a kernel set under `plan`, in staging order:
@@ -1534,12 +1432,12 @@ fn kernel_scales(kernels: &[&[f32]]) -> Vec<f32> {
 
 /// Evaluates output row `oy` of one pass against the taps its arms
 /// hold and writes slot `si`'s value at `x` to `maps[si][row · ow + x]`
-/// — the shared hot loop and the one write path of the serial oracle,
-/// whose `maps` are the pass's whole maps (`row == oy`), and of the
-/// batch engine's `(frame, pass, row-band)` work items, whose `maps`
-/// are their band's rows of those maps. Windows gather into a stack
-/// scratch array, noise comes from the counter-addressed slot streams,
-/// and multi-arm kernels aggregate through the VOM.
+/// — the hot loop and the write path of the batch engine's
+/// `(frame, pass, row-band)` work items, whose `maps` are their band's
+/// rows of the pass's maps, with `row` the band-relative row. Windows
+/// gather into a stack scratch array, noise comes from the
+/// counter-addressed slot streams, and multi-arm kernels aggregate
+/// through the VOM. The serial oracle shares none of it.
 ///
 /// Every window goes through [`RingTable::fused_mac`], the fused MAC a
 /// dense chunk runs too, which folds the taps the pass formed and draws
@@ -1599,7 +1497,8 @@ fn eval_row(
 
 /// Extracts the `k×k` activation window at output position `(oy, ox)`
 /// from a row-major optical frame, allocating a fresh `Vec` — the
-/// pre-optimisation gather kept for the reference pipeline.
+/// serial oracle's pre-optimisation gather, which shares nothing with
+/// the engine's stack scratch window.
 fn gather_window(optical: &[f64], width: usize, oy: usize, ox: usize, k: usize) -> Vec<f64> {
     let mut window = Vec::with_capacity(k * k);
     for dy in 0..k {
@@ -1856,9 +1755,10 @@ mod tests {
 
     #[test]
     fn optimised_pipeline_matches_reference_noiselessly() {
-        // With noise disabled the counter-stream and stateful draws are
-        // both identity, so the optimised pipeline must reproduce the
-        // pre-optimisation reference exactly.
+        // With noise disabled every draw is the identity, and the engine
+        // skips the zero-variance rail draws the oracle's cursor takes,
+        // so the optimised pipeline must reproduce the pre-optimisation
+        // oracle's maps exactly.
         let mut data = vec![0.0f64; 256];
         for (i, v) in data.iter_mut().enumerate() {
             *v = ((i % 7) as f64 / 7.0).clamp(0.0, 1.0);
@@ -1871,10 +1771,8 @@ mod tests {
         let mut fast = OisaAccelerator::new(cfg).unwrap();
         let mut slow = OisaAccelerator::new(cfg).unwrap();
         let rf = fast.convolve_frame(&frame, &kernels, 3).unwrap();
-        let rr = slow.convolve_frame_reference(&frame, &kernels, 3).unwrap();
+        let rr = slow.convolve_frame_sequential(&frame, &kernels, 3).unwrap();
         assert_eq!(rf.output, rr.output);
-        // Energy matches up to reduction grouping (row partials vs one
-        // running sum).
         let rel =
             (rf.energy.total().get() - rr.energy.total().get()).abs() / rr.energy.total().get();
         assert!(rel < 1e-9, "energy drift {rel}");
@@ -1996,93 +1894,13 @@ mod tests {
     }
 
     #[test]
-    fn noisy_windows_equal_the_fabric_arms_that_hold_them() {
-        // The engines evaluate windows from ring-table taps and never
-        // read an arm. Under paper noise, re-evaluate windows through
-        // `Arm::mac` on the fabric arms the pass loaded — arms that
-        // carry earlier passes' tuning history — with arm `i` of a
-        // window drawing from counter `3·i` of the window's stream, and
-        // aggregate and scale back as the engines do.
-        let mut cfg = OisaConfig::small_test();
-        cfg.noise = NoiseConfig::paper_default();
-        cfg.seed = 23;
-        let data: Vec<f64> = (0..256).map(|i| ((i * 7) % 17) as f64 / 17.0).collect();
-        let frame = Frame::new(16, 16, data).unwrap();
-        let kernel_set = |count: usize, k: usize| -> Vec<Vec<f32>> {
-            (0..count)
-                .map(|i| {
-                    (0..k * k)
-                        .map(|j| ((i * 13 + j) as f32 * 0.53).sin())
-                        .collect()
-                })
-                .collect()
-        };
-        let mut accel = OisaAccelerator::new(cfg).unwrap();
-        // Two passes of history on every arm the sets below reuse.
-        accel
-            .convolve_frame_sequential(&frame, &kernel_set(25, 3), 3)
-            .unwrap();
-        let optical = accel.sense(&frame).unwrap().optical;
-        for (kernels, k) in [(kernel_set(7, 3), 3usize), (kernel_set(3, 5), 5)] {
-            let epoch = accel.next_noise_epoch();
-            let report = accel
-                .convolve_frame_sequential(&frame, &kernels, k)
-                .unwrap();
-            assert_eq!(report.plan.passes, 1, "k={k}: the set must fit one pass");
-            let planes: Vec<&[f32]> = kernels.iter().map(Vec::as_slice).collect();
-            let scales = kernel_scales(&planes);
-            let ks = KernelSize::from_k(k).unwrap();
-            let slots = assign_slots(kernels.len(), ks, &accel.config.opc).unwrap();
-            let (oh, ow) = (report.out_h, report.out_w);
-            for (oy, ox) in [(0, 0), (3, 7), (oh - 1, ow - 1)] {
-                let window = gather_window(&optical, frame.width(), oy, ox, k);
-                let position = oy * ow + ox;
-                for (si, &(bank, first_arm)) in slots.iter().enumerate() {
-                    let stream = accel
-                        .noise
-                        .slot_stream(epoch, si as u64)
-                        .at(position as u64);
-                    // Each `Arm::mac` draws exactly three counters, so
-                    // one cursor walked over the arms in order starts
-                    // arm `i` at counter `3·i`.
-                    let mut cursor = stream.cursor();
-                    let bank = accel.opc.bank(bank).unwrap();
-                    let values: Vec<f64> = window
-                        .chunks(RINGS_PER_ARM)
-                        .enumerate()
-                        .map(|(i, chunk)| {
-                            let arm = bank.arm(first_arm + i).unwrap();
-                            arm.mac(chunk, &mut cursor).unwrap().value
-                        })
-                        .collect();
-                    let value = if values.len() == 1 {
-                        values[0]
-                    } else {
-                        accel.vom.accumulate_values(&values).0
-                    };
-                    assert_eq!(
-                        (value * f64::from(scales[si])) as f32,
-                        report.output[si][position],
-                        "k={k}, kernel {si}, output ({oy}, {ox})"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn batch_maps_equal_oracles_that_share_no_write_path() {
-        // The serial oracle writes its maps through `eval_row`, as the
-        // batch engine does, so a slot or a band written to the wrong
-        // place in both would pass every engine-vs-oracle test. Here the
-        // batch engine's maps meet code that writes no map alike:
-        // noiselessly the reference port, frame by frame; under paper
-        // noise a window-by-window re-evaluation of the first and last
-        // row of every band, from taps formed here and the window's own
-        // `(frame epoch, kernel)` stream, scaled back as the engine
-        // does. Two passes of 3×3 kernels, one of 5×5 and an output
-        // height of 11 rows, which no band size from 2 to 10 divides,
-        // at 1 to 4 scheduler threads.
+        // The serial oracle gathers, evaluates and writes every window
+        // on its own path, so a slot or a band the batch engine writes
+        // to the wrong place cannot pass as the oracle's own mistake.
+        // Two passes of 3×3 kernels, one of 5×5 and an output height of
+        // 11 rows, which no band size from 2 to 10 divides, at 1 to 4
+        // scheduler threads, noiselessly and under paper noise.
         let _guard = crate::test_sync::thread_count_lock();
         let kernel_set = |count: usize, k: usize| -> Vec<Vec<f32>> {
             (0..count)
@@ -2099,100 +1917,45 @@ mod tests {
             (13, kernel_set(6, 3), 3),
         ];
         let mut ragged = 0;
-        for threads in 1..=4 {
-            rayon::set_num_threads(threads);
-            for (height, kernels, k) in &cases {
-                let frames: Vec<Frame> = (0..3)
-                    .map(|f| {
-                        let data = (0..16 * height)
-                            .map(|i| ((i * (f + 3)) % 19) as f64 / 19.0)
-                            .collect();
-                        Frame::new(16, *height, data).unwrap()
-                    })
-                    .collect();
-                let noiseless = OisaConfig::builder()
-                    .imager_dims(16, *height)
-                    .opc_shape(4, 2, 10)
-                    .noise(NoiseConfig::noiseless())
-                    .awc_model(AwcModel::Ideal)
-                    .config;
-                let what = |f: usize| format!("{height}-row frame {f}, {k}x{k}, {threads} threads");
-                let batch = OisaAccelerator::new(noiseless)
-                    .unwrap()
-                    .convolve_frames(&frames, kernels, *k)
-                    .unwrap();
-                for (f, frame) in frames.iter().enumerate() {
-                    let reference = OisaAccelerator::new(noiseless)
-                        .unwrap()
-                        .convolve_frame_reference(frame, kernels, *k)
-                        .unwrap();
-                    assert_eq!(batch[f].output, reference.output, "{}", what(f));
-                }
-
-                let noisy = OisaConfig {
-                    noise: NoiseConfig::paper_default(),
-                    seed: 19,
-                    ..noiseless
-                };
-                let mut accel = OisaAccelerator::new(noisy).unwrap();
-                let epoch = accel.next_noise_epoch();
-                let reports = accel.convolve_frames(&frames, kernels, *k).unwrap();
-                let (oh, ow) = (reports[0].out_h, reports[0].out_w);
-                let band = band_rows(oh, frames.len() * reports[0].plan.passes, threads);
-                ragged += usize::from(oh % band != 0);
-                let rows: Vec<usize> = (0..oh)
-                    .step_by(band)
-                    .flat_map(|r0| [r0, (r0 + band).min(oh) - 1])
-                    .collect();
-                let table = RingTable::new(noisy.opc.arm, &accel.mapper, &noisy.noise).unwrap();
-                let planes: Vec<&[f32]> = kernels.iter().map(Vec::as_slice).collect();
-                let scales = kernel_scales(&planes);
-                let taps: Vec<Vec<StagedTaps>> = planes
+        for (height, kernels, k) in &cases {
+            let frames: Vec<Frame> = (0..3)
+                .map(|f| {
+                    let data = (0..16 * height)
+                        .map(|i| ((i * (f + 3)) % 19) as f64 / 19.0)
+                        .collect();
+                    Frame::new(16, *height, data).unwrap()
+                })
+                .collect();
+            let noiseless = OisaConfig::builder()
+                .imager_dims(16, *height)
+                .opc_shape(4, 2, 10)
+                .noise(NoiseConfig::noiseless())
+                .awc_model(AwcModel::Ideal)
+                .config;
+            let noisy = OisaConfig {
+                noise: NoiseConfig::paper_default(),
+                seed: 19,
+                ..noiseless
+            };
+            for config in [noiseless, noisy] {
+                let mut oracle = OisaAccelerator::new(config).unwrap();
+                let looped: Vec<ConvolutionReport> = frames
                     .iter()
-                    .zip(&scales)
-                    .map(|(kernel, &scale)| {
-                        let staged: Vec<u8> = kernel
-                            .iter()
-                            .map(|&w| table.stage(f64::from(w / scale)).unwrap())
-                            .collect();
-                        staged
-                            .chunks(RINGS_PER_ARM)
-                            .map(|arm| table.taps(arm))
-                            .collect()
-                    })
+                    .map(|f| oracle.convolve_frame_sequential(f, kernels, *k).unwrap())
                     .collect();
-                for (f, frame) in frames.iter().enumerate() {
-                    let optical = accel.sense(frame).unwrap().optical;
-                    for (kernel, arms) in taps.iter().enumerate() {
-                        let slot = accel.noise.slot_stream(epoch + f as u64, kernel as u64);
-                        for &oy in &rows {
-                            for ox in 0..ow {
-                                let window = gather_window(&optical, frame.width(), oy, ox, *k);
-                                let position = oy * ow + ox;
-                                let stream = slot.at(position as u64);
-                                let values: Vec<f64> = window
-                                    .chunks(RINGS_PER_ARM)
-                                    .zip(arms)
-                                    .enumerate()
-                                    .map(|(i, (chunk, taps))| {
-                                        let base = i as u64 * COUNTER_STRIDE;
-                                        table.fused_mac(taps, chunk, &stream, base).0
-                                    })
-                                    .collect();
-                                let value = if values.len() == 1 {
-                                    values[0]
-                                } else {
-                                    accel.vom.accumulate_values(&values).0
-                                };
-                                assert_eq!(
-                                    reports[f].output[kernel][position],
-                                    (value * f64::from(scales[kernel])) as f32,
-                                    "{}, kernel {kernel}, output ({oy}, {ox})",
-                                    what(f)
-                                );
-                            }
-                        }
-                    }
+                for threads in 1..=4 {
+                    rayon::set_num_threads(threads);
+                    let batch = OisaAccelerator::new(config)
+                        .unwrap()
+                        .convolve_frames(&frames, kernels, *k)
+                        .unwrap();
+                    let (oh, passes) = (batch[0].out_h, batch[0].plan.passes);
+                    ragged += usize::from(oh % band_rows(oh, frames.len() * passes, threads) != 0);
+                    assert_eq!(
+                        batch, looped,
+                        "{height}-row frames, {k}x{k}, {threads} threads, {:?}",
+                        config.noise
+                    );
                 }
             }
         }

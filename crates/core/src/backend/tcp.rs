@@ -526,7 +526,9 @@ impl TcpWorker {
                             cause: format!("accept kept failing, last: {e}"),
                         });
                     }
-                    eprintln!("oisa worker {endpoint}: accept failed (continuing): {e}");
+                    log_line(&format!(
+                        "oisa worker {endpoint}: accept failed (continuing): {e}"
+                    ));
                     std::thread::sleep(Duration::from_millis(100));
                 }
             }
@@ -546,7 +548,7 @@ impl TcpWorker {
             .name(format!("oisa-worker-{addr}"))
             .spawn(move || {
                 if let Err(e) = self.serve() {
-                    eprintln!("oisa worker {addr}: accept loop ended: {e}");
+                    log_line(&format!("oisa worker {addr}: accept loop ended: {e}"));
                 }
             })
             .map_err(|e| OisaError::Backend(format!("worker thread spawn failed: {e}")))?;
@@ -603,7 +605,9 @@ fn serve_worker_connection(
     let mut reader = match configure(&stream) {
         Ok(clone) => clone,
         Err(e) => {
-            eprintln!("oisa worker: connection from {peer} unusable: {e}");
+            log_line(&format!(
+                "oisa worker: connection from {peer} unusable: {e}"
+            ));
             return;
         }
     };
@@ -624,9 +628,9 @@ fn serve_worker_connection(
                     if total >= limit {
                         // Fault injection: die mid-request, reply unsent —
                         // exactly what a crashed worker looks like on the wire.
-                        eprintln!(
+                        log_line(&format!(
                             "oisa worker: fail-after-shards={limit} reached, aborting mid-shard"
-                        );
+                        ));
                         std::process::exit(17);
                     }
                 }
@@ -643,14 +647,43 @@ fn serve_worker_connection(
         }
         requests += 1;
     };
+    let fingerprint = worker.config.fingerprint();
+    log_line(&close_line(
+        &peer,
+        &ended,
+        requests,
+        shards,
+        pushes,
+        fingerprint,
+    ));
+}
+
+/// The line a worker connection logs as it ends: `closed:` with what it
+/// answered after the peer's clean EOF, `ended:` with the stream fault
+/// otherwise.
+fn close_line(
+    peer: &str,
+    ended: &Result<(), WireError>,
+    requests: u64,
+    shards: u64,
+    pushes: u64,
+    fingerprint: u64,
+) -> String {
     match ended {
-        Ok(()) => eprintln!(
+        Ok(()) => format!(
             "oisa worker: connection from {peer} closed: {requests} request(s) answered, \
-             {shards} shard(s), {pushes} config push(es), final fingerprint {:#018x}",
-            worker.config.fingerprint()
+             {shards} shard(s), {pushes} config push(es), final fingerprint {fingerprint:#018x}"
         ),
-        Err(e) => eprintln!("oisa worker: connection from {peer} ended: {e}"),
+        Err(e) => format!("oisa worker: connection from {peer} ended: {e}"),
     }
+}
+
+/// Writes one worker log line to stderr, newline included, with one
+/// `write_all`, so daemons that share a stderr cannot tear each other's
+/// lines: `eprintln!` writes a line's pieces one at a time. A line that
+/// stderr refuses is dropped; the daemon has nowhere else to say so.
+fn log_line(line: &str) {
+    let _ = std::io::stderr().write_all(format!("{line}\n").as_bytes());
 }
 
 #[cfg(test)]
@@ -806,6 +839,20 @@ mod tests {
         let mut local = crate::backend::LocalBackend::new(coordinator_cfg).unwrap();
         let expected = local.run_job(&job).unwrap();
         assert_eq!(pushed, expected, "config-pushed fleet must match local");
+    }
+
+    #[test]
+    fn close_line_pins_the_connection_end_text() {
+        assert_eq!(
+            close_line("127.0.0.1:9", &Ok(()), 4, 2, 1, 0xabc),
+            "oisa worker: connection from 127.0.0.1:9 closed: 4 request(s) answered, \
+             2 shard(s), 1 config push(es), final fingerprint 0x0000000000000abc"
+        );
+        let reset = Err(WireError::Io("reset".into()));
+        assert_eq!(
+            close_line("127.0.0.1:9", &reset, 4, 2, 1, 0xabc),
+            "oisa worker: connection from 127.0.0.1:9 ended: stream error: reset"
+        );
     }
 
     #[test]

@@ -613,7 +613,7 @@ impl<B: ComputeBackend + 'static> ServingEngine<B> {
             .pending
             .len();
         // Copy out under the lock, sort after releasing it: the worker
-        // takes this mutex around every batch, and sorting a full 2²⁰
+        // takes this mutex around every batch, and sorting a full 2¹⁶
         // wait window while holding it would add the sort to served
         // frames' tail latency every time a monitor polls.
         let (mut waits, snapshot) = {

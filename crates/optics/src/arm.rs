@@ -343,10 +343,12 @@ impl Arm {
     /// Faithful port of the pre-optimisation MAC: validates inside the
     /// loop, re-derives both crosstalk Lorentzians and the rail
     /// coefficients per channel from ring state, recomputes the
-    /// full-scale and time-of-flight terms per call. Kept as the
-    /// wall-clock baseline for the performance benchmarks and as a
-    /// physics cross-check (it produces the same values as [`Arm::mac`]
-    /// given the same noise draws).
+    /// full-scale and time-of-flight terms per call. The MAC of the
+    /// serial conv oracle, `OisaAccelerator::convolve_frame_sequential`
+    /// in `oisa_core`, which shares none of the engines' precomputed
+    /// gains or ring-table taps; it produces the same values as
+    /// [`Arm::mac`] and [`RingTable::fused_mac`] given the same noise
+    /// draws.
     ///
     /// # Errors
     ///

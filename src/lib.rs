@@ -169,12 +169,14 @@
 //!   fused allocation-free MAC every conv window and dense chunk runs,
 //!   draws three Gaussians per MAC: one per rail and one for the
 //!   detector.
-//!   `Arm::mac_reference` keeps the pre-optimisation cost profile as
-//!   the benchmark baseline. Every MAC path folds its rail moments
-//!   into 4 fixed lanes reduced through one canonical tree — reduction
-//!   order is part of the wire-level bit-identity guarantee (see the
-//!   performance notes in `optics::arm`). The fold is plain scalar
-//!   code and the workspace holds no `unsafe`.
+//!   `Arm::mac_reference`, the pre-optimisation MAC that re-derives
+//!   every constant per call, is the MAC of the serial conv oracle,
+//!   which shares no hot-loop code with the engine. Every MAC path
+//!   folds its rail moments into 4 fixed lanes reduced through one
+//!   canonical tree — reduction order is part of the wire-level
+//!   bit-identity guarantee (see the performance notes in
+//!   `optics::arm`). The fold is plain scalar code and the workspace
+//!   holds no `unsafe`.
 //! * **One parallel conv engine that writes each value once**
 //!   ([`core::OisaAccelerator::convolve_frames`]). Each weight pass is
 //!   staged once per batch, windows gather into a stack scratch array,

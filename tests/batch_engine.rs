@@ -4,7 +4,7 @@
 //! workloads, with worker threads forced on so the claims are never
 //! vacuous on small CI hosts. `convolve_frame`, the engine's one-frame
 //! batch, is also pinned against `convolve_frame_sequential` over
-//! random frame shapes on the paper configuration, 3×3 and 5×5.
+//! random frame shapes on the paper configuration, 3×3, 5×5 and 7×7.
 
 use oisa::core::mlp::{matvec, matvec_parallel};
 use oisa::core::serving::{ServingConfig, ServingEngine};
@@ -346,17 +346,20 @@ proptest! {
         seed in 0u64..200,
         salt in 1u64..200,
         count in 1usize..=4,
+        wide in prop::bool::ANY,
     ) {
-        // 5×5 kernels route through the VOM multi-arm path.
+        // 5×5 (three arms) and 7×7 (five arms) kernels route through
+        // the VOM multi-arm path.
+        let k = if wide { 7 } else { 5 };
         let mut cfg = OisaConfig::paper_default(12, 12);
         cfg.seed = seed;
         cfg.noise = NoiseConfig::paper_default();
         let frame = deterministic_frame(12, 12, salt);
-        let kernels = deterministic_kernels(count, 25, salt);
+        let kernels = deterministic_kernels(count, k * k, salt);
         let mut par = OisaAccelerator::new(cfg).unwrap();
         let mut seq = OisaAccelerator::new(cfg).unwrap();
-        let rp = par.convolve_frame(&frame, &kernels, 5).unwrap();
-        let rs = seq.convolve_frame_sequential(&frame, &kernels, 5).unwrap();
+        let rp = par.convolve_frame(&frame, &kernels, k).unwrap();
+        let rs = seq.convolve_frame_sequential(&frame, &kernels, k).unwrap();
         prop_assert_eq!(&rp.output, &rs.output);
         prop_assert_eq!(rp.energy, rs.energy);
     }

@@ -1,6 +1,8 @@
 //! Cross-crate guarantees of the optimised convolution pipeline:
-//! thread-count-independent bit-identical physics, and agreement with
-//! the pre-optimisation reference implementation.
+//! thread-count-independent physics, bit-identical to the serial
+//! oracle, `convolve_frame_sequential`, which ports the
+//! pre-optimisation pipeline and shares no hot-loop code with the
+//! engine.
 
 use oisa::core::{OisaAccelerator, OisaConfig};
 use oisa::device::noise::NoiseConfig;
@@ -27,8 +29,8 @@ fn kernel_bank(count: usize, k: usize) -> Vec<Vec<f32>> {
         .collect()
 }
 
-/// The headline tentpole property: the parallel pipeline is bit-identical
-/// to its sequential twin under a fixed seed — output, energy report and
+/// The headline property: the parallel pipeline is bit-identical to
+/// the serial oracle under a fixed seed — output, energy report and
 /// timeline — even when forced onto multiple worker threads.
 #[test]
 fn parallel_pipeline_bit_identical_to_sequential_reference() {
@@ -58,7 +60,7 @@ fn parallel_pipeline_bit_identical_to_sequential_reference() {
     assert_eq!(rp.energy, rr.energy);
 }
 
-/// With noise disabled, the optimised pipeline and the faithful
+/// With noise disabled, the optimised pipeline and the
 /// pre-optimisation port must produce exactly the same feature maps.
 #[test]
 fn optimised_pipeline_reproduces_reference_physics() {
@@ -72,7 +74,7 @@ fn optimised_pipeline_reproduces_reference_physics() {
     let mut reference = OisaAccelerator::new(cfg).unwrap();
     let rf = fast.convolve_frame(&frame, &kernels, 3).unwrap();
     let rr = reference
-        .convolve_frame_reference(&frame, &kernels, 3)
+        .convolve_frame_sequential(&frame, &kernels, 3)
         .unwrap();
     assert_eq!(rf.output, rr.output);
 }
